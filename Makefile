@@ -49,15 +49,18 @@ lint-sarif:
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x ./...
 
-# serve-smoke boots the hsserve HTTP service on a random loopback port,
-# drives one predict, one coalescing batch, a samples POST, and a metrics
-# scrape through a real client, and exits non-zero on any mismatch. It then
-# replays a scripted drift episode through the continuous-learning loop
-# (faultinject schedule, fixed seeds) and fails unless exactly one promotion
-# and one rollback occur.
+# serve-smoke runs the end-to-end serving tests: each boots the HTTP service
+# on an httptest loopback listener and drives it as a real client. They pin
+# Float64bits identity of single and coalesced batch predicts to the
+# snapshot, samples acceptance, the metrics page, and the two scripted drift
+# episodes of the continuous-learning loop (a x1.6 step shift gives exactly
+# one promotion; a transient x3 shift gives exactly one rollback and ends in
+# cooldown). `make test` and `make race` already run them; this target runs
+# just these.
+SERVE_SMOKE_TESTS := ^(TestPredictBitIdenticalToSnapshot|TestBatchCoalescing|TestV1SamplesFanOut|TestModelInfoAndMetricsPage|TestLifecycleHTTPEpisode|TestLifecycleRollbackOnRegression)$$
+
 serve-smoke:
-	$(GO) run ./cmd/hsserve -selfcheck
-	$(GO) run ./cmd/hsserve -driftcheck
+	$(GO) test -count=1 -run '$(SERVE_SMOKE_TESTS)' ./internal/serve ./internal/lifecycle
 
 # serve-bench measures the serving path: it boots a bootstrap-trained hsserve
 # on a loopback port, drives it with cmd/hsload (concurrent single predicts —
@@ -74,15 +77,15 @@ serve-bench:
 	./hsload -addr http://127.0.0.1:18808 -duration 3s -conc 8 -out BENCH_pr8.json; RC=$$?; \
 	kill $$SRV; wait $$SRV 2>/dev/null; exit $$RC
 
-# registry-smoke boots hsserve with a three-entry model manifest (two
-# application-scoped entries plus a wildcard) next to the default, fans one
-# sample stream through /v1/samples verifying each entry's store advances by
-# exactly its matching share, trains every manifest entry through its
-# model-addressed /v2 samples route, pins v1<->v2 predict bit-identity on the
-# default, exercises register/unregister with manifest persistence, and
-# checks the per-model metrics series. Exits non-zero on any mismatch.
+# registry-smoke runs the multi-model serving tests over httptest loopback:
+# /v1/samples fan-out accounting per entry, a non-default entry retraining
+# through its /v2 samples route, the "app:<name>" alias, v1/v2 bit-parity,
+# register/unregister with manifest persistence, manifest boot, and the
+# per-model metrics series. `make test` and `make race` already run them.
+REGISTRY_SMOKE_TESTS := ^(TestV1SamplesFanOut|TestV1V2Parity|TestRegisterUnregisterHTTP|TestManifestBoot|TestRegistryMetricsPage)$$
+
 registry-smoke:
-	$(GO) run ./cmd/hsserve -registrycheck
+	$(GO) test -count=1 -run '$(REGISTRY_SMOKE_TESTS)' ./internal/serve
 
 # families-smoke runs the model-family selection harness end to end on the
 # spmv domain corpus: all three built-in families (spline, residual, dal)
@@ -95,5 +98,6 @@ families-smoke:
 # hslint invariant checks), plain tests, then the race detector over the
 # whole tree (the parallel fitness pool, the lock-free snapshot swaps, and
 # the fault-injection schedules are the usual suspects), and finally the
-# end-to-end serving, registry, and family-selection smoke tests.
-ci: build vet lint test race serve-smoke registry-smoke families-smoke
+# end-to-end family-selection smoke test. The serving and registry smoke
+# tests are part of test and race.
+ci: build vet lint test race families-smoke

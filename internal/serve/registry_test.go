@@ -13,6 +13,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"hsmodel/pkg/hsmodel"
 )
@@ -140,25 +141,43 @@ func TestV1DeprecationHeaders(t *testing.T) {
 	}
 }
 
-// TestV1SamplesFanOut: one POST /v1/samples advances every matching entry.
+// TestV1SamplesFanOut: one POST /v1/samples advances every matching entry, a
+// non-default entry retrains through its addressed samples route, and the
+// "app:<name>" alias resolves over HTTP.
 func TestV1SamplesFanOut(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	for _, req := range []hsmodel.RegisterRequest{
 		{ID: "m-bzip2", Application: "bzip2"},
-		{ID: "m-all"},
+		{ID: "m-all", Seed: 13, ShardLen: 20_000, Population: 8, Generations: 2},
 	} {
 		if resp, body := postJSON(t, ts.URL+"/v2/models", req); resp.StatusCode != http.StatusCreated {
 			t.Fatalf("register %q: status %d: %s", req.ID, resp.StatusCode, body)
 		}
 	}
 	_, valid := testData(t)
+
+	// A zero CPI anywhere in the body refuses the whole request: no entry's
+	// store moves.
+	bad := hsmodel.SampleToWire(valid[0])
+	bad.CPI = 0
+	resp, body := postJSON(t, ts.URL+"/v1/samples", hsmodel.SamplesRequest{
+		Samples: []hsmodel.SampleWire{hsmodel.SampleToWire(valid[1]), bad},
+	})
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("cpi 0 sample: status %d, want 400: %s", resp.StatusCode, body)
+	}
+	def, _ := s.Registry().Get(hsmodel.DefaultModelID)
+	if got := def.Trainer().NumSamples(); got != len(trainStore) {
+		t.Fatalf("cpi 0 sample moved the default store to %d samples, want %d", got, len(trainStore))
+	}
+
 	var sreq hsmodel.SamplesRequest
 	perApp := map[string]int{}
 	for _, v := range valid {
 		sreq.Samples = append(sreq.Samples, hsmodel.SampleToWire(v))
 		perApp[v.App]++
 	}
-	resp, body := postJSON(t, ts.URL+"/v1/samples", sreq)
+	resp, body = postJSON(t, ts.URL+"/v1/samples", sreq)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("samples: status %d: %s", resp.StatusCode, body)
 	}
@@ -200,6 +219,55 @@ func TestV1SamplesFanOut(t *testing.T) {
 	}
 	if len(sr2.Models) == 0 {
 		t.Fatalf("fan_out response listed no models: %s", body)
+	}
+
+	// A non-default entry retrains from its addressed route and serves the
+	// result under its own name.
+	var train hsmodel.SamplesRequest
+	for _, v := range trainStore {
+		train.Samples = append(train.Samples, hsmodel.SampleToWire(v))
+	}
+	train.Update = true
+	resp, body = postJSON(t, ts.URL+"/v2/models/m-all/samples", train)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("m-all samples: status %d: %s", resp.StatusCode, body)
+	}
+	var sr3 hsmodel.SamplesResponse
+	if err := json.Unmarshal(body, &sr3); err != nil {
+		t.Fatal(err)
+	}
+	if !sr3.UpdateStarted {
+		t.Fatalf("m-all samples: update not started: %s", body)
+	}
+	for deadline := time.Now().Add(2 * time.Minute); ; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("m-all not trained within deadline")
+		}
+		_, body = getBody(t, ts.URL+"/v2/models/m-all/model")
+		var info hsmodel.ModelInfo
+		if err := json.Unmarshal(body, &info); err != nil {
+			t.Fatal(err)
+		}
+		if info.Trained {
+			if info.Model != "m-all" || info.TrainedRows <= 0 {
+				t.Fatalf("m-all trained info: model %q, %d rows", info.Model, info.TrainedRows)
+			}
+			break
+		}
+	}
+
+	// The alias rides the consistent-hash ring to an entry whose scope
+	// covers the application.
+	resp, body = getBody(t, ts.URL+"/v2/models/app:bzip2/model")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("app:bzip2: status %d: %s", resp.StatusCode, body)
+	}
+	var alias hsmodel.ModelInfo
+	if err := json.Unmarshal(body, &alias); err != nil {
+		t.Fatal(err)
+	}
+	if alias.Application != "" && alias.Application != "bzip2" {
+		t.Fatalf("app:bzip2 routed to %q (application %q)", alias.Model, alias.Application)
 	}
 }
 

@@ -257,8 +257,8 @@ func (a entryBatcher) Close()      { a.b.Close() }
 // Handler returns the service's HTTP handler.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Registry exposes the model registry (read-mostly: cmd/hsserve's
-// registrycheck and in-process embedders).
+// Registry exposes the model registry (read-mostly: tests and in-process
+// embedders).
 func (s *Server) Registry() *registry.Registry { return s.reg }
 
 // Close drains the server: every prediction already accepted by any entry's
@@ -871,9 +871,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}, lc, reg)
 }
 
-// batchMean exposes the observed mean coalesced-batch size (tests and the
-// selfcheck assert coalescing happens).
+// batchMean exposes the observed mean coalesced-batch size (tests assert
+// coalescing happens).
 func (s *Server) batchMean() float64 { return s.metrics.batchSize.mean() }
-
-// BatchMean is the exported form for cmd/hsserve's selfcheck.
-func (s *Server) BatchMean() float64 { return s.batchMean() }

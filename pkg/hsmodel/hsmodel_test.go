@@ -141,6 +141,14 @@ func TestSampleWireRoundTrip(t *testing.T) {
 	if back != s {
 		t.Errorf("round trip changed the sample:\n got %+v\nwant %+v", back, s)
 	}
+
+	// The trainer fits log CPI, so a non-positive CPI never crosses the wire.
+	for _, cpi := range []float64{0, -1} {
+		w.CPI = cpi
+		if _, err := w.ToSample(); err == nil {
+			t.Errorf("ToSample accepted cpi %v, want error", cpi)
+		}
+	}
 }
 
 func TestPredictRequestShardInputs(t *testing.T) {

@@ -12,6 +12,7 @@ package hsmodel
 
 import (
 	"fmt"
+	"math"
 
 	"hsmodel/internal/hwspace"
 )
@@ -30,7 +31,8 @@ type SampleWire struct {
 	Arch []int `json:"arch,omitempty"`
 	// Config gives the architecture fully specified (wins over Arch).
 	Config *Config `json:"config,omitempty"`
-	// CPI is the measured performance of (X, architecture).
+	// CPI is the measured performance of (X, architecture); it must be
+	// finite and positive.
 	CPI float64 `json:"cpi"`
 }
 
@@ -271,8 +273,12 @@ func characteristicsFromWire(x []float64) (Characteristics, error) {
 	return c, nil
 }
 
-// ToSample converts the wire form into a modeling Sample.
+// ToSample converts the wire form into a modeling Sample. A CPI that is not
+// finite and positive is rejected: the trainer fits its logarithm.
 func (w SampleWire) ToSample() (Sample, error) {
+	if !(w.CPI > 0) || math.IsInf(w.CPI, 1) {
+		return Sample{}, fmt.Errorf("hsmodel: cpi %v is not a finite positive value", w.CPI)
+	}
 	x, err := characteristicsFromWire(w.X)
 	if err != nil {
 		return Sample{}, err
