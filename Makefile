@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race lint lint-fix lint-sarif bench-smoke serve-smoke serve-bench families-smoke registry-smoke ci
+.PHONY: build vet test race lint lint-fix lint-sarif bench-build bench-smoke serve-smoke serve-bench families-smoke registry-smoke ci
 
 build:
 	$(GO) build ./...
@@ -42,6 +42,14 @@ lint-fix:
 lint-sarif:
 	$(GO) build -o hslint ./cmd/hslint
 	./hslint -format sarif -baseline .hslint-baseline.json ./... > hslint.sarif
+
+# bench-build vets and tests the benchmark harness in perfbench/. It is a
+# nested module (its own go.mod, replacing hsmodel with this checkout), so
+# `go build ./...` and `go test ./...` at the root never compile it; without
+# this target an API change that breaks the harness shows up only when the
+# benchmark runs.
+bench-build:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # bench-smoke runs every benchmark exactly once: it proves the full
 # experiment suite (all figures and ablations) still executes end to end
@@ -97,7 +105,7 @@ families-smoke:
 # ci is the gate: compile, static analysis (go vet plus the repo's own
 # hslint invariant checks), plain tests, then the race detector over the
 # whole tree (the parallel fitness pool, the lock-free snapshot swaps, and
-# the fault-injection schedules are the usual suspects), and finally the
-# end-to-end family-selection smoke test. The serving and registry smoke
-# tests are part of test and race.
-ci: build vet lint test race families-smoke
+# the fault-injection schedules are the usual suspects), the benchmark
+# harness build (bench-build), and finally the end-to-end family-selection
+# smoke test. The serving and registry smoke tests are part of test and race.
+ci: build vet lint bench-build test race families-smoke

@@ -173,3 +173,81 @@ func TestAddSamplesWhileUpdate(t *testing.T) {
 		t.Errorf("follow-up update trained on %d rows, want %d", rows, before+adders*batches)
 	}
 }
+
+// TestPublishGenerations pins the one publish point: every path that
+// replaces the served model — Train, Update, Adopt, the stepwise rung and the
+// last-good reload of TrainResilient — advances the trainer's generation by
+// exactly one, and a failed run advances nothing. Snapshot and Published
+// always agree on the served pointer.
+func TestPublishGenerations(t *testing.T) {
+	m := NewTrainer(nil)
+	if p := m.Published(); p.Snapshot != nil || p.Generation != 0 || !p.At.IsZero() {
+		t.Fatalf("untrained publication %+v, want the zero record", p)
+	}
+	m, _ = trainSmallModeler(t)
+	want := uint64(1)
+	check := func(step string) {
+		t.Helper()
+		p := m.Published()
+		if p.Generation != want {
+			t.Fatalf("%s: generation %d, want %d", step, p.Generation, want)
+		}
+		if p.Snapshot != m.Snapshot() || p.At.IsZero() {
+			t.Fatalf("%s: publication %+v disagrees with Snapshot()", step, p)
+		}
+	}
+	check("train")
+
+	if err := m.Update(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	want++
+	check("update")
+
+	path := t.TempDir() + "/model.json"
+	if err := m.Save(path, 0); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadSnapshot(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := m.Published().At
+	m.Adopt(loaded)
+	want++
+	check("adopt")
+	if m.Snapshot() != loaded || m.Published().At.Before(before) {
+		t.Fatal("adopt did not publish the loaded snapshot as the newest record")
+	}
+
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := m.Train(cancelled); err == nil {
+		t.Fatal("cancelled train succeeded")
+	}
+	check("failed train")
+
+	rep, err := m.TrainResilient(cancelled, Resilience{LastGoodPath: path})
+	if err != nil || rep.Rung != RungLastGood {
+		t.Fatalf("last-good reload: rung %v err %v", rep.Rung, err)
+	}
+	want++
+	check("last-good reload")
+
+	// One injected panic kills the genetic rung; stepwise publishes.
+	var inj *faultinject.Evaluator
+	m.WrapEvaluator = func(inner genetic.Evaluator) genetic.Evaluator {
+		if inj == nil {
+			inj = &faultinject.Evaluator{Inner: inner, PanicEvery: 1, MaxPanics: 1}
+		} else {
+			inj.Inner = inner
+		}
+		return inj
+	}
+	rep, err = m.TrainResilient(context.Background(), Resilience{StepwiseBudget: 120})
+	if err != nil || rep.Rung != RungStepwise {
+		t.Fatalf("stepwise rung: rung %v err %v", rep.Rung, err)
+	}
+	want++
+	check("stepwise rung")
+}

@@ -169,7 +169,7 @@ func (m *Trainer) Save(path string, shardLen int) error {
 		return errors.New("core: Save before Train")
 	}
 	if shardLen > 0 && shardLen != s.shardLen {
-		s = newFamilySnapshot(s.famName, s.fam, s.scores, shardLen, s.rung, s.trainedRows)
+		s = newSnapshot(s.famName, s.fam, s.scores, shardLen, s.rung, s.trainedRows)
 	}
 	return s.Save(path)
 }
@@ -214,7 +214,7 @@ func LoadSnapshot(path string) (*Snapshot, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrModelFamily, err)
 	}
-	return NewFamilySnapshot(saved.Family, model, saved.FamilyScores,
+	return newSnapshot(saved.Family, model, saved.FamilyScores,
 		saved.ShardLen, parseRung(saved.Rung), saved.TrainedRows), nil
 }
 
@@ -236,6 +236,6 @@ func loadLegacy(saved SavedModel) (*Snapshot, error) {
 		return nil, fmt.Errorf("%w: stored %.12s…, computed %.12s…",
 			ErrModelChecksum, saved.Checksum, sum)
 	}
-	return NewFamilySnapshot(spline.FamilyName, spline.Wrap(saved.Model), nil,
+	return newSnapshot(spline.FamilyName, spline.Wrap(saved.Model), nil,
 		saved.ShardLen, parseRung(saved.Rung), saved.TrainedRows), nil
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"hsmodel/internal/family/spline"
 	"hsmodel/internal/genetic"
 	"hsmodel/internal/regress"
 )
@@ -223,7 +224,7 @@ func (m *Trainer) TrainResilient(ctx context.Context, r Resilience) (rep TrainRe
 
 	if r.LastGoodPath != "" {
 		if loaded, err := LoadSnapshot(r.LastGoodPath); err == nil {
-			m.Adopt(loaded)
+			m.publish(loaded)
 			rep.Rung = RungLastGood
 			rep.Family = loaded.Family()
 			return rep, nil
@@ -262,6 +263,6 @@ func (m *Trainer) trainStepwise(ctx context.Context, budget int, cap capturedEva
 	m.mu.Lock()
 	m.population = res.Population
 	m.mu.Unlock()
-	m.publish(model, RungStepwise, cap.rows)
+	m.publish(newSnapshot(spline.FamilyName, spline.Wrap(model), nil, m.ShardLen, RungStepwise, cap.rows))
 	return nil
 }

@@ -22,7 +22,9 @@ var ErrNotTrained = errors.New("core: model not trained")
 // length, the ladder rung that produced it, and the training-row count. A
 // Trainer publishes a new Snapshot atomically at the end of every successful
 // training run; readers hold a Snapshot and are immune to concurrent
-// retraining. Snapshot is also the unit of persistence (Save/LoadSnapshot).
+// retraining. Snapshot is also the unit of persistence (Save/LoadSnapshot),
+// so publication identity (generation, publish time) lives on the Trainer's
+// Publication record, not here.
 //
 // All fields are set at construction and never mutated, so a Snapshot is
 // safe for unsynchronized concurrent use.
@@ -35,25 +37,10 @@ type Snapshot struct {
 	trainedRows int
 }
 
-// NewSnapshot wraps a fitted spline regression for serving — the
-// pre-family-refactor constructor, kept for the classic genetic/stepwise
-// paths and persistence compatibility. shardLen <= 0 defaults to
-// DefaultShardLen.
-func NewSnapshot(model *regress.Model, shardLen int, rung Rung, trainedRows int) *Snapshot {
-	var fam family.Model
-	if model != nil {
-		fam = spline.Wrap(model)
-	}
-	return newFamilySnapshot(spline.FamilyName, fam, nil, shardLen, rung, trainedRows)
-}
-
-// NewFamilySnapshot wraps a fitted model of any family for serving, with the
-// selection scores that chose it (nil when no selection ran).
-func NewFamilySnapshot(famName string, fam family.Model, scores map[string]float64, shardLen int, rung Rung, trainedRows int) *Snapshot {
-	return newFamilySnapshot(famName, fam, scores, shardLen, rung, trainedRows)
-}
-
-func newFamilySnapshot(famName string, fam family.Model, scores map[string]float64, shardLen int, rung Rung, trainedRows int) *Snapshot {
+// newSnapshot is the one Snapshot constructor: training runs, the stepwise
+// rung, Save's shard-length override, and both persistence loaders all build
+// through it. shardLen <= 0 defaults to DefaultShardLen.
+func newSnapshot(famName string, fam family.Model, scores map[string]float64, shardLen int, rung Rung, trainedRows int) *Snapshot {
 	if shardLen <= 0 {
 		shardLen = DefaultShardLen
 	}

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"hsmodel/internal/family"
 	"hsmodel/internal/family/spline"
@@ -57,11 +58,12 @@ func (f FitnessConfig) withDefaults() FitnessConfig {
 // Trainer is the training half of the paper's system model: it owns the
 // accumulated sparse profiles (the paper's P), the featurized evaluator
 // state, and the genetic/stepwise/resilience training machinery. Every
-// successful training run publishes an immutable Snapshot through an atomic
-// pointer; predictions (PredictShard, PredictApplication, EvaluateOn) are
-// lock-free reads of the current Snapshot, so the model keeps answering
-// queries while Train, Update, or TrainResilient re-specify it — the
-// always-available behavior the Section 3.2–3.3 update protocol assumes.
+// successful training run publishes an immutable Snapshot through one atomic
+// Publication record (see Published); predictions (PredictShard,
+// PredictApplication, EvaluateOn) are lock-free reads of the current
+// Snapshot, so the model keeps answering queries while Train, Update, or
+// TrainResilient re-specify it — the always-available behavior the Section
+// 3.2–3.3 update protocol assumes.
 //
 // Configuration fields (Search, Fitness, Stabilize, LogResponse,
 // WrapEvaluator, ShardLen) are set before training begins and must not be
@@ -121,7 +123,19 @@ type Trainer struct {
 	history       []genetic.GenStats
 	lastSelection *SelectionResult // most recent family-selection round, nil on classic runs
 
-	snap atomic.Pointer[Snapshot]
+	pub atomic.Pointer[Publication] // written only by publish
+}
+
+// Publication is one publish of a trainer's served model: the snapshot, the
+// trainer's generation counter at that publish (1 for the first, +1 for
+// every later one — training runs, stepwise and last-good rungs, and Adopt
+// alike), and when it happened. The three are swapped in as one atomic
+// record, so a reader never pairs a snapshot with another publish's
+// generation.
+type Publication struct {
+	Snapshot   *Snapshot
+	Generation uint64
+	At         time.Time
 }
 
 // evalCache memoizes the featurized evaluator together with the state it was
@@ -149,11 +163,39 @@ func NewTrainer(samples []Sample) *Trainer {
 // first successful training run. The read is lock-free; the returned
 // snapshot is immutable and remains valid (and consistent) regardless of
 // concurrent retraining.
-func (m *Trainer) Snapshot() *Snapshot { return m.snap.Load() }
+func (m *Trainer) Snapshot() *Snapshot { return m.Published().Snapshot }
+
+// Published returns the current publication record: the served snapshot with
+// its generation and publish time. Before the first publish it is the zero
+// Publication (nil snapshot, generation 0). The read is lock-free.
+func (m *Trainer) Published() Publication {
+	if p := m.pub.Load(); p != nil {
+		return *p
+	}
+	return Publication{}
+}
 
 // Adopt publishes an externally produced snapshot (for example one returned
-// by LoadSnapshot) as the served model.
-func (m *Trainer) Adopt(s *Snapshot) { m.snap.Store(s) }
+// by LoadSnapshot, or a lifecycle candidate) as the served model.
+func (m *Trainer) Adopt(s *Snapshot) { m.publish(s) }
+
+// publish is the one writer of the served model: it swaps in a new
+// publication record one generation past the current one. Training runs
+// serialize on trainMu but Adopt does not, so the swap is a compare-and-swap
+// loop — two concurrent publishes always get distinct generations.
+func (m *Trainer) publish(s *Snapshot) {
+	for {
+		prev := m.pub.Load()
+		//hslint:ignore determinism publish time is provenance for /metrics and /v1/model, never an input to a fit or search
+		next := &Publication{Snapshot: s, Generation: 1, At: time.Now()}
+		if prev != nil {
+			next.Generation = prev.Generation + 1
+		}
+		if m.pub.CompareAndSwap(prev, next) {
+			return
+		}
+	}
+}
 
 // Model returns the currently served fitted model, or nil before the first
 // successful training run.
@@ -485,12 +527,6 @@ func (m *Trainer) cachedEvaluator() (*evaluator, error) {
 	return ev, nil
 }
 
-// publish stores a freshly fitted model as the served snapshot. The store is
-// atomic, so no lock is required.
-func (m *Trainer) publish(model *regress.Model, rung Rung, rows int) {
-	m.snap.Store(NewSnapshot(model, m.ShardLen, rung, rows))
-}
-
 // splineFamily is the shared reference-family instance the classic
 // (no-Families) path fits through; the family is stateless.
 var splineFamily = spline.New()
@@ -532,9 +568,9 @@ func (m *Trainer) fitInput(initial []regress.Spec, base *evaluator) family.FitIn
 
 // train is the shared top-rung body. Callers must hold m.trainMu (and must
 // NOT hold m.mu) and pass the evaluator capture the run fits against: the
-// search runs without any lock, and results are published under m.mu (or the
-// atomic snapshot pointer) at the end, so sample mutation and predictions
-// proceed during the search.
+// search runs without any lock, and results are published under m.mu (or
+// through publish) at the end, so sample mutation and predictions proceed
+// during the search.
 //
 // With no Families registered this is the paper's engine verbatim — the
 // genetic spline search plus the all-rows final fit, now executed through
@@ -558,7 +594,7 @@ func (m *Trainer) train(ctx context.Context, initial []regress.Spec, cap capture
 		if err != nil {
 			return fmt.Errorf("core: %w", err)
 		}
-		m.snap.Store(NewFamilySnapshot(spline.FamilyName, out.Model, nil, m.ShardLen, RungGenetic, cap.rows))
+		m.publish(newSnapshot(spline.FamilyName, out.Model, nil, m.ShardLen, RungGenetic, cap.rows))
 		return nil
 	}
 
@@ -572,7 +608,7 @@ func (m *Trainer) train(ctx context.Context, initial []regress.Spec, cap capture
 	if err != nil {
 		return err
 	}
-	m.snap.Store(NewFamilySnapshot(sel.Winner, sel.Model, sel.Scores, m.ShardLen, RungFamily, cap.rows))
+	m.publish(newSnapshot(sel.Winner, sel.Model, sel.Scores, m.ShardLen, RungFamily, cap.rows))
 	return nil
 }
 

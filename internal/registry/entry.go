@@ -57,10 +57,10 @@ func (d directBatcher) Close()      {}
 
 // Entry is one registered model: a trainer owning its atomic snapshot, the
 // batcher its predict traffic pins to, an optional continuous-learning
-// controller sharing the entry's sample stream, and the bookkeeping the
-// serving layer scrapes (snapshot identity versioning, one-at-a-time
-// asynchronous updates). Entries are created by Register/RegisterTrainer and
-// owned by the Registry; Close drains them.
+// controller sharing the entry's sample stream, and one-at-a-time
+// asynchronous updates. The served model's identity (generation, publish
+// time) is the trainer's Published record. Entries are created by
+// Register/RegisterTrainer and owned by the Registry; Close drains them.
 type Entry struct {
 	spec      Spec
 	reg       *Registry
@@ -70,13 +70,6 @@ type Entry struct {
 
 	updating atomic.Bool    // one asynchronous update at a time
 	updateWG sync.WaitGroup // close waits for the in-flight one
-
-	// Snapshot publications observed by pointer identity, the same
-	// scrape-time versioning the single-model server kept.
-	snapMu      sync.Mutex
-	snapLast    atomic.Pointer[core.Snapshot]
-	snapVersion uint64
-	snapSince   time.Time
 }
 
 // ID returns the entry's registry key.
@@ -139,20 +132,6 @@ func (e *Entry) Absorb(samples []core.Sample) int {
 // QueueDepth reports the entry's queued predictions.
 func (e *Entry) QueueDepth() int { return e.batcher.Queued() }
 
-// ObserveSnapshot tracks snapshot publications by pointer identity and
-// returns the current version, its publication time, and the snapshot.
-func (e *Entry) ObserveSnapshot() (uint64, time.Time, *core.Snapshot) {
-	snap := e.trainer.Snapshot()
-	e.snapMu.Lock()
-	defer e.snapMu.Unlock()
-	if snap != e.snapLast.Load() {
-		e.snapLast.Store(snap)
-		e.snapVersion++
-		e.snapSince = time.Now()
-	}
-	return e.snapVersion, e.snapSince, snap
-}
-
 // TriggerUpdate starts one asynchronous re-specification of the entry's
 // model if none is in flight, bounded by timeout and by the registry's
 // lifetime (Registry.Close cancels the update's context, so shutdown never
@@ -172,7 +151,6 @@ func (e *Entry) TriggerUpdate(timeout time.Duration, onDone func(error)) bool {
 		defer cancel()
 		err := e.trainer.Update(ctx)
 		if err == nil {
-			e.ObserveSnapshot()
 			e.reg.touch(e)
 		}
 		if onDone != nil {

@@ -205,7 +205,6 @@ func (r *Registry) RegisterTrainer(spec Spec, tr *core.Trainer) (*Entry, error) 
 	r.rebuildRingLocked()
 	r.mu.Unlock()
 
-	e.ObserveSnapshot()
 	if r.cfg.OnChange != nil {
 		r.cfg.OnChange()
 	}

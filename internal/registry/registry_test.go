@@ -186,8 +186,7 @@ func TestNoCrossEntrySnapshotLeakage(t *testing.T) {
 	ctx := context.Background()
 	for id := range seeds {
 		e, _ := r.Get(id)
-		_, _, served := e.ObserveSnapshot()
-		if served != snaps[id] {
+		if e.Trainer().Snapshot() != snaps[id] {
 			t.Fatalf("entry %q serves a foreign snapshot", id)
 		}
 		got, err := e.Predict(ctx, s.X, s.HW)

@@ -173,13 +173,13 @@ func (b *batcher) putJob(j *predictJob) {
 	b.jobs.Put(j)
 }
 
-// predict submits one shard prediction and waits for its result. A request
+// Predict submits one shard prediction and waits for its result. A request
 // that was accepted into a queue always receives a result (even during
 // shutdown); ctx cancellation abandons the wait but the buffered done channel
 // means the worker never blocks on an abandoned job. When every shard's queue
 // is full the request is shed with ErrOverloaded instead of blocking: under
 // overload the queues are a pressure gauge, not a waiting room.
-func (b *batcher) predict(ctx context.Context, x profile.Characteristics, hw hwspace.Config) (float64, error) {
+func (b *batcher) Predict(ctx context.Context, x profile.Characteristics, hw hwspace.Config) (float64, error) {
 	job := b.getJob()
 	job.x1[0], job.hw1[0] = x, hw
 	job.xs, job.hws, job.out = job.x1[:1], job.hw1[:1], job.o1[:1]
@@ -196,12 +196,12 @@ func (b *batcher) predict(ctx context.Context, x profile.Characteristics, hw hws
 	}
 }
 
-// predictMany submits a whole client batch as one job — one queue round trip
+// PredictMany submits a whole client batch as one job — one queue round trip
 // for len(xs) predictions — and waits for it. out[i] answers (xs[i], hws[i]);
 // len(hws) and len(out) must be at least len(xs). On a ctx error the worker
 // may still write into out, so the caller must discard the buffer (the serve
 // handlers allocate it per request).
-func (b *batcher) predictMany(ctx context.Context, xs []profile.Characteristics, hws []hwspace.Config, out []float64) error {
+func (b *batcher) PredictMany(ctx context.Context, xs []profile.Characteristics, hws []hwspace.Config, out []float64) error {
 	if len(xs) == 0 {
 		return nil
 	}
@@ -278,8 +278,9 @@ func (sh *batchShard) exitSubmit() {
 	sh.mu.Unlock()
 }
 
-// queued reports the total jobs sitting in the shard queues (tests only).
-func (b *batcher) queued() int {
+// Queued reports the total jobs sitting in the shard queues; the registry
+// sums it across entries for aggregate load shedding.
+func (b *batcher) Queued() int {
 	total := 0
 	for _, sh := range b.shards {
 		total += len(sh.queue)

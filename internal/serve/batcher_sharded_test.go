@@ -44,7 +44,7 @@ func TestShardedBatcherDrainOnClose(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			v := valid[i%len(valid)]
-			cpi, err := b.predict(context.Background(), v.X, v.HW)
+			cpi, err := b.Predict(context.Background(), v.X, v.HW)
 			switch {
 			case err == nil && cpi > 0:
 				answered.Add(1)
@@ -57,7 +57,7 @@ func TestShardedBatcherDrainOnClose(t *testing.T) {
 			}
 		}(i)
 	}
-	for deadline := time.Now().Add(5 * time.Second); b.queued() == 0 && answered.Load() == 0; {
+	for deadline := time.Now().Add(5 * time.Second); b.Queued() == 0 && answered.Load() == 0; {
 		if time.Now().After(deadline) {
 			t.Fatal("no request ever reached the batcher")
 		}
@@ -84,7 +84,7 @@ func TestShardedBatcherDrainOnClose(t *testing.T) {
 	}
 	t.Logf("answered %d, rejected %d, shed %d across 4 shards",
 		answered.Load(), rejected.Load(), shed.Load())
-	if _, err := b.predict(context.Background(), valid[0].X, valid[0].HW); !errors.Is(err, ErrClosed) {
+	if _, err := b.Predict(context.Background(), valid[0].X, valid[0].HW); !errors.Is(err, ErrClosed) {
 		t.Errorf("post-close predict err = %v, want ErrClosed", err)
 	}
 }
@@ -132,7 +132,7 @@ func TestShardedWorkStealAndShedAccounting(t *testing.T) {
 		ch := parked[i]
 		v := valid[i]
 		go func() {
-			_, err := b.predict(context.Background(), v.X, v.HW)
+			_, err := b.Predict(context.Background(), v.X, v.HW)
 			ch <- err
 		}()
 		select {
@@ -152,11 +152,11 @@ func TestShardedWorkStealAndShedAccounting(t *testing.T) {
 
 	stolen := make(chan error, 1)
 	go func() {
-		_, err := b.predict(context.Background(), valid[3].X, valid[3].HW)
+		_, err := b.Predict(context.Background(), valid[3].X, valid[3].HW)
 		stolen <- err
 	}()
 	// The steal lands on the sibling queue; nothing sheds.
-	for deadline := time.Now().Add(5 * time.Second); b.queued() < 2; {
+	for deadline := time.Now().Add(5 * time.Second); b.Queued() < 2; {
 		if time.Now().After(deadline) {
 			t.Fatal("stolen submission never enqueued on the sibling shard")
 		}
@@ -169,7 +169,7 @@ func TestShardedWorkStealAndShedAccounting(t *testing.T) {
 	// Every queue is now full: each further submission sheds, and the shared
 	// counter sums across shards.
 	for i := 0; i < 3; i++ {
-		if _, err := b.predict(context.Background(), valid[4+i].X, valid[4+i].HW); !errors.Is(err, ErrOverloaded) {
+		if _, err := b.Predict(context.Background(), valid[4+i].X, valid[4+i].HW); !errors.Is(err, ErrOverloaded) {
 			t.Fatalf("overflow predict %d err = %v, want ErrOverloaded", i, err)
 		}
 	}
@@ -230,7 +230,7 @@ func TestPredictManyBitIdenticalToSnapshot(t *testing.T) {
 		for i := range out {
 			out[i] = 0
 		}
-		if err := b.predictMany(context.Background(), xs, hws, out); err != nil {
+		if err := b.PredictMany(context.Background(), xs, hws, out); err != nil {
 			t.Fatalf("pass %d: %v", pass, err)
 		}
 		for i := range valid {
@@ -245,7 +245,7 @@ func TestPredictManyBitIdenticalToSnapshot(t *testing.T) {
 	}
 
 	// Empty batches are a no-op, not a queue round trip.
-	if err := b.predictMany(context.Background(), nil, nil, nil); err != nil {
+	if err := b.PredictMany(context.Background(), nil, nil, nil); err != nil {
 		t.Fatalf("empty predictMany: %v", err)
 	}
 }

@@ -41,7 +41,7 @@ func TestBatcherRespectsMaxBatch(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			v := valid[i%len(valid)]
-			if cpi, err := b.predict(context.Background(), v.X, v.HW); err != nil || cpi <= 0 {
+			if cpi, err := b.Predict(context.Background(), v.X, v.HW); err != nil || cpi <= 0 {
 				t.Errorf("predict %d: cpi=%v err=%v", i, cpi, err)
 			} else {
 				ok.Add(1)
@@ -76,11 +76,11 @@ func TestBatcherContextCancel(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := b.predict(ctx, valid[0].X, valid[0].HW); !errors.Is(err, context.Canceled) {
+	if _, err := b.Predict(ctx, valid[0].X, valid[0].HW); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	// The batcher still works for live callers afterwards.
-	if cpi, err := b.predict(context.Background(), valid[0].X, valid[0].HW); err != nil || cpi <= 0 {
+	if cpi, err := b.Predict(context.Background(), valid[0].X, valid[0].HW); err != nil || cpi <= 0 {
 		t.Fatalf("post-cancel predict: cpi=%v err=%v", cpi, err)
 	}
 }
@@ -91,7 +91,7 @@ func TestBatcherUntrained(t *testing.T) {
 	_, valid := testData(t)
 	b := newBatcher(batcherConfig{maxBatch: 8, maxWait: time.Millisecond, queueDepth: 8, snap: tr.Snapshot})
 	defer b.Close()
-	if _, err := b.predict(context.Background(), valid[0].X, valid[0].HW); !errors.Is(err, core.ErrNotTrained) {
+	if _, err := b.Predict(context.Background(), valid[0].X, valid[0].HW); !errors.Is(err, core.ErrNotTrained) {
 		t.Fatalf("err = %v, want ErrNotTrained", err)
 	}
 }

@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"net/http"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -45,6 +46,77 @@ func lifecycleStatus(t testing.TB, url string) lifecycle.Status {
 	return st
 }
 
+// driftUntilPromoted posts the stream through POST /v1/samples one profile
+// at a time under the x1.6 step shift the in-package promotion test uses,
+// until the loop reports a promotion. It waits out every in-flight episode
+// before the next post, so the submission order fully determines the
+// outcome. Only /v1/samples and /v1/lifecycle are requested.
+func driftUntilPromoted(t testing.TB, url string, stream []core.Sample) {
+	t.Helper()
+	sched := &faultinject.DriftSchedule{Segments: []faultinject.DriftSegment{{From: 1, Factor: 1.6}}}
+	deadline := time.Now().Add(2 * time.Minute)
+	var promoted bool
+	for i := 0; !promoted; i++ {
+		if time.Now().After(deadline) {
+			t.Fatal("no promotion within deadline")
+		}
+		v := stream[i%len(stream)]
+		v.CPI, _ = sched.Next(v.CPI)
+		postSample(t, url, v)
+		for {
+			st := lifecycleStatus(t, url)
+			if st.State != "retraining" && st.State != "canary" {
+				promoted = st.Promotions > 0
+				break
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+}
+
+// TestLifecyclePromotionAdvancesVersion: a promotion is a publish, counted
+// when it happens. Nothing scrapes /v1/model or /metrics from boot until a
+// promotion and a follow-up hot reload have both landed, and the served
+// version still counts all three publications: bootstrap train, promotion,
+// reload.
+func TestLifecyclePromotionAdvancesVersion(t *testing.T) {
+	tr := newTestTrainer(t)
+	path := filepath.Join(t.TempDir(), "model.json")
+	if err := tr.Save(path, 0); err != nil {
+		t.Fatal(err)
+	}
+	col := &core.Collector{ShardLen: 20_000, ShardPool: 12}
+	stream := col.Collect([]*trace.App{trace.Bzip2(), trace.Hmmer(), trace.Sjeng()}, 30, 21)
+	s, ts := newTestServer(t, Config{
+		Trainer:   tr,
+		ModelPath: path,
+		Lifecycle: &lifecycle.Config{
+			Drift:        lifecycle.DriftConfig{Target: 0.2},
+			MinProfiles:  10,
+			MinTrainRows: 24,
+			ReservoirCap: 64,
+			RingCap:      32,
+			Seed:         11,
+		},
+	})
+
+	driftUntilPromoted(t, ts.URL, stream)
+	if g := tr.Published().Generation; g != 2 {
+		t.Fatalf("generation %d after one promotion, want 2", g)
+	}
+	if err := s.Reload(); err != nil {
+		t.Fatal(err)
+	}
+
+	if v := modelInfo(t, ts.URL).SnapshotVersion; v != 3 {
+		t.Errorf("/v1/model snapshot_version %d, want 3", v)
+	}
+	_, body := getBody(t, ts.URL+"/metrics")
+	if v, ok := metricUint(string(body), "hsserve_snapshot_version"); !ok || v != 3 {
+		t.Errorf("hsserve_snapshot_version = %v (present %v), want 3", v, ok)
+	}
+}
+
 // TestLifecycleDisabledIs404: without Config.Lifecycle the endpoint
 // advertises the loop as absent.
 func TestLifecycleDisabledIs404(t *testing.T) {
@@ -81,29 +153,7 @@ func TestLifecycleHTTPEpisode(t *testing.T) {
 		t.Fatalf("initial state %q, want stable", st.State)
 	}
 
-	// The same x1.6 step shift the in-package promotion test uses, delivered
-	// over HTTP one profile at a time.
-	sched := &faultinject.DriftSchedule{Segments: []faultinject.DriftSegment{{From: 1, Factor: 1.6}}}
-	deadline := time.Now().Add(2 * time.Minute)
-	var promoted bool
-	for i := 0; !promoted; i++ {
-		if time.Now().After(deadline) {
-			t.Fatal("no promotion within deadline")
-		}
-		v := stream[i%len(stream)]
-		v.CPI, _ = sched.Next(v.CPI)
-		postSample(t, ts.URL, v)
-		// Wait out any in-flight episode so the submission order fully
-		// determines the outcome.
-		for {
-			st := lifecycleStatus(t, ts.URL)
-			if st.State != "retraining" && st.State != "canary" {
-				promoted = st.Promotions > 0
-				break
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
-	}
+	driftUntilPromoted(t, ts.URL, stream)
 
 	st := lifecycleStatus(t, ts.URL)
 	if st.Promotions != 1 || st.Rollbacks != 0 {
@@ -185,25 +235,7 @@ func TestLifecyclePromotionCarriesFamily(t *testing.T) {
 		t.Fatalf("bootstrap model has selection scores %v before any selection ran", before.FamilyScores)
 	}
 
-	sched := &faultinject.DriftSchedule{Segments: []faultinject.DriftSegment{{From: 1, Factor: 1.6}}}
-	deadline := time.Now().Add(2 * time.Minute)
-	var promoted bool
-	for i := 0; !promoted; i++ {
-		if time.Now().After(deadline) {
-			t.Fatal("no promotion within deadline")
-		}
-		v := stream[i%len(stream)]
-		v.CPI, _ = sched.Next(v.CPI)
-		postSample(t, ts.URL, v)
-		for {
-			st := lifecycleStatus(t, ts.URL)
-			if st.State != "retraining" && st.State != "canary" {
-				promoted = st.Promotions > 0
-				break
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
-	}
+	driftUntilPromoted(t, ts.URL, stream)
 
 	after := modelInfo(t, ts.URL)
 	if after.Family != spline.FamilyName {

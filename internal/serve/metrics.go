@@ -189,8 +189,8 @@ func (m *metrics) observeModelRequest(model, endpoint string, code int) {
 // observeBatch records the size of one coalesced evaluator pass.
 func (m *metrics) observeBatch(n int) { m.batchSize.observe(float64(n)) }
 
-// snapshotState is what the scrape reports about the served model; the
-// server computes it at scrape time.
+// snapshotState is what the scrape reports about the served model, read
+// from the default trainer's publication record.
 type snapshotState struct {
 	version uint64
 	age     time.Duration
@@ -264,10 +264,10 @@ func (m *metrics) writeTo(w io.Writer, snap snapshotState, lc *lifecycleState, r
 	io.WriteString(w, "# TYPE hsserve_batch_size histogram\n")
 	m.batchSize.write(w, "hsserve_batch_size", "")
 
-	io.WriteString(w, "# HELP hsserve_snapshot_version Snapshot publications observed by this server.\n")
+	io.WriteString(w, "# HELP hsserve_snapshot_version Model publications by the default entry's trainer (0 before the first).\n")
 	io.WriteString(w, "# TYPE hsserve_snapshot_version gauge\n")
 	fmt.Fprintf(w, "hsserve_snapshot_version %d\n", snap.version)
-	io.WriteString(w, "# HELP hsserve_snapshot_age_seconds Seconds since the served snapshot changed.\n")
+	io.WriteString(w, "# HELP hsserve_snapshot_age_seconds Seconds since the served snapshot was published.\n")
 	io.WriteString(w, "# TYPE hsserve_snapshot_age_seconds gauge\n")
 	fmt.Fprintf(w, "hsserve_snapshot_age_seconds %g\n", snap.age.Seconds())
 	io.WriteString(w, "# HELP hsserve_model_trained Whether a model is being served (1) or not (0).\n")
@@ -374,7 +374,7 @@ func (m *metrics) writeRegistry(w io.Writer, reg *registryScrape) {
 		}
 		fmt.Fprintf(w, "hsserve_registry_model_trained{model=%q} %d\n", e.id, v)
 	}
-	io.WriteString(w, "# HELP hsserve_registry_model_snapshot_version Snapshot publications observed, by model.\n")
+	io.WriteString(w, "# HELP hsserve_registry_model_snapshot_version Model publications by the entry's trainer, by model.\n")
 	io.WriteString(w, "# TYPE hsserve_registry_model_snapshot_version gauge\n")
 	for _, e := range reg.models {
 		fmt.Fprintf(w, "hsserve_registry_model_snapshot_version{model=%q} %d\n", e.id, e.version)

@@ -2,15 +2,19 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
+	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"hsmodel/internal/core"
 	"hsmodel/pkg/hsmodel"
 )
 
@@ -103,4 +107,87 @@ func TestMetricsScrapeDuringPredictLoad(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
+}
+
+// TestSnapshotVersionUnderConcurrentRetrain publishes on the default entry's
+// trainer from two Update loops and an Adopt loop while the main goroutine
+// scrapes /metrics in a tight loop. Under -race this pins the publish-point
+// contract: every scrape parses a hsserve_snapshot_version no lower than the
+// one before, and once the publishers stop the version is exactly one (the
+// bootstrap train) plus the number of successful publishes — publications
+// that land between two scrapes are each counted, and concurrent publishers
+// never share a generation.
+func TestSnapshotVersionUnderConcurrentRetrain(t *testing.T) {
+	tr := newTestTrainer(t)
+	_, ts := newTestServer(t, Config{Trainer: tr})
+	path := filepath.Join(t.TempDir(), "model.json")
+	if err := tr.Save(path, 0); err != nil {
+		t.Fatal(err)
+	}
+	var alts [2]*core.Snapshot
+	for i := range alts {
+		snap, err := core.LoadSnapshot(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		alts[i] = snap
+	}
+
+	var published atomic.Uint64
+	var updaters sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		updaters.Add(1)
+		go func() {
+			defer updaters.Done()
+			for i := 0; i < 3; i++ {
+				if err := tr.Update(context.Background()); err != nil {
+					t.Errorf("update: %v", err)
+					continue
+				}
+				published.Add(1)
+			}
+		}()
+	}
+	updating := make(chan struct{})
+	go func() { updaters.Wait(); close(updating) }()
+	adopted := make(chan struct{})
+	go func() {
+		defer close(adopted)
+		for i := 0; ; i++ {
+			select {
+			case <-updating:
+				return
+			default:
+			}
+			tr.Adopt(alts[i%2])
+			published.Add(1)
+			time.Sleep(50 * time.Microsecond)
+		}
+	}()
+
+	version := func() uint64 {
+		_, body := getBody(t, ts.URL+"/metrics")
+		v, ok := metricUint(string(body), "hsserve_snapshot_version")
+		if !ok {
+			t.Fatalf("scrape has no hsserve_snapshot_version:\n%s", body)
+		}
+		return v
+	}
+	last, scrapes := version(), 1
+	for running := true; running; scrapes++ {
+		select {
+		case <-adopted:
+			running = false
+		default:
+		}
+		v := version()
+		if v < last {
+			t.Fatalf("scrape %d: version went back from %v to %v", scrapes, last, v)
+		}
+		last = v
+	}
+	if want := 1 + published.Load(); last != want {
+		t.Fatalf("final version %v after %d publishes, want %v", last, published.Load(), want)
+	}
+	t.Logf("%d publishes over %d scrapes", published.Load(), scrapes)
 }

@@ -12,6 +12,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -330,7 +331,7 @@ func TestGracefulShutdownDrains(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			v := valid[i%len(valid)]
-			cpi, err := s.batcher.predict(context.Background(), v.X, v.HW)
+			cpi, err := s.Predict(context.Background(), v.X, v.HW)
 			switch {
 			case err == nil && cpi > 0:
 				answered.Add(1)
@@ -347,7 +348,7 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	// batcher (queued or already answered), then race the remaining
 	// submissions against the drain. The gather worker consumes enqueued
 	// jobs immediately, so an empty queue alone does not mean idle.
-	for deadline := time.Now().Add(5 * time.Second); s.batcher.queued() == 0 && answered.Load() == 0; {
+	for deadline := time.Now().Add(5 * time.Second); s.def.QueueDepth() == 0 && answered.Load() == 0; {
 		if time.Now().After(deadline) {
 			t.Fatal("no request ever reached the batcher")
 		}
@@ -370,7 +371,7 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	}
 	t.Logf("answered %d, cleanly rejected %d, shed %d", answered.Load(), rejected.Load(), shed.Load())
 	// After Close, new submissions are rejected, not lost.
-	if _, err := s.batcher.predict(context.Background(), valid[0].X, valid[0].HW); !errors.Is(err, ErrClosed) {
+	if _, err := s.Predict(context.Background(), valid[0].X, valid[0].HW); !errors.Is(err, ErrClosed) {
 		t.Errorf("post-close predict err = %v, want ErrClosed", err)
 	}
 }
@@ -518,6 +519,82 @@ func TestModelInfoAndMetricsPage(t *testing.T) {
 		if !strings.Contains(page, want) {
 			t.Errorf("metrics page missing %q", want)
 		}
+	}
+}
+
+// metricUint returns the integer value printed for series (metric name plus
+// labels, exactly as exposed) on a metrics page, or false when no line
+// carries it.
+func metricUint(page, series string) (uint64, bool) {
+	for _, line := range strings.Split(page, "\n") {
+		if v, ok := strings.CutPrefix(line, series+" "); ok {
+			n, err := strconv.ParseUint(v, 10, 64)
+			return n, err == nil
+		}
+	}
+	return 0, false
+}
+
+// TestSnapshotVersionCountsPublishes: the served version counts publications
+// by the default entry's trainer, not changes some scrape happened to see.
+// The server boots untrained and two training runs land with no scrape in
+// between: that is version 2 on /v1/model and on both metrics series.
+func TestSnapshotVersionCountsPublishes(t *testing.T) {
+	train, _ := testData(t)
+	tr := core.NewTrainer(append([]core.Sample(nil), train...))
+	tr.ShardLen = 20_000
+	tr.Search = genetic.Params{PopulationSize: 10, Generations: 2, Seed: 3}
+	_, ts := newTestServer(t, Config{Trainer: tr})
+	for i := 0; i < 2; i++ {
+		if err := tr.Train(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	if v := modelInfo(t, ts.URL).SnapshotVersion; v != 2 {
+		t.Errorf("/v1/model snapshot_version %d, want 2", v)
+	}
+	_, body := getBody(t, ts.URL+"/metrics")
+	for _, series := range []string{
+		"hsserve_snapshot_version",
+		`hsserve_registry_model_snapshot_version{model="default"}`,
+	} {
+		if v, ok := metricUint(string(body), series); !ok || v != 2 {
+			t.Errorf("%s = %v (present %v), want 2", series, v, ok)
+		}
+	}
+}
+
+// TestWireConfigValidated: a full wire config is checked at the trust
+// boundary. A predict with a zero D-cache answers 400 on both route families,
+// and a samples POST carrying one sample with a negative width answers 400
+// on both samples routes without any of its samples reaching the store.
+func TestWireConfigValidated(t *testing.T) {
+	tr := newTestTrainer(t)
+	_, ts := newTestServer(t, Config{Trainer: tr})
+	_, valid := testData(t)
+
+	hw := valid[0].HW
+	hw.DCacheKB = 0
+	for _, route := range []string{"/v1/predict", "/v2/models/default/predict"} {
+		resp, body := postJSON(t, ts.URL+route, hsmodel.PredictRequest{X: valid[0].X[:], Config: &hw})
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "DCacheKB") {
+			t.Errorf("%s with DCacheKB 0: status %d: %s, want 400 naming the field", route, resp.StatusCode, body)
+		}
+	}
+
+	before := tr.NumSamples()
+	bad := hsmodel.SampleToWire(valid[1])
+	bad.Config.Width = -1
+	req := hsmodel.SamplesRequest{Samples: []hsmodel.SampleWire{hsmodel.SampleToWire(valid[0]), bad}}
+	for _, route := range []string{"/v1/samples", "/v2/models/default/samples"} {
+		resp, body := postJSON(t, ts.URL+route, req)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "Width") {
+			t.Errorf("%s with width -1: status %d: %s, want 400 naming the field", route, resp.StatusCode, body)
+		}
+	}
+	if n := tr.NumSamples(); n != before {
+		t.Errorf("rejected samples POSTs changed the store: %d -> %d rows", before, n)
 	}
 }
 

@@ -152,10 +152,8 @@ func (c Config) withDefaults() Config {
 // listener has shut down.
 type Server struct {
 	cfg     Config
-	trainer *core.Trainer // the default entry's trainer
 	reg     *registry.Registry
-	def     *registry.Entry
-	batcher *batcher // the default entry's raw batcher (in-process Predict path)
+	def     *registry.Entry // the reserved default entry every /v1 route addresses
 	metrics *metrics
 	mux     *http.ServeMux
 
@@ -173,7 +171,6 @@ func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:     cfg,
-		trainer: cfg.Trainer,
 		metrics: newMetrics(),
 	}
 	s.reg = registry.New(registry.Config{
@@ -212,8 +209,8 @@ func New(cfg Config) (*Server, error) {
 	s.mux.HandleFunc("GET /v2/models", s.instrument("v2_models", s.handleModels))
 	s.mux.HandleFunc("POST /v2/models", s.instrument("v2_register", s.handleRegister))
 	s.mux.HandleFunc("DELETE /v2/models/{id}", s.instrument("v2_unregister", s.handleUnregister))
-	s.mux.HandleFunc("POST /v2/models/{id}/predict", s.v2Entry("v2_predict", s.handleV2Predict))
-	s.mux.HandleFunc("POST /v2/models/{id}/predict:batch", s.v2Entry("v2_predict_batch", s.handleV2Batch))
+	s.mux.HandleFunc("POST /v2/models/{id}/predict", s.v2Entry("v2_predict", s.handlePredict))
+	s.mux.HandleFunc("POST /v2/models/{id}/predict:batch", s.v2Entry("v2_predict_batch", s.handleBatch))
 	s.mux.HandleFunc("POST /v2/models/{id}/samples", s.v2Entry("v2_samples", s.handleV2Samples))
 	s.mux.HandleFunc("GET /v2/models/{id}/model", s.v2Entry("v2_model", s.handleV2Model))
 	return s, nil
@@ -224,7 +221,7 @@ func New(cfg Config) (*Server, error) {
 // size and shed metrics are shared series; per-model load shows up in the
 // hsserve_registry_model_* gauges.
 func (s *Server) newEntryBatcher(e *registry.Entry) registry.Batcher {
-	b := newBatcher(batcherConfig{
+	return newBatcher(batcherConfig{
 		shards:     s.cfg.Shards,
 		maxBatch:   s.cfg.MaxBatch,
 		maxWait:    s.cfg.MaxWait,
@@ -233,26 +230,7 @@ func (s *Server) newEntryBatcher(e *registry.Entry) registry.Batcher {
 		observe:    s.metrics.observeBatch,
 		onShed:     func() { s.metrics.shedsTotal.Add(1) },
 	})
-	if e.ID() == hsmodel.DefaultModelID {
-		s.batcher = b // construction-time only: the in-process predict path
-	}
-	return entryBatcher{b}
 }
-
-// entryBatcher adapts the unexported micro-batcher to the registry's
-// Batcher interface.
-type entryBatcher struct{ b *batcher }
-
-func (a entryBatcher) Predict(ctx context.Context, x profile.Characteristics, hw hwspace.Config) (float64, error) {
-	return a.b.predict(ctx, x, hw)
-}
-
-func (a entryBatcher) PredictMany(ctx context.Context, xs []profile.Characteristics, hws []hwspace.Config, out []float64) error {
-	return a.b.predictMany(ctx, xs, hws, out)
-}
-
-func (a entryBatcher) Queued() int { return a.b.queued() }
-func (a entryBatcher) Close()      { a.b.Close() }
 
 // Handler returns the service's HTTP handler.
 func (s *Server) Handler() http.Handler { return s.mux }
@@ -285,8 +263,7 @@ func (s *Server) Reload() error {
 		s.cfg.Logger.Printf("serve: snapshot reload rejected: %v", err)
 		return err
 	}
-	s.trainer.Adopt(snap)
-	s.def.ObserveSnapshot()
+	s.def.Trainer().Adopt(snap)
 	s.metrics.reloads.Add(1)
 	s.cfg.Logger.Printf("serve: snapshot reloaded from %s (rung %s, %d rows)",
 		s.cfg.ModelPath, snap.Rung(), snap.TrainedRows())
@@ -500,21 +477,21 @@ func decodeJSON(r *http.Request, v any) error {
 	return nil
 }
 
-// Predict answers one shard prediction through the default entry's
-// micro-batcher — the in-process form of POST /v1/predict, used by
-// cmd/hsload to benchmark the serving path without HTTP overhead.
+// Predict answers one shard prediction through the default entry — the same
+// registry admission check and micro-batcher as POST /v1/predict, minus
+// HTTP. cmd/hsload uses it to benchmark the serving path in process.
 func (s *Server) Predict(ctx context.Context, x profile.Characteristics, hw hwspace.Config) (float64, error) {
-	return s.batcher.predict(ctx, x, hw)
+	return s.def.Predict(ctx, x, hw)
 }
 
 // PredictMany answers a whole batch as one batcher submission on the default
-// entry: out[i] answers (xs[i], hws[i]); len(hws) and len(out) must be at
-// least len(xs). One queue round trip covers the entire batch, and the
-// worker answers it through contiguous Snapshot.PredictBatch sweeps — the
-// in-process form of POST /v1/predict:batch. On a ctx error the out buffer
-// must be discarded.
+// entry, after the same admission check as POST /v1/predict:batch: out[i]
+// answers (xs[i], hws[i]); len(hws) and len(out) must be at least len(xs).
+// One queue round trip covers the entire batch, and the worker answers it
+// through contiguous Snapshot.PredictBatch sweeps. On a ctx error the out
+// buffer must be discarded.
 func (s *Server) PredictMany(ctx context.Context, xs []profile.Characteristics, hws []hwspace.Config, out []float64) error {
-	return s.batcher.predictMany(ctx, xs, hws, out)
+	return s.def.PredictMany(ctx, xs, hws, out)
 }
 
 // predictOne answers one wire PredictRequest against an entry: single shards
@@ -705,11 +682,12 @@ func (s *Server) triggerUpdate(e *registry.Entry) bool {
 // addressed=false so the body stays bit-identical to the single-model
 // server; v2 additionally stamps the model address fields.
 func (s *Server) modelInfo(e *registry.Entry, addressed bool) hsmodel.ModelInfo {
-	version, since, snap := e.ObserveSnapshot()
+	pub := e.Trainer().Published()
+	snap := pub.Snapshot
 	info := hsmodel.ModelInfo{
 		TotalSamples:    e.Trainer().NumSamples(),
-		SnapshotVersion: version,
-		SnapshotAgeSec:  time.Since(since).Seconds(),
+		SnapshotVersion: pub.Generation,
+		SnapshotAgeSec:  time.Since(pub.At).Seconds(),
 	}
 	if addressed {
 		info.Model = e.ID()
@@ -741,17 +719,10 @@ func (s *Server) handleV2Model(w http.ResponseWriter, r *http.Request, e *regist
 	writeJSON(w, http.StatusOK, s.modelInfo(e, true))
 }
 
-func (s *Server) handleV2Predict(w http.ResponseWriter, r *http.Request, e *registry.Entry) {
-	s.handlePredict(w, r, e)
-}
-
-func (s *Server) handleV2Batch(w http.ResponseWriter, r *http.Request, e *registry.Entry) {
-	s.handleBatch(w, r, e)
-}
-
 // modelStatus summarizes one entry for the registry listing and the scrape.
 func (s *Server) modelStatus(e *registry.Entry) hsmodel.ModelStatus {
-	version, _, snap := e.ObserveSnapshot()
+	pub := e.Trainer().Published()
+	snap := pub.Snapshot
 	spec := e.Spec()
 	ms := hsmodel.ModelStatus{
 		ID:              e.ID(),
@@ -759,7 +730,7 @@ func (s *Server) modelStatus(e *registry.Entry) hsmodel.ModelStatus {
 		ArchSpace:       e.ArchSpace(),
 		Trained:         snap.Trained(),
 		TotalSamples:    e.Trainer().NumSamples(),
-		SnapshotVersion: version,
+		SnapshotVersion: pub.Generation,
 		QueueDepth:      e.QueueDepth(),
 		ModelPath:       spec.ModelPath,
 		Families:        spec.Families,
@@ -827,15 +798,14 @@ func (s *Server) handleUnregister(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	_, _, snap := s.def.ObserveSnapshot()
 	writeJSON(w, http.StatusOK, map[string]any{
 		"status":  "ok",
-		"trained": snap.Trained(),
+		"trained": s.def.Trainer().Trained(),
 	})
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	version, since, snap := s.def.ObserveSnapshot()
+	pub := s.def.Trainer().Published()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	var lc *lifecycleState
 	if defLC := s.def.Lifecycle(); defLC != nil {
@@ -849,25 +819,25 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		models: make([]modelScrape, len(entries)),
 	}
 	for i, e := range entries {
-		v, _, esnap := e.ObserveSnapshot()
+		epub := e.Trainer().Published()
 		m := modelScrape{
 			id:        e.ID(),
-			trained:   esnap.Trained(),
-			version:   v,
+			trained:   epub.Snapshot.Trained(),
+			version:   epub.Generation,
 			samples:   e.Trainer().NumSamples(),
 			queued:    e.QueueDepth(),
 			evalCache: e.Trainer().EvalCacheActive(),
 		}
 		if m.trained {
-			m.trainedRows = esnap.TrainedRows()
+			m.trainedRows = epub.Snapshot.TrainedRows()
 		}
 		reg.models[i] = m
 	}
 	s.metrics.writeTo(w, snapshotState{
-		version: version,
-		age:     time.Since(since),
-		trained: snap.Trained(),
-		family:  snap.Family(),
+		version: pub.Generation,
+		age:     time.Since(pub.At),
+		trained: pub.Snapshot.Trained(),
+		family:  pub.Snapshot.Family(),
 	}, lc, reg)
 }
 

@@ -3,6 +3,7 @@ package hsmodel
 import (
 	"encoding/json"
 	"math"
+	"strings"
 	"testing"
 
 	"hsmodel/internal/hwspace"
@@ -112,6 +113,28 @@ func TestConfigFromWirePrecedence(t *testing.T) {
 	if got, err := ConfigFromWire(nil, nil); err != nil || got != Baseline() {
 		t.Errorf("empty wire should resolve to baseline: got %v err %v", got, err)
 	}
+
+	// A full config is a trust boundary: every field below 1 is rejected,
+	// with the field named, even when a valid arch is also present.
+	for _, tc := range []struct {
+		field string
+		set   func(*Config)
+	}{
+		{"Width", func(c *Config) { c.Width = 0 }},
+		{"DCacheKB", func(c *Config) { c.DCacheKB = -64 }},
+		{"L2Lat", func(c *Config) { c.L2Lat = 0 }},
+		{"Ports", func(c *Config) { c.Ports = -1 }},
+	} {
+		bad := cfg
+		tc.set(&bad)
+		_, err := ConfigFromWire([]int{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}, &bad)
+		if err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("config with bad %s: err %v, want an error naming the field", tc.field, err)
+		}
+	}
+	if _, err := ConfigFromWire(nil, &Config{}); err == nil {
+		t.Error("zero config accepted, want error")
+	}
 }
 
 // TestSampleWireRoundTrip pins the bit-exactness the serving layer's
@@ -148,6 +171,15 @@ func TestSampleWireRoundTrip(t *testing.T) {
 		if _, err := w.ToSample(); err == nil {
 			t.Errorf("ToSample accepted cpi %v, want error", cpi)
 		}
+	}
+
+	// Nor does a sample measured on an impossible configuration.
+	w.CPI = s.CPI
+	bad := s.HW
+	bad.Width = -1
+	w.Config = &bad
+	if _, err := w.ToSample(); err == nil || !strings.Contains(err.Error(), "Width") {
+		t.Errorf("ToSample with width -1: err %v, want an error naming Width", err)
 	}
 }
 

@@ -13,6 +13,7 @@ package hsmodel
 import (
 	"fmt"
 	"math"
+	"reflect"
 
 	"hsmodel/internal/hwspace"
 )
@@ -126,8 +127,10 @@ type ModelInfo struct {
 	// TotalSamples counts the trainer's profile store, including samples not
 	// yet trained on.
 	TotalSamples int `json:"total_samples"`
-	// SnapshotVersion counts snapshot publications observed by the server;
-	// SnapshotAgeSec is the seconds since the last one.
+	// SnapshotVersion counts the model publications made by the entry's
+	// trainer (training runs, ladder fallbacks, reloads, lifecycle
+	// promotions), 0 before the first; SnapshotAgeSec is the seconds since
+	// the latest one was published.
 	SnapshotVersion uint64  `json:"snapshot_version"`
 	SnapshotAgeSec  float64 `json:"snapshot_age_sec"`
 	// GramFits / QRFallbacks are the candidate-fit path counters of the
@@ -210,7 +213,9 @@ type ModelStatus struct {
 	TrainedRows int    `json:"trained_rows,omitempty"`
 	// TotalSamples counts the entry's profile store, including rows not yet
 	// trained on.
-	TotalSamples    int    `json:"total_samples"`
+	TotalSamples int `json:"total_samples"`
+	// SnapshotVersion counts the entry trainer's model publications, as in
+	// ModelInfo.
 	SnapshotVersion uint64 `json:"snapshot_version"`
 	// QueueDepth is the entry's queued predictions at scrape time.
 	QueueDepth int `json:"queue_depth"`
@@ -252,9 +257,17 @@ func ConfigFromArch(arch []int) (Config, error) {
 }
 
 // ConfigFromWire resolves the wire's two hardware encodings: config if
-// present, else arch, else the baseline.
+// present, else arch, else the baseline. A full config is checked field by
+// field: every Table 2 quantity (widths, queue and cache sizes, latencies,
+// unit counts) is at least 1, so a field below 1 is rejected by name.
 func ConfigFromWire(arch []int, cfg *Config) (Config, error) {
 	if cfg != nil {
+		v := reflect.ValueOf(*cfg)
+		for i := 0; i < v.NumField(); i++ {
+			if n := v.Field(i).Int(); n < 1 {
+				return Config{}, fmt.Errorf("hsmodel: config %s is %d, want at least 1", v.Type().Field(i).Name, n)
+			}
+		}
 		return *cfg, nil
 	}
 	if len(arch) > 0 {
