@@ -39,9 +39,8 @@ func main() {
 	gens := flag.Int("gens", 8, "bootstrap: genetic generations")
 	seed := flag.Uint64("seed", 1, "bootstrap: random seed")
 	shardLen := flag.Int("shardlen", 50_000, "bootstrap: shard length in instructions")
-	maxBatch := flag.Int("max-batch", 32, "predictions coalesced into one model pass")
+	maxBatch := flag.Int("max-batch", 32, "batcher jobs coalesced into one flush (a predict:batch request is one job)")
 	maxWait := flag.Duration("max-wait", 2*time.Millisecond, "batcher wait to fill a batch")
-	shards := flag.Int("shards", 0, "batcher queue+worker shards (0 = GOMAXPROCS)")
 	timeout := flag.Duration("timeout", 5*time.Second, "per-request timeout")
 	lifecycleOn := flag.Bool("lifecycle", false, "run the continuous-learning control loop on /v1/samples (bounded stores, drift detection, canary-gated retrains)")
 	driftThreshold := flag.Float64("drift-threshold", 0, "lifecycle: accumulated excess error (CUSUM mass) that trips the drift detector (0 = default)")
@@ -64,7 +63,6 @@ func main() {
 		Trainer:        tr,
 		MaxBatch:       *maxBatch,
 		MaxWait:        *maxWait,
-		Shards:         *shards,
 		RequestTimeout: *timeout,
 		ModelPath:      *modelPath,
 		ManifestPath:   *modelsPath,

@@ -13,16 +13,17 @@ import (
 )
 
 // Batcher is the prediction path an Entry serves through. internal/serve
-// plugs its per-CPU sharded micro-batcher in via Config.NewBatcher; the
-// registry's fallback predicts directly off the entry's snapshot, so the
-// package stands alone in tests and in-process embedders.
+// plugs in its micro-batcher — one bounded queue drained by one worker — via
+// Config.NewBatcher; the registry's fallback predicts directly off the
+// entry's snapshot, so the package stands alone in tests and in-process
+// embedders.
 type Batcher interface {
 	// Predict answers one shard prediction.
 	Predict(ctx context.Context, x profile.Characteristics, hw hwspace.Config) (float64, error)
 	// PredictMany answers out[i] for (xs[i], hws[i]); len(hws) and len(out)
 	// must be at least len(xs).
 	PredictMany(ctx context.Context, xs []profile.Characteristics, hws []hwspace.Config, out []float64) error
-	// Queued reports the predictions sitting in the batcher's queues; the
+	// Queued reports the predictions sitting in the batcher's queue; the
 	// registry sums it across entries for aggregate load shedding.
 	Queued() int
 	// Close drains the batcher: accepted predictions are answered, new ones

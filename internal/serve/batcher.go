@@ -1,9 +1,9 @@
-// Request coalescing: concurrent predictions are gathered off bounded queues
+// Request coalescing: concurrent predictions are gathered off a bounded queue
 // into batched passes over the served snapshot (Concorde-style
-// micro-batching, arXiv:2503.23076). The batcher is sharded per CPU: N
-// workers drain N independent bounded queues, submitters pick a shard by a
-// cheap round-robin counter and work-steal onto a sibling queue before
-// shedding, and jobs (with their done channels) are pooled so a steady-state
+// micro-batching, arXiv:2503.23076). Each model entry owns one batcher: one
+// bounded queue drained by one worker, so every concurrent prediction on the
+// entry shares one gather window. A submission that finds the queue full is
+// shed, and jobs (with their done channels) are pooled so a steady-state
 // prediction allocates nothing. Each flush loads the snapshot exactly once
 // and answers the whole batch through Snapshot.PredictBatch, so every
 // prediction in a batch is answered by the same model version and is
@@ -16,7 +16,6 @@ import (
 	"context"
 	"errors"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"hsmodel/internal/core"
@@ -27,9 +26,9 @@ import (
 // ErrClosed is returned to predictions submitted after shutdown began.
 var ErrClosed = errors.New("serve: server is shutting down")
 
-// ErrOverloaded is returned when every shard's queue is full: the server
+// ErrOverloaded is returned when the batcher's queue is full: the server
 // sheds the request immediately (HTTP 429 upstream) instead of stacking
-// blocked submitters behind workers that are already saturated.
+// blocked submitters behind a worker that is already saturated.
 var ErrOverloaded = errors.New("serve: prediction queue full")
 
 // predictJob is one submission: either a single shard prediction (using the
@@ -53,14 +52,12 @@ type predictJob struct {
 
 // batcherConfig carries the construction parameters of a batcher.
 type batcherConfig struct {
-	// shards is the number of independent queue+worker pairs (default 1).
-	shards int
 	// maxBatch caps the jobs gathered into one flush (default 32).
 	maxBatch int
 	// maxWait is the gather window after the first job of a flush arrives
 	// (default 2ms).
 	maxWait time.Duration
-	// queueDepth bounds each shard's queue (default 4*maxBatch).
+	// queueDepth bounds the queue (default 4*maxBatch).
 	queueDepth int
 	// snap loads the served snapshot (required).
 	snap func() *core.Snapshot
@@ -71,9 +68,6 @@ type batcherConfig struct {
 }
 
 func (c batcherConfig) withDefaults() batcherConfig {
-	if c.shards <= 0 {
-		c.shards = 1
-	}
 	if c.maxBatch <= 0 {
 		c.maxBatch = 32
 	}
@@ -86,25 +80,18 @@ func (c batcherConfig) withDefaults() batcherConfig {
 	return c
 }
 
-// batcher owns the sharded queues and their gather/flush workers.
-//
-// Shutdown protocol (the "lose zero in-flight requests" guarantee), applied
-// independently per shard: Close marks every shard closed so new predictions
-// are rejected with ErrClosed, waits for submitters already past the
-// closed-check to finish enqueueing, then closes each queue; every worker
-// drains every queued job — each gets a real prediction — before exiting.
-type batcher struct {
-	cfg    batcherConfig
-	shards []*batchShard
-	rr     atomic.Uint64 // round-robin shard pick
-	jobs   sync.Pool     // *predictJob
-}
-
-// batchShard is one queue + worker pair with its own drain accounting and
+// batcher owns the bounded queue, its gather/flush worker, and the
 // worker-owned flush buffers (touched only by the worker goroutine).
-type batchShard struct {
-	b     *batcher
+//
+// Shutdown protocol (the "lose zero in-flight requests" guarantee): Close
+// marks the batcher closed so new predictions are rejected with ErrClosed,
+// waits for submitters already past the closed-check to finish enqueueing,
+// then closes the queue; the worker drains every queued job — each gets a
+// real prediction — before exiting.
+type batcher struct {
+	cfg   batcherConfig
 	queue chan *predictJob
+	jobs  sync.Pool // *predictJob
 
 	mu          sync.Mutex
 	closed      bool
@@ -113,15 +100,15 @@ type batchShard struct {
 
 	workerDone chan struct{}
 
-	// Flush state, preallocated to the shard's high-water marks.
+	// Flush state, preallocated to the batcher's high-water marks.
 	batch  []*predictJob // gathered jobs, cap maxBatch
 	nbatch int
-	rowBuf []float64       // contiguous backing for rows
-	rows   [][]float64     // chunk of expanded raw rows
-	out    []float64       // chunk predictions
-	dstJob []*predictJob   // chunk scatter targets
-	dstIdx []int           // item index within the target job
-	timer  *time.Timer     // gather-window timer, reused across flushes
+	rowBuf []float64     // contiguous backing for rows
+	rows   [][]float64   // chunk of expanded raw rows
+	out    []float64     // chunk predictions
+	dstJob []*predictJob // chunk scatter targets
+	dstIdx []int         // item index within the target job
+	timer  *time.Timer   // gather-window timer, reused across flushes
 }
 
 // flushChunk is the row-buffer capacity of one sweep: large enough that a
@@ -131,29 +118,25 @@ const minFlushChunk = 128
 
 func newBatcher(cfg batcherConfig) *batcher {
 	cfg = cfg.withDefaults()
-	b := &batcher{cfg: cfg, shards: make([]*batchShard, cfg.shards)}
 	chunk := cfg.maxBatch
 	if chunk < minFlushChunk {
 		chunk = minFlushChunk
 	}
-	for i := range b.shards {
-		sh := &batchShard{
-			b:          b,
-			queue:      make(chan *predictJob, cfg.queueDepth),
-			workerDone: make(chan struct{}),
-			batch:      make([]*predictJob, cfg.maxBatch),
-			rowBuf:     make([]float64, chunk*core.NumVars),
-			rows:       make([][]float64, chunk),
-			out:        make([]float64, chunk),
-			dstJob:     make([]*predictJob, chunk),
-			dstIdx:     make([]int, chunk),
-		}
-		for r := range sh.rows {
-			sh.rows[r] = sh.rowBuf[r*core.NumVars : (r+1)*core.NumVars]
-		}
-		b.shards[i] = sh
-		go sh.run()
+	b := &batcher{
+		cfg:        cfg,
+		queue:      make(chan *predictJob, cfg.queueDepth),
+		workerDone: make(chan struct{}),
+		batch:      make([]*predictJob, cfg.maxBatch),
+		rowBuf:     make([]float64, chunk*core.NumVars),
+		rows:       make([][]float64, chunk),
+		out:        make([]float64, chunk),
+		dstJob:     make([]*predictJob, chunk),
+		dstIdx:     make([]int, chunk),
 	}
+	for r := range b.rows {
+		b.rows[r] = b.rowBuf[r*core.NumVars : (r+1)*core.NumVars]
+	}
+	go b.run()
 	return b
 }
 
@@ -174,11 +157,11 @@ func (b *batcher) putJob(j *predictJob) {
 }
 
 // Predict submits one shard prediction and waits for its result. A request
-// that was accepted into a queue always receives a result (even during
+// that was accepted into the queue always receives a result (even during
 // shutdown); ctx cancellation abandons the wait but the buffered done channel
-// means the worker never blocks on an abandoned job. When every shard's queue
-// is full the request is shed with ErrOverloaded instead of blocking: under
-// overload the queues are a pressure gauge, not a waiting room.
+// means the worker never blocks on an abandoned job. When the queue is full
+// the request is shed with ErrOverloaded instead of blocking: under overload
+// the queue is a pressure gauge, not a waiting room.
 func (b *batcher) Predict(ctx context.Context, x profile.Characteristics, hw hwspace.Config) (float64, error) {
 	job := b.getJob()
 	job.x1[0], job.hw1[0] = x, hw
@@ -220,24 +203,26 @@ func (b *batcher) PredictMany(ctx context.Context, xs []profile.Characteristics,
 	}
 }
 
-// submit enqueues a job: the round-robin home shard first, then every
-// sibling (work-stealing a slot on a less loaded queue), shedding only when
-// all queues are full. On error the job has not been enqueued and is
+// submit makes a non-blocking enqueue under the drain accounting, shedding
+// when the queue is full. On error the job has not been enqueued and is
 // recycled here.
 func (b *batcher) submit(job *predictJob) error {
-	start := b.rr.Add(1)
-	n := uint64(len(b.shards))
-	for k := uint64(0); k < n; k++ {
-		sh := b.shards[(start+k)%n]
-		open, accepted := sh.trySubmit(job)
-		if !open {
-			b.putJob(job)
-			return ErrClosed
-		}
-		if accepted {
-			return nil
-		}
+	b.mu.Lock()
+	if b.closed {
+		b.mu.Unlock()
+		b.putJob(job)
+		return ErrClosed
 	}
+	b.inflight++
+	b.mu.Unlock()
+
+	select {
+	case b.queue <- job:
+		b.exitSubmit()
+		return nil
+	default:
+	}
+	b.exitSubmit()
 	b.putJob(job)
 	if b.cfg.onShed != nil {
 		b.cfg.onShed()
@@ -245,124 +230,89 @@ func (b *batcher) submit(job *predictJob) error {
 	return ErrOverloaded
 }
 
-// trySubmit attempts a non-blocking enqueue under the shard's drain
-// accounting. open is false once the shard is closed to new submissions.
-func (sh *batchShard) trySubmit(job *predictJob) (open, accepted bool) {
-	sh.mu.Lock()
-	if sh.closed {
-		sh.mu.Unlock()
-		return false, false
-	}
-	sh.inflight++
-	sh.mu.Unlock()
-
-	select {
-	case sh.queue <- job:
-		sh.exitSubmit()
-		return true, true
-	default:
-		sh.exitSubmit()
-		return true, false
-	}
-}
-
 // exitSubmit ends a submission critical section, completing a pending Close
 // once the last submitter is out.
-func (sh *batchShard) exitSubmit() {
-	sh.mu.Lock()
-	sh.inflight--
-	if sh.closed && sh.inflight == 0 && !sh.queueClosed {
-		sh.queueClosed = true
-		close(sh.queue)
+func (b *batcher) exitSubmit() {
+	b.mu.Lock()
+	b.inflight--
+	if b.closed && b.inflight == 0 && !b.queueClosed {
+		b.queueClosed = true
+		close(b.queue)
 	}
-	sh.mu.Unlock()
+	b.mu.Unlock()
 }
 
-// Queued reports the total jobs sitting in the shard queues; the registry
-// sums it across entries for aggregate load shedding.
-func (b *batcher) Queued() int {
-	total := 0
-	for _, sh := range b.shards {
-		total += len(sh.queue)
-	}
-	return total
-}
+// Queued reports the jobs sitting in the queue; the registry sums it across
+// entries for aggregate load shedding.
+func (b *batcher) Queued() int { return len(b.queue) }
 
-// Close drains the batcher: it rejects new submissions on every shard, lets
-// in-flight ones enqueue, answers everything queued, and returns once every
-// worker has exited. Safe to call more than once.
+// Close drains the batcher: it rejects new submissions, lets in-flight ones
+// enqueue, answers everything queued, and returns once the worker has
+// exited. Safe to call more than once.
 func (b *batcher) Close() {
-	for _, sh := range b.shards {
-		sh.close()
-	}
-	for _, sh := range b.shards { //hslint:ignore ctxflow the shutdown drain is bounded by the shard count and must run to completion
-		<-sh.workerDone
-	}
-}
-
-func (sh *batchShard) close() {
-	sh.mu.Lock()
-	if !sh.closed {
-		sh.closed = true
-		if sh.inflight == 0 && !sh.queueClosed {
-			sh.queueClosed = true
-			close(sh.queue)
+	b.mu.Lock()
+	if !b.closed {
+		b.closed = true
+		if b.inflight == 0 && !b.queueClosed {
+			b.queueClosed = true
+			close(b.queue)
 		}
 	}
-	sh.mu.Unlock()
+	b.mu.Unlock()
+	<-b.workerDone
 }
 
-// run is the shard worker: take one job, gather more up to maxBatch/maxWait,
-// then answer the whole batch against a single snapshot load. Everything on
-// this loop reuses the shard's preallocated buffers.
+// run is the worker: take one job, gather more up to maxBatch/maxWait, then
+// answer the whole batch against a single snapshot load. Everything on this
+// loop reuses the batcher's preallocated buffers.
 //
 //hslint:hotpath
-func (sh *batchShard) run() {
-	defer close(sh.workerDone)
+func (b *batcher) run() {
+	defer close(b.workerDone)
 	for {
-		job, ok := <-sh.queue
+		job, ok := <-b.queue
 		if !ok {
 			return
 		}
-		sh.batch[0] = job
-		sh.nbatch = 1
-		sh.gather()
-		sh.flush(sh.b.cfg.snap())
+		b.batch[0] = job
+		b.nbatch = 1
+		b.gather()
+		b.flush(b.cfg.snap())
 	}
 }
 
 // gather collects follow-on jobs for the current flush until the batch is
 // full, the wait window expires, or the queue closes. Jobs already queued are
-// taken without arming the timer, so a saturated shard never touches it.
+// taken without arming the timer, so a saturated worker never touches it.
 //
 //hslint:hotpath
-func (sh *batchShard) gather() {
-	for sh.nbatch < len(sh.batch) {
+func (b *batcher) gather() {
+	for b.nbatch < len(b.batch) {
 		select {
-		case j, ok := <-sh.queue:
+		case j, ok := <-b.queue:
 			if !ok {
 				return
 			}
-			sh.batch[sh.nbatch] = j
-			sh.nbatch++
+			b.batch[b.nbatch] = j
+			b.nbatch++
 			continue
 		default:
 		}
 		break
 	}
-	if sh.nbatch >= len(sh.batch) {
+	if b.nbatch >= len(b.batch) {
 		return
 	}
-	sh.armTimer()
-	for sh.nbatch < len(sh.batch) {
+	b.armTimer()
+	for b.nbatch < len(b.batch) {
 		select {
-		case j, ok := <-sh.queue:
+		case j, ok := <-b.queue:
 			if !ok {
 				return
 			}
-			sh.batch[sh.nbatch] = j
-			sh.nbatch++
-		case <-sh.timer.C:
+			b.batch[b.nbatch] = j
+			b.nbatch++
+		case <-b.timer.C:
 			return
 		}
 	}
@@ -371,29 +321,29 @@ func (sh *batchShard) gather() {
 // armTimer starts (or re-arms) the reused gather-window timer. A fire racing
 // the Stop/drain below can leave a stale tick in the channel; the only
 // consequence is one premature — smaller, still correct — flush.
-func (sh *batchShard) armTimer() {
-	if sh.timer == nil {
-		sh.timer = time.NewTimer(sh.b.cfg.maxWait)
+func (b *batcher) armTimer() {
+	if b.timer == nil {
+		b.timer = time.NewTimer(b.cfg.maxWait)
 		return
 	}
-	if !sh.timer.Stop() {
+	if !b.timer.Stop() {
 		select {
-		case <-sh.timer.C:
+		case <-b.timer.C:
 		default:
 		}
 	}
-	sh.timer.Reset(sh.b.cfg.maxWait)
+	b.timer.Reset(b.cfg.maxWait)
 }
 
 // flush answers the gathered batch: every item of every job is expanded into
-// the shard's contiguous row buffer and answered through one
+// the batcher's contiguous row buffer and answered through one
 // Snapshot.PredictBatch sweep per chunk, then each job is signalled exactly
 // once. The untrained check happens once per flush — item results are
 // bit-identical to per-call Snapshot.PredictShard either way.
 //
 //hslint:hotpath
-func (sh *batchShard) flush(snap *core.Snapshot) {
-	batch := sh.batch[:sh.nbatch]
+func (b *batcher) flush(snap *core.Snapshot) {
+	batch := b.batch[:b.nbatch]
 	items := 0
 	if !snap.Trained() {
 		for _, j := range batch {
@@ -401,48 +351,48 @@ func (sh *batchShard) flush(snap *core.Snapshot) {
 			j.err = core.ErrNotTrained
 			j.done <- struct{}{}
 		}
-		sh.observe(items)
+		b.observe(items)
 		return
 	}
 	pos := 0
 	for _, j := range batch {
 		j.err = nil
 		for i := range j.xs {
-			core.Sample{X: j.xs[i], HW: j.hws[i]}.RowInto(sh.rows[pos])
-			sh.dstJob[pos] = j
-			sh.dstIdx[pos] = i
+			core.Sample{X: j.xs[i], HW: j.hws[i]}.RowInto(b.rows[pos])
+			b.dstJob[pos] = j
+			b.dstIdx[pos] = i
 			pos++
-			if pos == len(sh.rows) {
-				sh.sweep(snap, pos)
+			if pos == len(b.rows) {
+				b.sweep(snap, pos)
 				items += pos
 				pos = 0
 			}
 		}
 	}
 	if pos > 0 {
-		sh.sweep(snap, pos)
+		b.sweep(snap, pos)
 		items += pos
 	}
 	for _, j := range batch {
 		j.done <- struct{}{}
 	}
-	sh.observe(items)
+	b.observe(items)
 }
 
 // sweep answers rows[:n] in one batched snapshot pass and scatters the
 // results into their jobs' output slots.
 //
 //hslint:hotpath
-func (sh *batchShard) sweep(snap *core.Snapshot, n int) {
+func (b *batcher) sweep(snap *core.Snapshot, n int) {
 	// Trained was checked by flush; PredictBatch cannot fail here.
-	_ = snap.PredictBatch(sh.rows[:n], sh.out[:n])
+	_ = snap.PredictBatch(b.rows[:n], b.out[:n])
 	for t := 0; t < n; t++ {
-		sh.dstJob[t].out[sh.dstIdx[t]] = sh.out[t]
+		b.dstJob[t].out[b.dstIdx[t]] = b.out[t]
 	}
 }
 
-func (sh *batchShard) observe(items int) {
-	if sh.b.cfg.observe != nil {
-		sh.b.cfg.observe(items)
+func (b *batcher) observe(items int) {
+	if b.cfg.observe != nil {
+		b.cfg.observe(items)
 	}
 }

@@ -142,7 +142,7 @@ type metrics struct {
 	updatesFailed   atomic.Uint64
 	reloads         atomic.Uint64
 	reloadErrors    atomic.Uint64
-	shedsTotal      atomic.Uint64 // predictions rejected on a full shard queue
+	shedsTotal      atomic.Uint64 // predictions rejected on a full batcher queue
 	registrySheds   atomic.Uint64 // predictions rejected by the aggregate registry bound
 }
 

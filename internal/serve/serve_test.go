@@ -307,6 +307,72 @@ func TestBatchCoalescing(t *testing.T) {
 	}
 }
 
+// TestConcurrentPredictsShareOneFlush: each model entry has one gather
+// window, so two concurrent single predicts fill a MaxBatch-2 flush together
+// and are answered at once instead of each waiting out the 30 s MaxWait. Both
+// answers must be bit-identical to the snapshot, and the batch-size
+// histogram must record exactly one flush of two items.
+func TestConcurrentPredictsShareOneFlush(t *testing.T) {
+	tr := newTestTrainer(t)
+	s, ts := newTestServer(t, Config{
+		Trainer:        tr,
+		MaxBatch:       2,
+		MaxWait:        30 * time.Second,
+		RequestTimeout: time.Minute,
+	})
+	_, valid := testData(t)
+	snap := tr.Snapshot()
+
+	// A client that gives up after a second disconnects, which cancels the
+	// server-side wait, so a failure does not sit out the gather window.
+	client := &http.Client{Timeout: time.Second}
+	errs := make([]error, 2)
+	var wg sync.WaitGroup
+	for c := range errs {
+		v := valid[c]
+		want, err := snap.PredictShard(v.X, v.HW)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hw := v.HW
+		data, err := json.Marshal(hsmodel.PredictRequest{X: v.X[:], Config: &hw})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			resp, err := client.Post(ts.URL+"/v1/predict", "application/json", bytes.NewReader(data))
+			if err != nil {
+				errs[c] = err
+				return
+			}
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			var pr hsmodel.PredictResponse
+			switch {
+			case resp.StatusCode != http.StatusOK:
+				errs[c] = fmt.Errorf("status %d: %s", resp.StatusCode, body)
+			case json.Unmarshal(body, &pr) != nil:
+				errs[c] = fmt.Errorf("bad response: %s", body)
+			case math.Float64bits(pr.CPI) != math.Float64bits(want):
+				errs[c] = fmt.Errorf("prediction %v != snapshot prediction %v", pr.CPI, want)
+			}
+		}(c)
+	}
+	wg.Wait()
+	for c, err := range errs {
+		if err != nil {
+			t.Fatalf("client %d: %v", c, err)
+		}
+	}
+	// batchBuckets[1] is le="2": of the bounds, only a two-item flush lands there.
+	h := s.metrics.batchSize
+	if n, two := h.count.Load(), h.counts[1].Load(); n != 1 || two != 1 {
+		t.Fatalf("recorded %d flushes, %d of them with 2 items; want one flush of 2", n, two)
+	}
+}
+
 // TestGracefulShutdownDrains is the second acceptance clause: requests in
 // flight when shutdown begins are all answered — none lost, none hung.
 func TestGracefulShutdownDrains(t *testing.T) {

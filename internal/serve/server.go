@@ -49,7 +49,6 @@ import (
 	"log"
 	"net/http"
 	"os"
-	"runtime"
 	"sync/atomic"
 	"time"
 
@@ -69,25 +68,22 @@ type Config struct {
 	// case predictions answer 503 until a model is trained, adopted, or
 	// reloaded.
 	Trainer *core.Trainer
-	// MaxBatch caps the predictions coalesced into one evaluator pass
-	// (default 32).
+	// MaxBatch caps the batcher jobs coalesced into one flush (default 32).
+	// A job is one submission: a single prediction, or a whole
+	// predict:batch request's single-shard items, so a 64-item batch counts
+	// as one of MaxBatch.
 	MaxBatch int
 	// MaxWait is how long the batcher waits to fill a batch after the first
 	// request arrives (default 2ms).
 	MaxWait time.Duration
-	// Shards is the number of independent batcher queue+worker pairs per
-	// model entry (default GOMAXPROCS). Submitters spread across shards with
-	// a cheap round-robin counter and steal a slot on a sibling queue before
-	// shedding, so queue contention stays flat as cores are added.
-	Shards int
-	// QueueDepth bounds each shard's submit queue (default 4*MaxBatch). When
-	// every shard's queue is full the request is shed: answered 429 with a
-	// Retry-After hint instead of blocking behind saturated workers.
+	// QueueDepth bounds each model entry's one batcher queue (default
+	// 4*MaxBatch). When the queue is full the request is shed: answered 429
+	// with a Retry-After hint instead of blocking behind a saturated worker.
 	QueueDepth int
 	// QueueBound sheds predictions registry-wide: once the aggregate queued
 	// predictions across every entry reach it, new predictions on any entry
 	// answer 429 + Retry-After. 0 disables the aggregate bound (per-entry
-	// shard shedding still applies).
+	// queue shedding still applies).
 	QueueBound int
 	// RegistrySeed determinizes consistent-hash routing of "app:<name>"
 	// model addresses.
@@ -127,9 +123,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxWait <= 0 {
 		c.MaxWait = 2 * time.Millisecond
-	}
-	if c.Shards <= 0 {
-		c.Shards = runtime.GOMAXPROCS(0)
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 4 * c.MaxBatch
@@ -217,12 +210,11 @@ func New(cfg Config) (*Server, error) {
 }
 
 // newEntryBatcher is the registry's batcher factory: every entry gets its
-// own per-CPU sharded micro-batcher pinned to its own snapshot. The batch
-// size and shed metrics are shared series; per-model load shows up in the
-// hsserve_registry_model_* gauges.
+// own micro-batcher — one queue and one worker — pinned to its own snapshot.
+// The batch size and shed metrics are shared series; per-model load shows up
+// in the hsserve_registry_model_* gauges.
 func (s *Server) newEntryBatcher(e *registry.Entry) registry.Batcher {
 	return newBatcher(batcherConfig{
-		shards:     s.cfg.Shards,
 		maxBatch:   s.cfg.MaxBatch,
 		maxWait:    s.cfg.MaxWait,
 		queueDepth: s.cfg.QueueDepth,
@@ -479,7 +471,7 @@ func decodeJSON(r *http.Request, v any) error {
 
 // Predict answers one shard prediction through the default entry — the same
 // registry admission check and micro-batcher as POST /v1/predict, minus
-// HTTP. cmd/hsload uses it to benchmark the serving path in process.
+// HTTP. The benchmark's in-process probes call it.
 func (s *Server) Predict(ctx context.Context, x profile.Characteristics, hw hwspace.Config) (float64, error) {
 	return s.def.Predict(ctx, x, hw)
 }

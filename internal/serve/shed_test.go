@@ -31,7 +31,6 @@ func TestBatcherShedsOnFullQueue(t *testing.T) {
 		return tr.Snapshot()
 	}
 	b := newBatcher(batcherConfig{
-		shards:     1,
 		maxBatch:   1,
 		maxWait:    time.Millisecond,
 		queueDepth: 1,
