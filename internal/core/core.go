@@ -102,7 +102,8 @@ func ToDataset(samples []Sample) *regress.Dataset {
 
 // Collector produces sparse profiles by simulating shards on sampled
 // architectures — the stand-in for a datacenter-wide profiler selectively
-// profiling hardware-software pairs.
+// profiling hardware-software pairs. It is a plain value: its two fields
+// decide what it returns, and it keeps no state between calls.
 type Collector struct {
 	// ShardLen is the shard length in instructions (DefaultShardLen if 0).
 	ShardLen int
@@ -110,56 +111,20 @@ type Collector struct {
 	// sampled from (60 if 0). Shards are drawn uniformly from the pool, so
 	// every phase of the application timeline is represented.
 	ShardPool int
-	// Workers bounds parallel simulations (GOMAXPROCS if 0).
-	Workers int
-
-	mu       sync.Mutex
-	profiles map[string]profile.Characteristics // (app,shard) -> portable profile
 }
 
-func (c *Collector) shardLen() int {
+func (c Collector) shardLen() int {
 	if c.ShardLen <= 0 {
 		return DefaultShardLen
 	}
 	return c.ShardLen
 }
 
-func (c *Collector) shardPool() int {
+func (c Collector) shardPool() int {
 	if c.ShardPool <= 0 {
 		return 60
 	}
 	return c.ShardPool
-}
-
-func (c *Collector) workers() int {
-	if c.Workers <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return c.Workers
-}
-
-// profileShard returns the microarchitecture-independent profile of one
-// shard, cached: a shard profiled once is shared across every architecture
-// (Section 2.2's portability argument made concrete).
-func (c *Collector) profileShard(app *trace.App, shard int) profile.Characteristics {
-	key := fmt.Sprintf("%s/%d/%d", app.Name, shard, c.shardLen())
-	c.mu.Lock()
-	if c.profiles == nil {
-		c.profiles = make(map[string]profile.Characteristics)
-	}
-	if x, ok := c.profiles[key]; ok {
-		c.mu.Unlock()
-		return x
-	}
-	c.mu.Unlock()
-
-	p := profile.Stream(app.ShardStream(shard, c.shardLen()), app.Name, shard)
-
-	c.mu.Lock()
-	//hslint:ignore boundedgrowth memo keyed by the experiment's finite (app, shard, shardLen) universe, not by traffic
-	c.profiles[key] = p.X
-	c.mu.Unlock()
-	return p.X
 }
 
 // request is one (application, shard, architecture) measurement to take.
@@ -171,9 +136,9 @@ type request struct {
 }
 
 // Collect takes samplesPerApp uniform random (shard, architecture) profiles
-// for each application. Simulation fans out across the worker pool; results
-// are returned in a deterministic order given the seed.
-func (c *Collector) Collect(apps []*trace.App, samplesPerApp int, seed uint64) []Sample {
+// for each application. Simulation fans out across GOMAXPROCS workers;
+// results are returned in a deterministic order given the seed.
+func (c Collector) Collect(apps []*trace.App, samplesPerApp int, seed uint64) []Sample {
 	src := rng.New(seed)
 	var reqs []request
 	for appID, app := range apps {
@@ -192,7 +157,7 @@ func (c *Collector) Collect(apps []*trace.App, samplesPerApp int, seed uint64) [
 
 // CollectPairs measures an explicit list of (app, shard, architecture)
 // triples, preserving order.
-func (c *Collector) CollectPairs(apps []*trace.App, appIDs, shards []int, hws []hwspace.Config) []Sample {
+func (c Collector) CollectPairs(apps []*trace.App, appIDs, shards []int, hws []hwspace.Config) []Sample {
 	if len(appIDs) != len(shards) || len(shards) != len(hws) {
 		panic("core: CollectPairs length mismatch")
 	}
@@ -203,10 +168,12 @@ func (c *Collector) CollectPairs(apps []*trace.App, appIDs, shards []int, hws []
 	return c.run(reqs)
 }
 
-// run measures all requests. Requests are grouped by (application, shard)
-// so each shard's instruction trace is generated once and replayed for every
-// architecture — the in-memory analogue of the paper's portable profiles.
-func (c *Collector) run(reqs []request) []Sample {
+// run measures all requests. Requests are grouped by (application, shard),
+// and each group's instruction trace is generated once: profiled for the
+// portable characteristics, then replayed on every architecture the group
+// asks for — the in-memory analogue of the paper's portable profiles
+// (Section 2.2).
+func (c Collector) run(reqs []request) []Sample {
 	type groupKey struct {
 		appID, shard int
 	}
@@ -221,7 +188,7 @@ func (c *Collector) run(reqs []request) []Sample {
 	}
 
 	out := make([]Sample, len(reqs))
-	sem := make(chan struct{}, c.workers())
+	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
 	var wg sync.WaitGroup
 	for _, k := range order {
 		wg.Add(1)
@@ -232,7 +199,7 @@ func (c *Collector) run(reqs []request) []Sample {
 			r := reqs[idxs[0]]
 			insts := isa.Collect(r.app.ShardStream(r.shard, c.shardLen()), 0)
 			ss := &isa.SliceStream{Insts: insts}
-			x := c.profileShard(r.app, r.shard)
+			x := profile.Stream(ss, r.app.Name, r.shard).X
 			for _, i := range idxs {
 				req := reqs[i]
 				ss.Reset()

@@ -2,6 +2,10 @@ package core
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"fmt"
 	"math"
 	"testing"
 
@@ -103,6 +107,70 @@ func TestProfileCacheSharedAcrossArchitectures(t *testing.T) {
 	}
 	if math.Float64bits(samples[0].CPI) == math.Float64bits(samples[1].CPI) {
 		t.Error("different architectures should usually give different CPI")
+	}
+}
+
+// samplesHash is the SHA-256 of every sample field, floats by bit pattern.
+func samplesHash(samples []Sample) string {
+	h := sha256.New()
+	var b [8]byte
+	put := func(f float64) {
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(f))
+		h.Write(b[:])
+	}
+	for _, s := range samples {
+		fmt.Fprintf(h, "%s|%d|%d|%+v|", s.App, s.AppID, s.Shard, s.HW)
+		for _, x := range s.X {
+			put(x)
+		}
+		put(s.CPI)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestCollectGolden pins the collector's output bit for bit, so changes to
+// tracing, profiling or simulation that should be invisible stay invisible.
+func TestCollectGolden(t *testing.T) {
+	apps := trace.SPEC2006()
+	col := &Collector{ShardLen: testShardLen, ShardPool: 12}
+	src := rng.New(3)
+	hws := make([]hwspace.Config, 5)
+	for i := range hws {
+		hws[i] = hwspace.FromIndices(hwspace.Sample(src))
+	}
+	for _, tc := range []struct {
+		name string
+		got  []Sample
+		want string
+	}{
+		{"collect", col.Collect(apps, 6, 1), "8b3e456a6231c8402956457bf904069ba25c3eb9c3060a099905983746074ecb"},
+		// The same Collector again with another seed revisits shards it
+		// has already profiled.
+		{"collect-again", col.Collect(apps, 6, 2), "4d86346200a569056f10ba294172856753831837f2dab2ac8d208422375988ae"},
+		{"pairs", col.CollectPairs(apps, []int{0, 2, 4, 6, 2}, []int{1, 5, 5, 11, 5}, hws), "5cce22b6ca68e49d184ee3b08549581b9bf07245423c024be40643e170ca90e8"},
+	} {
+		if got := samplesHash(tc.got); got != tc.want {
+			t.Errorf("%s: samples hash %s, want %s", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestCollectorSameNameApps: a sample's characteristics come from the
+// application it measures, so an application that reuses another's name
+// must not inherit that application's profile.
+func TestCollectorSameNameApps(t *testing.T) {
+	impostor := *trace.Hmmer()
+	impostor.Name = trace.Bzip2().Name
+	hw := []hwspace.Config{hwspace.Baseline()}
+	pair := func(col *Collector, app *trace.App) Sample {
+		return col.CollectPairs([]*trace.App{app}, []int{0}, []int{3}, hw)[0]
+	}
+	col := smallCollector()
+	first := pair(col, trace.Bzip2())
+	got := pair(col, &impostor)
+	want := pair(smallCollector(), &impostor)
+	if got.X != want.X {
+		t.Errorf("renamed %s sample carries X %v, want %v (first app's X %v)", trace.Hmmer().Name, got.X, want.X, first.X)
 	}
 }
 

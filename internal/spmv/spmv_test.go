@@ -2,6 +2,10 @@ package spmv
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -376,5 +380,35 @@ func TestEnumerateCacheConfigs(t *testing.T) {
 	EnumerateCacheConfigs(func(cfg CacheConfig) bool { total++; return true })
 	if total != 4*7*4*3*7*4*3 {
 		t.Fatalf("space size %d", total)
+	}
+}
+
+// TestStudySampleGolden pins sampled points bit for bit, so changes to
+// blocking or cache simulation that should be invisible stay invisible.
+func TestStudySampleGolden(t *testing.T) {
+	for _, tc := range []struct {
+		matrix string
+		scale  int
+		want   string
+	}{
+		{"bayer02", 8, "571869d478f984037c2ea0ea9fcebcb529d6254d27580d66f32c71f8c9c6323f"},
+		{"raefsky3", 32, "8b49967f3832d3c6a8dd63a128bed7d7d07465ef487831e66166d9cff7baf1ac"},
+	} {
+		spec, err := ByName(tc.matrix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := sha256.New()
+		var b [8]byte
+		for _, pt := range NewStudy(spec.Scaled(tc.scale)).Sample(40, 5) {
+			fmt.Fprintf(h, "%d|%d|%+v|", pt.R, pt.C, pt.Cfg)
+			for _, f := range []float64{pt.Fill, pt.MFlops, pt.Watts, pt.NJFlop} {
+				binary.LittleEndian.PutUint64(b[:], math.Float64bits(f))
+				h.Write(b[:])
+			}
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != tc.want {
+			t.Errorf("%s: points hash %s, want %s", tc.matrix, got, tc.want)
+		}
 	}
 }

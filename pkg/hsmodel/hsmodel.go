@@ -52,7 +52,8 @@ type (
 	// Indices locates a Config as per-parameter discrete level indices.
 	Indices = hwspace.Indices
 	// Collector produces sparse profiles by simulating shards on sampled
-	// architectures.
+	// architectures. ShardLen and ShardPool are its only fields; it keeps
+	// no state between calls.
 	Collector = core.Collector
 	// FitnessConfig tunes the per-application fitness splits (Section 3.3).
 	FitnessConfig = core.FitnessConfig
