@@ -5,7 +5,7 @@ import (
 )
 
 // BoundedGrowth enforces the flat-memory contract behind the reservoir/ring
-// stores and the LRU eval caches (ROADMAP: "memory is flat under millions of
+// stores and the bounded GA memo (ROADMAP: "memory is flat under millions of
 // submissions"): a long-lived container — a field reached through a method
 // receiver, or a package-level variable — that grows on a request/submission
 // path must have eviction or cap evidence somewhere in the package.

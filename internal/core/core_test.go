@@ -366,9 +366,8 @@ func TestFitnessSplitsExcludeValidation(t *testing.T) {
 }
 
 // TestAddSamplesInvalidatesEvaluator: profiles appended after a training run
-// must influence the next one — the cached featurized evaluator is keyed on
-// the sample-store version and rebuilt over the full store, never served
-// stale.
+// must influence the next one — each run featurizes the full store, never a
+// stale copy.
 func TestAddSamplesInvalidatesEvaluator(t *testing.T) {
 	m, _ := trainSmallModeler(t)
 	firstRows := m.Snapshot().TrainedRows()
@@ -407,7 +406,7 @@ func TestAddSamplesInvalidatesEvaluator(t *testing.T) {
 
 // TestSamplesReturnsCopy: mutating the slice returned by Samples must not
 // reach the trainer's store (all mutation goes through AddSamples or
-// SetSamples, which version the cached evaluator state).
+// SetSamples, which bump the store version).
 func TestSamplesReturnsCopy(t *testing.T) {
 	m := NewTrainer([]Sample{{App: "a", CPI: 1}, {App: "b", CPI: 2}})
 	got := m.Samples()

@@ -60,38 +60,49 @@ func TestTrainReportCarriesFitPathCounters(t *testing.T) {
 	}
 }
 
-// TestGramCacheInvalidatedOnSampleMutation: AddSamples must invalidate the
-// cached evaluator, so the next training run rebuilds the Gram cache (its
-// cross-products would otherwise describe a stale dataset version).
+// TestFitPathStatsPerRun: the fit-path counters describe one run. Two
+// TrainResilient runs over an unchanged store do the same fits, so they must
+// report equal counters (not a running total), and FitPathStats must equal
+// the latest report.
+func TestFitPathStatsPerRun(t *testing.T) {
+	m := gramTestTrainer(t, 24)
+	ctx := context.Background()
+	first, err := m.TrainResilient(ctx, Resilience{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := m.TrainResilient(ctx, Resilience{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.GramFits+first.QRFallbacks == 0 {
+		t.Fatal("first run recorded no candidate fits")
+	}
+	if second.GramFits != first.GramFits || second.QRFallbacks != first.QRFallbacks {
+		t.Errorf("second run reports %d gram / %d qr fits, first run %d / %d",
+			second.GramFits, second.QRFallbacks, first.GramFits, first.QRFallbacks)
+	}
+	if s := m.FitPathStats(); s.GramFits != second.GramFits || s.QRFallbacks != second.QRFallbacks {
+		t.Errorf("FitPathStats = %d gram / %d qr, latest report %d / %d",
+			s.GramFits, s.QRFallbacks, second.GramFits, second.QRFallbacks)
+	}
+}
+
+// TestGramCacheInvalidatedOnSampleMutation: a run after AddSamples builds
+// its evaluator (and Gram cache) over the whole store, so the published
+// model is fitted on every row rather than on a stale dataset version.
 func TestGramCacheInvalidatedOnSampleMutation(t *testing.T) {
 	m := gramTestTrainer(t, 24)
 	ctx := context.Background()
 	if err := m.Train(ctx); err != nil {
 		t.Fatal(err)
 	}
-	gc1 := m.cache.ev.gc
-	if gc1 == nil {
-		t.Fatal("no Gram cache after training")
-	}
-
-	// Untouched samples: Update must reuse the same Gram cache.
-	if err := m.Update(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if m.cache.ev.gc != gc1 {
-		t.Error("Update over unchanged samples rebuilt the Gram cache")
-	}
-
-	// Mutated samples: the evaluator (and with it the Gram cache) rebuilds.
 	col := &Collector{ShardLen: 20_000, ShardPool: 8}
 	m.AddSamples(col.Collect([]*trace.App{trace.Sjeng()}, 12, 99))
 	if err := m.Update(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if m.cache.ev.gc == gc1 {
-		t.Error("AddSamples did not invalidate the Gram cache")
-	}
-	if n := m.cache.ev.fz.NumRows(); n != m.NumSamples() {
-		t.Errorf("rebuilt featurizer has %d rows, store has %d", n, m.NumSamples())
+	if rows, n := m.Snapshot().TrainedRows(), m.NumSamples(); rows != n {
+		t.Errorf("updated model fitted %d rows, store has %d", rows, n)
 	}
 }

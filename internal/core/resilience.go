@@ -108,10 +108,10 @@ type TrainReport struct {
 	Family       string
 	FamilyScores map[string]float64
 	FamilyErrors map[string]error
-	// GramFits and QRFallbacks count how candidate fits were served during
-	// this training attempt's evaluator lifetime: the O(p³) Gram/Cholesky
-	// fast path versus the pivoted-QR fallback (ill-conditioned or
-	// rank-deficient sub-Gram systems). A high fallback rate is a signal the
+	// GramFits and QRFallbacks count how this episode's candidate fits were
+	// served (every rung shares the episode's one evaluator): the O(p³)
+	// Gram/Cholesky fast path versus the pivoted-QR fallback (ill-conditioned
+	// or rank-deficient sub-Gram systems). A high fallback rate is a signal the
 	// profile store has collinear or degenerate columns.
 	GramFits    uint64
 	QRFallbacks uint64
@@ -167,15 +167,15 @@ func (m *Trainer) TrainResilient(ctx context.Context, r Resilience) (rep TrainRe
 		ctx = context.Background()
 	}
 	r = r.withDefaults()
-	defer func() {
-		s := m.FitPathStats()
-		rep.GramFits, rep.QRFallbacks = s.GramFits, s.QRFallbacks
-	}()
 
 	m.trainMu.Lock()
 	defer m.trainMu.Unlock()
 
 	cap, capErr := m.captureEvaluator()
+	defer func() {
+		s := m.recordFitStats(cap)
+		rep.GramFits, rep.QRFallbacks = s.GramFits, s.QRFallbacks
+	}()
 	if capErr != nil {
 		// No evaluator means no search can run at any rung; degrade straight
 		// to the last-good fallbacks below.

@@ -118,8 +118,7 @@ func TestTrainResilientServesLastGoodFromDisk(t *testing.T) {
 // TestTrainResilientNaNSamplesDegrade: NaN-poisoned profile rows make
 // featurization fail as bad input, so both search rungs fail; a previously
 // published snapshot must keep serving. The poisoning goes through
-// SetSamples so the cached evaluator state is invalidated like any real
-// sample mutation.
+// SetSamples like any real sample mutation.
 func TestTrainResilientNaNSamplesDegrade(t *testing.T) {
 	m, _ := trainSmallModeler(t)
 	before := m.Model()

@@ -56,20 +56,21 @@ func (f FitnessConfig) withDefaults() FitnessConfig {
 }
 
 // Trainer is the training half of the paper's system model: it owns the
-// accumulated sparse profiles (the paper's P), the featurized evaluator
-// state, and the genetic/stepwise/resilience training machinery. Every
-// successful training run publishes an immutable Snapshot through one atomic
-// Publication record (see Published); predictions (PredictShard,
-// PredictApplication, EvaluateOn) are lock-free reads of the current
-// Snapshot, so the model keeps answering queries while Train, Update, or
-// TrainResilient re-specify it — the always-available behavior the Section
-// 3.2–3.3 update protocol assumes.
+// accumulated sparse profiles (the paper's P) and the genetic, stepwise and
+// resilience training machinery. Every successful training run publishes an
+// immutable Snapshot through one atomic Publication record (see Published);
+// predictions (PredictShard, PredictApplication, EvaluateOn) are lock-free
+// reads of the current Snapshot, so the model keeps answering queries while
+// Train, Update, or TrainResilient re-specify it — the always-available
+// behavior the Section 3.2–3.3 update protocol assumes.
 //
 // Configuration fields (Search, Fitness, Stabilize, LogResponse,
 // WrapEvaluator, ShardLen) are set before training begins and must not be
 // mutated concurrently with a training run. Sample mutation goes through
-// AddSamples/SetSamples, which invalidate the cached featurized evaluator so
-// a subsequent Update never trains against stale basis columns.
+// AddSamples/SetSamples. Each training run builds its own featurized
+// evaluator from the store it captures and drops it when the run returns,
+// so no run ever trains against stale basis columns and an idle trainer
+// holds no evaluator memory.
 //
 // Concurrency contract: AddSamples, SetSamples, Samples, NumSamples,
 // Snapshot, and every prediction method are safe to call while a Train,
@@ -115,10 +116,10 @@ type Trainer struct {
 	Families []family.Family
 
 	trainMu       sync.Mutex // serializes training runs; never held with mu below
-	mu            sync.Mutex // guards samples, version, cache, population, history, lastSelection
+	mu            sync.Mutex // guards samples, version, fitStats, population, history, lastSelection
 	samples       []Sample
-	version       uint64 // bumped by every sample mutation
-	cache         *evalCache
+	version       uint64               // bumped by every sample mutation
+	fitStats      regress.GramStats    // Gram-layer counters of the most recent run
 	population    []genetic.Individual // final population, for warm-started updates
 	history       []genetic.GenStats
 	lastSelection *SelectionResult // most recent family-selection round, nil on classic runs
@@ -136,17 +137,6 @@ type Publication struct {
 	Snapshot   *Snapshot
 	Generation uint64
 	At         time.Time
-}
-
-// evalCache memoizes the featurized evaluator together with the state it was
-// built from, so back-to-back training runs over unchanged samples skip the
-// basis-column rebuild while any sample or configuration change forces one.
-type evalCache struct {
-	ev          *evaluator
-	version     uint64
-	stabilize   bool
-	logResponse bool
-	fitness     FitnessConfig
 }
 
 // NewTrainer returns a trainer with the paper's defaults.
@@ -250,8 +240,7 @@ func (m *Trainer) StoreVersion() uint64 {
 }
 
 // AddSamples appends new profiles to the store (they take effect at the next
-// Train or Update). The cached featurized evaluator is invalidated, so the
-// next training run rebuilds its basis columns over the full store.
+// Train or Update, which featurizes the full store).
 func (m *Trainer) AddSamples(samples []Sample) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -259,8 +248,8 @@ func (m *Trainer) AddSamples(samples []Sample) {
 	m.version++
 }
 
-// SetSamples replaces the profile store and invalidates cached evaluator
-// state. Mutating samples previously returned by Samples has no effect on
+// SetSamples replaces the profile store (it takes effect at the next Train or
+// Update). Mutating samples previously returned by Samples has no effect on
 // training; all sample mutation must go through AddSamples or SetSamples.
 func (m *Trainer) SetSamples(samples []Sample) {
 	m.mu.Lock()
@@ -272,40 +261,16 @@ func (m *Trainer) SetSamples(samples []Sample) {
 // ErrNoSamples is returned by Train with an empty profile store.
 var ErrNoSamples = errors.New("core: no samples to train on")
 
-// FitPathStats reports the cumulative candidate-fit counters of the current
-// cached evaluator's Gram layer: how many fits the O(p³) Cholesky path
-// served versus how many fell back to pivoted QR, and how the cross-product
-// memo behaved. The counters reset whenever the evaluator cache is
-// invalidated (AddSamples, SetSamples, or a configuration change) because
-// the Gram cache is rebuilt with it. Zero-valued stats mean no training run
-// has used the Gram layer since the last invalidation.
+// FitPathStats reports the candidate-fit counters of the most recent
+// training run's Gram layer: how many fits the O(p³) Cholesky path served
+// versus how many fell back to pivoted QR, and how the cross-product memo
+// behaved. Each Train, Update or TrainResilient run replaces them with its
+// own; zero-valued stats mean no run has finished yet, or the latest run
+// had no Gram layer (an empty or unfeaturizable store).
 func (m *Trainer) FitPathStats() regress.GramStats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.cache == nil || m.cache.ev.gc == nil {
-		return regress.GramStats{}
-	}
-	return m.cache.ev.gc.Stats()
-}
-
-// ReleaseEvalCache drops the cached featurized evaluator (basis columns,
-// Gram cross-products, split bookkeeping). The served snapshot and the
-// sample store are untouched; the next training run rebuilds the evaluator
-// from scratch. The multi-model registry calls this on least-recently-trained
-// entries so aggregate Featurizer/Gram memory stays bounded as models
-// multiply.
-func (m *Trainer) ReleaseEvalCache() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.cache = nil
-}
-
-// EvalCacheActive reports whether a featurized evaluator is currently cached
-// (it would be reused by the next training run over an unchanged store).
-func (m *Trainer) EvalCacheActive() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.cache != nil
+	return m.fitStats
 }
 
 // evaluator implements genetic.Evaluator with the paper's inner loops. It
@@ -439,10 +404,10 @@ func (m *Trainer) SumOfMedianErrors(fitness float64) float64 {
 }
 
 // Train runs the genetic search on the current samples and fits the final
-// model on all rows. Cancellation of ctx (or an expired Search.Deadline)
-// aborts the search and returns an error wrapping genetic.ErrCancelled; a
-// failed or cancelled Train never replaces the published snapshot, so the
-// trainer keeps serving its last-good model. See TrainResilient for the
+// model on all rows. Cancellation of ctx (or its deadline) aborts the search
+// and returns an error wrapping genetic.ErrCancelled; a failed or cancelled
+// Train never replaces the published snapshot, so the trainer keeps serving
+// its last-good model. See TrainResilient for the
 // variant that degrades through fallbacks instead of returning the error.
 //
 // Train is safe to call concurrently with AddSamples and predictions (see
@@ -451,6 +416,7 @@ func (m *Trainer) Train(ctx context.Context) error {
 	m.trainMu.Lock()
 	defer m.trainMu.Unlock()
 	cap, err := m.captureEvaluator()
+	defer m.recordFitStats(cap)
 	if err != nil {
 		return err
 	}
@@ -466,6 +432,7 @@ func (m *Trainer) Update(ctx context.Context) error {
 	m.trainMu.Lock()
 	defer m.trainMu.Unlock()
 	cap, err := m.captureEvaluator()
+	defer m.recordFitStats(cap)
 	if err != nil {
 		return err
 	}
@@ -489,42 +456,35 @@ type capturedEval struct {
 	rows    int
 }
 
-// captureEvaluator atomically snapshots the evaluator and the store version
-// it reflects. Callers must hold trainMu (and must NOT hold mu).
+// captureEvaluator featurizes the current store into a new evaluator owned
+// by one training run, together with the store version it reflects.
+// Callers must hold trainMu (and must NOT hold mu).
 func (m *Trainer) captureEvaluator() (capturedEval, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if len(m.samples) == 0 {
 		return capturedEval{}, ErrNoSamples
 	}
-	ev, err := m.cachedEvaluator()
+	ev, err := newEvaluator(ToDataset(m.samples), m.Fitness, m.Stabilize, m.LogResponse)
 	if err != nil {
 		return capturedEval{}, fmt.Errorf("core: featurizing samples: %w", err)
 	}
 	return capturedEval{ev: ev, version: m.version, rows: len(m.samples)}, nil
 }
 
-// cachedEvaluator returns the featurized evaluator for the current samples
-// and configuration, rebuilding it only when either changed since the last
-// training run. Callers must hold m.mu.
-func (m *Trainer) cachedEvaluator() (*evaluator, error) {
-	if c := m.cache; c != nil && c.version == m.version &&
-		c.stabilize == m.Stabilize && c.logResponse == m.LogResponse &&
-		c.fitness == m.Fitness {
-		return c.ev, nil
+// recordFitStats stores the Gram-layer counters of a finished run (zero when
+// the capture failed or had no Gram layer) for FitPathStats, and returns
+// them. Only the counters outlive the run, never the evaluator. Callers must
+// hold trainMu (and must NOT hold mu).
+func (m *Trainer) recordFitStats(cap capturedEval) regress.GramStats {
+	var s regress.GramStats
+	if cap.ev != nil && cap.ev.gc != nil {
+		s = cap.ev.gc.Stats()
 	}
-	ev, err := newEvaluator(ToDataset(m.samples), m.Fitness, m.Stabilize, m.LogResponse)
-	if err != nil {
-		return nil, err
-	}
-	m.cache = &evalCache{
-		ev:          ev,
-		version:     m.version,
-		stabilize:   m.Stabilize,
-		logResponse: m.LogResponse,
-		fitness:     m.Fitness,
-	}
-	return ev, nil
+	m.mu.Lock()
+	m.fitStats = s
+	m.mu.Unlock()
+	return s
 }
 
 // splineFamily is the shared reference-family instance the classic

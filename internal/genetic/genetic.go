@@ -30,7 +30,6 @@ import (
 	"sort"
 	"strconv"
 	"sync"
-	"time"
 
 	"hsmodel/internal/regress"
 	"hsmodel/internal/rng"
@@ -72,10 +71,6 @@ type Params struct {
 	TournamentSize  int     // parent-selection tournament; default 3
 	Seed            uint64
 	Workers         int // parallel fitness evaluations; default GOMAXPROCS
-	// Deadline, if positive, bounds the whole search: the context passed to
-	// Search is wrapped with this timeout, and an expired search returns the
-	// best-so-far population plus an error wrapping ErrCancelled.
-	Deadline time.Duration
 	// Initial seeds the starting population (model updates warm-start from
 	// the previous population, Section 3.3). Remaining slots are random.
 	Initial []regress.Spec
@@ -144,8 +139,8 @@ func (r *Result) TopK(k int) []Individual {
 
 // Search runs the genetic algorithm over specs with numVars variables.
 //
-// Cancellation and failure are non-fatal: when ctx is cancelled (or
-// p.Deadline expires) the search stops within the current generation and
+// Cancellation and failure are non-fatal: when ctx is cancelled or its
+// deadline expires, the search stops within the current generation and
 // returns the best-so-far population as a partial Result plus an error
 // wrapping ErrCancelled; when an Evaluator panics the panic is recovered and
 // Search returns a partial Result plus an error wrapping ErrEvalPanic. The
@@ -157,11 +152,6 @@ func Search(ctx context.Context, numVars int, eval Evaluator, p Params) (*Result
 		ctx = context.Background()
 	}
 	p = p.withDefaults()
-	if p.Deadline > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, p.Deadline)
-		defer cancel()
-	}
 	src := rng.New(p.Seed)
 	cache := newFitnessCache(eval, p.Workers)
 

@@ -120,7 +120,7 @@ func TestSearchCancelledMidRunReturnsPartial(t *testing.T) {
 }
 
 // TestSearchDeadlineCancelsWithinGeneration: with a per-evaluation delay, an
-// expired Params.Deadline must stop the search within roughly one generation
+// expired context deadline must stop the search within roughly one generation
 // rather than running all 50.
 func TestSearchDeadlineCancelsWithinGeneration(t *testing.T) {
 	eval := EvaluatorFunc(func(s regress.Spec) float64 {
@@ -130,9 +130,10 @@ func TestSearchDeadlineCancelsWithinGeneration(t *testing.T) {
 	start := time.Now()
 	// Generation 0 alone is ~60 unique evals x 3ms / 2 workers ≈ 90ms, so a
 	// 50ms deadline expires mid-generation; the fitness cache cannot help.
-	res, err := Search(context.Background(), 6, eval, Params{
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	res, err := Search(ctx, 6, eval, Params{
 		PopulationSize: 60, Generations: 20, Seed: 2, Workers: 2,
-		Deadline: 50 * time.Millisecond,
 	})
 	elapsed := time.Since(start)
 	if !errors.Is(err, ErrCancelled) {

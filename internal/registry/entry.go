@@ -137,9 +137,7 @@ func (e *Entry) QueueDepth() int { return e.batcher.Queued() }
 // model if none is in flight, bounded by timeout and by the registry's
 // lifetime (Registry.Close cancels the update's context, so shutdown never
 // waits out a training timeout). onDone (optional) receives the outcome; a
-// failed or cancelled update never replaces the served snapshot. A
-// successful update marks the entry most-recently-trained, which may release
-// the featurized evaluator cache of a colder entry (Config.MaxEvalCaches).
+// failed or cancelled update never replaces the served snapshot.
 func (e *Entry) TriggerUpdate(timeout time.Duration, onDone func(error)) bool {
 	if !e.updating.CompareAndSwap(false, true) {
 		return false
@@ -151,9 +149,6 @@ func (e *Entry) TriggerUpdate(timeout time.Duration, onDone func(error)) bool {
 		ctx, cancel := context.WithTimeout(e.reg.baseCtx, timeout)
 		defer cancel()
 		err := e.trainer.Update(ctx)
-		if err == nil {
-			e.reg.touch(e)
-		}
 		if onDone != nil {
 			onDone(err)
 		}

@@ -15,11 +15,6 @@
 //   - admit sheds predict traffic registry-wide (ErrOverloaded, HTTP 429
 //     upstream) once the aggregate queue depth across all entries crosses
 //     Config.QueueBound.
-//
-// Memory stays flat as models multiply: only the Config.MaxEvalCaches
-// most-recently-trained entries keep their featurized evaluator caches
-// (Featurizer basis columns + Gram cross-products); colder entries drop
-// theirs (Trainer.ReleaseEvalCache) and rebuild on their next training run.
 package registry
 
 import (
@@ -92,21 +87,14 @@ func (s Spec) withDefaults() Spec {
 	return s
 }
 
-// Config configures a Registry. The zero value of every optional field
-// takes the documented default.
+// Config configures a Registry. Every field is optional.
 type Config struct {
 	// Seed determinizes consistent-hash placement.
 	Seed uint64
-	// VNodes is the virtual nodes per entry on the ring (default 64).
-	VNodes int
 	// QueueBound sheds predictions registry-wide once the aggregate queued
 	// predictions across all entries reach it; 0 disables the aggregate
 	// bound (per-batcher shedding still applies).
 	QueueBound int
-	// MaxEvalCaches bounds how many entries keep their featurized evaluator
-	// caches (default 4); least-recently-trained entries beyond it release
-	// theirs.
-	MaxEvalCaches int
 	// NewBatcher builds the prediction path of a new entry; nil uses the
 	// direct (unbatched) snapshot predictor.
 	NewBatcher func(e *Entry) Batcher
@@ -116,16 +104,6 @@ type Config struct {
 	// Unregister (the serving layer persists its manifest here). It is
 	// called without the registry lock held.
 	OnChange func()
-}
-
-func (c Config) withDefaults() Config {
-	if c.VNodes <= 0 {
-		c.VNodes = 64
-	}
-	if c.MaxEvalCaches <= 0 {
-		c.MaxEvalCaches = 4
-	}
-	return c
 }
 
 // Registry is a concurrent collection of model entries with consistent-hash
@@ -143,7 +121,6 @@ type Registry struct {
 	mu      sync.RWMutex
 	entries map[string]*Entry
 	ring    *hashRing
-	recency []*Entry // most-recently-trained first; tail beyond MaxEvalCaches released
 	closed  bool
 }
 
@@ -151,7 +128,7 @@ type Registry struct {
 func New(cfg Config) *Registry {
 	ctx, cancel := context.WithCancel(context.Background())
 	return &Registry{
-		cfg:       cfg.withDefaults(),
+		cfg:       cfg,
 		baseCtx:   ctx,
 		cancelAll: cancel,
 		entries:   make(map[string]*Entry),
@@ -201,7 +178,6 @@ func (r *Registry) RegisterTrainer(spec Spec, tr *core.Trainer) (*Entry, error) 
 		return nil, fmt.Errorf("%w: %q", ErrExists, spec.ID)
 	}
 	r.entries[spec.ID] = e
-	r.touchLocked(e)
 	r.rebuildRingLocked()
 	r.mu.Unlock()
 
@@ -257,7 +233,6 @@ func (r *Registry) Unregister(id string) error {
 		return fmt.Errorf("%w: %q", ErrNotFound, id)
 	}
 	delete(r.entries, id)
-	r.dropRecencyLocked(e)
 	r.rebuildRingLocked()
 	r.mu.Unlock()
 
@@ -396,40 +371,13 @@ func (r *Registry) admit() error {
 	return nil
 }
 
-// touch marks e most-recently-trained and releases the evaluator caches of
-// entries that fell off the bounded recency list.
-func (r *Registry) touch(e *Entry) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.touchLocked(e)
-}
-
-func (r *Registry) touchLocked(e *Entry) {
-	r.dropRecencyLocked(e)
-	r.recency = append(r.recency, nil)
-	copy(r.recency[1:], r.recency)
-	r.recency[0] = e
-	for _, cold := range r.recency[min(r.cfg.MaxEvalCaches, len(r.recency)):] {
-		cold.trainer.ReleaseEvalCache()
-	}
-}
-
-func (r *Registry) dropRecencyLocked(e *Entry) {
-	for i, x := range r.recency {
-		if x == e {
-			r.recency = append(r.recency[:i], r.recency[i+1:]...)
-			return
-		}
-	}
-}
-
 func (r *Registry) rebuildRingLocked() {
 	ids := make([]string, 0, len(r.entries))
 	for id := range r.entries {
 		ids = append(ids, id)
 	}
 	sort.Strings(ids)
-	r.ring = buildRing(r.cfg.Seed, r.cfg.VNodes, ids)
+	r.ring = buildRing(r.cfg.Seed, vnodesPerEntry, ids)
 }
 
 // Close drains the registry: in-flight updates are cancelled (their
@@ -449,7 +397,6 @@ func (r *Registry) Close() {
 		entries = append(entries, e)
 	}
 	r.entries = make(map[string]*Entry)
-	r.recency = nil
 	r.rebuildRingLocked()
 	r.mu.Unlock()
 

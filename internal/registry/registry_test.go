@@ -260,50 +260,6 @@ func TestRegisterUnregisterDuringPredictLoad(t *testing.T) {
 	}
 }
 
-// TestEvalCacheLRU pins the flat-memory property: only the MaxEvalCaches
-// most-recently-trained entries keep their featurized evaluator caches.
-func TestEvalCacheLRU(t *testing.T) {
-	r := New(Config{MaxEvalCaches: 1})
-	defer r.Close()
-	ta := trainedTrainer(t, 3)
-	tb := trainedTrainer(t, 4)
-	if !ta.EvalCacheActive() || !tb.EvalCacheActive() {
-		t.Fatal("training did not leave an evaluator cache")
-	}
-	ea, err := r.RegisterTrainer(Spec{ID: "m-a"}, ta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ta.EvalCacheActive() {
-		t.Fatal("sole entry lost its cache")
-	}
-	if _, err := r.RegisterTrainer(Spec{ID: "m-b"}, tb); err != nil {
-		t.Fatal(err)
-	}
-	if ta.EvalCacheActive() {
-		t.Fatal("cold entry kept its cache beyond MaxEvalCaches")
-	}
-	if !tb.EvalCacheActive() {
-		t.Fatal("most recent entry lost its cache")
-	}
-
-	// A successful update marks the entry most recently trained again and
-	// evicts the other one.
-	done := make(chan error, 1)
-	if !ea.TriggerUpdate(time.Minute, func(err error) { done <- err }) {
-		t.Fatal("update did not start")
-	}
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-	if !ta.EvalCacheActive() {
-		t.Fatal("updated entry has no cache")
-	}
-	if tb.EvalCacheActive() {
-		t.Fatal("cold entry kept its cache after the update")
-	}
-}
-
 func TestCloseDrainsEveryEntry(t *testing.T) {
 	var closes atomic.Int32
 	r := New(Config{NewBatcher: func(e *Entry) Batcher {

@@ -21,6 +21,9 @@ type hashRing struct {
 	points []ringPoint
 }
 
+// vnodesPerEntry is the number of points each registry entry owns on the ring.
+const vnodesPerEntry = 64
+
 // buildRing places vnodes points per id, deterministically in seed.
 func buildRing(seed uint64, vnodes int, ids []string) *hashRing {
 	r := &hashRing{points: make([]ringPoint, 0, len(ids)*vnodes)}

@@ -37,8 +37,8 @@ import (
 // A GramCache is bound to one (dataset, Options) pair at construction: the
 // response transform and observation weights are baked into the cached inner
 // products. It is safe for concurrent use. Like the Featurizer it wraps, it
-// must be discarded when the dataset changes (core.Trainer's versioned
-// evaluator cache does exactly that on AddSamples/SetSamples).
+// must be discarded when the dataset changes (core.Trainer builds one per
+// training run and drops it when the run returns).
 type GramCache struct {
 	fz   *Featurizer
 	opts Options

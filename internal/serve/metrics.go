@@ -217,7 +217,6 @@ type modelScrape struct {
 	samples     int
 	trainedRows int
 	queued      int
-	evalCache   bool
 }
 
 // registryScrape carries the registry's scrape-time state; nil omits the
@@ -393,15 +392,6 @@ func (m *metrics) writeRegistry(w io.Writer, reg *registryScrape) {
 	io.WriteString(w, "# TYPE hsserve_registry_model_queue_depth gauge\n")
 	for _, e := range reg.models {
 		fmt.Fprintf(w, "hsserve_registry_model_queue_depth{model=%q} %d\n", e.id, e.queued)
-	}
-	io.WriteString(w, "# HELP hsserve_registry_model_eval_cache Whether the entry holds its featurized evaluator cache (LRU-bounded), by model.\n")
-	io.WriteString(w, "# TYPE hsserve_registry_model_eval_cache gauge\n")
-	for _, e := range reg.models {
-		v := 0
-		if e.evalCache {
-			v = 1
-		}
-		fmt.Fprintf(w, "hsserve_registry_model_eval_cache{model=%q} %d\n", e.id, v)
 	}
 
 	m.mu.Lock()

@@ -88,10 +88,6 @@ type Config struct {
 	// RegistrySeed determinizes consistent-hash routing of "app:<name>"
 	// model addresses.
 	RegistrySeed uint64
-	// MaxEvalCaches bounds how many entries keep their featurized evaluator
-	// caches (default 4) so aggregate training memory stays flat as models
-	// multiply.
-	MaxEvalCaches int
 	// RequestTimeout bounds each request's context (default 5s).
 	RequestTimeout time.Duration
 	// UpdateTimeout bounds asynchronous re-specifications triggered by
@@ -167,12 +163,11 @@ func New(cfg Config) (*Server, error) {
 		metrics: newMetrics(),
 	}
 	s.reg = registry.New(registry.Config{
-		Seed:          cfg.RegistrySeed,
-		QueueBound:    cfg.QueueBound,
-		MaxEvalCaches: cfg.MaxEvalCaches,
-		NewBatcher:    s.newEntryBatcher,
-		OnShed:        func() { s.metrics.registrySheds.Add(1) },
-		OnChange:      s.persistManifest,
+		Seed:       cfg.RegistrySeed,
+		QueueBound: cfg.QueueBound,
+		NewBatcher: s.newEntryBatcher,
+		OnShed:     func() { s.metrics.registrySheds.Add(1) },
+		OnChange:   s.persistManifest,
 	})
 	def, err := s.reg.RegisterTrainer(registry.Spec{
 		ID:        hsmodel.DefaultModelID,
@@ -813,12 +808,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	for i, e := range entries {
 		epub := e.Trainer().Published()
 		m := modelScrape{
-			id:        e.ID(),
-			trained:   epub.Snapshot.Trained(),
-			version:   epub.Generation,
-			samples:   e.Trainer().NumSamples(),
-			queued:    e.QueueDepth(),
-			evalCache: e.Trainer().EvalCacheActive(),
+			id:      e.ID(),
+			trained: epub.Snapshot.Trained(),
+			version: epub.Generation,
+			samples: e.Trainer().NumSamples(),
+			queued:  e.QueueDepth(),
 		}
 		if m.trained {
 			m.trainedRows = epub.Snapshot.TrainedRows()

@@ -109,7 +109,7 @@ type (
 	// RegisterRequest and of one manifest element).
 	RegistrySpec = registry.Spec
 	// RegistryConfig tunes a Registry (ring seed, aggregate queue bound,
-	// eval-cache LRU budget).
+	// batcher factory and change hooks).
 	RegistryConfig = registry.Config
 )
 

@@ -134,7 +134,7 @@ type ModelInfo struct {
 	SnapshotVersion uint64  `json:"snapshot_version"`
 	SnapshotAgeSec  float64 `json:"snapshot_age_sec"`
 	// GramFits / QRFallbacks are the candidate-fit path counters of the
-	// current evaluator (see TrainReport).
+	// model's most recent training run (see TrainReport).
 	GramFits    uint64 `json:"gram_fits"`
 	QRFallbacks uint64 `json:"qr_fallbacks"`
 }
