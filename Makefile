@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race lint lint-fix lint-sarif bench-build bench-smoke serve-smoke families-smoke registry-smoke ci
+.PHONY: build vet test race lint lint-fix lint-sarif bench-build bench-smoke bench-collect serve-smoke families-smoke registry-smoke ci
 
 build:
 	$(GO) build ./...
@@ -56,6 +56,13 @@ bench-build:
 # without paying for statistically meaningful timings.
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x ./...
+
+# bench-collect times sample collection once at the build workload's scale
+# (BenchmarkCollect: 7 applications x 120 samples, 50k-instruction shards):
+# tracing, shard profiling and simulation, with s/op and B/op. No bound
+# applies; it puts the collection layer's cost in the log.
+bench-collect:
+	$(GO) test -run '^$$' -bench BenchmarkCollect -benchtime 1x -benchmem ./internal/core
 
 # serve-smoke runs the end-to-end serving tests: each boots the HTTP service
 # on an httptest loopback listener and drives it as a real client. They pin

@@ -95,9 +95,13 @@ func (s *SliceStream) Next(in *Inst) bool {
 func (s *SliceStream) Reset() { s.pos = 0 }
 
 // Collect drains up to max instructions from a stream into a slice.
-// A max of 0 collects everything.
+// A max of 0 collects everything. A positive max also presizes the slice to
+// max instructions, so a stream of known length fills one allocation.
 func Collect(st Stream, max int) []Inst {
 	var out []Inst
+	if max > 0 {
+		out = make([]Inst, 0, max)
+	}
 	var in Inst
 	for st.Next(&in) {
 		out = append(out, in)

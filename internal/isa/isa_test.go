@@ -69,4 +69,11 @@ func TestCollect(t *testing.T) {
 	if len(some) != 4 || some[3].BrID != 3 {
 		t.Fatalf("Collect(4) wrong: %v", some)
 	}
+	if cap(some) != 4 {
+		t.Errorf("Collect(4) cap = %d, want 4 (presized)", cap(some))
+	}
+	// A max past the stream's end still returns just the stream.
+	if short := Collect(&SliceStream{Insts: insts}, 16); len(short) != 10 || short[9].BrID != 9 {
+		t.Fatalf("Collect(16) over 10 insts wrong: %v", short)
+	}
 }

@@ -95,14 +95,20 @@ const (
 
 // Profiler accumulates characteristics over a stream. The zero value is
 // ready to use.
+//
+// Re-use distances need, per block, the index of the instruction that last
+// touched it. Three reuseTables hold those indices (64B data blocks for x8,
+// 64B instruction blocks for x9, 256B data blocks for SumReuse256); each
+// access is one probe that reads the previous index and stores the current
+// one.
 type Profiler struct {
 	insts      int64
 	classCount [isa.NumClasses]int64
 	taken      int64
 
-	dLast    map[uint64]int64 // 64B data block -> last access instruction index
-	iLast    map[uint64]int64 // 64B inst block -> last access instruction index
-	d256Last map[uint64]int64 // 256B data block -> last access instruction index
+	dLast    reuseTable // 64B data block -> last access instruction index
+	iLast    reuseTable // 64B inst block -> last access instruction index
+	d256Last reuseTable // 256B data block -> last access instruction index
 
 	dReuseSum, iReuseSum float64
 	dReuseN, iReuseN     int64
@@ -115,25 +121,18 @@ type Profiler struct {
 // Observe feeds one instruction into the profiler. Instructions must be
 // presented in program order.
 func (pr *Profiler) Observe(in *isa.Inst) {
-	if pr.dLast == nil {
-		pr.dLast = make(map[uint64]int64, 1<<12)
-		pr.iLast = make(map[uint64]int64, 1<<10)
-		pr.d256Last = make(map[uint64]int64, 1<<10)
-	}
 	idx := pr.insts
 	pr.classCount[in.Class]++
 	if in.Class == isa.Branch && in.Taken {
 		pr.taken++
 	}
 	if in.Class.IsMemory() {
-		pr.reuse(pr.dLast, in.Addr/blockBytes, idx, &pr.dReuseSum, &pr.dReuseN)
-		b256 := in.Addr / wideBlockBytes
-		if last, ok := pr.d256Last[b256]; ok {
+		pr.reuse(&pr.dLast, in.Addr/blockBytes, idx, &pr.dReuseSum, &pr.dReuseN)
+		if last, ok := pr.d256Last.swap(in.Addr/wideBlockBytes, idx); ok {
 			pr.sumReuse256 += float64(idx - last)
 		}
-		pr.d256Last[b256] = idx
 	}
-	pr.reuse(pr.iLast, in.PC/blockBytes, idx, &pr.iReuseSum, &pr.iReuseN)
+	pr.reuse(&pr.iLast, in.PC/blockBytes, idx, &pr.iReuseSum, &pr.iReuseN)
 
 	// Producer→consumer distances, attributed to the producer's class
 	// (Table 1 x10–x12). The producer's class comes from a ring of recent
@@ -154,12 +153,11 @@ func (pr *Profiler) observeDep(idx int64, dist int32) {
 	pr.prodDistN[cls]++
 }
 
-func (pr *Profiler) reuse(last map[uint64]int64, block uint64, idx int64, sum *float64, n *int64) {
-	if prev, ok := last[block]; ok {
+func (pr *Profiler) reuse(last *reuseTable, block uint64, idx int64, sum *float64, n *int64) {
+	if prev, ok := last.swap(block, idx); ok {
 		*sum += float64(idx - prev)
 		*n++
 	}
-	last[block] = idx
 }
 
 // Finish returns the accumulated shard profile. app and shard label the

@@ -49,48 +49,62 @@ func ToBCSR(m *CSR, r, c int) *BCSR {
 	numBlockRows := (m.Rows + r - 1) / r
 	b.BRowStart = make([]int, numBlockRows+1)
 
-	// blockCols marks, per block row, which block columns are occupied.
-	// seenAt maps block column -> position in this block row's block list.
-	seenAt := make(map[int]int)
-	for bi := 0; bi < numBlockRows; bi++ {
-		// Pass 1: discover occupied block columns in ascending order.
-		for k := range seenAt {
-			delete(seenAt, k)
-		}
-		var cols []int
-		rowLo := bi * r
-		rowHi := rowLo + r
-		if rowHi > m.Rows {
-			rowHi = m.Rows
-		}
-		for i := rowLo; i < rowHi; i++ {
+	// at is non-zero for each block column the current block row occupies;
+	// once the row's blocks are laid out it holds the block's index in
+	// BColIdx plus one. Each block row clears only the entries it set.
+	at := make([]int, (m.Cols+c-1)/c)
+	var cols []int
+	// occupied lists block row bi's occupied block columns in first-seen
+	// order, marking each in at.
+	occupied := func(bi int) []int {
+		cols = cols[:0]
+		for i := bi * r; i < min((bi+1)*r, m.Rows); i++ {
 			idx, _ := m.Row(i)
 			for _, j := range idx {
-				bj := j / c
-				if _, ok := seenAt[bj]; !ok {
-					seenAt[bj] = 0
+				if bj := j / c; at[bj] == 0 {
+					at[bj] = 1
 					cols = append(cols, bj)
 				}
 			}
 		}
-		sortInts(cols)
-		base := len(b.BColIdx)
-		for pos, bj := range cols {
-			seenAt[bj] = base + pos
-			b.BColIdx = append(b.BColIdx, bj*c)
+		return cols
+	}
+	unmark := func(cols []int) {
+		for _, bj := range cols {
+			at[bj] = 0
 		}
-		b.Val = append(b.Val, make([]float64, len(cols)*r*c)...)
+	}
 
-		// Pass 2: scatter values into their dense blocks.
-		for i := rowLo; i < rowHi; i++ {
+	// Counting pass: block-row boundaries, so BColIdx and Val are allocated
+	// once at their exact size.
+	for bi := 0; bi < numBlockRows; bi++ {
+		cols := occupied(bi)
+		b.BRowStart[bi+1] = b.BRowStart[bi] + len(cols)
+		unmark(cols)
+	}
+	numBlocks := b.BRowStart[numBlockRows]
+	b.BColIdx = make([]int, numBlocks)
+	b.Val = make([]float64, numBlocks*r*c)
+
+	// Fill pass: lay blocks out in ascending block-column order, then
+	// scatter values into them.
+	for bi := 0; bi < numBlockRows; bi++ {
+		cols := occupied(bi)
+		sortInts(cols)
+		base := b.BRowStart[bi]
+		for pos, bj := range cols {
+			at[bj] = base + pos + 1
+			b.BColIdx[base+pos] = bj * c
+		}
+		rowLo := bi * r
+		for i := rowLo; i < min(rowLo+r, m.Rows); i++ {
 			idx, vals := m.Row(i)
 			for k, j := range idx {
-				blk := seenAt[j/c]
-				off := blk*r*c + (i-rowLo)*c + (j - (j/c)*c)
-				b.Val[off] = vals[k]
+				blk := at[j/c] - 1
+				b.Val[blk*r*c+(i-rowLo)*c+j%c] = vals[k]
 			}
 		}
-		b.BRowStart[bi+1] = len(b.BColIdx)
+		unmark(cols)
 	}
 	return b
 }
