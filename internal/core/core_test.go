@@ -325,13 +325,6 @@ func TestUpdateWarmStartsFromPopulation(t *testing.T) {
 	_ = firstBest // the warm start is observable through convergence speed
 }
 
-func TestSumOfMedianErrors(t *testing.T) {
-	m := NewTrainer([]Sample{{AppID: 0}, {AppID: 1}, {AppID: 1}, {AppID: 2}})
-	if got := m.SumOfMedianErrors(0.05); got < 0.1499 || got > 0.1501 {
-		t.Errorf("SumOfMedianErrors = %v, want 0.15", got)
-	}
-}
-
 func TestFitnessSplitsExcludeValidation(t *testing.T) {
 	// The evaluator must put weight 0 on validation rows so that candidate
 	// models never train on them.

@@ -60,7 +60,7 @@ func (s *Snapshot) Trained() bool { return s != nil && s.fam != nil }
 // Model returns the fitted spline regression when the snapshot is backed by
 // the reference spline family, and nil for other families (whose structure
 // does not reduce to one regression) or before training. Callers that only
-// need predictions should use PredictShard/FamilyModel instead.
+// need predictions should use PredictShard instead.
 func (s *Snapshot) Model() *regress.Model {
 	if s == nil {
 		return nil
@@ -69,14 +69,6 @@ func (s *Snapshot) Model() *regress.Model {
 		return sm.RegressModel()
 	}
 	return nil
-}
-
-// FamilyModel returns the fitted family model, or nil before training.
-func (s *Snapshot) FamilyModel() family.Model {
-	if s == nil {
-		return nil
-	}
-	return s.fam
 }
 
 // Family returns the name of the family that produced the model ("spline"

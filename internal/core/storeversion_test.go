@@ -45,7 +45,7 @@ func (e *mutatingEvaluator) Fitness(spec regress.Spec) float64 {
 // rung dies AFTER new samples arrived must not let the stepwise rung silently
 // refit over the grown store. Both rungs fit the capture taken at episode
 // start; the samples added mid-episode take effect at the next run. Run under
-// -race: concurrent feeders hammer AddSamples throughout the episode.
+// -race: concurrent feeders call AddSamples while the episode runs.
 func TestRetrainCapturesConsistentStore(t *testing.T) {
 	m := newSmallModeler(t)
 	initialRows := m.NumSamples()
@@ -65,14 +65,18 @@ func TestRetrainCapturesConsistentStore(t *testing.T) {
 		return inj
 	}
 
-	// Background feeders keep mutating the store for the whole episode.
+	// Background feeders mutate the store during the episode, each for at
+	// most feederAdds calls: enough to race the capture and the rungs, while
+	// the store stays bounded. The mid-episode growth asserted below comes
+	// from mutatingEvaluator, not from the feeders.
+	const feederAdds = 500
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for g := 0; g < 2; g++ {
 		wg.Add(1)
-		go func(g int) {
+		go func() {
 			defer wg.Done()
-			for i := 0; ; i++ {
+			for i := 0; i < feederAdds; i++ {
 				select {
 				case <-stop:
 					return
@@ -80,7 +84,7 @@ func TestRetrainCapturesConsistentStore(t *testing.T) {
 					m.AddSamples(late[:1])
 				}
 			}
-		}(g)
+		}()
 	}
 
 	rep, err := m.TrainResilient(context.Background(), Resilience{StepwiseBudget: 120})

@@ -390,19 +390,6 @@ func (ev *evaluator) Fitness(spec regress.Spec) float64 {
 	return sum/float64(n) + ev.termPenalty*float64(len(model.Coef))
 }
 
-// SumOfMedianErrors converts a fitness value back to the paper's Figure 5
-// metric ("median errors summed for 7 applications"): fitness is the mean,
-// so the sum is fitness times the application count.
-func (m *Trainer) SumOfMedianErrors(fitness float64) float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	seen := make(map[int]bool)
-	for _, s := range m.samples {
-		seen[s.AppID] = true
-	}
-	return fitness * float64(len(seen))
-}
-
 // Train runs the genetic search on the current samples and fits the final
 // model on all rows. Cancellation of ctx (or its deadline) aborts the search
 // and returns an error wrapping genetic.ErrCancelled; a failed or cancelled

@@ -127,16 +127,3 @@ type Family interface {
 	// against the expected raw variable count.
 	Load(payload json.RawMessage, numVars int) (Model, error)
 }
-
-// MeanValRowsPerApp reports the mean validation-set size of a FitInput's
-// split, or 0 without one — families use it to pick internal budgets.
-func (in FitInput) MeanValRowsPerApp() int {
-	if len(in.ValRows) == 0 {
-		return 0
-	}
-	total := 0
-	for _, rows := range in.ValRows {
-		total += len(rows)
-	}
-	return total / len(in.ValRows)
-}

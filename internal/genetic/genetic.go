@@ -129,14 +129,6 @@ type Result struct {
 	Evals      int
 }
 
-// TopK returns the k best individuals of the final population.
-func (r *Result) TopK(k int) []Individual {
-	if k > len(r.Population) {
-		k = len(r.Population)
-	}
-	return r.Population[:k]
-}
-
 // Search runs the genetic algorithm over specs with numVars variables.
 //
 // Cancellation and failure are non-fatal: when ctx is cancelled or its

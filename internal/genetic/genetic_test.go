@@ -230,17 +230,3 @@ func TestStepwiseImproves(t *testing.T) {
 		t.Error("stepwise produced invalid spec")
 	}
 }
-
-func TestTopK(t *testing.T) {
-	res := search(t, 4, quadraticTarget(), Params{PopulationSize: 10, Generations: 3, Seed: 1})
-	top := res.TopK(3)
-	if len(top) != 3 {
-		t.Fatalf("TopK(3) returned %d", len(top))
-	}
-	if top[0].Fitness > top[1].Fitness || top[1].Fitness > top[2].Fitness {
-		t.Error("TopK not sorted")
-	}
-	if len(res.TopK(100)) != 10 {
-		t.Error("TopK should clamp to population size")
-	}
-}

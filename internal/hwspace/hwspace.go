@@ -93,15 +93,6 @@ func LevelCounts() [NumParams]int {
 	}
 }
 
-// SpaceSize returns the total number of configurations in the Table 2 space.
-func SpaceSize() int {
-	n := 1
-	for _, c := range LevelCounts() {
-		n *= c
-	}
-	return n
-}
-
 // Config is one fully specified microarchitecture.
 type Config struct {
 	Width    int
@@ -201,26 +192,4 @@ func (c Config) String() string {
 // Baseline returns a mid-range reference configuration.
 func Baseline() Config {
 	return FromIndices(Indices{2, 2, 1, 2, 1, 1, 2, 2, 1, 1, 1, 0, 1})
-}
-
-// EnumerateIndices calls fn for every configuration in the space, stopping
-// early if fn returns false. Intended for exhaustive small-space sweeps in
-// tests.
-func EnumerateIndices(fn func(Indices) bool) {
-	counts := LevelCounts()
-	var ix Indices
-	var rec func(p int) bool
-	rec = func(p int) bool {
-		if p == NumParams {
-			return fn(ix)
-		}
-		for i := 0; i < counts[p]; i++ {
-			ix[p] = i
-			if !rec(p + 1) {
-				return false
-			}
-		}
-		return true
-	}
-	rec(0)
 }

@@ -8,14 +8,6 @@ import (
 	"hsmodel/internal/rng"
 )
 
-func TestSpaceSize(t *testing.T) {
-	// 4*6*4*5*4*4*5*5*4*2*3*2*4 per Table 2 levels.
-	want := 4 * 6 * 4 * 5 * 4 * 4 * 5 * 5 * 4 * 2 * 3 * 2 * 4
-	if got := SpaceSize(); got != want {
-		t.Fatalf("SpaceSize = %d, want %d", got, want)
-	}
-}
-
 func TestFromIndicesExtremes(t *testing.T) {
 	lo := FromIndices(Indices{})
 	if lo.Width != 1 || lo.LSQ != 11 || lo.PhysRegs != 86 || lo.IQ != 22 || lo.ROB != 64 {
@@ -102,28 +94,7 @@ func TestVectorMapping(t *testing.T) {
 	}
 }
 
-func TestEnumerateStopsEarly(t *testing.T) {
-	n := 0
-	EnumerateIndices(func(ix Indices) bool {
-		n++
-		return n < 100
-	})
-	if n != 100 {
-		t.Fatalf("enumeration visited %d, want early stop at 100", n)
-	}
-}
-
 func TestEnumerateFirstAndNames(t *testing.T) {
-	first := true
-	EnumerateIndices(func(ix Indices) bool {
-		if first {
-			if ix != (Indices{}) {
-				t.Errorf("first enumerated index %v", ix)
-			}
-			first = false
-		}
-		return false
-	})
 	for i, n := range Names {
 		if n == "" {
 			t.Errorf("parameter %d unnamed", i)

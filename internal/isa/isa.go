@@ -41,9 +41,6 @@ func (c Class) String() string {
 // IsMemory reports whether the class accesses data memory.
 func (c Class) IsMemory() bool { return c == Load || c == Store }
 
-// IsControl reports whether the class is a control transfer.
-func (c Class) IsControl() bool { return c == Branch }
-
 // MaxDepDistance caps the producer→consumer distances carried by an
 // instruction. Distances beyond the cap behave as "no dependence" — by then
 // the producer has long retired on any Table 2 configuration.

@@ -11,9 +11,6 @@ func TestClassPredicates(t *testing.T) {
 			t.Errorf("%v should not be memory", c)
 		}
 	}
-	if !Branch.IsControl() || IntALU.IsControl() {
-		t.Error("control predicate wrong")
-	}
 }
 
 func TestClassStrings(t *testing.T) {

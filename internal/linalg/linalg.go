@@ -273,20 +273,6 @@ func (f *QR) Solve(b []float64) ([]float64, error) {
 	return x, nil
 }
 
-// ConditionEstimate returns |R[0,0]| / |R[rank-1,rank-1]|, a cheap estimate
-// of the 2-norm condition number of the retained columns.
-func (f *QR) ConditionEstimate() float64 {
-	if f.rank == 0 {
-		return math.Inf(1)
-	}
-	num := math.Abs(f.rdiag[0])
-	den := math.Abs(f.rdiag[f.rank-1])
-	if den == 0 {
-		return math.Inf(1)
-	}
-	return num / den
-}
-
 // LeastSquares is a convenience wrapper: factor A and solve for b in one
 // call, returning the coefficient vector (dropped columns get zero) and the
 // detected rank.

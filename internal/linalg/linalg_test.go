@@ -127,6 +127,30 @@ func TestRankDetectionDropsDuplicateColumn(t *testing.T) {
 	if x[dropped[0]] != 0 {
 		t.Fatal("dropped column must have zero coefficient")
 	}
+
+	// Nearly (but not exactly) dependent columns: col1 = col0 + tiny noise
+	// in an independent direction. A tight tolerance keeps both columns.
+	bad := NewMatrix(3, 2)
+	noise := []float64{1e-9, -2e-9, 1.5e-9}
+	for i := 0; i < 3; i++ {
+		v := float64(i + 1)
+		bad.Set(i, 0, v)
+		bad.Set(i, 1, v+noise[i])
+	}
+	if r := Factor(bad, 1e-14).Rank(); r != 2 {
+		t.Fatalf("near-duplicate rank = %d, want 2 at tolerance 1e-14", r)
+	}
+	// With dependence below the default tolerance, the column is dropped —
+	// exactly the collinearity elimination the modeling heuristic needs.
+	verybad := NewMatrix(3, 2)
+	for i := 0; i < 3; i++ {
+		v := float64(i + 1)
+		verybad.Set(i, 0, v)
+		verybad.Set(i, 1, v+noise[i]*1e-3)
+	}
+	if Factor(verybad, 0).Rank() != 1 {
+		t.Error("default tolerance should drop the nearly dependent column")
+	}
 }
 
 func TestSolveResidualOrthogonality(t *testing.T) {
@@ -154,43 +178,6 @@ func TestSolveResidualOrthogonality(t *testing.T) {
 		if math.Abs(dot) > 1e-8 {
 			t.Fatalf("residual not orthogonal to column %d: %v", j, dot)
 		}
-	}
-}
-
-func TestConditionEstimate(t *testing.T) {
-	// Orthonormal-ish columns: condition near 1. Nearly dependent: large.
-	good := NewMatrix(2, 2)
-	good.Set(0, 0, 1)
-	good.Set(1, 1, 1)
-	if c := Factor(good, 0).ConditionEstimate(); c > 1.01 {
-		t.Errorf("identity condition = %v", c)
-	}
-	// Nearly (but not exactly) dependent columns: col1 = col0 + tiny noise
-	// in an independent direction.
-	bad := NewMatrix(3, 2)
-	noise := []float64{1e-9, -2e-9, 1.5e-9}
-	for i := 0; i < 3; i++ {
-		v := float64(i + 1)
-		bad.Set(i, 0, v)
-		bad.Set(i, 1, v+noise[i])
-	}
-	f := Factor(bad, 1e-14)
-	if f.Rank() != 2 {
-		t.Fatalf("rank = %d, want 2", f.Rank())
-	}
-	if c := f.ConditionEstimate(); c < 1e6 {
-		t.Errorf("near-singular condition = %v, want large", c)
-	}
-	// With dependence below the default tolerance, the column is dropped —
-	// exactly the collinearity elimination the modeling heuristic needs.
-	verybad := NewMatrix(3, 2)
-	for i := 0; i < 3; i++ {
-		v := float64(i + 1)
-		verybad.Set(i, 0, v)
-		verybad.Set(i, 1, v+noise[i]*1e-3)
-	}
-	if Factor(verybad, 0).Rank() != 1 {
-		t.Error("default tolerance should drop the nearly dependent column")
 	}
 }
 

@@ -69,6 +69,11 @@ type Entry struct {
 	lifecycle *lifecycle.Controller // nil unless Spec.Lifecycle enables it
 	batcher   Batcher
 
+	// ctx bounds the entry's asynchronous updates; it derives from the
+	// registry's lifetime and close cancels it, so neither Unregister nor
+	// Close waits out a training run.
+	ctx      context.Context
+	cancel   context.CancelFunc
 	updating atomic.Bool    // one asynchronous update at a time
 	updateWG sync.WaitGroup // close waits for the in-flight one
 }
@@ -134,8 +139,8 @@ func (e *Entry) Absorb(samples []core.Sample) int {
 func (e *Entry) QueueDepth() int { return e.batcher.Queued() }
 
 // TriggerUpdate starts one asynchronous re-specification of the entry's
-// model if none is in flight, bounded by timeout and by the registry's
-// lifetime (Registry.Close cancels the update's context, so shutdown never
+// model if none is in flight, bounded by timeout and by the entry's lifetime
+// (Unregister and Registry.Close cancel the update's context, so neither
 // waits out a training timeout). onDone (optional) receives the outcome; a
 // failed or cancelled update never replaces the served snapshot.
 func (e *Entry) TriggerUpdate(timeout time.Duration, onDone func(error)) bool {
@@ -146,7 +151,7 @@ func (e *Entry) TriggerUpdate(timeout time.Duration, onDone func(error)) bool {
 	go func() {
 		defer e.updateWG.Done()
 		defer e.updating.Store(false)
-		ctx, cancel := context.WithTimeout(e.reg.baseCtx, timeout)
+		ctx, cancel := context.WithTimeout(e.ctx, timeout)
 		defer cancel()
 		err := e.trainer.Update(ctx)
 		if onDone != nil {
@@ -156,9 +161,11 @@ func (e *Entry) TriggerUpdate(timeout time.Duration, onDone func(error)) bool {
 	return true
 }
 
-// close drains the entry: the batcher answers everything it accepted, the
-// in-flight update (if any) completes, and the control loop shuts down.
+// close drains the entry: the in-flight update (if any) is cancelled and
+// waited for, the batcher answers everything it accepted, and the control
+// loop shuts down.
 func (e *Entry) close() {
+	e.cancel()
 	e.batcher.Close()
 	e.updateWG.Wait()
 	if e.lifecycle != nil {

@@ -157,6 +157,7 @@ func (r *Registry) RegisterTrainer(spec Spec, tr *core.Trainer) (*Entry, error) 
 		return nil, errors.New("registry: spec needs a model id")
 	}
 	e := &Entry{spec: spec, reg: r, trainer: tr}
+	e.ctx, e.cancel = context.WithCancel(r.baseCtx)
 	if spec.Lifecycle != nil {
 		e.lifecycle = lifecycle.NewController(tr, *spec.Lifecycle)
 	}
@@ -218,7 +219,8 @@ func trainerFromSpec(spec Spec) (*core.Trainer, error) {
 	return tr, nil
 }
 
-// Unregister removes and drains the entry. Keys previously routed to other
+// Unregister removes and drains the entry, cancelling its in-flight update
+// (the trainer keeps its served snapshot). Keys previously routed to other
 // entries keep their assignments — only keys that pointed at the removed
 // entry's vnodes remap.
 func (r *Registry) Unregister(id string) error {
@@ -272,17 +274,6 @@ func (r *Registry) RouteApp(app string) (*Entry, bool) {
 	id, ok := r.ring.route(r.cfg.Seed, app, func(id string) bool {
 		return r.entries[id].Matches(app)
 	})
-	if !ok {
-		return nil, false
-	}
-	return r.entries[id], true
-}
-
-// Route routes an opaque key over the ring with no application filtering.
-func (r *Registry) Route(key string) (*Entry, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	id, ok := r.ring.route(r.cfg.Seed, key, nil)
 	if !ok {
 		return nil, false
 	}

@@ -364,3 +364,50 @@ func TestCloseCancelsInFlightUpdate(t *testing.T) {
 		t.Fatal("Close did not return after the update aborted")
 	}
 }
+
+// TestUnregisterCancelsInFlightUpdate: Unregister must cancel the removed
+// entry's in-flight TriggerUpdate instead of waiting for the whole search,
+// and the cancelled update must not publish to the removed trainer. The
+// evaluator is slowed and the search runs 40 generations, so an update that
+// is not cancelled outlives Unregister's call by far and returns nil.
+func TestUnregisterCancelsInFlightUpdate(t *testing.T) {
+	r := New(Config{})
+	defer r.Close()
+	tr := trainedTrainer(t, 13)
+	tr.Search.Generations = 40
+	entered := make(chan struct{}) // first evaluation reached
+	var enteredOnce sync.Once
+	tr.WrapEvaluator = func(ev genetic.Evaluator) genetic.Evaluator {
+		return genetic.EvaluatorFunc(func(spec regress.Spec) float64 {
+			enteredOnce.Do(func() { close(entered) })
+			time.Sleep(2 * time.Millisecond)
+			return ev.Fitness(spec)
+		})
+	}
+	e, err := r.RegisterTrainer(Spec{ID: "m"}, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := tr.Published().Generation
+
+	done := make(chan error, 1)
+	if !e.TriggerUpdate(time.Minute, func(err error) { done <- err }) {
+		t.Fatal("update did not start")
+	}
+	<-entered
+	if err := r.Unregister("m"); err != nil {
+		t.Fatal(err)
+	}
+	// Unregister waits for the update goroutine, so onDone has run.
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("update error = %v, want context.Canceled", err)
+		}
+	default:
+		t.Fatal("Unregister returned before the in-flight update finished")
+	}
+	if got := tr.Published().Generation; got != before {
+		t.Fatalf("cancelled update published: generation %d -> %d", before, got)
+	}
+}

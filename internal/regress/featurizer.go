@@ -89,9 +89,6 @@ func buildFeaturizer(prep *Prep, ds *Dataset) *Featurizer {
 // path.
 func (f *Featurizer) Prep() *Prep { return f.prep }
 
-// Dataset returns the rows the basis columns were computed from.
-func (f *Featurizer) Dataset() *Dataset { return f.ds }
-
 // NumRows returns the cached row count.
 func (f *Featurizer) NumRows() int { return f.ds.NumRows() }
 
@@ -181,9 +178,9 @@ func numDesignColumns(spec Spec) int {
 
 // Fit fits spec to the featurized dataset, assembling the design from the
 // cached basis columns. It produces the same Model (bit-identical
-// coefficients) as FitSpec(spec, f.Prep(), f.Dataset(), opts); the dataset
-// validation already happened at construction, so only the spec is checked
-// here.
+// coefficients) as FitSpec(spec, f.Prep(), ds, opts) on the dataset f was
+// built from; the dataset validation already happened at construction, so
+// only the spec is checked here.
 //
 // Like FitSpec, Fit is a panic boundary: panics below it surface as errors
 // wrapping ErrBadInput.

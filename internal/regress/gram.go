@@ -165,9 +165,6 @@ func NewGramCache(fz *Featurizer, opts Options) (*GramCache, error) {
 	return g, nil
 }
 
-// Featurizer returns the basis-column cache the Gram layer is built on.
-func (g *GramCache) Featurizer() *Featurizer { return g.fz }
-
 // pairIndex maps a canonical interaction (i < j) to a dense index in
 // [0, p(p-1)/2).
 func (g *GramCache) pairIndex(i, j int) int {

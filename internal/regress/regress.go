@@ -205,23 +205,3 @@ func (d *Dataset) Subset(rows []int) *Dataset {
 	}
 	return sub
 }
-
-// Append returns a new dataset with other's rows appended. Variable names
-// must match.
-func (d *Dataset) Append(other *Dataset) *Dataset {
-	if d.X.Cols != other.X.Cols {
-		panic("regress: appending datasets with different variable counts")
-	}
-	n := d.X.Rows + other.X.Rows
-	out := &Dataset{Names: d.Names, X: linalg.NewMatrix(n, d.X.Cols), Y: make([]float64, n)}
-	copy(out.X.Data, d.X.Data)
-	copy(out.X.Data[d.X.Rows*d.X.Cols:], other.X.Data)
-	copy(out.Y, d.Y)
-	copy(out.Y[d.X.Rows:], other.Y)
-	if d.Group != nil && other.Group != nil {
-		out.Group = make([]int, n)
-		copy(out.Group, d.Group)
-		copy(out.Group[d.X.Rows:], other.Group)
-	}
-	return out
-}

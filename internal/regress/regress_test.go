@@ -279,13 +279,6 @@ func TestDatasetSubsetAppend(t *testing.T) {
 	if ds.X.At(1, 0) == -999 {
 		t.Error("Subset aliases parent storage")
 	}
-	both := ds.Append(sub)
-	if both.NumRows() != 13 || math.Float64bits(both.Y[10]) != math.Float64bits(sub.Y[0]) {
-		t.Error("Append wrong")
-	}
-	if err := both.Check(); err != nil {
-		t.Error(err)
-	}
 }
 
 func TestSpecString(t *testing.T) {

@@ -53,33 +53,9 @@ func (s *Source) Intn(n int) int {
 	return int(s.Uint64() % uint64(n))
 }
 
-// Range returns a uniform int in [lo, hi] inclusive.
-func (s *Source) Range(lo, hi int) int {
-	if hi < lo {
-		panic("rng: Range with hi < lo")
-	}
-	return lo + s.Intn(hi-lo+1)
-}
-
 // Bool returns true with probability p.
 func (s *Source) Bool(p float64) bool {
 	return s.Float64() < p
-}
-
-// Geometric returns a sample from a geometric distribution with the given
-// mean (mean >= 1). The support is {1, 2, 3, ...}.
-func (s *Source) Geometric(mean float64) int {
-	if mean <= 1 {
-		return 1
-	}
-	p := 1 / mean
-	u := s.Float64()
-	// Inverse CDF of the geometric distribution on {1,2,...}.
-	k := int(math.Ceil(math.Log(1-u) / math.Log(1-p)))
-	if k < 1 {
-		k = 1
-	}
-	return k
 }
 
 // Normal returns a sample from N(mu, sigma^2) using the Box-Muller transform.
@@ -96,16 +72,6 @@ func (s *Source) Normal(mu, sigma float64) float64 {
 // the mu and sigma of the underlying normal.
 func (s *Source) LogNormal(mu, sigma float64) float64 {
 	return math.Exp(s.Normal(mu, sigma))
-}
-
-// Exponential returns a sample from an exponential distribution with the
-// given mean.
-func (s *Source) Exponential(mean float64) float64 {
-	u := s.Float64()
-	for u == 0 {
-		u = s.Float64()
-	}
-	return -mean * math.Log(u)
 }
 
 // Zipf returns a sample in [1, n] following an approximate Zipf distribution
@@ -153,28 +119,4 @@ func (s *Source) Shuffle(n int, swap func(i, j int)) {
 		j := s.Intn(i + 1)
 		swap(i, j)
 	}
-}
-
-// Choice returns a random index weighted by the non-negative weights.
-// It panics if weights is empty or sums to zero.
-func (s *Source) Choice(weights []float64) int {
-	var total float64
-	for _, w := range weights {
-		if w < 0 {
-			panic("rng: negative weight")
-		}
-		total += w
-	}
-	if total == 0 || len(weights) == 0 {
-		panic("rng: Choice with zero total weight")
-	}
-	u := s.Float64() * total
-	var acc float64
-	for i, w := range weights {
-		acc += w
-		if u < acc {
-			return i
-		}
-	}
-	return len(weights) - 1
 }

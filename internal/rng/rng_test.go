@@ -81,47 +81,6 @@ func TestIntnPanicsOnZero(t *testing.T) {
 	New(1).Intn(0)
 }
 
-func TestRangeInclusive(t *testing.T) {
-	s := New(4)
-	sawLo, sawHi := false, false
-	for i := 0; i < 2000; i++ {
-		v := s.Range(3, 5)
-		if v < 3 || v > 5 {
-			t.Fatalf("Range(3,5) = %d", v)
-		}
-		if v == 3 {
-			sawLo = true
-		}
-		if v == 5 {
-			sawHi = true
-		}
-	}
-	if !sawLo || !sawHi {
-		t.Fatal("Range never produced an endpoint")
-	}
-}
-
-func TestGeometricMean(t *testing.T) {
-	s := New(11)
-	for _, mean := range []float64{1, 2, 5, 20, 100} {
-		var sum float64
-		n := 20000
-		for i := 0; i < n; i++ {
-			sum += float64(s.Geometric(mean))
-		}
-		got := sum / float64(n)
-		if mean == 1 {
-			if got != 1 {
-				t.Fatalf("Geometric(1) mean = %v, want exactly 1", got)
-			}
-			continue
-		}
-		if math.Abs(got-mean)/mean > 0.1 {
-			t.Errorf("Geometric(%v) sample mean = %v", mean, got)
-		}
-	}
-}
-
 func TestGeomSamplerMatchesMean(t *testing.T) {
 	s := New(12)
 	for _, mean := range []float64{1, 2, 2.9, 3.5, 8, 50, 400} {
@@ -172,18 +131,6 @@ func TestNormalMoments(t *testing.T) {
 	}
 }
 
-func TestExponentialMean(t *testing.T) {
-	s := New(14)
-	var sum float64
-	n := 50000
-	for i := 0; i < n; i++ {
-		sum += s.Exponential(7)
-	}
-	if got := sum / float64(n); math.Abs(got-7)/7 > 0.05 {
-		t.Errorf("Exponential(7) mean = %v", got)
-	}
-}
-
 func TestZipfBoundsAndSkew(t *testing.T) {
 	s := New(15)
 	n := 1000
@@ -219,30 +166,6 @@ func TestPermIsPermutation(t *testing.T) {
 	}, nil); err != nil {
 		t.Error(err)
 	}
-}
-
-func TestChoiceWeighted(t *testing.T) {
-	s := New(16)
-	counts := [3]int{}
-	for i := 0; i < 30000; i++ {
-		counts[s.Choice([]float64{1, 2, 7})]++
-	}
-	if !(counts[2] > counts[1] && counts[1] > counts[0]) {
-		t.Errorf("Choice frequencies not ordered by weight: %v", counts)
-	}
-	ratio := float64(counts[2]) / float64(counts[0])
-	if ratio < 5 || ratio > 10 {
-		t.Errorf("Choice ratio %v, want ~7", ratio)
-	}
-}
-
-func TestChoicePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Choice with zero weights did not panic")
-		}
-	}()
-	New(1).Choice([]float64{0, 0})
 }
 
 func TestShuffle(t *testing.T) {

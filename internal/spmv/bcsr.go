@@ -23,9 +23,6 @@ type BCSR struct {
 	OrigNNZ int
 }
 
-// NumBlocks returns the stored-block count.
-func (b *BCSR) NumBlocks() int { return len(b.BColIdx) }
-
 // StoredValues returns the stored-value count including explicit zeros.
 func (b *BCSR) StoredValues() int { return len(b.Val) }
 

@@ -20,10 +20,6 @@ var (
 // MaxBlockDim bounds block rows/columns (Table 5: 1 :: 1+ :: 8).
 const MaxBlockDim = 8
 
-// NumBlockVariants is the number of r x c code variants OSKI generates per
-// matrix (8 x 8 = 64).
-const NumBlockVariants = MaxBlockDim * MaxBlockDim
-
 // SampleCacheConfig draws a uniform random Table 5 cache configuration.
 func SampleCacheConfig(src *rng.Source) CacheConfig {
 	return CacheConfig{
@@ -48,29 +44,6 @@ func BaselineCache() CacheConfig {
 		ISizeBytes: 8 << 10,
 		IWays:      2,
 		IRepl:      cache.LRU,
-	}
-}
-
-// EnumerateCacheConfigs calls fn for every Table 5 cache configuration
-// (4*7*4*3*7*4*3 = 28224 points), stopping early if fn returns false.
-func EnumerateCacheConfigs(fn func(CacheConfig) bool) {
-	for _, line := range lineLevels {
-		for _, ds := range dsizeLevels {
-			for _, dw := range waysLevels {
-				for _, dr := range replLevels {
-					for _, is := range isizeLevels {
-						for _, iw := range waysLevels {
-							for _, ir := range replLevels {
-								cfg := CacheConfig{line, ds, dw, dr, is, iw, ir}
-								if !fn(cfg) {
-									return
-								}
-							}
-						}
-					}
-				}
-			}
-		}
 	}
 }
 

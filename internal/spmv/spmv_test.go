@@ -362,25 +362,6 @@ func TestCacheConfigVectorAndString(t *testing.T) {
 	if cfg.String() == "" {
 		t.Error("empty config string")
 	}
-	if NumBlockVariants != 64 {
-		t.Error("OSKI generates 64 variants")
-	}
-}
-
-func TestEnumerateCacheConfigs(t *testing.T) {
-	n := 0
-	EnumerateCacheConfigs(func(cfg CacheConfig) bool {
-		n++
-		return n < 500
-	})
-	if n != 500 {
-		t.Fatalf("early stop failed: %d", n)
-	}
-	total := 0
-	EnumerateCacheConfigs(func(cfg CacheConfig) bool { total++; return true })
-	if total != 4*7*4*3*7*4*3 {
-		t.Fatalf("space size %d", total)
-	}
 }
 
 // TestStudySampleGolden pins sampled points bit for bit, so changes to

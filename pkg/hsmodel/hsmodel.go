@@ -77,8 +77,8 @@ type (
 	// profiles for drift, keeps bounded sample stores, retrains in shadow, and
 	// promotes or rolls back candidates against the served snapshot.
 	Lifecycle = lifecycle.Controller
-	// LifecycleConfig tunes the control loop; see NewLifecycle and the
-	// WithDrift*/WithMinProfiles/WithCanaryTolerance option family.
+	// LifecycleConfig tunes the control loop (drift detector, store bounds,
+	// retrain and canary gates, seed); see NewLifecycle.
 	LifecycleConfig = lifecycle.Config
 	// LifecycleStatus is the loop's observable state (also the JSON body of
 	// hsserve's GET /v1/lifecycle).
@@ -270,64 +270,12 @@ func RandomConfig(seed uint64) Config {
 	return hwspace.FromIndices(hwspace.Sample(rng.New(seed)))
 }
 
-// LifecycleOption configures the continuous-learning control loop at
-// construction; see NewLifecycle.
-type LifecycleOption func(*LifecycleConfig)
-
 // NewLifecycle attaches a continuous-learning control loop to a trainer:
 // every Sample handed to Submit is folded into bounded stores and scored for
 // drift, and confirmed drift drives a shadow retrain with canary-gated
-// promotion (or rollback) of the trainer's served snapshot. Unset knobs take
-// the loop's documented defaults. Close the loop before discarding it.
-func NewLifecycle(t *Trainer, opts ...LifecycleOption) *Lifecycle {
-	var cfg LifecycleConfig
-	for _, o := range opts {
-		o(&cfg)
-	}
+// promotion (or rollback) of the trainer's served snapshot. Zero fields of
+// cfg take the loop's documented defaults. Close the loop before discarding
+// it.
+func NewLifecycle(t *Trainer, cfg LifecycleConfig) *Lifecycle {
 	return lifecycle.NewController(t, cfg)
-}
-
-// WithLifecycle replaces the whole loop configuration, for callers that need
-// more than the common knobs below; later options still apply on top.
-func WithLifecycle(cfg LifecycleConfig) LifecycleOption {
-	return func(c *LifecycleConfig) { *c = cfg }
-}
-
-// WithDrift replaces the drift-detector tuning (EWMA smoothing, target error
-// band, CUSUM trip threshold, warmup).
-func WithDrift(d DriftConfig) LifecycleOption {
-	return func(c *LifecycleConfig) { c.Drift = d }
-}
-
-// WithDriftThreshold sets how much accumulated excess error (CUSUM mass)
-// trips the detector; larger values tolerate longer bad stretches.
-func WithDriftThreshold(threshold float64) LifecycleOption {
-	return func(c *LifecycleConfig) { c.Drift.Threshold = threshold }
-}
-
-// WithMinProfiles sets how many fresh post-drift profiles must gather before
-// a shadow retrain may start — the paper's "10-20 new profiles" knob.
-func WithMinProfiles(n int) LifecycleOption {
-	return func(c *LifecycleConfig) { c.MinProfiles = n }
-}
-
-// WithCanaryTolerance sets the relative slack a candidate gets on the canary
-// set: it is promoted only if its error is within (1+tol) of the incumbent's.
-func WithCanaryTolerance(tol float64) LifecycleOption {
-	return func(c *LifecycleConfig) { c.CanaryTolerance = tol }
-}
-
-// WithStoreBounds caps the two bounded sample stores: the seeded long-tail
-// reservoir and the recent-submission ring.
-func WithStoreBounds(reservoir, ring int) LifecycleOption {
-	return func(c *LifecycleConfig) {
-		c.ReservoirCap = reservoir
-		c.RingCap = ring
-	}
-}
-
-// WithLifecycleSeed determinizes every loop decision: reservoir eviction,
-// canary splits, and cooldown jitter.
-func WithLifecycleSeed(seed uint64) LifecycleOption {
-	return func(c *LifecycleConfig) { c.Seed = seed }
 }

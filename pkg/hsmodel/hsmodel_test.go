@@ -36,24 +36,24 @@ func TestOptionsApply(t *testing.T) {
 }
 
 // TestLifecycleOptionsApply pins the facade plumbing for the control loop:
-// options land in the controller, the stores honor their bounds, and the loop
-// closes cleanly — all without any training machinery.
+// the config lands in the controller, the stores honor their bounds, and the
+// loop closes cleanly — all without any training machinery.
 func TestLifecycleOptionsApply(t *testing.T) {
-	lc := NewLifecycle(New(nil),
-		WithLifecycle(LifecycleConfig{MinTrainRows: 99}),
-		WithDrift(DriftConfig{Target: 0.3}),
-		WithDriftThreshold(2.5),
-		WithMinProfiles(4),
-		WithCanaryTolerance(0.1),
-		WithStoreBounds(8, 3),
-		WithLifecycleSeed(21),
-	)
+	lc := NewLifecycle(New(nil), LifecycleConfig{
+		MinTrainRows:    99,
+		Drift:           DriftConfig{Target: 0.3, Threshold: 2.5},
+		MinProfiles:     4,
+		CanaryTolerance: 0.1,
+		ReservoirCap:    8,
+		RingCap:         3,
+		Seed:            21,
+	})
 	st := lc.Status()
 	if st.State != "stable" {
 		t.Fatalf("initial state %q, want stable", st.State)
 	}
 	if st.ReservoirCap != 8 || st.RingCap != 3 {
-		t.Errorf("store caps %d/%d, want 8/3 from WithStoreBounds", st.ReservoirCap, st.RingCap)
+		t.Errorf("store caps %d/%d, want 8/3 from the config", st.ReservoirCap, st.RingCap)
 	}
 
 	var s Sample
