@@ -1,9 +1,14 @@
 GO ?= go
 
-.PHONY: build vet test race lint lint-fix lint-sarif bench-build bench-smoke bench-collect serve-smoke families-smoke registry-smoke ci
+.PHONY: build fmt vet test race lint lint-fix lint-sarif bench-build bench-smoke bench-collect serve-smoke families-smoke registry-smoke ci
 
 build:
 	$(GO) build ./...
+
+# fmt fails when any Go file in the tree (the nested perfbench module
+# included) is not gofmt-formatted, listing the offenders.
+fmt:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -94,11 +99,11 @@ registry-smoke:
 families-smoke:
 	$(GO) test -run TestFamiliesSmoke -v ./internal/core
 
-# ci is the gate: compile, static analysis (go vet plus the repo's own
-# hslint invariant checks), plain tests, then the race detector over the
-# whole tree (the parallel fitness pool, the lock-free snapshot swaps, and
-# the fault-injection schedules are the usual suspects), and the benchmark
-# harness build (bench-build). The serving and registry smoke tests and the
+# ci is the gate: compile, formatting (gofmt), static analysis (go vet plus
+# the repo's own hslint invariant checks), plain tests, then the race
+# detector over the whole tree (the parallel fitness pool, the lock-free
+# snapshot swaps, and the fault-injection schedules are the usual suspects),
+# and the benchmark harness build (bench-build). The serving and registry smoke tests and the
 # family-selection smoke test (TestFamiliesSmoke) are part of test and race;
 # families-smoke stays as a target for running that one test locally.
-ci: build vet lint bench-build test race
+ci: build fmt vet lint bench-build test race

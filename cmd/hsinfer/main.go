@@ -13,8 +13,9 @@
 // consumers can switch between the CLI and the service without reparsing.
 // With -addr, predict and model drive a live hsserve instead of a local
 // snapshot file — the legacy /v1 routes by default, or one entry of the
-// multi-model registry when -model-id names it (an exact id or the
-// "app:<name>" consistent-hash alias):
+// multi-model registry when -model-id names it (an exact id, or the
+// "app:<name>" alias for the entry scoped to that application, else the
+// wildcard entry):
 //
 //	hsinfer predict -addr http://localhost:8080 -app astar -shard 3
 //	hsinfer model   -addr http://localhost:8080 -model-id app:bzip2
@@ -83,7 +84,7 @@ func cmdProfile(args []string) error {
 	}
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
-	profs := profile.StreamShards(app.Name, profile.ShardRange(*shards), 0, func(s int) isa.Stream {
+	profs := profile.StreamShards(app.Name, profile.ShardRange(*shards), func(s int) isa.Stream {
 		return app.ShardStream(s, *shardLen)
 	})
 	for _, p := range profs {

@@ -101,19 +101,26 @@ func (s Stats) MissRate() float64 {
 // It models tags only (no data), which is sufficient for timing and energy.
 type Cache struct {
 	cfg       Config
-	sets      int
 	lineShift uint
+	tagShift  uint
 	setMask   uint64
-
-	tags  []uint64 // sets*ways; valid flag in parallel slice
-	valid []bool
-	dirty []bool
-	stamp []uint64 // last-touch clock for LRU/NMRU
+	ways      []way // sets*Ways, set-major
 
 	clock uint64
 	rnd   *rng.Source
 	stats Stats
 }
+
+// way is one cache line's tag state. stamp packs the last-touch clock with
+// the dirty bit (clock<<1 | dirty), keeping a way at 16 bytes. The clock
+// advances before every touch, so stamp 0 marks an invalid way; and no two
+// valid ways share a clock, so comparing stamps orders ways by recency.
+type way struct {
+	tag   uint64
+	stamp uint64
+}
+
+const dirtyBit = 1
 
 // New builds a cache from cfg. It panics on invalid geometry (configurations
 // come from the enumerated design spaces, so invalid geometry is a
@@ -123,16 +130,12 @@ func New(cfg Config) *Cache {
 		panic(err)
 	}
 	sets := cfg.Sets()
-	n := sets * cfg.Ways
 	return &Cache{
 		cfg:       cfg,
-		sets:      sets,
 		lineShift: uint(bits.TrailingZeros(uint(cfg.LineBytes))),
+		tagShift:  uint(bits.TrailingZeros(uint(sets))),
 		setMask:   uint64(sets - 1),
-		tags:      make([]uint64, n),
-		valid:     make([]bool, n),
-		dirty:     make([]bool, n),
-		stamp:     make([]uint64, n),
+		ways:      make([]way, sets*cfg.Ways),
 		rnd:       rng.New(uint64(cfg.SizeBytes)*31 + uint64(cfg.Ways)),
 	}
 }
@@ -145,12 +148,7 @@ func (c *Cache) Stats() Stats { return c.stats }
 
 // Reset clears contents and statistics.
 func (c *Cache) Reset() {
-	for i := range c.valid {
-		c.valid[i] = false
-		c.dirty[i] = false
-		c.stamp[i] = 0
-		c.tags[i] = 0
-	}
+	clear(c.ways)
 	c.clock = 0
 	c.stats = Stats{}
 }
@@ -160,33 +158,13 @@ func (c *Cache) Reset() {
 func (c *Cache) Access(addr uint64, write bool) bool {
 	c.clock++
 	c.stats.Accesses++
-	line := addr >> c.lineShift
-	set := int(line & c.setMask)
-	tag := line >> uint(bits.TrailingZeros(uint(c.sets)))
-	base := set * c.cfg.Ways
-
-	// Probe.
-	for w := 0; w < c.cfg.Ways; w++ {
-		i := base + w
-		if c.valid[i] && c.tags[i] == tag {
-			c.stamp[i] = c.clock
-			if write {
-				c.dirty[i] = true
-			}
-			return true
-		}
+	set, tag, hit := c.lookup(addr)
+	if hit >= 0 {
+		c.touch(&set[hit], write)
+		return true
 	}
-
-	// Miss: pick a victim.
 	c.stats.Misses++
-	victim := c.victim(base)
-	if c.valid[victim] && c.dirty[victim] {
-		c.stats.Writebacks++
-	}
-	c.tags[victim] = tag
-	c.valid[victim] = true
-	c.dirty[victim] = write
-	c.stamp[victim] = c.clock
+	c.fill(set, tag, write)
 	return false
 }
 
@@ -195,77 +173,89 @@ func (c *Cache) Access(addr uint64, write bool) bool {
 // refreshed as most recently used.
 func (c *Cache) Fill(addr uint64) {
 	c.clock++
-	line := addr >> c.lineShift
-	set := int(line & c.setMask)
-	tag := line >> uint(bits.TrailingZeros(uint(c.sets)))
-	base := set * c.cfg.Ways
-	for w := 0; w < c.cfg.Ways; w++ {
-		i := base + w
-		if c.valid[i] && c.tags[i] == tag {
-			c.stamp[i] = c.clock
-			return
-		}
+	set, tag, hit := c.lookup(addr)
+	if hit >= 0 {
+		c.touch(&set[hit], false)
+		return
 	}
-	victim := c.victim(base)
-	if c.valid[victim] && c.dirty[victim] {
-		c.stats.Writebacks++
-	}
-	c.tags[victim] = tag
-	c.valid[victim] = true
-	c.dirty[victim] = false
-	c.stamp[victim] = c.clock
+	c.fill(set, tag, false)
 }
 
 // Probe reports whether addr is resident without changing any state.
 func (c *Cache) Probe(addr uint64) bool {
-	line := addr >> c.lineShift
-	set := int(line & c.setMask)
-	tag := line >> uint(bits.TrailingZeros(uint(c.sets)))
-	base := set * c.cfg.Ways
-	for w := 0; w < c.cfg.Ways; w++ {
-		i := base + w
-		if c.valid[i] && c.tags[i] == tag {
-			return true
-		}
-	}
-	return false
+	_, _, hit := c.lookup(addr)
+	return hit >= 0
 }
 
-// victim selects the way index (absolute into the arrays) to replace in the
-// set starting at base, preferring invalid ways.
-func (c *Cache) victim(base int) int {
-	ways := c.cfg.Ways
-	for w := 0; w < ways; w++ {
-		if !c.valid[base+w] {
-			return base + w
+// lookup returns the set addr maps to, addr's tag, and the index of the way
+// holding it within the set (-1 when it is not resident).
+func (c *Cache) lookup(addr uint64) ([]way, uint64, int) {
+	line := addr >> c.lineShift
+	base := int(line&c.setMask) * c.cfg.Ways
+	set := c.ways[base : base+c.cfg.Ways]
+	tag := line >> c.tagShift
+	for i := range set {
+		if set[i].stamp != 0 && set[i].tag == tag {
+			return set, tag, i
+		}
+	}
+	return set, tag, -1
+}
+
+// fill installs tag in the set's victim way at the current clock, counting a
+// writeback when the evicted line is dirty (an invalid way never is).
+func (c *Cache) fill(set []way, tag uint64, write bool) {
+	v := &set[c.victim(set)]
+	if v.stamp&dirtyBit != 0 {
+		c.stats.Writebacks++
+	}
+	*v = way{tag: tag}
+	c.touch(v, write)
+}
+
+// touch stamps w with the current clock, keeping its dirty bit and setting
+// it on a write.
+func (c *Cache) touch(w *way, write bool) {
+	w.stamp = c.clock<<1 | w.stamp&dirtyBit
+	if write {
+		w.stamp |= dirtyBit
+	}
+}
+
+// victim selects the way index within set to replace, preferring invalid
+// ways.
+func (c *Cache) victim(set []way) int {
+	for i := range set {
+		if set[i].stamp == 0 {
+			return i
 		}
 	}
 	switch c.cfg.Policy {
 	case LRU:
-		best := base
-		for w := 1; w < ways; w++ {
-			if c.stamp[base+w] < c.stamp[best] {
-				best = base + w
+		best := 0
+		for i := 1; i < len(set); i++ {
+			if set[i].stamp < set[best].stamp {
+				best = i
 			}
 		}
 		return best
 	case NMRU:
 		// Evict a random way that is not the most recently used.
-		if ways == 1 {
-			return base
+		if len(set) == 1 {
+			return 0
 		}
-		mru := base
-		for w := 1; w < ways; w++ {
-			if c.stamp[base+w] > c.stamp[mru] {
-				mru = base + w
+		mru := 0
+		for i := 1; i < len(set); i++ {
+			if set[i].stamp > set[mru].stamp {
+				mru = i
 			}
 		}
-		v := base + c.rnd.Intn(ways-1)
+		v := c.rnd.Intn(len(set) - 1)
 		if v >= mru {
 			v++
 		}
 		return v
 	default: // Random
-		return base + c.rnd.Intn(ways)
+		return c.rnd.Intn(len(set))
 	}
 }

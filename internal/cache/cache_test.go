@@ -131,6 +131,14 @@ func TestWritebackCounting(t *testing.T) {
 	if c.Stats().Writebacks != 1 {
 		t.Fatal("clean eviction must not count as writeback")
 	}
+	// A line stays dirty through later read hits and prefetch refreshes.
+	c.Access(64, true)   // dirty fill, set 1
+	c.Access(64, false)  // read hit
+	c.Fill(64)           // prefetch refresh
+	c.Access(192, false) // evicts it -> writeback
+	if c.Stats().Writebacks != 2 {
+		t.Fatalf("writebacks = %d after evicting a dirty line read since, want 2", c.Stats().Writebacks)
+	}
 }
 
 func TestFillDoesNotCountStats(t *testing.T) {

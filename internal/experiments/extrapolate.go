@@ -286,7 +286,7 @@ func Fig9(w *Workspace) Fig9Result {
 	var order []string
 	for _, app := range w.Apps() {
 		app := app
-		profs := profile.StreamShards(app.Name, profile.ShardRange(cfg.ShardPool/2), 0, func(s int) isa.Stream {
+		profs := profile.StreamShards(app.Name, profile.ShardRange(cfg.ShardPool/2), func(s int) isa.Stream {
 			return app.ShardStream(s, cfg.ShardLen)
 		})
 		means[app.Name] = profile.MeanCharacteristics(profs)

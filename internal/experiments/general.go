@@ -33,7 +33,7 @@ func Fig3(w *Workspace) Fig3Result {
 	var sums []float64
 	for _, app := range w.Apps() {
 		app := app
-		profs := profile.StreamShards(app.Name, profile.ShardRange(cfg.ShardPool), 0, func(s int) isa.Stream {
+		profs := profile.StreamShards(app.Name, profile.ShardRange(cfg.ShardPool), func(s int) isa.Stream {
 			return app.ShardStream(s, cfg.ShardLen)
 		})
 		for _, p := range profs {

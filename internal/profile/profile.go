@@ -212,33 +212,19 @@ func Stream(st isa.Stream, app string, shard int) ShardProfile {
 	return pr.Finish(app, shard)
 }
 
-// StreamShards profiles many shards of one application across a worker pool.
-// Shards are independent by construction (Section 2.1: each shard is a
-// disjoint slice of the dynamic instruction stream), so each worker runs its
-// own Profiler over the stream the factory returns for that shard. The
-// result slice is in deterministic order: out[k] is the profile of
-// shards[k], regardless of worker scheduling. workers <= 0 means GOMAXPROCS.
+// StreamShards profiles many shards of one application across a pool of
+// GOMAXPROCS workers (capped by the shard count). Shards are independent by
+// construction (Section 2.1: each shard is a disjoint slice of the dynamic
+// instruction stream), so each worker runs its own Profiler over the stream
+// the factory returns for that shard. The result slice is in deterministic
+// order: out[k] is the profile of shards[k], regardless of worker scheduling.
 //
 // The stream factory must return a fresh, independent stream per call; it is
 // invoked concurrently and must be safe for concurrent use (trace.App's
 // ShardStream is: each call builds its own generator state).
-func StreamShards(app string, shards []int, workers int, stream func(shard int) isa.Stream) []ShardProfile {
+func StreamShards(app string, shards []int, stream func(shard int) isa.Stream) []ShardProfile {
 	out := make([]ShardProfile, len(shards))
-	if len(shards) == 0 {
-		return out
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(shards) {
-		workers = len(shards)
-	}
-	if workers == 1 {
-		for k, s := range shards {
-			out[k] = Stream(stream(s), app, s)
-		}
-		return out
-	}
+	workers := min(runtime.GOMAXPROCS(0), len(shards))
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {

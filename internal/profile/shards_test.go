@@ -2,6 +2,7 @@ package profile
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"hsmodel/internal/isa"
@@ -10,8 +11,8 @@ import (
 
 // TestStreamShardsMatchesSerial: the parallel shard profiler must return
 // results in deterministic shard order, identical to a serial loop, for any
-// worker count. Runs under -race in `make race` to exercise the work-stealing
-// counter.
+// worker count (the pool is GOMAXPROCS wide: the host's, then 1, 3 and 16).
+// Runs under -race in `make race` to exercise the work-stealing counter.
 func TestStreamShardsMatchesSerial(t *testing.T) {
 	app := trace.Bzip2()
 	const shardLen = 5_000
@@ -20,12 +21,14 @@ func TestStreamShardsMatchesSerial(t *testing.T) {
 	for k, s := range shards {
 		want[k] = Stream(app.ShardStream(s, shardLen), app.Name, s)
 	}
-	for _, workers := range []int{0, 1, 3, 16} {
-		got := StreamShards(app.Name, shards, workers, func(s int) isa.Stream {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{0, 1, 3, 16} {
+		runtime.GOMAXPROCS(procs) // 0 leaves the host's setting in place
+		got := StreamShards(app.Name, shards, func(s int) isa.Stream {
 			return app.ShardStream(s, shardLen)
 		})
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("workers=%d: parallel profile order/content diverged from serial", workers)
+			t.Errorf("GOMAXPROCS=%d: parallel profile order/content diverged from serial", procs)
 		}
 	}
 }
@@ -36,7 +39,7 @@ func TestStreamShardsArbitraryIndices(t *testing.T) {
 	app := trace.Astar()
 	const shardLen = 4_000
 	shards := []int{7, 2, 11}
-	got := StreamShards(app.Name, shards, 2, func(s int) isa.Stream {
+	got := StreamShards(app.Name, shards, func(s int) isa.Stream {
 		return app.ShardStream(s, shardLen)
 	})
 	for k, s := range shards {
@@ -48,7 +51,7 @@ func TestStreamShardsArbitraryIndices(t *testing.T) {
 }
 
 func TestStreamShardsEmpty(t *testing.T) {
-	got := StreamShards("none", nil, 4, func(s int) isa.Stream {
+	got := StreamShards("none", nil, func(s int) isa.Stream {
 		t.Fatal("stream factory called for empty shard list")
 		return nil
 	})

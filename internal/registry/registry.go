@@ -5,9 +5,11 @@
 // controller. The registry routes work across entries three ways:
 //
 //   - Resolve pins model-addressed requests ("/v2/models/{id}/...") to their
-//     entry, accepting an "app:<name>" alias that rides the consistent-hash
-//     ring (ring.go) — deterministic under Config.Seed, stable when other
-//     entries leave.
+//     entry, accepting an "app:<name>" alias that reaches the model built
+//     for that application (the lowest-id entry scoped to it, else the
+//     lowest-id wildcard entry) — a function of the registered ids and
+//     scopes alone, so unregistering an entry moves only the aliases that
+//     pointed at it.
 //   - Submit fans a profile stream out to every entry whose application
 //     scope matches each sample — the paper's §2.1 insight that shard
 //     profiles are shared between applications, operationalized: one
@@ -89,8 +91,6 @@ func (s Spec) withDefaults() Spec {
 
 // Config configures a Registry. Every field is optional.
 type Config struct {
-	// Seed determinizes consistent-hash placement.
-	Seed uint64
 	// QueueBound sheds predictions registry-wide once the aggregate queued
 	// predictions across all entries reach it; 0 disables the aggregate
 	// bound (per-batcher shedding still applies).
@@ -106,9 +106,10 @@ type Config struct {
 	OnChange func()
 }
 
-// Registry is a concurrent collection of model entries with consistent-hash
-// routing, shared-profile fan-out, and registry-wide load shedding. Create
-// with New, populate with Register/RegisterTrainer, and drain with Close.
+// Registry is a concurrent collection of model entries with scope-based
+// alias routing, shared-profile fan-out, and registry-wide load shedding.
+// Create with New, populate with Register/RegisterTrainer, and drain with
+// Close.
 type Registry struct {
 	cfg Config
 
@@ -120,7 +121,6 @@ type Registry struct {
 
 	mu      sync.RWMutex
 	entries map[string]*Entry
-	ring    *hashRing
 	closed  bool
 }
 
@@ -132,7 +132,6 @@ func New(cfg Config) *Registry {
 		baseCtx:   ctx,
 		cancelAll: cancel,
 		entries:   make(map[string]*Entry),
-		ring:      buildRing(cfg.Seed, 1, nil),
 	}
 }
 
@@ -179,7 +178,6 @@ func (r *Registry) RegisterTrainer(spec Spec, tr *core.Trainer) (*Entry, error) 
 		return nil, fmt.Errorf("%w: %q", ErrExists, spec.ID)
 	}
 	r.entries[spec.ID] = e
-	r.rebuildRingLocked()
 	r.mu.Unlock()
 
 	if r.cfg.OnChange != nil {
@@ -220,9 +218,9 @@ func trainerFromSpec(spec Spec) (*core.Trainer, error) {
 }
 
 // Unregister removes and drains the entry, cancelling its in-flight update
-// (the trainer keeps its served snapshot). Keys previously routed to other
-// entries keep their assignments — only keys that pointed at the removed
-// entry's vnodes remap.
+// (the trainer keeps its served snapshot). Aliases that resolved to other
+// entries keep resolving to them; only those that pointed at the removed
+// entry move.
 func (r *Registry) Unregister(id string) error {
 	r.mu.Lock()
 	if r.closed {
@@ -235,7 +233,6 @@ func (r *Registry) Unregister(id string) error {
 		return fmt.Errorf("%w: %q", ErrNotFound, id)
 	}
 	delete(r.entries, id)
-	r.rebuildRingLocked()
 	r.mu.Unlock()
 
 	e.close()
@@ -253,31 +250,39 @@ func (r *Registry) Get(id string) (*Entry, bool) {
 	return e, ok
 }
 
-// Resolve maps a wire model address to an entry: an exact id, or the
-// "app:<name>" alias routed over the consistent-hash ring to an entry whose
-// application scope covers <name>.
+// Resolve maps a wire model address to an entry. An exact id wins;
+// otherwise "app:<name>" resolves to the lowest-id entry whose Application
+// is <name>, failing that to the lowest-id wildcard entry (Application ""),
+// failing that to nothing. The answer depends only on the registered ids and
+// scopes, so unregistering an entry moves only the aliases that pointed at
+// it.
 func (r *Registry) Resolve(addr string) (*Entry, bool) {
-	if e, ok := r.Get(addr); ok {
-		return e, true
-	}
-	if app, ok := strings.CutPrefix(addr, "app:"); ok {
-		return r.RouteApp(app)
-	}
-	return nil, false
-}
-
-// RouteApp routes an application name over the ring to one entry whose
-// scope covers it (deterministic in Config.Seed and the membership).
-func (r *Registry) RouteApp(app string) (*Entry, bool) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	id, ok := r.ring.route(r.cfg.Seed, app, func(id string) bool {
-		return r.entries[id].Matches(app)
-	})
+	if e, ok := r.entries[addr]; ok {
+		return e, true
+	}
+	app, ok := strings.CutPrefix(addr, "app:")
 	if !ok {
 		return nil, false
 	}
-	return r.entries[id], true
+	var scoped, wildcard *Entry
+	for id, e := range r.entries {
+		switch e.spec.Application {
+		case app:
+			if scoped == nil || id < scoped.spec.ID {
+				scoped = e
+			}
+		case "":
+			if wildcard == nil || id < wildcard.spec.ID {
+				wildcard = e
+			}
+		}
+	}
+	if scoped != nil {
+		return scoped, true
+	}
+	return wildcard, wildcard != nil
 }
 
 // Entries returns every registered entry, sorted by id.
@@ -362,15 +367,6 @@ func (r *Registry) admit() error {
 	return nil
 }
 
-func (r *Registry) rebuildRingLocked() {
-	ids := make([]string, 0, len(r.entries))
-	for id := range r.entries {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	r.ring = buildRing(r.cfg.Seed, vnodesPerEntry, ids)
-}
-
 // Close drains the registry: in-flight updates are cancelled (their
 // trainers observe context cancellation and keep the last-good snapshot),
 // every entry's batcher answers what it accepted, and every control loop
@@ -388,7 +384,6 @@ func (r *Registry) Close() {
 		entries = append(entries, e)
 	}
 	r.entries = make(map[string]*Entry)
-	r.rebuildRingLocked()
 	r.mu.Unlock()
 
 	for _, e := range entries {

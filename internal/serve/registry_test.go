@@ -256,8 +256,8 @@ func TestV1SamplesFanOut(t *testing.T) {
 		}
 	}
 
-	// The alias rides the consistent-hash ring to an entry whose scope
-	// covers the application.
+	// The alias reaches the entry scoped to the application, not the
+	// wildcard entries beside it.
 	resp, body = getBody(t, ts.URL+"/v2/models/app:bzip2/model")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("app:bzip2: status %d: %s", resp.StatusCode, body)
@@ -266,8 +266,8 @@ func TestV1SamplesFanOut(t *testing.T) {
 	if err := json.Unmarshal(body, &alias); err != nil {
 		t.Fatal(err)
 	}
-	if alias.Application != "" && alias.Application != "bzip2" {
-		t.Fatalf("app:bzip2 routed to %q (application %q)", alias.Model, alias.Application)
+	if alias.Model != "m-bzip2" {
+		t.Fatalf("app:bzip2 routed to %q (application %q), want m-bzip2", alias.Model, alias.Application)
 	}
 }
 

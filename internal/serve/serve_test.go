@@ -211,6 +211,76 @@ func TestPredictErrors(t *testing.T) {
 	}
 }
 
+// TestOversizedBodyIs413: a body past maxBodyBytes is refused with 413 and
+// the shared error body before any of it reaches a store.
+func TestOversizedBodyIs413(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	_, valid := testData(t)
+	one, err := json.Marshal(hsmodel.SampleToWire(valid[0]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var body bytes.Buffer
+	body.WriteString(`{"samples":[`)
+	body.Write(one)
+	for body.Len() <= maxBodyBytes {
+		body.WriteByte(',')
+		body.Write(one)
+	}
+	body.WriteString(`]}`)
+	resp, err := http.Post(ts.URL+"/v1/samples", "application/json", &body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized samples POST: status %d, want 413: %.200s", resp.StatusCode, out)
+	}
+	var er hsmodel.ErrorResponse
+	if err := json.Unmarshal(out, &er); err != nil || er.Error == "" {
+		t.Fatalf("413 body not an ErrorResponse: %s", out)
+	}
+	def, _ := s.Registry().Get(hsmodel.DefaultModelID)
+	if got := def.Trainer().NumSamples(); got != len(trainStore) {
+		t.Fatalf("oversized POST moved the store to %d samples, want %d", got, len(trainStore))
+	}
+}
+
+// TestTrailingDataIs400: a body must hold exactly one JSON value; trailing
+// whitespace is not data.
+func TestTrailingDataIs400(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	_, valid := testData(t)
+	x, err := json.Marshal(valid[0].X[:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for trailer, want := range map[string]int{
+		` {"garbage":true} trailing`: http.StatusBadRequest,
+		` {}`:                        http.StatusBadRequest,
+		` trailing`:                  http.StatusBadRequest,
+		"\n \t\n":                    http.StatusOK,
+	} {
+		resp, err := http.Post(ts.URL+"/v1/predict", "application/json",
+			strings.NewReader(`{"x":`+string(x)+`}`+trailer))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != want {
+			t.Fatalf("predict with trailer %q: status %d, want %d: %s", trailer, resp.StatusCode, want, out)
+		}
+	}
+}
+
 func TestUntrainedServes503(t *testing.T) {
 	tr := core.NewTrainer(nil)
 	_, ts := newTestServer(t, Config{Trainer: tr})

@@ -28,16 +28,18 @@
 // its handlers run the same code paths against the same entry, so v1
 // response bodies are bit-identical to the single-model server's (they
 // additionally carry a Deprecation header pointing at the v2 successor).
-// The {id} of a /v2 route is an exact entry id or the "app:<name>" alias
-// routed over the registry's consistent-hash ring.
+// The {id} of a /v2 route is an exact entry id or the "app:<name>" alias,
+// which reaches the entry scoped to that application, else the wildcard
+// entry (registry.Resolve).
 //
 // The wire vocabulary is pkg/hsmodel's wire schema, so the CLI and the
-// server speak the same types. Every handler runs under a per-request
-// timeout; a Server drains every entry's in-flight batches on Close; and
-// the default served snapshot can be hot-reloaded from the persistence
-// format (Reload, wired to SIGHUP by cmd/hsserve) — the Trainer guarantees
-// a failed retrain or a rejected reload never replaces the snapshot being
-// served.
+// server speak the same types. A POST body must hold exactly one JSON value
+// with no unknown fields (400) and at most maxBodyBytes (413). Every handler
+// runs under a per-request timeout; a Server drains every entry's in-flight
+// batches on Close; and the default served snapshot can be hot-reloaded
+// from the persistence format (Reload, wired to SIGHUP by cmd/hsserve) —
+// the Trainer guarantees a failed retrain or a rejected reload never
+// replaces the snapshot being served.
 package serve
 
 import (
@@ -85,9 +87,6 @@ type Config struct {
 	// answer 429 + Retry-After. 0 disables the aggregate bound (per-entry
 	// queue shedding still applies).
 	QueueBound int
-	// RegistrySeed determinizes consistent-hash routing of "app:<name>"
-	// model addresses.
-	RegistrySeed uint64
 	// RequestTimeout bounds each request's context (default 5s).
 	RequestTimeout time.Duration
 	// UpdateTimeout bounds asynchronous re-specifications triggered by
@@ -163,7 +162,6 @@ func New(cfg Config) (*Server, error) {
 		metrics: newMetrics(),
 	}
 	s.reg = registry.New(registry.Config{
-		Seed:       cfg.RegistrySeed,
 		QueueBound: cfg.QueueBound,
 		NewBatcher: s.newEntryBatcher,
 		OnShed:     func() { s.metrics.registrySheds.Add(1) },
@@ -397,7 +395,7 @@ func (s *Server) v1Entry(endpoint string, h entryHandler) http.HandlerFunc {
 }
 
 // v2Entry resolves the {id} path value — an exact entry id or the
-// "app:<name>" consistent-hash alias — instruments the request, and feeds
+// "app:<name>" alias — instruments the request, and feeds
 // the per-model request counter.
 func (s *Server) v2Entry(endpoint string, h entryHandler) http.HandlerFunc {
 	return s.instrument(endpoint, func(w http.ResponseWriter, r *http.Request) {
@@ -447,6 +445,8 @@ func writeError(w http.ResponseWriter, err error) {
 		code = http.StatusNotFound
 	case errors.Is(err, registry.ErrExists):
 		code = http.StatusConflict
+	case errors.As(err, new(*http.MaxBytesError)):
+		code = http.StatusRequestEntityTooLarge
 	case errors.Is(err, context.DeadlineExceeded):
 		code = http.StatusGatewayTimeout
 	case errors.Is(err, context.Canceled):
@@ -455,13 +455,29 @@ func writeError(w http.ResponseWriter, err error) {
 	writeJSON(w, code, hsmodel.ErrorResponse{Error: err.Error()})
 }
 
-func decodeJSON(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
+// maxBodyBytes bounds every request body; a longer one answers 413. One
+// wire sample is about 370 bytes, so the bound admits a samples POST of
+// over 20,000 rows, far above what any client in the tree sends.
+const maxBodyBytes = 8 << 20
+
+// decodeJSON decodes exactly one JSON value from a body of at most
+// maxBodyBytes: unknown fields, trailing data and oversized bodies are
+// errors (the last a *http.MaxBytesError, which writeError maps to 413).
+func decodeJSON(w http.ResponseWriter, r *http.Request, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("serve: decoding request: %w", err)
 	}
-	return nil
+	var extra json.RawMessage
+	switch err := dec.Decode(&extra); {
+	case errors.Is(err, io.EOF):
+		return nil
+	case err != nil:
+		return fmt.Errorf("serve: decoding request: %w", err)
+	default:
+		return errors.New("serve: decoding request: trailing data after the JSON value")
+	}
 }
 
 // Predict answers one shard prediction through the default entry — the same
@@ -505,7 +521,7 @@ func (s *Server) predictOne(ctx context.Context, e *registry.Entry, req hsmodel.
 
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request, e *registry.Entry) {
 	var req hsmodel.PredictRequest
-	if err := decodeJSON(r, &req); err != nil {
+	if err := decodeJSON(w, r, &req); err != nil {
 		writeError(w, err)
 		return
 	}
@@ -519,7 +535,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request, e *regist
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, e *registry.Entry) {
 	var req hsmodel.BatchPredictRequest
-	if err := decodeJSON(r, &req); err != nil {
+	if err := decodeJSON(w, r, &req); err != nil {
 		writeError(w, err)
 		return
 	}
@@ -571,9 +587,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, e *registry
 }
 
 // decodeSamples converts a wire samples body into core samples.
-func decodeSamples(r *http.Request) (hsmodel.SamplesRequest, []core.Sample, error) {
+func decodeSamples(w http.ResponseWriter, r *http.Request) (hsmodel.SamplesRequest, []core.Sample, error) {
 	var req hsmodel.SamplesRequest
-	if err := decodeJSON(r, &req); err != nil {
+	if err := decodeJSON(w, r, &req); err != nil {
 		return req, nil, err
 	}
 	if len(req.Samples) == 0 {
@@ -595,7 +611,7 @@ func decodeSamples(r *http.Request) (hsmodel.SamplesRequest, []core.Sample, erro
 // scope absorbs all of them — on a single-model server this is exactly the
 // old behavior), and the acknowledgement reports the default entry's store.
 func (s *Server) handleSamples(w http.ResponseWriter, r *http.Request, e *registry.Entry) {
-	req, samples, err := decodeSamples(r)
+	req, samples, err := decodeSamples(w, r)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -616,7 +632,7 @@ func (s *Server) handleSamples(w http.ResponseWriter, r *http.Request, e *regist
 // addressed entry, unless fan_out restores the registry-wide v1 semantics
 // (the response then lists every model that absorbed samples).
 func (s *Server) handleV2Samples(w http.ResponseWriter, r *http.Request, e *registry.Entry) {
-	req, samples, err := decodeSamples(r)
+	req, samples, err := decodeSamples(w, r)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -749,7 +765,7 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var req hsmodel.RegisterRequest
-	if err := decodeJSON(r, &req); err != nil {
+	if err := decodeJSON(w, r, &req); err != nil {
 		writeError(w, err)
 		return
 	}

@@ -3,8 +3,9 @@
 // default entry), scoped with WithModelID or Model(id) it targets the
 // model-addressed /v2 routes — same wire types either way, so switching a
 // caller to multi-model serving is one accessor call, not a rewrite. A model
-// id is an exact registry key or the "app:<name>" alias the server routes
-// over its consistent-hash ring.
+// id is an exact registry key or the "app:<name>" alias, which the server
+// resolves to the entry scoped to that application, else to its wildcard
+// entry.
 package hsmodel
 
 import (

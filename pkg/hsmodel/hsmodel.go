@@ -99,17 +99,17 @@ type (
 	SelectionResult = core.SelectionResult
 	// Registry is the multi-model serving core: named entries — each with
 	// its own trainer, snapshot, batcher, and optional lifecycle — behind
-	// consistent-hash routing, shared-profile fan-out, and registry-wide
-	// load shedding. hsserve builds one per server; in-process embedders
-	// build their own with NewRegistry.
+	// scope-based "app:<name>" aliases, shared-profile fan-out, and
+	// registry-wide load shedding. hsserve builds one per server;
+	// in-process embedders build their own with NewRegistry.
 	Registry = registry.Registry
 	// RegistryEntry is one registered model inside a Registry.
 	RegistryEntry = registry.Entry
 	// RegistrySpec declares one entry (the in-process form of the wire
 	// RegisterRequest and of one manifest element).
 	RegistrySpec = registry.Spec
-	// RegistryConfig tunes a Registry (ring seed, aggregate queue bound,
-	// batcher factory and change hooks).
+	// RegistryConfig tunes a Registry (aggregate queue bound, batcher
+	// factory and change hooks).
 	RegistryConfig = registry.Config
 )
 
