@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build fmt vet test race lint lint-fix lint-sarif bench-build bench-smoke bench-collect serve-smoke families-smoke registry-smoke ci
+.PHONY: build fmt vet test race lint lint-fix lint-sarif bench-build bench-smoke bench-collect fig5 serve-smoke families-smoke registry-smoke ci
 
 build:
 	$(GO) build ./...
@@ -69,6 +69,17 @@ bench-smoke:
 bench-collect:
 	$(GO) test -run '^$$' -bench BenchmarkCollect -benchtime 1x -benchmem ./internal/core
 
+# fig5 runs BenchmarkFig5Convergence once (about 5 s on 2 vCPUs) and fails
+# unless it reproduces the Figure 5 convergence figures exactly: summed
+# median error 0.6121 at generation 0 and 0.5650 at the last generation.
+# Training changes meant to leave the model alone must leave these alone.
+fig5:
+	@out="$$($(GO) test -run '^$$' -bench '^BenchmarkFig5Convergence$$' -benchtime 1x .)" || { echo "$$out"; exit 1; }; \
+	echo "$$out" | grep '^BenchmarkFig5'; \
+	for want in '0.6121 gen0-sum-med-err' '0.5650 final-sum-med-err'; do \
+		echo "$$out" | grep -q "[[:space:]]$$want" || { echo "fig5: want $$want"; exit 1; }; \
+	done
+
 # serve-smoke runs the end-to-end serving tests: each boots the HTTP service
 # on an httptest loopback listener and drives it as a real client. They pin
 # Float64bits identity of single and coalesced batch predicts to the
@@ -103,7 +114,8 @@ families-smoke:
 # the repo's own hslint invariant checks), plain tests, then the race
 # detector over the whole tree (the parallel fitness pool, the lock-free
 # snapshot swaps, and the fault-injection schedules are the usual suspects),
-# and the benchmark harness build (bench-build). The serving and registry smoke tests and the
+# the benchmark harness build (bench-build), and the exact Figure 5
+# convergence figures (fig5). The serving and registry smoke tests and the
 # family-selection smoke test (TestFamiliesSmoke) are part of test and race;
 # families-smoke stays as a target for running that one test locally.
-ci: build fmt vet lint bench-build test race
+ci: build fmt vet lint bench-build fig5 test race

@@ -47,7 +47,6 @@ func main() {
 	minProfiles := flag.Int("min-profiles", 0, "lifecycle: fresh post-drift profiles required before a shadow retrain (0 = default)")
 	canaryTolerance := flag.Float64("canary-tolerance", 0, "lifecycle: relative slack a candidate gets on the canary set before promotion (0 = default)")
 	modelsPath := flag.String("models", "", "multi-model manifest (JSON, wire Manifest schema): its entries are registered at boot and the file is rewritten after every successful /v2/models register/unregister")
-	queueBound := flag.Int("queue-bound", 0, "shed predictions registry-wide (429 + Retry-After) once aggregate queued predictions across all models reach this (0 = no aggregate bound)")
 	flag.Parse()
 
 	logger := log.New(os.Stderr, "hsserve: ", log.LstdFlags)
@@ -66,7 +65,6 @@ func main() {
 		RequestTimeout: *timeout,
 		ModelPath:      *modelPath,
 		ManifestPath:   *modelsPath,
-		QueueBound:     *queueBound,
 		Logger:         logger,
 	}
 	if *lifecycleOn {

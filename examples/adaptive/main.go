@@ -88,7 +88,7 @@ func main() {
 		// re-specify (10+ accrued profiles and still inaccurate).
 		accrued = append(accrued, chosen)
 		if len(accrued) == 12 {
-			d, err := m.Perturb(ctx, accrued, hsmodel.UpdatePolicy{ErrThreshold: 0.08, MinProfiles: 10})
+			d, err := m.Perturb(ctx, accrued, hsmodel.UpdatePolicy{ErrThreshold: 0.08})
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -155,6 +155,50 @@ func TestCollectGolden(t *testing.T) {
 	}
 }
 
+// TestTrainGolden pins training output bit for bit: the served
+// coefficients, the chosen spec and every generation's statistics of one
+// Train and one warm-started Update, so folding a search or fitness knob
+// into a constant cannot move a model without a test failing.
+func TestTrainGolden(t *testing.T) {
+	apps := smallApps()
+	col := &Collector{ShardLen: testShardLen, ShardPool: 12}
+	tr := NewTrainer(col.Collect(apps, 40, 7))
+	tr.ShardLen = testShardLen
+	tr.Search = genetic.Params{PopulationSize: 10, Generations: 2, Seed: 3}
+
+	h := sha256.New()
+	var b [8]byte
+	put := func(f float64) {
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(f))
+		h.Write(b[:])
+	}
+	record := func() {
+		m := tr.Model()
+		fmt.Fprintf(h, "%s|", m.Spec)
+		for _, c := range m.Coef {
+			put(c)
+		}
+		for _, gs := range tr.History() {
+			fmt.Fprintf(h, "%d|%d|", gs.Gen, gs.Evals)
+			put(gs.Best)
+			put(gs.Mean)
+		}
+	}
+	if err := tr.Train(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	record()
+	tr.AddSamples(col.Collect(apps, 30, 21))
+	if err := tr.Update(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	record()
+	const want = "5cdc35f9efb08f876f5c318e7212abc1e9e25705555041b70e04d1cd79b6cf19"
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Errorf("training hash %s, want %s", got, want)
+	}
+}
+
 // TestCollectorSameNameApps: a sample's characteristics come from the
 // application it measures, so an application that reuses another's name
 // must not inherit that application's profile.
@@ -276,7 +320,7 @@ func TestPerturbInaccurateFewSamplesAccrues(t *testing.T) {
 	for i := range novel {
 		novel[i].AppID = 3
 	}
-	d, err := m.Perturb(context.Background(), novel, UpdatePolicy{ErrThreshold: 0.01, MinProfiles: 10})
+	d, err := m.Perturb(context.Background(), novel, UpdatePolicy{ErrThreshold: 0.01})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +337,7 @@ func TestPerturbTriggersUpdate(t *testing.T) {
 		novel[i].AppID = 3
 	}
 	before := m.Model()
-	d, err := m.Perturb(context.Background(), novel, UpdatePolicy{ErrThreshold: 0.0001, MinProfiles: 10})
+	d, err := m.Perturb(context.Background(), novel, UpdatePolicy{ErrThreshold: 0.0001})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -87,7 +87,7 @@ func SelectFamily(ctx context.Context, ds *regress.Dataset, fc FitnessConfig, st
 		Search:      search,
 		LogResponse: logResponse,
 		Stabilize:   stabilize,
-		Seed:        fc.withDefaults().Seed,
+		Seed:        fc.Seed,
 		Weights:     ev.weights,
 		ValRows:     ev.valRows,
 	}

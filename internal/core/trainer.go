@@ -19,40 +19,27 @@ import (
 	"hsmodel/internal/stats"
 )
 
-// FitnessConfig tunes the per-application fitness evaluation of the paper's
-// pseudocode (Section 3.3):
+// The per-application fitness evaluation of the paper's pseudocode
+// (Section 3.3):
 //
 //	foreach software s in S:
 //	    split P_s into training T_s, validation V_s
 //	    fit m using {P_-s, T_s} x w
 //	    software fitness f_s = m's accuracy on V_s
 //	model fitness f_m = mean over s of f_s
+//
+// plus family.TermPenalty per design column.
+const (
+	// trainFrac is the fraction of each application's rows in T_s.
+	trainFrac = 0.7
+	// trainWeight is the w applied to T_s rows in the weighted fit.
+	trainWeight = 2
+)
+
+// FitnessConfig determinizes the per-application fitness splits.
 type FitnessConfig struct {
-	// TrainFrac is the fraction of each application's rows in T_s
-	// (default 0.7).
-	TrainFrac float64
-	// Weight is the w applied to T_s rows in the weighted fit (default 2).
-	Weight float64
-	// TermPenalty is added to fitness per design column (default 0.0004).
-	// Parsimony pressure keeps the search from memorizing per-application
-	// clusters with large specifications — smaller models extrapolate to
-	// new software far better, which is the point of Section 4.4.
-	TermPenalty float64
 	// Seed determinizes the splits.
 	Seed uint64
-}
-
-func (f FitnessConfig) withDefaults() FitnessConfig {
-	if f.TrainFrac <= 0 || f.TrainFrac >= 1 {
-		f.TrainFrac = 0.7
-	}
-	if f.Weight <= 0 {
-		f.Weight = 2
-	}
-	if f.TermPenalty <= 0 {
-		f.TermPenalty = 0.0004
-	}
-	return f
 }
 
 // Trainer is the training half of the paper's system model: it owns the
@@ -145,7 +132,6 @@ func NewTrainer(samples []Sample) *Trainer {
 		samples:     samples,
 		Stabilize:   true,
 		LogResponse: true,
-		Fitness:     FitnessConfig{}.withDefaults(),
 	}
 }
 
@@ -282,24 +268,22 @@ func (m *Trainer) FitPathStats() regress.GramStats {
 // cache's internal memo is concurrency-safe) and safe for the search's
 // concurrent fitness workers.
 type evaluator struct {
-	fz          *regress.Featurizer
-	gc          *regress.GramCache // nil when the Gram layer is unavailable
-	ds          *regress.Dataset
-	opts        regress.Options
-	apps        []int   // distinct app IDs
-	valRows     [][]int // validation rows per app (parallel to apps)
-	allVal      []int   // concatenation of valRows, for batched design gather
-	weights     []float64
-	termPenalty float64
+	fz      *regress.Featurizer
+	gc      *regress.GramCache // nil when the Gram layer is unavailable
+	ds      *regress.Dataset
+	opts    regress.Options
+	apps    []int   // distinct app IDs
+	valRows [][]int // validation rows per app (parallel to apps)
+	allVal  []int   // concatenation of valRows, for batched design gather
+	weights []float64
 }
 
 func newEvaluator(ds *regress.Dataset, fc FitnessConfig, stabilize, logResponse bool) (*evaluator, error) {
-	fc = fc.withDefaults()
 	fz, err := regress.NewFeaturizer(ds, stabilize)
 	if err != nil {
 		return nil, err
 	}
-	ev := &evaluator{fz: fz, ds: ds, termPenalty: fc.TermPenalty}
+	ev := &evaluator{fz: fz, ds: ds}
 
 	// Deterministic split of each application's rows into T_s / V_s.
 	byApp := make(map[int][]int)
@@ -320,12 +304,12 @@ func newEvaluator(ds *regress.Dataset, fc FitnessConfig, stabilize, logResponse 
 	for _, g := range ev.apps {
 		rows := byApp[g]
 		perm := src.Perm(len(rows))
-		cut := int(float64(len(rows)) * fc.TrainFrac)
+		cut := int(float64(len(rows)) * trainFrac)
 		var val []int
 		for k, pi := range perm {
 			r := rows[pi]
 			if k < cut {
-				ev.weights[r] = fc.Weight // T_s rows, weighted w
+				ev.weights[r] = trainWeight // T_s rows, weighted w
 			} else {
 				val = append(val, r)
 				ev.weights[r] = 0 // V_s rows excluded from every fit
@@ -387,7 +371,7 @@ func (ev *evaluator) Fitness(spec regress.Spec) float64 {
 	if n == 0 {
 		return 1e6
 	}
-	return sum/float64(n) + ev.termPenalty*float64(len(model.Coef))
+	return sum/float64(n) + family.TermPenalty*float64(len(model.Coef))
 }
 
 // Train runs the genetic search on the current samples and fits the final

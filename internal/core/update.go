@@ -19,18 +19,15 @@ type UpdatePolicy struct {
 	// "median errors less than 10-15% may be sufficient to make
 	// coarse-grained resource allocations"; the default is 0.15.
 	ErrThreshold float64
-	// MinProfiles is how many profiles of the perturbation must accrue
-	// before an update may trigger (default 10, the low end of the paper's
-	// 10–20 range).
-	MinProfiles int
 }
+
+// MinUpdateProfiles is how many profiles of a perturbation must accrue
+// before an update may trigger: the low end of the paper's 10–20 range.
+const MinUpdateProfiles = 10
 
 func (p UpdatePolicy) withDefaults() UpdatePolicy {
 	if p.ErrThreshold <= 0 {
 		p.ErrThreshold = 0.15
-	}
-	if p.MinProfiles <= 0 {
-		p.MinProfiles = 10
 	}
 	return p
 }
@@ -92,7 +89,7 @@ func (m *Trainer) Perturb(ctx context.Context, newSamples []Sample, policy Updat
 		// behavior with already observed software."
 		return d, nil
 	}
-	if len(newSamples) < policy.MinProfiles {
+	if len(newSamples) < MinUpdateProfiles {
 		d.NeedsMoreData = true
 		return d, nil
 	}

@@ -121,7 +121,7 @@ func Fig7b(w *Workspace) (Fig7bResult, error) {
 	for i := range update {
 		update[i].AppID = 100 + update[i].AppID // new software identities
 	}
-	decision, err := m.Perturb(w.ctx, update, core.UpdatePolicy{ErrThreshold: 0.10, MinProfiles: 10})
+	decision, err := m.Perturb(w.ctx, update, core.UpdatePolicy{ErrThreshold: 0.10})
 	if err != nil {
 		return Fig7bResult{}, err
 	}
@@ -227,7 +227,7 @@ func Fig7c(w *Workspace) (Fig7cResult, error) {
 		for i := range newProfiles {
 			newProfiles[i].AppID = n
 		}
-		d, err := m.Perturb(w.ctx, newProfiles, core.UpdatePolicy{ErrThreshold: 0.10, MinProfiles: 10})
+		d, err := m.Perturb(w.ctx, newProfiles, core.UpdatePolicy{ErrThreshold: 0.10})
 		if err != nil {
 			return res, err
 		}

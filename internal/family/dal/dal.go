@@ -33,8 +33,6 @@ const (
 	// defaultIters bounds Lloyd iterations; assignments converge far
 	// earlier on these corpus sizes.
 	defaultIters = 25
-	// defaultTermPenalty mirrors the engine's parsimony pressure.
-	defaultTermPenalty = 0.0004
 	// rowsPerCluster sizes the automatic k; minClusterRows is the floor
 	// below which a cluster dispatches to the pooled model instead of
 	// fitting locally.
@@ -167,7 +165,7 @@ func fitLocal(ctx context.Context, in family.FitInput, rows []int, budget int) (
 			pred[i] = m.Predict(sub.X.Row(r))
 			truth[i] = sub.Y[r]
 		}
-		return stats.MedianAbsPctError(pred, truth) + defaultTermPenalty*float64(len(m.Coef))
+		return stats.MedianAbsPctError(pred, truth) + family.TermPenalty*float64(len(m.Coef))
 	})
 	res, err := genetic.Stepwise(ctx, in.NumVars, eval, budget)
 	if err != nil {

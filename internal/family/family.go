@@ -31,6 +31,12 @@ import (
 	"hsmodel/internal/regress"
 )
 
+// TermPenalty is the parsimony pressure every family adds to a candidate's
+// validation error per fitted coefficient. Smaller models extrapolate to new
+// software far better (Section 4.4), so the search is kept from memorizing
+// per-application clusters with large specifications.
+const TermPenalty = 0.0004
+
 // Model is a fitted model of one family: a self-contained predictor over the
 // raw variable row. Implementations are immutable after construction and
 // safe for unsynchronized concurrent use — a Model is served lock-free from

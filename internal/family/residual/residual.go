@@ -36,9 +36,6 @@ const FamilyName = "residual"
 // roughly the cost of a few genetic generations, matching the stepwise rung.
 const defaultBudget = 160
 
-// defaultTermPenalty mirrors the engine's parsimony pressure per coefficient.
-const defaultTermPenalty = 0.0004
-
 // Prior is a closed-form response estimate over a raw variable row.
 type Prior struct {
 	// Name identifies the prior in persisted payloads.
@@ -128,7 +125,7 @@ func (f *Family) Fit(ctx context.Context, in family.FitInput) (family.FitOutput,
 			return 1e6
 		}
 		score := scoreCombined(ds, in.ValRows, priors, m)
-		return score + defaultTermPenalty*float64(len(m.Coef))
+		return score + family.TermPenalty*float64(len(m.Coef))
 	})
 	budget := f.Budget
 	if budget <= 0 {

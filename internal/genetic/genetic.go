@@ -14,11 +14,11 @@
 //	M1: interaction randomly changed for a chromosome
 //	M2: single variable randomly changed for a chromosome
 //
-// The best N% of each generation survives; the rest of the next generation
-// is bred by crossover and mutation. Fitness evaluation — the inner loops of
-// the paper's pseudocode — is delegated to an Evaluator and parallelized
-// across a worker pool (the paper used R's doMC/Multicore; a generation with
-// n candidate models is embarrassingly parallel).
+// The best quarter of each generation survives; the rest of the next
+// generation is bred by crossover and mutation. Fitness evaluation — the
+// inner loops of the paper's pseudocode — is delegated to an Evaluator and
+// parallelized across a worker pool (the paper used R's doMC/Multicore; a
+// generation with n candidate models is embarrassingly parallel).
 package genetic
 
 import (
@@ -60,17 +60,27 @@ type EvaluatorFunc func(spec regress.Spec) float64
 // Fitness implements Evaluator.
 func (f EvaluatorFunc) Fitness(spec regress.Spec) float64 { return f(spec) }
 
+// The paper's operator settings (Section 2.4), fixed for every search.
+const (
+	// elitePct is the fraction of each generation that survives unchanged.
+	elitePct = 0.25
+	// crossoverProb is the probability of each crossover operator (C1-C3).
+	crossoverProb = 0.125
+	// mutationProb is the probability of each mutation operator (M1, M2).
+	mutationProb = 0.05
+	// maxInteractions caps a chromosome's interaction list.
+	maxInteractions = 24
+	// tournamentSize is the number of individuals a parent-selection
+	// tournament draws.
+	tournamentSize = 3
+)
+
 // Params configures the search. Zero fields take the documented defaults.
 type Params struct {
-	PopulationSize  int     // default 60
-	Generations     int     // default 20, where the paper sees diminishing returns
-	ElitePct        float64 // surviving fraction per generation; default 0.25
-	CrossoverProb   float64 // per-operator crossover probability; default 0.125
-	MutationProb    float64 // per-operator mutation probability; default 0.05
-	MaxInteractions int     // chromosome growth cap; default 24
-	TournamentSize  int     // parent-selection tournament; default 3
-	Seed            uint64
-	Workers         int // parallel fitness evaluations; default GOMAXPROCS
+	PopulationSize int // default 60
+	Generations    int // default 20, where the paper sees diminishing returns
+	Seed           uint64
+	Workers        int // parallel fitness evaluations; default GOMAXPROCS
 	// Initial seeds the starting population (model updates warm-start from
 	// the previous population, Section 3.3). Remaining slots are random.
 	Initial []regress.Spec
@@ -85,21 +95,6 @@ func (p Params) withDefaults() Params {
 	}
 	if p.Generations <= 0 {
 		p.Generations = 20
-	}
-	if p.ElitePct <= 0 || p.ElitePct >= 1 {
-		p.ElitePct = 0.25
-	}
-	if p.CrossoverProb <= 0 {
-		p.CrossoverProb = 0.125
-	}
-	if p.MutationProb <= 0 {
-		p.MutationProb = 0.05
-	}
-	if p.MaxInteractions <= 0 {
-		p.MaxInteractions = 24
-	}
-	if p.TournamentSize <= 0 {
-		p.TournamentSize = 3
 	}
 	if p.Workers <= 0 {
 		p.Workers = runtime.GOMAXPROCS(0)
@@ -157,7 +152,7 @@ func Search(ctx context.Context, numVars int, eval Evaluator, p Params) (*Result
 		}
 	}
 	for len(pop) < p.PopulationSize {
-		pop = append(pop, Individual{Spec: randomSpec(numVars, src, p.MaxInteractions)})
+		pop = append(pop, Individual{Spec: randomSpec(numVars, src)})
 	}
 
 	res := &Result{}
@@ -210,7 +205,7 @@ func Search(ctx context.Context, numVars int, eval Evaluator, p Params) (*Result
 		}
 
 		// Elitist survival; breed the remainder.
-		elite := int(float64(p.PopulationSize) * p.ElitePct)
+		elite := int(float64(p.PopulationSize) * elitePct)
 		if elite < 1 {
 			elite = 1
 		}
@@ -219,9 +214,9 @@ func Search(ctx context.Context, numVars int, eval Evaluator, p Params) (*Result
 			next = append(next, Individual{Spec: pop[i].Spec.Clone(), Fitness: pop[i].Fitness})
 		}
 		for len(next) < p.PopulationSize {
-			a := tournament(pop, src, p.TournamentSize)
-			b := tournament(pop, src, p.TournamentSize)
-			child := breed(a.Spec, b.Spec, src, p)
+			a := tournament(pop, src)
+			b := tournament(pop, src)
+			child := breed(a.Spec, b.Spec, src)
 			next = append(next, Individual{Spec: child})
 		}
 		pop = next
@@ -256,10 +251,10 @@ func sortPopulation(pop []Individual) {
 	})
 }
 
-// tournament picks the best of k random individuals.
-func tournament(pop []Individual, src *rng.Source, k int) Individual {
+// tournament picks the best of tournamentSize random individuals.
+func tournament(pop []Individual, src *rng.Source) Individual {
 	best := pop[src.Intn(len(pop))]
-	for i := 1; i < k; i++ {
+	for i := 1; i < tournamentSize; i++ {
 		c := pop[src.Intn(len(pop))]
 		if c.Fitness < best.Fitness {
 			best = c
@@ -270,7 +265,7 @@ func tournament(pop []Individual, src *rng.Source, k int) Individual {
 
 // randomSpec draws a random chromosome. Roughly a third of variables start
 // excluded so initial models stay small enough to fit on sparse data.
-func randomSpec(numVars int, src *rng.Source, maxInteractions int) regress.Spec {
+func randomSpec(numVars int, src *rng.Source) regress.Spec {
 	s := regress.Spec{Codes: make([]regress.TransformCode, numVars)}
 	for v := range s.Codes {
 		if src.Bool(0.35) {
@@ -327,37 +322,37 @@ func ensureNonEmpty(s *regress.Spec, src *rng.Source) {
 
 // breed clones parent a and applies the paper's crossover and mutation
 // operators against parent b.
-func breed(a, b regress.Spec, src *rng.Source, p Params) regress.Spec {
+func breed(a, b regress.Spec, src *rng.Source) regress.Spec {
 	child := a.Clone()
 	numVars := len(child.Codes)
 
 	// C1: single variable exchanged between chromosomes.
-	if src.Bool(p.CrossoverProb) {
+	if src.Bool(crossoverProb) {
 		v := src.Intn(numVars)
 		child.Codes[v] = b.Codes[v]
 	}
 	// C2: interaction exchanged between chromosomes.
-	if src.Bool(p.CrossoverProb) && len(child.Interactions) > 0 && len(b.Interactions) > 0 {
+	if src.Bool(crossoverProb) && len(child.Interactions) > 0 && len(b.Interactions) > 0 {
 		k := src.Intn(len(child.Interactions))
 		child.Interactions[k] = b.Interactions[src.Intn(len(b.Interactions))].Canon()
 		dedupeInteractions(&child)
 	}
 	// C3: interaction created from single variables of the two parents.
-	if src.Bool(p.CrossoverProb) {
+	if src.Bool(crossoverProb) {
 		va := randomIncludedVar(a, src)
 		vb := randomIncludedVar(b, src)
 		if va >= 0 && vb >= 0 && va != vb {
-			addInteraction(&child, regress.Interaction{I: va, J: vb}, p.MaxInteractions)
+			addInteraction(&child, regress.Interaction{I: va, J: vb}, maxInteractions)
 		}
 	}
 	// M1: interaction randomly changed.
-	if src.Bool(p.MutationProb) && len(child.Interactions) > 0 {
+	if src.Bool(mutationProb) && len(child.Interactions) > 0 {
 		k := src.Intn(len(child.Interactions))
 		child.Interactions[k] = randomInteraction(numVars, src)
 		dedupeInteractions(&child)
 	}
 	// M2: single variable randomly changed.
-	if src.Bool(p.MutationProb) {
+	if src.Bool(mutationProb) {
 		v := src.Intn(numVars)
 		child.Codes[v] = regress.TransformCode(src.Intn(int(regress.NumTransformCodes)))
 	}
@@ -427,7 +422,7 @@ func specKey(s regress.Spec) string {
 		buf = strconv.AppendUint(buf, uint64(c), 10)
 		buf = append(buf, ',')
 	}
-	var stack [24]regress.Interaction // covers the default MaxInteractions
+	var stack [maxInteractions]regress.Interaction
 	ins := stack[:0]
 	if len(s.Interactions) > len(stack) {
 		ins = make([]regress.Interaction, 0, len(s.Interactions))

@@ -118,12 +118,11 @@ func TestFitnessCacheAvoidsRecomputation(t *testing.T) {
 func TestBreedPreservesValidity(t *testing.T) {
 	if err := quick.Check(func(seed uint64) bool {
 		src := rng.New(seed)
-		p := Params{}.withDefaults()
 		numVars := 2 + src.Intn(10)
-		a := randomSpec(numVars, src, p.MaxInteractions)
-		b := randomSpec(numVars, src, p.MaxInteractions)
+		a := randomSpec(numVars, src)
+		b := randomSpec(numVars, src)
 		for i := 0; i < 10; i++ {
-			child := breed(a, b, src, p)
+			child := breed(a, b, src)
 			if child.Validate(numVars) != nil {
 				return false
 			}
@@ -152,7 +151,7 @@ func TestRandomSpecValid(t *testing.T) {
 	if err := quick.Check(func(seed uint64) bool {
 		src := rng.New(seed)
 		numVars := 1 + src.Intn(20)
-		s := randomSpec(numVars, src, 24)
+		s := randomSpec(numVars, src)
 		return s.Validate(numVars) == nil && s.NumTerms() > 0
 	}, nil); err != nil {
 		t.Error(err)

@@ -32,7 +32,7 @@ func TestSpecKeyDistinguishesSpecs(t *testing.T) {
 	src := rng.New(3)
 	seen := map[string]regress.Spec{}
 	for k := 0; k < 200; k++ {
-		spec := randomSpec(6, src, 3)
+		spec := randomSpec(6, src)
 		key := specKey(spec)
 		if prev, ok := seen[key]; ok {
 			// A collision is only legal if the canonicalized specs are equal.

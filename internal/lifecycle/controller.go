@@ -76,16 +76,32 @@ func (s State) String() string {
 	}
 }
 
+// The control loop's fixed settings.
+const (
+	// confirmObservations is how many consecutive tripped observations turn
+	// suspicion into a confirmed episode.
+	confirmObservations = 3
+	// holdoutFrac is the fraction of the reservoir held out of training and
+	// reserved for canary scoring.
+	holdoutFrac = 0.25
+	// canarySamples is how many of the most recent submissions join the
+	// canary set as the live-stream proxy.
+	canarySamples = 8
+	// retrainTimeout bounds one shadow training episode.
+	retrainTimeout = 2 * time.Minute
+	// cooldownMax caps the exponential cooldown, in submissions, before
+	// jitter.
+	cooldownMax = 4096
+)
+
 // Config tunes the control loop. The zero value of every field is replaced
 // by a sensible default, so Config{} is a working configuration.
 type Config struct {
 	// Drift configures the streaming drift detector.
 	Drift DriftConfig
-	// ConfirmObservations is how many consecutive tripped observations turn
-	// suspicion into a confirmed episode (default 3).
-	ConfirmObservations int
 	// MinProfiles is how many fresh post-drift samples must gather before a
-	// retrain triggers (default 10, the paper's update-protocol floor).
+	// retrain triggers (default core.MinUpdateProfiles, the paper's
+	// update-protocol floor).
 	MinProfiles int
 	// MinTrainRows is the minimum total training-set size for a retrain
 	// (default 30): a candidate fit on fewer rows than the model has basis
@@ -95,23 +111,14 @@ type Config struct {
 	ReservoirCap int
 	// RingCap bounds the recent-sample ring (default 256).
 	RingCap int
-	// HoldoutFrac is the fraction of the reservoir held out of training and
-	// reserved for canary scoring (default 0.25).
-	HoldoutFrac float64
-	// CanarySamples is how many of the most recent submissions join the
-	// canary set as the live-stream proxy (default 8).
-	CanarySamples int
 	// CanaryTolerance is the relative slack the candidate gets: it is
 	// promoted when candidateErr <= incumbentErr * (1 + CanaryTolerance)
 	// (default 0.05). Negative tolerance demands strict improvement.
 	CanaryTolerance float64
-	// RetrainTimeout bounds one shadow training episode (default 2m).
-	RetrainTimeout time.Duration
 	// CooldownBase is the first cooldown length in submissions (default 64);
-	// consecutive rollbacks double it up to CooldownMax (default 4096), plus
-	// deterministic jitter of up to a quarter of the cooldown.
+	// consecutive rollbacks double it up to cooldownMax, plus deterministic
+	// jitter of up to a quarter of the cooldown.
 	CooldownBase int
-	CooldownMax  int
 	// Seed determinizes the reservoir, the holdout split, and the cooldown
 	// jitter.
 	Seed uint64
@@ -129,11 +136,8 @@ type Config struct {
 
 func (c Config) withDefaults() Config {
 	c.Drift = c.Drift.withDefaults()
-	if c.ConfirmObservations <= 0 {
-		c.ConfirmObservations = 3
-	}
 	if c.MinProfiles <= 0 {
-		c.MinProfiles = 10
+		c.MinProfiles = core.MinUpdateProfiles
 	}
 	if c.MinTrainRows <= 0 {
 		c.MinTrainRows = 30
@@ -144,23 +148,11 @@ func (c Config) withDefaults() Config {
 	if c.RingCap <= 0 {
 		c.RingCap = 256
 	}
-	if c.HoldoutFrac <= 0 || c.HoldoutFrac >= 1 {
-		c.HoldoutFrac = 0.25
-	}
-	if c.CanarySamples <= 0 {
-		c.CanarySamples = 8
-	}
 	if c.CanaryTolerance == 0 {
 		c.CanaryTolerance = 0.05
 	}
-	if c.RetrainTimeout <= 0 {
-		c.RetrainTimeout = 2 * time.Minute
-	}
 	if c.CooldownBase <= 0 {
 		c.CooldownBase = 64
-	}
-	if c.CooldownMax <= 0 {
-		c.CooldownMax = 4096
 	}
 	return c
 }
@@ -284,7 +276,7 @@ func (c *Controller) Submit(s core.Sample) {
 			break
 		}
 		c.confirm++
-		if c.confirm >= c.cfg.ConfirmObservations {
+		if c.confirm >= confirmObservations {
 			c.fresh = 0
 			c.transition(StateGathering, "drift confirmed")
 		}
@@ -317,12 +309,12 @@ func (c *Controller) startEpisode() {
 	// shadow trainer, so the canary score is an honest out-of-sample check.
 	split := c.jitter.Fork(3 + c.episodes)
 	perm := split.Perm(len(res))
-	nHold := int(float64(len(res)) * c.cfg.HoldoutFrac)
+	nHold := int(float64(len(res)) * holdoutFrac)
 	if nHold < 1 && len(res) > 3 {
 		nHold = 1
 	}
-	excluded := make(map[core.Sample]bool, nHold+c.cfg.CanarySamples)
-	canary := make([]core.Sample, 0, nHold+c.cfg.CanarySamples)
+	excluded := make(map[core.Sample]bool, nHold+canarySamples)
+	canary := make([]core.Sample, 0, nHold+canarySamples)
 	for _, i := range perm[:nHold] {
 		if !excluded[res[i]] {
 			excluded[res[i]] = true
@@ -331,7 +323,7 @@ func (c *Controller) startEpisode() {
 	}
 	// The live-stream proxy: the most recent submissions join the canary set
 	// and are likewise excluded from training.
-	streamFrom := len(recent) - c.cfg.CanarySamples
+	streamFrom := len(recent) - canarySamples
 	if streamFrom < 0 {
 		streamFrom = 0
 	}
@@ -372,7 +364,7 @@ func (c *Controller) startEpisode() {
 // Runs on its own goroutine; serving never blocks behind it.
 func (c *Controller) runEpisode(train, canary []core.Sample) {
 	defer c.retrainWG.Done()
-	ctx, cancel := context.WithTimeout(c.ctx, c.cfg.RetrainTimeout)
+	ctx, cancel := context.WithTimeout(c.ctx, retrainTimeout)
 	defer cancel()
 
 	shadow := core.NewTrainer(train)
@@ -450,11 +442,11 @@ func (c *Controller) promote(candidate *core.Snapshot, train []core.Sample) {
 func (c *Controller) beginCooldown(reason string) {
 	c.rollbackRun++
 	cool := c.cfg.CooldownBase
-	for i := 1; i < c.rollbackRun && cool < c.cfg.CooldownMax; i++ {
+	for i := 1; i < c.rollbackRun && cool < cooldownMax; i++ {
 		cool *= 2
 	}
-	if cool > c.cfg.CooldownMax {
-		cool = c.cfg.CooldownMax
+	if cool > cooldownMax {
+		cool = cooldownMax
 	}
 	cool += c.jitter.Intn(cool/4 + 1)
 	c.cooldownUntil = c.submissions + uint64(cool)

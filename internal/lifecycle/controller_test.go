@@ -53,9 +53,9 @@ func newLiveTrainer(t testing.TB) *core.Trainer {
 // a full episode.
 func episodeConfig(seed uint64) Config {
 	return Config{
-		// Boundary at Target+Slack = 0.25: the incumbent's ~5% clean error
-		// and a promoted candidate's ~15-20% sit under it, the ~37% error of
-		// a x1.6 regime shift sits far over it.
+		// Boundary at Target = 0.2: the incumbent's ~5% clean error and a
+		// promoted candidate's ~15% sit under it, the ~37% error of a x1.6
+		// regime shift sits far over it.
 		Drift:        DriftConfig{Target: 0.2},
 		MinProfiles:  10,
 		MinTrainRows: 24,
@@ -341,7 +341,9 @@ func TestLifecycleFlatMemoryAt100k(t *testing.T) {
 
 // TestLifecycleDeterministicReplay runs the same promotion episode twice
 // from scratch and requires bit-identical transition sequences and decision
-// counters — the "every decision deterministic given a seed" contract.
+// counters — the "every decision deterministic given a seed" contract. The
+// first run must also match the recorded log and final status, so a change
+// to a controller or detector constant cannot shift a decision unnoticed.
 func TestLifecycleDeterministicReplay(t *testing.T) {
 	_, stream := fixtures(t)
 	run := func() ([]string, Status) {
@@ -360,6 +362,26 @@ func TestLifecycleDeterministicReplay(t *testing.T) {
 		return transitions, c.Status()
 	}
 	t1, s1 := run()
+	wantLog := []string{
+		"stable->drift-suspected: drift detector tripped",
+		"drift-suspected->gathering: drift confirmed",
+		"gathering->retraining: retrain #1: 24 train rows, 14 canary rows",
+		"retraining->canary: candidate trained, scoring canary",
+		"canary->stable: promoted candidate (canary 14.6% vs incumbent 36.1%)",
+	}
+	wantStatus := Status{
+		State: "stable", Submissions: 90, ErrEWMA: 0.19305482284259726,
+		ReservoirLen: 64, ReservoirCap: 64, RingLen: 32, RingCap: 32,
+		FreshSamples: 25, Retrains: 1, Promotions: 1,
+		CanaryErr: 0.14587364100557046, IncumbentErr: 0.36087795373565545,
+		LastRung: "stepwise", LastOutcome: "promoted",
+	}
+	if fmt.Sprint(t1) != fmt.Sprint(wantLog) {
+		t.Errorf("transition log:\n%q\nwant\n%q", t1, wantLog)
+	}
+	if s1 != wantStatus {
+		t.Errorf("final status:\n%+v\nwant\n%+v", s1, wantStatus)
+	}
 	t2, s2 := run()
 	if len(t1) != len(t2) {
 		t.Fatalf("replay produced %d transitions vs %d:\n%v\nvs\n%v", len(t1), len(t2), t1, t2)

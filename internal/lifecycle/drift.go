@@ -2,44 +2,36 @@ package lifecycle
 
 import "math"
 
+// The detector's fixed settings.
+const (
+	// driftAlpha is the EWMA smoothing factor over |relative error|: roughly
+	// a 10-observation memory, matching the paper's 10–20 fresh profiles per
+	// update.
+	driftAlpha = 0.1
+	// driftWarmup is how many observations must arrive before the detector
+	// may trip: the EWMA needs seeding before it means anything.
+	driftWarmup = 10
+)
+
 // DriftConfig tunes the streaming drift detector. The zero value is replaced
 // by withDefaults; all fields are plain numbers so a detector's behavior is a
 // pure function of the observation stream.
 type DriftConfig struct {
-	// Alpha is the EWMA smoothing factor over |relative error| (default 0.1:
-	// roughly a 10-observation memory, matching the paper's 10–20 fresh
-	// profiles per update).
-	Alpha float64
 	// Target is the error level considered healthy (default 0.15, the paper's
-	// 15% ErrThreshold from the update protocol in §3.3).
+	// 15% ErrThreshold from the update protocol in §3.3). Smoothed error
+	// above it accumulates into the CUSUM statistic.
 	Target float64
-	// Slack is extra tolerance above Target before error accumulates into the
-	// CUSUM statistic (default 0.05): brief excursions decay instead of
-	// tripping the detector.
-	Slack float64
 	// Threshold is the CUSUM level that trips the detector (default 1.0 —
-	// about ten consecutive observations running 10 points over Target+Slack).
+	// about ten consecutive observations running 10 points over Target).
 	Threshold float64
-	// Warmup is how many observations must arrive before the detector may
-	// trip (default 10): the EWMA needs seeding before it means anything.
-	Warmup int
 }
 
 func (c DriftConfig) withDefaults() DriftConfig {
-	if c.Alpha <= 0 || c.Alpha > 1 {
-		c.Alpha = 0.1
-	}
 	if c.Target <= 0 {
 		c.Target = 0.15
 	}
-	if c.Slack < 0 {
-		c.Slack = 0.05
-	}
 	if c.Threshold <= 0 {
 		c.Threshold = 1.0
-	}
-	if c.Warmup <= 0 {
-		c.Warmup = 10
 	}
 	return c
 }
@@ -47,7 +39,7 @@ func (c DriftConfig) withDefaults() DriftConfig {
 // Detector watches a stream of prediction-vs-observed relative errors and
 // trips when the smoothed error has run persistently above the healthy
 // target: an EWMA filters per-sample jitter, and a one-sided CUSUM
-// accumulates how far the smoothed error exceeds Target+Slack, so a regime
+// accumulates how far the smoothed error exceeds Target, so a regime
 // shift (sustained excess) trips while an isolated outlier decays. Fully
 // deterministic in the observation stream; not internally locked (the
 // Controller serializes Observe under its mutex).
@@ -75,16 +67,16 @@ func (d *Detector) Observe(relErr float64) bool {
 	if d.n == 1 {
 		d.ewma = relErr
 	} else {
-		d.ewma = d.cfg.Alpha*relErr + (1-d.cfg.Alpha)*d.ewma
+		d.ewma = driftAlpha*relErr + (1-driftAlpha)*d.ewma
 	}
-	d.cusum = math.Max(0, d.cusum+d.ewma-(d.cfg.Target+d.cfg.Slack))
+	d.cusum = math.Max(0, d.cusum+d.ewma-d.cfg.Target)
 	return d.Tripped()
 }
 
 // Tripped reports whether the accumulated excess error has crossed the
 // threshold (after warmup).
 func (d *Detector) Tripped() bool {
-	return d.n >= d.cfg.Warmup && d.cusum >= d.cfg.Threshold
+	return d.n >= driftWarmup && d.cusum >= d.cfg.Threshold
 }
 
 // Reset clears the CUSUM accumulator and warmup counter after a promotion or

@@ -48,7 +48,7 @@ func TestDetectorIgnoresIsolatedOutlier(t *testing.T) {
 }
 
 func TestDetectorWarmupSuppressesEarlyTrips(t *testing.T) {
-	d := NewDetector(DriftConfig{Warmup: 10})
+	d := NewDetector(DriftConfig{})
 	for i := 0; i < 9; i++ {
 		if d.Observe(2.0) {
 			t.Fatalf("observation %d: tripped before warmup", i+1)

@@ -24,7 +24,7 @@ type Batcher interface {
 	// must be at least len(xs).
 	PredictMany(ctx context.Context, xs []profile.Characteristics, hws []hwspace.Config, out []float64) error
 	// Queued reports the predictions sitting in the batcher's queue; the
-	// registry sums it across entries for aggregate load shedding.
+	// registry sums it across entries for the queue-depth gauges.
 	Queued() int
 	// Close drains the batcher: accepted predictions are answered, new ones
 	// rejected.
@@ -64,7 +64,6 @@ func (d directBatcher) Close()      {}
 // Register/RegisterTrainer and owned by the Registry; Close drains them.
 type Entry struct {
 	spec      Spec
-	reg       *Registry
 	trainer   *core.Trainer
 	lifecycle *lifecycle.Controller // nil unless Spec.Lifecycle enables it
 	batcher   Batcher
@@ -102,22 +101,13 @@ func (e *Entry) Matches(app string) bool {
 	return e.spec.Application == "" || e.spec.Application == app
 }
 
-// Predict answers one shard prediction through the entry's batcher, after
-// the registry-wide admission check (ErrOverloaded once aggregate queue
-// depth crosses Config.QueueBound).
+// Predict answers one shard prediction through the entry's batcher.
 func (e *Entry) Predict(ctx context.Context, x profile.Characteristics, hw hwspace.Config) (float64, error) {
-	if err := e.reg.admit(); err != nil {
-		return 0, err
-	}
 	return e.batcher.Predict(ctx, x, hw)
 }
 
-// PredictMany answers a whole batch through the entry's batcher under the
-// same registry-wide admission check as Predict.
+// PredictMany answers a whole batch through the entry's batcher.
 func (e *Entry) PredictMany(ctx context.Context, xs []profile.Characteristics, hws []hwspace.Config, out []float64) error {
-	if err := e.reg.admit(); err != nil {
-		return err
-	}
 	return e.batcher.PredictMany(ctx, xs, hws, out)
 }
 
@@ -142,9 +132,11 @@ func (e *Entry) QueueDepth() int { return e.batcher.Queued() }
 // model if none is in flight, bounded by timeout and by the entry's lifetime
 // (Unregister and Registry.Close cancel the update's context, so neither
 // waits out a training timeout). onDone (optional) receives the outcome; a
-// failed or cancelled update never replaces the served snapshot.
+// failed or cancelled update never replaces the served snapshot. An entry
+// with a control loop refuses: its samples feed the loop, not the trainer,
+// and the loop publishes only canary-checked candidates.
 func (e *Entry) TriggerUpdate(timeout time.Duration, onDone func(error)) bool {
-	if !e.updating.CompareAndSwap(false, true) {
+	if e.lifecycle != nil || !e.updating.CompareAndSwap(false, true) {
 		return false
 	}
 	e.updateWG.Add(1)

@@ -2,7 +2,7 @@
 // of named model entries keyed by (application, architecture-space). Each
 // entry owns its own trainer (and therefore its own atomic core.Snapshot),
 // its own prediction batcher, and an optional continuous-learning
-// controller. The registry routes work across entries three ways:
+// controller. The registry routes work across entries two ways:
 //
 //   - Resolve pins model-addressed requests ("/v2/models/{id}/...") to their
 //     entry, accepting an "app:<name>" alias that reaches the model built
@@ -14,9 +14,9 @@
 //     scope matches each sample — the paper's §2.1 insight that shard
 //     profiles are shared between applications, operationalized: one
 //     ingested profile feeds many training sets.
-//   - admit sheds predict traffic registry-wide (ErrOverloaded, HTTP 429
-//     upstream) once the aggregate queue depth across all entries crosses
-//     Config.QueueBound.
+//
+// Load shedding is per entry: each batcher's bounded queue rejects what it
+// cannot hold.
 package registry
 
 import (
@@ -41,9 +41,6 @@ var (
 	ErrExists = errors.New("registry: model already registered")
 	// ErrClosed is returned once the registry has shut down.
 	ErrClosed = errors.New("registry: registry is closed")
-	// ErrOverloaded is returned by predictions once the aggregate queue
-	// depth crosses Config.QueueBound (HTTP 429 upstream).
-	ErrOverloaded = errors.New("registry: aggregate prediction queue full")
 	// ErrModelLoad wraps snapshot-load failures during Register.
 	ErrModelLoad = errors.New("registry: loading model snapshot")
 )
@@ -91,15 +88,9 @@ func (s Spec) withDefaults() Spec {
 
 // Config configures a Registry. Every field is optional.
 type Config struct {
-	// QueueBound sheds predictions registry-wide once the aggregate queued
-	// predictions across all entries reach it; 0 disables the aggregate
-	// bound (per-batcher shedding still applies).
-	QueueBound int
 	// NewBatcher builds the prediction path of a new entry; nil uses the
 	// direct (unbatched) snapshot predictor.
 	NewBatcher func(e *Entry) Batcher
-	// OnShed, when non-nil, fires once per aggregate-bound shed.
-	OnShed func()
 	// OnChange, when non-nil, fires after every successful Register or
 	// Unregister (the serving layer persists its manifest here). It is
 	// called without the registry lock held.
@@ -107,7 +98,7 @@ type Config struct {
 }
 
 // Registry is a concurrent collection of model entries with scope-based
-// alias routing, shared-profile fan-out, and registry-wide load shedding.
+// alias routing and shared-profile fan-out.
 // Create with New, populate with Register/RegisterTrainer, and drain with
 // Close.
 type Registry struct {
@@ -155,7 +146,7 @@ func (r *Registry) RegisterTrainer(spec Spec, tr *core.Trainer) (*Entry, error) 
 	if spec.ID == "" {
 		return nil, errors.New("registry: spec needs a model id")
 	}
-	e := &Entry{spec: spec, reg: r, trainer: tr}
+	e := &Entry{spec: spec, trainer: tr}
 	e.ctx, e.cancel = context.WithCancel(r.baseCtx)
 	if spec.Lifecycle != nil {
 		e.lifecycle = lifecycle.NewController(tr, *spec.Lifecycle)
@@ -350,21 +341,6 @@ func (r *Registry) QueueDepth() int {
 		total += e.batcher.Queued()
 	}
 	return total
-}
-
-// admit applies the registry-wide load bound before a prediction enters an
-// entry's batcher.
-func (r *Registry) admit() error {
-	if r.cfg.QueueBound <= 0 {
-		return nil
-	}
-	if r.QueueDepth() >= r.cfg.QueueBound {
-		if r.cfg.OnShed != nil {
-			r.cfg.OnShed()
-		}
-		return ErrOverloaded
-	}
-	return nil
 }
 
 // Close drains the registry: in-flight updates are cancelled (their

@@ -243,7 +243,7 @@ func (b *batcher) exitSubmit() {
 }
 
 // Queued reports the jobs sitting in the queue; the registry sums it across
-// entries for aggregate load shedding.
+// entries for the queue-depth gauges.
 func (b *batcher) Queued() int { return len(b.queue) }
 
 // Close drains the batcher: it rejects new submissions, lets in-flight ones

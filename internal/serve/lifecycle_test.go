@@ -254,3 +254,34 @@ func TestLifecyclePromotionCarriesFamily(t *testing.T) {
 		t.Errorf("metrics missing %q", marker)
 	}
 }
+
+// TestLifecycleRefusesUpdateTrue: on an entry with a control loop, posted
+// samples go to the loop's bounded stores, so update:true has nothing new to
+// train on and its result would bypass the canary. The server refuses it and
+// the controller stays the only publisher.
+func TestLifecycleRefusesUpdateTrue(t *testing.T) {
+	tr := newTestTrainer(t)
+	s, ts := newTestServer(t, Config{Trainer: tr, Lifecycle: &lifecycle.Config{}})
+	gen := tr.Published().Generation
+	_, valid := testData(t)
+
+	req := hsmodel.SamplesRequest{Update: true}
+	for _, v := range valid[:8] {
+		req.Samples = append(req.Samples, hsmodel.SampleToWire(v))
+	}
+	resp, body := postJSON(t, ts.URL+"/v1/samples", req)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("samples: status %d: %s", resp.StatusCode, body)
+	}
+	var sr hsmodel.SamplesResponse
+	if err := json.Unmarshal(body, &sr); err != nil {
+		t.Fatal(err)
+	}
+	if sr.UpdateStarted {
+		t.Error("update:true started an unchecked retrain on a lifecycle entry")
+	}
+	s.Close() // waits out any update
+	if g := tr.Published().Generation; g != gen {
+		t.Errorf("generation %d -> %d: a model was published outside the control loop", gen, g)
+	}
+}

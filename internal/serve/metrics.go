@@ -143,7 +143,6 @@ type metrics struct {
 	reloads         atomic.Uint64
 	reloadErrors    atomic.Uint64
 	shedsTotal      atomic.Uint64 // predictions rejected on a full batcher queue
-	registrySheds   atomic.Uint64 // predictions rejected by the aggregate registry bound
 }
 
 func newMetrics() *metrics {
@@ -223,7 +222,6 @@ type modelScrape struct {
 // per-model section (unit tests driving writeTo directly).
 type registryScrape struct {
 	depth  int
-	bound  int
 	models []modelScrape
 }
 
@@ -357,12 +355,6 @@ func (m *metrics) writeRegistry(w io.Writer, reg *registryScrape) {
 	io.WriteString(w, "# HELP hsserve_registry_queue_depth Aggregate queued predictions across every entry's batcher.\n")
 	io.WriteString(w, "# TYPE hsserve_registry_queue_depth gauge\n")
 	fmt.Fprintf(w, "hsserve_registry_queue_depth %d\n", reg.depth)
-	io.WriteString(w, "# HELP hsserve_registry_queue_bound Aggregate shed threshold (0 = disabled).\n")
-	io.WriteString(w, "# TYPE hsserve_registry_queue_bound gauge\n")
-	fmt.Fprintf(w, "hsserve_registry_queue_bound %d\n", reg.bound)
-	io.WriteString(w, "# HELP hsserve_registry_sheds_total Predictions rejected by the aggregate registry bound (HTTP 429).\n")
-	io.WriteString(w, "# TYPE hsserve_registry_sheds_total counter\n")
-	fmt.Fprintf(w, "hsserve_registry_sheds_total %d\n", m.registrySheds.Load())
 
 	io.WriteString(w, "# HELP hsserve_registry_model_trained Whether the entry serves a model (1) or not (0), by model.\n")
 	io.WriteString(w, "# TYPE hsserve_registry_model_trained gauge\n")

@@ -82,16 +82,8 @@ type Config struct {
 	// 4*MaxBatch). When the queue is full the request is shed: answered 429
 	// with a Retry-After hint instead of blocking behind a saturated worker.
 	QueueDepth int
-	// QueueBound sheds predictions registry-wide: once the aggregate queued
-	// predictions across every entry reach it, new predictions on any entry
-	// answer 429 + Retry-After. 0 disables the aggregate bound (per-entry
-	// queue shedding still applies).
-	QueueBound int
 	// RequestTimeout bounds each request's context (default 5s).
 	RequestTimeout time.Duration
-	// UpdateTimeout bounds asynchronous re-specifications triggered by
-	// samples POSTs (default 5m).
-	UpdateTimeout time.Duration
 	// ModelPath, when non-empty, names the snapshot file Reload serves the
 	// default entry from.
 	ModelPath string
@@ -124,9 +116,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 5 * time.Second
-	}
-	if c.UpdateTimeout <= 0 {
-		c.UpdateTimeout = 5 * time.Minute
 	}
 	if c.Logger == nil {
 		c.Logger = log.New(io.Discard, "", 0)
@@ -162,9 +151,7 @@ func New(cfg Config) (*Server, error) {
 		metrics: newMetrics(),
 	}
 	s.reg = registry.New(registry.Config{
-		QueueBound: cfg.QueueBound,
 		NewBatcher: s.newEntryBatcher,
-		OnShed:     func() { s.metrics.registrySheds.Add(1) },
 		OnChange:   s.persistManifest,
 	})
 	def, err := s.reg.RegisterTrainer(registry.Spec{
@@ -437,7 +424,7 @@ func writeError(w http.ResponseWriter, err error) {
 		code = http.StatusServiceUnavailable
 	case errors.Is(err, ErrClosed), errors.Is(err, registry.ErrClosed):
 		code = http.StatusServiceUnavailable
-	case errors.Is(err, ErrOverloaded), errors.Is(err, registry.ErrOverloaded):
+	case errors.Is(err, ErrOverloaded):
 		// Shed, not queued: tell well-behaved clients when to come back.
 		w.Header().Set("Retry-After", "1")
 		code = http.StatusTooManyRequests
@@ -662,12 +649,17 @@ func (s *Server) handleLifecycle(w http.ResponseWriter, r *http.Request, e *regi
 	writeJSON(w, http.StatusOK, lc.Status())
 }
 
+// updateTimeout bounds an asynchronous re-specification triggered by a
+// samples POST.
+const updateTimeout = 5 * time.Minute
+
 // triggerUpdate starts one asynchronous re-specification of the entry if
-// none is in flight. The Trainer's snapshot semantics make the failure path
-// safe: an update that errors leaves the served snapshot untouched.
+// none is in flight and the entry has no control loop. The Trainer's
+// snapshot semantics make the failure path safe: an update that errors
+// leaves the served snapshot untouched.
 func (s *Server) triggerUpdate(e *registry.Entry) bool {
 	id := e.ID()
-	started := e.TriggerUpdate(s.cfg.UpdateTimeout, func(err error) {
+	started := e.TriggerUpdate(updateTimeout, func(err error) {
 		if err != nil {
 			s.metrics.updatesFailed.Add(1)
 			s.cfg.Logger.Printf("serve: async update failed (snapshot retained): model %q: %v", id, err)
@@ -754,7 +746,6 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 	status := hsmodel.RegistryStatus{
 		Models:     make([]hsmodel.ModelStatus, len(entries)),
 		QueueDepth: s.reg.QueueDepth(),
-		QueueBound: s.cfg.QueueBound,
 		Default:    hsmodel.DefaultModelID,
 	}
 	for i, e := range entries {
@@ -818,7 +809,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	entries := s.reg.Entries()
 	reg := &registryScrape{
 		depth:  s.reg.QueueDepth(),
-		bound:  s.cfg.QueueBound,
 		models: make([]modelScrape, len(entries)),
 	}
 	for i, e := range entries {

@@ -86,14 +86,15 @@ func (dm *DomainModel) Predict(r, c int, fill float64, cfg CacheConfig) float64 
 	return dm.Model.Predict(domainRow(Point{R: r, C: c, Fill: fill, Cfg: cfg}))
 }
 
+// valFrac is the fraction of sampled points held out to score the search's
+// candidate models.
+const valFrac = 0.25
+
 // TrainOptions configures domain-model training.
 type TrainOptions struct {
 	// Search configures the genetic search; domain models converge with a
 	// smaller effort than the 26-variable general models.
 	Search genetic.Params
-	// ValFrac is the internal validation fraction for search fitness
-	// (default 0.25).
-	ValFrac float64
 }
 
 func (o TrainOptions) withDefaults() TrainOptions {
@@ -102,9 +103,6 @@ func (o TrainOptions) withDefaults() TrainOptions {
 	}
 	if o.Search.Generations == 0 {
 		o.Search.Generations = 12
-	}
-	if o.ValFrac <= 0 || o.ValFrac >= 1 {
-		o.ValFrac = 0.25
 	}
 	return o
 }
@@ -123,15 +121,15 @@ func TrainDomainModel(ctx context.Context, matrix string, points []Point, resp R
 	}
 
 	// Deterministic train/validation split for search fitness.
-	nVal := int(float64(len(points)) * opts.ValFrac)
+	nVal := int(float64(len(points)) * valFrac)
 	if nVal < 1 {
 		return nil, fmt.Errorf("spmv: too few points (%d) to train", len(points))
 	}
 	var trainRows, valRows []int
 	for i := range points {
-		// Every (1/ValFrac)-th row validates; points were sampled uniformly
+		// Every (1/valFrac)-th row validates; points were sampled uniformly
 		// at random, so striding is an unbiased split.
-		if i%int(1/opts.ValFrac) == 0 {
+		if i%int(1/valFrac) == 0 {
 			valRows = append(valRows, i)
 		} else {
 			trainRows = append(trainRows, i)

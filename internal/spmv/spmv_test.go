@@ -393,3 +393,29 @@ func TestStudySampleGolden(t *testing.T) {
 		}
 	}
 }
+
+// TestTrainDomainModelGolden pins one domain-model search bit for bit: the
+// final coefficients, the chosen spec, its fitness and the evaluation count.
+func TestTrainDomainModelGolden(t *testing.T) {
+	spec, err := ByName("bayer02")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dm, err := TrainDomainModel(context.Background(), spec.Name, NewStudy(spec.Scaled(8)).Sample(120, 5), PredictMFlops, TrainOptions{
+		Search: genetic.Params{PopulationSize: 12, Generations: 4, Seed: 9},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	var b [8]byte
+	fmt.Fprintf(h, "%s|%d|", dm.Model.Spec, dm.Searched)
+	for _, f := range append([]float64{dm.Fitness}, dm.Model.Coef...) {
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(f))
+		h.Write(b[:])
+	}
+	const want = "9f2aa4d106d887ef3032ae3e3843095d2a3e8d5392e693a948c7535be63d4e01"
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Errorf("domain model hash %s, want %s", got, want)
+	}
+}

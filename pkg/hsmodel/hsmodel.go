@@ -55,7 +55,7 @@ type (
 	// architectures. ShardLen and ShardPool are its only fields; it keeps
 	// no state between calls.
 	Collector = core.Collector
-	// FitnessConfig tunes the per-application fitness splits (Section 3.3).
+	// FitnessConfig seeds the per-application fitness splits (Section 3.3).
 	FitnessConfig = core.FitnessConfig
 	// SearchParams configures the genetic model search.
 	SearchParams = genetic.Params
@@ -99,17 +99,16 @@ type (
 	SelectionResult = core.SelectionResult
 	// Registry is the multi-model serving core: named entries — each with
 	// its own trainer, snapshot, batcher, and optional lifecycle — behind
-	// scope-based "app:<name>" aliases, shared-profile fan-out, and
-	// registry-wide load shedding. hsserve builds one per server;
-	// in-process embedders build their own with NewRegistry.
+	// scope-based "app:<name>" aliases and shared-profile fan-out. hsserve
+	// builds one per server; in-process embedders build their own with
+	// NewRegistry.
 	Registry = registry.Registry
 	// RegistryEntry is one registered model inside a Registry.
 	RegistryEntry = registry.Entry
 	// RegistrySpec declares one entry (the in-process form of the wire
 	// RegisterRequest and of one manifest element).
 	RegistrySpec = registry.Spec
-	// RegistryConfig tunes a Registry (aggregate queue bound, batcher
-	// factory and change hooks).
+	// RegistryConfig tunes a Registry (batcher factory and change hook).
 	RegistryConfig = registry.Config
 )
 
@@ -152,10 +151,9 @@ var (
 	ErrAllFamiliesFailed = core.ErrAllFamiliesFailed
 	// Registry failure modes (errors.Is-matchable through the wire only via
 	// StatusError codes; in-process via these sentinels).
-	ErrModelNotFound    = registry.ErrNotFound
-	ErrModelExists      = registry.ErrExists
-	ErrRegistryClosed   = registry.ErrClosed
-	ErrRegistryOverload = registry.ErrOverloaded
+	ErrModelNotFound  = registry.ErrNotFound
+	ErrModelExists    = registry.ErrExists
+	ErrRegistryClosed = registry.ErrClosed
 )
 
 // Option configures a Trainer at construction; see New.
@@ -170,12 +168,6 @@ func New(samples []Sample, opts ...Option) *Trainer {
 		o(t)
 	}
 	return t
-}
-
-// WithFitness overrides the per-application fitness configuration (training
-// fraction, weight, parsimony penalty, split seed).
-func WithFitness(fc FitnessConfig) Option {
-	return func(t *Trainer) { t.Fitness = fc }
 }
 
 // WithSeed determinizes both the genetic search and the per-application

@@ -10,12 +10,10 @@ import (
 )
 
 func TestOptionsApply(t *testing.T) {
-	fc := FitnessConfig{TrainFrac: 0.5, Weight: 3, Seed: 11}
 	tr := New(nil,
 		WithSeed(9),
 		WithPopulation(17),
 		WithGenerations(4),
-		WithFitness(fc),
 		WithLogResponse(false),
 		WithStabilize(false),
 		WithShardLen(12_345),
@@ -23,8 +21,8 @@ func TestOptionsApply(t *testing.T) {
 	if tr.Search.Seed != 9 || tr.Search.PopulationSize != 17 || tr.Search.Generations != 4 {
 		t.Errorf("search params not applied: %+v", tr.Search)
 	}
-	if tr.Fitness != fc {
-		t.Errorf("fitness = %+v, want %+v", tr.Fitness, fc)
+	if tr.Fitness.Seed != 9 {
+		t.Errorf("fitness seed %d, want 9 from WithSeed", tr.Fitness.Seed)
 	}
 	if tr.LogResponse || tr.Stabilize || tr.ShardLen != 12_345 {
 		t.Errorf("flags not applied: log=%v stab=%v shardlen=%d", tr.LogResponse, tr.Stabilize, tr.ShardLen)

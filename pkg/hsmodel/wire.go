@@ -230,10 +230,8 @@ type ModelStatus struct {
 // registry-wide load state.
 type RegistryStatus struct {
 	Models []ModelStatus `json:"models"`
-	// QueueDepth is the aggregate queued predictions across entries;
-	// QueueBound is the shed threshold (0 = aggregate bound disabled).
+	// QueueDepth is the aggregate queued predictions across entries.
 	QueueDepth int `json:"queue_depth"`
-	QueueBound int `json:"queue_bound,omitempty"`
 	// Default is the reserved entry id the /v1 routes alias.
 	Default string `json:"default"`
 }
