@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build fmt vet test race lint lint-fix lint-sarif bench-build bench-smoke bench-collect fig5 serve-smoke families-smoke registry-smoke ci
+.PHONY: build fmt vet test race lint lint-fix lint-sarif bench-build bench-smoke bench-collect fig5 serve-smoke families-smoke registry-smoke smoke-names ci
 
 build:
 	$(GO) build ./...
@@ -88,20 +88,35 @@ fig5:
 # one promotion; a transient x3 shift gives exactly one rollback and ends in
 # cooldown). `make test` and `make race` already run them; this target runs
 # just these.
-SERVE_SMOKE_TESTS := ^(TestPredictBitIdenticalToSnapshot|TestBatchCoalescing|TestV1SamplesFanOut|TestModelInfoAndMetricsPage|TestLifecycleHTTPEpisode|TestLifecycleRollbackOnRegression)$$
+SERVE_SMOKE_TESTS := ^(TestPredictBitIdenticalToSnapshot|TestBatchCoalescing|TestSamplesFanOut|TestModelInfoAndMetricsPage|TestLifecycleHTTPEpisode|TestLifecycleRollbackOnRegression)$$
 
 serve-smoke:
 	$(GO) test -count=1 -run '$(SERVE_SMOKE_TESTS)' ./internal/serve ./internal/lifecycle
 
 # registry-smoke runs the multi-model serving tests over httptest loopback:
-# /v1/samples fan-out accounting per entry, a non-default entry retraining
-# through its /v2 samples route, the "app:<name>" alias, v1/v2 bit-parity,
-# register/unregister with manifest persistence, manifest boot, and the
+# fan_out samples accounting per entry, a non-default entry retraining
+# through its own samples route, the "app:<name>" alias, the default entry's
+# bit-identical canonical predict bodies, register/unregister with manifest
+# persistence, manifest boot, a manifest entry's lifecycle route, and the
 # per-model metrics series. `make test` and `make race` already run them.
-REGISTRY_SMOKE_TESTS := ^(TestV1SamplesFanOut|TestV1V2Parity|TestRegisterUnregisterHTTP|TestManifestBoot|TestRegistryMetricsPage)$$
+REGISTRY_SMOKE_TESTS := ^(TestSamplesFanOut|TestPredictCanonicalEncoding|TestRegisterUnregisterHTTP|TestManifestBoot|TestLifecycleRouteOnManifestEntry|TestRegistryMetricsPage)$$
 
 registry-smoke:
 	$(GO) test -count=1 -run '$(REGISTRY_SMOKE_TESTS)' ./internal/serve
+
+# smoke-names fails when a name in SERVE_SMOKE_TESTS or REGISTRY_SMOKE_TESTS
+# is not a test that `go test -list` reports for the packages its target
+# runs: the lists select by regex, so a renamed or deleted test would
+# otherwise drop out of its smoke run without a word.
+smoke-names:
+	@check() { \
+		listed="$$($(GO) test -list . $$2)" || { echo "$$listed"; exit 1; }; \
+		for name in $$(echo "$$1" | tr -d '^()$$' | tr '|' ' '); do \
+			echo "$$listed" | grep -qx "$$name" || { echo "smoke-names: $$name is not a test in $$2"; exit 1; }; \
+		done; \
+	}; \
+	check '$(SERVE_SMOKE_TESTS)' './internal/serve ./internal/lifecycle' && \
+	check '$(REGISTRY_SMOKE_TESTS)' ./internal/serve
 
 # families-smoke runs the model-family selection harness end to end on the
 # spmv domain corpus: all three built-in families (spline, residual, dal)
@@ -111,11 +126,12 @@ families-smoke:
 	$(GO) test -run TestFamiliesSmoke -v ./internal/core
 
 # ci is the gate: compile, formatting (gofmt), static analysis (go vet plus
-# the repo's own hslint invariant checks), plain tests, then the race
+# the repo's own hslint invariant checks), the smoke lists' test names
+# (smoke-names), plain tests, then the race
 # detector over the whole tree (the parallel fitness pool, the lock-free
 # snapshot swaps, and the fault-injection schedules are the usual suspects),
 # the benchmark harness build (bench-build), and the exact Figure 5
 # convergence figures (fig5). The serving and registry smoke tests and the
 # family-selection smoke test (TestFamiliesSmoke) are part of test and race;
 # families-smoke stays as a target for running that one test locally.
-ci: build fmt vet lint bench-build fig5 test race
+ci: build fmt vet lint smoke-names bench-build fig5 test race

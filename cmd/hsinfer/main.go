@@ -12,10 +12,10 @@
 // service speaks (PredictResponse, ModelInfo, ErrorResponse), so scripted
 // consumers can switch between the CLI and the service without reparsing.
 // With -addr, predict and model drive a live hsserve instead of a local
-// snapshot file — the legacy /v1 routes by default, or one entry of the
-// multi-model registry when -model-id names it (an exact id, or the
-// "app:<name>" alias for the entry scoped to that application, else the
-// wildcard entry):
+// snapshot file, addressing one entry of the server's model registry:
+// -model-id names it (an exact id, or the "app:<name>" alias for the entry
+// scoped to that application, else the wildcard entry) and defaults to the
+// server's own "default" entry:
 //
 //	hsinfer predict -addr http://localhost:8080 -app astar -shard 3
 //	hsinfer model   -addr http://localhost:8080 -model-id app:bzip2
@@ -199,7 +199,7 @@ func cmdPredict(args []string) error {
 	fs := flag.NewFlagSet("predict", flag.ExitOnError)
 	modelPath := fs.String("model", "model.json", "trained model path")
 	addr := fs.String("addr", "", "ask a live hsserve at this base URL instead of loading -model")
-	modelID := fs.String("model-id", "", "with -addr: the registry entry to address over /v2 (exact id or app:<name>; empty = the /v1 default)")
+	modelID := fs.String("model-id", hsmodel.DefaultModelID, "with -addr: the registry entry to address (exact id or app:<name>)")
 	appName := fs.String("app", "astar", "application name")
 	shard := fs.Int("shard", 0, "shard index")
 	shardLen := fs.Int("shardlen", hsmodel.DefaultShardLen, "with -addr: shard length in instructions (local mode uses the model's)")
@@ -241,7 +241,7 @@ func predict(modelPath, addr, modelID, appName string, shard, shardLen int, arch
 	if addr == "" {
 		pred, err = snap.PredictShard(p.X, hw)
 	} else {
-		client := hsmodel.NewClient(addr, hsmodel.WithModelID(modelID))
+		client := hsmodel.NewClient(addr).Model(modelID)
 		var resp hsmodel.PredictResponse
 		resp, err = client.Predict(context.Background(), hsmodel.PredictRequest{X: p.X[:], Config: &hw})
 		pred = resp.CPI
@@ -267,7 +267,7 @@ func cmdModel(args []string) error {
 	fs := flag.NewFlagSet("model", flag.ExitOnError)
 	modelPath := fs.String("model", "model.json", "trained model path")
 	addr := fs.String("addr", "", "ask a live hsserve at this base URL instead of loading -model")
-	modelID := fs.String("model-id", "", "with -addr: the registry entry to address over /v2 (exact id or app:<name>; empty = the /v1 default)")
+	modelID := fs.String("model-id", hsmodel.DefaultModelID, "with -addr: the registry entry to address (exact id or app:<name>)")
 	asJSON := fs.Bool("json", false, "emit the wire-schema ModelInfo (errors as ErrorResponse)")
 	fs.Parse(args)
 
@@ -284,10 +284,7 @@ func cmdModel(args []string) error {
 	}
 	source := *modelPath
 	if *addr != "" {
-		source = *addr
-		if info.Model != "" {
-			source += " model " + info.Model
-		}
+		source = *addr + " model " + info.Model
 	}
 	fmt.Printf("model %s\n", source)
 	if info.Application != "" {
@@ -320,10 +317,10 @@ func cmdModel(args []string) error {
 }
 
 // modelInfo assembles the wire ModelInfo either from a local snapshot file or
-// from a live server's /v1/model or /v2/models/{id}/model route.
+// from a live server's /v2/models/{id}/model route.
 func modelInfo(modelPath, addr, modelID string) (hsmodel.ModelInfo, error) {
 	if addr != "" {
-		client := hsmodel.NewClient(addr, hsmodel.WithModelID(modelID))
+		client := hsmodel.NewClient(addr).Model(modelID)
 		return client.ModelInfo(context.Background())
 	}
 	snap, err := hsmodel.LoadSnapshot(modelPath)

@@ -7,7 +7,11 @@
 //	hsserve -model model.json                   serve a persisted snapshot
 //	hsserve -bootstrap -samples 40 -apps 3      train in-process, then serve
 //	hsserve -models fleet.json                  multi-model registry from a manifest
-//	hsserve -lifecycle -bootstrap               continuous learning on /v1/samples
+//	hsserve -lifecycle -bootstrap               continuous learning on the default model
+//
+// The server's own model is the registry entry "default", addressed as
+// /v2/models/default/... like every other entry. -lifecycle needs a model to
+// start from: -bootstrap or -model.
 //
 // SIGHUP hot-reloads the snapshot from -model without dropping requests;
 // SIGINT/SIGTERM shut down gracefully, draining in-flight batches.
@@ -42,7 +46,7 @@ func main() {
 	maxBatch := flag.Int("max-batch", 32, "batcher jobs coalesced into one flush (a predict:batch request is one job)")
 	maxWait := flag.Duration("max-wait", 2*time.Millisecond, "batcher wait to fill a batch")
 	timeout := flag.Duration("timeout", 5*time.Second, "per-request timeout")
-	lifecycleOn := flag.Bool("lifecycle", false, "run the continuous-learning control loop on /v1/samples (bounded stores, drift detection, canary-gated retrains)")
+	lifecycleOn := flag.Bool("lifecycle", false, "run the continuous-learning control loop on the default model's samples (bounded stores, drift detection, canary-gated retrains; needs -bootstrap or -model)")
 	driftThreshold := flag.Float64("drift-threshold", 0, "lifecycle: accumulated excess error (CUSUM mass) that trips the drift detector (0 = default)")
 	minProfiles := flag.Int("min-profiles", 0, "lifecycle: fresh post-drift profiles required before a shadow retrain (0 = default)")
 	canaryTolerance := flag.Float64("canary-tolerance", 0, "lifecycle: relative slack a candidate gets on the canary set before promotion (0 = default)")
@@ -75,11 +79,13 @@ func main() {
 		}
 		lc.Drift.Threshold = *driftThreshold
 		scfg.Lifecycle = &lc
-		logger.Println("lifecycle: continuous learning enabled on /v1/samples")
 	}
 	srv, err := serve.New(scfg)
 	if err != nil {
 		logger.Fatal(err)
+	}
+	if *lifecycleOn {
+		logger.Println("lifecycle: continuous learning enabled on /v2/models/default/samples")
 	}
 	if *modelPath != "" {
 		// Initial load uses the same guarded path as SIGHUP: a bad file is
@@ -90,7 +96,7 @@ func main() {
 		}
 	}
 	if !tr.Snapshot().Trained() {
-		logger.Println("no model yet: predictions answer 503 until /v1/samples+update, -model reload, or -bootstrap")
+		logger.Println("no model yet: predictions answer 503 until /v2/models/default/samples+update, -model reload, or -bootstrap")
 	}
 
 	hs := &http.Server{Addr: *addr, Handler: srv.Handler()}

@@ -162,7 +162,7 @@ func (m *Trainer) Adopt(s *Snapshot) { m.publish(s) }
 func (m *Trainer) publish(s *Snapshot) {
 	for {
 		prev := m.pub.Load()
-		//hslint:ignore determinism publish time is provenance for /metrics and /v1/model, never an input to a fit or search
+		//hslint:ignore determinism publish time is provenance for /metrics and the model route, never an input to a fit or search
 		next := &Publication{Snapshot: s, Generation: 1, At: time.Now()}
 		if prev != nil {
 			next.Generation = prev.Generation + 1

@@ -53,7 +53,7 @@ type Model interface {
 	// change. Implementations allocate nothing in steady state (internal
 	// scratch is pooled) and are safe for concurrent use like Predict.
 	PredictBatch(rows [][]float64, out []float64)
-	// Describe reports human-readable provenance for CLIs and /v1/model.
+	// Describe reports human-readable provenance for CLIs and the model route.
 	Describe() Description
 	// Payload serializes the model for persistence; Family.Load inverts it.
 	Payload() (json.RawMessage, error)

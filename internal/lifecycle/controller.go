@@ -158,7 +158,7 @@ func (c Config) withDefaults() Config {
 }
 
 // Status is a point-in-time view of the control loop, served by
-// GET /v1/lifecycle and mirrored into /metrics.
+// GET /v2/models/{id}/lifecycle and mirrored into /metrics.
 type Status struct {
 	State             string  `json:"state"`
 	Submissions       uint64  `json:"submissions"`

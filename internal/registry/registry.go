@@ -43,6 +43,11 @@ var (
 	ErrClosed = errors.New("registry: registry is closed")
 	// ErrModelLoad wraps snapshot-load failures during Register.
 	ErrModelLoad = errors.New("registry: loading model snapshot")
+	// ErrLifecycleNoModel is returned by RegisterTrainer for a spec that
+	// attaches a control loop to an untrained trainer with no ModelPath to
+	// load one from: the loop observes drift only through a trained
+	// snapshot and refuses update:true, so nothing would ever train it.
+	ErrLifecycleNoModel = errors.New("registry: a lifecycle entry needs a trained model or a model path")
 )
 
 // DefaultArchSpace names the architecture space entries model unless the
@@ -53,7 +58,7 @@ const DefaultArchSpace = "table2"
 // RegisterRequest and of one manifest element.
 type Spec struct {
 	// ID is the registry key (required; "default" is reserved by the serving
-	// layer for the v1 alias entry).
+	// layer for its own trainer's entry).
 	ID string
 	// Application scopes the entry's sample fan-out: only samples whose App
 	// matches are absorbed. Empty matches every application.
@@ -139,12 +144,17 @@ func (r *Registry) Register(spec Spec) (*Entry, error) {
 }
 
 // RegisterTrainer registers an entry around an existing trainer — the
-// serving layer uses it to alias its bootstrap trainer as the reserved
-// "default" entry. The trainer must not already be registered.
+// serving layer uses it to register its bootstrap trainer as the reserved
+// "default" entry. The trainer must not already be registered. A spec with
+// a Lifecycle needs a trained trainer or a ModelPath the caller loads from
+// (ErrLifecycleNoModel).
 func (r *Registry) RegisterTrainer(spec Spec, tr *core.Trainer) (*Entry, error) {
 	spec = spec.withDefaults()
 	if spec.ID == "" {
 		return nil, errors.New("registry: spec needs a model id")
+	}
+	if spec.Lifecycle != nil && spec.ModelPath == "" && !tr.Trained() {
+		return nil, fmt.Errorf("%w: %q", ErrLifecycleNoModel, spec.ID)
 	}
 	e := &Entry{spec: spec, trainer: tr}
 	e.ctx, e.cancel = context.WithCancel(r.baseCtx)

@@ -12,6 +12,7 @@ import (
 
 	"hsmodel/internal/core"
 	"hsmodel/internal/genetic"
+	"hsmodel/internal/lifecycle"
 	"hsmodel/internal/regress"
 	"hsmodel/internal/trace"
 )
@@ -91,6 +92,27 @@ func TestRegisterResolveUnregister(t *testing.T) {
 	}
 	if err := r.Unregister("m-bzip2"); !errors.Is(err, ErrClosed) {
 		t.Fatalf("unregister after close: %v, want ErrClosed", err)
+	}
+}
+
+// TestRegisterLifecycleNeedsModel: a control loop on an untrained trainer
+// with no model path is refused and leaves nothing registered; a trained
+// trainer, or a model path the caller loads from, is accepted.
+func TestRegisterLifecycleNeedsModel(t *testing.T) {
+	r := New(Config{})
+	defer r.Close()
+	lc := &lifecycle.Config{}
+	if _, err := r.RegisterTrainer(Spec{ID: "m-lc", Lifecycle: lc}, core.NewTrainer(nil)); !errors.Is(err, ErrLifecycleNoModel) {
+		t.Fatalf("untrained lifecycle entry: err %v, want ErrLifecycleNoModel", err)
+	}
+	if r.Len() != 0 {
+		t.Fatalf("refused entry left %d entries", r.Len())
+	}
+	if _, err := r.RegisterTrainer(Spec{ID: "m-path", ModelPath: "model.json", Lifecycle: lc}, core.NewTrainer(nil)); err != nil {
+		t.Fatalf("untrained lifecycle entry with a model path: %v", err)
+	}
+	if _, err := r.RegisterTrainer(Spec{ID: "m-trained", Lifecycle: lc}, trainedTrainer(t, 3)); err != nil {
+		t.Fatalf("trained lifecycle entry: %v", err)
 	}
 }
 

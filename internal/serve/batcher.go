@@ -52,12 +52,11 @@ type predictJob struct {
 
 // batcherConfig carries the construction parameters of a batcher.
 type batcherConfig struct {
-	// maxBatch caps the jobs gathered into one flush (default 32).
+	// maxBatch caps the jobs gathered into one flush.
 	maxBatch int
-	// maxWait is the gather window after the first job of a flush arrives
-	// (default 2ms).
+	// maxWait is the gather window after the first job of a flush arrives.
 	maxWait time.Duration
-	// queueDepth bounds the queue (default 4*maxBatch).
+	// queueDepth bounds the queue.
 	queueDepth int
 	// snap loads the served snapshot (required).
 	snap func() *core.Snapshot
@@ -65,19 +64,6 @@ type batcherConfig struct {
 	observe func(batchSize int)
 	// onShed, when non-nil, fires once per shed submission.
 	onShed func()
-}
-
-func (c batcherConfig) withDefaults() batcherConfig {
-	if c.maxBatch <= 0 {
-		c.maxBatch = 32
-	}
-	if c.maxWait <= 0 {
-		c.maxWait = 2 * time.Millisecond
-	}
-	if c.queueDepth <= 0 {
-		c.queueDepth = 4 * c.maxBatch
-	}
-	return c
 }
 
 // batcher owns the bounded queue, its gather/flush worker, and the
@@ -117,7 +103,6 @@ type batcher struct {
 const minFlushChunk = 128
 
 func newBatcher(cfg batcherConfig) *batcher {
-	cfg = cfg.withDefaults()
 	chunk := cfg.maxBatch
 	if chunk < minFlushChunk {
 		chunk = minFlushChunk

@@ -2,7 +2,9 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"net/http"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -13,14 +15,15 @@ import (
 	"hsmodel/internal/family/spline"
 	"hsmodel/internal/faultinject"
 	"hsmodel/internal/lifecycle"
+	"hsmodel/internal/registry"
 	"hsmodel/internal/trace"
 	"hsmodel/pkg/hsmodel"
 )
 
-// postSample submits one core sample through POST /v1/samples.
+// postSample submits one core sample through POST /v2/models/default/samples.
 func postSample(t testing.TB, url string, s core.Sample) hsmodel.SamplesResponse {
 	t.Helper()
-	resp, body := postJSON(t, url+"/v1/samples", hsmodel.SamplesRequest{
+	resp, body := postJSON(t, url+"/v2/models/default/samples", hsmodel.SamplesRequest{
 		Samples: []hsmodel.SampleWire{hsmodel.SampleToWire(s)},
 	})
 	if resp.StatusCode != http.StatusOK {
@@ -35,7 +38,7 @@ func postSample(t testing.TB, url string, s core.Sample) hsmodel.SamplesResponse
 
 func lifecycleStatus(t testing.TB, url string) lifecycle.Status {
 	t.Helper()
-	resp, body := getBody(t, url+"/v1/lifecycle")
+	resp, body := getBody(t, url+"/v2/models/default/lifecycle")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("lifecycle: status %d: %s", resp.StatusCode, body)
 	}
@@ -46,11 +49,12 @@ func lifecycleStatus(t testing.TB, url string) lifecycle.Status {
 	return st
 }
 
-// driftUntilPromoted posts the stream through POST /v1/samples one profile
-// at a time under the x1.6 step shift the in-package promotion test uses,
-// until the loop reports a promotion. It waits out every in-flight episode
-// before the next post, so the submission order fully determines the
-// outcome. Only /v1/samples and /v1/lifecycle are requested.
+// driftUntilPromoted posts the stream through the default entry's samples
+// route one profile at a time under the x1.6 step shift the in-package
+// promotion test uses, until the loop reports a promotion. It waits out
+// every in-flight episode before the next post, so the submission order
+// fully determines the outcome. Only the default entry's samples and
+// lifecycle routes are requested.
 func driftUntilPromoted(t testing.TB, url string, stream []core.Sample) {
 	t.Helper()
 	sched := &faultinject.DriftSchedule{Segments: []faultinject.DriftSegment{{From: 1, Factor: 1.6}}}
@@ -75,10 +79,10 @@ func driftUntilPromoted(t testing.TB, url string, stream []core.Sample) {
 }
 
 // TestLifecyclePromotionAdvancesVersion: a promotion is a publish, counted
-// when it happens. Nothing scrapes /v1/model or /metrics from boot until a
-// promotion and a follow-up hot reload have both landed, and the served
-// version still counts all three publications: bootstrap train, promotion,
-// reload.
+// when it happens. Nothing scrapes the model route or /metrics from boot
+// until a promotion and a follow-up hot reload have both landed, and the
+// served version still counts all three publications: bootstrap train,
+// promotion, reload.
 func TestLifecyclePromotionAdvancesVersion(t *testing.T) {
 	tr := newTestTrainer(t)
 	path := filepath.Join(t.TempDir(), "model.json")
@@ -109,7 +113,7 @@ func TestLifecyclePromotionAdvancesVersion(t *testing.T) {
 	}
 
 	if v := modelInfo(t, ts.URL).SnapshotVersion; v != 3 {
-		t.Errorf("/v1/model snapshot_version %d, want 3", v)
+		t.Errorf("model snapshot_version %d, want 3", v)
 	}
 	_, body := getBody(t, ts.URL+"/metrics")
 	if v, ok := metricUint(string(body), "hsserve_snapshot_version"); !ok || v != 3 {
@@ -121,7 +125,7 @@ func TestLifecyclePromotionAdvancesVersion(t *testing.T) {
 // advertises the loop as absent.
 func TestLifecycleDisabledIs404(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	resp, _ := getBody(t, ts.URL+"/v1/lifecycle")
+	resp, _ := getBody(t, ts.URL+"/v2/models/default/lifecycle")
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("status %d with lifecycle disabled, want 404", resp.StatusCode)
 	}
@@ -130,7 +134,8 @@ func TestLifecycleDisabledIs404(t *testing.T) {
 // TestLifecycleHTTPEpisode drives a scripted drift episode end to end over
 // the wire: shifted samples trip the loop, a candidate is trained and
 // promoted, the trainer's own store stays flat (samples are routed into the
-// bounded stores), and both /v1/lifecycle and /metrics report the outcome.
+// bounded stores), and both the lifecycle route and /metrics report the
+// outcome.
 func TestLifecycleHTTPEpisode(t *testing.T) {
 	tr := newTestTrainer(t)
 	bootstrapRows := tr.NumSamples()
@@ -183,10 +188,10 @@ func TestLifecycleHTTPEpisode(t *testing.T) {
 	}
 }
 
-// modelInfo fetches and decodes GET /v1/model.
+// modelInfo fetches and decodes GET /v2/models/default/model.
 func modelInfo(t testing.TB, url string) hsmodel.ModelInfo {
 	t.Helper()
-	resp, body := getBody(t, url+"/v1/model")
+	resp, body := getBody(t, url+"/v2/models/default/model")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("model: status %d: %s", resp.StatusCode, body)
 	}
@@ -199,9 +204,10 @@ func modelInfo(t testing.TB, url string) hsmodel.ModelInfo {
 
 // TestLifecyclePromotionCarriesFamily: when the live trainer runs family
 // selection, a shadow-retrained candidate promoted by the lifecycle loop must
-// surface its family identity on the wire — GET /v1/model reports the family
-// and the selection scoreboard of the promoted snapshot, and /metrics labels
-// the served family — not the bootstrap model's provenance.
+// surface its family identity on the wire — GET /v2/models/default/model
+// reports the family and the selection scoreboard of the promoted snapshot,
+// and /metrics labels the served family — not the bootstrap model's
+// provenance.
 func TestLifecyclePromotionCarriesFamily(t *testing.T) {
 	tr := newTestTrainer(t)
 	// Restrict selection to the reference family so each retrain episode
@@ -269,7 +275,7 @@ func TestLifecycleRefusesUpdateTrue(t *testing.T) {
 	for _, v := range valid[:8] {
 		req.Samples = append(req.Samples, hsmodel.SampleToWire(v))
 	}
-	resp, body := postJSON(t, ts.URL+"/v1/samples", req)
+	resp, body := postJSON(t, ts.URL+"/v2/models/default/samples", req)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("samples: status %d: %s", resp.StatusCode, body)
 	}
@@ -284,4 +290,101 @@ func TestLifecycleRefusesUpdateTrue(t *testing.T) {
 	if g := tr.Published().Generation; g != gen {
 		t.Errorf("generation %d -> %d: a model was published outside the control loop", gen, g)
 	}
+}
+
+// TestLifecycleRouteOnManifestEntry: every entry with a control loop reports
+// its status on its own lifecycle route, a manifest entry included; an entry
+// without a loop answers 404.
+func TestLifecycleRouteOnManifestEntry(t *testing.T) {
+	tr := newTestTrainer(t)
+	dir := t.TempDir()
+	path := filepath.Join(dir, "model.json")
+	if err := tr.Save(path, 0); err != nil {
+		t.Fatal(err)
+	}
+	manifest := filepath.Join(dir, "fleet.json")
+	data, err := json.Marshal(hsmodel.Manifest{Models: []hsmodel.RegisterRequest{
+		{ID: "m-lc", ModelPath: path, Lifecycle: &hsmodel.LifecycleWire{Seed: 3}},
+		{ID: "m-plain"},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(manifest, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newTestServer(t, Config{Trainer: tr, ManifestPath: manifest})
+
+	_, valid := testData(t)
+	resp, body := postJSON(t, ts.URL+"/v2/models/m-lc/samples", hsmodel.SamplesRequest{
+		Samples: []hsmodel.SampleWire{hsmodel.SampleToWire(valid[0])},
+	})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("m-lc samples: status %d: %s", resp.StatusCode, body)
+	}
+	resp, body = getBody(t, ts.URL+"/v2/models/m-lc/lifecycle")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("m-lc lifecycle: status %d: %s", resp.StatusCode, body)
+	}
+	var st lifecycle.Status
+	if err := json.Unmarshal(body, &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.State != "stable" || st.Submissions != 1 {
+		t.Fatalf("m-lc lifecycle state %q, %d submissions, want stable, 1: %s", st.State, st.Submissions, body)
+	}
+	for _, id := range []string{"m-plain", "default"} {
+		if resp, body := getBody(t, ts.URL+"/v2/models/"+id+"/lifecycle"); resp.StatusCode != http.StatusNotFound {
+			t.Errorf("%s lifecycle without a loop: status %d, want 404: %s", id, resp.StatusCode, body)
+		}
+	}
+	_, page := getBody(t, ts.URL+"/metrics")
+	marker := `hsserve_model_requests_total{model="m-lc",endpoint="v2_lifecycle",code="200"} 1`
+	if !strings.Contains(string(page), marker) {
+		t.Errorf("metrics page missing %q", marker)
+	}
+}
+
+// TestLifecycleWithoutModelRefused: a control loop observes drift only
+// through a trained snapshot and refuses update:true, so an entry with a
+// loop and no model could never get one. Registration refuses it over the
+// wire (400, entry absent), in a manifest, and for the default entry; a
+// model path to load from is enough.
+func TestLifecycleWithoutModelRefused(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	resp, body := postJSON(t, ts.URL+"/v2/models", hsmodel.RegisterRequest{
+		ID: "m-lc", Population: 10, Generations: 2, Lifecycle: &hsmodel.LifecycleWire{},
+	})
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("register lifecycle entry without a model: status %d, want 400: %s", resp.StatusCode, body)
+	}
+	if resp, body := getBody(t, ts.URL+"/v2/models/m-lc/model"); resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("refused entry is registered: status %d: %s", resp.StatusCode, body)
+	}
+
+	dir := t.TempDir()
+	manifest := filepath.Join(dir, "fleet.json")
+	data, err := json.Marshal(hsmodel.Manifest{Models: []hsmodel.RegisterRequest{
+		{ID: "m-lc", Lifecycle: &hsmodel.LifecycleWire{}},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(manifest, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New(Config{Trainer: newTestTrainer(t), ManifestPath: manifest}); !errors.Is(err, registry.ErrLifecycleNoModel) {
+		t.Fatalf("manifest with a model-less lifecycle entry: err %v, want ErrLifecycleNoModel", err)
+	}
+
+	untrained := Config{Trainer: core.NewTrainer(nil), Lifecycle: &lifecycle.Config{}}
+	if _, err := New(untrained); !errors.Is(err, registry.ErrLifecycleNoModel) {
+		t.Fatalf("untrained default entry with a loop: err %v, want ErrLifecycleNoModel", err)
+	}
+	untrained.ModelPath = filepath.Join(dir, "model.json") // loaded by Reload later
+	s, err := New(untrained)
+	if err != nil {
+		t.Fatalf("untrained default entry with a loop and a model path: %v", err)
+	}
+	s.Close()
 }

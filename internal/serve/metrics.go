@@ -93,12 +93,12 @@ func formatBound(b float64) string {
 	return strconv.FormatFloat(b, 'g', -1, 64)
 }
 
-// endpoints served, in stable exposition order: the v1 family, the probes,
-// then the model-addressed v2 family.
+// endpoints served, in stable exposition order: the probes, then the
+// model-addressed v2 family.
 var endpointNames = []string{
-	"predict", "predict_batch", "samples", "model", "lifecycle", "healthz", "metrics",
+	"healthz", "metrics",
 	"v2_models", "v2_register", "v2_unregister",
-	"v2_predict", "v2_predict_batch", "v2_samples", "v2_model",
+	"v2_predict", "v2_predict_batch", "v2_samples", "v2_model", "v2_lifecycle",
 }
 
 // reqKey labels one requests_total series.
@@ -108,8 +108,7 @@ type reqKey struct {
 }
 
 // modelReqKey labels one model_requests_total series: the same counter as
-// requests_total, additionally split by the registry entry that served it
-// (v1 routes count against the reserved default entry).
+// requests_total, additionally split by the registry entry that served it.
 type modelReqKey struct {
 	model    string
 	endpoint string
@@ -264,7 +263,7 @@ func (m *metrics) writeTo(w io.Writer, snap snapshotState, lc *lifecycleState, r
 	io.WriteString(w, "# HELP hsserve_snapshot_version Model publications by the default entry's trainer (0 before the first).\n")
 	io.WriteString(w, "# TYPE hsserve_snapshot_version gauge\n")
 	fmt.Fprintf(w, "hsserve_snapshot_version %d\n", snap.version)
-	io.WriteString(w, "# HELP hsserve_snapshot_age_seconds Seconds since the served snapshot was published.\n")
+	io.WriteString(w, "# HELP hsserve_snapshot_age_seconds Seconds since the served snapshot was published (0 before the first publication).\n")
 	io.WriteString(w, "# TYPE hsserve_snapshot_age_seconds gauge\n")
 	fmt.Fprintf(w, "hsserve_snapshot_age_seconds %g\n", snap.age.Seconds())
 	io.WriteString(w, "# HELP hsserve_model_trained Whether a model is being served (1) or not (0).\n")
@@ -280,7 +279,7 @@ func (m *metrics) writeTo(w io.Writer, snap snapshotState, lc *lifecycleState, r
 		fmt.Fprintf(w, "hsserve_model_family{family=%q} 1\n", snap.family)
 	}
 
-	io.WriteString(w, "# HELP hsserve_samples_accepted_total Profiles absorbed via POST /v1/samples.\n")
+	io.WriteString(w, "# HELP hsserve_samples_accepted_total Profiles absorbed via POST /v2/models/{id}/samples.\n")
 	io.WriteString(w, "# TYPE hsserve_samples_accepted_total counter\n")
 	fmt.Fprintf(w, "hsserve_samples_accepted_total %d\n", m.samplesAccepted.Load())
 	io.WriteString(w, "# HELP hsserve_updates_total Asynchronous model re-specifications, by result.\n")

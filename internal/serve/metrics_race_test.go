@@ -18,13 +18,13 @@ import (
 	"hsmodel/pkg/hsmodel"
 )
 
-// TestMetricsScrapeDuringPredictLoad hammers /v1/predict from 32 concurrent
-// clients while the main goroutine scrapes /metrics in a tight loop. Under
-// -race this pins the audited read-path contract: histogram scrapes are
-// atomic loads against concurrent observations, and writeTo copies the
-// requests map under the mutex before rendering, so a scrape never walks a
-// map another request is incrementing. The final scrape must also account
-// for every predict exactly once.
+// TestMetricsScrapeDuringPredictLoad hammers /v2/models/default/predict from
+// 32 concurrent clients while the main goroutine scrapes /metrics in a tight
+// loop. Under -race this pins the audited read-path contract: histogram
+// scrapes are atomic loads against concurrent observations, and writeTo
+// copies the requests map under the mutex before rendering, so a scrape
+// never walks a map another request is incrementing. The final scrape must
+// also account for every predict exactly once.
 func TestMetricsScrapeDuringPredictLoad(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	_, valid := testData(t)
@@ -46,7 +46,7 @@ func TestMetricsScrapeDuringPredictLoad(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perClient; i++ {
-				resp, err := http.Post(ts.URL+"/v1/predict", "application/json", bytes.NewReader(payload))
+				resp, err := http.Post(ts.URL+"/v2/models/default/predict", "application/json", bytes.NewReader(payload))
 				if err != nil {
 					t.Errorf("predict: %v", err)
 					return
@@ -95,7 +95,7 @@ func TestMetricsScrapeDuringPredictLoad(t *testing.T) {
 
 	// observeRequest runs after the handler returns, so the last increments
 	// can trail the clients' view of completion; give them a moment.
-	want := fmt.Sprintf(`hsserve_requests_total{endpoint="predict",code="200"} %d`, clients*perClient)
+	want := fmt.Sprintf(`hsserve_requests_total{endpoint="v2_predict",code="200"} %d`, clients*perClient)
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		body := scrape()

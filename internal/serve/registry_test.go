@@ -1,5 +1,5 @@
-// Tests for the multi-model surface of the server: the v2 route family, its
-// parity with the v1 aliases, manifest persistence, and the registry metrics.
+// Tests for the multi-model surface of the server: the v2 route family, the
+// retired v1 routes, manifest persistence, and the registry metrics.
 package serve
 
 import (
@@ -43,108 +43,89 @@ func doJSON(t testing.TB, method, url string, body any) (*http.Response, []byte)
 	return resp, data
 }
 
-// TestV1V2Parity pins the aliasing contract: the model-addressed
-// /v2/models/default routes answer bit-identical predictions to the legacy
-// /v1 routes, and the v1 bodies are byte-identical to the wire schema's
-// canonical encoding (no new field may leak into them).
-func TestV1V2Parity(t *testing.T) {
+// TestPredictCanonicalEncoding: /v2/models/default answers predictions
+// bit-identical to the default trainer's snapshot, its predict and
+// predict:batch bodies are byte-identical to the wire schema's canonical
+// encoding (no field may leak into them), and its model body carries the
+// entry's address fields.
+func TestPredictCanonicalEncoding(t *testing.T) {
 	tr := newTestTrainer(t)
 	_, ts := newTestServer(t, Config{Trainer: tr})
 	_, valid := testData(t)
 
+	var batch hsmodel.BatchPredictRequest
+	var want hsmodel.BatchPredictResponse
 	for i, v := range valid[:8] {
 		hw := v.HW
 		req := hsmodel.PredictRequest{X: v.X[:], Config: &hw}
-		resp1, body1 := postJSON(t, ts.URL+"/v1/predict", req)
-		resp2, body2 := postJSON(t, ts.URL+"/v2/models/default/predict", req)
-		if resp1.StatusCode != http.StatusOK || resp2.StatusCode != http.StatusOK {
-			t.Fatalf("sample %d: status v1 %d, v2 %d", i, resp1.StatusCode, resp2.StatusCode)
-		}
-		if !bytes.Equal(body1, body2) {
-			t.Fatalf("sample %d: v1 body %s != v2 body %s", i, body1, body2)
+		resp, body := postJSON(t, ts.URL+"/v2/models/default/predict", req)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("sample %d: status %d: %s", i, resp.StatusCode, body)
 		}
 		var pr hsmodel.PredictResponse
-		if err := json.Unmarshal(body1, &pr); err != nil {
+		if err := json.Unmarshal(body, &pr); err != nil {
 			t.Fatal(err)
 		}
-		want, err := tr.Snapshot().PredictShard(v.X, v.HW)
+		cpi, err := tr.Snapshot().PredictShard(v.X, v.HW)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if math.Float64bits(pr.CPI) != math.Float64bits(want) {
-			t.Fatalf("sample %d: served %v, snapshot %v", i, pr.CPI, want)
+		if math.Float64bits(pr.CPI) != math.Float64bits(cpi) {
+			t.Fatalf("sample %d: served %v, snapshot %v", i, pr.CPI, cpi)
 		}
-
-		// v1 bodies are the canonical wire encoding: exactly what a
-		// single-model server emitted before the registry existed.
-		canon, err := json.Marshal(hsmodel.PredictResponse{CPI: want, Shards: 1})
+		canon, err := json.Marshal(hsmodel.PredictResponse{CPI: cpi, Shards: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if string(body1) != string(canon)+"\n" {
-			t.Fatalf("sample %d: v1 body %q is not the canonical encoding %q", i, body1, canon)
+		if string(body) != string(canon)+"\n" {
+			t.Fatalf("sample %d: body %q is not the canonical encoding %q", i, body, canon)
 		}
+		batch.Requests = append(batch.Requests, req)
+		want.Results = append(want.Results, hsmodel.BatchPredictItem{CPI: cpi, Shards: 1})
 	}
 
-	// Batch parity.
-	var batch hsmodel.BatchPredictRequest
-	for _, v := range valid[:8] {
-		hw := v.HW
-		batch.Requests = append(batch.Requests, hsmodel.PredictRequest{X: v.X[:], Config: &hw})
+	resp, body := postJSON(t, ts.URL+"/v2/models/default/predict:batch", batch)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch: status %d: %s", resp.StatusCode, body)
 	}
-	_, b1 := postJSON(t, ts.URL+"/v1/predict:batch", batch)
-	_, b2 := postJSON(t, ts.URL+"/v2/models/default/predict:batch", batch)
-	if !bytes.Equal(b1, b2) {
-		t.Fatalf("batch bodies differ: %s vs %s", b1, b2)
+	canon, err := json.Marshal(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(body) != string(canon)+"\n" {
+		t.Fatalf("batch body %q is not the canonical encoding %q", body, canon)
 	}
 
-	// Model info parity: v2 additionally stamps the address fields, and ONLY
-	// those.
-	_, m1 := getBody(t, ts.URL+"/v1/model")
-	_, m2 := getBody(t, ts.URL+"/v2/models/default/model")
-	var i1, i2 hsmodel.ModelInfo
-	if err := json.Unmarshal(m1, &i1); err != nil {
+	_, body = getBody(t, ts.URL+"/v2/models/default/model")
+	var info hsmodel.ModelInfo
+	if err := json.Unmarshal(body, &info); err != nil {
 		t.Fatal(err)
 	}
-	if err := json.Unmarshal(m2, &i2); err != nil {
-		t.Fatal(err)
-	}
-	if i1.Model != "" || i1.Application != "" || i1.ArchSpace != "" {
-		t.Fatalf("v1 model body leaked address fields: %s", m1)
-	}
-	if i2.Model != "default" || i2.ArchSpace == "" {
-		t.Fatalf("v2 model body missing address fields: %s", m2)
-	}
-	i2.Model, i2.Application, i2.ArchSpace = "", "", ""
-	i1.SnapshotAgeSec, i2.SnapshotAgeSec = 0, 0 // scrape-time jitter
-	j1, _ := json.Marshal(i1)
-	j2, _ := json.Marshal(i2)
-	if !bytes.Equal(j1, j2) {
-		t.Fatalf("model info differs beyond the address fields:\nv1 %s\nv2 %s", j1, j2)
+	if info.Model != "default" || info.ArchSpace == "" {
+		t.Fatalf("model body missing address fields: %s", body)
 	}
 }
 
-// TestV1DeprecationHeaders: every v1 answer carries the successor pointer;
-// the body stays untouched (covered by TestV1V2Parity).
-func TestV1DeprecationHeaders(t *testing.T) {
+// TestV1RoutesGone: the retired /v1 aliases are not routed.
+func TestV1RoutesGone(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	resp, _ := getBody(t, ts.URL+"/v1/model")
-	if got := resp.Header.Get("Deprecation"); got != `version="v1"` {
-		t.Fatalf("Deprecation header %q", got)
+	_, valid := testData(t)
+	resp, body := postJSON(t, ts.URL+"/v1/predict", hsmodel.PredictRequest{X: valid[0].X[:]})
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("POST /v1/predict: status %d, want 404: %s", resp.StatusCode, body)
 	}
-	if got := resp.Header.Get("Link"); !strings.Contains(got, "/v2/models/default") {
-		t.Fatalf("Link header %q does not name the successor route", got)
-	}
-	resp2, _ := getBody(t, ts.URL+"/v2/models/default/model")
-	if resp2.Header.Get("Deprecation") != "" {
-		t.Fatal("v2 route carries a deprecation header")
+	for _, path := range []string{"/v1/model", "/v1/lifecycle"} {
+		if resp, _ := getBody(t, ts.URL+path); resp.StatusCode != http.StatusNotFound {
+			t.Errorf("GET %s: status %d, want 404", path, resp.StatusCode)
+		}
 	}
 }
 
-// TestV1SamplesFanOut: one POST /v1/samples advances every matching entry, a
-// non-default entry retrains through its addressed samples route, and the
+// TestSamplesFanOut: one fan_out POST to the default entry advances every
+// matching entry, the addressed route without fan_out feeds only its entry,
+// a non-default entry retrains through its addressed samples route, and the
 // "app:<name>" alias resolves over HTTP.
-func TestV1SamplesFanOut(t *testing.T) {
+func TestSamplesFanOut(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	for _, req := range []hsmodel.RegisterRequest{
 		{ID: "m-bzip2", Application: "bzip2"},
@@ -160,8 +141,9 @@ func TestV1SamplesFanOut(t *testing.T) {
 	// store moves.
 	bad := hsmodel.SampleToWire(valid[0])
 	bad.CPI = 0
-	resp, body := postJSON(t, ts.URL+"/v1/samples", hsmodel.SamplesRequest{
+	resp, body := postJSON(t, ts.URL+"/v2/models/default/samples", hsmodel.SamplesRequest{
 		Samples: []hsmodel.SampleWire{hsmodel.SampleToWire(valid[1]), bad},
+		FanOut:  true,
 	})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("cpi 0 sample: status %d, want 400: %s", resp.StatusCode, body)
@@ -171,13 +153,13 @@ func TestV1SamplesFanOut(t *testing.T) {
 		t.Fatalf("cpi 0 sample moved the default store to %d samples, want %d", got, len(trainStore))
 	}
 
-	var sreq hsmodel.SamplesRequest
+	sreq := hsmodel.SamplesRequest{FanOut: true}
 	perApp := map[string]int{}
 	for _, v := range valid {
 		sreq.Samples = append(sreq.Samples, hsmodel.SampleToWire(v))
 		perApp[v.App]++
 	}
-	resp, body = postJSON(t, ts.URL+"/v1/samples", sreq)
+	resp, body = postJSON(t, ts.URL+"/v2/models/default/samples", sreq)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("samples: status %d: %s", resp.StatusCode, body)
 	}
@@ -188,38 +170,46 @@ func TestV1SamplesFanOut(t *testing.T) {
 	if sr.Accepted != len(valid) {
 		t.Fatalf("accepted %d, want %d", sr.Accepted, len(valid))
 	}
-	if sr.Models != nil {
-		t.Fatalf("v1 samples body leaked the fan-out listing: %s", body)
+	if got := strings.Join(sr.Models, " "); got != "default m-all m-bzip2" {
+		t.Fatalf("fan_out listed models [%s], want [default m-all m-bzip2]", got)
 	}
 	base := len(trainStore) // the default entry's bootstrap store
-	for id, want := range map[string]int{
+	counts := map[string]int{
 		"default": base + len(valid),
 		"m-bzip2": perApp["bzip2"],
 		"m-all":   len(valid),
-	} {
-		e, ok := s.Registry().Get(id)
-		if !ok {
-			t.Fatalf("entry %q missing", id)
-		}
-		if got := e.Trainer().NumSamples(); got != want {
-			t.Fatalf("entry %q: %d samples, want %d", id, got, want)
+	}
+	assertCounts := func() {
+		t.Helper()
+		for id, want := range counts {
+			e, ok := s.Registry().Get(id)
+			if !ok {
+				t.Fatalf("entry %q missing", id)
+			}
+			if got := e.Trainer().NumSamples(); got != want {
+				t.Fatalf("entry %q: %d samples, want %d", id, got, want)
+			}
 		}
 	}
+	assertCounts()
 
-	// The addressed route feeds only its entry; fan_out restores the v1
-	// semantics and lists the touched models.
-	one := hsmodel.SamplesRequest{Samples: sreq.Samples[:1], FanOut: true}
+	// Without fan_out the addressed route feeds only its entry and lists no
+	// models.
+	one := hsmodel.SamplesRequest{Samples: []hsmodel.SampleWire{hsmodel.SampleToWire(valid[0])}}
+	one.Samples[0].App = "bzip2"
 	resp, body = postJSON(t, ts.URL+"/v2/models/m-bzip2/samples", one)
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("v2 samples: status %d: %s", resp.StatusCode, body)
+		t.Fatalf("m-bzip2 samples: status %d: %s", resp.StatusCode, body)
 	}
 	var sr2 hsmodel.SamplesResponse
 	if err := json.Unmarshal(body, &sr2); err != nil {
 		t.Fatal(err)
 	}
-	if len(sr2.Models) == 0 {
-		t.Fatalf("fan_out response listed no models: %s", body)
+	if sr2.Models != nil {
+		t.Fatalf("entry-scoped samples body listed models: %s", body)
 	}
+	counts["m-bzip2"]++
+	assertCounts()
 
 	// A non-default entry retrains from its addressed route and serves the
 	// result under its own name.

@@ -105,7 +105,7 @@ func TestPredictBitIdenticalToSnapshot(t *testing.T) {
 			t.Fatal(err)
 		}
 		hw := v.HW
-		resp, body := postJSON(t, ts.URL+"/v1/predict", hsmodel.PredictRequest{
+		resp, body := postJSON(t, ts.URL+"/v2/models/default/predict", hsmodel.PredictRequest{
 			X:      v.X[:],
 			Config: &hw,
 		})
@@ -131,7 +131,7 @@ func TestPredictBitIdenticalToSnapshot(t *testing.T) {
 		hw := v.HW
 		batchReq.Requests = append(batchReq.Requests, hsmodel.PredictRequest{X: v.X[:], Config: &hw})
 	}
-	resp, body := postJSON(t, ts.URL+"/v1/predict:batch", batchReq)
+	resp, body := postJSON(t, ts.URL+"/v2/models/default/predict:batch", batchReq)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("batch status %d: %s", resp.StatusCode, body)
 	}
@@ -168,7 +168,7 @@ func TestPredictApplicationAndArch(t *testing.T) {
 		xs = append(xs, v.X)
 	}
 	arch := []int{2, 2, 1, 2, 1, 1, 2, 2, 1, 1, 1, 0, 1} // baseline indices
-	resp, body := postJSON(t, ts.URL+"/v1/predict", hsmodel.PredictRequest{Shards: shards, Arch: arch})
+	resp, body := postJSON(t, ts.URL+"/v2/models/default/predict", hsmodel.PredictRequest{Shards: shards, Arch: arch})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
@@ -200,7 +200,7 @@ func TestPredictErrors(t *testing.T) {
 		{"bad arch", hsmodel.PredictRequest{X: make([]float64, 13), Arch: []int{99, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}}, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
-		resp, body := postJSON(t, ts.URL+"/v1/predict", tc.req)
+		resp, body := postJSON(t, ts.URL+"/v2/models/default/predict", tc.req)
 		if resp.StatusCode != tc.code {
 			t.Errorf("%s: status %d, want %d (%s)", tc.name, resp.StatusCode, tc.code, body)
 		}
@@ -228,7 +228,7 @@ func TestOversizedBodyIs413(t *testing.T) {
 		body.Write(one)
 	}
 	body.WriteString(`]}`)
-	resp, err := http.Post(ts.URL+"/v1/samples", "application/json", &body)
+	resp, err := http.Post(ts.URL+"/v2/models/default/samples", "application/json", &body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +265,7 @@ func TestTrailingDataIs400(t *testing.T) {
 		` trailing`:                  http.StatusBadRequest,
 		"\n \t\n":                    http.StatusOK,
 	} {
-		resp, err := http.Post(ts.URL+"/v1/predict", "application/json",
+		resp, err := http.Post(ts.URL+"/v2/models/default/predict", "application/json",
 			strings.NewReader(`{"x":`+string(x)+`}`+trailer))
 		if err != nil {
 			t.Fatal(err)
@@ -281,11 +281,25 @@ func TestTrailingDataIs400(t *testing.T) {
 	}
 }
 
+// TestUntrainedSnapshotAgeIsZero: before the first publication there is no
+// publish time, so the model route and the scrape report a snapshot age of
+// 0, not the age of the zero time.
+func TestUntrainedSnapshotAgeIsZero(t *testing.T) {
+	_, ts := newTestServer(t, Config{Trainer: core.NewTrainer(nil)})
+	if info := modelInfo(t, ts.URL); info.Trained || info.SnapshotAgeSec != 0 {
+		t.Errorf("untrained model info: trained %v, snapshot_age_sec %v, want false, 0", info.Trained, info.SnapshotAgeSec)
+	}
+	_, body := getBody(t, ts.URL+"/metrics")
+	if v, ok := metricUint(string(body), "hsserve_snapshot_age_seconds"); !ok || v != 0 {
+		t.Errorf("hsserve_snapshot_age_seconds = %v (parsed %v), want 0", v, ok)
+	}
+}
+
 func TestUntrainedServes503(t *testing.T) {
 	tr := core.NewTrainer(nil)
 	_, ts := newTestServer(t, Config{Trainer: tr})
 	_, valid := testData(t)
-	resp, body := postJSON(t, ts.URL+"/v1/predict", hsmodel.PredictRequest{X: valid[0].X[:]})
+	resp, body := postJSON(t, ts.URL+"/v2/models/default/predict", hsmodel.PredictRequest{X: valid[0].X[:]})
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("status %d, want 503 (%s)", resp.StatusCode, body)
 	}
@@ -336,7 +350,7 @@ func TestBatchCoalescing(t *testing.T) {
 				Requests: []hsmodel.PredictRequest{{X: v.X[:], Config: &hw}},
 			})
 			<-start
-			resp, err := client.Post(ts.URL+"/v1/predict:batch", "application/json", bytes.NewReader(data))
+			resp, err := client.Post(ts.URL+"/v2/models/default/predict:batch", "application/json", bytes.NewReader(data))
 			if err != nil {
 				results[c] = result{err: err}
 				return
@@ -412,7 +426,7 @@ func TestConcurrentPredictsShareOneFlush(t *testing.T) {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			resp, err := client.Post(ts.URL+"/v1/predict", "application/json", bytes.NewReader(data))
+			resp, err := client.Post(ts.URL+"/v2/models/default/predict", "application/json", bytes.NewReader(data))
 			if err != nil {
 				errs[c] = err
 				return
@@ -532,7 +546,7 @@ func TestServeWhileTrainHTTP(t *testing.T) {
 			for i := 0; !stop.Load(); i++ {
 				v := valid[(g+i)%len(valid)]
 				hw := v.HW
-				resp, body := postJSON(t, ts.URL+"/v1/predict", hsmodel.PredictRequest{X: v.X[:], Config: &hw})
+				resp, body := postJSON(t, ts.URL+"/v2/models/default/predict", hsmodel.PredictRequest{X: v.X[:], Config: &hw})
 				if resp.StatusCode != http.StatusOK {
 					errc <- fmt.Errorf("predict status %d: %s", resp.StatusCode, body)
 					return
@@ -551,7 +565,7 @@ func TestServeWhileTrainHTTP(t *testing.T) {
 				hw := v.HW
 				reqs = append(reqs, hsmodel.PredictRequest{X: v.X[:], Config: &hw})
 			}
-			resp, body := postJSON(t, ts.URL+"/v1/predict:batch", hsmodel.BatchPredictRequest{Requests: reqs})
+			resp, body := postJSON(t, ts.URL+"/v2/models/default/predict:batch", hsmodel.BatchPredictRequest{Requests: reqs})
 			if resp.StatusCode != http.StatusOK {
 				errc <- fmt.Errorf("batch status %d: %s", resp.StatusCode, body)
 				return
@@ -565,7 +579,7 @@ func TestServeWhileTrainHTTP(t *testing.T) {
 		for k := 0; k < 4; k++ {
 			ws = append(ws, hsmodel.SampleToWire(valid[(round*4+k)%len(valid)]))
 		}
-		resp, body := postJSON(t, ts.URL+"/v1/samples", hsmodel.SamplesRequest{Samples: ws, Update: true})
+		resp, body := postJSON(t, ts.URL+"/v2/models/default/samples", hsmodel.SamplesRequest{Samples: ws, Update: true})
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("samples status %d: %s", resp.StatusCode, body)
 		}
@@ -588,7 +602,7 @@ func TestServeWhileTrainHTTP(t *testing.T) {
 	}
 
 	// Scrape metrics and model info concurrently with everything above.
-	for _, path := range []string{"/metrics", "/v1/model", "/healthz"} {
+	for _, path := range []string{"/metrics", "/v2/models/default/model", "/healthz"} {
 		resp, err := http.Get(ts.URL + path)
 		if err != nil {
 			t.Fatal(err)
@@ -618,9 +632,9 @@ func TestModelInfoAndMetricsPage(t *testing.T) {
 
 	// A couple of requests so counters are non-zero.
 	hw := valid[0].HW
-	postJSON(t, ts.URL+"/v1/predict", hsmodel.PredictRequest{X: valid[0].X[:], Config: &hw})
+	postJSON(t, ts.URL+"/v2/models/default/predict", hsmodel.PredictRequest{X: valid[0].X[:], Config: &hw})
 
-	resp, body := getBody(t, ts.URL+"/v1/model")
+	resp, body := getBody(t, ts.URL+"/v2/models/default/model")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("model status %d", resp.StatusCode)
 	}
@@ -644,7 +658,7 @@ func TestModelInfoAndMetricsPage(t *testing.T) {
 	}
 	page := string(mbody)
 	for _, want := range []string{
-		`hsserve_requests_total{endpoint="predict",code="200"}`,
+		`hsserve_requests_total{endpoint="v2_predict",code="200"}`,
 		"hsserve_request_duration_seconds_bucket",
 		"hsserve_batch_size_bucket",
 		"hsserve_snapshot_version 1",
@@ -674,7 +688,7 @@ func metricUint(page, series string) (uint64, bool) {
 // TestSnapshotVersionCountsPublishes: the served version counts publications
 // by the default entry's trainer, not changes some scrape happened to see.
 // The server boots untrained and two training runs land with no scrape in
-// between: that is version 2 on /v1/model and on both metrics series.
+// between: that is version 2 on the model route and on both metrics series.
 func TestSnapshotVersionCountsPublishes(t *testing.T) {
 	train, _ := testData(t)
 	tr := core.NewTrainer(append([]core.Sample(nil), train...))
@@ -688,7 +702,7 @@ func TestSnapshotVersionCountsPublishes(t *testing.T) {
 	}
 
 	if v := modelInfo(t, ts.URL).SnapshotVersion; v != 2 {
-		t.Errorf("/v1/model snapshot_version %d, want 2", v)
+		t.Errorf("model snapshot_version %d, want 2", v)
 	}
 	_, body := getBody(t, ts.URL+"/metrics")
 	for _, series := range []string{
@@ -702,9 +716,9 @@ func TestSnapshotVersionCountsPublishes(t *testing.T) {
 }
 
 // TestWireConfigValidated: a full wire config is checked at the trust
-// boundary. A predict with a zero D-cache answers 400 on both route families,
-// and a samples POST carrying one sample with a negative width answers 400
-// on both samples routes without any of its samples reaching the store.
+// boundary. A predict with a zero D-cache answers 400, and a samples POST
+// carrying one sample with a negative width answers 400 without any of its
+// samples reaching the store, whether it feeds one entry or fans out.
 func TestWireConfigValidated(t *testing.T) {
 	tr := newTestTrainer(t)
 	_, ts := newTestServer(t, Config{Trainer: tr})
@@ -712,21 +726,19 @@ func TestWireConfigValidated(t *testing.T) {
 
 	hw := valid[0].HW
 	hw.DCacheKB = 0
-	for _, route := range []string{"/v1/predict", "/v2/models/default/predict"} {
-		resp, body := postJSON(t, ts.URL+route, hsmodel.PredictRequest{X: valid[0].X[:], Config: &hw})
-		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "DCacheKB") {
-			t.Errorf("%s with DCacheKB 0: status %d: %s, want 400 naming the field", route, resp.StatusCode, body)
-		}
+	resp, body := postJSON(t, ts.URL+"/v2/models/default/predict", hsmodel.PredictRequest{X: valid[0].X[:], Config: &hw})
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "DCacheKB") {
+		t.Errorf("predict with DCacheKB 0: status %d: %s, want 400 naming the field", resp.StatusCode, body)
 	}
 
 	before := tr.NumSamples()
 	bad := hsmodel.SampleToWire(valid[1])
 	bad.Config.Width = -1
-	req := hsmodel.SamplesRequest{Samples: []hsmodel.SampleWire{hsmodel.SampleToWire(valid[0]), bad}}
-	for _, route := range []string{"/v1/samples", "/v2/models/default/samples"} {
-		resp, body := postJSON(t, ts.URL+route, req)
+	for _, fanOut := range []bool{false, true} {
+		req := hsmodel.SamplesRequest{Samples: []hsmodel.SampleWire{hsmodel.SampleToWire(valid[0]), bad}, FanOut: fanOut}
+		resp, body := postJSON(t, ts.URL+"/v2/models/default/samples", req)
 		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "Width") {
-			t.Errorf("%s with width -1: status %d: %s, want 400 naming the field", route, resp.StatusCode, body)
+			t.Errorf("samples (fan_out %v) with width -1: status %d: %s, want 400 naming the field", fanOut, resp.StatusCode, body)
 		}
 	}
 	if n := tr.NumSamples(); n != before {
@@ -746,14 +758,14 @@ func TestHotReload(t *testing.T) {
 	s, ts := newTestServer(t, Config{Trainer: serving, ModelPath: path})
 	_, valid := testData(t)
 
-	resp, _ := postJSON(t, ts.URL+"/v1/predict", hsmodel.PredictRequest{X: valid[0].X[:]})
+	resp, _ := postJSON(t, ts.URL+"/v2/models/default/predict", hsmodel.PredictRequest{X: valid[0].X[:]})
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("pre-reload status %d, want 503", resp.StatusCode)
 	}
 	if err := s.Reload(); err != nil {
 		t.Fatal(err)
 	}
-	resp, body := postJSON(t, ts.URL+"/v1/predict", hsmodel.PredictRequest{X: valid[0].X[:]})
+	resp, body := postJSON(t, ts.URL+"/v2/models/default/predict", hsmodel.PredictRequest{X: valid[0].X[:]})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("post-reload status %d: %s", resp.StatusCode, body)
 	}

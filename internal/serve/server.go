@@ -1,36 +1,34 @@
 // Package serve is the prediction serving subsystem: an HTTP JSON service
-// layered on the lock-free core.Snapshot architecture and, since the
-// multi-model work, on internal/registry — a fleet of named model entries
-// behind one listener. It exposes
-//
-//	POST /v1/predict        single-shard and whole-application predictions
-//	POST /v1/predict:batch  many predictions, coalesced across clients by
-//	                        the micro-batcher into shared evaluator passes
-//	POST /v1/samples        absorb new profiles — fanned out to every
-//	                        registered model whose application matches;
-//	                        optionally trigger an asynchronous update
-//	GET  /v1/model          served-model provenance and fit-path counters
-//	GET  /v1/lifecycle      continuous-learning control-loop status (404
-//	                        unless Config.Lifecycle enables the loop)
-//	GET  /healthz           liveness (and whether a model is being served)
-//	GET  /metrics           Prometheus text exposition (metrics.go)
+// layered on the lock-free core.Snapshot architecture and on
+// internal/registry — a fleet of named model entries behind one listener.
+// Every model, the reserved "default" entry included, is addressed one way:
 //
 //	GET    /v2/models                     registry listing + load state
 //	POST   /v2/models                     register a model entry
 //	DELETE /v2/models/{id}                unregister (drains the entry)
-//	POST   /v2/models/{id}/predict        model-addressed predict
-//	POST   /v2/models/{id}/predict:batch  model-addressed batch predict
-//	POST   /v2/models/{id}/samples        entry-scoped samples (fan_out
-//	                                      restores the /v1 fan-out)
-//	GET    /v2/models/{id}/model          model-addressed provenance
+//	POST   /v2/models/{id}/predict        single-shard and whole-application
+//	                                      predictions
+//	POST   /v2/models/{id}/predict:batch  many predictions, coalesced across
+//	                                      clients by the entry's micro-batcher
+//	                                      into shared evaluator passes
+//	POST   /v2/models/{id}/samples        absorb new profiles into the entry
+//	                                      (fan_out feeds every registered
+//	                                      model whose application matches);
+//	                                      optionally trigger an asynchronous
+//	                                      update
+//	GET    /v2/models/{id}/model          served-model provenance and fit-path
+//	                                      counters
+//	GET    /v2/models/{id}/lifecycle      continuous-learning control-loop
+//	                                      status (404 unless the entry has a
+//	                                      loop)
+//	GET    /healthz                       liveness (and whether the default
+//	                                      model is being served)
+//	GET    /metrics                       Prometheus text exposition
+//	                                      (metrics.go)
 //
-// Every /v1/* route is an alias of the reserved "default" registry entry:
-// its handlers run the same code paths against the same entry, so v1
-// response bodies are bit-identical to the single-model server's (they
-// additionally carry a Deprecation header pointing at the v2 successor).
-// The {id} of a /v2 route is an exact entry id or the "app:<name>" alias,
-// which reaches the entry scoped to that application, else the wildcard
-// entry (registry.Resolve).
+// The {id} of a route is an exact entry id or the "app:<name>" alias, which
+// reaches the entry scoped to that application, else the wildcard entry
+// (registry.Resolve).
 //
 // The wire vocabulary is pkg/hsmodel's wire schema, so the CLI and the
 // server speak the same types. A POST body must hold exactly one JSON value
@@ -65,10 +63,11 @@ import (
 // Config configures a Server. The zero value of every optional field takes
 // the documented default.
 type Config struct {
-	// Trainer is the model served by the reserved "default" entry — the one
-	// every /v1/* route addresses (required). It may be untrained, in which
-	// case predictions answer 503 until a model is trained, adopted, or
-	// reloaded.
+	// Trainer is the model served by the reserved "default" entry,
+	// /v2/models/default (required). It may be untrained, in which case
+	// predictions answer 503 until a model is trained, adopted, or reloaded;
+	// with Lifecycle set it must be trained unless ModelPath names the
+	// snapshot Reload serves (registry.ErrLifecycleNoModel).
 	Trainer *core.Trainer
 	// MaxBatch caps the batcher jobs coalesced into one flush (default 32).
 	// A job is one submission: a single prediction, or a whole
@@ -94,11 +93,11 @@ type Config struct {
 	// part of the manifest.
 	ManifestPath string
 	// Lifecycle, when non-nil, enables the continuous-learning control loop
-	// (internal/lifecycle) on the default entry: POST /v1/samples feeds the
+	// (internal/lifecycle) on the default entry: its samples POSTs feed the
 	// loop's bounded stores and drift detector instead of growing the
-	// trainer's store without bound, and GET /v1/lifecycle reports loop
-	// status. Manifest entries opt in per model. The server owns every
-	// controller and closes them on Close.
+	// trainer's store without bound, and GET /v2/models/default/lifecycle
+	// reports loop status. Manifest entries opt in per model. The server
+	// owns every controller and closes them on Close.
 	Lifecycle *lifecycle.Config
 	// Logger receives serving events (update/reload outcomes); nil discards.
 	Logger *log.Logger
@@ -123,14 +122,13 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Server is the HTTP prediction service: a model registry behind the v1
-// (default-entry alias) and v2 (model-addressed) route families. Create
-// with New, expose with Handler, and drain with Close after the HTTP
-// listener has shut down.
+// Server is the HTTP prediction service: a model registry behind the
+// model-addressed /v2 route family. Create with New, expose with Handler,
+// and drain with Close after the HTTP listener has shut down.
 type Server struct {
 	cfg     Config
 	reg     *registry.Registry
-	def     *registry.Entry // the reserved default entry every /v1 route addresses
+	def     *registry.Entry // the reserved default entry: Predict, Reload, healthz, the snapshot gauges
 	metrics *metrics
 	mux     *http.ServeMux
 
@@ -171,21 +169,16 @@ func New(cfg Config) (*Server, error) {
 	s.manifestReady.Store(true)
 
 	s.mux = http.NewServeMux()
-	s.mux.HandleFunc("POST /v1/predict", s.instrument("predict", s.v1Entry("predict", s.handlePredict)))
-	s.mux.HandleFunc("POST /v1/predict:batch", s.instrument("predict_batch", s.v1Entry("predict_batch", s.handleBatch)))
-	s.mux.HandleFunc("POST /v1/samples", s.instrument("samples", s.v1Entry("samples", s.handleSamples)))
-	s.mux.HandleFunc("GET /v1/model", s.instrument("model", s.v1Entry("model", s.handleModel)))
-	s.mux.HandleFunc("GET /v1/lifecycle", s.instrument("lifecycle", s.v1Entry("lifecycle", s.handleLifecycle)))
 	s.mux.HandleFunc("GET /healthz", s.instrument("healthz", s.handleHealthz))
 	s.mux.HandleFunc("GET /metrics", s.instrument("metrics", s.handleMetrics))
-
 	s.mux.HandleFunc("GET /v2/models", s.instrument("v2_models", s.handleModels))
 	s.mux.HandleFunc("POST /v2/models", s.instrument("v2_register", s.handleRegister))
 	s.mux.HandleFunc("DELETE /v2/models/{id}", s.instrument("v2_unregister", s.handleUnregister))
 	s.mux.HandleFunc("POST /v2/models/{id}/predict", s.v2Entry("v2_predict", s.handlePredict))
 	s.mux.HandleFunc("POST /v2/models/{id}/predict:batch", s.v2Entry("v2_predict_batch", s.handleBatch))
-	s.mux.HandleFunc("POST /v2/models/{id}/samples", s.v2Entry("v2_samples", s.handleV2Samples))
-	s.mux.HandleFunc("GET /v2/models/{id}/model", s.v2Entry("v2_model", s.handleV2Model))
+	s.mux.HandleFunc("POST /v2/models/{id}/samples", s.v2Entry("v2_samples", s.handleSamples))
+	s.mux.HandleFunc("GET /v2/models/{id}/model", s.v2Entry("v2_model", s.handleModel))
+	s.mux.HandleFunc("GET /v2/models/{id}/lifecycle", s.v2Entry("v2_lifecycle", s.handleLifecycle))
 	return s, nil
 }
 
@@ -367,20 +360,6 @@ func (s *Server) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
 // entryHandler is a handler bound to a resolved registry entry.
 type entryHandler func(w http.ResponseWriter, r *http.Request, e *registry.Entry)
 
-// v1Entry binds a handler to the reserved default entry, stamps the
-// deprecation note pointing v1 clients at the v2 successor route, and feeds
-// the per-model request counter. The response body is untouched — v1 stays
-// bit-identical to the single-model server.
-func (s *Server) v1Entry(endpoint string, h entryHandler) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", `version="v1"`)
-		w.Header().Set("Link", `</v2/models/`+hsmodel.DefaultModelID+`>; rel="successor-version"`)
-		rec := &statusRecorder{ResponseWriter: w, code: http.StatusOK}
-		h(rec, r, s.def)
-		s.metrics.observeModelRequest(hsmodel.DefaultModelID, endpoint, rec.code)
-	}
-}
-
 // v2Entry resolves the {id} path value — an exact entry id or the
 // "app:<name>" alias — instruments the request, and feeds
 // the per-model request counter.
@@ -468,14 +447,15 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, v any) error {
 }
 
 // Predict answers one shard prediction through the default entry — the same
-// registry admission check and micro-batcher as POST /v1/predict, minus
-// HTTP. The benchmark's in-process probes call it.
+// registry admission check and micro-batcher as POST
+// /v2/models/default/predict, minus HTTP. The benchmark's in-process probes
+// call it.
 func (s *Server) Predict(ctx context.Context, x profile.Characteristics, hw hwspace.Config) (float64, error) {
 	return s.def.Predict(ctx, x, hw)
 }
 
 // PredictMany answers a whole batch as one batcher submission on the default
-// entry, after the same admission check as POST /v1/predict:batch: out[i]
+// entry, after the same admission check as its predict:batch route: out[i]
 // answers (xs[i], hws[i]); len(hws) and len(out) must be at least len(xs).
 // One queue round trip covers the entire batch, and the worker answers it
 // through contiguous Snapshot.PredictBatch sweeps. On a ctx error the out
@@ -593,32 +573,13 @@ func decodeSamples(w http.ResponseWriter, r *http.Request) (hsmodel.SamplesReque
 	return req, samples, nil
 }
 
-// handleSamples is the v1 route: samples fan out to EVERY registered entry
-// whose application scope matches each sample (the default entry's wildcard
-// scope absorbs all of them — on a single-model server this is exactly the
-// old behavior), and the acknowledgement reports the default entry's store.
+// handleSamples feeds samples to the addressed entry only, unless fan_out
+// asks for the registry-wide fan-out to every entry whose application scope
+// matches each sample (the response then lists every model that absorbed
+// samples). TotalSamples reports the entry trainer's store; see
+// hsmodel.SamplesResponse for what that counts on an entry with a control
+// loop.
 func (s *Server) handleSamples(w http.ResponseWriter, r *http.Request, e *registry.Entry) {
-	req, samples, err := decodeSamples(w, r)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	s.reg.Submit(samples)
-	s.metrics.samplesAccepted.Add(uint64(len(samples)))
-	resp := hsmodel.SamplesResponse{
-		Accepted:     len(samples),
-		TotalSamples: e.Trainer().NumSamples(),
-	}
-	if req.Update {
-		resp.UpdateStarted = s.triggerUpdate(e)
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// handleV2Samples is the model-addressed route: samples feed only the
-// addressed entry, unless fan_out restores the registry-wide v1 semantics
-// (the response then lists every model that absorbed samples).
-func (s *Server) handleV2Samples(w http.ResponseWriter, r *http.Request, e *registry.Entry) {
 	req, samples, err := decodeSamples(w, r)
 	if err != nil {
 		writeError(w, err)
@@ -673,21 +634,26 @@ func (s *Server) triggerUpdate(e *registry.Entry) bool {
 	return started
 }
 
-// modelInfo assembles the wire ModelInfo for an entry. The v1 route passes
-// addressed=false so the body stays bit-identical to the single-model
-// server; v2 additionally stamps the model address fields.
-func (s *Server) modelInfo(e *registry.Entry, addressed bool) hsmodel.ModelInfo {
+// snapshotAge is the time since the trainer's latest publication, 0 before
+// the first one (Generation 0 carries no publish time).
+func snapshotAge(pub core.Publication) time.Duration {
+	if pub.Generation == 0 {
+		return 0
+	}
+	return time.Since(pub.At)
+}
+
+// modelInfo assembles the wire ModelInfo for an entry.
+func (s *Server) modelInfo(e *registry.Entry) hsmodel.ModelInfo {
 	pub := e.Trainer().Published()
 	snap := pub.Snapshot
 	info := hsmodel.ModelInfo{
+		Model:           e.ID(),
+		Application:     e.Application(),
+		ArchSpace:       e.ArchSpace(),
 		TotalSamples:    e.Trainer().NumSamples(),
 		SnapshotVersion: pub.Generation,
-		SnapshotAgeSec:  time.Since(pub.At).Seconds(),
-	}
-	if addressed {
-		info.Model = e.ID()
-		info.Application = e.Application()
-		info.ArchSpace = e.ArchSpace()
+		SnapshotAgeSec:  snapshotAge(pub).Seconds(),
 	}
 	if snap.Trained() {
 		desc := snap.Describe()
@@ -707,11 +673,7 @@ func (s *Server) modelInfo(e *registry.Entry, addressed bool) hsmodel.ModelInfo 
 }
 
 func (s *Server) handleModel(w http.ResponseWriter, r *http.Request, e *registry.Entry) {
-	writeJSON(w, http.StatusOK, s.modelInfo(e, false))
-}
-
-func (s *Server) handleV2Model(w http.ResponseWriter, r *http.Request, e *registry.Entry) {
-	writeJSON(w, http.StatusOK, s.modelInfo(e, true))
+	writeJSON(w, http.StatusOK, s.modelInfo(e))
 }
 
 // modelStatus summarizes one entry for the registry listing and the scrape.
@@ -765,7 +727,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if req.ID == hsmodel.DefaultModelID {
-		writeError(w, fmt.Errorf("serve: model id %q is reserved for the v1 alias entry", hsmodel.DefaultModelID))
+		writeError(w, fmt.Errorf("serve: model id %q is reserved for the default entry", hsmodel.DefaultModelID))
 		return
 	}
 	e, err := s.reg.Register(specFromWire(req))
@@ -827,7 +789,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	s.metrics.writeTo(w, snapshotState{
 		version: pub.Generation,
-		age:     time.Since(pub.At),
+		age:     snapshotAge(pub),
 		trained: pub.Snapshot.Trained(),
 		family:  pub.Snapshot.Family(),
 	}, lc, reg)

@@ -1,9 +1,7 @@
-// Client: the Go consumer of the hsserve wire API. One client speaks both
-// route families: unscoped it targets the legacy /v1 routes (the reserved
-// default entry), scoped with WithModelID or Model(id) it targets the
-// model-addressed /v2 routes — same wire types either way, so switching a
-// caller to multi-model serving is one accessor call, not a rewrite. A model
-// id is an exact registry key or the "app:<name>" alias, which the server
+// Client: the Go consumer of the hsserve wire API. A client addresses one
+// registry entry through the model-addressed /v2/models/{id} routes: the
+// reserved DefaultModelID unless Model(id) scopes it to another. A model id
+// is an exact registry key or the "app:<name>" alias, which the server
 // resolves to the entry scoped to that application, else to its wildcard
 // entry.
 package hsmodel
@@ -35,19 +33,12 @@ func (e *StatusError) Error() string {
 // scope per model with Model.
 type Client struct {
 	base  string
-	model string // "" = the /v1 default-entry routes
+	model string // the registry entry every model route addresses
 	hc    *http.Client
 }
 
 // ClientOption configures a Client at construction.
 type ClientOption func(*Client)
-
-// WithModelID scopes the client to one registry entry: every request rides
-// the model-addressed /v2 routes. An empty id restores the /v1 default
-// routes.
-func WithModelID(id string) ClientOption {
-	return func(c *Client) { c.model = id }
-}
 
 // WithHTTPClient replaces the underlying *http.Client (timeouts, transport
 // reuse across load generators).
@@ -56,9 +47,9 @@ func WithHTTPClient(hc *http.Client) ClientOption {
 }
 
 // NewClient builds a client for the server at base (e.g.
-// "http://127.0.0.1:8080").
+// "http://127.0.0.1:8080"), addressing the DefaultModelID entry.
 func NewClient(base string, opts ...ClientOption) *Client {
-	c := &Client{base: strings.TrimRight(base, "/"), hc: http.DefaultClient}
+	c := &Client{base: strings.TrimRight(base, "/"), model: DefaultModelID, hc: http.DefaultClient}
 	for _, o := range opts {
 		o(c)
 	}
@@ -66,22 +57,15 @@ func NewClient(base string, opts ...ClientOption) *Client {
 }
 
 // Model returns a copy of the client scoped to the given registry entry;
-// the receiver is unchanged. An empty id scopes back to the /v1 routes.
+// the receiver is unchanged.
 func (c *Client) Model(id string) *Client {
 	scoped := *c
 	scoped.model = id
 	return &scoped
 }
 
-// ModelID reports the registry entry the client is scoped to ("" = the v1
-// default routes).
-func (c *Client) ModelID() string { return c.model }
-
-// route maps a logical endpoint suffix onto the scoped route family.
+// route maps a logical endpoint suffix onto the scoped entry's routes.
 func (c *Client) route(suffix string) string {
-	if c.model == "" {
-		return c.base + "/v1" + suffix
-	}
 	return c.base + "/v2/models/" + url.PathEscape(c.model) + suffix
 }
 
@@ -143,8 +127,8 @@ func (c *Client) PredictBatch(ctx context.Context, req BatchPredictRequest) (Bat
 	return out, err
 }
 
-// Samples feeds profiles to the server: registry-wide fan-out on the v1
-// routes, entry-scoped (or fan_out-controlled) on a model-scoped client.
+// Samples feeds profiles to the scoped model, or with FanOut set to every
+// registered model whose application matches each sample.
 func (c *Client) Samples(ctx context.Context, req SamplesRequest) (SamplesResponse, error) {
 	var out SamplesResponse
 	err := c.do(ctx, http.MethodPost, c.route("/samples"), req, &out)

@@ -81,7 +81,7 @@ type (
 	// retrain and canary gates, seed); see NewLifecycle.
 	LifecycleConfig = lifecycle.Config
 	// LifecycleStatus is the loop's observable state (also the JSON body of
-	// hsserve's GET /v1/lifecycle).
+	// hsserve's GET /v2/models/{id}/lifecycle).
 	LifecycleStatus = lifecycle.Status
 	// DriftConfig tunes the EWMA+CUSUM drift detector.
 	DriftConfig = lifecycle.DriftConfig

@@ -1,6 +1,6 @@
 // Wire schema: the one JSON vocabulary spoken by the hsserve HTTP service,
 // the hsinfer CLI, and any external tooling. Every request and response body
-// on the /v1 API is one of these types, so a sample captured with hsinfer
+// of the API is one of these types, so a sample captured with hsinfer
 // can be POSTed to hsserve unchanged and a prediction printed by either tool
 // round-trips through the same struct.
 //
@@ -84,31 +84,33 @@ type SamplesRequest struct {
 	// samples are absorbed. A failed re-specification never replaces the
 	// served snapshot.
 	Update bool `json:"update,omitempty"`
-	// FanOut, on a model-addressed /v2/models/{id}/samples POST, asks the
-	// server to fan the samples out to every registered model whose
-	// application scope matches each sample (the /v1/samples behavior)
-	// instead of feeding only the addressed model.
+	// FanOut asks the server to fan the samples out to every registered
+	// model whose application scope matches each sample instead of feeding
+	// only the addressed model.
 	FanOut bool `json:"fan_out,omitempty"`
 }
 
 // SamplesResponse acknowledges absorbed profiles.
 type SamplesResponse struct {
-	Accepted      int  `json:"accepted"`
+	Accepted int `json:"accepted"`
+	// TotalSamples counts the addressed entry trainer's store. On an entry
+	// with a control loop the posted samples go to the loop's bounded
+	// stores instead, and the trainer's store changes only when a promotion
+	// replaces it; the loop's store sizes are on
+	// GET /v2/models/{id}/lifecycle.
 	TotalSamples  int  `json:"total_samples"`
 	UpdateStarted bool `json:"update_started"`
 	// Models lists the registered models the samples fanned out to, sorted;
-	// set only on fan-out responses (/v2 with fan_out), never on /v1.
+	// set only when the request asked for fan_out.
 	Models []string `json:"models,omitempty"`
 }
 
 // ModelInfo describes the currently served snapshot and its provenance.
 type ModelInfo struct {
-	// Model is the registry id the info describes; set only on the
-	// model-addressed /v2 route, never on /v1 (whose body stays bit-identical
-	// to the single-model server).
+	// Model is the registry id the info describes.
 	Model string `json:"model,omitempty"`
 	// Application is the entry's application scope ("" = every application);
-	// ArchSpace names its architecture space. /v2 only, like Model.
+	// ArchSpace names its architecture space.
 	Application string `json:"application,omitempty"`
 	ArchSpace   string `json:"arch_space,omitempty"`
 	Trained     bool   `json:"trained"`
@@ -125,12 +127,13 @@ type ModelInfo struct {
 	TrainedRows int    `json:"trained_rows,omitempty"`
 	ShardLen    int    `json:"shard_len,omitempty"`
 	// TotalSamples counts the trainer's profile store, including samples not
-	// yet trained on.
+	// yet trained on (on an entry with a control loop, see
+	// SamplesResponse.TotalSamples).
 	TotalSamples int `json:"total_samples"`
 	// SnapshotVersion counts the model publications made by the entry's
 	// trainer (training runs, ladder fallbacks, reloads, lifecycle
 	// promotions), 0 before the first; SnapshotAgeSec is the seconds since
-	// the latest one was published.
+	// the latest one was published, 0 before the first.
 	SnapshotVersion uint64  `json:"snapshot_version"`
 	SnapshotAgeSec  float64 `json:"snapshot_age_sec"`
 	// GramFits / QRFallbacks are the candidate-fit path counters of the
@@ -146,10 +149,10 @@ type ErrorResponse struct {
 	Error string `json:"error"`
 }
 
-// DefaultModelID is the reserved registry entry every legacy /v1/* route
-// aliases: the single-model server's trainer lives there, so v1 responses
-// stay bit-identical while /v2/models/default addresses the same model
-// explicitly. The id cannot be registered or unregistered over the wire.
+// DefaultModelID is the reserved registry entry that serves hsserve's own
+// trainer (the -model, -bootstrap and -lifecycle model), addressed as
+// /v2/models/default and by an unscoped Client. The id cannot be registered
+// or unregistered over the wire.
 const DefaultModelID = "default"
 
 // LifecycleWire is the wire form of a per-model continuous-learning
@@ -232,7 +235,7 @@ type RegistryStatus struct {
 	Models []ModelStatus `json:"models"`
 	// QueueDepth is the aggregate queued predictions across entries.
 	QueueDepth int `json:"queue_depth"`
-	// Default is the reserved entry id the /v1 routes alias.
+	// Default is the reserved entry id serving hsserve's own trainer.
 	Default string `json:"default"`
 }
 
