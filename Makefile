@@ -64,10 +64,15 @@ bench-smoke:
 
 # bench-collect times sample collection once at the build workload's scale
 # (BenchmarkCollect: 7 applications x 120 samples, 50k-instruction shards):
-# tracing, shard profiling and simulation, with s/op and B/op. No bound
-# applies; it puts the collection layer's cost in the log.
+# tracing, shard profiling and simulation, with s/op and B/op. Then it times
+# the three layers alone at the same scale, 10 passes over one 50k shard per
+# SPEC2006 application each, in ns/inst: BenchmarkShardTrace (trace
+# generation), BenchmarkProfileStream (profiling) and BenchmarkSimulate
+# (simulation on sampled architectures). No bound applies; it puts the
+# collection layer's cost and its split in the log.
 bench-collect:
-	$(GO) test -run '^$$' -bench BenchmarkCollect -benchtime 1x -benchmem ./internal/core
+	$(GO) test -run '^$$' -bench '^BenchmarkCollect$$' -benchtime 1x -benchmem ./internal/core
+	$(GO) test -run '^$$' -bench '^Benchmark(ShardTrace|ProfileStream|Simulate)$$' -benchtime 10x -benchmem ./internal/core
 
 # fig5 runs BenchmarkFig5Convergence once (about 5 s on 2 vCPUs) and fails
 # unless it reproduces the Figure 5 convergence figures exactly: summed
@@ -97,9 +102,10 @@ serve-smoke:
 # fan_out samples accounting per entry, a non-default entry retraining
 # through its own samples route, the "app:<name>" alias, the default entry's
 # bit-identical canonical predict bodies, register/unregister with manifest
-# persistence, manifest boot, a manifest entry's lifecycle route, and the
-# per-model metrics series. `make test` and `make race` already run them.
-REGISTRY_SMOKE_TESTS := ^(TestSamplesFanOut|TestPredictCanonicalEncoding|TestRegisterUnregisterHTTP|TestManifestBoot|TestLifecycleRouteOnManifestEntry|TestRegistryMetricsPage)$$
+# persistence, manifest boot, a manifest entry's lifecycle route, the
+# per-model metrics series, and every control loop's lifecycle series.
+# `make test` and `make race` already run them.
+REGISTRY_SMOKE_TESTS := ^(TestSamplesFanOut|TestPredictCanonicalEncoding|TestRegisterUnregisterHTTP|TestManifestBoot|TestLifecycleRouteOnManifestEntry|TestRegistryMetricsPage|TestLifecycleMetricsPerEntry)$$
 
 registry-smoke:
 	$(GO) test -count=1 -run '$(REGISTRY_SMOKE_TESTS)' ./internal/serve

@@ -197,8 +197,7 @@ func (c Collector) run(reqs []request) []Sample {
 			defer wg.Done()
 			defer func() { <-sem }()
 			r := reqs[idxs[0]]
-			insts := isa.Collect(r.app.ShardStream(r.shard, c.shardLen()), c.shardLen())
-			ss := &isa.SliceStream{Insts: insts}
+			ss := &isa.SliceStream{Insts: r.app.ShardTrace(r.shard, c.shardLen())}
 			x := profile.Stream(ss, r.app.Name, r.shard).X
 			for _, i := range idxs {
 				req := reqs[i]

@@ -79,14 +79,19 @@ const ringSize = 512
 // Simulator carries reusable simulation state so repeated runs do not
 // reallocate. A Simulator is not safe for concurrent use; create one per
 // goroutine.
+//
+// Run walks a *isa.SliceStream's instructions as a slice, with no interface
+// call per instruction; any other stream is first collected into a slice.
 type Simulator struct {
 	cfg  hwspace.Config
 	hier cache.Hierarchy
 
-	completion [ringSize]float64 // completion time by instruction index
-	issue      [ringSize]float64 // issue time by instruction index
-	retire     [ringSize]float64 // retire time by instruction index
-	memRetire  [ringSize]float64 // retire time by memory-op index
+	// completion[ringSize] is a sentinel that stays 0: a dependence with no
+	// producer in the stream reads it.
+	completion [ringSize + 1]float64 // completion time by instruction index
+	issue      [ringSize]float64     // issue time by instruction index
+	retire     [ringSize]float64     // retire time by instruction index
+	memRetire  [ringSize]float64     // retire time by memory-op index
 
 	fuFree   [isa.NumClasses][]float64
 	portFree []float64
@@ -130,12 +135,10 @@ func (s *Simulator) Config() hwspace.Config { return s.cfg }
 // Reset clears all timing and cache state for a fresh run.
 func (s *Simulator) Reset() {
 	s.hier.Reset()
-	for i := range s.completion {
-		s.completion[i] = 0
-		s.issue[i] = 0
-		s.retire[i] = 0
-		s.memRetire[i] = 0
-	}
+	s.completion = [ringSize + 1]float64{}
+	s.issue = [ringSize]float64{}
+	s.retire = [ringSize]float64{}
+	s.memRetire = [ringSize]float64{}
 	zero := func(xs []float64) {
 		for i := range xs {
 			xs[i] = 0
@@ -153,13 +156,30 @@ func (s *Simulator) Reset() {
 
 // Run simulates the stream to completion and returns timing results.
 func (s *Simulator) Run(st isa.Stream) Result {
+	if ss, ok := st.(*isa.SliceStream); ok {
+		return s.run(ss.Rest())
+	}
+	return s.run(isa.Collect(st, 0))
+}
+
+// run simulates insts in program order from a reset state.
+//
+// The window and dependence checks take no warm-up branches. Before
+// instruction ROB (PhysRegs, IQ; memory op LSQ for the LSQ) the ring slot a
+// check reads has not been written in this run, so it holds the +0 that
+// Reset stored, and every time is >= +0: the check cannot move t. A
+// dependence with no producer in the stream (distance <= 0 or beyond the
+// instructions so far) reads the sentinel completion[ringSize], also +0.
+// No time is ever NaN or -0, so max(t, x) is bit for bit the t that
+// `if x > t { t = x }` leaves.
+func (s *Simulator) run(insts []isa.Inst) Result {
 	s.Reset()
 	var res Result
-	cfg := s.cfg
+	cfg := &s.cfg
 	dispatchStep := 1.0 / float64(cfg.Width)
+	rob, regs, iq, lsq := int64(cfg.ROB), int64(cfg.PhysRegs), int64(cfg.IQ), int64(cfg.LSQ)
 
 	var (
-		in          isa.Inst
 		i           int64   // instruction index
 		memIdx      int64   // memory-op index
 		frontTime   float64 // earliest next dispatch
@@ -167,7 +187,8 @@ func (s *Simulator) Run(st isa.Stream) Result {
 		lastPCBlock uint64 = ^uint64(0)
 	)
 
-	for st.Next(&in) {
+	for k := range insts {
+		in := &insts[k]
 		// --- Front end: i-cache ---
 		pcBlock := in.PC / lineBytes
 		if pcBlock != lastPCBlock {
@@ -178,42 +199,18 @@ func (s *Simulator) Run(st isa.Stream) Result {
 		}
 
 		// --- Dispatch: window resource stalls ---
-		t := frontTime
-		if i >= int64(cfg.ROB) {
-			if rt := s.retire[(i-int64(cfg.ROB))&(ringSize-1)]; rt > t {
-				t = rt
-			}
-		}
-		if i >= int64(cfg.PhysRegs) {
-			if rt := s.retire[(i-int64(cfg.PhysRegs))&(ringSize-1)]; rt > t {
-				t = rt
-			}
-		}
-		if i >= int64(cfg.IQ) {
+		t := max(frontTime,
+			s.retire[(i-rob)&(ringSize-1)],
+			s.retire[(i-regs)&(ringSize-1)],
 			// An IQ entry is held from dispatch to issue.
-			if it := s.issue[(i-int64(cfg.IQ))&(ringSize-1)]; it > t {
-				t = it
-			}
-		}
+			s.issue[(i-iq)&(ringSize-1)])
 		isMem := in.Class.IsMemory()
-		if isMem && memIdx >= int64(cfg.LSQ) {
-			if rt := s.memRetire[(memIdx-int64(cfg.LSQ))&(ringSize-1)]; rt > t {
-				t = rt
-			}
+		if isMem {
+			t = max(t, s.memRetire[(memIdx-lsq)&(ringSize-1)])
 		}
 
 		// --- Wakeup: data dependences ---
-		ready := t
-		if in.Dep1 > 0 && int64(in.Dep1) <= i {
-			if ct := s.completion[(i-int64(in.Dep1))&(ringSize-1)]; ct > ready {
-				ready = ct
-			}
-		}
-		if in.Dep2 > 0 && int64(in.Dep2) <= i {
-			if ct := s.completion[(i-int64(in.Dep2))&(ringSize-1)]; ct > ready {
-				ready = ct
-			}
-		}
+		ready := max(t, s.completion[depSlot(i, in.Dep1)], s.completion[depSlot(i, in.Dep2)])
 
 		// --- Issue: structural hazards and execution ---
 		var issueAt, complete float64
@@ -235,10 +232,7 @@ func (s *Simulator) Run(st isa.Stream) Result {
 		}
 
 		// --- Commit: in-order retirement at commit width ---
-		rt := complete
-		if lr := lastRetire + dispatchStep; lr > rt {
-			rt = lr
-		}
+		rt := max(complete, lastRetire+dispatchStep)
 		lastRetire = rt
 
 		slot := i & (ringSize - 1)
@@ -275,19 +269,31 @@ func (s *Simulator) Run(st isa.Stream) Result {
 	return res
 }
 
+// depSlot returns the completion slot instruction i's dependence at
+// distance dep reads: its producer's, or the sentinel ringSize when dep
+// names no instruction of the stream (dep <= 0 or dep > i).
+func depSlot(i int64, dep int32) int64 {
+	if uint64(int64(dep)-1) >= uint64(i) {
+		return ringSize
+	}
+	return (i - int64(dep)) & (ringSize - 1)
+}
+
 // acquire reserves the earliest-available unit in pool no earlier than
 // ready, holding it for occupancy cycles, and returns the acquisition time.
 func (s *Simulator) acquire(pool []float64, ready, occupancy float64) float64 {
+	if len(pool) == 1 {
+		at := max(ready, pool[0])
+		pool[0] = at + occupancy
+		return at
+	}
 	best := 0
 	for u := 1; u < len(pool); u++ {
 		if pool[u] < pool[best] {
 			best = u
 		}
 	}
-	at := ready
-	if pool[best] > at {
-		at = pool[best]
-	}
+	at := max(ready, pool[best])
 	pool[best] = at + occupancy
 	return at
 }

@@ -72,10 +72,20 @@ type Stream interface {
 }
 
 // SliceStream adapts a materialized instruction slice to the Stream
-// interface.
+// interface. Consumers that know the concrete type (cpu.Simulator.Run,
+// profile.Stream) take the unread instructions with Rest and walk the slice
+// directly, with no interface call per instruction.
 type SliceStream struct {
 	Insts []Inst
 	pos   int
+}
+
+// Rest returns the instructions not yet read and marks them read, leaving
+// the stream where a Next loop to its end would.
+func (s *SliceStream) Rest() []Inst {
+	rest := s.Insts[min(s.pos, len(s.Insts)):]
+	s.pos = len(s.Insts)
+	return rest
 }
 
 // Next implements Stream.

@@ -202,9 +202,17 @@ func (pr *Profiler) Finish(app string, shard int) ShardProfile {
 	}
 }
 
-// Stream profiles an entire instruction stream.
+// Stream profiles an entire instruction stream. A *isa.SliceStream is
+// walked as a slice, with no interface call per instruction.
 func Stream(st isa.Stream, app string, shard int) ShardProfile {
 	var pr Profiler
+	if ss, ok := st.(*isa.SliceStream); ok {
+		insts := ss.Rest()
+		for i := range insts {
+			pr.Observe(&insts[i])
+		}
+		return pr.Finish(app, shard)
+	}
 	var in isa.Inst
 	for st.Next(&in) {
 		pr.Observe(&in)

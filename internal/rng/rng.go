@@ -120,3 +120,45 @@ func (s *Source) Shuffle(n int, swap func(i, j int)) {
 		swap(i, j)
 	}
 }
+
+// Zipf is a precomputed sampler for Source.Zipf with a fixed n and theta.
+// Construction pays the n-dependent math.Pow and the exponent's reciprocal
+// once; each draw then makes one math.Pow in place of two, with the same
+// arithmetic, so Sample returns exactly what Source.Zipf(n, theta) would and
+// consumes the same draws.
+type Zipf struct {
+	n        int
+	hiMinus1 float64 // n^(1-theta) - 1
+	invExp   float64 // 1 / (1-theta)
+	harmonic bool    // theta == 1
+}
+
+// NewZipf builds a sampler over [1, n] with exponent theta.
+func NewZipf(n int, theta float64) Zipf {
+	z := Zipf{n: n, harmonic: theta == 1}
+	if n > 1 && !z.harmonic {
+		oneMinus := 1 - theta
+		z.hiMinus1 = math.Pow(float64(n), oneMinus) - 1
+		z.invExp = 1 / oneMinus
+	}
+	return z
+}
+
+// Sample draws one variate from src, as src.Zipf(n, theta) would.
+func (z Zipf) Sample(src *Source) int {
+	if z.n <= 1 {
+		return 1
+	}
+	u := src.Float64()
+	if z.harmonic {
+		return 1 + int(math.Pow(float64(z.n), u))%z.n
+	}
+	k := int(math.Pow(u*z.hiMinus1+1, z.invExp))
+	if k < 1 {
+		k = 1
+	}
+	if k > z.n {
+		k = z.n
+	}
+	return k
+}

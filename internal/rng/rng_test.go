@@ -180,3 +180,24 @@ func TestShuffle(t *testing.T) {
 		t.Fatalf("shuffle lost elements: %v", xs)
 	}
 }
+
+// TestZipfSamplerMatchesSource checks that the precomputed sampler returns
+// exactly what Source.Zipf returns and consumes the same draws, including
+// the n <= 1 cases that draw nothing and the theta == 1 branch.
+func TestZipfSamplerMatchesSource(t *testing.T) {
+	const draws = 100_000
+	for _, n := range []int{0, 1, 2, 17, 4096} {
+		for _, theta := range []float64{0.8, 1, 1.2, 1.35} {
+			z := NewZipf(n, theta)
+			a, b := New(uint64(n)*31+7), New(uint64(n)*31+7)
+			for i := 0; i < draws; i++ {
+				if got, want := z.Sample(a), b.Zipf(n, theta); got != want {
+					t.Fatalf("n=%d theta=%v draw %d: sampler %d, Source.Zipf %d", n, theta, i, got, want)
+				}
+			}
+			if a.state != b.state {
+				t.Fatalf("n=%d theta=%v: source states diverged", n, theta)
+			}
+		}
+	}
+}

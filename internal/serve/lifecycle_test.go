@@ -176,11 +176,11 @@ func TestLifecycleHTTPEpisode(t *testing.T) {
 
 	_, body := getBody(t, ts.URL+"/metrics")
 	for _, marker := range []string{
-		`hsserve_lifecycle_episodes_total{kind="promotion"} 1`,
-		`hsserve_lifecycle_state{state="stable"} 1`,
-		`hsserve_lifecycle_store_occupancy{store="reservoir"}`,
-		"hsserve_lifecycle_drift_score",
-		"hsserve_lifecycle_canary_err",
+		`hsserve_lifecycle_episodes_total{model="default",kind="promotion"} 1`,
+		`hsserve_lifecycle_state{model="default",state="stable"} 1`,
+		`hsserve_lifecycle_store_occupancy{model="default",store="reservoir"}`,
+		`hsserve_lifecycle_drift_score{model="default"}`,
+		`hsserve_lifecycle_canary_err{model="default",role="candidate"}`,
 	} {
 		if !strings.Contains(string(body), marker) {
 			t.Errorf("metrics missing %q", marker)
@@ -342,6 +342,65 @@ func TestLifecycleRouteOnManifestEntry(t *testing.T) {
 	marker := `hsserve_model_requests_total{model="m-lc",endpoint="v2_lifecycle",code="200"} 1`
 	if !strings.Contains(string(page), marker) {
 		t.Errorf("metrics page missing %q", marker)
+	}
+}
+
+// TestLifecycleMetricsPerEntry: /metrics carries the hsserve_lifecycle_*
+// series of every entry with a control loop, each labeled by its model id,
+// a manifest entry's included, and none for an entry without a loop.
+func TestLifecycleMetricsPerEntry(t *testing.T) {
+	tr := newTestTrainer(t)
+	dir := t.TempDir()
+	path := filepath.Join(dir, "model.json")
+	if err := tr.Save(path, 0); err != nil {
+		t.Fatal(err)
+	}
+	manifest := filepath.Join(dir, "fleet.json")
+	data, err := json.Marshal(hsmodel.Manifest{Models: []hsmodel.RegisterRequest{
+		{ID: "m-lc", ModelPath: path, Lifecycle: &hsmodel.LifecycleWire{Seed: 3}},
+		{ID: "m-plain"},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(manifest, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newTestServer(t, Config{
+		Trainer:      tr,
+		ManifestPath: manifest,
+		Lifecycle:    &lifecycle.Config{Seed: 5},
+	})
+
+	_, valid := testData(t)
+	resp, body := postJSON(t, ts.URL+"/v2/models/m-lc/samples", hsmodel.SamplesRequest{
+		Samples: []hsmodel.SampleWire{hsmodel.SampleToWire(valid[0]), hsmodel.SampleToWire(valid[1])},
+	})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("m-lc samples: status %d: %s", resp.StatusCode, body)
+	}
+
+	_, page := getBody(t, ts.URL+"/metrics")
+	for _, marker := range []string{
+		`hsserve_lifecycle_state{model="m-lc",state="stable"} 1`,
+		`hsserve_lifecycle_state{model="default",state="stable"} 1`,
+		`hsserve_lifecycle_drift_score{model="m-lc"}`,
+		`hsserve_lifecycle_err_ewma{model="m-lc"}`,
+		`hsserve_lifecycle_store_occupancy{model="m-lc",store="reservoir"} 2`,
+		`hsserve_lifecycle_store_occupancy{model="default",store="reservoir"} 0`,
+		`hsserve_lifecycle_store_capacity{model="m-lc",store="ring"}`,
+		`hsserve_lifecycle_episodes_total{model="m-lc",kind="retrain"} 0`,
+		`hsserve_lifecycle_canary_err{model="m-lc",role="incumbent"}`,
+	} {
+		if !strings.Contains(string(page), marker) {
+			t.Errorf("metrics page missing %q", marker)
+		}
+	}
+	if strings.Contains(string(page), `hsserve_lifecycle_state{model="m-plain"`) {
+		t.Error("metrics page has lifecycle series for m-plain, which has no loop")
+	}
+	if n := strings.Count(string(page), "# TYPE hsserve_lifecycle_state "); n != 1 {
+		t.Errorf("hsserve_lifecycle_state has %d TYPE lines, want 1", n)
 	}
 }
 

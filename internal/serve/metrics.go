@@ -196,16 +196,12 @@ type snapshotState struct {
 	family  string // served model family name; "" before training
 }
 
-// writeTo renders the full exposition page. Lock coverage on the read path:
-// the requests map is copied under mu before rendering; every histogram and
-// counter read is an atomic load (a bucket/sum/count triple may be mutually
-// torn mid-observation, which skews one scrape by at most one in-flight
-// event and never corrupts monotonicity); the latency map itself is written
-// only in newMetrics. TestMetricsScrapeDuringPredictLoad holds this under
-// -race.
-// lifecycleState carries the control loop's scrape-time status; nil means
-// the loop is disabled and its section is omitted.
-type lifecycleState = lifecycle.Status
+// modelLifecycle is one entry's control-loop status at scrape time; only
+// entries with a loop have one.
+type modelLifecycle struct {
+	id string
+	st lifecycle.Status
+}
 
 // modelScrape is one registry entry's scrape-time state.
 type modelScrape struct {
@@ -224,7 +220,15 @@ type registryScrape struct {
 	models []modelScrape
 }
 
-func (m *metrics) writeTo(w io.Writer, snap snapshotState, lc *lifecycleState, reg *registryScrape) {
+// writeTo renders the full exposition page. Lock coverage on the read path:
+// the requests map is copied under mu before rendering; every histogram and
+// counter read is an atomic load (a bucket/sum/count triple may be mutually
+// torn mid-observation, which skews one scrape by at most one in-flight
+// event and never corrupts monotonicity); the latency map itself is written
+// only in newMetrics. TestMetricsScrapeDuringPredictLoad holds this under
+// -race. The hsserve_lifecycle_* section has one series per entry in lcs,
+// labeled by model id, and is omitted when lcs is empty.
+func (m *metrics) writeTo(w io.Writer, snap snapshotState, lcs []modelLifecycle, reg *registryScrape) {
 	io.WriteString(w, "# HELP hsserve_requests_total HTTP requests served, by endpoint and status code.\n")
 	io.WriteString(w, "# TYPE hsserve_requests_total counter\n")
 	m.mu.Lock()
@@ -307,42 +311,61 @@ func (m *metrics) writeTo(w io.Writer, snap snapshotState, lc *lifecycleState, r
 		m.writeRegistry(w, reg)
 	}
 
-	if lc == nil {
-		return
+	if len(lcs) > 0 {
+		writeLifecycle(w, lcs)
 	}
-	io.WriteString(w, "# HELP hsserve_lifecycle_state Control-loop state (one-hot over the state machine).\n")
+}
+
+// writeLifecycle renders every control loop's gauges and counters, one
+// series per entry labeled model="<id>".
+func writeLifecycle(w io.Writer, lcs []modelLifecycle) {
+	io.WriteString(w, "# HELP hsserve_lifecycle_state Control-loop state (one-hot over the state machine), by model.\n")
 	io.WriteString(w, "# TYPE hsserve_lifecycle_state gauge\n")
-	for _, st := range []string{"stable", "drift-suspected", "gathering", "retraining", "canary", "cooldown"} {
-		v := 0
-		if lc.State == st {
-			v = 1
+	for _, lc := range lcs {
+		for _, st := range []string{"stable", "drift-suspected", "gathering", "retraining", "canary", "cooldown"} {
+			v := 0
+			if lc.st.State == st {
+				v = 1
+			}
+			fmt.Fprintf(w, "hsserve_lifecycle_state{model=%q,state=%q} %d\n", lc.id, st, v)
 		}
-		fmt.Fprintf(w, "hsserve_lifecycle_state{state=%q} %d\n", st, v)
 	}
-	io.WriteString(w, "# HELP hsserve_lifecycle_drift_score CUSUM drift score of the streaming error detector.\n")
+	io.WriteString(w, "# HELP hsserve_lifecycle_drift_score CUSUM drift score of the streaming error detector, by model.\n")
 	io.WriteString(w, "# TYPE hsserve_lifecycle_drift_score gauge\n")
-	fmt.Fprintf(w, "hsserve_lifecycle_drift_score %g\n", lc.DriftScore)
-	io.WriteString(w, "# HELP hsserve_lifecycle_err_ewma Smoothed |relative error| of the served model on the live stream.\n")
+	for _, lc := range lcs {
+		fmt.Fprintf(w, "hsserve_lifecycle_drift_score{model=%q} %g\n", lc.id, lc.st.DriftScore)
+	}
+	io.WriteString(w, "# HELP hsserve_lifecycle_err_ewma Smoothed |relative error| of the served model on the live stream, by model.\n")
 	io.WriteString(w, "# TYPE hsserve_lifecycle_err_ewma gauge\n")
-	fmt.Fprintf(w, "hsserve_lifecycle_err_ewma %g\n", lc.ErrEWMA)
-	io.WriteString(w, "# HELP hsserve_lifecycle_store_occupancy Bounded sample-store occupancy, by store.\n")
+	for _, lc := range lcs {
+		fmt.Fprintf(w, "hsserve_lifecycle_err_ewma{model=%q} %g\n", lc.id, lc.st.ErrEWMA)
+	}
+	io.WriteString(w, "# HELP hsserve_lifecycle_store_occupancy Bounded sample-store occupancy, by model and store.\n")
 	io.WriteString(w, "# TYPE hsserve_lifecycle_store_occupancy gauge\n")
-	fmt.Fprintf(w, "hsserve_lifecycle_store_occupancy{store=\"reservoir\"} %d\n", lc.ReservoirLen)
-	fmt.Fprintf(w, "hsserve_lifecycle_store_occupancy{store=\"ring\"} %d\n", lc.RingLen)
-	io.WriteString(w, "# HELP hsserve_lifecycle_store_capacity Bounded sample-store capacity, by store.\n")
+	for _, lc := range lcs {
+		fmt.Fprintf(w, "hsserve_lifecycle_store_occupancy{model=%q,store=\"reservoir\"} %d\n", lc.id, lc.st.ReservoirLen)
+		fmt.Fprintf(w, "hsserve_lifecycle_store_occupancy{model=%q,store=\"ring\"} %d\n", lc.id, lc.st.RingLen)
+	}
+	io.WriteString(w, "# HELP hsserve_lifecycle_store_capacity Bounded sample-store capacity, by model and store.\n")
 	io.WriteString(w, "# TYPE hsserve_lifecycle_store_capacity gauge\n")
-	fmt.Fprintf(w, "hsserve_lifecycle_store_capacity{store=\"reservoir\"} %d\n", lc.ReservoirCap)
-	fmt.Fprintf(w, "hsserve_lifecycle_store_capacity{store=\"ring\"} %d\n", lc.RingCap)
-	io.WriteString(w, "# HELP hsserve_lifecycle_episodes_total Control-loop episode outcomes, by kind.\n")
+	for _, lc := range lcs {
+		fmt.Fprintf(w, "hsserve_lifecycle_store_capacity{model=%q,store=\"reservoir\"} %d\n", lc.id, lc.st.ReservoirCap)
+		fmt.Fprintf(w, "hsserve_lifecycle_store_capacity{model=%q,store=\"ring\"} %d\n", lc.id, lc.st.RingCap)
+	}
+	io.WriteString(w, "# HELP hsserve_lifecycle_episodes_total Control-loop episode outcomes, by model and kind.\n")
 	io.WriteString(w, "# TYPE hsserve_lifecycle_episodes_total counter\n")
-	fmt.Fprintf(w, "hsserve_lifecycle_episodes_total{kind=\"retrain\"} %d\n", lc.Retrains)
-	fmt.Fprintf(w, "hsserve_lifecycle_episodes_total{kind=\"promotion\"} %d\n", lc.Promotions)
-	fmt.Fprintf(w, "hsserve_lifecycle_episodes_total{kind=\"rollback\"} %d\n", lc.Rollbacks)
-	fmt.Fprintf(w, "hsserve_lifecycle_episodes_total{kind=\"ladder_failure\"} %d\n", lc.LadderFailures)
-	io.WriteString(w, "# HELP hsserve_lifecycle_canary_err Canary MedAPE of the last candidate vs the incumbent on the same set.\n")
+	for _, lc := range lcs {
+		fmt.Fprintf(w, "hsserve_lifecycle_episodes_total{model=%q,kind=\"retrain\"} %d\n", lc.id, lc.st.Retrains)
+		fmt.Fprintf(w, "hsserve_lifecycle_episodes_total{model=%q,kind=\"promotion\"} %d\n", lc.id, lc.st.Promotions)
+		fmt.Fprintf(w, "hsserve_lifecycle_episodes_total{model=%q,kind=\"rollback\"} %d\n", lc.id, lc.st.Rollbacks)
+		fmt.Fprintf(w, "hsserve_lifecycle_episodes_total{model=%q,kind=\"ladder_failure\"} %d\n", lc.id, lc.st.LadderFailures)
+	}
+	io.WriteString(w, "# HELP hsserve_lifecycle_canary_err Canary MedAPE of the last candidate vs the incumbent on the same set, by model and role.\n")
 	io.WriteString(w, "# TYPE hsserve_lifecycle_canary_err gauge\n")
-	fmt.Fprintf(w, "hsserve_lifecycle_canary_err{model=\"candidate\"} %g\n", lc.CanaryErr)
-	fmt.Fprintf(w, "hsserve_lifecycle_canary_err{model=\"incumbent\"} %g\n", lc.IncumbentErr)
+	for _, lc := range lcs {
+		fmt.Fprintf(w, "hsserve_lifecycle_canary_err{model=%q,role=\"candidate\"} %g\n", lc.id, lc.st.CanaryErr)
+		fmt.Fprintf(w, "hsserve_lifecycle_canary_err{model=%q,role=\"incumbent\"} %g\n", lc.id, lc.st.IncumbentErr)
+	}
 }
 
 // writeRegistry renders the multi-model section: registry-wide load state

@@ -763,11 +763,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	pub := s.def.Trainer().Published()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	var lc *lifecycleState
-	if defLC := s.def.Lifecycle(); defLC != nil {
-		st := defLC.Status()
-		lc = &st
-	}
+	var lcs []modelLifecycle
 	entries := s.reg.Entries()
 	reg := &registryScrape{
 		depth:  s.reg.QueueDepth(),
@@ -786,13 +782,16 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			m.trainedRows = epub.Snapshot.TrainedRows()
 		}
 		reg.models[i] = m
+		if lc := e.Lifecycle(); lc != nil {
+			lcs = append(lcs, modelLifecycle{id: e.ID(), st: lc.Status()})
+		}
 	}
 	s.metrics.writeTo(w, snapshotState{
 		version: pub.Generation,
 		age:     snapshotAge(pub),
 		trained: pub.Snapshot.Trained(),
 		family:  pub.Snapshot.Family(),
-	}, lc, reg)
+	}, lcs, reg)
 }
 
 // batchMean exposes the observed mean coalesced-batch size (tests assert

@@ -142,6 +142,23 @@ func (a *App) PhaseAt(idx int) (Phase, int) {
 // shard profiled once can be replayed bit-identically on every architecture
 // (Section 2.2's portability requirement).
 func (a *App) ShardStream(shardIdx, shardLen int) isa.Stream {
+	return a.shardGenerator(shardIdx, shardLen)
+}
+
+// ShardTrace returns shard shardIdx's shardLen instructions, the same ones
+// ShardStream yields, in one exact-size slice filled straight from the
+// generator.
+func (a *App) ShardTrace(shardIdx, shardLen int) []isa.Inst {
+	g := a.shardGenerator(shardIdx, shardLen)
+	insts := make([]isa.Inst, shardLen)
+	for i := range insts {
+		g.Next(&insts[i])
+	}
+	return insts
+}
+
+// shardGenerator builds the generator behind ShardStream and ShardTrace.
+func (a *App) shardGenerator(shardIdx, shardLen int) *generator {
 	start := shardIdx * shardLen
 	phase, segIdx := a.PhaseAt(start)
 	src := rng.New(a.Seed).Fork(uint64(shardIdx))
@@ -252,11 +269,23 @@ type generator struct {
 	occLen [5]int
 	occPos [5]int
 
+	// The occupied classes (occLen > 0) in class order, the running sums of
+	// their DepProducer weights, and the total: the first occN entries of
+	// occCls and occCum hold them. The occupied set only grows, so
+	// recordProducer recomputes them only when a class gets its first
+	// occurrence.
+	occCls   [5]int
+	occCum   [5]float64
+	occN     int
+	occTotal float64
+
 	// Cached cumulative mix weights and precomputed samplers.
 	mixTotal  float64
 	bbGeom    rng.Geom
 	reuseGeom rng.Geom
 	depGeom   [5]rng.Geom
+	dataZipf  rng.Zipf // hot data blocks: (WSBlocks, HotTheta)
+	codeZipf  rng.Zipf // hot code blocks: (CodeBlocks, 1.2)
 }
 
 // deriveHiddenKnobs fills every zero-valued generator knob that is not
@@ -320,6 +349,8 @@ func newGenerator(p Phase, src *rng.Source, codeSeed uint64, shardLen int) *gene
 	for i, d := range p.DepDepth {
 		g.depGeom[i] = rng.NewGeom(d)
 	}
+	g.dataZipf = rng.NewZipf(maxInt(g.phase.WSBlocks, 1), g.phase.HotTheta)
+	g.codeZipf = rng.NewZipf(maxInt(g.phase.CodeBlocks, 1), 1.2)
 	for _, w := range p.Mix {
 		g.mixTotal += w
 	}
@@ -405,7 +436,7 @@ func (g *generator) advancePC(in *isa.Inst) {
 			g.curBlock = (g.curBlock + uint64(cb) - span%uint64(cb)) % uint64(cb)
 		} else {
 			// Jump into the hot-block distribution.
-			g.curBlock = uint64(g.src.Zipf(cb, 1.2) - 1)
+			g.curBlock = uint64(g.codeZipf.Sample(g.src) - 1)
 		}
 		g.pcInBlock = 0
 		return
@@ -438,7 +469,7 @@ func (g *generator) dataAddress() uint64 {
 		block = g.streamWord / wordsPerBlock
 	default:
 		// Hot-data reference: Zipf over the working set.
-		block = uint64(g.src.Zipf(ws, g.phase.HotTheta) - 1)
+		block = uint64(g.dataZipf.Sample(g.src) - 1)
 	}
 	g.recency[g.recencyPos] = block
 	g.recencyPos = (g.recencyPos + 1) % recencyRingSize
@@ -462,25 +493,14 @@ func (g *generator) assignDeps(in *isa.Inst) {
 // occurrence at geometric depth, returning the dynamic-instruction distance
 // (0 when no suitable producer exists yet).
 func (g *generator) pickProducer() int32 {
-	var total float64
-	for i, w := range g.phase.DepProducer {
-		if g.occLen[i] > 0 {
-			total += w
-		}
-	}
-	if total == 0 {
+	if g.occTotal == 0 {
 		return 0
 	}
-	u := g.src.Float64() * total
-	var acc float64
+	u := g.src.Float64() * g.occTotal
 	cls := -1
-	for i, w := range g.phase.DepProducer {
-		if g.occLen[i] == 0 {
-			continue
-		}
-		acc += w
+	for k, acc := range g.occCum[:g.occN] {
 		if u < acc {
-			cls = i
+			cls = g.occCls[k]
 			break
 		}
 	}
@@ -521,5 +541,25 @@ func (g *generator) recordProducer(c isa.Class) {
 	g.occPos[slot] = (g.occPos[slot] + 1) % occRingSize
 	if g.occLen[slot] < occRingSize {
 		g.occLen[slot]++
+		if g.occLen[slot] == 1 {
+			g.sumOccupied()
+		}
 	}
+}
+
+// sumOccupied recomputes the occupied classes' running sums, adding their
+// weights in class order, so the sums are the ones a fresh pass over the
+// classes would give, bit for bit.
+func (g *generator) sumOccupied() {
+	var acc float64
+	g.occN = 0
+	for i, w := range g.phase.DepProducer {
+		if g.occLen[i] > 0 {
+			acc += w
+			g.occCls[g.occN] = i
+			g.occCum[g.occN] = acc
+			g.occN++
+		}
+	}
+	g.occTotal = acc
 }

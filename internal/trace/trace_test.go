@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"hsmodel/internal/isa"
+	"hsmodel/internal/rng"
 )
 
 func TestShardStreamDeterminism(t *testing.T) {
@@ -248,5 +249,35 @@ func TestBwavesIsFPOutlier(t *testing.T) {
 	memSJ := sj[isa.Load] + sj[isa.Store]
 	if memBW >= memSJ {
 		t.Errorf("bwaves memory share %v should be below sjeng's %v", memBW, memSJ)
+	}
+}
+
+// TestShardTraceMatchesStream checks that ShardTrace fills exactly the
+// instructions ShardStream yields, over every SPEC2006 application's first
+// twelve shards, which include blended (transition) shards.
+func TestShardTraceMatchesStream(t *testing.T) {
+	const shardLen = 4000
+	blended := 0
+	for _, app := range SPEC2006() {
+		for shard := 0; shard < 12; shard++ {
+			if len(app.Segments) > 1 && rng.New(app.Seed).Fork(uint64(shard)).Bool(0.3) {
+				blended++
+			}
+			want := isa.Collect(app.ShardStream(shard, shardLen), 0)
+			got := app.ShardTrace(shard, shardLen)
+			if len(got) != len(want) || cap(got) != shardLen {
+				t.Fatalf("%s shard %d: len %d cap %d, want len %d cap %d",
+					app.Name, shard, len(got), cap(got), len(want), shardLen)
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%s shard %d: instruction %d is %+v, stream gave %+v",
+						app.Name, shard, i, got[i], want[i])
+				}
+			}
+		}
+	}
+	if blended == 0 {
+		t.Fatal("no blended shard among those compared")
 	}
 }
