@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build fmt vet test race lint lint-fix lint-sarif bench-build bench-smoke bench-collect fig5 serve-smoke families-smoke registry-smoke smoke-names ci
+.PHONY: build fmt vet test race lint lint-fix lint-sarif bench-build bench-smoke bench-collect fig5 fuzz-smoke serve-smoke families-smoke registry-smoke smoke-names ci
 
 build:
 	$(GO) build ./...
@@ -24,7 +24,8 @@ race:
 # matching, float comparison discipline, context propagation, goroutine
 # lifecycle, atomic publication, and bounded container growth. Findings
 # recorded in .hslint-baseline.json are grandfathered (reported, not fatal);
-# fresh diagnostics exit non-zero. Suppressions use
+# fresh diagnostics exit non-zero, and so does a stale baseline entry that
+# matches no live finding (delete it from the baseline). Suppressions use
 # //hslint:ignore <check> <reason>. The stamp file makes repeated `make lint`
 # free when no Go source or the baseline changed.
 GO_SOURCES := $(shell find . -name '*.go' -not -path './.git/*')
@@ -84,6 +85,14 @@ fig5:
 	for want in '0.6121 gen0-sum-med-err' '0.5650 final-sum-med-err'; do \
 		echo "$$out" | grep -q "[[:space:]]$$want" || { echo "fig5: want $$want"; exit 1; }; \
 	done
+
+# fuzz-smoke fuzzes model loading for 10 s (FuzzLoadSnapshot, internal/core):
+# arbitrary bytes as a model file must either load to a snapshot with finite
+# predictions or fail with a typed ErrModel* error, never panic. A crasher is
+# written to internal/core/testdata/fuzz/FuzzLoadSnapshot/; checked in, it
+# replays on every plain `go test`. CI runs this after ci, not inside it.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzLoadSnapshot$$' -fuzztime 10s ./internal/core
 
 # serve-smoke runs the end-to-end serving tests: each boots the HTTP service
 # on an httptest loopback listener and drives it as a real client. They pin

@@ -20,9 +20,12 @@
 //
 // Diagnostics print as file:line:col: message [check]. With -baseline,
 // findings recorded in the baseline are reported with a "(baselined)"
-// suffix and do not fail the run; fresh findings do. Exit status: 0 clean
-// (or all findings baselined), 1 fresh diagnostics reported, 2 usage or
-// load failure.
+// suffix and do not fail the run; fresh findings do. So does a stale
+// baseline entry, one that matches no live finding although its check ran
+// and its file was analyzed: it is reported on stderr so the baseline
+// cannot keep forgiving a finding that is gone. Exit status: 0 clean (or
+// all findings baselined), 1 fresh diagnostics or stale baseline entries
+// reported, 2 usage or load failure.
 //
 // A site may suppress one diagnostic with an in-line directive carrying a
 // mandatory reason:
@@ -146,13 +149,14 @@ func run() int {
 
 	matched := make([]bool, len(diags))
 	fresh := len(diags)
+	var stale []analysis.BaselineEntry
 	if *baseline != "" {
 		base, err := analysis.ReadBaseline(*baseline, false)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "hslint:", err)
 			return 2
 		}
-		matched, fresh = base.Match(diags, cwd)
+		matched, fresh, stale = base.Match(diags, cwd, pkgs, analyzers)
 	}
 
 	if *format == "sarif" {
@@ -171,7 +175,11 @@ func run() int {
 			}
 		}
 	}
-	if fresh > 0 {
+	for _, e := range stale {
+		fmt.Fprintf(os.Stderr, "%s: stale baseline entry, no finding matches it: %s [%s]; delete it from %s\n",
+			e.File, e.Message, e.Check, *baseline)
+	}
+	if fresh > 0 || len(stale) > 0 {
 		return 1
 	}
 	return 0

@@ -7,13 +7,14 @@ import (
 )
 
 // AtomicPub guards lock-free publication: once a field is accessed through
-// the sync/atomic function API anywhere in a package, every other access to
-// that field must be atomic too. A single plain read races every atomic
-// store; a plain write tears the publication protocol snapimmutable assumes.
-// The check is interprocedural in the sense that the atomic access and the
-// plain one may live in different functions — the summaries union the
-// atomically-accessed field set across the whole package (including spawned
-// goroutine bodies) before the access walk runs.
+// the sync/atomic function API in any function of a package, every other
+// access to that field must be atomic too. A single plain read races every
+// atomic store; a plain write tears the publication protocol snapimmutable
+// assumes. The check is interprocedural in the sense that the atomic access
+// and the plain one may live in different functions — the package summary
+// unions the atomically-accessed field set across the whole package
+// (including spawned goroutine bodies, PkgSummary.Union) before the access
+// walk runs.
 //
 // Also flagged: reassigning a typed atomic field (atomic.Pointer[T],
 // atomic.Value, atomic.Bool, ...) outside a constructor — `s.snap = x`
@@ -29,24 +30,7 @@ var AtomicPub = &Analyzer{
 }
 
 func runAtomicPub(pass *Pass) {
-	ps := pass.Summary()
-
-	// Union the atomically-accessed variable set across the package.
-	atomicVars := make(map[*types.Var]bool)
-	var collect func(*Summary)
-	collect = func(s *Summary) {
-		for v := range s.AtomicFields {
-			atomicVars[v] = true
-		}
-		for _, sp := range s.Spawns {
-			if sp.Body != nil {
-				collect(sp.Body)
-			}
-		}
-	}
-	for _, s := range ps.All {
-		collect(s)
-	}
+	atomicVars := pass.Summary().Union.AtomicFields
 
 	for _, file := range pass.Files {
 		if isTestFile(pass.Fset, file.Pos()) {

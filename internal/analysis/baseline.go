@@ -1,9 +1,10 @@
 // Baseline support: a committed JSON file of grandfathered findings. A run
 // with -baseline still *reports* baselined findings but does not fail on
-// them; any finding not in the baseline is fresh and fails the run. Matching
-// ignores line numbers (code above a finding moves constantly) and keys on
-// (check, module-relative file, message) as a multiset, so k occurrences in
-// the baseline forgive at most k live findings.
+// them; any finding not in the baseline is fresh and fails the run, and so
+// does a stale entry that no live finding matches. Matching ignores line
+// numbers (code above a finding moves constantly) and keys on (check,
+// module-relative file, message) as a multiset, so k occurrences in the
+// baseline forgive at most k live findings.
 package analysis
 
 import (
@@ -58,8 +59,12 @@ func relFile(root, file string) string {
 }
 
 // Match partitions diags against the baseline: matched[i] is true when
-// diags[i] is grandfathered. fresh counts the unmatched diagnostics.
-func (b *Baseline) Match(diags []Diagnostic, root string) (matched []bool, fresh int) {
+// diags[i] is grandfathered, and fresh counts the unmatched diagnostics.
+// stale lists the entries no diagnostic matched, among those this run could
+// have produced: the entry's check ran (directive hygiene always does) and
+// its file is one of pkgs' files. A -checks subset or a narrower pattern
+// must not condemn entries it never looked at.
+func (b *Baseline) Match(diags []Diagnostic, root string, pkgs []*Package, analyzers []*Analyzer) (matched []bool, fresh int, stale []BaselineEntry) {
 	budget := make(map[string]int, len(b.Findings))
 	for _, e := range b.Findings {
 		budget[baselineKey(e.Check, e.File, e.Message)]++
@@ -74,7 +79,27 @@ func (b *Baseline) Match(diags []Diagnostic, root string) (matched []bool, fresh
 			fresh++
 		}
 	}
-	return matched, fresh
+
+	ran := map[string]bool{metaCheck: true}
+	for _, a := range analyzers {
+		ran[a.Name] = true
+	}
+	analyzed := make(map[string]bool)
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			analyzed[relFile(root, pkg.Fset.Position(f.Pos()).Filename)] = true
+		}
+	}
+	for _, e := range b.Findings {
+		key := baselineKey(e.Check, e.File, e.Message)
+		if budget[key] > 0 {
+			budget[key]--
+			if ran[e.Check] && analyzed[e.File] {
+				stale = append(stale, e)
+			}
+		}
+	}
+	return matched, fresh, stale
 }
 
 // WriteBaseline serializes diags as a new baseline file, sorted for stable

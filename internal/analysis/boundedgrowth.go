@@ -13,10 +13,10 @@ import (
 // Growth sites are `v = append(v, ...)` and map inserts (`m[k] = x`,
 // `m[k]++`, `m[k] += x`). Evidence for the same variable identity is any of:
 // delete(v, k), clear(v), a len(v) comparison, a truncating self-assignment
-// (v = append(v[:i], ...), v = v[:n]), v = nil, or a make() reset. The
-// summaries union evidence across every function and spawned goroutine body,
-// so the eviction may live behind a helper or on a sibling path (Unregister
-// balancing Register) and still count.
+// (v = append(v[:i], ...), v = v[:n]), or v = nil. The package summary
+// unions evidence across every function and spawned goroutine body
+// (PkgSummary.Union), so the eviction may live behind a helper or on a
+// sibling path (Unregister balancing Register) and still count.
 //
 // "Request path" is approximated as: reachable from an exported function of
 // the package through the call graph (calls, function references, spawns).
@@ -71,7 +71,7 @@ func runBoundedGrowth(pass *Pass) {
 func reportGrowth(pass *Pass, ps *PkgSummary, encloser, sum *Summary) {
 	seen := make(map[*types.Var]bool)
 	for _, g := range sum.Grows {
-		if seen[g.Target] || ps.BoundAnywhere(g.Target) {
+		if seen[g.Target] || ps.Union.Bounds[g.Target] {
 			continue
 		}
 		seen[g.Target] = true

@@ -126,7 +126,7 @@ func checkMapRangeAccum(pass *Pass, fd *ast.FuncDecl, rs *ast.RangeStmt) {
 			// accumulates in map order.
 			for i, rhs := range as.Rhs {
 				call, ok := rhs.(*ast.CallExpr)
-				if !ok || !isBuiltinAppend(pass, call) || i >= len(as.Lhs) {
+				if !ok || !isBuiltin(pass, call, "append") || i >= len(as.Lhs) {
 					continue
 				}
 				lhs := as.Lhs[i]

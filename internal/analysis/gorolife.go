@@ -60,7 +60,7 @@ func spawnSupervised(pass *Pass, ps *PkgSummary, sp *SpawnSite) bool {
 
 	// Method spawn on a root the package shuts down: go hs.Serve(ln) is
 	// supervised by a reachable hs.Shutdown(ctx)/hs.Close().
-	if sp.RecvRoot != nil && ps.ClosesRootAnywhere(sp.RecvRoot) {
+	if sp.RecvRoot != nil && ps.Union.CloseRoots[sp.RecvRoot] {
 		return true
 	}
 
@@ -91,22 +91,22 @@ func spawnSupervised(pass *Pass, ps *PkgSummary, sp *SpawnSite) bool {
 			return true
 		}
 		for wg := range s.WGDones {
-			if ps.WaitsAnywhere(wg) {
+			if ps.Union.WGWaits[wg] {
 				return true
 			}
 		}
 		for ch := range s.ChanCloses {
-			if ps.RecvsAnywhere(ch) {
+			if ps.Union.ChanRecvs[ch] {
 				return true
 			}
 		}
 		for ch := range s.ChanRecvs {
-			if ps.ClosesAnywhere(ch) {
+			if ps.Union.ChanCloses[ch] {
 				return true
 			}
 		}
 		for ch := range s.ChanSends {
-			if ps.RecvsAnywhere(ch) {
+			if ps.Union.ChanRecvs[ch] {
 				return true
 			}
 		}

@@ -139,30 +139,8 @@ func funcName(fd *ast.FuncDecl) string {
 // root identifier of a selector chain) is declared outside the [lo, hi)
 // position range — used to tell loop-local accumulators from captured ones.
 func declaredOutside(info *types.Info, e ast.Expr, lo, hi ast.Node) bool {
-	for {
-		switch x := e.(type) {
-		case *ast.SelectorExpr:
-			e = x.X
-			continue
-		case *ast.IndexExpr:
-			e = x.X
-			continue
-		case *ast.ParenExpr:
-			e = x.X
-			continue
-		case *ast.StarExpr:
-			e = x.X
-			continue
-		case *ast.Ident:
-			obj := info.ObjectOf(x)
-			if obj == nil {
-				return false
-			}
-			return obj.Pos() < lo.Pos() || obj.Pos() >= hi.End()
-		default:
-			return false
-		}
-	}
+	obj := rootObject(info, e)
+	return obj != nil && (obj.Pos() < lo.Pos() || obj.Pos() >= hi.End())
 }
 
 // rootObject returns the object of the leftmost identifier in a selector /
@@ -190,16 +168,6 @@ func rootObject(info *types.Info, e ast.Expr) types.Object {
 func isMapType(t types.Type) bool {
 	_, ok := t.Underlying().(*types.Map)
 	return ok
-}
-
-// isBuiltinAppend reports whether call invokes the append builtin.
-func isBuiltinAppend(pass *Pass, call *ast.CallExpr) bool {
-	id, ok := call.Fun.(*ast.Ident)
-	if !ok {
-		return false
-	}
-	_, isBuiltin := pass.Info.ObjectOf(id).(*types.Builtin)
-	return isBuiltin && id.Name == "append"
 }
 
 // exprText renders an expression for diagnostics.

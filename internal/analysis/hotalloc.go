@@ -63,11 +63,11 @@ func checkHotpathBody(pass *Pass, fd *ast.FuncDecl) {
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch x := n.(type) {
 		case *ast.CallExpr:
-			if isBuiltinMake(pass, x) {
+			if isBuiltin(pass, x, "make") {
 				pass.Reportf(x.Pos(),
 					"make in hotpath %s allocates per call; preallocate the buffer in scratch or construction-time state and reuse it", name)
 			}
-			if isBuiltinAppend(pass, x) {
+			if isBuiltin(pass, x, "append") {
 				pass.Reportf(x.Pos(),
 					"append in hotpath %s can grow on any call (growth is data-dependent); preallocate to the high-water mark and use indexed writes", name)
 			}
@@ -87,16 +87,6 @@ func checkHotpathBody(pass *Pass, fd *ast.FuncDecl) {
 		}
 		return true
 	})
-}
-
-// isBuiltinMake reports whether call invokes the make builtin.
-func isBuiltinMake(pass *Pass, call *ast.CallExpr) bool {
-	id, ok := call.Fun.(*ast.Ident)
-	if !ok {
-		return false
-	}
-	_, isBuiltin := pass.Info.ObjectOf(id).(*types.Builtin)
-	return isBuiltin && id.Name == "make"
 }
 
 // capturedVar returns the name of a variable the literal captures from the

@@ -1,14 +1,18 @@
 // Interprocedural layer: a package-level call graph plus per-function
-// summaries the concurrency analyzers (gorolife, atomicpub, boundedgrowth)
-// query. PR 5's analyzers walked one function at a time; the bug classes
-// added here — a goroutine whose join lives in a different function, a field
+// summaries, the one place hslint walks across functions. Four analyzers
+// query it: gorolife, atomicpub and boundedgrowth read the package-wide
+// union and the call graph, and lockorder reads a callee's own summary for
+// its one-level trainMu check. A per-function walk cannot see these bug
+// classes: a goroutine whose join lives in a different function, a field
 // published atomically in one method and read plainly in another, a map that
-// grows on the request path while its eviction sits behind a helper — are
-// invisible at that granularity. A Summary records what one function-like
-// body *does* (spawns, joins, channel traffic, atomic and growth accesses);
-// the PkgSummary stitches them into a graph whose edges are static calls,
-// function references (a method value handed to a mux is an edge — the
-// handler runs even though no call expression names it), and spawns.
+// grows on the request path while its eviction sits behind a helper, a call
+// that takes trainMu inside the callee. A Summary records what one
+// function-like body *does* (spawns, joins, channel traffic, mutex, atomic
+// and growth accesses); the PkgSummary stitches them into a graph whose
+// edges are static calls, function references (a method value handed to a
+// mux is an edge — the handler runs even though no call expression names
+// it), and spawns, and unions the facts the analyzers ask about package-wide
+// (PkgSummary.Union) in the same walk.
 //
 // Summaries are computed once per package and shared by every analyzer in
 // the run (Pass.Summary memoizes on the Package).
@@ -19,6 +23,7 @@ import (
 	"go/constant"
 	"go/token"
 	"go/types"
+	"maps"
 	"strings"
 )
 
@@ -96,6 +101,10 @@ type Summary struct {
 	// ctx.Done()/Err()/Deadline(), or a context value passed on to a callee.
 	UsesContext bool
 
+	// Locks names the mutex fields this body Locks or TryLocks (by field
+	// name, as lockorder compares them).
+	Locks map[string]bool
+
 	// AtomicFields are fields/package vars accessed through the sync/atomic
 	// function API (&x passed to atomic.AddUint64 and friends).
 	AtomicFields map[*types.Var]bool
@@ -103,7 +112,7 @@ type Summary struct {
 	// Grows and Bounds drive boundedgrowth: growth sites in this body, and
 	// the targets for which this body carries eviction/cap evidence —
 	// delete(v, k), clear(v), a truncating self-assignment v = v[...],
-	// v = nil, a make() reset, or a len(v) comparison.
+	// v = nil, or a len(v) comparison against a nonzero bound.
 	Grows  []GrowSite
 	Bounds map[*types.Var]bool
 
@@ -123,6 +132,7 @@ func newSummary() *Summary {
 		ChanCloses:   make(map[*types.Var]bool),
 		ChanRecvs:    make(map[*types.Var]bool),
 		ChanSends:    make(map[*types.Var]bool),
+		Locks:        make(map[string]bool),
 		AtomicFields: make(map[*types.Var]bool),
 		Bounds:       make(map[*types.Var]bool),
 		CloseRoots:   make(map[types.Object]bool),
@@ -130,11 +140,17 @@ func newSummary() *Summary {
 }
 
 // PkgSummary is the package-level view: every declared function's summary in
-// declaration order, indexed by object, plus the spawn sites of the whole
-// package (including those inside spawned literals, transitively).
+// declaration order, indexed by object, plus the package-wide union.
 type PkgSummary struct {
 	Funcs map[*types.Func]*Summary
 	All   []*Summary // declared functions, file/decl order
+
+	// Union holds, over every declared function and (transitively) every
+	// spawned literal body, the WaitGroups waited on, the channels received
+	// from and closed, the shutdown roots, the bound evidence and the atomic
+	// fields: WGWaits, ChanRecvs, ChanCloses, CloseRoots, Bounds and
+	// AtomicFields. Its other fields stay empty.
+	Union *Summary
 }
 
 // Summarize builds (or returns the memoized) PkgSummary for the pass's
@@ -147,12 +163,12 @@ func (p *Pass) Summary() *PkgSummary {
 }
 
 func summarize(p *Pass) *PkgSummary {
-	ps := &PkgSummary{Funcs: make(map[*types.Func]*Summary)}
+	ps := &PkgSummary{Funcs: make(map[*types.Func]*Summary), Union: newSummary()}
 	eachFuncDecl(p, func(fd *ast.FuncDecl) {
 		sum := newSummary()
 		sum.Decl = fd
 		sum.Obj, _ = p.Info.ObjectOf(fd.Name).(*types.Func)
-		walkBody(p, sum, fd, fd.Body)
+		walkBody(p, ps, sum, fd, fd.Body)
 		ps.All = append(ps.All, sum)
 		if sum.Obj != nil {
 			ps.Funcs[sum.Obj] = sum
@@ -212,10 +228,11 @@ func isChanType(t types.Type) bool {
 // closeVerbs are the method names that count as shutting a resource down.
 var closeVerbs = map[string]bool{"Close": true, "Shutdown": true, "Stop": true, "Wait": true}
 
-// walkBody fills sum from one function-like body. fd is the enclosing
-// declaration (for receiver identity); it is passed through to spawned
-// literals, whose captures still root at the enclosing receiver.
-func walkBody(p *Pass, sum *Summary, fd *ast.FuncDecl, body ast.Node) {
+// walkBody fills sum from one function-like body and adds its package-wide
+// facts to ps.Union. fd is the enclosing declaration (for receiver
+// identity); it is passed through to spawned literals, whose captures still
+// root at the enclosing receiver.
+func walkBody(p *Pass, ps *PkgSummary, sum *Summary, fd *ast.FuncDecl, body ast.Node) {
 	info := p.Info
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch n := n.(type) {
@@ -224,13 +241,11 @@ func walkBody(p *Pass, sum *Summary, fd *ast.FuncDecl, body ast.Node) {
 			switch fun := n.Call.Fun.(type) {
 			case *ast.FuncLit:
 				site.Body = newSummary()
-				walkBody(p, site.Body, fd, fun.Body)
+				walkBody(p, ps, site.Body, fd, fun.Body)
 			default:
-				if callee := calledFunc(info, n.Call); callee != nil {
-					if f, ok := callee.(*types.Func); ok {
-						site.Callee = f
-						site.CalleeLocal = f.Pkg() == p.Pkg
-					}
+				if f := calledFunc(info, n.Call); f != nil {
+					site.Callee = f
+					site.CalleeLocal = f.Pkg() == p.Pkg
 				} else {
 					site.Dynamic = true
 				}
@@ -245,13 +260,10 @@ func walkBody(p *Pass, sum *Summary, fd *ast.FuncDecl, body ast.Node) {
 			sum.Spawns = append(sum.Spawns, site)
 			// A spawned literal's body belongs to the goroutine, not to this
 			// function's dynamic extent.
-			if site.Body != nil {
-				return false
-			}
 			return false
 
 		case *ast.CallExpr:
-			recordCall(p, sum, fd, n)
+			recordCall(p, sum, n)
 			return true
 
 		case *ast.UnaryExpr:
@@ -322,20 +334,44 @@ func walkBody(p *Pass, sum *Summary, fd *ast.FuncDecl, body ast.Node) {
 		}
 		return true
 	})
+
+	u := ps.Union
+	maps.Copy(u.WGWaits, sum.WGWaits)
+	maps.Copy(u.ChanRecvs, sum.ChanRecvs)
+	maps.Copy(u.ChanCloses, sum.ChanCloses)
+	maps.Copy(u.CloseRoots, sum.CloseRoots)
+	maps.Copy(u.Bounds, sum.Bounds)
+	maps.Copy(u.AtomicFields, sum.AtomicFields)
 }
 
 // walkExprInto records effects of an expression (spawn arguments) into sum.
 func walkExprInto(p *Pass, sum *Summary, e ast.Expr) {
 	ast.Inspect(e, func(n ast.Node) bool {
 		if call, ok := n.(*ast.CallExpr); ok {
-			recordCall(p, sum, nil, call)
+			recordCall(p, sum, call)
 		}
 		return true
 	})
 }
 
+// calledFunc resolves the static callee of a call, if it is a declared
+// function or method.
+func calledFunc(info *types.Info, call *ast.CallExpr) *types.Func {
+	var id *ast.Ident
+	switch fun := call.Fun.(type) {
+	case *ast.Ident:
+		id = fun
+	case *ast.SelectorExpr:
+		id = fun.Sel
+	default:
+		return nil
+	}
+	f, _ := info.ObjectOf(id).(*types.Func)
+	return f
+}
+
 // recordCall classifies one call expression into sum.
-func recordCall(p *Pass, sum *Summary, fd *ast.FuncDecl, call *ast.CallExpr) {
+func recordCall(p *Pass, sum *Summary, call *ast.CallExpr) {
 	info := p.Info
 
 	// Builtins: close, delete, clear.
@@ -359,8 +395,7 @@ func recordCall(p *Pass, sum *Summary, fd *ast.FuncDecl, call *ast.CallExpr) {
 		}
 	}
 
-	callee := calledFunc(info, call)
-	if f, ok := callee.(*types.Func); ok {
+	if f := calledFunc(info, call); f != nil {
 		sum.Calls[f] = true
 	}
 
@@ -380,6 +415,11 @@ func recordCall(p *Pass, sum *Summary, fd *ast.FuncDecl, call *ast.CallExpr) {
 					sum.WGWaits[v] = true
 				}
 			}
+		}
+
+		// Mutex acquisitions, for lockorder's one-level callee check.
+		if _, field, method, ok := mutexCall(info, call); ok && (method == "Lock" || method == "TryLock") {
+			sum.Locks[field] = true
 		}
 
 		// ctx.Done()/Err()/Deadline() consume cancellation.
@@ -567,59 +607,6 @@ func (ps *PkgSummary) ReachableFromExported() map[*Summary]bool {
 		}
 	}
 	return reach
-}
-
-// BoundAnywhere reports whether any function in the package carries
-// eviction/cap evidence for target.
-func (ps *PkgSummary) BoundAnywhere(target *types.Var) bool {
-	return ps.anywhere(func(s *Summary) bool { return s.Bounds[target] })
-}
-
-// WaitsAnywhere reports whether any function in the package calls Wait on
-// the given WaitGroup identity.
-func (ps *PkgSummary) WaitsAnywhere(wg *types.Var) bool {
-	return ps.anywhere(func(s *Summary) bool { return s.WGWaits[wg] })
-}
-
-// RecvsAnywhere reports whether any function in the package receives from
-// the given channel identity.
-func (ps *PkgSummary) RecvsAnywhere(ch *types.Var) bool {
-	return ps.anywhere(func(s *Summary) bool { return s.ChanRecvs[ch] })
-}
-
-// ClosesAnywhere reports whether any function in the package closes the
-// given channel identity.
-func (ps *PkgSummary) ClosesAnywhere(ch *types.Var) bool {
-	return ps.anywhere(func(s *Summary) bool { return s.ChanCloses[ch] })
-}
-
-// ClosesRootAnywhere reports whether any function in the package calls a
-// shutdown-shaped method on the given root object.
-func (ps *PkgSummary) ClosesRootAnywhere(root types.Object) bool {
-	return ps.anywhere(func(s *Summary) bool { return s.CloseRoots[root] })
-}
-
-// anywhere applies pred across every declared function and, transitively,
-// every spawned literal body.
-func (ps *PkgSummary) anywhere(pred func(*Summary) bool) bool {
-	var check func(*Summary) bool
-	check = func(s *Summary) bool {
-		if pred(s) {
-			return true
-		}
-		for _, sp := range s.Spawns {
-			if sp.Body != nil && check(sp.Body) {
-				return true
-			}
-		}
-		return false
-	}
-	for _, s := range ps.All {
-		if check(s) {
-			return true
-		}
-	}
-	return false
 }
 
 // constructorNamed reports whether name looks like construction/loading

@@ -3,19 +3,21 @@ package analysis
 import (
 	"go/ast"
 	"go/token"
-	"go/types"
 )
 
 // LockOrder enforces the Trainer's two-lock protocol (internal/core/trainer.go):
 // trainMu serializes training runs and is NEVER acquired while mu (the
 // sample-store lock) is held — the reverse order is what lets AddSamples
 // proceed during a search. It also flags a sync.Mutex Lock with no matching
-// Unlock (direct or deferred) anywhere in the same function, the
-// copy-paste bug that turns a degraded train run into a deadlock.
+// Unlock (direct or deferred) in the same function, the copy-paste bug that
+// turns a degraded train run into a deadlock.
 //
 // The walk is a linear source-order approximation of control flow, plus a
-// one-level call summary: calling a function that itself acquires a field
-// named trainMu while a mu-field lock is held is flagged too.
+// one-level call check against the package summary (interproc.go): calling
+// a function whose own body acquires a field named trainMu while a mu-field
+// lock is held is flagged too. A goroutine the callee spawns has its own
+// summary, so its locks do not count: like a closure, it runs at a
+// different time.
 var LockOrder = &Analyzer{
 	Name: "lockorder",
 	Doc:  "trainMu must never be acquired while mu is held; every Lock needs an Unlock",
@@ -23,28 +25,14 @@ var LockOrder = &Analyzer{
 }
 
 func runLockOrder(pass *Pass) {
-	// One-level summary: which functions in this package directly acquire a
-	// mutex field named trainMu?
-	locksTrainMu := make(map[types.Object]bool)
+	ps := pass.Summary()
 	eachFuncDecl(pass, func(fd *ast.FuncDecl) {
-		ast.Inspect(fd.Body, func(n ast.Node) bool {
-			if call, ok := n.(*ast.CallExpr); ok {
-				if _, field, method, ok := mutexCall(pass.Info, call); ok &&
-					field == "trainMu" && (method == "Lock" || method == "TryLock") {
-					locksTrainMu[pass.Info.ObjectOf(fd.Name)] = true
-				}
-			}
-			return true
-		})
-	})
-
-	eachFuncDecl(pass, func(fd *ast.FuncDecl) {
-		walkLockScope(pass, fd.Body, locksTrainMu)
+		walkLockScope(pass, ps, fd.Body)
 	})
 }
 
 // walkLockScope analyzes one function (or closure) body with fresh lock state.
-func walkLockScope(pass *Pass, body *ast.BlockStmt, locksTrainMu map[types.Object]bool) {
+func walkLockScope(pass *Pass, ps *PkgSummary, body *ast.BlockStmt) {
 	held := make(map[string]token.Pos) // currently held, linear approximation
 	firstLock := make(map[string]token.Pos)
 	released := make(map[string]bool) // any Unlock or defer Unlock seen
@@ -55,7 +43,7 @@ func walkLockScope(pass *Pass, body *ast.BlockStmt, locksTrainMu map[types.Objec
 		case *ast.FuncLit:
 			// Closures run at a different time than they are declared;
 			// analyze them as independent scopes.
-			walkLockScope(pass, n.Body, locksTrainMu)
+			walkLockScope(pass, ps, n.Body)
 			return false
 
 		case *ast.DeferStmt:
@@ -105,11 +93,11 @@ func walkLockScope(pass *Pass, body *ast.BlockStmt, locksTrainMu map[types.Objec
 			}
 			// Cross-function, one level deep: a callee that locks trainMu
 			// while we hold a mu is the same ordering violation.
-			if callee := calledFunc(pass.Info, n); callee != nil && locksTrainMu[callee] {
+			if callee := ps.Funcs[calledFunc(pass.Info, n)]; callee != nil && callee.Locks["trainMu"] {
 				for h := range held {
 					if fieldOf(h) == "mu" {
 						pass.Reportf(n.Pos(),
-							"call to %s acquires trainMu while mu is held", callee.Name())
+							"call to %s acquires trainMu while mu is held", callee.Obj.Name())
 					}
 				}
 			}
@@ -132,20 +120,4 @@ func fieldOf(key string) string {
 		return key
 	}
 	return key[len(base)+1:]
-}
-
-// calledFunc resolves the static callee of a call, if it is a declared
-// function or method.
-func calledFunc(info *types.Info, call *ast.CallExpr) types.Object {
-	switch fun := call.Fun.(type) {
-	case *ast.Ident:
-		if f, ok := info.ObjectOf(fun).(*types.Func); ok {
-			return f
-		}
-	case *ast.SelectorExpr:
-		if f, ok := info.ObjectOf(fun.Sel).(*types.Func); ok {
-			return f
-		}
-	}
-	return nil
 }

@@ -11,6 +11,7 @@ type state struct {
 	snap    atomic.Pointer[int]
 	flag    atomic.Bool
 	version uint64
+	ticks   uint64
 }
 
 // newState may initialize plainly: nothing is published yet.
@@ -65,6 +66,19 @@ func (s *state) Spare() uint64 {
 func (s *state) AllAtomic() uint64 {
 	atomic.AddUint64(&s.version, 1)
 	return atomic.LoadUint64(&s.version)
+}
+
+// Tick touches ticks atomically only inside the goroutine it spawns. The
+// atomic-field union reaches spawned bodies of other functions.
+func (s *state) Tick() {
+	go func() {
+		atomic.AddUint64(&s.ticks, 1)
+	}()
+}
+
+// Ticks reads ticks plainly, racing Tick's goroutine.
+func (s *state) Ticks() uint64 {
+	return s.ticks // want `plain read of s.ticks, which is accessed via sync/atomic`
 }
 
 // --- package-level var: same contract, different scope ---

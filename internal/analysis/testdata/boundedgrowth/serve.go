@@ -12,6 +12,7 @@ type server struct {
 	known  map[string]int
 	bg     []int
 	orphan []int
+	swept  map[string]int
 }
 
 // NewServer is constructor-shaped: its growth is bounded by its input.
@@ -72,6 +73,19 @@ func (s *server) Memo(k string, v int) {
 func (s *server) Start() {
 	go func() {
 		s.bg = append(s.bg, 1) // want `unbounded growth: append to s.bg in server.Start`
+	}()
+}
+
+// Track grows swept; its only eviction runs in the goroutine Janitor
+// spawns. The evidence union reaches spawned bodies of other functions.
+func (s *server) Track(k string) {
+	s.swept[k]++
+}
+
+// Janitor spawns the sweeper that evicts from swept.
+func (s *server) Janitor(k string) {
+	go func() {
+		delete(s.swept, k)
 	}()
 }
 

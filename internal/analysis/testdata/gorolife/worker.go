@@ -23,10 +23,12 @@ func Leak() {
 }
 
 type pump struct {
-	n    int
-	jobs chan int
-	done chan struct{}
-	wg   sync.WaitGroup
+	n       int
+	jobs    chan int
+	done    chan struct{}
+	wg      sync.WaitGroup
+	watchWG sync.WaitGroup
+	watched chan struct{}
 }
 
 // loop runs forever with no channel, WaitGroup, or context discipline.
@@ -90,6 +92,30 @@ func (p *pump) StartDrain() {
 func (p *pump) CloseDrain() {
 	close(p.jobs)
 	<-p.done
+}
+
+// StartWatched spawns a worker that Dones watchWG; the only Wait on it runs
+// in the goroutine Watch spawns. The join union reaches spawned bodies of
+// other functions.
+func (p *pump) StartWatched() {
+	p.watchWG.Add(1)
+	go func() {
+		defer p.watchWG.Done()
+		work()
+	}()
+}
+
+// Watch spawns the waiter, which closes watched once the workers are done;
+// Watched receives it.
+func (p *pump) Watch() {
+	go func() {
+		p.watchWG.Wait()
+		close(p.watched)
+	}()
+}
+
+func (p *pump) Watched() {
+	<-p.watched
 }
 
 // Cancellable selects on the context it captured.

@@ -218,7 +218,7 @@ func TestCollectorSameNameApps(t *testing.T) {
 	}
 }
 
-func trainSmallModeler(t *testing.T) (*Trainer, []Sample) {
+func trainSmallModeler(t testing.TB) (*Trainer, []Sample) {
 	t.Helper()
 	apps := smallApps()
 	col := smallCollector()

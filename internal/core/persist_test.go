@@ -114,7 +114,7 @@ func saveValid(t *testing.T) string {
 // legacyModel decodes the spline regression out of a current-format file's
 // payload, so compat tests can rebuild pre-family (version ≤ 3) files from
 // the same fitted model.
-func legacyModel(t *testing.T, good []byte) (SavedModel, *regress.Model) {
+func legacyModel(t testing.TB, good []byte) (SavedModel, *regress.Model) {
 	t.Helper()
 	var saved SavedModel
 	if err := json.Unmarshal(good, &saved); err != nil {
