@@ -69,11 +69,14 @@ bench-smoke:
 # the three layers alone at the same scale, 10 passes over one 50k shard per
 # SPEC2006 application each, in ns/inst: BenchmarkShardTrace (trace
 # generation), BenchmarkProfileStream (profiling) and BenchmarkSimulate
-# (simulation on sampled architectures). No bound applies; it puts the
-# collection layer's cost and its split in the log.
+# (simulation on sampled architectures). Last, the trace generator's two
+# samplers alone, in ns/draw at the SPEC2006 stand-ins' parameters:
+# BenchmarkGeomSample and BenchmarkZipfSample (internal/rng). No bound
+# applies; it puts the collection layer's cost and its split in the log.
 bench-collect:
 	$(GO) test -run '^$$' -bench '^BenchmarkCollect$$' -benchtime 1x -benchmem ./internal/core
 	$(GO) test -run '^$$' -bench '^Benchmark(ShardTrace|ProfileStream|Simulate)$$' -benchtime 10x -benchmem ./internal/core
+	$(GO) test -run '^$$' -bench '^Benchmark(GeomSample|ZipfSample)$$' -benchtime 1000000x ./internal/rng
 
 # fig5 runs BenchmarkFig5Convergence once (about 5 s on 2 vCPUs) and fails
 # unless it reproduces the Figure 5 convergence figures exactly: summed
@@ -88,11 +91,15 @@ fig5:
 
 # fuzz-smoke fuzzes model loading for 10 s (FuzzLoadSnapshot, internal/core):
 # arbitrary bytes as a model file must either load to a snapshot with finite
-# predictions or fail with a typed ErrModel* error, never panic. A crasher is
-# written to internal/core/testdata/fuzz/FuzzLoadSnapshot/; checked in, it
+# predictions or fail with a typed ErrModel* error, never panic. Then it
+# fuzzes the samplers' bucket tables for 10 s (FuzzSamplerTables,
+# internal/rng): for an arbitrary Geom mean, Zipf (n, theta) and draw, the
+# table must answer what the formula answers and consume the same draw. A
+# crasher is written to the package's testdata/fuzz/<target>/; checked in, it
 # replays on every plain `go test`. CI runs this after ci, not inside it.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadSnapshot$$' -fuzztime 10s ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzSamplerTables$$' -fuzztime 10s ./internal/rng
 
 # serve-smoke runs the end-to-end serving tests: each boots the HTTP service
 # on an httptest loopback listener and drives it as a real client. They pin

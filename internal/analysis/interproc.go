@@ -101,8 +101,9 @@ type Summary struct {
 	// ctx.Done()/Err()/Deadline(), or a context value passed on to a callee.
 	UsesContext bool
 
-	// Locks names the mutex fields this body Locks or TryLocks (by field
-	// name, as lockorder compares them).
+	// Locks names the mutex fields this body Locks (by field name, as
+	// lockorder compares them). RLock and TryLock are left out: a callee's
+	// TryLock never blocks, so it can neither deadlock nor order locks.
 	Locks map[string]bool
 
 	// AtomicFields are fields/package vars accessed through the sync/atomic
@@ -418,7 +419,7 @@ func recordCall(p *Pass, sum *Summary, call *ast.CallExpr) {
 		}
 
 		// Mutex acquisitions, for lockorder's one-level callee check.
-		if _, field, method, ok := mutexCall(info, call); ok && (method == "Lock" || method == "TryLock") {
+		if _, field, method, ok := mutexCall(info, call); ok && method == "Lock" {
 			sum.Locks[field] = true
 		}
 

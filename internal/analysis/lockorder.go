@@ -15,12 +15,14 @@ import (
 // The walk is a linear source-order approximation of control flow, plus a
 // one-level call check against the package summary (interproc.go): calling
 // a function whose own body acquires a field named trainMu while a mu-field
-// lock is held is flagged too. A goroutine the callee spawns has its own
-// summary, so its locks do not count: like a closure, it runs at a
-// different time.
+// lock is held is flagged too, and so is calling a function whose body
+// Locks a mutex field the caller already holds — sync.Mutex is not
+// reentrant, so that call deadlocks on itself. A goroutine the callee
+// spawns has its own summary, so its locks do not count: like a closure, it
+// runs at a different time.
 var LockOrder = &Analyzer{
 	Name: "lockorder",
-	Doc:  "trainMu must never be acquired while mu is held; every Lock needs an Unlock",
+	Doc:  "trainMu must never be acquired while mu is held; no call re-locks a held mutex; every Lock needs an Unlock",
 	Run:  runLockOrder,
 }
 
@@ -92,10 +94,15 @@ func walkLockScope(pass *Pass, ps *PkgSummary, body *ast.BlockStmt) {
 				return true
 			}
 			// Cross-function, one level deep: a callee that locks trainMu
-			// while we hold a mu is the same ordering violation.
-			if callee := ps.Funcs[calledFunc(pass.Info, n)]; callee != nil && callee.Locks["trainMu"] {
+			// while we hold a mu is the same ordering violation, and a
+			// callee that locks a field we hold deadlocks on it.
+			if callee := ps.Funcs[calledFunc(pass.Info, n)]; callee != nil {
 				for h := range held {
-					if fieldOf(h) == "mu" {
+					switch f := fieldOf(h); {
+					case callee.Locks[f]:
+						pass.Reportf(n.Pos(),
+							"call to %s locks %s, which is already held; sync.Mutex is not reentrant", callee.Obj.Name(), f)
+					case f == "mu" && callee.Locks["trainMu"]:
 						pass.Reportf(n.Pos(),
 							"call to %s acquires trainMu while mu is held", callee.Obj.Name())
 					}

@@ -86,11 +86,27 @@ func (t *Trainer) closureScope() {
 // callsClosureScope holds mu while calling closureScope, whose only trainMu
 // lock is inside the goroutine it spawns. The spawned body has its own
 // summary and runs at a different time, so the call implies no trainMu-after-mu
-// order. (closureScope re-locking mu is a self-deadlock lockorder does not
-// model; this case pins only the ordering rule.)
+// order. But closureScope itself locks mu, which is already held: the call
+// deadlocks on the non-reentrant mutex.
 func (t *Trainer) callsClosureScope() {
 	t.mu.Lock()
-	t.closureScope()
+	t.closureScope() // want `call to closureScope locks mu, which is already held`
+	t.mu.Unlock()
+}
+
+// tryBump only TryLocks mu, which never blocks.
+func (t *Trainer) tryBump() {
+	if t.mu.TryLock() {
+		t.samples++
+		t.mu.Unlock()
+	}
+}
+
+// callsTryBump holds mu while calling a function that TryLocks it: the
+// TryLock fails instead of waiting, so there is no deadlock to report.
+func (t *Trainer) callsTryBump() {
+	t.mu.Lock()
+	t.tryBump()
 	t.mu.Unlock()
 }
 

@@ -146,9 +146,13 @@ func (c *Cache) Config() Config { return c.cfg }
 // Stats returns a copy of the event counters.
 func (c *Cache) Stats() Stats { return c.stats }
 
-// Reset clears contents and statistics.
+// Reset clears contents and statistics. Every way write advances the clock
+// first, so a clock of 0 means no way has been written since New or the last
+// Reset, and the ways need no second clearing.
 func (c *Cache) Reset() {
-	clear(c.ways)
+	if c.clock != 0 {
+		clear(c.ways)
+	}
 	c.clock = 0
 	c.stats = Stats{}
 }

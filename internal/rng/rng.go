@@ -58,6 +58,45 @@ func (s *Source) Bool(p float64) bool {
 	return s.Float64() < p
 }
 
+// Cut returns the draw bound of a weighted choice: for scale >= 0,
+// src.Float64()*scale < bound holds exactly when src.Uint64()>>11 <
+// Cut(scale, bound), for the same draw. Float64() is m/2^53 for the draw's
+// top 53 bits m, and m/2^53*scale does not decrease as m grows (float
+// rounding is monotone), so Cut is the smallest m at which the product,
+// computed with the same float operations, is not below bound: 2^53 when
+// there is none, 0 for a NaN bound or scale, which no product is below.
+// Precomputing cuts turns a per-draw int-to-float conversion, multiply and
+// float compares into integer compares.
+func Cut(scale, bound float64) uint64 {
+	lo, hi := uint64(0), uint64(1<<53)
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		if !(float64(mid)/(1<<53)*scale < bound) {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
+}
+
+// Bernoulli is a precomputed coin with a fixed success probability p: Sample
+// returns exactly what Source.Bool(p) returns, consuming the same draw, by
+// comparing the draw's top 53 bits with Cut(1, p).
+type Bernoulli struct {
+	cut uint64
+}
+
+// NewBernoulli builds a coin that comes up true with probability p.
+func NewBernoulli(p float64) Bernoulli {
+	return Bernoulli{cut: Cut(1, p)}
+}
+
+// Sample flips the coin once, as src.Bool(p) would.
+func (b Bernoulli) Sample(src *Source) bool {
+	return src.Uint64()>>11 < b.cut
+}
+
 // Normal returns a sample from N(mu, sigma^2) using the Box-Muller transform.
 func (s *Source) Normal(mu, sigma float64) float64 {
 	u1 := s.Float64()
@@ -123,14 +162,22 @@ func (s *Source) Shuffle(n int, swap func(i, j int)) {
 
 // Zipf is a precomputed sampler for Source.Zipf with a fixed n and theta.
 // Construction pays the n-dependent math.Pow and the exponent's reciprocal
-// once; each draw then makes one math.Pow in place of two, with the same
-// arithmetic, so Sample returns exactly what Source.Zipf(n, theta) would and
-// consumes the same draws.
+// once; a draw then makes at most one math.Pow in place of two, with the
+// same arithmetic, so Sample returns exactly what Source.Zipf(n, theta)
+// would and consumes the same draw.
+//
+// For theta != 1, k = int((u*(n^(1-theta)-1) + 1)^(1/(1-theta))) steps from
+// j-1 to j at u_j = (j^(1-theta) - 1) / (n^(1-theta) - 1), so construction
+// builds a bucket table from those thresholds as Geom does (table.go): draws
+// in buckets clear of every threshold by the guard band answer with one
+// load, the rest run the power. The band widens when theta is so close to 1
+// that n^(1-theta) - 1 cancels to a few significant bits.
 type Zipf struct {
 	n        int
 	hiMinus1 float64 // n^(1-theta) - 1
 	invExp   float64 // 1 / (1-theta)
 	harmonic bool    // theta == 1
+	table    *table  // the theta != 1 path's bucket table
 }
 
 // NewZipf builds a sampler over [1, n] with exponent theta.
@@ -140,19 +187,40 @@ func NewZipf(n int, theta float64) Zipf {
 		oneMinus := 1 - theta
 		z.hiMinus1 = math.Pow(float64(n), oneMinus) - 1
 		z.invExp = 1 / oneMinus
+		h := z.hiMinus1
+		z.table = buildTable(func(i int) float64 {
+			return (math.Pow(float64(i+1), oneMinus) - 1) / h
+		}, zipfGuard(h, oneMinus))
 	}
 	return z
 }
 
+// zipfGuard returns the guard band for a Zipf table with hiMinus1 h and
+// oneMinus = 1-theta. Mapped back to u, a threshold and the power evaluated
+// near it are off by a few ulps of 1+|h| divided by |h| (math.Pow's error
+// grows with its exponent 1/(1-theta); the 2+|oneMinus| factor covers that
+// once mapped back). errU bounds this with 64 times headroom; the guard is
+// 2^10 times errU and at least guardBand. A zero or NaN h gives an infinite
+// or NaN guard, which fills no bucket.
+func zipfGuard(h, oneMinus float64) float64 {
+	errU := 0x1p-46 * (1 + math.Abs(h)) * (2 + math.Abs(oneMinus)) / math.Abs(h)
+	return math.Max(guardBand, 0x1p10*errU)
+}
+
 // Sample draws one variate from src, as src.Zipf(n, theta) would.
-func (z Zipf) Sample(src *Source) int {
+func (z *Zipf) Sample(src *Source) int {
 	if z.n <= 1 {
 		return 1
 	}
-	u := src.Float64()
+	x := src.Uint64()
 	if z.harmonic {
+		u := float64(x>>11) / (1 << 53)
 		return 1 + int(math.Pow(float64(z.n), u))%z.n
 	}
+	if k := z.table.lookup(x); k != 0 {
+		return k
+	}
+	u := float64(x>>11) / (1 << 53)
 	k := int(math.Pow(u*z.hiMinus1+1, z.invExp))
 	if k < 1 {
 		k = 1

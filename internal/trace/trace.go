@@ -269,23 +269,30 @@ type generator struct {
 	occLen [5]int
 	occPos [5]int
 
-	// The occupied classes (occLen > 0) in class order, the running sums of
-	// their DepProducer weights, and the total: the first occN entries of
-	// occCls and occCum hold them. The occupied set only grows, so
-	// recordProducer recomputes them only when a class gets its first
-	// occurrence.
+	// The occupied classes (occLen > 0) in class order, the total of their
+	// DepProducer weights, and each running sum as the rng.Cut of a draw
+	// scaled by the total: the first occN entries of occCls and occCut hold
+	// them. The occupied set only grows, so recordProducer recomputes them
+	// only when a class gets its first occurrence.
 	occCls   [5]int
-	occCum   [5]float64
+	occCut   [5]uint64
 	occN     int
 	occTotal float64
 
-	// Cached cumulative mix weights and precomputed samplers.
+	// Cached cumulative mix weights and precomputed samplers. mixCut[i] is
+	// rng.Cut(mixTotal, Mix[0]+...+Mix[i]), so a draw below it picks class i
+	// or an earlier one exactly as the float comparison would.
 	mixTotal  float64
+	mixCut    [6]uint64
 	bbGeom    rng.Geom
 	reuseGeom rng.Geom
 	depGeom   [5]rng.Geom
 	dataZipf  rng.Zipf // hot data blocks: (WSBlocks, HotTheta)
 	codeZipf  rng.Zipf // hot code blocks: (CodeBlocks, 1.2)
+
+	// Coins for the phase's fixed probabilities, each drawn exactly as
+	// src.Bool(p) would be.
+	follow, loopBack, reuse, stream, dep1, dep2 rng.Bernoulli
 }
 
 // deriveHiddenKnobs fills every zero-valued generator knob that is not
@@ -341,21 +348,32 @@ func newGenerator(p Phase, src *rng.Source, codeSeed uint64, shardLen int) *gene
 	// Distinct applications live in distinct code regions so i-cache
 	// behavior differs across apps sharing a simulated machine.
 	g.codeOff = (codeSeed % 1024) << 32
-	g.curBlock = uint64(src.Intn(maxInt(p.CodeBlocks, 1)))
-	g.bbLeft = rng.NewGeom(p.MeanBB).Sample(src)
-	g.streamWord = uint64(src.Intn(maxInt(p.WSBlocks, 1))) * wordsPerBlock
 	g.bbGeom = rng.NewGeom(p.MeanBB)
+	g.curBlock = uint64(src.Intn(maxInt(p.CodeBlocks, 1)))
+	g.bbLeft = g.bbGeom.Sample(src)
+	g.streamWord = uint64(src.Intn(maxInt(p.WSBlocks, 1))) * wordsPerBlock
 	g.reuseGeom = rng.NewGeom(p.ReuseDepth)
 	for i, d := range p.DepDepth {
 		g.depGeom[i] = rng.NewGeom(d)
 	}
 	g.dataZipf = rng.NewZipf(maxInt(g.phase.WSBlocks, 1), g.phase.HotTheta)
 	g.codeZipf = rng.NewZipf(maxInt(g.phase.CodeBlocks, 1), 1.2)
+	g.follow = rng.NewBernoulli(g.phase.Predictability)
+	g.loopBack = rng.NewBernoulli(g.phase.LoopBackProb)
+	g.reuse = rng.NewBernoulli(g.phase.ReuseFrac)
+	g.stream = rng.NewBernoulli(g.phase.StreamFrac)
+	g.dep1 = rng.NewBernoulli(g.phase.DepProb1)
+	g.dep2 = rng.NewBernoulli(g.phase.DepProb2)
 	for _, w := range p.Mix {
 		g.mixTotal += w
 	}
 	if g.mixTotal <= 0 {
 		panic("trace: phase has zero total mix weight")
+	}
+	var acc float64
+	for i, w := range p.Mix {
+		acc += w
+		g.mixCut[i] = rng.Cut(g.mixTotal, acc)
 	}
 	return g
 }
@@ -390,12 +408,10 @@ func (g *generator) Next(in *isa.Inst) bool {
 // emitBody produces a non-control instruction according to the phase mix.
 func (g *generator) emitBody(in *isa.Inst) {
 	g.bbLeft--
-	u := g.src.Float64() * g.mixTotal
-	var acc float64
+	m := g.src.Uint64() >> 11
 	cls := isa.IntALU
-	for i, w := range g.phase.Mix {
-		acc += w
-		if u < acc {
+	for i, c := range g.mixCut {
+		if m < c {
 			cls = isa.Class(i)
 			break
 		}
@@ -414,7 +430,7 @@ func (g *generator) emitBranch(in *isa.Inst) {
 	// Static branch identity: one branch per (code block, slot) pair.
 	in.BrID = uint32(g.curBlock*16 + g.pcInBlock/InstBytes)
 	bias := staticBias(in.BrID, g.phase.TakenBias)
-	follow := g.src.Bool(g.phase.Predictability)
+	follow := g.follow.Sample(g.src)
 	in.Taken = bias == follow
 	g.assignDeps(in)
 	g.bbLeft = g.bbGeom.Sample(g.src)
@@ -431,7 +447,7 @@ func staticBias(brID uint32, takenBias float64) bool {
 func (g *generator) advancePC(in *isa.Inst) {
 	if in.Class == isa.Branch && in.Taken {
 		cb := maxInt(g.phase.CodeBlocks, 1)
-		if g.src.Bool(g.phase.LoopBackProb) {
+		if g.loopBack.Sample(g.src) {
 			span := uint64(1 + g.src.Intn(maxInt(g.phase.LoopSpan, 1)))
 			g.curBlock = (g.curBlock + uint64(cb) - span%uint64(cb)) % uint64(cb)
 		} else {
@@ -454,7 +470,7 @@ func (g *generator) dataAddress() uint64 {
 	var block uint64
 	ws := maxInt(g.phase.WSBlocks, 1)
 	switch {
-	case g.recencyLen > 0 && g.src.Bool(g.phase.ReuseFrac):
+	case g.recencyLen > 0 && g.reuse.Sample(g.src):
 		// Temporal reuse: revisit a recently touched block at geometric
 		// recency depth. This is the direct knob behind Table 1's x8.
 		depth := g.reuseGeom.Sample(g.src)
@@ -463,7 +479,7 @@ func (g *generator) dataAddress() uint64 {
 		}
 		pos := (g.recencyPos - depth + recencyRingSize*2) % recencyRingSize
 		block = g.recency[pos]
-	case g.src.Bool(g.phase.StreamFrac):
+	case g.stream.Sample(g.src):
 		// Streaming: walk the working set sequentially, one word at a time.
 		g.streamWord = (g.streamWord + 1) % (uint64(ws) * wordsPerBlock)
 		block = g.streamWord / wordsPerBlock
@@ -481,10 +497,10 @@ func (g *generator) dataAddress() uint64 {
 
 // assignDeps attaches producer distances to an instruction.
 func (g *generator) assignDeps(in *isa.Inst) {
-	if g.src.Bool(g.phase.DepProb1) {
+	if g.dep1.Sample(g.src) {
 		in.Dep1 = g.pickProducer()
 	}
-	if g.src.Bool(g.phase.DepProb2) {
+	if g.dep2.Sample(g.src) {
 		in.Dep2 = g.pickProducer()
 	}
 }
@@ -496,10 +512,10 @@ func (g *generator) pickProducer() int32 {
 	if g.occTotal == 0 {
 		return 0
 	}
-	u := g.src.Float64() * g.occTotal
+	m := g.src.Uint64() >> 11
 	cls := -1
-	for k, acc := range g.occCum[:g.occN] {
-		if u < acc {
+	for k, c := range g.occCut[:g.occN] {
+		if m < c {
 			cls = g.occCls[k]
 			break
 		}
@@ -549,17 +565,22 @@ func (g *generator) recordProducer(c isa.Class) {
 
 // sumOccupied recomputes the occupied classes' running sums, adding their
 // weights in class order, so the sums are the ones a fresh pass over the
-// classes would give, bit for bit.
+// classes would give, bit for bit, and a draw below occCut[k] picks the
+// class a float draw scaled by occTotal and compared with the sums would.
 func (g *generator) sumOccupied() {
 	var acc float64
+	var cum [5]float64
 	g.occN = 0
 	for i, w := range g.phase.DepProducer {
 		if g.occLen[i] > 0 {
 			acc += w
 			g.occCls[g.occN] = i
-			g.occCum[g.occN] = acc
+			cum[g.occN] = acc
 			g.occN++
 		}
 	}
 	g.occTotal = acc
+	for k := range g.occN {
+		g.occCut[k] = rng.Cut(acc, cum[k])
+	}
 }
