@@ -91,7 +91,10 @@ fig5:
 
 # fuzz-smoke fuzzes model loading for 10 s (FuzzLoadSnapshot, internal/core):
 # arbitrary bytes as a model file must either load to a snapshot with finite
-# predictions or fail with a typed ErrModel* error, never panic. Then it
+# predictions or fail with a typed ErrModel* error, never panic. Then for 10 s
+# the fuzzed bytes become the payload of a checksum-sealed version-4 file
+# (FuzzLoadSnapshotPayload), which reaches the model structure checks the
+# checksum keeps FuzzLoadSnapshot from, with the same property. Then it
 # fuzzes the samplers' bucket tables for 10 s (FuzzSamplerTables,
 # internal/rng): for an arbitrary Geom mean, Zipf (n, theta) and draw, the
 # table must answer what the formula answers and consume the same draw. A
@@ -99,6 +102,7 @@ fig5:
 # replays on every plain `go test`. CI runs this after ci, not inside it.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadSnapshot$$' -fuzztime 10s ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzLoadSnapshotPayload$$' -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzSamplerTables$$' -fuzztime 10s ./internal/rng
 
 # serve-smoke runs the end-to-end serving tests: each boots the HTTP service
@@ -114,7 +118,8 @@ SERVE_SMOKE_TESTS := ^(TestPredictBitIdenticalToSnapshot|TestBatchCoalescing|Tes
 serve-smoke:
 	$(GO) test -count=1 -run '$(SERVE_SMOKE_TESTS)' ./internal/serve ./internal/lifecycle
 
-# registry-smoke runs the multi-model serving tests over httptest loopback:
+# registry-smoke runs the multi-model serving tests over httptest loopback
+# (the model registry is part of internal/serve, in registry.go):
 # fan_out samples accounting per entry, a non-default entry retraining
 # through its own samples route, the "app:<name>" alias, the default entry's
 # bit-identical canonical predict bodies, register/unregister with manifest

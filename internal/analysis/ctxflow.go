@@ -35,9 +35,10 @@ var ctxFlowPkgs = map[string]bool{
 	// that loops without honoring its context would make the selection
 	// harness (and TrainResilient's timeout rung) uncancellable.
 	"family": true, "spline": true, "residual": true, "dal": true,
-	// The registry fans requests and sample batches across entries; its
-	// exported loops (Submit, fan-out predict paths) must stay cancellable or
-	// one slow entry would wedge every caller.
+	// A model registry fans requests and sample batches across entries; its
+	// exported loops must stay cancellable or one slow entry would wedge
+	// every caller. The serving registry is part of serve; the name covers
+	// the testdata/ctxflow/registry stand-in.
 	"registry": true,
 }
 

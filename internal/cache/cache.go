@@ -107,7 +107,7 @@ type Cache struct {
 	ways      []way // sets*Ways, set-major
 
 	clock uint64
-	rnd   *rng.Source
+	rnd   rng.Source // NMRU/Random victim choice, seeded from the geometry
 	stats Stats
 }
 
@@ -130,14 +130,21 @@ func New(cfg Config) *Cache {
 		panic(err)
 	}
 	sets := cfg.Sets()
-	return &Cache{
+	c := &Cache{
 		cfg:       cfg,
 		lineShift: uint(bits.TrailingZeros(uint(cfg.LineBytes))),
 		tagShift:  uint(bits.TrailingZeros(uint(sets))),
 		setMask:   uint64(sets - 1),
 		ways:      make([]way, sets*cfg.Ways),
-		rnd:       rng.New(uint64(cfg.SizeBytes)*31 + uint64(cfg.Ways)),
 	}
+	c.seedVictims()
+	return c
+}
+
+// seedVictims restarts the victim source at the seed the geometry fixes, so
+// a fresh or reset cache makes the same NMRU/Random choices.
+func (c *Cache) seedVictims() {
+	c.rnd = *rng.New(uint64(c.cfg.SizeBytes)*31 + uint64(c.cfg.Ways))
 }
 
 // Config returns the cache's configuration.
@@ -146,15 +153,17 @@ func (c *Cache) Config() Config { return c.cfg }
 // Stats returns a copy of the event counters.
 func (c *Cache) Stats() Stats { return c.stats }
 
-// Reset clears contents and statistics. Every way write advances the clock
-// first, so a clock of 0 means no way has been written since New or the last
-// Reset, and the ways need no second clearing.
+// Reset clears contents and statistics and reseeds the victim source, so a
+// reset cache replays its first run exactly. Every way write advances the
+// clock first, so a clock of 0 means no way has been written since New or
+// the last Reset, and the ways need no second clearing.
 func (c *Cache) Reset() {
 	if c.clock != 0 {
 		clear(c.ways)
 	}
 	c.clock = 0
 	c.stats = Stats{}
+	c.seedVictims()
 }
 
 // Access looks up addr, filling on miss, and reports whether it hit.

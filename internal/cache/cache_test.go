@@ -164,6 +164,35 @@ func TestReset(t *testing.T) {
 	}
 }
 
+// TestResetReplaysFirstRun: after Reset, a cache replays its first run
+// exactly — the same miss and writeback counts — whatever its replacement
+// policy. NMRU and Random draw victims from the cache's source, so Reset must
+// restart that source too.
+func TestResetReplaysFirstRun(t *testing.T) {
+	src := rng.New(11)
+	addrs := make([]uint64, 20_000)
+	for i := range addrs {
+		addrs[i] = src.Uint64() % (64 << 10)
+	}
+	run := func(c *Cache) Stats {
+		for i, a := range addrs {
+			c.Access(a, i%5 == 0)
+		}
+		return c.Stats()
+	}
+	for _, pol := range []Replacement{LRU, NMRU, Random} {
+		c := mk(t, 4<<10, 64, 4, pol)
+		first := run(c)
+		c.Reset()
+		if again := run(c); again != first {
+			t.Errorf("%v: first run %+v, after Reset %+v", pol, first, again)
+		}
+		if fresh := run(mk(t, 4<<10, 64, 4, pol)); fresh != first {
+			t.Errorf("%v: first run %+v, fresh cache %+v", pol, first, fresh)
+		}
+	}
+}
+
 func TestMissRate(t *testing.T) {
 	var s Stats
 	if s.MissRate() != 0 {

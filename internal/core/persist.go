@@ -71,7 +71,9 @@ var (
 	ErrModelVersion = errors.New("core: model file version mismatch")
 	// ErrModelIncomplete: structurally valid JSON missing required parts.
 	ErrModelIncomplete = errors.New("core: saved model is incomplete")
-	// ErrModelShape: the model was trained over a different variable space.
+	// ErrModelShape: the model does not fit the variable space — trained
+	// over a different variable count, or with preprocessing, spec and
+	// coefficients that disagree (regress.Model.Validate).
 	ErrModelShape = errors.New("core: saved model variable count mismatch")
 	// ErrModelChecksum: the payload does not match its recorded checksum.
 	ErrModelChecksum = errors.New("core: model payload checksum mismatch")
@@ -221,12 +223,11 @@ func LoadSnapshot(path string) (*Snapshot, error) {
 // loadLegacy handles version-2/3 files: a bare spline regression under the
 // "model" key, checksummed over its own canonical encoding.
 func loadLegacy(saved SavedModel) (*Snapshot, error) {
-	if saved.Model == nil || saved.Model.Prep == nil || len(saved.Model.Coef) == 0 {
+	if saved.Model == nil {
 		return nil, ErrModelIncomplete
 	}
-	if saved.Model.Prep.NumVars() != NumVars {
-		return nil, fmt.Errorf("%w: %d variables, want %d",
-			ErrModelShape, saved.Model.Prep.NumVars(), NumVars)
+	if err := saved.Model.Validate(NumVars); err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrModelShape, err)
 	}
 	sum, err := modelChecksum(saved.Model)
 	if err != nil {

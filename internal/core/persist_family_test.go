@@ -1,14 +1,19 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
+	"hsmodel/internal/family"
 	"hsmodel/internal/faultinject"
+	"hsmodel/internal/genetic"
 )
 
 // trainFamilyModeler trains a small modeler through the selection harness so
@@ -147,4 +152,107 @@ func TestLoadFamilyFileCorruption(t *testing.T) {
 			t.Error("no flipped byte produced a load failure; corruption undetected")
 		}
 	})
+}
+
+// familyFits trains one small snapshot per built-in family — each trainer
+// registers that family alone, so its selection round publishes it — and
+// returns them by family name with held-out samples to predict on. The fits
+// are made once per test binary and shared.
+var (
+	familyFitsOnce  sync.Once
+	familyFitsSnaps map[string]*Snapshot
+	familyFitsRows  []Sample
+	familyFitsErr   error
+)
+
+func familyFits(t testing.TB) (map[string]*Snapshot, []Sample) {
+	t.Helper()
+	familyFitsOnce.Do(func() {
+		apps, col := smallApps(), smallCollector()
+		train := col.Collect(apps, 40, 1)
+		familyFitsRows = col.Collect(apps, 10, 2)
+		familyFitsSnaps = make(map[string]*Snapshot)
+		for _, fam := range DefaultFamilies() {
+			m := NewTrainer(append([]Sample(nil), train...))
+			m.ShardLen = testShardLen
+			m.Search = genetic.Params{PopulationSize: 16, Generations: 5, Seed: 42}
+			m.Families = []family.Family{fam}
+			if err := m.Train(context.Background()); err != nil {
+				familyFitsErr = fmt.Errorf("training %s alone: %w", fam.Name(), err)
+				return
+			}
+			familyFitsSnaps[fam.Name()] = m.Snapshot()
+		}
+	})
+	if familyFitsErr != nil {
+		t.Fatal(familyFitsErr)
+	}
+	return familyFitsSnaps, familyFitsRows
+}
+
+// TestFamilyPayloadRoundTrip: for every built-in family, a fitted model's
+// Payload loads back through the family's Load into a model with the same
+// description and payload, and Predict, PredictBatch and the loaded model's
+// Predict and PredictBatch agree bit for bit on held-out rows — the batch
+// contract of DESIGN §13.2, which the serving batcher relies on.
+func TestFamilyPayloadRoundTrip(t *testing.T) {
+	snaps, samples := familyFits(t)
+	rows := make([][]float64, len(samples))
+	for i, s := range samples {
+		rows[i] = s.Row()
+	}
+	for _, name := range []string{"spline", "residual", "dal"} {
+		t.Run(name, func(t *testing.T) {
+			snap := snaps[name]
+			if snap == nil || snap.Family() != name {
+				t.Fatalf("no %s snapshot", name)
+			}
+			m := snap.fam
+			desc := m.Describe()
+			if desc.Family != name || desc.Terms == 0 {
+				t.Fatalf("description %+v", desc)
+			}
+			payload, err := m.Payload()
+			if err != nil {
+				t.Fatal(err)
+			}
+			loaded, err := FamilyByName(name).Load(payload, NumVars)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := loaded.Describe(); got != desc {
+				t.Fatalf("loaded description %+v, want %+v", got, desc)
+			}
+			again, err := loaded.Payload()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(again, payload) {
+				t.Fatal("loaded model's payload differs from the one it was loaded from")
+			}
+
+			batch := make([]float64, len(rows))
+			m.PredictBatch(rows, batch)
+			loadedBatch := make([]float64, len(rows))
+			loaded.PredictBatch(rows, loadedBatch)
+			for i, row := range rows {
+				want := m.Predict(row)
+				if math.IsNaN(want) || math.IsInf(want, 0) {
+					t.Fatalf("row %d: prediction %v", i, want)
+				}
+				for _, got := range []struct {
+					path string
+					v    float64
+				}{
+					{"PredictBatch", batch[i]},
+					{"loaded Predict", loaded.Predict(row)},
+					{"loaded PredictBatch", loadedBatch[i]},
+				} {
+					if math.Float64bits(got.v) != math.Float64bits(want) {
+						t.Fatalf("row %d: %s %v, Predict %v", i, got.path, got.v, want)
+					}
+				}
+			}
+		})
+	}
 }

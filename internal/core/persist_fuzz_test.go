@@ -11,6 +11,43 @@ import (
 	"hsmodel/internal/faultinject"
 )
 
+// modelSentinels are the typed errors every failed LoadSnapshot must match.
+var modelSentinels = []error{ErrModelCorrupt, ErrModelVersion, ErrModelIncomplete,
+	ErrModelShape, ErrModelChecksum, ErrModelFamily}
+
+// loadOrPredictFinite loads path and fails t unless the load fails with one
+// of modelSentinels or the snapshot predicts finite values on rows, one at a
+// time and as one batch.
+func loadOrPredictFinite(t *testing.T, path string, rows []Sample) {
+	t.Helper()
+	s, err := LoadSnapshot(path)
+	if err != nil {
+		for _, sentinel := range modelSentinels {
+			if errors.Is(err, sentinel) {
+				return
+			}
+		}
+		t.Fatalf("LoadSnapshot error matches no ErrModel* sentinel: %v", err)
+	}
+	batch := make([][]float64, len(rows))
+	for i, r := range rows {
+		y, err := s.PredictShard(r.X, r.HW)
+		if err != nil || math.IsNaN(y) || math.IsInf(y, 0) {
+			t.Fatalf("loaded snapshot predicts %v (err %v) on a seed row", y, err)
+		}
+		batch[i] = r.Row()
+	}
+	out := make([]float64, len(rows))
+	if err := s.PredictBatch(batch, out); err != nil {
+		t.Fatal(err)
+	}
+	for i, y := range out {
+		if math.IsNaN(y) || math.IsInf(y, 0) {
+			t.Fatalf("loaded snapshot batch-predicts %v on seed row %d", y, i)
+		}
+	}
+}
+
 // FuzzLoadSnapshot writes arbitrary bytes to a model file and loads it. A
 // load either fails with one of the typed ErrModel* errors or returns a
 // snapshot whose predictions on the seed rows are finite; it never panics.
@@ -64,27 +101,57 @@ func FuzzLoadSnapshot(f *testing.F) {
 	}
 	f.Add(v3)
 
-	sentinels := []error{ErrModelCorrupt, ErrModelVersion, ErrModelIncomplete,
-		ErrModelShape, ErrModelChecksum, ErrModelFamily}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p := filepath.Join(t.TempDir(), "model.json")
 		if err := os.WriteFile(p, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		s, err := LoadSnapshot(p)
+		loadOrPredictFinite(t, p, rows)
+	})
+}
+
+// FuzzLoadSnapshotPayload reaches the structure checks FuzzLoadSnapshot
+// cannot get to past the checksum: the fuzzed bytes become the payload of a
+// version-4 file for the fuzzed family name, sealed with a matching
+// checksum. A load either fails with one of the typed ErrModel* errors or
+// returns a snapshot whose predictions on the seed rows are finite; it never
+// panics. The seeds are a spline, a residual and a dal payload;
+// testdata/fuzz/FuzzLoadSnapshotPayload holds a spline payload cut to one
+// coefficient, whose first prediction panics if the load lets it through.
+// Run it with
+//
+//	go test -run '^$' -fuzz '^FuzzLoadSnapshotPayload$' -fuzztime 10s ./internal/core
+func FuzzLoadSnapshotPayload(f *testing.F) {
+	snaps, rows := familyFits(f)
+	for _, name := range []string{"spline", "residual", "dal"} {
+		payload, err := snaps[name].fam.Payload()
 		if err != nil {
-			for _, sentinel := range sentinels {
-				if errors.Is(err, sentinel) {
-					return
-				}
-			}
-			t.Fatalf("LoadSnapshot error matches no ErrModel* sentinel: %v", err)
+			f.Fatal(err)
 		}
-		for _, r := range rows {
-			y, err := s.PredictShard(r.X, r.HW)
-			if err != nil || math.IsNaN(y) || math.IsInf(y, 0) {
-				t.Fatalf("loaded snapshot predicts %v (err %v) on a seed row", y, err)
-			}
+		f.Add(name, []byte(payload))
+	}
+	f.Fuzz(func(t *testing.T, famName string, payload []byte) {
+		if !json.Valid(payload) {
+			return // the file would not parse: FuzzLoadSnapshot's ground
 		}
+		sum, err := payloadChecksum(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := json.Marshal(SavedModel{
+			Version:  savedModelVersion,
+			ShardLen: testShardLen,
+			Family:   famName,
+			Checksum: sum,
+			Payload:  payload,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := filepath.Join(t.TempDir(), "model.json")
+		if err := os.WriteFile(p, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		loadOrPredictFinite(t, p, rows)
 	})
 }

@@ -323,3 +323,73 @@ func TestLoadFailureModes(t *testing.T) {
 		}
 	})
 }
+
+// TestLoadRejectsMalformedModel: a payload whose checksum matches but whose
+// regression cannot be evaluated — too few coefficients for its spec, a
+// preprocessing slice short of a variable, an interaction naming a variable
+// that does not exist — is refused at load time with a typed error, as a
+// version-4 family payload (ErrModelFamily) and as a version-3 file
+// (ErrModelShape). A load that let the one-coefficient model through would
+// hand the predict path an index out of range.
+func TestLoadRejectsMalformedModel(t *testing.T) {
+	good, err := os.ReadFile(saveValid(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		name   string
+		mutate func(m *regress.Model)
+	}{
+		{"one coefficient", func(m *regress.Model) { m.Coef = m.Coef[:1] }},
+		{"extra coefficient", func(m *regress.Model) { m.Coef = append(m.Coef, 0.5) }},
+		{"short knots", func(m *regress.Model) { m.Prep.Knots = m.Prep.Knots[:NumVars-1] }},
+		{"short clamp range", func(m *regress.Model) { m.Prep.ZHi = m.Prep.ZHi[:3] }},
+		{"short means", func(m *regress.Model) { m.Prep.Means = m.Prep.Means[:NumVars-1] }},
+		{"interaction out of range", func(m *regress.Model) {
+			m.Spec.Interactions = append(m.Spec.Interactions, regress.Interaction{I: 0, J: NumVars})
+		}},
+		{"no preprocessing", func(m *regress.Model) { m.Prep = nil }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			saved, model := legacyModel(t, good)
+			tc.mutate(model)
+
+			payload, err := json.Marshal(model)
+			if err != nil {
+				t.Fatal(err)
+			}
+			saved.Payload = payload
+			if saved.Checksum, err = payloadChecksum(payload); err != nil {
+				t.Fatal(err)
+			}
+			data, err := json.Marshal(saved)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := filepath.Join(dir, "v4.json")
+			if err := os.WriteFile(p, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := LoadSnapshot(p); !errors.Is(err, ErrModelFamily) {
+				t.Fatalf("version 4: err = %v, want ErrModelFamily", err)
+			}
+
+			sum, err := modelChecksum(model)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data, err = json.Marshal(SavedModel{Version: 3, ShardLen: saved.ShardLen, Checksum: sum, Model: model})
+			if err != nil {
+				t.Fatal(err)
+			}
+			p = filepath.Join(dir, "v3.json")
+			if err := os.WriteFile(p, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := LoadSnapshot(p); !errors.Is(err, ErrModelShape) {
+				t.Fatalf("version 3: err = %v, want ErrModelShape", err)
+			}
+		})
+	}
+}

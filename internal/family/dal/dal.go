@@ -315,8 +315,8 @@ func (*Family) Load(raw json.RawMessage, numVars int) (family.Model, error) {
 	if err := json.Unmarshal(raw, &p); err != nil {
 		return nil, fmt.Errorf("dal: decoding payload: %w", err)
 	}
-	if p.Pooled == nil || p.Pooled.Prep == nil || len(p.Pooled.Coef) == 0 {
-		return nil, fmt.Errorf("dal: payload missing pooled model")
+	if err := p.Pooled.Validate(numVars); err != nil {
+		return nil, fmt.Errorf("dal: payload pooled model: %w", err)
 	}
 	if len(p.Scale.Means) != numVars || len(p.Scale.Stds) != numVars {
 		return nil, fmt.Errorf("dal: payload scaler has %d variables, want %d", len(p.Scale.Means), numVars)
@@ -325,16 +325,14 @@ func (*Family) Load(raw json.RawMessage, numVars int) (family.Model, error) {
 		return nil, fmt.Errorf("dal: payload has %d centroids for %d local models",
 			len(p.Centroids), len(p.Locals))
 	}
-	if p.Pooled.Prep.NumVars() != numVars {
-		return nil, fmt.Errorf("dal: pooled model has %d variables, want %d",
-			p.Pooled.Prep.NumVars(), numVars)
-	}
 	for j, c := range p.Centroids {
 		if len(c) != numVars {
 			return nil, fmt.Errorf("dal: centroid %d has %d variables, want %d", j, len(c), numVars)
 		}
-		if m := p.Locals[j]; m != nil && (m.Prep == nil || m.Prep.NumVars() != numVars) {
-			return nil, fmt.Errorf("dal: local model %d variable count mismatch", j)
+		if m := p.Locals[j]; m != nil {
+			if err := m.Validate(numVars); err != nil {
+				return nil, fmt.Errorf("dal: payload local model %d: %w", j, err)
+			}
 		}
 	}
 	return &Model{scale: p.Scale, centroids: p.Centroids, locals: p.Locals, pooled: p.Pooled}, nil

@@ -188,12 +188,8 @@ func (*Family) Load(raw json.RawMessage, numVars int) (family.Model, error) {
 	if err := json.Unmarshal(raw, &p); err != nil {
 		return nil, fmt.Errorf("residual: decoding payload: %w", err)
 	}
-	if p.Model == nil || p.Model.Prep == nil || len(p.Model.Coef) == 0 {
-		return nil, fmt.Errorf("residual: payload missing correction model")
-	}
-	if p.Model.Prep.NumVars() != numVars {
-		return nil, fmt.Errorf("residual: payload has %d variables, want %d",
-			p.Model.Prep.NumVars(), numVars)
+	if err := p.Model.Validate(numVars); err != nil {
+		return nil, fmt.Errorf("residual: payload correction model: %w", err)
 	}
 	prior, err := priorByName(p.Prior, numVars)
 	if err != nil {

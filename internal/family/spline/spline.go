@@ -11,7 +11,6 @@ package spline
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"sync"
 
@@ -58,11 +57,8 @@ func (*Family) Load(payload json.RawMessage, numVars int) (family.Model, error) 
 	if err := json.Unmarshal(payload, &m); err != nil {
 		return nil, fmt.Errorf("spline: decoding payload: %w", err)
 	}
-	if m.Prep == nil || len(m.Coef) == 0 {
-		return nil, errors.New("spline: payload missing preprocessing or coefficients")
-	}
-	if m.Prep.NumVars() != numVars {
-		return nil, fmt.Errorf("spline: payload has %d variables, want %d", m.Prep.NumVars(), numVars)
+	if err := m.Validate(numVars); err != nil {
+		return nil, fmt.Errorf("spline: payload: %w", err)
 	}
 	return &Model{model: &m}, nil
 }

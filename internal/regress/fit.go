@@ -43,6 +43,41 @@ type Model struct {
 	YLo, YHi float64
 }
 
+// Validate checks that m is a model over numVars raw variables which the
+// predict path can evaluate without indexing out of range: the spec is valid
+// for numVars, every preprocessing slice has one entry per variable, and
+// there is one finite coefficient per design column. Every path that decodes
+// a persisted model calls it before serving the model.
+func (m *Model) Validate(numVars int) error {
+	if m == nil || m.Prep == nil {
+		return errors.New("regress: model has no preprocessing")
+	}
+	if err := m.Spec.Validate(numVars); err != nil {
+		return err
+	}
+	p := m.Prep
+	for _, f := range []struct {
+		name string
+		n    int
+	}{
+		{"Names", len(p.Names)}, {"Powers", len(p.Powers)}, {"Means", len(p.Means)},
+		{"Sds", len(p.Sds)}, {"Knots", len(p.Knots)}, {"ZLo", len(p.ZLo)}, {"ZHi", len(p.ZHi)},
+	} {
+		if f.n != numVars {
+			return fmt.Errorf("regress: preprocessing %s has %d variables, want %d", f.name, f.n, numVars)
+		}
+	}
+	if want := numDesignColumns(m.Spec); len(m.Coef) != want {
+		return fmt.Errorf("regress: model has %d coefficients, its spec has %d design columns", len(m.Coef), want)
+	}
+	for j, c := range m.Coef {
+		if math.IsNaN(c) || math.IsInf(c, 0) {
+			return fmt.Errorf("regress: coefficient %d is %v", j, c)
+		}
+	}
+	return nil
+}
+
 // ErrTooFewRows is returned when a fit has fewer observations than design
 // columns.
 var ErrTooFewRows = errors.New("regress: fewer observations than design columns")

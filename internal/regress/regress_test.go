@@ -51,6 +51,52 @@ func TestSpecValidate(t *testing.T) {
 	}
 }
 
+// TestModelValidate: a fitted model validates for its own variable count;
+// one that disagrees with it, or whose coefficients do not match its spec's
+// design width or are not finite, does not.
+func TestModelValidate(t *testing.T) {
+	ds := mkDataset(80, 3, 5, func(x []float64) float64 { return 1 + x[0] + x[1]*x[2] })
+	spec := linSpec(3, Linear, Spline3, Quadratic)
+	spec.Interactions = []Interaction{{1, 2}}
+	fit, err := FitSpec(spec, nil, ds, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fit.Validate(3); err != nil {
+		t.Fatalf("fitted model: %v", err)
+	}
+	for _, tc := range []struct {
+		name   string
+		mutate func(m *Model)
+	}{
+		{"other variable count", nil},
+		{"short coefficients", func(m *Model) { m.Coef = m.Coef[:len(m.Coef)-1] }},
+		{"NaN coefficient", func(m *Model) { m.Coef[2] = math.NaN() }},
+		{"infinite coefficient", func(m *Model) { m.Coef[0] = math.Inf(-1) }},
+		{"short powers", func(m *Model) { m.Prep.Powers = m.Prep.Powers[:2] }},
+		{"no clamp range", func(m *Model) { m.Prep.ZLo, m.Prep.ZHi = nil, nil }},
+		{"no preprocessing", func(m *Model) { m.Prep = nil }},
+	} {
+		m := *fit
+		prep := *fit.Prep
+		m.Prep = &prep
+		m.Coef = append([]float64(nil), fit.Coef...)
+		numVars := 3
+		if tc.mutate == nil {
+			numVars = 4
+		} else {
+			tc.mutate(&m)
+		}
+		if err := m.Validate(numVars); err == nil {
+			t.Errorf("%s: validated", tc.name)
+		}
+	}
+	var none *Model
+	if err := none.Validate(3); err == nil {
+		t.Error("nil model validated")
+	}
+}
+
 func TestSpecCloneIndependence(t *testing.T) {
 	s := Spec{Codes: []TransformCode{Linear}, Interactions: []Interaction{{0, 1}}}
 	c := s.Clone()

@@ -15,7 +15,6 @@ import (
 	"hsmodel/internal/family/spline"
 	"hsmodel/internal/faultinject"
 	"hsmodel/internal/lifecycle"
-	"hsmodel/internal/registry"
 	"hsmodel/internal/trace"
 	"hsmodel/pkg/hsmodel"
 )
@@ -432,12 +431,12 @@ func TestLifecycleWithoutModelRefused(t *testing.T) {
 	if err := os.WriteFile(manifest, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := New(Config{Trainer: newTestTrainer(t), ManifestPath: manifest}); !errors.Is(err, registry.ErrLifecycleNoModel) {
+	if _, err := New(Config{Trainer: newTestTrainer(t), ManifestPath: manifest}); !errors.Is(err, errLifecycleNoModel) {
 		t.Fatalf("manifest with a model-less lifecycle entry: err %v, want ErrLifecycleNoModel", err)
 	}
 
 	untrained := Config{Trainer: core.NewTrainer(nil), Lifecycle: &lifecycle.Config{}}
-	if _, err := New(untrained); !errors.Is(err, registry.ErrLifecycleNoModel) {
+	if _, err := New(untrained); !errors.Is(err, errLifecycleNoModel) {
 		t.Fatalf("untrained default entry with a loop: err %v, want ErrLifecycleNoModel", err)
 	}
 	untrained.ModelPath = filepath.Join(dir, "model.json") // loaded by Reload later

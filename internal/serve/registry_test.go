@@ -12,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -148,8 +149,7 @@ func TestSamplesFanOut(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("cpi 0 sample: status %d, want 400: %s", resp.StatusCode, body)
 	}
-	def, _ := s.Registry().Get(hsmodel.DefaultModelID)
-	if got := def.Trainer().NumSamples(); got != len(trainStore) {
+	if got := s.def.trainer.NumSamples(); got != len(trainStore) {
 		t.Fatalf("cpi 0 sample moved the default store to %d samples, want %d", got, len(trainStore))
 	}
 
@@ -182,11 +182,11 @@ func TestSamplesFanOut(t *testing.T) {
 	assertCounts := func() {
 		t.Helper()
 		for id, want := range counts {
-			e, ok := s.Registry().Get(id)
+			e, ok := s.reg.resolve(id)
 			if !ok {
 				t.Fatalf("entry %q missing", id)
 			}
-			if got := e.Trainer().NumSamples(); got != want {
+			if got := e.trainer.NumSamples(); got != want {
 				t.Fatalf("entry %q: %d samples, want %d", id, got, want)
 			}
 		}
@@ -351,7 +351,7 @@ func TestManifestBoot(t *testing.T) {
 		t.Fatal(err)
 	}
 	s, _ := newTestServer(t, Config{ManifestPath: manifest})
-	if got := s.Registry().Len(); got != 3 {
+	if got := len(s.reg.list()); got != 3 {
 		t.Fatalf("booted with %d entries, want 3", got)
 	}
 
@@ -362,6 +362,79 @@ func TestManifestBoot(t *testing.T) {
 	}
 	if _, err := New(Config{Trainer: newTestTrainer(t), ManifestPath: bad}); err == nil {
 		t.Fatal("manifest naming the reserved entry booted")
+	}
+}
+
+// TestManifestConcurrentChanges: concurrent registrations and
+// unregistrations each rewrite the manifest, and once they have all
+// returned the file must parse and list exactly the live fleet. Writers that
+// shared one temp file without a lock tore the file or lost entries, and
+// every run failed within its first ten rounds; sixty leave no doubt.
+func TestManifestConcurrentChanges(t *testing.T) {
+	manifest := filepath.Join(t.TempDir(), "fleet.json")
+	_, ts := newTestServer(t, Config{ManifestPath: manifest})
+	const rounds, width = 60, 24
+	ids := make([]string, width)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("m-%02d", i)
+	}
+	// fanOut sends one request per id concurrently and checks every status.
+	fanOut := func(method string, url, body func(id string) string, want int) {
+		var wg sync.WaitGroup
+		for _, id := range ids {
+			wg.Add(1)
+			go func(id string) {
+				defer wg.Done()
+				req, err := http.NewRequest(method, url(id), strings.NewReader(body(id)))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				resp, err := http.DefaultClient.Do(req)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if _, err := io.Copy(io.Discard, resp.Body); err != nil {
+					t.Error(err)
+				}
+				resp.Body.Close()
+				if resp.StatusCode != want {
+					t.Errorf("%s %s: status %d, want %d", req.Method, req.URL.Path, resp.StatusCode, want)
+				}
+			}(id)
+		}
+		wg.Wait()
+	}
+	check := func(round int, want []string) {
+		t.Helper()
+		data, err := os.ReadFile(manifest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var man hsmodel.Manifest
+		if err := json.Unmarshal(data, &man); err != nil {
+			t.Fatalf("round %d: manifest does not parse: %v", round, err)
+		}
+		got := make([]string, len(man.Models))
+		for i, m := range man.Models {
+			got[i] = m.ID
+		}
+		if strings.Join(got, " ") != strings.Join(want, " ") {
+			t.Fatalf("round %d: manifest lists %v, want %v", round, got, want)
+		}
+	}
+	for round := 0; round < rounds && !t.Failed(); round++ {
+		fanOut(http.MethodPost,
+			func(string) string { return ts.URL + "/v2/models" },
+			func(id string) string { return `{"id":"` + id + `"}` },
+			http.StatusCreated)
+		check(round, ids)
+		fanOut(http.MethodDelete,
+			func(id string) string { return ts.URL + "/v2/models/" + id },
+			func(string) string { return "" },
+			http.StatusNoContent)
+		check(round, nil)
 	}
 }
 

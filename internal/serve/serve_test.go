@@ -244,8 +244,7 @@ func TestOversizedBodyIs413(t *testing.T) {
 	if err := json.Unmarshal(out, &er); err != nil || er.Error == "" {
 		t.Fatalf("413 body not an ErrorResponse: %s", out)
 	}
-	def, _ := s.Registry().Get(hsmodel.DefaultModelID)
-	if got := def.Trainer().NumSamples(); got != len(trainStore) {
+	if got := s.def.trainer.NumSamples(); got != len(trainStore) {
 		t.Fatalf("oversized POST moved the store to %d samples, want %d", got, len(trainStore))
 	}
 }
@@ -498,7 +497,7 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	// batcher (queued or already answered), then race the remaining
 	// submissions against the drain. The gather worker consumes enqueued
 	// jobs immediately, so an empty queue alone does not mean idle.
-	for deadline := time.Now().Add(5 * time.Second); s.def.QueueDepth() == 0 && answered.Load() == 0; {
+	for deadline := time.Now().Add(5 * time.Second); s.def.batcher.Queued() == 0 && answered.Load() == 0; {
 		if time.Now().After(deadline) {
 			t.Fatal("no request ever reached the batcher")
 		}

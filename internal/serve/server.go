@@ -1,6 +1,7 @@
 // Package serve is the prediction serving subsystem: an HTTP JSON service
-// layered on the lock-free core.Snapshot architecture and on
-// internal/registry — a fleet of named model entries behind one listener.
+// layered on the lock-free core.Snapshot architecture and on the model
+// registry (registry.go) — a fleet of named model entries behind one
+// listener.
 // Every model, the reserved "default" entry included, is addressed one way:
 //
 //	GET    /v2/models                     registry listing + load state
@@ -28,7 +29,7 @@
 //
 // The {id} of a route is an exact entry id or the "app:<name>" alias, which
 // reaches the entry scoped to that application, else the wildcard entry
-// (registry.Resolve).
+// (registry.resolve).
 //
 // The wire vocabulary is pkg/hsmodel's wire schema, so the CLI and the
 // server speak the same types. A POST body must hold exactly one JSON value
@@ -49,14 +50,13 @@ import (
 	"log"
 	"net/http"
 	"os"
-	"sync/atomic"
+	"sync"
 	"time"
 
 	"hsmodel/internal/core"
 	"hsmodel/internal/hwspace"
 	"hsmodel/internal/lifecycle"
 	"hsmodel/internal/profile"
-	"hsmodel/internal/registry"
 	"hsmodel/pkg/hsmodel"
 )
 
@@ -67,7 +67,7 @@ type Config struct {
 	// /v2/models/default (required). It may be untrained, in which case
 	// predictions answer 503 until a model is trained, adopted, or reloaded;
 	// with Lifecycle set it must be trained unless ModelPath names the
-	// snapshot Reload serves (registry.ErrLifecycleNoModel).
+	// snapshot Reload serves (errLifecycleNoModel).
 	Trainer *core.Trainer
 	// MaxBatch caps the batcher jobs coalesced into one flush (default 32).
 	// A job is one submission: a single prediction, or a whole
@@ -127,14 +127,14 @@ func (c Config) withDefaults() Config {
 // and drain with Close after the HTTP listener has shut down.
 type Server struct {
 	cfg     Config
-	reg     *registry.Registry
-	def     *registry.Entry // the reserved default entry: Predict, Reload, healthz, the snapshot gauges
+	reg     *registry
+	def     *entry // the reserved default entry: Predict, Reload, healthz, the snapshot gauges
 	metrics *metrics
 	mux     *http.ServeMux
 
-	// manifestReady gates manifest persistence until construction has fully
-	// replayed the manifest, so a failed boot never truncates the file.
-	manifestReady atomic.Bool
+	// manifestMu serializes persistManifest: reading the registry, writing
+	// the temp file and renaming it happen as one step.
+	manifestMu sync.Mutex
 }
 
 // New builds a Server: a registry whose reserved "default" entry serves
@@ -148,25 +148,29 @@ func New(cfg Config) (*Server, error) {
 		cfg:     cfg,
 		metrics: newMetrics(),
 	}
-	s.reg = registry.New(registry.Config{
-		NewBatcher: s.newEntryBatcher,
-		OnChange:   s.persistManifest,
+	// Every entry gets its own micro-batcher — one queue and one worker —
+	// pinned to its own snapshot. The batch size and shed metrics are shared
+	// series; per-model load shows up in the hsserve_registry_model_* gauges.
+	s.reg = newRegistry(batcherConfig{
+		maxBatch:   cfg.MaxBatch,
+		maxWait:    cfg.MaxWait,
+		queueDepth: cfg.QueueDepth,
+		observe:    s.metrics.observeBatch,
+		onShed:     func() { s.metrics.shedsTotal.Add(1) },
 	})
-	def, err := s.reg.RegisterTrainer(registry.Spec{
+	def, err := s.reg.registerTrainer(hsmodel.RegisterRequest{
 		ID:        hsmodel.DefaultModelID,
 		ModelPath: cfg.ModelPath,
 		ShardLen:  cfg.Trainer.ShardLen,
-		Lifecycle: cfg.Lifecycle,
-	}, cfg.Trainer)
+	}, cfg.Lifecycle, cfg.Trainer)
 	if err != nil {
 		return nil, fmt.Errorf("serve: registering default entry: %w", err)
 	}
 	s.def = def
 	if err := s.loadManifest(); err != nil {
-		s.reg.Close()
+		s.reg.close()
 		return nil, err
 	}
-	s.manifestReady.Store(true)
 
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("GET /healthz", s.instrument("healthz", s.handleHealthz))
@@ -182,27 +186,8 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// newEntryBatcher is the registry's batcher factory: every entry gets its
-// own micro-batcher — one queue and one worker — pinned to its own snapshot.
-// The batch size and shed metrics are shared series; per-model load shows up
-// in the hsserve_registry_model_* gauges.
-func (s *Server) newEntryBatcher(e *registry.Entry) registry.Batcher {
-	return newBatcher(batcherConfig{
-		maxBatch:   s.cfg.MaxBatch,
-		maxWait:    s.cfg.MaxWait,
-		queueDepth: s.cfg.QueueDepth,
-		snap:       e.Trainer().Snapshot,
-		observe:    s.metrics.observeBatch,
-		onShed:     func() { s.metrics.shedsTotal.Add(1) },
-	})
-}
-
 // Handler returns the service's HTTP handler.
 func (s *Server) Handler() http.Handler { return s.mux }
-
-// Registry exposes the model registry (read-mostly: tests and in-process
-// embedders).
-func (s *Server) Registry() *registry.Registry { return s.reg }
 
 // Close drains the server: every prediction already accepted by any entry's
 // batcher is answered, in-flight asynchronous updates complete, and every
@@ -210,7 +195,7 @@ func (s *Server) Registry() *registry.Registry { return s.reg }
 // accepting requests (http.Server.Shutdown), so no handler can race the
 // drain.
 func (s *Server) Close() {
-	s.reg.Close()
+	s.reg.close()
 }
 
 // Reload hot-swaps the default entry's served snapshot from Config.ModelPath
@@ -228,7 +213,7 @@ func (s *Server) Reload() error {
 		s.cfg.Logger.Printf("serve: snapshot reload rejected: %v", err)
 		return err
 	}
-	s.def.Trainer().Adopt(snap)
+	s.def.trainer.Adopt(snap)
 	s.metrics.reloads.Add(1)
 	s.cfg.Logger.Printf("serve: snapshot reloaded from %s (rung %s, %d rows)",
 		s.cfg.ModelPath, snap.Rung(), snap.TrainedRows())
@@ -238,7 +223,8 @@ func (s *Server) Reload() error {
 // loadManifest replays Config.ManifestPath into the registry. A missing file
 // is an empty fleet, not an error; a malformed file or a failing entry is a
 // loud construction failure — a misconfigured fleet should not boot half
-// registered.
+// registered. The replay never rewrites the file, so a failed boot leaves it
+// as it was.
 func (s *Server) loadManifest() error {
 	if s.cfg.ManifestPath == "" {
 		return nil
@@ -258,7 +244,7 @@ func (s *Server) loadManifest() error {
 		if req.ID == hsmodel.DefaultModelID {
 			return fmt.Errorf("serve: manifest %s declares the reserved %q entry", s.cfg.ManifestPath, hsmodel.DefaultModelID)
 		}
-		if _, err := s.reg.Register(specFromWire(req)); err != nil {
+		if _, err := s.reg.register(req); err != nil {
 			return fmt.Errorf("serve: manifest entry %q: %w", req.ID, err)
 		}
 		s.cfg.Logger.Printf("serve: registered model %q (app %q) from manifest", req.ID, req.Application)
@@ -266,20 +252,25 @@ func (s *Server) loadManifest() error {
 	return nil
 }
 
-// persistManifest rewrites Config.ManifestPath from the live registry
-// (atomically, default entry excluded). Wired as the registry's OnChange
-// hook; a persistence failure is logged, never fatal to the mutation that
+// persistManifest rewrites Config.ManifestPath from the live registry,
+// default entry excluded. handleRegister and handleUnregister call it after
+// every successful change. manifestMu makes reading the registry, writing
+// the one temp file and renaming it a single step, so concurrent changes
+// never tear the file and the last rename carries every change completed
+// before it; the temp file is synced before the rename, as Snapshot.Save
+// does. A persistence failure is logged, never fatal to the change that
 // triggered it.
 func (s *Server) persistManifest() {
-	if s.cfg.ManifestPath == "" || !s.manifestReady.Load() {
+	if s.cfg.ManifestPath == "" {
 		return
 	}
+	s.manifestMu.Lock()
+	defer s.manifestMu.Unlock()
 	var man hsmodel.Manifest
-	for _, spec := range s.reg.Specs() {
-		if spec.ID == hsmodel.DefaultModelID {
-			continue
+	for _, e := range s.reg.list() {
+		if e.req.ID != hsmodel.DefaultModelID {
+			man.Models = append(man.Models, e.req)
 		}
-		man.Models = append(man.Models, wireFromSpec(spec))
 	}
 	data, err := json.MarshalIndent(man, "", "  ")
 	if err != nil {
@@ -287,7 +278,7 @@ func (s *Server) persistManifest() {
 		return
 	}
 	tmp := s.cfg.ManifestPath + ".tmp"
-	if err := os.WriteFile(tmp, append(data, '\n'), 0o644); err != nil {
+	if err := writeSynced(tmp, append(data, '\n')); err != nil {
 		s.cfg.Logger.Printf("serve: writing manifest: %v", err)
 		return
 	}
@@ -296,53 +287,21 @@ func (s *Server) persistManifest() {
 	}
 }
 
-// specFromWire converts the wire registration form to the registry spec.
-func specFromWire(req hsmodel.RegisterRequest) registry.Spec {
-	spec := registry.Spec{
-		ID:          req.ID,
-		Application: req.Application,
-		ArchSpace:   req.ArchSpace,
-		ModelPath:   req.ModelPath,
-		Families:    req.Families,
-		Seed:        req.Seed,
-		ShardLen:    req.ShardLen,
-		Population:  req.Population,
-		Generations: req.Generations,
+// writeSynced writes data to path and syncs it to stable storage before
+// closing.
+func writeSynced(path string, data []byte) error {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
 	}
-	if req.Lifecycle != nil {
-		lc := lifecycle.Config{
-			MinProfiles:     req.Lifecycle.MinProfiles,
-			CanaryTolerance: req.Lifecycle.CanaryTolerance,
-			Seed:            req.Lifecycle.Seed,
-		}
-		lc.Drift.Threshold = req.Lifecycle.DriftThreshold
-		spec.Lifecycle = &lc
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
 	}
-	return spec
-}
-
-// wireFromSpec is the manifest-persistence inverse of specFromWire.
-func wireFromSpec(spec registry.Spec) hsmodel.RegisterRequest {
-	req := hsmodel.RegisterRequest{
-		ID:          spec.ID,
-		Application: spec.Application,
-		ArchSpace:   spec.ArchSpace,
-		ModelPath:   spec.ModelPath,
-		Families:    spec.Families,
-		Seed:        spec.Seed,
-		ShardLen:    spec.ShardLen,
-		Population:  spec.Population,
-		Generations: spec.Generations,
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if spec.Lifecycle != nil {
-		req.Lifecycle = &hsmodel.LifecycleWire{
-			DriftThreshold:  spec.Lifecycle.Drift.Threshold,
-			MinProfiles:     spec.Lifecycle.MinProfiles,
-			CanaryTolerance: spec.Lifecycle.CanaryTolerance,
-			Seed:            spec.Lifecycle.Seed,
-		}
-	}
-	return req
+	return err
 }
 
 // instrument wraps a handler with the per-request timeout and metrics.
@@ -358,7 +317,7 @@ func (s *Server) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
 }
 
 // entryHandler is a handler bound to a resolved registry entry.
-type entryHandler func(w http.ResponseWriter, r *http.Request, e *registry.Entry)
+type entryHandler func(w http.ResponseWriter, r *http.Request, e *entry)
 
 // v2Entry resolves the {id} path value — an exact entry id or the
 // "app:<name>" alias — instruments the request, and feeds
@@ -366,14 +325,14 @@ type entryHandler func(w http.ResponseWriter, r *http.Request, e *registry.Entry
 func (s *Server) v2Entry(endpoint string, h entryHandler) http.HandlerFunc {
 	return s.instrument(endpoint, func(w http.ResponseWriter, r *http.Request) {
 		id := r.PathValue("id")
-		e, ok := s.reg.Resolve(id)
+		e, ok := s.reg.resolve(id)
 		if !ok {
-			writeError(w, fmt.Errorf("%w: %q", registry.ErrNotFound, id))
+			writeError(w, fmt.Errorf("%w: %q", errNotFound, id))
 			return
 		}
 		rec := &statusRecorder{ResponseWriter: w, code: http.StatusOK}
 		h(rec, r, e)
-		s.metrics.observeModelRequest(e.ID(), endpoint, rec.code)
+		s.metrics.observeModelRequest(e.req.ID, endpoint, rec.code)
 	})
 }
 
@@ -401,15 +360,15 @@ func writeError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, core.ErrNotTrained):
 		code = http.StatusServiceUnavailable
-	case errors.Is(err, ErrClosed), errors.Is(err, registry.ErrClosed):
+	case errors.Is(err, ErrClosed):
 		code = http.StatusServiceUnavailable
 	case errors.Is(err, ErrOverloaded):
 		// Shed, not queued: tell well-behaved clients when to come back.
 		w.Header().Set("Retry-After", "1")
 		code = http.StatusTooManyRequests
-	case errors.Is(err, registry.ErrNotFound):
+	case errors.Is(err, errNotFound):
 		code = http.StatusNotFound
-	case errors.Is(err, registry.ErrExists):
+	case errors.Is(err, errExists):
 		code = http.StatusConflict
 	case errors.As(err, new(*http.MaxBytesError)):
 		code = http.StatusRequestEntityTooLarge
@@ -451,7 +410,7 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, v any) error {
 // /v2/models/default/predict, minus HTTP. The benchmark's in-process probes
 // call it.
 func (s *Server) Predict(ctx context.Context, x profile.Characteristics, hw hwspace.Config) (float64, error) {
-	return s.def.Predict(ctx, x, hw)
+	return s.def.batcher.Predict(ctx, x, hw)
 }
 
 // PredictMany answers a whole batch as one batcher submission on the default
@@ -461,32 +420,32 @@ func (s *Server) Predict(ctx context.Context, x profile.Characteristics, hw hwsp
 // through contiguous Snapshot.PredictBatch sweeps. On a ctx error the out
 // buffer must be discarded.
 func (s *Server) PredictMany(ctx context.Context, xs []profile.Characteristics, hws []hwspace.Config, out []float64) error {
-	return s.def.PredictMany(ctx, xs, hws, out)
+	return s.def.batcher.PredictMany(ctx, xs, hws, out)
 }
 
 // predictOne answers one wire PredictRequest against an entry: single shards
 // go through the entry's micro-batcher; whole-application queries aggregate
 // over one snapshot load.
-func (s *Server) predictOne(ctx context.Context, e *registry.Entry, req hsmodel.PredictRequest) (hsmodel.PredictResponse, error) {
+func (s *Server) predictOne(ctx context.Context, e *entry, req hsmodel.PredictRequest) (hsmodel.PredictResponse, error) {
 	xs, hw, err := req.ShardInputs()
 	if err != nil {
 		return hsmodel.PredictResponse{}, err
 	}
 	if len(xs) == 1 && len(req.Shards) == 0 {
-		cpi, err := e.Predict(ctx, xs[0], hw)
+		cpi, err := e.batcher.Predict(ctx, xs[0], hw)
 		if err != nil {
 			return hsmodel.PredictResponse{}, err
 		}
 		return hsmodel.PredictResponse{CPI: cpi, Shards: 1}, nil
 	}
-	cpi, err := e.Trainer().Snapshot().PredictApplication(xs, hw)
+	cpi, err := e.trainer.Snapshot().PredictApplication(xs, hw)
 	if err != nil {
 		return hsmodel.PredictResponse{}, err
 	}
 	return hsmodel.PredictResponse{CPI: cpi, Shards: len(xs)}, nil
 }
 
-func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request, e *registry.Entry) {
+func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request, e *entry) {
 	var req hsmodel.PredictRequest
 	if err := decodeJSON(w, r, &req); err != nil {
 		writeError(w, err)
@@ -500,7 +459,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request, e *regist
 	writeJSON(w, http.StatusOK, resp)
 }
 
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, e *registry.Entry) {
+func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, e *entry) {
 	var req hsmodel.BatchPredictRequest
 	if err := decodeJSON(w, r, &req); err != nil {
 		writeError(w, err)
@@ -531,7 +490,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, e *registry
 			idx = append(idx, i)
 			continue
 		}
-		cpi, err := e.Trainer().Snapshot().PredictApplication(shardXs, hw)
+		cpi, err := e.trainer.Snapshot().PredictApplication(shardXs, hw)
 		if err != nil {
 			results[i] = hsmodel.BatchPredictItem{Error: err.Error()}
 			continue
@@ -540,7 +499,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, e *registry
 	}
 	if len(xs) > 0 {
 		out := make([]float64, len(xs))
-		if err := e.PredictMany(r.Context(), xs, hws, out); err != nil {
+		if err := e.batcher.PredictMany(r.Context(), xs, hws, out); err != nil {
 			for _, i := range idx {
 				results[i] = hsmodel.BatchPredictItem{Error: err.Error()}
 			}
@@ -579,7 +538,7 @@ func decodeSamples(w http.ResponseWriter, r *http.Request) (hsmodel.SamplesReque
 // samples). TotalSamples reports the entry trainer's store; see
 // hsmodel.SamplesResponse for what that counts on an entry with a control
 // loop.
-func (s *Server) handleSamples(w http.ResponseWriter, r *http.Request, e *registry.Entry) {
+func (s *Server) handleSamples(w http.ResponseWriter, r *http.Request, e *entry) {
 	req, samples, err := decodeSamples(w, r)
 	if err != nil {
 		writeError(w, err)
@@ -587,12 +546,12 @@ func (s *Server) handleSamples(w http.ResponseWriter, r *http.Request, e *regist
 	}
 	resp := hsmodel.SamplesResponse{Accepted: len(samples)}
 	if req.FanOut {
-		resp.Models = s.reg.Submit(samples)
+		resp.Models = s.reg.submit(samples)
 	} else {
-		e.Absorb(samples)
+		e.absorb(samples)
 	}
 	s.metrics.samplesAccepted.Add(uint64(len(samples)))
-	resp.TotalSamples = e.Trainer().NumSamples()
+	resp.TotalSamples = e.trainer.NumSamples()
 	if req.Update {
 		resp.UpdateStarted = s.triggerUpdate(e)
 	}
@@ -601,8 +560,8 @@ func (s *Server) handleSamples(w http.ResponseWriter, r *http.Request, e *regist
 
 // handleLifecycle reports an entry's control loop status; 404 when the loop
 // is not enabled so probes can distinguish "disabled" from "unhealthy".
-func (s *Server) handleLifecycle(w http.ResponseWriter, r *http.Request, e *registry.Entry) {
-	lc := e.Lifecycle()
+func (s *Server) handleLifecycle(w http.ResponseWriter, r *http.Request, e *entry) {
+	lc := e.lifecycle
 	if lc == nil {
 		writeJSON(w, http.StatusNotFound, hsmodel.ErrorResponse{Error: "serve: lifecycle loop not enabled"})
 		return
@@ -618,9 +577,9 @@ const updateTimeout = 5 * time.Minute
 // none is in flight and the entry has no control loop. The Trainer's
 // snapshot semantics make the failure path safe: an update that errors
 // leaves the served snapshot untouched.
-func (s *Server) triggerUpdate(e *registry.Entry) bool {
-	id := e.ID()
-	started := e.TriggerUpdate(updateTimeout, func(err error) {
+func (s *Server) triggerUpdate(e *entry) bool {
+	id := e.req.ID
+	started := e.triggerUpdate(updateTimeout, func(err error) {
 		if err != nil {
 			s.metrics.updatesFailed.Add(1)
 			s.cfg.Logger.Printf("serve: async update failed (snapshot retained): model %q: %v", id, err)
@@ -644,14 +603,14 @@ func snapshotAge(pub core.Publication) time.Duration {
 }
 
 // modelInfo assembles the wire ModelInfo for an entry.
-func (s *Server) modelInfo(e *registry.Entry) hsmodel.ModelInfo {
-	pub := e.Trainer().Published()
+func (s *Server) modelInfo(e *entry) hsmodel.ModelInfo {
+	pub := e.trainer.Published()
 	snap := pub.Snapshot
 	info := hsmodel.ModelInfo{
-		Model:           e.ID(),
-		Application:     e.Application(),
-		ArchSpace:       e.ArchSpace(),
-		TotalSamples:    e.Trainer().NumSamples(),
+		Model:           e.req.ID,
+		Application:     e.req.Application,
+		ArchSpace:       e.req.ArchSpace,
+		TotalSamples:    e.trainer.NumSamples(),
 		SnapshotVersion: pub.Generation,
 		SnapshotAgeSec:  snapshotAge(pub).Seconds(),
 	}
@@ -667,47 +626,46 @@ func (s *Server) modelInfo(e *registry.Entry) hsmodel.ModelInfo {
 		info.TrainedRows = snap.TrainedRows()
 		info.ShardLen = snap.ShardLen()
 	}
-	st := e.Trainer().FitPathStats()
+	st := e.trainer.FitPathStats()
 	info.GramFits, info.QRFallbacks = st.GramFits, st.QRFallbacks
 	return info
 }
 
-func (s *Server) handleModel(w http.ResponseWriter, r *http.Request, e *registry.Entry) {
+func (s *Server) handleModel(w http.ResponseWriter, r *http.Request, e *entry) {
 	writeJSON(w, http.StatusOK, s.modelInfo(e))
 }
 
 // modelStatus summarizes one entry for the registry listing and the scrape.
-func (s *Server) modelStatus(e *registry.Entry) hsmodel.ModelStatus {
-	pub := e.Trainer().Published()
+func (s *Server) modelStatus(e *entry) hsmodel.ModelStatus {
+	pub := e.trainer.Published()
 	snap := pub.Snapshot
-	spec := e.Spec()
 	ms := hsmodel.ModelStatus{
-		ID:              e.ID(),
-		Application:     e.Application(),
-		ArchSpace:       e.ArchSpace(),
+		ID:              e.req.ID,
+		Application:     e.req.Application,
+		ArchSpace:       e.req.ArchSpace,
 		Trained:         snap.Trained(),
-		TotalSamples:    e.Trainer().NumSamples(),
+		TotalSamples:    e.trainer.NumSamples(),
 		SnapshotVersion: pub.Generation,
-		QueueDepth:      e.QueueDepth(),
-		ModelPath:       spec.ModelPath,
-		Families:        spec.Families,
+		QueueDepth:      e.batcher.Queued(),
+		ModelPath:       e.req.ModelPath,
+		Families:        e.req.Families,
 	}
 	if snap.Trained() {
 		ms.Family = snap.Family()
 		ms.Rung = snap.Rung().String()
 		ms.TrainedRows = snap.TrainedRows()
 	}
-	if lc := e.Lifecycle(); lc != nil {
+	if lc := e.lifecycle; lc != nil {
 		ms.Lifecycle = lc.Status().State
 	}
 	return ms
 }
 
 func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
-	entries := s.reg.Entries()
+	entries := s.reg.list()
 	status := hsmodel.RegistryStatus{
 		Models:     make([]hsmodel.ModelStatus, len(entries)),
-		QueueDepth: s.reg.QueueDepth(),
+		QueueDepth: s.reg.queueDepth(),
 		Default:    hsmodel.DefaultModelID,
 	}
 	for i, e := range entries {
@@ -730,12 +688,13 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		writeError(w, fmt.Errorf("serve: model id %q is reserved for the default entry", hsmodel.DefaultModelID))
 		return
 	}
-	e, err := s.reg.Register(specFromWire(req))
+	e, err := s.reg.register(req)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	s.cfg.Logger.Printf("serve: registered model %q (app %q)", e.ID(), e.Application())
+	s.persistManifest()
+	s.cfg.Logger.Printf("serve: registered model %q (app %q)", e.req.ID, e.req.Application)
 	writeJSON(w, http.StatusCreated, s.modelStatus(e))
 }
 
@@ -745,10 +704,11 @@ func (s *Server) handleUnregister(w http.ResponseWriter, r *http.Request) {
 		writeError(w, fmt.Errorf("serve: the reserved %q entry cannot be unregistered", hsmodel.DefaultModelID))
 		return
 	}
-	if err := s.reg.Unregister(id); err != nil {
+	if err := s.reg.unregister(id); err != nil {
 		writeError(w, err)
 		return
 	}
+	s.persistManifest()
 	s.cfg.Logger.Printf("serve: unregistered model %q", id)
 	w.WriteHeader(http.StatusNoContent)
 }
@@ -756,34 +716,34 @@ func (s *Server) handleUnregister(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{
 		"status":  "ok",
-		"trained": s.def.Trainer().Trained(),
+		"trained": s.def.trainer.Trained(),
 	})
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	pub := s.def.Trainer().Published()
+	pub := s.def.trainer.Published()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	var lcs []modelLifecycle
-	entries := s.reg.Entries()
+	entries := s.reg.list()
 	reg := &registryScrape{
-		depth:  s.reg.QueueDepth(),
+		depth:  s.reg.queueDepth(),
 		models: make([]modelScrape, len(entries)),
 	}
 	for i, e := range entries {
-		epub := e.Trainer().Published()
+		epub := e.trainer.Published()
 		m := modelScrape{
-			id:      e.ID(),
+			id:      e.req.ID,
 			trained: epub.Snapshot.Trained(),
 			version: epub.Generation,
-			samples: e.Trainer().NumSamples(),
-			queued:  e.QueueDepth(),
+			samples: e.trainer.NumSamples(),
+			queued:  e.batcher.Queued(),
 		}
 		if m.trained {
 			m.trainedRows = epub.Snapshot.TrainedRows()
 		}
 		reg.models[i] = m
-		if lc := e.Lifecycle(); lc != nil {
-			lcs = append(lcs, modelLifecycle{id: e.ID(), st: lc.Status()})
+		if lc := e.lifecycle; lc != nil {
+			lcs = append(lcs, modelLifecycle{id: e.req.ID, st: lc.Status()})
 		}
 	}
 	s.metrics.writeTo(w, snapshotState{

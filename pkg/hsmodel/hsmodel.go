@@ -27,7 +27,6 @@ import (
 	"hsmodel/internal/hwspace"
 	"hsmodel/internal/lifecycle"
 	"hsmodel/internal/profile"
-	"hsmodel/internal/registry"
 	"hsmodel/internal/regress"
 	"hsmodel/internal/rng"
 )
@@ -97,19 +96,6 @@ type (
 	// SelectionResult records one family-selection round: per-family scores,
 	// per-family fit errors, and the winner.
 	SelectionResult = core.SelectionResult
-	// Registry is the multi-model serving core: named entries — each with
-	// its own trainer, snapshot, batcher, and optional lifecycle — behind
-	// scope-based "app:<name>" aliases and shared-profile fan-out. hsserve
-	// builds one per server; in-process embedders build their own with
-	// NewRegistry.
-	Registry = registry.Registry
-	// RegistryEntry is one registered model inside a Registry.
-	RegistryEntry = registry.Entry
-	// RegistrySpec declares one entry (the in-process form of the wire
-	// RegisterRequest and of one manifest element).
-	RegistrySpec = registry.Spec
-	// RegistryConfig tunes a Registry (batcher factory and change hook).
-	RegistryConfig = registry.Config
 )
 
 // Dimensions of the integrated space.
@@ -149,11 +135,6 @@ var (
 	// ErrAllFamiliesFailed is returned by a selection round in which no
 	// registered family produced a model.
 	ErrAllFamiliesFailed = core.ErrAllFamiliesFailed
-	// Registry failure modes (errors.Is-matchable through the wire only via
-	// StatusError codes; in-process via these sentinels).
-	ErrModelNotFound  = registry.ErrNotFound
-	ErrModelExists    = registry.ErrExists
-	ErrRegistryClosed = registry.ErrClosed
 )
 
 // Option configures a Trainer at construction; see New.
@@ -229,9 +210,6 @@ func WithFamilies(fams ...ModelFamily) Option {
 func WithFamilySelection() Option {
 	return func(t *Trainer) { t.Families = core.DefaultFamilies() }
 }
-
-// NewRegistry builds an empty in-process model registry; see Registry.
-func NewRegistry(cfg RegistryConfig) *Registry { return registry.New(cfg) }
 
 // DefaultFamilies returns the built-in model families: the reference
 // genetic spline search, the analytical-prior residual learner, and the

@@ -182,8 +182,10 @@ type RegisterRequest struct {
 	Application string `json:"application,omitempty"`
 	// ArchSpace names the architecture space (default "table2").
 	ArchSpace string `json:"arch_space,omitempty"`
-	// ModelPath optionally names a persisted snapshot served from
-	// registration time.
+	// ModelPath optionally names a persisted snapshot the entry adopts once,
+	// at registration. Only the reserved default entry reloads from disk
+	// (hsserve -model, on SIGHUP); a registered entry serves what it loaded
+	// until it retrains.
 	ModelPath string `json:"model_path,omitempty"`
 	// Families lists model families for per-entry selection rounds.
 	Families []string `json:"families,omitempty"`
