@@ -100,10 +100,14 @@ fig5:
 # table must answer what the formula answers and consume the same draw. A
 # crasher is written to the package's testdata/fuzz/<target>/; checked in, it
 # replays on every plain `go test`. CI runs this after ci, not inside it.
+# `go test -fuzz` with a name that matches no target exits 0, so smoke-names
+# checks the names in the two lists below.
+CORE_FUZZ_TARGETS := FuzzLoadSnapshot FuzzLoadSnapshotPayload
+RNG_FUZZ_TARGETS := FuzzSamplerTables
+
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz '^FuzzLoadSnapshot$$' -fuzztime 10s ./internal/core
-	$(GO) test -run '^$$' -fuzz '^FuzzLoadSnapshotPayload$$' -fuzztime 10s ./internal/core
-	$(GO) test -run '^$$' -fuzz '^FuzzSamplerTables$$' -fuzztime 10s ./internal/rng
+	for target in $(CORE_FUZZ_TARGETS); do $(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime 10s ./internal/core || exit 1; done
+	for target in $(RNG_FUZZ_TARGETS); do $(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime 10s ./internal/rng || exit 1; done
 
 # serve-smoke runs the end-to-end serving tests: each boots the HTTP service
 # on an httptest loopback listener and drives it as a real client. They pin
@@ -131,26 +135,32 @@ REGISTRY_SMOKE_TESTS := ^(TestSamplesFanOut|TestPredictCanonicalEncoding|TestReg
 registry-smoke:
 	$(GO) test -count=1 -run '$(REGISTRY_SMOKE_TESTS)' ./internal/serve
 
-# smoke-names fails when a name in SERVE_SMOKE_TESTS or REGISTRY_SMOKE_TESTS
-# is not a test that `go test -list` reports for the packages its target
-# runs: the lists select by regex, so a renamed or deleted test would
-# otherwise drop out of its smoke run without a word.
+# smoke-names fails when a name in SERVE_SMOKE_TESTS, REGISTRY_SMOKE_TESTS,
+# FAMILIES_SMOKE_TESTS, CORE_FUZZ_TARGETS or RNG_FUZZ_TARGETS is not a test
+# or fuzz target that `go test -list` reports for the packages its target
+# runs: the lists select by regex, and a regex that matches nothing passes,
+# so a renamed or deleted test would otherwise drop out of its smoke run
+# without a word.
 smoke-names:
 	@check() { \
 		listed="$$($(GO) test -list . $$2)" || { echo "$$listed"; exit 1; }; \
 		for name in $$(echo "$$1" | tr -d '^()$$' | tr '|' ' '); do \
-			echo "$$listed" | grep -qx "$$name" || { echo "smoke-names: $$name is not a test in $$2"; exit 1; }; \
+			echo "$$listed" | grep -qx "$$name" || { echo "smoke-names: $$name is not a test or fuzz target in $$2"; exit 1; }; \
 		done; \
 	}; \
 	check '$(SERVE_SMOKE_TESTS)' './internal/serve ./internal/lifecycle' && \
-	check '$(REGISTRY_SMOKE_TESTS)' ./internal/serve
+	check '$(REGISTRY_SMOKE_TESTS)' ./internal/serve && \
+	check '$(FAMILIES_SMOKE_TESTS) $(CORE_FUZZ_TARGETS)' ./internal/core && \
+	check '$(RNG_FUZZ_TARGETS)' ./internal/rng
 
 # families-smoke runs the model-family selection harness end to end on the
 # spmv domain corpus: all three built-in families (spline, residual, dal)
 # must fit, selection must complete with a full scoreboard, and the chosen
 # family's CV MedAPE must not be worse than the reference spline baseline.
+FAMILIES_SMOKE_TESTS := ^(TestFamiliesSmoke)$$
+
 families-smoke:
-	$(GO) test -run TestFamiliesSmoke -v ./internal/core
+	$(GO) test -run '$(FAMILIES_SMOKE_TESTS)' -v ./internal/core
 
 # ci is the gate: compile, formatting (gofmt), static analysis (go vet plus
 # the repo's own hslint invariant checks), the smoke lists' test names

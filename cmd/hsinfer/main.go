@@ -104,7 +104,7 @@ func cmdTrain(ctx context.Context, args []string) error {
 	seed := fs.Uint64("seed", 1, "random seed")
 	out := fs.String("out", "model.json", "output model path")
 	timeout := fs.Duration("timeout", 0, "genetic search deadline before degrading to stepwise (0 = none)")
-	families := fs.String("families", "", `model families to select among: "all", or a comma-separated subset of spline,residual,dal (empty = classic spline-only engine)`)
+	families := fs.String("families", "", `model families to select among: "all", or a comma-separated subset of spline,residual,dal (empty = spline alone)`)
 	fs.Parse(args)
 
 	opts := []hsmodel.Option{
@@ -164,7 +164,9 @@ func cmdTrain(ctx context.Context, args []string) error {
 		for _, name := range failed {
 			fmt.Fprintf(os.Stderr, "family %-9s failed: %v\n", name, sel.Errors[name])
 		}
-		fmt.Fprintf(os.Stderr, "selected family: %s\n", sel.Winner)
+		if sel.Winner != "" {
+			fmt.Fprintf(os.Stderr, "selected family: %s\n", sel.Winner)
+		}
 	}
 	if pop := m.Population(); len(pop) > 0 {
 		fmt.Fprintf(os.Stderr, "best fitness %.4f, spec: %s\n", pop[0].Fitness, pop[0].Spec)

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"math"
 	"testing"
 
@@ -35,9 +34,8 @@ func TestFamiliesSmoke(t *testing.T) {
 	ds := spmv.BuildDomainDataset(points, spmv.PredictMFlops)
 	ds.Group = group
 
-	sel, err := SelectFamily(context.Background(), ds, FitnessConfig{Seed: 5},
-		true, true, genetic.Params{PopulationSize: 16, Generations: 6, Seed: 42},
-		DefaultFamilies())
+	sel, err := selectOn(t, ds, FitnessConfig{Seed: 5},
+		genetic.Params{PopulationSize: 16, Generations: 6, Seed: 42}, DefaultFamilies())
 	if err != nil {
 		t.Fatalf("selection did not complete: %v (per-family: %v)", err, sel.Errors)
 	}

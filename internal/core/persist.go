@@ -9,9 +9,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-
-	"hsmodel/internal/family/spline"
-	"hsmodel/internal/regress"
 )
 
 // SavedModel is the serializable form of a model Snapshot: the owning
@@ -20,46 +17,38 @@ import (
 // coefficients), the shard length its profiles were measured at, so a loaded
 // model profiles new shards consistently, and provenance metadata (which
 // ladder rung produced it, how many rows it was fitted on, the per-family
-// selection scores when the selection harness chose it).
+// scores of the selection round that chose it).
 type SavedModel struct {
 	// Version guards the on-disk format.
 	Version int `json:"version"`
 	// ShardLen is the profiling shard length in instructions.
 	ShardLen int `json:"shard_len"`
 	// Rung names the degradation-ladder rung that produced the model
-	// ("genetic", "stepwise", "last-good", "family"). Absent in version-2
-	// files; unknown names load as RungNone.
+	// ("genetic", "stepwise", "last-good"); "family", written by earlier
+	// builds for a selection round, loads as RungGenetic, and unknown names
+	// load as RungNone.
 	Rung string `json:"rung,omitempty"`
 	// TrainedRows is the number of profile rows the model was fitted on.
-	// Absent in version-2 files.
 	TrainedRows int `json:"trained_rows,omitempty"`
-	// Family names the model family that owns Payload. Absent before
-	// version 4 (those files are implicitly spline).
+	// Family names the model family that owns Payload.
 	Family string `json:"family,omitempty"`
-	// FamilyScores records the per-family selection scores of the round
-	// that chose this model, when one ran.
+	// FamilyScores records the per-family scores of the selection round
+	// that chose this model; absent for a stepwise model.
 	FamilyScores map[string]float64 `json:"family_scores,omitempty"`
-	// Checksum is the hex SHA-256 of the payload's compact JSON encoding
-	// (for version ≤ 3, of the model's canonical encoding). Load recomputes
-	// it so torn or bit-rotted files are detected instead of half-loaded.
-	// Payload JSON is deterministic: the structs have fixed field order and
-	// float64 round-trips exactly through encoding/json.
+	// Checksum is the hex SHA-256 of the payload's compact JSON encoding.
+	// Load recomputes it so torn or bit-rotted files are detected instead of
+	// half-loaded. Payload JSON is deterministic: the structs have fixed
+	// field order and float64 round-trips exactly through encoding/json.
 	Checksum string `json:"checksum"`
-	// Payload is the family-owned model encoding (version ≥ 4).
+	// Payload is the family-owned model encoding.
 	Payload json.RawMessage `json:"payload,omitempty"`
-	// Model is the fitted regression of pre-family files (version ≤ 3).
-	Model *regress.Model `json:"model,omitempty"`
 }
 
-// savedModelVersion is the current format version. Version 2 added the
-// payload checksum; version 3 added rung and trained_rows provenance;
-// version 4 moved the model into a family-owned payload keyed by the family
-// name (with selection scores). Version-2/3 files still load as spline
-// models; version-1 files are rejected with ErrModelVersion.
+// savedModelVersion is the one format version Save writes and LoadSnapshot
+// reads: the model is a family-owned payload keyed by the family name. Files
+// of earlier versions (a bare spline regression under a "model" key) are
+// refused with ErrModelVersion.
 const savedModelVersion = 4
-
-// minLoadableVersion is the oldest format LoadSnapshot accepts.
-const minLoadableVersion = 2
 
 // Typed persistence errors, distinguishable with errors.Is. They are the
 // contract the degradation ladder and operators rely on: each names a
@@ -67,31 +56,18 @@ const minLoadableVersion = 2
 var (
 	// ErrModelCorrupt: the file is not valid JSON (torn write, garbage).
 	ErrModelCorrupt = errors.New("core: model file is not valid JSON")
-	// ErrModelVersion: the format version is not a loadable one.
+	// ErrModelVersion: the format version is not the one this build reads.
 	ErrModelVersion = errors.New("core: model file version mismatch")
 	// ErrModelIncomplete: structurally valid JSON missing required parts.
 	ErrModelIncomplete = errors.New("core: saved model is incomplete")
-	// ErrModelShape: the model does not fit the variable space — trained
-	// over a different variable count, or with preprocessing, spec and
-	// coefficients that disagree (regress.Model.Validate).
-	ErrModelShape = errors.New("core: saved model variable count mismatch")
 	// ErrModelChecksum: the payload does not match its recorded checksum.
 	ErrModelChecksum = errors.New("core: model payload checksum mismatch")
 	// ErrModelFamily: the family name is unknown to this build, or the
-	// family rejected its payload.
+	// family rejected its payload — one that does not fit the variable
+	// space or whose preprocessing, spec and coefficients disagree
+	// (regress.Model.Validate).
 	ErrModelFamily = errors.New("core: model family unknown or payload invalid")
 )
-
-// modelChecksum returns the hex SHA-256 of the model's JSON encoding (the
-// version ≤ 3 convention).
-func modelChecksum(m *regress.Model) (string, error) {
-	data, err := json.Marshal(m)
-	if err != nil {
-		return "", err
-	}
-	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:]), nil
-}
 
 // payloadChecksum returns the hex SHA-256 of the payload's compact JSON
 // encoding. Compaction first is load-bearing: Save writes the file with
@@ -190,12 +166,9 @@ func LoadSnapshot(path string) (*Snapshot, error) {
 	if err := json.Unmarshal(data, &saved); err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrModelCorrupt, err)
 	}
-	if saved.Version < minLoadableVersion || saved.Version > savedModelVersion {
-		return nil, fmt.Errorf("%w: found %d, want %d–%d",
-			ErrModelVersion, saved.Version, minLoadableVersion, savedModelVersion)
-	}
-	if saved.Version < 4 {
-		return loadLegacy(saved)
+	if saved.Version != savedModelVersion {
+		return nil, fmt.Errorf("%w: found %d, want %d",
+			ErrModelVersion, saved.Version, savedModelVersion)
 	}
 	if saved.Family == "" || len(saved.Payload) == 0 {
 		return nil, ErrModelIncomplete
@@ -217,26 +190,5 @@ func LoadSnapshot(path string) (*Snapshot, error) {
 		return nil, fmt.Errorf("%w: %w", ErrModelFamily, err)
 	}
 	return newSnapshot(saved.Family, model, saved.FamilyScores,
-		saved.ShardLen, parseRung(saved.Rung), saved.TrainedRows), nil
-}
-
-// loadLegacy handles version-2/3 files: a bare spline regression under the
-// "model" key, checksummed over its own canonical encoding.
-func loadLegacy(saved SavedModel) (*Snapshot, error) {
-	if saved.Model == nil {
-		return nil, ErrModelIncomplete
-	}
-	if err := saved.Model.Validate(NumVars); err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrModelShape, err)
-	}
-	sum, err := modelChecksum(saved.Model)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrModelCorrupt, err)
-	}
-	if sum != saved.Checksum {
-		return nil, fmt.Errorf("%w: stored %.12s…, computed %.12s…",
-			ErrModelChecksum, saved.Checksum, sum)
-	}
-	return newSnapshot(spline.FamilyName, spline.Wrap(saved.Model), nil,
 		saved.ShardLen, parseRung(saved.Rung), saved.TrainedRows), nil
 }

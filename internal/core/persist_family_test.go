@@ -14,6 +14,7 @@ import (
 	"hsmodel/internal/family"
 	"hsmodel/internal/faultinject"
 	"hsmodel/internal/genetic"
+	"hsmodel/internal/regress"
 )
 
 // trainFamilyModeler trains a small modeler through the selection harness so
@@ -47,8 +48,8 @@ func TestSaveLoadFamilyRoundTrip(t *testing.T) {
 	if loaded.Family() != orig.Family() || loaded.Family() == "" {
 		t.Errorf("family %q, want %q", loaded.Family(), orig.Family())
 	}
-	if loaded.Rung() != RungFamily {
-		t.Errorf("rung %v, want family", loaded.Rung())
+	if loaded.Rung() != RungGenetic {
+		t.Errorf("rung %v, want genetic", loaded.Rung())
 	}
 	if loaded.TrainedRows() != orig.TrainedRows() {
 		t.Errorf("trained rows %d, want %d", loaded.TrainedRows(), orig.TrainedRows())
@@ -92,7 +93,7 @@ func TestLoadFamilyFileCorruption(t *testing.T) {
 
 	typed := []error{
 		ErrModelCorrupt, ErrModelVersion, ErrModelIncomplete,
-		ErrModelShape, ErrModelChecksum, ErrModelFamily,
+		ErrModelChecksum, ErrModelFamily,
 	}
 	isTyped := func(err error) bool {
 		for _, want := range typed {
@@ -254,5 +255,55 @@ func TestFamilyPayloadRoundTrip(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestLoadFamilyRungAsGenetic: files written when a selection round
+// published on its own "family" rung load on RungGenetic, the rung every
+// selection round publishes on now.
+func TestLoadFamilyRungAsGenetic(t *testing.T) {
+	good, err := os.ReadFile(saveValid(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := bytes.Replace(good, []byte(`"rung": "genetic"`), []byte(`"rung": "family"`), 1)
+	if bytes.Equal(old, good) {
+		t.Fatal("rung field not found in saved file")
+	}
+	p := filepath.Join(t.TempDir(), "family-rung.json")
+	if err := os.WriteFile(p, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadSnapshot(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if loaded.Rung() != RungGenetic {
+		t.Errorf("rung %v, want genetic", loaded.Rung())
+	}
+}
+
+// TestEvaluateOnMatchesPredict: for every built-in family, EvaluateOn's
+// metrics are bit for bit those of per-row Predict on the same samples.
+func TestEvaluateOnMatchesPredict(t *testing.T) {
+	snaps, samples := familyFits(t)
+	ds := ToDataset(samples)
+	for _, name := range []string{"spline", "residual", "dal"} {
+		snap := snaps[name]
+		pred := make([]float64, ds.NumRows())
+		for i := range pred {
+			pred[i] = snap.fam.Predict(ds.X.Row(i))
+		}
+		want := regress.Assess(pred, ds.Y)
+		got, err := snap.EvaluateOn(samples)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range [][2]float64{{got.MedAPE, want.MedAPE}, {got.MeanAPE, want.MeanAPE},
+			{got.Pearson, want.Pearson}, {got.Spearman, want.Spearman}, {got.R2, want.R2}} {
+			if math.Float64bits(c[0]) != math.Float64bits(c[1]) || got.N != want.N {
+				t.Fatalf("%s: EvaluateOn %+v, per-row Predict %+v", name, got, want)
+			}
+		}
 	}
 }

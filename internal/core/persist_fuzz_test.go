@@ -13,7 +13,7 @@ import (
 
 // modelSentinels are the typed errors every failed LoadSnapshot must match.
 var modelSentinels = []error{ErrModelCorrupt, ErrModelVersion, ErrModelIncomplete,
-	ErrModelShape, ErrModelChecksum, ErrModelFamily}
+	ErrModelChecksum, ErrModelFamily}
 
 // loadOrPredictFinite loads path and fails t unless the load fails with one
 // of modelSentinels or the snapshot predicts finite values on rows, one at a
@@ -52,7 +52,8 @@ func loadOrPredictFinite(t *testing.T, path string, rows []Sample) {
 // load either fails with one of the typed ErrModel* errors or returns a
 // snapshot whose predictions on the seed rows are finite; it never panics.
 // The seeds are a freshly saved model, its three faultinject corruptions, and
-// the same model as a version-3 file. Run it with
+// the same model as a version-3 file, which must fail with ErrModelVersion.
+// Run it with
 //
 //	go test -run '^$' -fuzz '^FuzzLoadSnapshot$' -fuzztime 10s ./internal/core
 func FuzzLoadSnapshot(f *testing.F) {
@@ -83,21 +84,15 @@ func FuzzLoadSnapshot(f *testing.F) {
 		f.Add(bad)
 	}
 
-	saved, model := legacyModel(f, data)
-	sum, err := modelChecksum(model)
-	if err != nil {
+	// A version-3 file of the same model: refused by its version.
+	saved, model := splineModel(f, data)
+	v3 := legacyFile(f, saved, model, 3)
+	p := filepath.Join(dir, "v3.json")
+	if err := os.WriteFile(p, v3, 0o644); err != nil {
 		f.Fatal(err)
 	}
-	v3, err := json.Marshal(SavedModel{
-		Version:     3,
-		ShardLen:    saved.ShardLen,
-		Rung:        saved.Rung,
-		TrainedRows: saved.TrainedRows,
-		Checksum:    sum,
-		Model:       model,
-	})
-	if err != nil {
-		f.Fatal(err)
+	if _, err := LoadSnapshot(p); !errors.Is(err, ErrModelVersion) {
+		f.Fatalf("version-3 seed: err = %v, want ErrModelVersion", err)
 	}
 	f.Add(v3)
 

@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -111,10 +112,9 @@ func saveValid(t *testing.T) string {
 	return path
 }
 
-// legacyModel decodes the spline regression out of a current-format file's
-// payload, so compat tests can rebuild pre-family (version ≤ 3) files from
-// the same fitted model.
-func legacyModel(t testing.TB, good []byte) (SavedModel, *regress.Model) {
+// splineModel decodes the spline regression out of a saved file's payload,
+// so tests can rebuild files around the same fitted model.
+func splineModel(t testing.TB, good []byte) (SavedModel, *regress.Model) {
 	t.Helper()
 	var saved SavedModel
 	if err := json.Unmarshal(good, &saved); err != nil {
@@ -127,46 +127,29 @@ func legacyModel(t testing.TB, good []byte) (SavedModel, *regress.Model) {
 	return saved, &model
 }
 
-// TestLoadVersion2Compat: version-2 files (no rung/trained_rows metadata)
-// must still load, with the provenance defaulting to zero values.
-func TestLoadVersion2Compat(t *testing.T) {
-	good, err := os.ReadFile(saveValid(t))
+// legacyFile encodes model the way format versions 2 and 3 stored it — the
+// bare regression under a "model" key, checksummed over its own encoding,
+// with saved's shard length (and, from version 3, its provenance) — which
+// LoadSnapshot refuses with ErrModelVersion.
+func legacyFile(t testing.TB, saved SavedModel, model *regress.Model, version int) []byte {
+	t.Helper()
+	raw, err := json.Marshal(model)
 	if err != nil {
 		t.Fatal(err)
 	}
-	saved, model := legacyModel(t, good)
-	sum, err := modelChecksum(model)
+	sum, err := payloadChecksum(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v2 := SavedModel{
-		Version:  2,
-		ShardLen: saved.ShardLen,
-		Checksum: sum,
-		Model:    model,
+	file := map[string]any{"version": version, "shard_len": saved.ShardLen, "checksum": sum, "model": model}
+	if version >= 3 {
+		file["rung"], file["trained_rows"] = saved.Rung, saved.TrainedRows
 	}
-	data, err := json.Marshal(v2)
+	data, err := json.Marshal(file)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := filepath.Join(t.TempDir(), "v2.json")
-	if err := os.WriteFile(p, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadSnapshot(p)
-	if err != nil {
-		t.Fatalf("version-2 file refused: %v", err)
-	}
-	if loaded.ShardLen() != saved.ShardLen {
-		t.Errorf("shard length %d, want %d", loaded.ShardLen(), saved.ShardLen)
-	}
-	if loaded.Rung() != RungNone || loaded.TrainedRows() != 0 {
-		t.Errorf("v2 provenance should default to zero: rung=%v rows=%d",
-			loaded.Rung(), loaded.TrainedRows())
-	}
-	if loaded.Model() == nil {
-		t.Error("v2 load produced no model")
-	}
+	return data
 }
 
 // TestLoadFailureModes exercises every corruption class with the distinct
@@ -218,10 +201,22 @@ func TestLoadFailureModes(t *testing.T) {
 		}
 	})
 
+	// Versions 2 and 3 stored a bare spline regression; LoadSnapshot
+	// refuses them by version before reading anything else.
+	for _, version := range []int{2, 3} {
+		t.Run(fmt.Sprintf("version %d", version), func(t *testing.T) {
+			saved, model := splineModel(t, good)
+			p := write("legacy.json", legacyFile(t, saved, model, version))
+			if _, err := LoadSnapshot(p); !errors.Is(err, ErrModelVersion) {
+				t.Errorf("err = %v, want ErrModelVersion", err)
+			}
+		})
+	}
+
 	t.Run("incomplete legacy model", func(t *testing.T) {
 		p := write("empty3.json", []byte(`{"version":3,"shard_len":100}`))
-		if _, err := LoadSnapshot(p); !errors.Is(err, ErrModelIncomplete) {
-			t.Errorf("err = %v, want ErrModelIncomplete", err)
+		if _, err := LoadSnapshot(p); !errors.Is(err, ErrModelVersion) {
+			t.Errorf("err = %v, want ErrModelVersion", err)
 		}
 	})
 
@@ -249,33 +244,21 @@ func TestLoadFailureModes(t *testing.T) {
 	})
 
 	t.Run("wrong variable count legacy", func(t *testing.T) {
-		saved, model := legacyModel(t, good)
+		// A version-3 file over the wrong variable space is refused by its
+		// version before its shape is looked at.
+		saved, model := splineModel(t, good)
 		model.Prep.Names = model.Prep.Names[:5]
 		model.Prep.Powers = model.Prep.Powers[:5]
-		sum, err := modelChecksum(model)
-		if err != nil {
-			t.Fatal(err)
-		}
-		v3 := SavedModel{
-			Version:  3,
-			ShardLen: saved.ShardLen,
-			Checksum: sum,
-			Model:    model,
-		}
-		data, err := json.Marshal(v3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p := write("shape.json", data)
-		if _, err := LoadSnapshot(p); !errors.Is(err, ErrModelShape) {
-			t.Errorf("err = %v, want ErrModelShape", err)
+		p := write("shape.json", legacyFile(t, saved, model, 3))
+		if _, err := LoadSnapshot(p); !errors.Is(err, ErrModelVersion) {
+			t.Errorf("err = %v, want ErrModelVersion", err)
 		}
 	})
 
 	t.Run("wrong variable count family payload", func(t *testing.T) {
 		// A well-formed, correctly checksummed payload over the wrong
 		// variable space must be rejected by the family's Load validation.
-		saved, model := legacyModel(t, good)
+		saved, model := splineModel(t, good)
 		model.Prep.Names = model.Prep.Names[:5]
 		model.Prep.Powers = model.Prep.Powers[:5]
 		payload, err := json.Marshal(model)
@@ -300,7 +283,7 @@ func TestLoadFailureModes(t *testing.T) {
 	t.Run("bad checksum", func(t *testing.T) {
 		// Flip one coefficient digit without touching the stored checksum:
 		// the payload no longer matches and LoadSnapshot must refuse it.
-		saved, model := legacyModel(t, good)
+		saved, model := splineModel(t, good)
 		model.Coef[0] += 1e-3
 		payload, err := json.Marshal(model)
 		if err != nil {
@@ -327,10 +310,9 @@ func TestLoadFailureModes(t *testing.T) {
 // TestLoadRejectsMalformedModel: a payload whose checksum matches but whose
 // regression cannot be evaluated — too few coefficients for its spec, a
 // preprocessing slice short of a variable, an interaction naming a variable
-// that does not exist — is refused at load time with a typed error, as a
-// version-4 family payload (ErrModelFamily) and as a version-3 file
-// (ErrModelShape). A load that let the one-coefficient model through would
-// hand the predict path an index out of range.
+// that does not exist — is refused at load time with ErrModelFamily. A load
+// that let the one-coefficient model through would hand the predict path an
+// index out of range.
 func TestLoadRejectsMalformedModel(t *testing.T) {
 	good, err := os.ReadFile(saveValid(t))
 	if err != nil {
@@ -352,7 +334,7 @@ func TestLoadRejectsMalformedModel(t *testing.T) {
 		{"no preprocessing", func(m *regress.Model) { m.Prep = nil }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			saved, model := legacyModel(t, good)
+			saved, model := splineModel(t, good)
 			tc.mutate(model)
 
 			payload, err := json.Marshal(model)
@@ -372,24 +354,9 @@ func TestLoadRejectsMalformedModel(t *testing.T) {
 				t.Fatal(err)
 			}
 			if _, err := LoadSnapshot(p); !errors.Is(err, ErrModelFamily) {
-				t.Fatalf("version 4: err = %v, want ErrModelFamily", err)
+				t.Fatalf("err = %v, want ErrModelFamily", err)
 			}
 
-			sum, err := modelChecksum(model)
-			if err != nil {
-				t.Fatal(err)
-			}
-			data, err = json.Marshal(SavedModel{Version: 3, ShardLen: saved.ShardLen, Checksum: sum, Model: model})
-			if err != nil {
-				t.Fatal(err)
-			}
-			p = filepath.Join(dir, "v3.json")
-			if err := os.WriteFile(p, data, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := LoadSnapshot(p); !errors.Is(err, ErrModelShape) {
-				t.Fatalf("version 3: err = %v, want ErrModelShape", err)
-			}
 		})
 	}
 }

@@ -17,7 +17,8 @@ type Rung int
 const (
 	// RungNone: no rung produced a usable model; the trainer is as it was.
 	RungNone Rung = iota
-	// RungGenetic: the full genetic search succeeded (the healthy path).
+	// RungGenetic: the selection round over the trainer's families — the
+	// genetic spline search alone by default — succeeded (the healthy path).
 	RungGenetic
 	// RungStepwise: genetic search failed or timed out; the cheaper forward
 	// stepwise search produced the model.
@@ -25,11 +26,6 @@ const (
 	// RungLastGood: both searches failed; the trainer serves the last-good
 	// model (reloaded from disk, or the previous in-memory fit).
 	RungLastGood
-	// RungFamily: the model-family selection round succeeded — every
-	// registered family fitted and scored, winner published. This is the top
-	// rung whenever Trainer.Families is non-empty; the classic genetic rung
-	// takes its place when only the implicit spline family runs.
-	RungFamily
 )
 
 func (r Rung) String() string {
@@ -40,8 +36,6 @@ func (r Rung) String() string {
 		return "stepwise"
 	case RungLastGood:
 		return "last-good"
-	case RungFamily:
-		return "family"
 	default:
 		return "none"
 	}
@@ -49,16 +43,16 @@ func (r Rung) String() string {
 
 // parseRung inverts String; unknown names map to RungNone so saved-model
 // metadata from future versions degrades instead of failing the load.
+// "family", the selection round's rung name in files written before every
+// run became a selection round, is RungGenetic.
 func parseRung(s string) Rung {
 	switch s {
-	case "genetic":
+	case "genetic", "family":
 		return RungGenetic
 	case "stepwise":
 		return RungStepwise
 	case "last-good":
 		return RungLastGood
-	case "family":
-		return RungFamily
 	default:
 		return RungNone
 	}
@@ -66,8 +60,8 @@ func parseRung(s string) Rung {
 
 // Resilience configures the degradation ladder of TrainResilient.
 type Resilience struct {
-	// SearchTimeout bounds the genetic rung; 0 means no deadline beyond the
-	// caller's context.
+	// SearchTimeout bounds the selection round of the genetic rung; 0 means
+	// no deadline beyond the caller's context.
 	SearchTimeout time.Duration
 	// StepwiseBudget caps fitness evaluations in the stepwise rung
 	// (default 200, roughly the cost of a few genetic generations).
@@ -101,10 +95,10 @@ type TrainReport struct {
 	SampleVersion uint64
 	SampleRows    int
 	// Family names the model family the episode published ("spline" on the
-	// classic and stepwise rungs). FamilyScores carries the per-family
-	// selection scores of a family-selection round, and FamilyErrors the
-	// families whose Fit failed mid-selection (skipped, never fatal to the
-	// episode while at least one family fits). Both are nil without a round.
+	// stepwise rung). FamilyScores carries the per-family scores of the
+	// genetic rung's selection round when it published, and FamilyErrors the
+	// families whose Fit failed in that round (skipped, never fatal to the
+	// episode while at least one family fits).
 	Family       string
 	FamilyScores map[string]float64
 	FamilyErrors map[string]error
@@ -142,7 +136,9 @@ func (t TrainReport) String() string {
 
 // TrainResilient trains through a degradation ladder instead of failing:
 //
-//  1. Full genetic search (optionally deadline-bounded by SearchTimeout).
+//  1. A selection round over the trainer's families — the full genetic
+//     spline search by default (optionally deadline-bounded by
+//     SearchTimeout).
 //  2. On failure, forward stepwise search under StepwiseBudget — unless the
 //     caller's context is already dead, in which case no further compute is
 //     spent.
@@ -189,26 +185,19 @@ func (m *Trainer) TrainResilient(ctx context.Context, r Resilience) (rep TrainRe
 			gctx, cancel = context.WithTimeout(ctx, r.SearchTimeout)
 			defer cancel()
 		}
-		if err := m.train(gctx, nil, cap); err == nil {
-			// The top rung is the selection round when families are
-			// registered, the classic genetic path otherwise; the published
-			// snapshot knows which.
-			snap := m.Snapshot()
-			rep.Rung = snap.Rung()
-			rep.Family = snap.Family()
-			if sel := m.Selection(); sel != nil {
-				rep.FamilyScores = sel.Scores
-				if len(sel.Errors) > 0 {
-					rep.FamilyErrors = sel.Errors
-				}
-			}
-			return rep, nil
-		} else {
-			rep.GeneticErr = err
-			if sel := m.Selection(); sel != nil && len(sel.Errors) > 0 {
-				rep.FamilyErrors = sel.Errors
-			}
+		trainErr := m.train(gctx, nil, cap)
+		// train records its round, failed or not.
+		sel := m.Selection()
+		if len(sel.Errors) > 0 {
+			rep.FamilyErrors = sel.Errors
 		}
+		if trainErr == nil {
+			rep.Rung = RungGenetic
+			rep.Family = sel.Winner
+			rep.FamilyScores = sel.Scores
+			return rep, nil
+		}
+		rep.GeneticErr = trainErr
 
 		if err := ctx.Err(); err != nil {
 			rep.StepwiseErr = fmt.Errorf("core: stepwise rung skipped: %w", err)

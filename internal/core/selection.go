@@ -22,7 +22,7 @@ import (
 // and scored on the same per-application validation rows, with the winner
 // published.
 type SelectionResult struct {
-	// Winner is the name of the selected family.
+	// Winner is the name of the selected family; empty when the round failed.
 	Winner string
 	// Model is the winner's fitted model.
 	Model family.Model
@@ -36,12 +36,13 @@ type SelectionResult struct {
 	// every family fails or the context is cancelled.
 	Errors map[string]error
 	// Population is the spline family's final search population when it
-	// participated, preserved so the next Update can warm-start.
+	// participated — partial when the round failed or was cancelled —
+	// preserved so the next Update can warm-start.
 	Population []genetic.Individual
 }
 
 // ErrAllFamiliesFailed is returned by a selection round in which no
-// registered family produced a model.
+// registered family produced a model, joined with every family's error.
 var ErrAllFamiliesFailed = errors.New("core: family selection: every family failed")
 
 // DefaultFamilies returns the three built-in model families: the reference
@@ -54,51 +55,25 @@ func DefaultFamilies() []family.Family {
 // FamilyByName resolves a built-in family from its stable name; used when
 // loading persisted snapshots. Returns nil for unknown names.
 func FamilyByName(name string) family.Family {
-	switch name {
-	case spline.FamilyName:
-		return spline.New()
-	case residual.FamilyName:
-		return residual.New()
-	case dal.FamilyName:
-		return dal.New()
+	for _, f := range DefaultFamilies() {
+		if f.Name() == name {
+			return f
+		}
 	}
 	return nil
 }
 
-// SelectFamily runs the selection harness standalone over an arbitrary
-// dataset (any raw-variable arity — the 26-var integrated space or a domain
-// space like spmv's 10 vars): it builds the trainer's weighted
-// per-application splits from fc, fits every family against them, and scores
-// each on the held-out rows. This is the entry the families-smoke CI check
-// drives; the Trainer uses the same internal round for its own training runs.
-func SelectFamily(ctx context.Context, ds *regress.Dataset, fc FitnessConfig, stabilize, logResponse bool, search genetic.Params, fams []family.Family) (*SelectionResult, error) {
-	if len(fams) == 0 {
-		return nil, errors.New("core: family selection: no families registered")
-	}
-	ev, err := newEvaluator(ds, fc, stabilize, logResponse)
-	if err != nil {
-		return nil, fmt.Errorf("core: featurizing samples: %w", err)
-	}
-	in := family.FitInput{
-		NumVars:     ds.NumVars(),
-		Dataset:     ds,
-		Featurizer:  ev.fz,
-		Evaluator:   ev,
-		Search:      search,
-		LogResponse: logResponse,
-		Stabilize:   stabilize,
-		Seed:        fc.Seed,
-		Weights:     ev.weights,
-		ValRows:     ev.valRows,
-	}
-	return runSelection(ctx, fams, in)
-}
-
-// runSelection fits every family against one FitInput, scores the fitted
-// models on the shared validation rows, and picks the minimum. Exact score
-// ties (bit-equal float64s) are broken by a seeded draw over the tied names
-// in sorted order, so selection is deterministic in (families, FitInput).
+// runSelection fits every family against one FitInput — the spline family
+// alone when fams is empty — scores the fitted models on the shared
+// validation rows, and picks the minimum. Exact score ties (bit-equal
+// float64s) are broken by a seeded draw over the tied names in sorted order,
+// so selection is deterministic in (families, FitInput). The result is never
+// nil: a failed or cancelled round still carries the per-family errors and
+// the spline family's partial population.
 func runSelection(ctx context.Context, fams []family.Family, in family.FitInput) (*SelectionResult, error) {
+	if len(fams) == 0 {
+		fams = []family.Family{spline.New()}
+	}
 	sel := &SelectionResult{
 		Scores: make(map[string]float64, len(fams)),
 		Errors: make(map[string]error),
@@ -109,9 +84,10 @@ func runSelection(ctx context.Context, fams []family.Family, in family.FitInput)
 		score float64
 	}
 	var cands []candidate
+	var errs []error
 	for _, f := range fams {
 		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("core: family selection cancelled: %w", err)
+			return sel, cancelled(err)
 		}
 		out, ferr := f.Fit(ctx, in)
 		if f.Name() == spline.FamilyName && out.Population != nil {
@@ -122,9 +98,10 @@ func runSelection(ctx context.Context, fams []family.Family, in family.FitInput)
 				// A cancellation mid-fit aborts the whole round: scoring the
 				// remaining families against a half-done episode would
 				// publish a winner chosen on an unfair comparison.
-				return nil, fmt.Errorf("core: family selection cancelled: %w", ferr)
+				return sel, cancelled(ferr)
 			}
 			sel.Errors[f.Name()] = ferr
+			errs = append(errs, ferr)
 			continue
 		}
 		score := scoreFamilyModel(out.Model, in.Dataset, in.ValRows)
@@ -132,7 +109,7 @@ func runSelection(ctx context.Context, fams []family.Family, in family.FitInput)
 		cands = append(cands, candidate{name: f.Name(), model: out.Model, score: score})
 	}
 	if len(cands) == 0 {
-		return sel, ErrAllFamiliesFailed
+		return sel, fmt.Errorf("%w: %w", ErrAllFamiliesFailed, errors.Join(errs...))
 	}
 
 	best := cands[0]
@@ -158,6 +135,15 @@ func runSelection(ctx context.Context, fams []family.Family, in family.FitInput)
 	sel.Winner = best.name
 	sel.Model = best.model
 	return sel, nil
+}
+
+// cancelled wraps the cause of a cancelled round so it always matches
+// genetic.ErrCancelled, as a cancelled search does.
+func cancelled(cause error) error {
+	if errors.Is(cause, genetic.ErrCancelled) {
+		return fmt.Errorf("core: family selection cancelled: %w", cause)
+	}
+	return fmt.Errorf("core: family selection cancelled: %w: %w", genetic.ErrCancelled, cause)
 }
 
 // scoreFamilyModel computes a fitted model's selection score: mean per-

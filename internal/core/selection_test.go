@@ -9,8 +9,11 @@ import (
 	"testing"
 
 	"hsmodel/internal/family"
+	"hsmodel/internal/family/dal"
 	"hsmodel/internal/family/spline"
+	"hsmodel/internal/faultinject"
 	"hsmodel/internal/genetic"
+	"hsmodel/internal/regress"
 )
 
 // constModel is a fixed-prediction family.Model for harness tests.
@@ -63,7 +66,7 @@ func (f *fakeFamily) Load(payload json.RawMessage, numVars int) (family.Model, e
 // TestFamilySelectionPublishesWinner runs a real selection round over all
 // built-in families and checks the published snapshot, report, and
 // scoreboard are consistent: the winner's score is the minimum, the rung is
-// RungFamily, and the snapshot serves the winning family.
+// RungGenetic, and the snapshot serves the winning family.
 func TestFamilySelectionPublishesWinner(t *testing.T) {
 	m := newSmallModeler(t)
 	m.Families = DefaultFamilies()
@@ -71,8 +74,8 @@ func TestFamilySelectionPublishesWinner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Rung != RungFamily {
-		t.Fatalf("rung = %v, want family (report: %v)", rep.Rung, rep)
+	if rep.Rung != RungGenetic {
+		t.Fatalf("rung = %v, want genetic (report: %v)", rep.Rung, rep)
 	}
 	if len(rep.FamilyErrors) > 0 {
 		t.Fatalf("family fits failed: %v", rep.FamilyErrors)
@@ -94,8 +97,8 @@ func TestFamilySelectionPublishesWinner(t *testing.T) {
 	if snap.Family() != rep.Family {
 		t.Errorf("snapshot family %q, report family %q", snap.Family(), rep.Family)
 	}
-	if snap.Rung() != RungFamily {
-		t.Errorf("snapshot rung %v, want family", snap.Rung())
+	if snap.Rung() != RungGenetic {
+		t.Errorf("snapshot rung %v, want genetic", snap.Rung())
 	}
 	if got := snap.FamilyScores(); len(got) != len(rep.FamilyScores) {
 		t.Errorf("snapshot scores %v, want %v", got, rep.FamilyScores)
@@ -110,37 +113,62 @@ func TestFamilySelectionPublishesWinner(t *testing.T) {
 	}
 }
 
-// TestFamilySelectionSplineOnlyMatchesClassicPath: a selection round over
-// only the spline family must fit the exact model the classic path fits —
-// the refactor's behavior-preservation contract, checked bit-for-bit.
-func TestFamilySelectionSplineOnlyMatchesClassicPath(t *testing.T) {
-	classic := newSmallModeler(t)
-	if err := classic.Train(context.Background()); err != nil {
+// TestDefaultTrainerSelectsSpline: a trainer with no Families runs a
+// selection round over the spline family alone — it publishes family
+// "spline" on RungGenetic with a one-entry scoreboard, records the round,
+// and fits bit for bit the model an explicit spline-only trainer fits.
+func TestDefaultTrainerSelectsSpline(t *testing.T) {
+	def := newSmallModeler(t)
+	rep, err := def.TrainResilient(context.Background(), Resilience{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	selected := newSmallModeler(t)
-	selected.Families = []family.Family{spline.New()}
-	if err := selected.Train(context.Background()); err != nil {
+	snap := def.Snapshot()
+	if rep.Rung != RungGenetic || snap.Rung() != RungGenetic {
+		t.Fatalf("report rung %v, snapshot rung %v, want genetic (report: %v)", rep.Rung, snap.Rung(), rep)
+	}
+	if snap.Family() != spline.FamilyName || rep.Family != spline.FamilyName {
+		t.Errorf("snapshot family %q, report family %q, want spline", snap.Family(), rep.Family)
+	}
+	scores := snap.FamilyScores()
+	if _, ok := scores[spline.FamilyName]; !ok || len(scores) != 1 {
+		t.Errorf("scoreboard %v, want exactly one spline entry", scores)
+	}
+	sel := def.Selection()
+	if sel == nil || sel.Winner != spline.FamilyName {
+		t.Fatalf("Selection() = %+v, want the spline round", sel)
+	}
+
+	explicit := newSmallModeler(t)
+	explicit.Families = []family.Family{spline.New()}
+	if err := explicit.Train(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	want, got := classic.Model(), selected.Model()
+	want, got := explicit.Model(), def.Model()
 	if got == nil || want == nil {
-		t.Fatal("missing spline regression on one path")
+		t.Fatal("missing spline regression")
 	}
-	if want.Spec.String() != got.Spec.String() {
-		t.Fatalf("specs diverge: classic %s, selected %s", want.Spec, got.Spec)
-	}
-	if len(want.Coef) != len(got.Coef) {
-		t.Fatalf("coef counts diverge: %d vs %d", len(want.Coef), len(got.Coef))
+	if want.Spec.String() != got.Spec.String() || len(want.Coef) != len(got.Coef) {
+		t.Fatalf("models diverge: explicit %s (%d coef), default %s (%d coef)",
+			want.Spec, len(want.Coef), got.Spec, len(got.Coef))
 	}
 	for i := range want.Coef {
 		if math.Float64bits(want.Coef[i]) != math.Float64bits(got.Coef[i]) {
 			t.Fatalf("coef %d diverges: %v vs %v", i, want.Coef[i], got.Coef[i])
 		}
 	}
-	if classic.Snapshot().Rung() != RungGenetic {
-		t.Errorf("classic rung %v, want genetic", classic.Snapshot().Rung())
+}
+
+// selectOn runs one selection round over ds outside a trainer: the
+// evaluator's weighted per-application splits drawn from fc, every family
+// fitted against them with search.
+func selectOn(t testing.TB, ds *regress.Dataset, fc FitnessConfig, search genetic.Params, fams []family.Family) (*SelectionResult, error) {
+	t.Helper()
+	ev, err := newEvaluator(ds, fc, true, true)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return runSelection(context.Background(), fams, ev.fitInput(ev, search))
 }
 
 // TestFamilySelectionTieBreaksDeterministically: two families with
@@ -155,7 +183,7 @@ func TestFamilySelectionTieBreaksDeterministically(t *testing.T) {
 	fc := FitnessConfig{Seed: 9}
 	var winner string
 	for round := 0; round < 3; round++ {
-		sel, err := SelectFamily(context.Background(), ds, fc, true, true, genetic.Params{}, fams)
+		sel, err := selectOn(t, ds, fc, genetic.Params{}, fams)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -174,7 +202,7 @@ func TestFamilySelectionTieBreaksDeterministically(t *testing.T) {
 	}
 	// A tie is broken by the split seed: the draw must be reproducible from
 	// FitnessConfig.Seed alone, not process state.
-	sel, err := SelectFamily(context.Background(), ds, fc, true, true, genetic.Params{}, fams)
+	sel, err := selectOn(t, ds, fc, genetic.Params{}, fams)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,8 +221,8 @@ func TestFamilySelectionSkipsFailingFamily(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Rung != RungFamily || rep.Family != spline.FamilyName {
-		t.Fatalf("rung=%v family=%q, want family/spline (report: %v)", rep.Rung, rep.Family, rep)
+	if rep.Rung != RungGenetic || rep.Family != spline.FamilyName {
+		t.Fatalf("rung=%v family=%q, want genetic/spline (report: %v)", rep.Rung, rep.Family, rep)
 	}
 	if bad.fits != 1 {
 		t.Errorf("failing family fitted %d times, want 1", bad.fits)
@@ -262,17 +290,94 @@ func TestFamilySelectionCancellation(t *testing.T) {
 	}
 }
 
-// TestSelectFamilyValidation covers the standalone harness's error paths.
-func TestSelectFamilyValidation(t *testing.T) {
-	samples := smallCollector().Collect(smallApps(), 10, 1)
-	ds := ToDataset(samples)
-	if _, err := SelectFamily(context.Background(), ds, FitnessConfig{}, true, true, genetic.Params{}, nil); err == nil {
-		t.Error("no registered families must error")
+// TestFamilySelectionFailureKeepsErrorIdentity: when every family of a
+// two-family round fails, the round's error still matches the search's
+// typed errors — ErrEvalPanic under a panicking evaluator, ErrCancelled
+// under a dead context — beside ErrAllFamiliesFailed.
+func TestFamilySelectionFailureKeepsErrorIdentity(t *testing.T) {
+	m := newSmallModeler(t)
+	m.Families = []family.Family{spline.New(), dal.New()}
+	inj := &faultinject.Evaluator{PanicEvery: 1} // unlimited panics
+	m.WrapEvaluator = func(inner genetic.Evaluator) genetic.Evaluator {
+		inj.Inner = inner
+		return inj
 	}
-	fams := []family.Family{&fakeFamily{name: "a", err: fmt.Errorf("nope")}}
-	sel, err := SelectFamily(context.Background(), ds, FitnessConfig{}, true, true, genetic.Params{}, fams)
-	if !errors.Is(err, ErrAllFamiliesFailed) {
-		t.Errorf("err = %v, want ErrAllFamiliesFailed", err)
+	rep, err := m.TrainResilient(context.Background(), Resilience{StepwiseBudget: 30})
+	if err == nil {
+		t.Fatalf("every rung should fail under unlimited panics (report: %v)", rep)
+	}
+	if !errors.Is(rep.GeneticErr, ErrAllFamiliesFailed) || !errors.Is(rep.GeneticErr, genetic.ErrEvalPanic) {
+		t.Errorf("GeneticErr = %v, want ErrAllFamiliesFailed and ErrEvalPanic", rep.GeneticErr)
+	}
+	if len(rep.FamilyErrors) != 2 {
+		t.Errorf("recorded %d family errors, want 2: %v", len(rep.FamilyErrors), rep.FamilyErrors)
+	}
+
+	m, _ = trainSmallModeler(t)
+	m.Families = []family.Family{spline.New(), dal.New()}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	rep, err = m.TrainResilient(ctx, Resilience{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Rung != RungLastGood {
+		t.Fatalf("rung = %v, want last-good (report: %v)", rep.Rung, rep)
+	}
+	if !errors.Is(rep.GeneticErr, genetic.ErrCancelled) {
+		t.Errorf("GeneticErr = %v, want ErrCancelled", rep.GeneticErr)
+	}
+}
+
+// TestFamilySelectionCancelKeepsPopulation: a two-family round cancelled
+// in the middle of the spline search hands back the search's partial
+// population, and the trainer keeps it to warm-start the next run.
+func TestFamilySelectionCancelKeepsPopulation(t *testing.T) {
+	m := newSmallModeler(t)
+	m.Families = []family.Family{spline.New(), dal.New()}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	m.Search.OnGeneration = func(gs genetic.GenStats) {
+		if gs.Gen == 1 {
+			cancel()
+		}
+	}
+	err := m.Train(ctx)
+	if !errors.Is(err, genetic.ErrCancelled) {
+		t.Fatalf("err = %v, want ErrCancelled", err)
+	}
+	if m.Trained() {
+		t.Fatal("cancelled round published a model")
+	}
+	if got := len(m.Population()); got != m.Search.PopulationSize {
+		t.Fatalf("trainer kept %d individuals of the cancelled search, want %d", got, m.Search.PopulationSize)
+	}
+	if sel := m.Selection(); sel == nil || len(sel.Population) != m.Search.PopulationSize {
+		t.Errorf("cancelled round's result %+v does not carry the partial population", sel)
+	}
+}
+
+// TestSelectionRoundValidation covers the harness's edge cases: an empty
+// family list selects the spline family alone, and a round in which every
+// family fails returns ErrAllFamiliesFailed joined with the families'
+// errors, beside a result carrying them by name.
+func TestSelectionRoundValidation(t *testing.T) {
+	ds := ToDataset(smallCollector().Collect(smallApps(), 40, 1))
+	search := genetic.Params{PopulationSize: 8, Generations: 2, Seed: 1}
+	sel, err := selectOn(t, ds, FitnessConfig{}, search, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sel.Winner != spline.FamilyName || len(sel.Scores) != 1 || sel.Population == nil {
+		t.Errorf("empty family list: winner %q, scores %v, population %d; want the spline family alone",
+			sel.Winner, sel.Scores, len(sel.Population))
+	}
+
+	nope := fmt.Errorf("nope")
+	fams := []family.Family{&fakeFamily{name: "a", err: nope}}
+	sel, err = selectOn(t, ds, FitnessConfig{}, search, fams)
+	if !errors.Is(err, ErrAllFamiliesFailed) || !errors.Is(err, nope) {
+		t.Errorf("err = %v, want ErrAllFamiliesFailed joined with the family's error", err)
 	}
 	if sel == nil || sel.Errors["a"] == nil {
 		t.Errorf("partial result must carry the per-family errors: %+v", sel)

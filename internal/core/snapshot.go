@@ -18,7 +18,7 @@ var ErrNotTrained = errors.New("core: model not trained")
 // it: the fitted family model (for the reference spline family this carries
 // the regression with the featurizer's preprocessing state — powers, knots,
 // standardization moments), the family that produced it and the per-family
-// selection scores when the selection harness ran, the profiling shard
+// scores of the selection round that chose it, the profiling shard
 // length, the ladder rung that produced it, and the training-row count. A
 // Trainer publishes a new Snapshot atomically at the end of every successful
 // training run; readers hold a Snapshot and are immune to concurrent
@@ -38,8 +38,8 @@ type Snapshot struct {
 }
 
 // newSnapshot is the one Snapshot constructor: training runs, the stepwise
-// rung, Save's shard-length override, and both persistence loaders all build
-// through it. shardLen <= 0 defaults to DefaultShardLen.
+// rung, Save's shard-length override, and LoadSnapshot all build through
+// it. shardLen <= 0 defaults to DefaultShardLen.
 func newSnapshot(famName string, fam family.Model, scores map[string]float64, shardLen int, rung Rung, trainedRows int) *Snapshot {
 	if shardLen <= 0 {
 		shardLen = DefaultShardLen
@@ -72,7 +72,7 @@ func (s *Snapshot) Model() *regress.Model {
 }
 
 // Family returns the name of the family that produced the model ("spline"
-// for the classic paths), or "" before training.
+// on the stepwise rung), or "" before training.
 func (s *Snapshot) Family() string {
 	if s == nil || s.fam == nil {
 		return ""
@@ -81,9 +81,9 @@ func (s *Snapshot) Family() string {
 }
 
 // FamilyScores returns the per-family selection scores (CV MedAPE on the
-// weighted splits) recorded when the selection harness chose this model, or
-// nil when no selection ran. The returned map is shared and must not be
-// mutated.
+// weighted splits) of the round that chose this model, or nil when the
+// model came from the stepwise rung. The returned map is shared and must not
+// be mutated.
 func (s *Snapshot) FamilyScores() map[string]float64 {
 	if s == nil {
 		return nil
@@ -169,18 +169,14 @@ func (s *Snapshot) PredictApplication(shards []profile.Characteristics, hw hwspa
 	return sum / float64(len(shards)), nil
 }
 
-// EvaluateOn measures model accuracy on held-out samples. The spline-backed
-// path goes through the regression's own Evaluate (bit-identical to the
-// pre-family engine); other families predict row by row and share the same
-// metric assembly.
+// EvaluateOn measures model accuracy on held-out samples through the
+// family's batch kernel, whose predictions are Float64bits-identical to
+// per-row Predict for every family.
 func (s *Snapshot) EvaluateOn(samples []Sample) (regress.Metrics, error) {
 	if s == nil || s.fam == nil {
 		return regress.Metrics{}, ErrNotTrained
 	}
 	ds := ToDataset(samples)
-	if m := s.Model(); m != nil {
-		return m.Evaluate(ds), nil
-	}
 	rows := make([][]float64, ds.NumRows())
 	for i := range rows {
 		rows[i] = ds.X.Row(i)

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"hsmodel/internal/family"
-	"hsmodel/internal/family/spline"
 	"hsmodel/internal/genetic"
 	"hsmodel/internal/hwspace"
 	"hsmodel/internal/profile"
@@ -94,12 +93,11 @@ type Trainer struct {
 	// model files) so a loaded model profiles new shards consistently;
 	// 0 means DefaultShardLen.
 	ShardLen int
-	// Families, when non-empty, turns each training run into a model-family
-	// selection round: every listed family is fitted against the captured
-	// evaluator state, scored on the shared validation rows, and the winner
-	// is published (see SelectionResult). Empty Families preserves the
-	// pre-family engine exactly: the reference spline family alone, fitted
-	// and published through the classic genetic path bit-for-bit.
+	// Families lists the model families every training run selects among:
+	// each is fitted against the captured evaluator state, scored on the
+	// shared validation rows, and the winner is published (see
+	// SelectionResult). Empty Families means the reference spline family
+	// alone — the paper's genetic spline search.
 	Families []family.Family
 
 	trainMu       sync.Mutex // serializes training runs; never held with mu below
@@ -109,7 +107,7 @@ type Trainer struct {
 	fitStats      regress.GramStats    // Gram-layer counters of the most recent run
 	population    []genetic.Individual // final population, for warm-started updates
 	history       []genetic.GenStats
-	lastSelection *SelectionResult // most recent family-selection round, nil on classic runs
+	lastSelection *SelectionResult // most recent family-selection round
 
 	pub atomic.Pointer[Publication] // written only by publish
 }
@@ -191,8 +189,8 @@ func (m *Trainer) History() []genetic.GenStats {
 	return m.history
 }
 
-// Selection returns the most recent family-selection round, or nil when the
-// last training run used the classic single-family path (or none has run).
+// Selection returns the most recent family-selection round, failed rounds
+// included, or nil before the first training run (and while one runs).
 func (m *Trainer) Selection() *SelectionResult {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -276,6 +274,9 @@ type evaluator struct {
 	valRows [][]int // validation rows per app (parallel to apps)
 	allVal  []int   // concatenation of valRows, for batched design gather
 	weights []float64
+
+	seed      uint64 // FitnessConfig.Seed the splits were drawn from
+	stabilize bool
 }
 
 func newEvaluator(ds *regress.Dataset, fc FitnessConfig, stabilize, logResponse bool) (*evaluator, error) {
@@ -283,7 +284,7 @@ func newEvaluator(ds *regress.Dataset, fc FitnessConfig, stabilize, logResponse 
 	if err != nil {
 		return nil, err
 	}
-	ev := &evaluator{fz: fz, ds: ds}
+	ev := &evaluator{fz: fz, ds: ds, seed: fc.Seed, stabilize: stabilize}
 
 	// Deterministic split of each application's rows into T_s / V_s.
 	byApp := make(map[int][]int)
@@ -331,6 +332,25 @@ func newEvaluator(ds *regress.Dataset, fc FitnessConfig, stabilize, logResponse 
 	return ev, nil
 }
 
+// fitInput is the family fitting contract over the evaluator's dataset,
+// featurizer and weighted splits: every family fitted from it sees the same
+// rows under the same per-application splits. fitness is the evaluator the
+// search scores candidates with (ev itself, or a wrapper around it).
+func (ev *evaluator) fitInput(fitness genetic.Evaluator, search genetic.Params) family.FitInput {
+	return family.FitInput{
+		NumVars:     ev.ds.NumVars(),
+		Dataset:     ev.ds,
+		Featurizer:  ev.fz,
+		Evaluator:   fitness,
+		Search:      search,
+		LogResponse: ev.opts.LogResponse,
+		Stabilize:   ev.stabilize,
+		Seed:        ev.seed,
+		Weights:     ev.weights,
+		ValRows:     ev.valRows,
+	}
+}
+
 // fit fits one candidate spec through the Gram/Cholesky fast path when
 // available, falling back to the featurized pivoted-QR path.
 func (ev *evaluator) fit(spec regress.Spec) (*regress.Model, error) {
@@ -374,12 +394,13 @@ func (ev *evaluator) Fitness(spec regress.Spec) float64 {
 	return sum/float64(n) + family.TermPenalty*float64(len(model.Coef))
 }
 
-// Train runs the genetic search on the current samples and fits the final
-// model on all rows. Cancellation of ctx (or its deadline) aborts the search
-// and returns an error wrapping genetic.ErrCancelled; a failed or cancelled
-// Train never replaces the published snapshot, so the trainer keeps serving
-// its last-good model. See TrainResilient for the
-// variant that degrades through fallbacks instead of returning the error.
+// Train runs one selection round over the trainer's Families (the genetic
+// spline search alone by default) on the current samples and publishes the
+// winner, fitted on all rows. Cancellation of ctx (or its deadline) aborts
+// the round and returns an error wrapping genetic.ErrCancelled; a failed or
+// cancelled Train never replaces the published snapshot, so the trainer
+// keeps serving its last-good model. See TrainResilient for the variant that
+// degrades through fallbacks instead of returning the error.
 //
 // Train is safe to call concurrently with AddSamples and predictions (see
 // the Trainer type comment); concurrent training runs serialize.
@@ -458,14 +479,10 @@ func (m *Trainer) recordFitStats(cap capturedEval) regress.GramStats {
 	return s
 }
 
-// splineFamily is the shared reference-family instance the classic
-// (no-Families) path fits through; the family is stateless.
-var splineFamily = spline.New()
-
-// fitInput assembles the family fitting contract from a captured evaluator:
-// the dataset, shared featurizer, wrapped fitness evaluator, and fully
-// prepared search params (warm-start specs plus the history-recording
-// OnGeneration hook), so every family in a run fits the same episode.
+// fitInput assembles the family fitting contract of one training run: the
+// captured evaluator (wrapped by WrapEvaluator when set) and fully prepared
+// search params (warm-start specs plus the history-recording OnGeneration
+// hook), so every family in the run fits the same episode.
 func (m *Trainer) fitInput(initial []regress.Spec, base *evaluator) family.FitInput {
 	var ev genetic.Evaluator = base
 	if m.WrapEvaluator != nil {
@@ -483,55 +500,26 @@ func (m *Trainer) fitInput(initial []regress.Spec, base *evaluator) family.FitIn
 			userOnGen(gs)
 		}
 	}
-	return family.FitInput{
-		NumVars:     NumVars,
-		Dataset:     base.ds,
-		Featurizer:  base.fz,
-		Evaluator:   ev,
-		Search:      params,
-		LogResponse: m.LogResponse,
-		Stabilize:   m.Stabilize,
-		Seed:        m.Fitness.Seed,
-		Weights:     base.weights,
-		ValRows:     base.valRows,
-	}
+	return base.fitInput(ev, params)
 }
 
-// train is the shared top-rung body. Callers must hold m.trainMu (and must
-// NOT hold m.mu) and pass the evaluator capture the run fits against: the
-// search runs without any lock, and results are published under m.mu (or
-// through publish) at the end, so sample mutation and predictions proceed
-// during the search.
-//
-// With no Families registered this is the paper's engine verbatim — the
-// genetic spline search plus the all-rows final fit, now executed through
-// the extracted reference family — and publishes on RungGenetic. With
-// Families it becomes a selection round publishing the winner on RungFamily.
+// train is the top rung: one selection round over m.Families (the spline
+// family alone when none are listed), publishing the winner on RungGenetic.
+// Callers must hold m.trainMu (and must NOT hold m.mu) and pass the
+// evaluator capture the run fits against: the search runs without any lock,
+// and results are published under m.mu (or through publish) at the end, so
+// sample mutation and predictions proceed during the search.
 func (m *Trainer) train(ctx context.Context, initial []regress.Spec, cap capturedEval) error {
-	base := cap.ev
 	m.mu.Lock()
 	m.history = nil
 	m.lastSelection = nil
 	m.mu.Unlock()
 
-	in := m.fitInput(initial, base)
-
-	if len(m.Families) == 0 {
-		out, err := splineFamily.Fit(ctx, in)
-		// Even a partial population is kept: it warm-starts the next attempt.
-		m.mu.Lock()
-		m.population = out.Population
-		m.mu.Unlock()
-		if err != nil {
-			return fmt.Errorf("core: %w", err)
-		}
-		m.publish(newSnapshot(spline.FamilyName, out.Model, nil, m.ShardLen, RungGenetic, cap.rows))
-		return nil
-	}
-
-	sel, err := runSelection(ctx, m.Families, in)
+	sel, err := runSelection(ctx, m.Families, m.fitInput(initial, cap.ev))
 	m.mu.Lock()
-	if sel != nil && sel.Population != nil {
+	// Even a failed or cancelled round's partial population is kept: it
+	// warm-starts the next attempt.
+	if sel.Population != nil {
 		m.population = sel.Population
 	}
 	m.lastSelection = sel
@@ -539,7 +527,7 @@ func (m *Trainer) train(ctx context.Context, initial []regress.Spec, cap capture
 	if err != nil {
 		return err
 	}
-	m.publish(newSnapshot(sel.Winner, sel.Model, sel.Scores, m.ShardLen, RungFamily, cap.rows))
+	m.publish(newSnapshot(sel.Winner, sel.Model, sel.Scores, m.ShardLen, RungGenetic, cap.rows))
 	return nil
 }
 

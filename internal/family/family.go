@@ -14,7 +14,7 @@
 // 10-variable spmv domain models alike. The core trainer builds a FitInput
 // from its captured evaluator state, asks every registered family to Fit,
 // scores the fitted models on the same weighted splits, and publishes the
-// winner; see core.SelectFamily.
+// winner; see core.Trainer.Families.
 //
 // Determinism contract: a family's Fit must be a pure function of FitInput —
 // all randomness flows through FitInput.Seed or the seeded Search params,

@@ -1,11 +1,9 @@
 // Package spline is the reference ModelFamily: the paper's genetically
-// searched spline regression, extracted verbatim from the core trainer's
-// original fit path. Fit runs the seeded genetic specification search
-// against the caller's weighted-split evaluator and refits the winning
-// specification on all rows with uniform weights — the exact sequence the
-// engine performed before the family refactor, so a trainer with only this
-// family registered reproduces the Figure 5 convergence numbers
-// bit-identically.
+// searched spline regression. Fit runs the seeded genetic specification
+// search against the caller's weighted-split evaluator and refits the
+// winning specification on all rows with uniform weights. A core trainer
+// with no Families listed selects this family alone; that is the run the
+// Figure 5 convergence numbers are pinned on.
 package spline
 
 import (
@@ -71,8 +69,8 @@ type Model struct {
 	scratch sync.Pool // *regress.PredictScratch
 }
 
-// Wrap adapts an already-fitted spline regression (for example one loaded
-// from a pre-family snapshot file) into the family contract.
+// Wrap adapts an already-fitted spline regression (for example the core
+// trainer's stepwise-rung fit) into the family contract.
 func Wrap(m *regress.Model) *Model { return &Model{model: m} }
 
 // getScratch takes a pooled predict scratch (the pool has no New: a cold
@@ -105,8 +103,9 @@ func (m *Model) PredictBatch(rows [][]float64, out []float64) {
 	m.scratch.Put(s)
 }
 
-// RegressModel exposes the underlying regression for callers that still
-// speak the pre-family API (core.Snapshot.Model, the experiments layer).
+// RegressModel exposes the underlying regression for callers that need
+// more than predictions from it (core.Snapshot.Model, which the experiments
+// layer reads spec, coefficients and error distributions from).
 func (m *Model) RegressModel() *regress.Model { return m.model }
 
 // Describe implements family.Model.

@@ -209,16 +209,16 @@ func modelInfo(t testing.TB, url string) hsmodel.ModelInfo {
 // provenance.
 func TestLifecyclePromotionCarriesFamily(t *testing.T) {
 	tr := newTestTrainer(t)
-	// Restrict selection to the reference family so each retrain episode
-	// stays as cheap as the classic path; the wire contract under test is the
-	// same for any registered set.
+	// Restrict selection to the reference family, the round a default
+	// trainer runs, so each retrain episode stays cheap; the wire contract
+	// under test is the same for any registered set.
 	tr.Families = []family.Family{spline.New()}
 	col := &core.Collector{ShardLen: 20_000, ShardPool: 12}
 	stream := col.Collect([]*trace.App{trace.Bzip2(), trace.Hmmer(), trace.Sjeng()}, 60, 21)
 
 	// MinTrainRows is sized so the shadow's selection round can fit the full
 	// winning spec (more rows than design columns) and promote from the
-	// family rung rather than degrading to stepwise.
+	// genetic rung rather than degrading to stepwise.
 	_, ts := newTestServer(t, Config{
 		Trainer: tr,
 		Lifecycle: &lifecycle.Config{
@@ -231,13 +231,14 @@ func TestLifecyclePromotionCarriesFamily(t *testing.T) {
 		},
 	})
 
-	// The bootstrap model predates selection: spline family, no scoreboard.
+	// The bootstrap model came from a default trainer's round over the
+	// spline family alone: spline family, a one-entry scoreboard.
 	before := modelInfo(t, ts.URL)
 	if before.Family != spline.FamilyName {
 		t.Fatalf("bootstrap family %q, want %q", before.Family, spline.FamilyName)
 	}
-	if len(before.FamilyScores) != 0 {
-		t.Fatalf("bootstrap model has selection scores %v before any selection ran", before.FamilyScores)
+	if _, ok := before.FamilyScores[spline.FamilyName]; !ok || len(before.FamilyScores) != 1 {
+		t.Fatalf("bootstrap scoreboard %v, want exactly one spline entry", before.FamilyScores)
 	}
 
 	driftUntilPromoted(t, ts.URL, stream)
@@ -246,8 +247,9 @@ func TestLifecyclePromotionCarriesFamily(t *testing.T) {
 	if after.Family != spline.FamilyName {
 		t.Errorf("promoted family %q, want %q", after.Family, spline.FamilyName)
 	}
-	if after.Rung != core.RungFamily.String() {
-		t.Errorf("promoted rung %q, want %q: the served snapshot is not the selection-produced candidate", after.Rung, core.RungFamily)
+	if after.Rung != core.RungGenetic.String() || after.SnapshotVersion <= before.SnapshotVersion {
+		t.Errorf("promoted rung %q at snapshot version %d (bootstrap %d), want %q past the bootstrap: the served snapshot is not the selection-produced candidate",
+			after.Rung, after.SnapshotVersion, before.SnapshotVersion, core.RungGenetic)
 	}
 	if _, ok := after.FamilyScores[spline.FamilyName]; !ok {
 		t.Errorf("promoted model lost its selection scoreboard: %v", after.FamilyScores)

@@ -52,8 +52,9 @@ var (
 	errLifecycleNoModel = errors.New("registry: a lifecycle entry needs a trained model or a model path")
 )
 
-// defaultArchSpace names the architecture space entries model unless the
-// request says otherwise — the paper's Table 2 design space.
+// defaultArchSpace names the architecture space every entry models — the
+// paper's Table 2 design space. A registration may name it or leave it
+// empty; any other space is refused, since no entry could model it.
 const defaultArchSpace = "table2"
 
 // registry holds the server's model entries. Create with newRegistry,
@@ -115,8 +116,12 @@ func (r *registry) registerTrainer(req hsmodel.RegisterRequest, lc *lifecycle.Co
 	if req.ID == "" {
 		return nil, errors.New("registry: a model entry needs an id")
 	}
-	if req.ArchSpace == "" {
+	switch req.ArchSpace {
+	case "":
 		req.ArchSpace = defaultArchSpace
+	case defaultArchSpace:
+	default:
+		return nil, fmt.Errorf("registry: unknown architecture space %q (have %q)", req.ArchSpace, defaultArchSpace)
 	}
 	if lc != nil && req.ModelPath == "" && !tr.Trained() {
 		return nil, fmt.Errorf("%w: %q", errLifecycleNoModel, req.ID)

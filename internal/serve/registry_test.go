@@ -365,6 +365,33 @@ func TestManifestBoot(t *testing.T) {
 	}
 }
 
+// TestRegisterRejectsUnknownArchSpace: every entry models the Table 2
+// space, so a registration naming another one is refused — 400 over the
+// wire, a failed boot from a manifest — while naming "table2" is accepted.
+func TestRegisterRejectsUnknownArchSpace(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	resp, body := postJSON(t, ts.URL+"/v2/models", hsmodel.RegisterRequest{ID: "m-arch", ArchSpace: "custom"})
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "custom") {
+		t.Fatalf("register arch_space custom: status %d: %s", resp.StatusCode, body)
+	}
+	if resp, _ := getBody(t, ts.URL+"/v2/models/m-arch/model"); resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("refused entry is served: status %d", resp.StatusCode)
+	}
+	resp, body = postJSON(t, ts.URL+"/v2/models", hsmodel.RegisterRequest{ID: "m-table2", ArchSpace: "table2"})
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("register arch_space table2: status %d: %s", resp.StatusCode, body)
+	}
+
+	manifest := filepath.Join(t.TempDir(), "fleet.json")
+	data, _ := json.Marshal(hsmodel.Manifest{Models: []hsmodel.RegisterRequest{{ID: "m-arch", ArchSpace: "custom"}}})
+	if err := os.WriteFile(manifest, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New(Config{Trainer: newTestTrainer(t), ManifestPath: manifest}); err == nil || !strings.Contains(err.Error(), "custom") {
+		t.Fatalf("manifest entry with arch_space custom: New err = %v, want a refusal naming the space", err)
+	}
+}
+
 // TestManifestConcurrentChanges: concurrent registrations and
 // unregistrations each rewrite the manifest, and once they have all
 // returned the file must parse and list exactly the live fleet. Writers that

@@ -199,8 +199,8 @@ func (s *Server) Close() {
 }
 
 // Reload hot-swaps the default entry's served snapshot from Config.ModelPath
-// (any loadable persistence version; the current family-aware v4 or the
-// legacy v2/v3). A snapshot that fails validation — the typed core.ErrModel*
+// (a version-4 file, as Snapshot.Save writes). A snapshot that fails
+// validation — the typed core.ErrModel*
 // persistence errors — leaves the served model untouched. cmd/hsserve wires
 // this to SIGHUP.
 func (s *Server) Reload() error {

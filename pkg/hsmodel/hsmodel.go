@@ -116,7 +116,6 @@ const (
 	RungGenetic  = core.RungGenetic
 	RungStepwise = core.RungStepwise
 	RungLastGood = core.RungLastGood
-	RungFamily   = core.RungFamily
 )
 
 // Sentinel errors callers branch on with errors.Is.
@@ -129,7 +128,6 @@ var (
 	ErrModelCorrupt    = core.ErrModelCorrupt
 	ErrModelVersion    = core.ErrModelVersion
 	ErrModelIncomplete = core.ErrModelIncomplete
-	ErrModelShape      = core.ErrModelShape
 	ErrModelChecksum   = core.ErrModelChecksum
 	ErrModelFamily     = core.ErrModelFamily
 	// ErrAllFamiliesFailed is returned by a selection round in which no
@@ -198,9 +196,8 @@ func WithShardLen(n int) Option {
 // run becomes a selection round that fits each family against the same
 // captured evaluator state, scores all of them on the shared validation
 // rows, and publishes the winner (TrainReport.Family / Snapshot.Family say
-// which; Trainer.Selection has the full scoreboard). An empty set restores
-// the classic engine — the reference spline family alone on the genetic
-// rung, bit-identical to the pre-family fit path.
+// which; Trainer.Selection has the full scoreboard). An empty set selects
+// the reference spline family alone, the paper's genetic spline search.
 func WithFamilies(fams ...ModelFamily) Option {
 	return func(t *Trainer) { t.Families = fams }
 }

@@ -116,7 +116,7 @@ type ModelInfo struct {
 	Trained     bool   `json:"trained"`
 	// Family names the model family serving predictions ("spline",
 	// "residual", "dal"); FamilyScores carries the per-family CV MedAPE of
-	// the selection round that chose it, when one ran.
+	// the selection round that chose it (absent for a stepwise model).
 	Family       string             `json:"family,omitempty"`
 	FamilyScores map[string]float64 `json:"family_scores,omitempty"`
 	Spec         string             `json:"spec,omitempty"`
@@ -180,7 +180,8 @@ type RegisterRequest struct {
 	// Application scopes sample fan-out to one application's profiles;
 	// empty absorbs every application.
 	Application string `json:"application,omitempty"`
-	// ArchSpace names the architecture space (default "table2").
+	// ArchSpace names the architecture space: "table2" (the default, and the
+	// only space accepted).
 	ArchSpace string `json:"arch_space,omitempty"`
 	// ModelPath optionally names a persisted snapshot the entry adopts once,
 	// at registration. Only the reserved default entry reloads from disk
