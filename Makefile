@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build fmt vet test race lint lint-fix lint-sarif bench-build bench-smoke bench-collect fig5 fuzz-smoke serve-smoke families-smoke registry-smoke smoke-names ci
+.PHONY: build fmt vet test race lint lint-fix lint-sarif bench-build bench-smoke bench-collect fig5 goldens fuzz-smoke serve-smoke families-smoke registry-smoke smoke-names ci
 
 build:
 	$(GO) build ./...
@@ -89,6 +89,18 @@ fig5:
 		echo "$$out" | grep -q "[[:space:]]$$want" || { echo "fig5: want $$want"; exit 1; }; \
 	done
 
+# goldens runs every bit-pinning golden at GOMAXPROCS 1, 2 and 4: each
+# hashes Float64bits of what its layer computes (the instruction stream,
+# collected samples, simulator results, the spmv study's sampled points, the
+# trained general and domain models, and one selection round over the three
+# families), so a change meant to keep the numbers, or a result that depends
+# on the worker count, fails here.
+GOLDEN_TESTS := ^(TestStreamGolden|TestCollectGolden|TestSimulatorGolden|TestStudySampleGolden|TestTrainGolden|TestTrainDomainModelGolden|TestSelectionRoundGolden)$$
+GOLDEN_PKGS := ./internal/profile ./internal/core ./internal/cpu ./internal/spmv
+
+goldens:
+	$(GO) test -count=1 -cpu 1,2,4 -run '$(GOLDEN_TESTS)' $(GOLDEN_PKGS)
+
 # fuzz-smoke fuzzes model loading for 10 s (FuzzLoadSnapshot, internal/core):
 # arbitrary bytes as a model file must either load to a snapshot with finite
 # predictions or fail with a typed ErrModel* error, never panic. Then for 10 s
@@ -136,11 +148,11 @@ registry-smoke:
 	$(GO) test -count=1 -run '$(REGISTRY_SMOKE_TESTS)' ./internal/serve
 
 # smoke-names fails when a name in SERVE_SMOKE_TESTS, REGISTRY_SMOKE_TESTS,
-# FAMILIES_SMOKE_TESTS, CORE_FUZZ_TARGETS or RNG_FUZZ_TARGETS is not a test
-# or fuzz target that `go test -list` reports for the packages its target
-# runs: the lists select by regex, and a regex that matches nothing passes,
-# so a renamed or deleted test would otherwise drop out of its smoke run
-# without a word.
+# FAMILIES_SMOKE_TESTS, GOLDEN_TESTS, CORE_FUZZ_TARGETS or RNG_FUZZ_TARGETS
+# is not a test or fuzz target that `go test -list` reports for the packages
+# its target runs: the lists select by regex, and a regex that matches
+# nothing passes, so a renamed or deleted test would otherwise drop out of
+# its smoke run without a word.
 smoke-names:
 	@check() { \
 		listed="$$($(GO) test -list . $$2)" || { echo "$$listed"; exit 1; }; \
@@ -151,7 +163,8 @@ smoke-names:
 	check '$(SERVE_SMOKE_TESTS)' './internal/serve ./internal/lifecycle' && \
 	check '$(REGISTRY_SMOKE_TESTS)' ./internal/serve && \
 	check '$(FAMILIES_SMOKE_TESTS) $(CORE_FUZZ_TARGETS)' ./internal/core && \
-	check '$(RNG_FUZZ_TARGETS)' ./internal/rng
+	check '$(RNG_FUZZ_TARGETS)' ./internal/rng && \
+	check '$(GOLDEN_TESTS)' '$(GOLDEN_PKGS)'
 
 # families-smoke runs the model-family selection harness end to end on the
 # spmv domain corpus: all three built-in families (spline, residual, dal)
@@ -167,8 +180,9 @@ families-smoke:
 # (smoke-names), plain tests, then the race
 # detector over the whole tree (the parallel fitness pool, the lock-free
 # snapshot swaps, and the fault-injection schedules are the usual suspects),
-# the benchmark harness build (bench-build), and the exact Figure 5
-# convergence figures (fig5). The serving and registry smoke tests and the
+# the benchmark harness build (bench-build), the exact Figure 5
+# convergence figures (fig5), and the bit-pinning goldens at GOMAXPROCS 1, 2
+# and 4 (goldens). The serving and registry smoke tests and the
 # family-selection smoke test (TestFamiliesSmoke) are part of test and race;
 # families-smoke stays as a target for running that one test locally.
-ci: build fmt vet lint smoke-names bench-build fig5 test race
+ci: build fmt vet lint smoke-names bench-build fig5 goldens test race

@@ -6,8 +6,6 @@ import (
 	"time"
 
 	"hsmodel/internal/family/spline"
-	"hsmodel/internal/genetic"
-	"hsmodel/internal/regress"
 )
 
 // Rung identifies which level of the degradation ladder produced the model
@@ -230,24 +228,15 @@ func (m *Trainer) TrainResilient(ctx context.Context, r Resilience) (rep TrainRe
 		rep.GeneticErr, rep.StepwiseErr)
 }
 
-// trainStepwise is the stepwise rung: same final-fit protocol as train, but
-// driven by the cheap forward stepwise search over the episode's captured
-// evaluator — the rung fits exactly the rows the genetic rung saw, never a
-// store that moved mid-episode. Callers must hold trainMu (and must NOT hold
-// mu), so sample mutation and predictions proceed during the search.
+// trainStepwise is the stepwise rung: spline.FitStepwise over the episode's
+// captured evaluator, wrapped as the top rung wraps it, so the rung fits
+// exactly the rows the genetic rung saw, never a store that moved
+// mid-episode. Callers must hold trainMu (and must NOT hold mu), so sample
+// mutation and predictions proceed during the search.
 func (m *Trainer) trainStepwise(ctx context.Context, budget int, cap capturedEval) error {
-	base := cap.ev
-	var ev genetic.Evaluator = base
-	if m.WrapEvaluator != nil {
-		ev = m.WrapEvaluator(ev)
-	}
-	res, serr := genetic.Stepwise(ctx, NumVars, ev, budget)
-	if serr != nil {
-		return fmt.Errorf("core: stepwise search failed: %w", serr)
-	}
-	model, err := base.fz.Fit(res.Best.Spec, regress.Options{LogResponse: m.LogResponse})
+	model, res, err := spline.FitStepwise(ctx, m.fitInput(nil, cap.ev), budget)
 	if err != nil {
-		return fmt.Errorf("core: final fit failed: %w", err)
+		return fmt.Errorf("core: stepwise rung: %w", err)
 	}
 	m.mu.Lock()
 	m.population = res.Population

@@ -12,9 +12,7 @@ import (
 	"hsmodel/internal/family/residual"
 	"hsmodel/internal/family/spline"
 	"hsmodel/internal/genetic"
-	"hsmodel/internal/regress"
 	"hsmodel/internal/rng"
-	"hsmodel/internal/stats"
 )
 
 // SelectionResult records one run of the model-family selection harness:
@@ -104,7 +102,8 @@ func runSelection(ctx context.Context, fams []family.Family, in family.FitInput)
 			errs = append(errs, ferr)
 			continue
 		}
-		score := scoreFamilyModel(out.Model, in.Dataset, in.ValRows)
+		predict := func(r int) float64 { return out.Model.Predict(in.Dataset.X.Row(r)) }
+		score := family.ValScore(predict, in.Dataset.Y, in.ValRows)
 		sel.Scores[f.Name()] = score
 		cands = append(cands, candidate{name: f.Name(), model: out.Model, score: score})
 	}
@@ -144,33 +143,4 @@ func cancelled(cause error) error {
 		return fmt.Errorf("core: family selection cancelled: %w", cause)
 	}
 	return fmt.Errorf("core: family selection cancelled: %w: %w", genetic.ErrCancelled, cause)
-}
-
-// scoreFamilyModel computes a fitted model's selection score: mean per-
-// application MedAPE over the validation rows, identical data and metric for
-// every family. With no split (empty ValRows) it scores on all rows.
-func scoreFamilyModel(m family.Model, ds *regress.Dataset, valRows [][]int) float64 {
-	var sum float64
-	var n int
-	for _, val := range valRows {
-		if len(val) == 0 {
-			continue
-		}
-		pred := make([]float64, len(val))
-		truth := make([]float64, len(val))
-		for k, r := range val {
-			pred[k] = m.Predict(ds.X.Row(r))
-			truth[k] = ds.Y[r]
-		}
-		sum += stats.MedianAbsPctError(pred, truth)
-		n++
-	}
-	if n == 0 {
-		pred := make([]float64, ds.NumRows())
-		for i := range pred {
-			pred[i] = m.Predict(ds.X.Row(i))
-		}
-		return stats.MedianAbsPctError(pred, ds.Y)
-	}
-	return sum / float64(n)
 }

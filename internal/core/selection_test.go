@@ -2,10 +2,14 @@ package core
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
+	"sort"
 	"testing"
 
 	"hsmodel/internal/family"
@@ -381,5 +385,47 @@ func TestSelectionRoundValidation(t *testing.T) {
 	}
 	if sel == nil || sel.Errors["a"] == nil {
 		t.Errorf("partial result must carry the per-family errors: %+v", sel)
+	}
+}
+
+// TestSelectionRoundGolden pins one selection round over the three built-in
+// families bit for bit: every family's score, the winner, and the winner's
+// predictions on held-out rows it never saw. Any change to how a family fits
+// or how the round scores its candidates moves the hash.
+func TestSelectionRoundGolden(t *testing.T) {
+	col := smallCollector()
+	ds := ToDataset(col.Collect(smallApps(), 24, 5))
+	held := ToDataset(col.Collect(smallApps(), 6, 17))
+	sel, err := selectOn(t, ds, FitnessConfig{Seed: 11},
+		genetic.Params{PopulationSize: 10, Generations: 2, Seed: 3}, DefaultFamilies())
+	if err != nil {
+		t.Fatalf("selection round: %v (per-family: %v)", err, sel.Errors)
+	}
+	if len(sel.Scores) != 3 {
+		t.Fatalf("scores %v (errors %v), want all three families", sel.Scores, sel.Errors)
+	}
+
+	h := sha256.New()
+	var b [8]byte
+	put := func(f float64) {
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(f))
+		h.Write(b[:])
+	}
+	names := make([]string, 0, len(sel.Scores))
+	for name := range sel.Scores {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		fmt.Fprintf(h, "%s|", name)
+		put(sel.Scores[name])
+	}
+	fmt.Fprintf(h, "winner %s|", sel.Winner)
+	for i := 0; i < held.NumRows(); i++ {
+		put(sel.Model.Predict(held.X.Row(i)))
+	}
+	const want = "8e4e14db59c10df46fd283141b37044a75abbd6b08954e2c8a9ee00990098ffd"
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Errorf("selection hash %s, want %s (winner %s, scores %v)", got, want, sel.Winner, sel.Scores)
 	}
 }

@@ -15,7 +15,6 @@ import (
 	"hsmodel/internal/profile"
 	"hsmodel/internal/regress"
 	"hsmodel/internal/rng"
-	"hsmodel/internal/stats"
 )
 
 // The per-application fitness evaluation of the paper's pseudocode
@@ -270,8 +269,7 @@ type evaluator struct {
 	gc      *regress.GramCache // nil when the Gram layer is unavailable
 	ds      *regress.Dataset
 	opts    regress.Options
-	apps    []int   // distinct app IDs
-	valRows [][]int // validation rows per app (parallel to apps)
+	valRows [][]int // validation rows per app, in ascending app ID order
 	allVal  []int   // concatenation of valRows, for batched design gather
 	weights []float64
 
@@ -291,18 +289,18 @@ func newEvaluator(ds *regress.Dataset, fc FitnessConfig, stabilize, logResponse 
 	for r, g := range ds.Group {
 		byApp[g] = append(byApp[g], r)
 	}
-	ev.apps = make([]int, 0, len(byApp))
+	apps := make([]int, 0, len(byApp))
 	for g := range byApp {
-		ev.apps = append(ev.apps, g)
+		apps = append(apps, g)
 	}
-	sort.Ints(ev.apps)
+	sort.Ints(apps)
 
 	ev.weights = make([]float64, ds.NumRows())
 	for i := range ev.weights {
 		ev.weights[i] = 1
 	}
 	src := rng.New(fc.Seed ^ 0x5eed5eed)
-	for _, g := range ev.apps {
+	for _, g := range apps {
 		rows := byApp[g]
 		perm := src.Perm(len(rows))
 		cut := int(float64(len(rows)) * trainFrac)
@@ -360,38 +358,24 @@ func (ev *evaluator) fit(spec regress.Spec) (*regress.Model, error) {
 	return ev.fz.Fit(spec, ev.opts)
 }
 
-// Fitness returns the mean over applications of the median absolute
-// percentage error on that application's validation rows. Lower is better.
-// Degenerate fits (rank failures) return a large penalty.
+// Fitness is the Section 3.3 score (family.ValScore) of spec fitted on the
+// weighted splits, plus the term penalty. Lower is better; a failed fit
+// scores family.FailedFit.
 func (ev *evaluator) Fitness(spec regress.Spec) float64 {
 	model, err := ev.fit(spec)
 	if err != nil {
-		return 1e6
+		return family.FailedFit
 	}
 	// One gathered design over every validation row (their weight in the fit
-	// is 0, but the cached basis columns are unweighted), predicted in bulk.
+	// is 0, but the cached basis columns are unweighted), predicted in bulk
+	// into a row-indexed slice for the score.
 	valDesign := ev.fz.DesignRows(spec, ev.allVal)
-	var sum float64
-	var n, off int
-	for i := range ev.apps {
-		val := ev.valRows[i]
-		if len(val) == 0 {
-			continue
-		}
-		pred := make([]float64, len(val))
-		truth := make([]float64, len(val))
-		for k, r := range val {
-			pred[k] = model.PredictDesignRow(valDesign.Row(off + k))
-			truth[k] = ev.ds.Y[r]
-		}
-		off += len(val)
-		sum += stats.MedianAbsPctError(pred, truth)
-		n++
+	pred := make([]float64, ev.ds.NumRows())
+	for k, r := range ev.allVal {
+		pred[r] = model.PredictDesignRow(valDesign.Row(k))
 	}
-	if n == 0 {
-		return 1e6
-	}
-	return sum/float64(n) + family.TermPenalty*float64(len(model.Coef))
+	score := family.ValScore(func(r int) float64 { return pred[r] }, ev.ds.Y, ev.valRows)
+	return score + family.TermPenalty*float64(len(model.Coef))
 }
 
 // Train runs one selection round over the trainer's Families (the genetic
@@ -482,7 +466,8 @@ func (m *Trainer) recordFitStats(cap capturedEval) regress.GramStats {
 // fitInput assembles the family fitting contract of one training run: the
 // captured evaluator (wrapped by WrapEvaluator when set) and fully prepared
 // search params (warm-start specs plus the history-recording OnGeneration
-// hook), so every family in the run fits the same episode.
+// hook), so every family in the run fits the same episode. The stepwise
+// rung fits through it too and ignores the search params.
 func (m *Trainer) fitInput(initial []regress.Spec, base *evaluator) family.FitInput {
 	var ev genetic.Evaluator = base
 	if m.WrapEvaluator != nil {

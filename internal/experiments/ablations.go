@@ -4,7 +4,8 @@ import (
 	"fmt"
 
 	"hsmodel/internal/core"
-	"hsmodel/internal/genetic"
+	"hsmodel/internal/family"
+	"hsmodel/internal/family/spline"
 	"hsmodel/internal/profile"
 	"hsmodel/internal/regress"
 	"hsmodel/internal/spmv"
@@ -157,17 +158,20 @@ func AblationStepwise(w *Workspace) (AblationResult, error) {
 		budget = gs.Evals
 	}
 
-	// Stepwise with the same fitness and budget, then a final full fit.
+	// Stepwise at the same budget on a strided hold-out fitness, then a
+	// final fit on every training row.
 	ds := core.ToDataset(train)
-	eval, err := stepwiseEvaluator(ds)
+	fz, err := regress.NewFeaturizer(ds, true)
 	if err != nil {
 		return AblationResult{}, err
 	}
-	sres, err := genetic.Stepwise(w.ctx, core.NumVars, eval, budget)
+	eval, err := family.HoldOutEvaluator(ds, fz.Prep())
 	if err != nil {
 		return AblationResult{}, err
 	}
-	final, err := regress.FitSpec(sres.Best.Spec, nil, ds, regress.Options{LogResponse: true, Stabilize: true})
+	final, _, err := spline.FitStepwise(w.ctx, family.FitInput{
+		NumVars: core.NumVars, Featurizer: fz, Evaluator: eval, LogResponse: true,
+	}, budget)
 	if err != nil {
 		return AblationResult{}, err
 	}
@@ -178,33 +182,6 @@ func AblationStepwise(w *Workspace) (AblationResult, error) {
 	}
 	fmt.Fprintln(cfg.out(), res)
 	return res, nil
-}
-
-// stepwiseEvaluator scores specs on an internal split of the dataset, with
-// the training-split basis columns featurized once and shared across every
-// candidate fit.
-func stepwiseEvaluator(ds *regress.Dataset) (genetic.Evaluator, error) {
-	prep := regress.Prepare(ds, true)
-	var trainRows, valRows []int
-	for i := 0; i < ds.NumRows(); i++ {
-		if i%4 == 0 {
-			valRows = append(valRows, i)
-		} else {
-			trainRows = append(trainRows, i)
-		}
-	}
-	fz, err := regress.FeaturizeWith(prep, ds.Subset(trainRows))
-	if err != nil {
-		return nil, err
-	}
-	valDS := ds.Subset(valRows)
-	return genetic.EvaluatorFunc(func(spec regress.Spec) float64 {
-		m, err := fz.Fit(spec, regress.Options{LogResponse: true})
-		if err != nil {
-			return 1e6
-		}
-		return m.Evaluate(valDS).MedAPE
-	}), nil
 }
 
 // AblationDomainSpecific compares the SpMV domain model (3 semantic software

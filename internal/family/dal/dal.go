@@ -14,43 +14,38 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 	"sync"
 
 	"hsmodel/internal/family"
+	"hsmodel/internal/family/spline"
 	"hsmodel/internal/genetic"
 	"hsmodel/internal/regress"
 	"hsmodel/internal/rng"
-	"hsmodel/internal/stats"
 )
 
 // FamilyName is the stable identifier of the divide-and-learn family.
 const FamilyName = "dal"
 
 const (
-	// defaultBudget caps stepwise fitness evaluations per local (and the
-	// pooled) model search.
-	defaultBudget = 120
-	// defaultIters bounds Lloyd iterations; assignments converge far
-	// earlier on these corpus sizes.
-	defaultIters = 25
-	// rowsPerCluster sizes the automatic k; minClusterRows is the floor
-	// below which a cluster dispatches to the pooled model instead of
-	// fitting locally.
+	// budget caps stepwise fitness evaluations per local (and the pooled)
+	// model search.
+	budget = 120
+	// iters bounds Lloyd iterations; assignments converge far earlier on
+	// these corpus sizes.
+	iters = 25
+	// rowsPerCluster sizes k = clamp(rows/rowsPerCluster, 2, 4);
+	// minClusterRows is the floor below which a cluster dispatches to the
+	// pooled model instead of fitting locally.
 	rowsPerCluster = 80
 	minClusterRows = 24
 )
 
-// Family is the divide-and-learn family.
-type Family struct {
-	// K fixes the cluster count; 0 picks clamp(rows/80, 2, 4).
-	K int
-	// Budget caps stepwise evaluations per model search (default 120).
-	Budget int
-	// Iters bounds k-means iterations (default 25).
-	Iters int
-}
+// Family is the divide-and-learn family. The cluster count follows the row
+// count; see rowsPerCluster.
+type Family struct{}
 
-// New returns a divide-and-learn family with automatic cluster sizing.
+// New returns a divide-and-learn family.
 func New() *Family { return &Family{} }
 
 // Name implements family.Family.
@@ -59,47 +54,23 @@ func (*Family) Name() string { return FamilyName }
 // Fit implements family.Family: standardize, cluster with seeded
 // deterministic k-means, fit a pooled stepwise model plus one local spline
 // model per sufficiently populated cluster.
-func (f *Family) Fit(ctx context.Context, in family.FitInput) (family.FitOutput, error) {
+func (*Family) Fit(ctx context.Context, in family.FitInput) (family.FitOutput, error) {
 	var out family.FitOutput
 	ds := in.Dataset
 	n := ds.NumRows()
 	if n < 2*minClusterRows {
 		return out, fmt.Errorf("dal: %d rows is too few to divide (need %d)", n, 2*minClusterRows)
 	}
-	budget := f.Budget
-	if budget <= 0 {
-		budget = defaultBudget
-	}
-	iters := f.Iters
-	if iters <= 0 {
-		iters = defaultIters
-	}
-	k := f.K
-	if k <= 0 {
-		k = n / rowsPerCluster
-		if k < 2 {
-			k = 2
-		}
-		if k > 4 {
-			k = 4
-		}
-	}
-	if k > n/minClusterRows {
-		k = n / minClusterRows
-	}
+	k := min(max(n/rowsPerCluster, 2), 4, n/minClusterRows)
 
 	scale := newScaler(ds)
 	centroids, assign := kmeans(ds, scale, k, iters, rng.New(in.Seed^0xda1))
 
 	// Pooled fallback: the stepwise spline floor over the caller's
 	// weighted-split evaluator and shared featurizer.
-	pooledRes, serr := genetic.Stepwise(ctx, in.NumVars, in.Evaluator, budget)
-	if serr != nil {
-		return out, fmt.Errorf("dal: pooled search failed: %w", serr)
-	}
-	pooled, err := in.Featurizer.Fit(pooledRes.Best.Spec, regress.Options{LogResponse: in.LogResponse})
+	pooled, _, err := spline.FitStepwise(ctx, in, budget)
 	if err != nil {
-		return out, fmt.Errorf("dal: pooled fit failed: %w", err)
+		return out, fmt.Errorf("dal: pooled model: %w", err)
 	}
 
 	locals := make([]*regress.Model, k)
@@ -111,7 +82,7 @@ func (f *Family) Fit(ctx context.Context, in family.FitInput) (family.FitOutput,
 		if len(rows) < minClusterRows {
 			continue // thin cluster: dispatch to the pooled model
 		}
-		local, err := fitLocal(ctx, in, rows, budget)
+		local, err := fitLocal(ctx, in, rows)
 		if err != nil {
 			continue // unfit local region: the pooled model covers it
 		}
@@ -129,8 +100,9 @@ func (f *Family) Fit(ctx context.Context, in family.FitInput) (family.FitOutput,
 
 // fitLocal fits one cluster's spline model: stepwise search over the
 // cluster's rows under the global preprocessing, scored on the cluster's
-// share of the caller's validation rows.
-func fitLocal(ctx context.Context, in family.FitInput, rows []int, budget int) (*regress.Model, error) {
+// share of the caller's validation rows as one group (every cluster row when
+// the cluster holds none).
+func fitLocal(ctx context.Context, in family.FitInput, rows []int) (*regress.Model, error) {
 	sub := in.Dataset.Subset(rows)
 	fz, err := regress.FeaturizeWith(in.Featurizer.Prep(), sub)
 	if err != nil {
@@ -147,32 +119,22 @@ func fitLocal(ctx context.Context, in family.FitInput, rows []int, budget int) (
 			}
 		}
 	}
-	scoreRows := valLocal
-	if len(scoreRows) == 0 {
-		scoreRows = make([]int, len(rows))
-		for i := range scoreRows {
-			scoreRows[i] = i
-		}
+	var split [][]int
+	if len(valLocal) > 0 {
+		split = [][]int{valLocal}
 	}
 	eval := genetic.EvaluatorFunc(func(spec regress.Spec) float64 {
 		m, err := fz.Fit(spec, regress.Options{LogResponse: in.LogResponse, Weights: weights})
 		if err != nil {
-			return 1e6
+			return family.FailedFit
 		}
-		pred := make([]float64, len(scoreRows))
-		truth := make([]float64, len(scoreRows))
-		for i, r := range scoreRows {
-			pred[i] = m.Predict(sub.X.Row(r))
-			truth[i] = sub.Y[r]
-		}
-		return stats.MedianAbsPctError(pred, truth) + family.TermPenalty*float64(len(m.Coef))
+		score := family.ValScore(func(r int) float64 { return m.Predict(sub.X.Row(r)) }, sub.Y, split)
+		return score + family.TermPenalty*float64(len(m.Coef))
 	})
-	res, err := genetic.Stepwise(ctx, in.NumVars, eval, budget)
-	if err != nil {
-		return nil, err
-	}
-	// Final local fit: all cluster rows, uniform weights.
-	return fz.Fit(res.Best.Spec, regress.Options{LogResponse: in.LogResponse})
+	model, _, err := spline.FitStepwise(ctx, family.FitInput{
+		NumVars: in.NumVars, Featurizer: fz, Evaluator: eval, LogResponse: in.LogResponse,
+	}, budget)
+	return model, err
 }
 
 // clusterRows collects (ascending) the row indices assigned to cluster j.
@@ -481,21 +443,10 @@ func (m *Model) Describe() family.Description {
 	sort.Strings(specs)
 	return family.Description{
 		Family: FamilyName,
-		Spec:   fmt.Sprintf("k=%d {%s} pooled:%s", len(m.centroids), join(specs), m.pooled.Spec.String()),
+		Spec:   fmt.Sprintf("k=%d {%s} pooled:%s", len(m.centroids), strings.Join(specs, "; "), m.pooled.Spec.String()),
 		Terms:  terms,
 		Detail: fmt.Sprintf("k=%d, %d local models, pooled fallback", len(m.centroids), fitted),
 	}
-}
-
-func join(xs []string) string {
-	out := ""
-	for i, x := range xs {
-		if i > 0 {
-			out += "; "
-		}
-		out += x
-	}
-	return out
 }
 
 // Payload implements family.Model.

@@ -29,6 +29,7 @@ import (
 
 	"hsmodel/internal/genetic"
 	"hsmodel/internal/regress"
+	"hsmodel/internal/stats"
 )
 
 // TermPenalty is the parsimony pressure every family adds to a candidate's
@@ -36,6 +37,82 @@ import (
 // software far better (Section 4.4), so the search is kept from memorizing
 // per-application clusters with large specifications.
 const TermPenalty = 0.0004
+
+// FailedFit is the score of a candidate that cannot be scored: its fit
+// failed (a rank failure, a non-positive response under a log fit) or its
+// split left no row to validate on. It sits far above any MedAPE, so a
+// search never keeps such a candidate over a scored one.
+const FailedFit = 1e6
+
+// ValScore is the per-application fitness of Section 3.3, the one score
+// every search in the tree ranks candidates by: the mean over groups of the
+// median absolute percentage error of predict on the group's validation
+// rows. predict(r) answers row r of the dataset whose responses are y, and
+// valRows lists each application's validation rows (FitInput.ValRows). An
+// empty group is skipped; no split (empty valRows) scores every row as one
+// group; a split whose groups are all empty scores FailedFit. Searches over
+// specifications add TermPenalty per fitted coefficient on top; the
+// cross-family selection round does not.
+func ValScore(predict func(row int) float64, y []float64, valRows [][]int) float64 {
+	if len(valRows) == 0 {
+		all := make([]int, len(y))
+		for i := range all {
+			all[i] = i
+		}
+		valRows = [][]int{all}
+	}
+	var sum float64
+	n := 0
+	for _, val := range valRows {
+		if len(val) == 0 {
+			continue
+		}
+		pred := make([]float64, len(val))
+		truth := make([]float64, len(val))
+		for k, r := range val {
+			pred[k] = predict(r)
+			truth[k] = y[r]
+		}
+		sum += stats.MedianAbsPctError(pred, truth)
+		n++
+	}
+	if n == 0 {
+		return FailedFit
+	}
+	return sum / float64(n)
+}
+
+// holdOutStride puts every holdOutStride-th row of a HoldOutEvaluator's
+// dataset in its validation set.
+const holdOutStride = 4
+
+// HoldOutEvaluator is the strided hold-out fitness, blind to application
+// groups: candidates are fitted on three rows in four (log response, uniform
+// weights) under prep, which the caller learned on every row, and scored by
+// ValScore on every fourth row (0, 4, 8, ...) as one group. The rows must
+// come in random order for the stride to be an unbiased split.
+func HoldOutEvaluator(ds *regress.Dataset, prep *regress.Prep) (genetic.Evaluator, error) {
+	var trainRows, valRows []int
+	for i := 0; i < ds.NumRows(); i++ {
+		if i%holdOutStride == 0 {
+			valRows = append(valRows, i)
+		} else {
+			trainRows = append(trainRows, i)
+		}
+	}
+	fz, err := regress.FeaturizeWith(prep, ds.Subset(trainRows))
+	if err != nil {
+		return nil, err
+	}
+	split := [][]int{valRows}
+	return genetic.EvaluatorFunc(func(spec regress.Spec) float64 {
+		m, err := fz.Fit(spec, regress.Options{LogResponse: true})
+		if err != nil {
+			return FailedFit
+		}
+		return ValScore(func(r int) float64 { return m.Predict(ds.X.Row(r)) }, ds.Y, split)
+	}), nil
+}
 
 // Model is a fitted model of one family: a self-contained predictor over the
 // raw variable row. Implementations are immutable after construction and

@@ -22,19 +22,19 @@ import (
 	"sync"
 
 	"hsmodel/internal/family"
+	"hsmodel/internal/family/spline"
 	"hsmodel/internal/genetic"
 	"hsmodel/internal/hwspace"
 	"hsmodel/internal/profile"
 	"hsmodel/internal/regress"
-	"hsmodel/internal/stats"
 )
 
 // FamilyName is the stable identifier of the residual family.
 const FamilyName = "residual"
 
-// defaultBudget caps stepwise fitness evaluations of the correction search:
+// budget caps stepwise fitness evaluations of the correction search:
 // roughly the cost of a few genetic generations, matching the stepwise rung.
-const defaultBudget = 160
+const budget = 160
 
 // Prior is a closed-form response estimate over a raw variable row.
 type Prior struct {
@@ -47,32 +47,15 @@ type Prior struct {
 	F func(raw []float64) float64
 }
 
-// Family composes an analytical prior with a learned spline correction.
-type Family struct {
-	// Budget caps stepwise fitness evaluations of the correction search
-	// (default 160).
-	Budget int
-	// Prior, when non-nil, overrides the arity-based auto-selection.
-	Prior *Prior
-}
+// Family composes an analytical prior with a learned spline correction. The
+// prior is picked by the raw-row arity.
+type Family struct{}
 
 // New returns a residual family with built-in prior auto-selection.
 func New() *Family { return &Family{} }
 
 // Name implements family.Family.
 func (*Family) Name() string { return FamilyName }
-
-// resolvePrior picks the analytical prior for a variable arity.
-func (f *Family) resolvePrior(numVars int) (Prior, error) {
-	if f.Prior != nil {
-		if f.Prior.Vars != numVars {
-			return Prior{}, fmt.Errorf("residual: prior %s expects %d variables, space has %d",
-				f.Prior.Name, f.Prior.Vars, numVars)
-		}
-		return *f.Prior, nil
-	}
-	return priorByName("", numVars)
-}
 
 // priorByName resolves a persisted prior name (or, with an empty name, the
 // default prior for the arity).
@@ -92,9 +75,9 @@ func priorByName(name string, numVars int) (Prior, error) {
 // Fit implements family.Family: compute the prior over every row, fit a
 // spline correction to the ratio response on the weighted splits, and keep
 // the specification that predicts the combined response best.
-func (f *Family) Fit(ctx context.Context, in family.FitInput) (family.FitOutput, error) {
+func (*Family) Fit(ctx context.Context, in family.FitInput) (family.FitOutput, error) {
 	var out family.FitOutput
-	prior, err := f.resolvePrior(in.NumVars)
+	prior, err := priorByName("", in.NumVars)
 	if err != nil {
 		return out, err
 	}
@@ -116,64 +99,26 @@ func (f *Family) Fit(ctx context.Context, in family.FitInput) (family.FitOutput,
 		return out, fmt.Errorf("residual: featurizing ratio response: %w", err)
 	}
 
-	// The correction search optimizes the combined prediction p·m on the
+	// The correction search scores the combined prediction p·m on the
 	// caller's validation rows, so family-internal model selection agrees
 	// with the harness's cross-family scoring data.
 	eval := genetic.EvaluatorFunc(func(spec regress.Spec) float64 {
 		m, err := fz.Fit(spec, regress.Options{LogResponse: true, Weights: in.Weights})
 		if err != nil {
-			return 1e6
+			return family.FailedFit
 		}
-		score := scoreCombined(ds, in.ValRows, priors, m)
+		combined := func(r int) float64 { return priors[r] * m.Predict(ds.X.Row(r)) }
+		score := family.ValScore(combined, ds.Y, in.ValRows)
 		return score + family.TermPenalty*float64(len(m.Coef))
 	})
-	budget := f.Budget
-	if budget <= 0 {
-		budget = defaultBudget
-	}
-	res, serr := genetic.Stepwise(ctx, in.NumVars, eval, budget)
-	if serr != nil {
-		return out, fmt.Errorf("residual: correction search failed: %w", serr)
-	}
-	// Final correction fit: best specification, all rows, uniform weights.
-	corr, err := fz.Fit(res.Best.Spec, regress.Options{LogResponse: true})
+	corr, _, err := spline.FitStepwise(ctx, family.FitInput{
+		NumVars: in.NumVars, Featurizer: fz, Evaluator: eval, LogResponse: true,
+	}, budget)
 	if err != nil {
-		return out, fmt.Errorf("residual: final fit failed: %w", err)
+		return out, fmt.Errorf("residual: correction: %w", err)
 	}
 	out.Model = &Model{prior: prior, corr: corr}
 	return out, nil
-}
-
-// scoreCombined returns the mean per-application MedAPE of the combined
-// prediction prior·correction on the validation rows. Without a split it
-// scores all rows as one application.
-func scoreCombined(ds *regress.Dataset, valRows [][]int, priors []float64, corr *regress.Model) float64 {
-	if len(valRows) == 0 {
-		all := make([]int, ds.NumRows())
-		for i := range all {
-			all[i] = i
-		}
-		valRows = [][]int{all}
-	}
-	var sum float64
-	n := 0
-	for _, val := range valRows {
-		if len(val) == 0 {
-			continue
-		}
-		pred := make([]float64, len(val))
-		truth := make([]float64, len(val))
-		for k, r := range val {
-			pred[k] = priors[r] * corr.Predict(ds.X.Row(r))
-			truth[k] = ds.Y[r]
-		}
-		sum += stats.MedianAbsPctError(pred, truth)
-		n++
-	}
-	if n == 0 {
-		return 1e6
-	}
-	return sum / float64(n)
 }
 
 // payload is the persisted form of a residual model.

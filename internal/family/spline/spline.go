@@ -49,6 +49,25 @@ func (*Family) Fit(ctx context.Context, in family.FitInput) (family.FitOutput, e
 	return out, nil
 }
 
+// FitStepwise is the spline family's cheap floor: forward stepwise search
+// over in.Evaluator within budget evaluations, then the best specification
+// fitted on every row of in.Featurizer with uniform weights, as Fit does
+// after its genetic search. Every stepwise search in the tree fits through
+// it: the trainer's stepwise rung, the residual correction, DAL's pooled and
+// local models and the stepwise ablation. The search Result is returned
+// whenever the search ran, for callers that keep its population.
+func FitStepwise(ctx context.Context, in family.FitInput, budget int) (*regress.Model, *genetic.Result, error) {
+	res, err := genetic.Stepwise(ctx, in.NumVars, in.Evaluator, budget)
+	if err != nil {
+		return nil, res, fmt.Errorf("spline: stepwise search failed: %w", err)
+	}
+	model, err := in.Featurizer.Fit(res.Best.Spec, regress.Options{LogResponse: in.LogResponse})
+	if err != nil {
+		return nil, res, fmt.Errorf("spline: final fit failed: %w", err)
+	}
+	return model, res, nil
+}
+
 // Load implements family.Family: the payload is the regress.Model JSON.
 func (*Family) Load(payload json.RawMessage, numVars int) (family.Model, error) {
 	var m regress.Model

@@ -29,7 +29,6 @@ import (
 	"time"
 
 	"hsmodel/internal/core"
-	"hsmodel/internal/genetic"
 	"hsmodel/internal/rng"
 )
 
@@ -126,9 +125,6 @@ type Config struct {
 	// LastGoodPath is ignored: a shadow candidate must come from a real
 	// search, never from disk.
 	Resilience core.Resilience
-	// WrapEvaluator, when non-nil, wraps the shadow trainer's fitness
-	// evaluator — the fault-injection seam, mirroring core.Trainer.
-	WrapEvaluator func(genetic.Evaluator) genetic.Evaluator
 	// OnTransition, when non-nil, observes state changes. It is called with
 	// the controller's lock held and must not call back into the Controller.
 	OnTransition func(from, to State, reason string)
@@ -373,7 +369,6 @@ func (c *Controller) runEpisode(train, canary []core.Sample) {
 	shadow.Stabilize = c.live.Stabilize
 	shadow.LogResponse = c.live.LogResponse
 	shadow.ShardLen = c.live.ShardLen
-	shadow.WrapEvaluator = c.cfg.WrapEvaluator
 	shadow.Families = c.live.Families
 
 	r := c.cfg.Resilience

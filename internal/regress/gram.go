@@ -54,9 +54,6 @@ type GramCache struct {
 	// be lowered before use to force fallback (tests) but must not be
 	// changed concurrently with Fit.
 	CondLimit float64
-	// Workers bounds the fan-out of cold-entry accumulation within one fit
-	// (default GOMAXPROCS).
-	Workers int
 
 	w        []float64 // effective observation weights; nil means uniform
 	ty       []float64 // response with the LogResponse transform applied
@@ -121,7 +118,6 @@ func NewGramCache(fz *Featurizer, opts Options) (*GramCache, error) {
 		n:         n,
 		p:         p,
 		CondLimit: 1e9,
-		Workers:   runtime.GOMAXPROCS(0),
 		mainIDs:   1 + 6*p,
 		prods:     make(map[uint32][]float64),
 	}
@@ -550,9 +546,9 @@ func (g *GramCache) solveNormal(sc *gramScratch, sub *linalg.Matrix, p int) (coe
 const gramDropTol = 1e-12
 
 // fillMissing computes the cold entries of one fit, fanning out across a
-// bounded worker pool when the batch is large (a cold cache on a fresh
-// dataset version). Workers write disjoint memo keys and disjoint sub-matrix
-// cells, so the only synchronization is the sharded store.
+// worker pool bounded by GOMAXPROCS when the batch is large (a cold cache on
+// a fresh dataset version). Workers write disjoint memo keys and disjoint
+// sub-matrix cells, so the only synchronization is the sharded store.
 func (g *GramCache) fillMissing(sc *gramScratch, sub *linalg.Matrix, p int) {
 	miss, missP := sc.miss, sc.missP
 	if len(miss) == 0 {
@@ -572,11 +568,8 @@ func (g *GramCache) fillMissing(sc *gramScratch, sub *linalg.Matrix, p int) {
 			}
 		}
 	}
-	workers := g.Workers
 	const minPerWorker = 8
-	if workers > len(miss)/minPerWorker {
-		workers = len(miss) / minPerWorker
-	}
+	workers := min(runtime.GOMAXPROCS(0), len(miss)/minPerWorker)
 	if workers <= 1 {
 		compute(0, len(miss))
 		return

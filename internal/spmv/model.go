@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"hsmodel/internal/family"
 	"hsmodel/internal/genetic"
 	"hsmodel/internal/linalg"
 	"hsmodel/internal/regress"
@@ -86,10 +87,6 @@ func (dm *DomainModel) Predict(r, c int, fill float64, cfg CacheConfig) float64 
 	return dm.Model.Predict(domainRow(Point{R: r, C: c, Fill: fill, Cfg: cfg}))
 }
 
-// valFrac is the fraction of sampled points held out to score the search's
-// candidate models.
-const valFrac = 0.25
-
 // TrainOptions configures domain-model training.
 type TrainOptions struct {
 	// Search configures the genetic search; domain models converge with a
@@ -120,34 +117,15 @@ func TrainDomainModel(ctx context.Context, matrix string, points []Point, resp R
 		return nil, fmt.Errorf("spmv: featurizing %s %s: %w", matrix, resp, err)
 	}
 
-	// Deterministic train/validation split for search fitness.
-	nVal := int(float64(len(points)) * valFrac)
-	if nVal < 1 {
+	// Search fitness holds out every fourth point: points were sampled
+	// uniformly at random, so striding is an unbiased split.
+	if len(points) < 4 {
 		return nil, fmt.Errorf("spmv: too few points (%d) to train", len(points))
 	}
-	var trainRows, valRows []int
-	for i := range points {
-		// Every (1/valFrac)-th row validates; points were sampled uniformly
-		// at random, so striding is an unbiased split.
-		if i%int(1/valFrac) == 0 {
-			valRows = append(valRows, i)
-		} else {
-			trainRows = append(trainRows, i)
-		}
-	}
-	fzTrain, err := regress.FeaturizeWith(fzFull.Prep(), ds.Subset(trainRows))
+	eval, err := family.HoldOutEvaluator(ds, fzFull.Prep())
 	if err != nil {
 		return nil, fmt.Errorf("spmv: featurizing %s %s: %w", matrix, resp, err)
 	}
-	valDS := ds.Subset(valRows)
-
-	eval := genetic.EvaluatorFunc(func(spec regress.Spec) float64 {
-		m, err := fzTrain.Fit(spec, regress.Options{LogResponse: true})
-		if err != nil {
-			return 1e6
-		}
-		return m.Evaluate(valDS).MedAPE
-	})
 	res, err := genetic.Search(ctx, NumDomainVars, eval, opts.Search)
 	if err != nil {
 		return nil, fmt.Errorf("spmv: search for %s %s: %w", matrix, resp, err)

@@ -92,7 +92,6 @@ type Phase struct {
 	// taken-biased branches in the first place).
 	CodeBlocks   int
 	LoopBackProb float64
-	LoopSpan     int
 }
 
 // Segment is one entry of an application's repeating phase timeline.
@@ -448,8 +447,11 @@ func (g *generator) advancePC(in *isa.Inst) {
 	if in.Class == isa.Branch && in.Taken {
 		cb := maxInt(g.phase.CodeBlocks, 1)
 		if g.loopBack.Sample(g.src) {
-			span := uint64(1 + g.src.Intn(maxInt(g.phase.LoopSpan, 1)))
-			g.curBlock = (g.curBlock + uint64(cb) - span%uint64(cb)) % uint64(cb)
+			// A loop-back jump returns to the previous block. The discarded
+			// draw keeps every generated stream, and the goldens that pin
+			// them, bit-identical.
+			g.src.Uint64()
+			g.curBlock = (g.curBlock + uint64(cb) - 1) % uint64(cb)
 		} else {
 			// Jump into the hot-block distribution.
 			g.curBlock = uint64(g.codeZipf.Sample(g.src) - 1)

@@ -198,6 +198,30 @@ func TestVariantsChangeBehavior(t *testing.T) {
 	}
 }
 
+// TestO3PredictabilityBuildsOnDerived: O3 adds its predictability bonus to
+// the value the generator derives for a phase that leaves it to derivation,
+// so every O3 phase predicts at least as well as the derivation's floor plus
+// the bonus, and better than the same phase at the base level.
+func TestO3PredictabilityBuildsOnDerived(t *testing.T) {
+	generated := func(p Phase) float64 {
+		return newGenerator(p, rng.New(1), 0, 100).phase.Predictability
+	}
+	for _, app := range SPEC2006() {
+		o3 := WithOpt(app, OptO3)
+		for i, seg := range o3.Segments {
+			got := generated(seg.Phase)
+			if got < 0.81 || got > 1 {
+				t.Errorf("%s phase %s: generator predictability %.4f, want in [0.81, 1]",
+					o3.Name, seg.Phase.Name, got)
+			}
+			if base := generated(app.Segments[i].Phase); got <= base {
+				t.Errorf("%s phase %s: predictability %.4f, not above the base level's %.4f",
+					o3.Name, seg.Phase.Name, got, base)
+			}
+		}
+	}
+}
+
 func meanDepDistance(insts []isa.Inst) float64 {
 	var sum float64
 	var n int

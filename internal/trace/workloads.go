@@ -42,7 +42,7 @@ func Astar() *App {
 		DepProducer: [5]float64{}, // derived from mix
 		WSBlocks:    1 << 13,      // 512 KB graph hot set
 		ReuseFrac:   0.75, ReuseDepth: 150, StreamFrac: 0.10,
-		CodeBlocks: 340, LoopBackProb: 0, // derived LoopSpan: 10,
+		CodeBlocks: 340, LoopBackProb: 0, // derived
 	}
 	expand := Phase{
 		Name:           "expand",
@@ -55,7 +55,7 @@ func Astar() *App {
 		DepProducer: [5]float64{}, // derived from mix
 		WSBlocks:    1 << 11,
 		ReuseFrac:   0.82, ReuseDepth: 50, StreamFrac: 0.08,
-		CodeBlocks: 260, LoopBackProb: 0, // derived LoopSpan: 7,
+		CodeBlocks: 260, LoopBackProb: 0, // derived
 	}
 	return &App{Name: "astar", Seed: 0xA57A0001, Segments: []Segment{
 		{Phase: search, Insts: 4_000_000},
@@ -80,7 +80,7 @@ func Bwaves() *App {
 		DepProducer: [5]float64{}, // derived from mix
 		WSBlocks:    1 << 16,      // 4 MB field arrays
 		ReuseFrac:   0.25, ReuseDepth: 300, StreamFrac: 0.92,
-		CodeBlocks: 120, LoopBackProb: 0, // derived LoopSpan: 3,
+		CodeBlocks: 120, LoopBackProb: 0, // derived
 	}
 	// Solver phase: recurrences and long-latency FP divides, near CPI 1.0+.
 	solve := Phase{
@@ -94,7 +94,7 @@ func Bwaves() *App {
 		DepProducer: [5]float64{}, // derived from mix
 		WSBlocks:    1 << 16,
 		ReuseFrac:   0.45, ReuseDepth: 400, StreamFrac: 0.55,
-		CodeBlocks: 150, LoopBackProb: 0, // derived LoopSpan: 4,
+		CodeBlocks: 150, LoopBackProb: 0, // derived
 	}
 	return &App{Name: "bwaves", Seed: 0xB3A7E002, Segments: []Segment{
 		{Phase: stream, Insts: 5_000_000},
@@ -116,7 +116,7 @@ func Bzip2() *App {
 		DepProducer: [5]float64{}, // derived from mix
 		WSBlocks:    1 << 12,      // ~256 KB block sort
 		ReuseFrac:   0.82, ReuseDepth: 60, StreamFrac: 0.18,
-		CodeBlocks: 180, LoopBackProb: 0, // derived LoopSpan: 5,
+		CodeBlocks: 180, LoopBackProb: 0, // derived
 	}
 	huffman := Phase{
 		Name:           "huffman",
@@ -129,7 +129,7 @@ func Bzip2() *App {
 		DepProducer: [5]float64{}, // derived from mix
 		WSBlocks:    1 << 10,
 		ReuseFrac:   0.88, ReuseDepth: 30, StreamFrac: 0.10,
-		CodeBlocks: 140, LoopBackProb: 0, // derived LoopSpan: 4,
+		CodeBlocks: 140, LoopBackProb: 0, // derived
 	}
 	return &App{Name: "bzip2", Seed: 0xB21B2003, Segments: []Segment{
 		{Phase: compress, Insts: 6_000_000},
@@ -152,7 +152,7 @@ func GemsFDTD() *App {
 		DepProducer: [5]float64{}, // derived from mix
 		WSBlocks:    1 << 16,      // 4 MB grid
 		ReuseFrac:   0.30, ReuseDepth: 400, StreamFrac: 0.80,
-		CodeBlocks: 200, LoopBackProb: 0, // derived LoopSpan: 4,
+		CodeBlocks: 200, LoopBackProb: 0, // derived
 	}
 	update := Phase{
 		Name:           "field-update",
@@ -165,7 +165,7 @@ func GemsFDTD() *App {
 		DepProducer: [5]float64{}, // derived from mix
 		WSBlocks:    1 << 16,
 		ReuseFrac:   0.30, ReuseDepth: 600, StreamFrac: 0.65,
-		CodeBlocks: 240, LoopBackProb: 0, // derived LoopSpan: 5,
+		CodeBlocks: 240, LoopBackProb: 0, // derived
 	}
 	return &App{Name: "gemsFDTD", Seed: 0x6E350004, Segments: []Segment{
 		{Phase: sweep, Insts: 5_000_000},
@@ -187,7 +187,7 @@ func Hmmer() *App {
 		DepProducer: [5]float64{}, // derived from mix
 		WSBlocks:    1 << 11,      // 128 KB DP matrices
 		ReuseFrac:   0.88, ReuseDepth: 45, StreamFrac: 0.12,
-		CodeBlocks: 90, LoopBackProb: 0, // derived LoopSpan: 3,
+		CodeBlocks: 90, LoopBackProb: 0, // derived
 	}
 	postproc := Phase{
 		Name:           "postprocess",
@@ -200,7 +200,7 @@ func Hmmer() *App {
 		DepProducer: [5]float64{}, // derived from mix
 		WSBlocks:    1 << 11,
 		ReuseFrac:   0.85, ReuseDepth: 50, StreamFrac: 0.15,
-		CodeBlocks: 130, LoopBackProb: 0, // derived LoopSpan: 4,
+		CodeBlocks: 130, LoopBackProb: 0, // derived
 	}
 	return &App{Name: "hmmer", Seed: 0x43332005, Segments: []Segment{
 		{Phase: viterbi, Insts: 7_000_000},
@@ -222,7 +222,7 @@ func Omnetpp() *App {
 		DepProducer: [5]float64{}, // derived from mix
 		WSBlocks:    1 << 15,      // 2 MB heap
 		ReuseFrac:   0.55, ReuseDepth: 350, StreamFrac: 0.05,
-		CodeBlocks: 420, LoopBackProb: 0, // derived LoopSpan: 12,
+		CodeBlocks: 420, LoopBackProb: 0, // derived
 	}
 	queues := Phase{
 		Name:           "queue-maint",
@@ -235,7 +235,7 @@ func Omnetpp() *App {
 		DepProducer: [5]float64{}, // derived from mix
 		WSBlocks:    1 << 13,
 		ReuseFrac:   0.65, ReuseDepth: 150, StreamFrac: 0.06,
-		CodeBlocks: 360, LoopBackProb: 0, // derived LoopSpan: 9,
+		CodeBlocks: 360, LoopBackProb: 0, // derived
 	}
 	return &App{Name: "omnetpp", Seed: 0x03E77006, Segments: []Segment{
 		{Phase: events, Insts: 5_000_000},
@@ -259,7 +259,7 @@ func Sjeng() *App {
 		DepProducer: [5]float64{}, // derived from mix
 		WSBlocks:    1 << 11,      // hash tables
 		ReuseFrac:   0.80, ReuseDepth: 80, StreamFrac: 0.05,
-		CodeBlocks: 300, LoopBackProb: 0, // derived LoopSpan: 8,
+		CodeBlocks: 300, LoopBackProb: 0, // derived
 	}
 	eval := Phase{
 		Name:           "evaluate",
@@ -272,7 +272,7 @@ func Sjeng() *App {
 		DepProducer: [5]float64{}, // derived from mix
 		WSBlocks:    1 << 10,
 		ReuseFrac:   0.85, ReuseDepth: 45, StreamFrac: 0.04,
-		CodeBlocks: 250, LoopBackProb: 0, // derived LoopSpan: 6,
+		CodeBlocks: 250, LoopBackProb: 0, // derived
 	}
 	return &App{Name: "sjeng", Seed: 0x53E46007, Segments: []Segment{
 		{Phase: search, Insts: 6_000_000},
@@ -346,7 +346,11 @@ func WithOpt(app *App, o Opt) *App {
 		if o == OptO3 {
 			// Unrolling enlarges the hot code footprint and biases loops.
 			p.CodeBlocks = p.CodeBlocks * 5 / 4
-			p.Predictability = clamp01(p.Predictability + 0.01)
+			pred := p.Predictability
+			if pred == 0 {
+				pred = derivePredictability(p) // the value the generator would derive
+			}
+			p.Predictability = clamp01(pred + 0.01)
 		}
 		out.Segments = append(out.Segments, Segment{Phase: p, Insts: seg.Insts})
 	}
