@@ -24,8 +24,10 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"sort"
@@ -40,49 +42,76 @@ import (
 )
 
 func main() {
-	if len(os.Args) < 2 {
-		usage()
-	}
 	// ^C cancels in-flight training within one search generation instead of
 	// killing the process mid-write.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	var err error
-	switch os.Args[1] {
-	case "profile":
-		err = cmdProfile(os.Args[2:])
-	case "train":
-		err = cmdTrain(ctx, os.Args[2:])
-	case "predict":
-		err = cmdPredict(os.Args[2:])
-	case "model":
-		err = cmdModel(os.Args[2:])
+	err := run(ctx, os.Args[1:], os.Stdout)
+	stop()
+	switch {
+	case err == nil || errors.Is(err, flag.ErrHelp):
+	case errors.Is(err, errUsage):
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	default:
-		usage()
-	}
-	if err != nil {
 		fmt.Fprintln(os.Stderr, "hsinfer:", err)
 		os.Exit(1)
 	}
 }
 
-func usage() {
-	fmt.Fprintln(os.Stderr, "usage: hsinfer <profile|train|predict|model> [flags]")
-	os.Exit(2)
+// errUsage marks a command line hsinfer cannot act on; main exits 2 on it,
+// as the flag package does for a bad flag.
+var errUsage = errors.New("usage: hsinfer <profile|train|predict|model> [flags]")
+
+// run executes one subcommand: args[0] names it and the rest are its flags.
+// Results go to stdout, progress to standard error.
+func run(ctx context.Context, args []string, stdout io.Writer) error {
+	if len(args) == 0 {
+		return errUsage
+	}
+	switch args[0] {
+	case "profile":
+		return cmdProfile(args[1:], stdout)
+	case "train":
+		return cmdTrain(ctx, args[1:])
+	case "predict":
+		return cmdPredict(ctx, args[1:], stdout)
+	case "model":
+		return cmdModel(ctx, args[1:], stdout)
+	}
+	return errUsage
 }
 
-func cmdProfile(args []string) error {
-	fs := flag.NewFlagSet("profile", flag.ExitOnError)
+// parseFlags parses a subcommand's flags; a bad flag is a usage error.
+func parseFlags(fs *flag.FlagSet, args []string) error {
+	if err := fs.Parse(args); err != nil {
+		return fmt.Errorf("%w: %w", errUsage, err)
+	}
+	return nil
+}
+
+// jsonError writes err as the wire ErrorResponse on stdout and returns it,
+// so a -json caller gets a body and main still exits 1.
+func jsonError(stdout io.Writer, err error) error {
+	if encErr := json.NewEncoder(stdout).Encode(hsmodel.ErrorResponse{Error: err.Error()}); encErr != nil {
+		return errors.Join(err, encErr)
+	}
+	return err
+}
+
+func cmdProfile(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("profile", flag.ContinueOnError)
 	appName := fs.String("app", "bzip2", "application name")
 	shards := fs.Int("shards", 5, "number of shards to profile")
 	shardLen := fs.Int("shardlen", hsmodel.DefaultShardLen, "shard length in instructions")
-	fs.Parse(args)
+	if err := parseFlags(fs, args); err != nil {
+		return err
+	}
 
 	app, err := trace.ByName(*appName)
 	if err != nil {
 		return err
 	}
-	enc := json.NewEncoder(os.Stdout)
+	enc := json.NewEncoder(stdout)
 	enc.SetIndent("", "  ")
 	profs := profile.StreamShards(app.Name, profile.ShardRange(*shards), func(s int) isa.Stream {
 		return app.ShardStream(s, *shardLen)
@@ -96,7 +125,7 @@ func cmdProfile(args []string) error {
 }
 
 func cmdTrain(ctx context.Context, args []string) error {
-	fs := flag.NewFlagSet("train", flag.ExitOnError)
+	fs := flag.NewFlagSet("train", flag.ContinueOnError)
 	samples := fs.Int("samples", 120, "training (shard, architecture) pairs per application")
 	shardLen := fs.Int("shardlen", 50_000, "shard length in instructions")
 	pop := fs.Int("pop", 36, "genetic population size")
@@ -105,7 +134,9 @@ func cmdTrain(ctx context.Context, args []string) error {
 	out := fs.String("out", "model.json", "output model path")
 	timeout := fs.Duration("timeout", 0, "genetic search deadline before degrading to stepwise (0 = none)")
 	families := fs.String("families", "", `model families to select among: "all", or a comma-separated subset of spline,residual,dal (empty = spline alone)`)
-	fs.Parse(args)
+	if err := parseFlags(fs, args); err != nil {
+		return err
+	}
 
 	opts := []hsmodel.Option{
 		hsmodel.WithSearch(hsmodel.SearchParams{PopulationSize: *pop, Generations: *gens, Seed: *seed}),
@@ -197,8 +228,8 @@ func parseArch(arch string) (hsmodel.Config, error) {
 	return hsmodel.ConfigFromArch(ix)
 }
 
-func cmdPredict(args []string) error {
-	fs := flag.NewFlagSet("predict", flag.ExitOnError)
+func cmdPredict(ctx context.Context, args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("predict", flag.ContinueOnError)
 	modelPath := fs.String("model", "model.json", "trained model path")
 	addr := fs.String("addr", "", "ask a live hsserve at this base URL instead of loading -model")
 	modelID := fs.String("model-id", hsmodel.DefaultModelID, "with -addr: the registry entry to address (exact id or app:<name>)")
@@ -208,17 +239,18 @@ func cmdPredict(args []string) error {
 	arch := fs.String("arch", "", "13 comma-separated Table 2 level indices (default: baseline)")
 	check := fs.Bool("check", true, "also simulate the pair and report error")
 	asJSON := fs.Bool("json", false, "emit the wire-schema PredictResponse (errors as ErrorResponse)")
-	fs.Parse(args)
+	if err := parseFlags(fs, args); err != nil {
+		return err
+	}
 
-	err := predict(*modelPath, *addr, *modelID, *appName, *shard, *shardLen, *arch, *check, *asJSON)
+	err := predict(ctx, stdout, *modelPath, *addr, *modelID, *appName, *shard, *shardLen, *arch, *check, *asJSON)
 	if err != nil && *asJSON {
-		json.NewEncoder(os.Stdout).Encode(hsmodel.ErrorResponse{Error: err.Error()})
-		os.Exit(1)
+		return jsonError(stdout, err)
 	}
 	return err
 }
 
-func predict(modelPath, addr, modelID, appName string, shard, shardLen int, arch string, check, asJSON bool) error {
+func predict(ctx context.Context, stdout io.Writer, modelPath, addr, modelID, appName string, shard, shardLen int, arch string, check, asJSON bool) error {
 	var snap *hsmodel.Snapshot
 	if addr == "" {
 		var err error
@@ -245,65 +277,66 @@ func predict(modelPath, addr, modelID, appName string, shard, shardLen int, arch
 	} else {
 		client := hsmodel.NewClient(addr).Model(modelID)
 		var resp hsmodel.PredictResponse
-		resp, err = client.Predict(context.Background(), hsmodel.PredictRequest{X: p.X[:], Config: &hw})
+		resp, err = client.Predict(ctx, hsmodel.PredictRequest{X: p.X[:], Config: &hw})
 		pred = resp.CPI
 	}
 	if err != nil {
 		return err
 	}
 	if asJSON {
-		return json.NewEncoder(os.Stdout).Encode(hsmodel.PredictResponse{CPI: pred, Shards: 1})
+		return json.NewEncoder(stdout).Encode(hsmodel.PredictResponse{CPI: pred, Shards: 1})
 	}
-	fmt.Printf("%s shard %d on %s\n", app.Name, shard, hw)
-	fmt.Printf("  predicted CPI: %.4f\n", pred)
+	fmt.Fprintf(stdout, "%s shard %d on %s\n", app.Name, shard, hw)
+	fmt.Fprintf(stdout, "  predicted CPI: %.4f\n", pred)
 	if check {
 		col := &hsmodel.Collector{ShardLen: shardLen}
 		truth := col.CollectPairs([]*trace.App{app}, []int{0}, []int{shard}, []hsmodel.Config{hw})[0].CPI
 		errPct := 100 * (pred - truth) / truth
-		fmt.Printf("  simulated CPI: %.4f (prediction error %+.1f%%)\n", truth, errPct)
+		fmt.Fprintf(stdout, "  simulated CPI: %.4f (prediction error %+.1f%%)\n", truth, errPct)
 	}
 	return nil
 }
 
-func cmdModel(args []string) error {
-	fs := flag.NewFlagSet("model", flag.ExitOnError)
+func cmdModel(ctx context.Context, args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("model", flag.ContinueOnError)
 	modelPath := fs.String("model", "model.json", "trained model path")
 	addr := fs.String("addr", "", "ask a live hsserve at this base URL instead of loading -model")
 	modelID := fs.String("model-id", hsmodel.DefaultModelID, "with -addr: the registry entry to address (exact id or app:<name>)")
 	asJSON := fs.Bool("json", false, "emit the wire-schema ModelInfo (errors as ErrorResponse)")
-	fs.Parse(args)
+	if err := parseFlags(fs, args); err != nil {
+		return err
+	}
 
-	info, err := modelInfo(*modelPath, *addr, *modelID)
+	info, err := modelInfo(ctx, *modelPath, *addr, *modelID)
 	if err != nil {
 		if *asJSON {
-			json.NewEncoder(os.Stdout).Encode(hsmodel.ErrorResponse{Error: err.Error()})
-			os.Exit(1)
+			return jsonError(stdout, err)
 		}
 		return err
 	}
 	if *asJSON {
-		return json.NewEncoder(os.Stdout).Encode(info)
+		return json.NewEncoder(stdout).Encode(info)
 	}
 	source := *modelPath
 	if *addr != "" {
 		source = *addr + " model " + info.Model
 	}
-	fmt.Printf("model %s\n", source)
+	fmt.Fprintf(stdout, "model %s\n", source)
 	if info.Application != "" {
-		fmt.Printf("  application:  %s\n", info.Application)
+		fmt.Fprintf(stdout, "  application:  %s\n", info.Application)
 	}
 	if !info.Trained {
-		fmt.Println("  trained:      false")
+		fmt.Fprintln(stdout, "  trained:      false")
 		return nil
 	}
-	fmt.Printf("  family:       %s\n", info.Family)
-	fmt.Printf("  rung:         %s\n", info.Rung)
-	fmt.Printf("  trained rows: %d\n", info.TrainedRows)
-	fmt.Printf("  shard length: %d\n", info.ShardLen)
-	fmt.Printf("  terms:        %d\n", info.Terms)
-	fmt.Printf("  spec:         %s\n", info.Spec)
+	fmt.Fprintf(stdout, "  family:       %s\n", info.Family)
+	fmt.Fprintf(stdout, "  rung:         %s\n", info.Rung)
+	fmt.Fprintf(stdout, "  trained rows: %d\n", info.TrainedRows)
+	fmt.Fprintf(stdout, "  shard length: %d\n", info.ShardLen)
+	fmt.Fprintf(stdout, "  terms:        %d\n", info.Terms)
+	fmt.Fprintf(stdout, "  spec:         %s\n", info.Spec)
 	if info.Detail != "" {
-		fmt.Printf("  detail:       %s\n", info.Detail)
+		fmt.Fprintf(stdout, "  detail:       %s\n", info.Detail)
 	}
 	if len(info.FamilyScores) > 0 {
 		names := make([]string, 0, len(info.FamilyScores))
@@ -312,7 +345,7 @@ func cmdModel(args []string) error {
 		}
 		sort.Strings(names)
 		for _, name := range names {
-			fmt.Printf("  score[%s]: %.4f\n", name, info.FamilyScores[name])
+			fmt.Fprintf(stdout, "  score[%s]: %.4f\n", name, info.FamilyScores[name])
 		}
 	}
 	return nil
@@ -320,25 +353,13 @@ func cmdModel(args []string) error {
 
 // modelInfo assembles the wire ModelInfo either from a local snapshot file or
 // from a live server's /v2/models/{id}/model route.
-func modelInfo(modelPath, addr, modelID string) (hsmodel.ModelInfo, error) {
+func modelInfo(ctx context.Context, modelPath, addr, modelID string) (hsmodel.ModelInfo, error) {
 	if addr != "" {
-		client := hsmodel.NewClient(addr).Model(modelID)
-		return client.ModelInfo(context.Background())
+		return hsmodel.NewClient(addr).Model(modelID).ModelInfo(ctx)
 	}
 	snap, err := hsmodel.LoadSnapshot(modelPath)
 	if err != nil {
 		return hsmodel.ModelInfo{}, err
 	}
-	desc := snap.Describe()
-	return hsmodel.ModelInfo{
-		Trained:      true,
-		Family:       snap.Family(),
-		FamilyScores: snap.FamilyScores(),
-		Spec:         desc.Spec,
-		Terms:        desc.Terms,
-		Detail:       desc.Detail,
-		Rung:         snap.Rung().String(),
-		TrainedRows:  snap.TrainedRows(),
-		ShardLen:     snap.ShardLen(),
-	}, nil
+	return hsmodel.SnapshotInfo(snap), nil
 }

@@ -1,0 +1,105 @@
+package main
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"math"
+	"net/http/httptest"
+	"path/filepath"
+	"reflect"
+	"testing"
+
+	"hsmodel/internal/profile"
+	"hsmodel/internal/serve"
+	"hsmodel/internal/trace"
+	"hsmodel/pkg/hsmodel"
+)
+
+// TestRun trains the smallest model, then reads it back through model -json
+// and predict -json: the model is reported trained with the fields the
+// server's model route reports for the same file, and the predicted CPI is
+// the snapshot's own answer, bit for bit. A -json failure writes an
+// ErrorResponse and returns the error.
+func TestRun(t *testing.T) {
+	ctx := context.Background()
+	path := filepath.Join(t.TempDir(), "model.json")
+	if err := run(ctx, []string{"train", "-samples", "6", "-shardlen", "5000", "-pop", "6", "-gens", "2", "-out", path}, new(bytes.Buffer)); err != nil {
+		t.Fatal(err)
+	}
+
+	var out bytes.Buffer
+	if err := run(ctx, []string{"model", "-json", "-model", path}, &out); err != nil {
+		t.Fatal(err)
+	}
+	var info hsmodel.ModelInfo
+	if err := json.Unmarshal(out.Bytes(), &info); err != nil {
+		t.Fatalf("model -json %q: %v", out.Bytes(), err)
+	}
+	if !info.Trained {
+		t.Fatalf("model -json = %+v, want trained", info)
+	}
+	if served := servedModelInfo(t, path); !reflect.DeepEqual(info, served) {
+		t.Errorf("model -json = %+v\nserver model route = %+v", info, served)
+	}
+
+	out.Reset()
+	if err := run(ctx, []string{"predict", "-json", "-model", path, "-app", "astar", "-shard", "0"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	var pr hsmodel.PredictResponse
+	if err := json.Unmarshal(out.Bytes(), &pr); err != nil {
+		t.Fatalf("predict -json %q: %v", out.Bytes(), err)
+	}
+	snap, err := hsmodel.LoadSnapshot(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	app, err := trace.ByName("astar")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := profile.Stream(app.ShardStream(0, snap.ShardLen()), app.Name, 0)
+	want, err := snap.PredictShard(p.X, hsmodel.Baseline())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Float64bits(pr.CPI) != math.Float64bits(want) {
+		t.Errorf("predict -json CPI %v, snapshot answers %v", pr.CPI, want)
+	}
+
+	out.Reset()
+	missing := filepath.Join(t.TempDir(), "missing.json")
+	if err := run(ctx, []string{"predict", "-json", "-model", missing}, &out); err == nil {
+		t.Error("predict -json on a missing model returned nil")
+	}
+	var er hsmodel.ErrorResponse
+	if err := json.Unmarshal(out.Bytes(), &er); err != nil || er.Error == "" {
+		t.Errorf("predict -json on a missing model wrote %q, want an ErrorResponse", out.Bytes())
+	}
+}
+
+// servedModelInfo loads path into a server as its -model file and returns
+// the snapshot fields of GET /v2/models/default/model, with the entry and
+// store fields the server adds on top cleared.
+func servedModelInfo(t *testing.T, path string) hsmodel.ModelInfo {
+	t.Helper()
+	srv, err := serve.New(serve.Config{Trainer: hsmodel.New(nil), ModelPath: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	if err := srv.Reload(); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	info, err := hsmodel.NewClient(ts.URL).ModelInfo(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	info.Model, info.Application, info.ArchSpace = "", "", ""
+	info.TotalSamples, info.SnapshotVersion, info.SnapshotAgeSec = 0, 0, 0
+	info.GramFits, info.QRFallbacks = 0, 0
+	return info
+}

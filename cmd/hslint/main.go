@@ -37,8 +37,11 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -46,35 +49,53 @@ import (
 )
 
 func main() {
-	os.Exit(run())
+	err := run(context.Background(), os.Args[1:], os.Stdout)
+	switch {
+	case err == nil || errors.Is(err, flag.ErrHelp):
+	case errors.Is(err, errFindings):
+		os.Exit(1)
+	default:
+		fmt.Fprintln(os.Stderr, "hslint:", err)
+		os.Exit(2)
+	}
 }
 
-func run() int {
-	var (
-		dirMode   = flag.Bool("dir", false, "treat arguments as directories of Go files (testdata trees) instead of package patterns")
-		checks    = flag.String("checks", "", "comma-separated subset of checks to run (default: all)")
-		list      = flag.Bool("list", false, "list available checks (name<TAB>doc per line) and exit")
-		fix       = flag.Bool("fix", false, "apply suggested fixes to the source tree")
-		diff      = flag.Bool("diff", false, "with -fix, print the diff instead of writing files")
-		format    = flag.String("format", "text", "output format: text or sarif")
-		baseline  = flag.String("baseline", "", "baseline file of grandfathered findings; fresh findings still fail")
-		writeBase = flag.String("write-baseline", "", "write current findings to this baseline file and exit 0")
-	)
-	flag.Parse()
+// errFindings reports fresh diagnostics or stale baseline entries, already
+// printed; main exits 1 on it.
+var errFindings = errors.New("hslint: findings reported")
+
+// errUsage marks a command line hslint cannot act on; main exits 2 on it,
+// as on a load failure.
+var errUsage = errors.New("usage: hslint [-dir] [-checks c1,c2] [-fix [-diff]] [-format text|sarif] [-baseline file | -write-baseline file] patterns...")
+
+// run lints the packages or directories args name and prints diagnostics to
+// stdout; stale baseline entries and the -fix summary go to standard error.
+// Linting has nothing to cancel, so ctx goes unused.
+func run(_ context.Context, args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("hslint", flag.ContinueOnError)
+	dirMode := fs.Bool("dir", false, "treat arguments as directories of Go files (testdata trees) instead of package patterns")
+	checks := fs.String("checks", "", "comma-separated subset of checks to run (default: all)")
+	list := fs.Bool("list", false, "list available checks (name<TAB>doc per line) and exit")
+	fix := fs.Bool("fix", false, "apply suggested fixes to the source tree")
+	diff := fs.Bool("diff", false, "with -fix, print the diff instead of writing files")
+	format := fs.String("format", "text", "output format: text or sarif")
+	baseline := fs.String("baseline", "", "baseline file of grandfathered findings; fresh findings still fail")
+	writeBase := fs.String("write-baseline", "", "write current findings to this baseline file and exit 0")
+	if err := fs.Parse(args); err != nil {
+		return fmt.Errorf("%w: %w", errUsage, err)
+	}
 
 	if *list {
 		for _, a := range analysis.All() {
-			fmt.Printf("%s\t%s\n", a.Name, a.Doc)
+			fmt.Fprintf(stdout, "%s\t%s\n", a.Name, a.Doc)
 		}
-		return 0
+		return nil
 	}
-	if flag.NArg() == 0 {
-		fmt.Fprintln(os.Stderr, "usage: hslint [-dir] [-checks c1,c2] [-fix [-diff]] [-format text|sarif] [-baseline file | -write-baseline file] patterns...")
-		return 2
+	if fs.NArg() == 0 {
+		return errUsage
 	}
 	if *format != "text" && *format != "sarif" {
-		fmt.Fprintf(os.Stderr, "hslint: unknown format %q (available: text, sarif)\n", *format)
-		return 2
+		return fmt.Errorf("unknown format %q (available: text, sarif)", *format)
 	}
 
 	var names []string
@@ -83,32 +104,28 @@ func run() int {
 	}
 	analyzers, err := analysis.Select(names)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "hslint:", err)
-		return 2
+		return err
 	}
 
 	cwd, err := os.Getwd()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "hslint:", err)
-		return 2
+		return err
 	}
 	loader := analysis.NewLoader(cwd)
 
 	var pkgs []*analysis.Package
 	if *dirMode {
-		for _, dir := range flag.Args() {
+		for _, dir := range fs.Args() {
 			loaded, err := loader.LoadDir(dir)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "hslint:", err)
-				return 2
+				return err
 			}
 			pkgs = append(pkgs, loaded...)
 		}
 	} else {
-		pkgs, err = loader.LoadPackages(flag.Args()...)
+		pkgs, err = loader.LoadPackages(fs.Args()...)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "hslint:", err)
-			return 2
+			return err
 		}
 	}
 
@@ -117,15 +134,14 @@ func run() int {
 	if *fix {
 		results, err := analysis.ApplyFixes(diags, !*diff)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "hslint:", err)
-			return 2
+			return err
 		}
 		applied, skipped := 0, 0
 		for _, r := range results {
 			applied += r.Applied
 			skipped += r.Skipped
 			if *diff && r.Applied > 0 {
-				fmt.Print(analysis.Diff(r))
+				fmt.Fprint(stdout, analysis.Diff(r))
 			}
 		}
 		if !*diff {
@@ -135,16 +151,15 @@ func run() int {
 			}
 			fmt.Fprintln(os.Stderr)
 		}
-		return 0
+		return nil
 	}
 
 	if *writeBase != "" {
 		if err := analysis.WriteBaseline(*writeBase, diags, cwd); err != nil {
-			fmt.Fprintln(os.Stderr, "hslint:", err)
-			return 2
+			return err
 		}
 		fmt.Fprintf(os.Stderr, "hslint: wrote %d finding(s) to %s\n", len(diags), *writeBase)
-		return 0
+		return nil
 	}
 
 	matched := make([]bool, len(diags))
@@ -153,8 +168,7 @@ func run() int {
 	if *baseline != "" {
 		base, err := analysis.ReadBaseline(*baseline, false)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "hslint:", err)
-			return 2
+			return err
 		}
 		matched, fresh, stale = base.Match(diags, cwd, pkgs, analyzers)
 	}
@@ -162,16 +176,15 @@ func run() int {
 	if *format == "sarif" {
 		out, err := analysis.SARIF(diags, matched, analyzers, cwd)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "hslint:", err)
-			return 2
+			return err
 		}
-		fmt.Println(string(out))
+		fmt.Fprintln(stdout, string(out))
 	} else {
 		for i, d := range diags {
 			if matched[i] {
-				fmt.Printf("%s (baselined)\n", d)
+				fmt.Fprintf(stdout, "%s (baselined)\n", d)
 			} else {
-				fmt.Println(d)
+				fmt.Fprintln(stdout, d)
 			}
 		}
 	}
@@ -180,7 +193,7 @@ func run() int {
 			e.File, e.Message, e.Check, *baseline)
 	}
 	if fresh > 0 || len(stale) > 0 {
-		return 1
+		return errFindings
 	}
-	return 0
+	return nil
 }

@@ -14,14 +14,19 @@
 // start from: -bootstrap or -model.
 //
 // SIGHUP hot-reloads the snapshot from -model without dropping requests;
-// SIGINT/SIGTERM shut down gracefully, draining in-flight batches.
+// SIGINT/SIGTERM shut down gracefully, draining in-flight batches. The log
+// names the address the listener bound, so -addr 127.0.0.1:0 picks a free
+// port and reports it.
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -34,31 +39,61 @@ import (
 )
 
 func main() {
-	addr := flag.String("addr", ":8080", "listen address")
-	modelPath := flag.String("model", "", "snapshot file to serve (reloaded on SIGHUP)")
-	bootstrap := flag.Bool("bootstrap", false, "collect samples and train a model before serving")
-	samples := flag.Int("samples", 40, "bootstrap: (shard, architecture) samples per application")
-	apps := flag.Int("apps", 3, "bootstrap: number of SPEC2006 applications to profile")
-	pop := flag.Int("pop", 24, "bootstrap: genetic population size")
-	gens := flag.Int("gens", 8, "bootstrap: genetic generations")
-	seed := flag.Uint64("seed", 1, "bootstrap: random seed")
-	shardLen := flag.Int("shardlen", 50_000, "bootstrap: shard length in instructions")
-	maxBatch := flag.Int("max-batch", 32, "batcher jobs coalesced into one flush (a predict:batch request is one job)")
-	maxWait := flag.Duration("max-wait", 2*time.Millisecond, "batcher wait to fill a batch")
-	timeout := flag.Duration("timeout", 5*time.Second, "per-request timeout")
-	lifecycleOn := flag.Bool("lifecycle", false, "run the continuous-learning control loop on the default model's samples (bounded stores, drift detection, canary-gated retrains; needs -bootstrap or -model)")
-	driftThreshold := flag.Float64("drift-threshold", 0, "lifecycle: accumulated excess error (CUSUM mass) that trips the drift detector (0 = default)")
-	minProfiles := flag.Int("min-profiles", 0, "lifecycle: fresh post-drift profiles required before a shadow retrain (0 = default)")
-	canaryTolerance := flag.Float64("canary-tolerance", 0, "lifecycle: relative slack a candidate gets on the canary set before promotion (0 = default)")
-	modelsPath := flag.String("models", "", "multi-model manifest (JSON, wire Manifest schema): its entries are registered at boot and the file is rewritten after every successful /v2/models register/unregister")
-	flag.Parse()
+	// SIGINT/SIGTERM cancel run's context, which drains the server.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	signal.Notify(sighup, syscall.SIGHUP)
+	err := run(ctx, os.Args[1:], os.Stderr)
+	stop()
+	switch {
+	case err == nil || errors.Is(err, flag.ErrHelp):
+	case errors.Is(err, errUsage):
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	default:
+		fmt.Fprintln(os.Stderr, "hsserve:", err)
+		os.Exit(1)
+	}
+}
 
-	logger := log.New(os.Stderr, "hsserve: ", log.LstdFlags)
+// sighup receives the SIGHUPs main routes to the process; run reloads
+// -model on each.
+var sighup = make(chan os.Signal, 1)
+
+// errUsage marks a command line hsserve cannot act on; main exits 2 on it,
+// as the flag package does for a bad flag.
+var errUsage = errors.New("usage: hsserve [flags]")
+
+// run serves until ctx is cancelled, then drains in-flight requests and
+// batches and returns nil. It logs to stderr.
+func run(ctx context.Context, args []string, stderr io.Writer) error {
+	fs := flag.NewFlagSet("hsserve", flag.ContinueOnError)
+	addr := fs.String("addr", ":8080", "listen address")
+	modelPath := fs.String("model", "", "snapshot file to serve (reloaded on SIGHUP)")
+	bootstrap := fs.Bool("bootstrap", false, "collect samples and train a model before serving")
+	samples := fs.Int("samples", 40, "bootstrap: (shard, architecture) samples per application")
+	apps := fs.Int("apps", 3, "bootstrap: number of SPEC2006 applications to profile (1-7)")
+	pop := fs.Int("pop", 24, "bootstrap: genetic population size")
+	gens := fs.Int("gens", 8, "bootstrap: genetic generations")
+	seed := fs.Uint64("seed", 1, "bootstrap: random seed")
+	shardLen := fs.Int("shardlen", 50_000, "bootstrap: shard length in instructions")
+	maxBatch := fs.Int("max-batch", 32, "batcher jobs coalesced into one flush (a predict:batch request is one job)")
+	maxWait := fs.Duration("max-wait", 2*time.Millisecond, "batcher wait to fill a batch")
+	timeout := fs.Duration("timeout", 5*time.Second, "per-request timeout")
+	lifecycleOn := fs.Bool("lifecycle", false, "run the continuous-learning control loop on the default model's samples (bounded stores, drift detection, canary-gated retrains; needs -bootstrap or -model)")
+	driftThreshold := fs.Float64("drift-threshold", 0, "lifecycle: accumulated excess error (CUSUM mass) that trips the drift detector (0 = default)")
+	minProfiles := fs.Int("min-profiles", 0, "lifecycle: fresh post-drift profiles required before a shadow retrain (0 = default)")
+	canaryTolerance := fs.Float64("canary-tolerance", 0, "lifecycle: relative slack a candidate gets on the canary set before promotion (0 = default)")
+	modelsPath := fs.String("models", "", "multi-model manifest (JSON, wire Manifest schema): its entries are registered at boot and the file is rewritten after every successful /v2/models register/unregister")
+	if err := fs.Parse(args); err != nil {
+		return fmt.Errorf("%w: %w", errUsage, err)
+	}
+
+	logger := log.New(stderr, "hsserve: ", log.LstdFlags)
 
 	tr := hsmodel.New(nil, hsmodel.WithSeed(*seed), hsmodel.WithShardLen(*shardLen))
 	if *bootstrap {
-		if err := bootstrapTrain(tr, *apps, *samples, *pop, *gens, *seed, *shardLen, logger); err != nil {
-			logger.Fatal(err)
+		if err := bootstrapTrain(ctx, tr, *apps, *samples, *pop, *gens, *seed, *shardLen, logger); err != nil {
+			return err
 		}
 	}
 
@@ -82,8 +117,9 @@ func main() {
 	}
 	srv, err := serve.New(scfg)
 	if err != nil {
-		logger.Fatal(err)
+		return err
 	}
+	defer srv.Close()
 	if *lifecycleOn {
 		logger.Println("lifecycle: continuous learning enabled on /v2/models/default/samples")
 	}
@@ -99,43 +135,44 @@ func main() {
 		logger.Println("no model yet: predictions answer 503 until /v2/models/default/samples+update, -model reload, or -bootstrap")
 	}
 
-	hs := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		return err
+	}
+	hs := &http.Server{Handler: srv.Handler()}
 	errc := make(chan error, 1)
-	go func() { errc <- hs.ListenAndServe() }()
-	logger.Printf("listening on %s", *addr)
+	go func() { errc <- hs.Serve(ln) }()
+	logger.Printf("listening on %s", ln.Addr())
 
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, syscall.SIGHUP, syscall.SIGINT, syscall.SIGTERM)
 	for {
 		select {
 		case err := <-errc:
-			logger.Fatal(err)
-		case sig := <-sigc:
-			if sig == syscall.SIGHUP {
-				if err := srv.Reload(); err != nil {
-					logger.Printf("SIGHUP reload failed, serving previous model: %v", err)
-				}
-				continue
+			return err
+		case <-sighup:
+			if err := srv.Reload(); err != nil {
+				logger.Printf("SIGHUP reload failed, serving previous model: %v", err)
 			}
-			logger.Printf("%s: draining...", sig)
-			ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-			if err := hs.Shutdown(ctx); err != nil {
+		case <-ctx.Done():
+			logger.Println("draining...")
+			sctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), 15*time.Second)
+			if err := hs.Shutdown(sctx); err != nil {
 				logger.Printf("shutdown: %v", err)
 			}
 			cancel()
 			srv.Close() // answer everything the batcher accepted
 			logger.Println("drained, bye")
-			return
+			return nil
 		}
 	}
 }
 
-// bootstrapTrain collects simulated sparse profiles and trains the serving
-// model in-process, so hsserve can run without a model file.
-func bootstrapTrain(tr *hsmodel.Trainer, nApps, samples, pop, gens int, seed uint64, shardLen int, logger *log.Logger) error {
+// bootstrapTrain collects simulated sparse profiles from the first nApps
+// SPEC2006 applications and trains the serving model in-process, so hsserve
+// can run without a model file.
+func bootstrapTrain(ctx context.Context, tr *hsmodel.Trainer, nApps, samples, pop, gens int, seed uint64, shardLen int, logger *log.Logger) error {
 	all := trace.SPEC2006()
-	if nApps <= 0 || nApps > len(all) {
-		nApps = len(all)
+	if nApps < 1 || nApps > len(all) {
+		return fmt.Errorf("-apps %d: want 1 to %d", nApps, len(all))
 	}
 	col := &hsmodel.Collector{ShardLen: shardLen}
 	logger.Printf("bootstrap: collecting %d samples/app from %d applications...", samples, nApps)
@@ -143,7 +180,7 @@ func bootstrapTrain(tr *hsmodel.Trainer, nApps, samples, pop, gens int, seed uin
 	tr.Search = hsmodel.SearchParams{PopulationSize: pop, Generations: gens, Seed: seed}
 	logger.Printf("bootstrap: training (pop %d, %d generations)...", pop, gens)
 	start := time.Now()
-	if err := tr.Train(context.Background()); err != nil {
+	if err := tr.Train(ctx); err != nil {
 		return fmt.Errorf("bootstrap training failed: %w", err)
 	}
 	snap := tr.Snapshot()

@@ -9,8 +9,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"syscall"
@@ -20,69 +22,79 @@ import (
 )
 
 func main() {
-	var (
-		matrix     = flag.String("matrix", "raefsky3", "Table 4 matrix name")
-		scale      = flag.Int("scale", 16, "matrix scale divisor (1 = published size)")
-		samples    = flag.Int("samples", 300, "training samples for the inferred models")
-		candidates = flag.Int("candidates", 150, "cache configurations considered per search")
-		exhaustive = flag.Bool("exhaustive", false, "rank candidates by simulation instead of the inferred model")
-		seed       = flag.Uint64("seed", 7, "random seed")
-		list       = flag.Bool("list", false, "list matrices and exit")
-	)
-	flag.Parse()
-
 	// ^C cancels in-flight training within one search generation.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
+	err := run(ctx, os.Args[1:], os.Stdout)
+	stop()
+	switch {
+	case err == nil || errors.Is(err, flag.ErrHelp):
+	case errors.Is(err, errUsage):
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	default:
+		fmt.Fprintln(os.Stderr, "spmvtune:", err)
+		os.Exit(1)
+	}
+}
+
+// errUsage marks a command line spmvtune cannot act on; main exits 2 on it,
+// as the flag package does for a bad flag.
+var errUsage = errors.New("usage: spmvtune [flags]")
+
+// run tunes one matrix and prints the four strategies' choices to stdout.
+func run(ctx context.Context, args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("spmvtune", flag.ContinueOnError)
+	matrix := fs.String("matrix", "raefsky3", "Table 4 matrix name")
+	scale := fs.Int("scale", 16, "matrix scale divisor (1 = published size)")
+	samples := fs.Int("samples", 300, "training samples for the inferred models")
+	candidates := fs.Int("candidates", 150, "cache configurations considered per search")
+	exhaustive := fs.Bool("exhaustive", false, "rank candidates by simulation instead of the inferred model")
+	seed := fs.Uint64("seed", 7, "random seed")
+	list := fs.Bool("list", false, "list matrices and exit")
+	if err := fs.Parse(args); err != nil {
+		return fmt.Errorf("%w: %w", errUsage, err)
+	}
 
 	if *list {
 		for _, ms := range spmv.Corpus() {
-			fmt.Printf("%2d %-10s %7d x %-7d nnz %-8d sparsity %.2e\n",
+			fmt.Fprintf(stdout, "%2d %-10s %7d x %-7d nnz %-8d sparsity %.2e\n",
 				ms.Index, ms.Name, ms.N, ms.N, ms.NNZ,
 				float64(ms.NNZ)/(float64(ms.N)*float64(ms.N)))
 		}
-		return
+		return nil
 	}
 
 	spec, err := spmv.ByName(*matrix)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "spmvtune:", err)
-		os.Exit(1)
+		return err
 	}
 	spec = spec.Scaled(*scale)
 	study := spmv.NewStudy(spec)
-	fmt.Printf("%s: %d x %d, %d non-zeros (fill at natural block %dx%d: %.3f)\n",
+	fmt.Fprintf(stdout, "%s: %d x %d, %d non-zeros (fill at natural block %dx%d: %.3f)\n",
 		spec.Name, study.M.Rows, study.M.Cols, study.M.NNZ(),
-		spec.NBRow, spec.NBCol, study.FillRatio(maxInt(spec.NBRow, 1), maxInt(spec.NBCol, 1)))
+		spec.NBRow, spec.NBCol, study.FillRatio(max(spec.NBRow, 1), max(spec.NBCol, 1)))
 
 	opts := spmv.TuneOptions{Study: study, CacheCandidates: *candidates, Seed: *seed}
 	if !*exhaustive {
-		fmt.Printf("training models on %d samples...\n", *samples)
+		fmt.Fprintf(stdout, "training models on %d samples...\n", *samples)
 		models, err := spmv.TrainModels(ctx, spec.Name, study.Sample(*samples, *seed), spmv.TrainOptions{
 			Search: genetic.Params{PopulationSize: 24, Generations: 10, Seed: *seed},
 		})
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "spmvtune:", err)
-			os.Exit(1)
+			return err
 		}
 		opts.Models = &models
 	}
 
 	res := spmv.Tune(opts)
-	fmt.Printf("\n%-13s %10s %10s %8s %s\n", "strategy", "Mflop/s", "speedup", "nJ/Flop", "choice")
+	fmt.Fprintf(stdout, "\n%-13s %10s %10s %8s %s\n", "strategy", "Mflop/s", "speedup", "nJ/Flop", "choice")
 	row := func(name string, c spmv.TuneChoice, speedup float64) {
-		fmt.Printf("%-13s %10.1f %9.2fx %8.1f %dx%d on %s\n",
+		fmt.Fprintf(stdout, "%-13s %10.1f %9.2fx %8.1f %dx%d on %s\n",
 			name, c.MFlops, speedup, c.NJFlop, c.R, c.C, c.Cfg)
 	}
 	row("baseline", res.Baseline, 1.0)
 	row("app-tuned", res.AppTuned, res.AppSpeedup())
 	row("arch-tuned", res.ArchTuned, res.ArchSpeedup())
 	row("coordinated", res.Coordinated, res.CoordSpeedup())
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
+	return nil
 }

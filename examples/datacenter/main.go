@@ -17,64 +17,91 @@ package main
 import (
 	"context"
 	"fmt"
-	"log"
+	"io"
+	"os"
+	"os/signal"
 	"sort"
 
-	"hsmodel/internal/core"
-	"hsmodel/internal/genetic"
-	"hsmodel/internal/hwspace"
-	"hsmodel/internal/rng"
 	"hsmodel/internal/trace"
+	"hsmodel/pkg/hsmodel"
 )
 
 // nodeType is a hardware flavor available in the cluster.
 type nodeType struct {
 	name     string
-	cfg      hwspace.Config
+	cfg      hsmodel.Config
 	capacity int // how many jobs this type can host
 }
 
+// jobQueue is the 21 jobs the cluster places, each a shard of one
+// application.
+var jobQueue = []struct {
+	app   string
+	shard int
+}{
+	{"sjeng", 33}, {"gemsFDTD", 11}, {"bzip2", 18}, {"gemsFDTD", 37}, {"astar", 8},
+	{"omnetpp", 26}, {"gemsFDTD", 22}, {"gemsFDTD", 34}, {"sjeng", 3}, {"hmmer", 37},
+	{"bwaves", 16}, {"hmmer", 9}, {"bzip2", 35}, {"omnetpp", 15}, {"hmmer", 8},
+	{"astar", 36}, {"omnetpp", 27}, {"gemsFDTD", 27}, {"sjeng", 15}, {"bzip2", 39},
+	{"sjeng", 15},
+}
+
 func main() {
-	ctx := context.Background()
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	err := run(ctx, os.Stdout)
+	stop()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "datacenter:", err)
+		os.Exit(1)
+	}
+}
+
+func run(ctx context.Context, stdout io.Writer) error {
 	// Cluster: three node flavors from the Table 2 space.
 	nodes := []nodeType{
-		{"big", hwspace.FromIndices(hwspace.Indices{3, 5, 2, 4, 3, 3, 4, 0, 3, 1, 2, 1, 3}), 5},
-		{"medium", hwspace.Baseline(), 7},
-		{"little", hwspace.FromIndices(hwspace.Indices{1, 1, 1, 1, 0, 0, 1, 3, 0, 0, 0, 0, 0}), 9},
+		{"big", hsmodel.ConfigFromIndices(hsmodel.Indices{3, 5, 2, 4, 3, 3, 4, 0, 3, 1, 2, 1, 3}), 5},
+		{"medium", hsmodel.Baseline(), 7},
+		{"little", hsmodel.ConfigFromIndices(hsmodel.Indices{1, 1, 1, 1, 0, 0, 1, 3, 0, 0, 0, 0, 0}), 9},
 	}
 
 	// Train the shared model from sparse historical profiles.
 	apps := trace.SPEC2006()
-	col := &core.Collector{ShardLen: 50_000, ShardPool: 40}
-	fmt.Println("bootstrapping model from historical profiles...")
-	m := core.NewTrainer(col.Collect(apps, 100, 11))
-	m.Search = genetic.Params{PopulationSize: 30, Generations: 8, Seed: 3}
+	col := &hsmodel.Collector{ShardLen: 50_000, ShardPool: 40}
+	fmt.Fprintln(stdout, "bootstrapping model from historical profiles...")
+	m := hsmodel.New(col.Collect(apps, 100, 11),
+		hsmodel.WithSearch(hsmodel.SearchParams{PopulationSize: 30, Generations: 8, Seed: 3}))
 	if err := m.Train(ctx); err != nil {
-		log.Fatal(err)
+		return err
 	}
 
-	// Job queue: 21 jobs drawn from the applications, each represented only
-	// by a shard profile (its observed behavior).
-	src := rng.New(17)
+	// Simulate every (job, node type) placement once: the ground truth
+	// the placements are scored by. The scheduler sees only each job's
+	// shard profile (its observed behavior), which is portable: the same
+	// whichever machine it is taken on.
+	appID := make(map[string]int, len(apps))
+	for i, a := range apps {
+		appID[a.Name] = i
+	}
+	var ids, shards []int
+	var cfgs []hsmodel.Config
+	for _, q := range jobQueue {
+		for _, n := range nodes {
+			ids, shards, cfgs = append(ids, appID[q.app]), append(shards, q.shard), append(cfgs, n.cfg)
+		}
+	}
+	measured := col.CollectPairs(apps, ids, shards, cfgs)
 	type job struct {
-		name  string
-		appID int
-		shard int
-		x     [13]float64
+		name   string
+		x      hsmodel.Characteristics
+		actual []float64 // simulated CPI on each node type
 	}
-	var jobs []job
-	for k := 0; k < 21; k++ {
-		id := src.Intn(len(apps))
-		shard := src.Intn(40)
-		s := col.CollectPairs(apps, []int{id}, []int{shard},
-			[]hwspace.Config{hwspace.Baseline()})[0]
-		jobs = append(jobs, job{fmt.Sprintf("%s#%d", apps[id].Name, k), id, shard, s.X})
-	}
-
-	// measure returns the simulated CPI of a placement (ground truth).
-	measure := func(j job, n nodeType) float64 {
-		return col.CollectPairs(apps, []int{j.appID}, []int{j.shard},
-			[]hwspace.Config{n.cfg})[0].CPI
+	jobs := make([]job, len(jobQueue))
+	for k, q := range jobQueue {
+		placements := measured[k*len(nodes):][:len(nodes)]
+		jobs[k] = job{name: fmt.Sprintf("%s#%d", q.app, k), x: placements[0].X}
+		for _, s := range placements {
+			jobs[k].actual = append(jobs[k].actual, s.CPI)
+		}
 	}
 
 	// Model-guided placement: greedily assign each job to the node type
@@ -91,7 +118,7 @@ func main() {
 		for k, n := range nodes {
 			v, err := m.PredictShard(j.x, n.cfg)
 			if err != nil {
-				log.Fatal(err)
+				return err
 			}
 			p.pred[k] = v
 		}
@@ -102,7 +129,7 @@ func main() {
 
 	used := make([]int, len(nodes))
 	var modelCPI, randomCPI, oracleCPI float64
-	fmt.Println("\nplacements (model-guided):")
+	fmt.Fprintln(stdout, "\nplacements (model-guided):")
 	for _, p := range prefs {
 		// Pick the best predicted node with free capacity.
 		best := -1
@@ -115,25 +142,24 @@ func main() {
 			}
 		}
 		used[best]++
-		actual := measure(p.j, nodes[best])
-		modelCPI += actual
-		fmt.Printf("  %-12s -> %-6s predicted %.2f, actual %.2f\n",
-			p.j.name, nodes[best].name, p.pred[best], actual)
+		modelCPI += p.j.actual[best]
+		fmt.Fprintf(stdout, "  %-12s -> %-6s predicted %.2f, actual %.2f\n",
+			p.j.name, nodes[best].name, p.pred[best], p.j.actual[best])
 
 		// Random baseline: a random capacity-respecting assignment places
 		// this job on type k with probability capacity_k / total slots.
 		var r, slots float64
-		for k, n := range nodes {
-			r += float64(nodes[k].capacity) * measure(p.j, n)
+		for k := range nodes {
+			r += float64(nodes[k].capacity) * p.j.actual[k]
 			slots += float64(nodes[k].capacity)
 		}
 		randomCPI += r / slots
 
-		// Oracle: simulate all three, take the best (no capacity limits —
-		// an unreachable lower bound).
-		o := measure(p.j, nodes[0])
-		for _, n := range nodes[1:] {
-			if v := measure(p.j, n); v < o {
+		// Oracle: the best of all three (no capacity limits — an
+		// unreachable lower bound).
+		o := p.j.actual[0]
+		for _, v := range p.j.actual[1:] {
+			if v < o {
 				o = v
 			}
 		}
@@ -141,8 +167,9 @@ func main() {
 	}
 
 	n := float64(len(jobs))
-	fmt.Printf("\nmean CPI: model-guided %.3f | random %.3f | oracle (no capacity) %.3f\n",
+	fmt.Fprintf(stdout, "\nmean CPI: model-guided %.3f | random %.3f | oracle (no capacity) %.3f\n",
 		modelCPI/n, randomCPI/n, oracleCPI/n)
-	fmt.Printf("model-guided placement improves on random by %.1f%%\n",
+	fmt.Fprintf(stdout, "model-guided placement improves on random by %.1f%%\n",
 		100*(randomCPI-modelCPI)/randomCPI)
+	return nil
 }

@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"hsmodel/internal/core"
+	"hsmodel/internal/family"
 	"hsmodel/internal/genetic"
 	"hsmodel/internal/trace"
 	"hsmodel/pkg/hsmodel"
@@ -207,6 +208,71 @@ func TestPredictErrors(t *testing.T) {
 		var er hsmodel.ErrorResponse
 		if err := json.Unmarshal(body, &er); err != nil || er.Error == "" {
 			t.Errorf("%s: error body not an ErrorResponse: %s", tc.name, body)
+		}
+	}
+}
+
+// nanModel is a family.Model that answers NaN for every row.
+type nanModel struct{}
+
+func (nanModel) Predict([]float64) float64 { return math.NaN() }
+func (nanModel) PredictBatch(rows [][]float64, out []float64) {
+	for i := range rows {
+		out[i] = math.NaN()
+	}
+}
+func (nanModel) Describe() family.Description {
+	return family.Description{Family: "nan", Spec: "nan"}
+}
+func (nanModel) Payload() (json.RawMessage, error) { return json.RawMessage("null"), nil }
+
+// nanFamily fits nanModel whatever the rows.
+type nanFamily struct{}
+
+func (nanFamily) Name() string { return "nan" }
+func (nanFamily) Fit(ctx context.Context, in family.FitInput) (family.FitOutput, error) {
+	return family.FitOutput{Model: nanModel{}}, ctx.Err()
+}
+func (nanFamily) Load(json.RawMessage, int) (family.Model, error) { return nanModel{}, nil }
+
+// TestNonFinitePredictionIsServerError: a model that answers NaN gets a 5xx
+// ErrorResponse on the single predict route, and an Error on each batch item
+// (single-shard and whole-application), never a 200 with an empty body.
+func TestNonFinitePredictionIsServerError(t *testing.T) {
+	train, valid := testData(t)
+	tr := core.NewTrainer(append([]core.Sample(nil), train...))
+	tr.Families = []family.Family{nanFamily{}}
+	if err := tr.Train(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newTestServer(t, Config{Trainer: tr})
+	x := valid[0].X[:]
+
+	resp, body := postJSON(t, ts.URL+"/v2/models/default/predict", hsmodel.PredictRequest{X: x})
+	if resp.StatusCode < 500 {
+		t.Errorf("predict status %d, want 5xx (%q)", resp.StatusCode, body)
+	}
+	var er hsmodel.ErrorResponse
+	if err := json.Unmarshal(body, &er); err != nil || er.Error == "" {
+		t.Errorf("predict body not an ErrorResponse: %q", body)
+	}
+
+	resp, body = postJSON(t, ts.URL+"/v2/models/default/predict:batch", hsmodel.BatchPredictRequest{
+		Requests: []hsmodel.PredictRequest{{X: x}, {Shards: [][]float64{x, x}}},
+	})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch status %d (%q)", resp.StatusCode, body)
+	}
+	var br hsmodel.BatchPredictResponse
+	if err := json.Unmarshal(body, &br); err != nil {
+		t.Fatalf("batch body %q: %v", body, err)
+	}
+	if len(br.Results) != 2 {
+		t.Fatalf("batch answered %d items, want 2", len(br.Results))
+	}
+	for i, item := range br.Results {
+		if item.Error == "" {
+			t.Errorf("batch item %d = %+v, want an error", i, item)
 		}
 	}
 }

@@ -48,6 +48,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"net/http"
 	"os"
 	"sync"
@@ -370,6 +371,8 @@ func writeError(w http.ResponseWriter, err error) {
 		code = http.StatusNotFound
 	case errors.Is(err, errExists):
 		code = http.StatusConflict
+	case errors.Is(err, errNonFinite):
+		code = http.StatusInternalServerError
 	case errors.As(err, new(*http.MaxBytesError)):
 		code = http.StatusRequestEntityTooLarge
 	case errors.Is(err, context.DeadlineExceeded):
@@ -431,18 +434,32 @@ func (s *Server) predictOne(ctx context.Context, e *entry, req hsmodel.PredictRe
 	if err != nil {
 		return hsmodel.PredictResponse{}, err
 	}
+	var cpi float64
 	if len(xs) == 1 && len(req.Shards) == 0 {
-		cpi, err := e.batcher.Predict(ctx, xs[0], hw)
-		if err != nil {
-			return hsmodel.PredictResponse{}, err
-		}
-		return hsmodel.PredictResponse{CPI: cpi, Shards: 1}, nil
+		cpi, err = e.batcher.Predict(ctx, xs[0], hw)
+	} else {
+		cpi, err = e.trainer.Snapshot().PredictApplication(xs, hw)
 	}
-	cpi, err := e.trainer.Snapshot().PredictApplication(xs, hw)
+	if err == nil {
+		err = checkFinite(cpi)
+	}
 	if err != nil {
 		return hsmodel.PredictResponse{}, err
 	}
 	return hsmodel.PredictResponse{CPI: cpi, Shards: len(xs)}, nil
+}
+
+// errNonFinite marks a prediction the model answered as NaN or ±Inf.
+// encoding/json refuses such a value, so writeJSON would send the 200
+// status with no body; the handlers answer it as a server error instead.
+var errNonFinite = errors.New("serve: model answered a non-finite prediction")
+
+// checkFinite returns errNonFinite for a NaN or infinite prediction.
+func checkFinite(cpi float64) error {
+	if math.IsNaN(cpi) || math.IsInf(cpi, 0) {
+		return fmt.Errorf("%w: %v", errNonFinite, cpi)
+	}
+	return nil
 }
 
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request, e *entry) {
@@ -491,6 +508,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, e *entry) {
 			continue
 		}
 		cpi, err := e.trainer.Snapshot().PredictApplication(shardXs, hw)
+		if err == nil {
+			err = checkFinite(cpi)
+		}
 		if err != nil {
 			results[i] = hsmodel.BatchPredictItem{Error: err.Error()}
 			continue
@@ -505,6 +525,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, e *entry) {
 			}
 		} else {
 			for k, i := range idx {
+				if err := checkFinite(out[k]); err != nil {
+					results[i] = hsmodel.BatchPredictItem{Error: err.Error()}
+					continue
+				}
 				results[i] = hsmodel.BatchPredictItem{CPI: out[k], Shards: 1}
 			}
 		}
@@ -602,30 +626,17 @@ func snapshotAge(pub core.Publication) time.Duration {
 	return time.Since(pub.At)
 }
 
-// modelInfo assembles the wire ModelInfo for an entry.
+// modelInfo assembles the wire ModelInfo for an entry: the snapshot's
+// fields (hsmodel.SnapshotInfo) plus the entry's identity and store.
 func (s *Server) modelInfo(e *entry) hsmodel.ModelInfo {
 	pub := e.trainer.Published()
-	snap := pub.Snapshot
-	info := hsmodel.ModelInfo{
-		Model:           e.req.ID,
-		Application:     e.req.Application,
-		ArchSpace:       e.req.ArchSpace,
-		TotalSamples:    e.trainer.NumSamples(),
-		SnapshotVersion: pub.Generation,
-		SnapshotAgeSec:  snapshotAge(pub).Seconds(),
-	}
-	if snap.Trained() {
-		desc := snap.Describe()
-		info.Trained = true
-		info.Family = snap.Family()
-		info.FamilyScores = snap.FamilyScores()
-		info.Spec = desc.Spec
-		info.Terms = desc.Terms
-		info.Detail = desc.Detail
-		info.Rung = snap.Rung().String()
-		info.TrainedRows = snap.TrainedRows()
-		info.ShardLen = snap.ShardLen()
-	}
+	info := hsmodel.SnapshotInfo(pub.Snapshot)
+	info.Model = e.req.ID
+	info.Application = e.req.Application
+	info.ArchSpace = e.req.ArchSpace
+	info.TotalSamples = e.trainer.NumSamples()
+	info.SnapshotVersion = pub.Generation
+	info.SnapshotAgeSec = snapshotAge(pub).Seconds()
 	st := e.trainer.FitPathStats()
 	info.GramFits, info.QRFallbacks = st.GramFits, st.QRFallbacks
 	return info

@@ -321,6 +321,29 @@ func SampleToWire(s Sample) SampleWire {
 	}
 }
 
+// SnapshotInfo maps a snapshot to the ModelInfo fields it determines: its
+// family and selection scores, structure (spec, terms, detail), ladder rung,
+// trained rows and shard length. An untrained or nil snapshot maps to
+// Trained false and nothing else. hsinfer model -json prints it as is; the
+// server's model route adds its entry and store fields on top.
+func SnapshotInfo(snap *Snapshot) ModelInfo {
+	if !snap.Trained() {
+		return ModelInfo{}
+	}
+	desc := snap.Describe()
+	return ModelInfo{
+		Trained:      true,
+		Family:       snap.Family(),
+		FamilyScores: snap.FamilyScores(),
+		Spec:         desc.Spec,
+		Terms:        desc.Terms,
+		Detail:       desc.Detail,
+		Rung:         snap.Rung().String(),
+		TrainedRows:  snap.TrainedRows(),
+		ShardLen:     snap.ShardLen(),
+	}
+}
+
 // ShardInputs converts a PredictRequest's software side into shard
 // characteristic vectors (length 1 for a single-shard query) plus the
 // resolved hardware configuration.
