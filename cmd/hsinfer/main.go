@@ -72,7 +72,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	case "profile":
 		return cmdProfile(args[1:], stdout)
 	case "train":
-		return cmdTrain(ctx, args[1:])
+		return cmdTrain(ctx, args[1:], stdout)
 	case "predict":
 		return cmdPredict(ctx, args[1:], stdout)
 	case "model":
@@ -124,7 +124,7 @@ func cmdProfile(args []string, stdout io.Writer) error {
 	return nil
 }
 
-func cmdTrain(ctx context.Context, args []string) error {
+func cmdTrain(ctx context.Context, args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("train", flag.ContinueOnError)
 	samples := fs.Int("samples", 120, "training (shard, architecture) pairs per application")
 	shardLen := fs.Int("shardlen", 50_000, "shard length in instructions")
@@ -163,21 +163,19 @@ func cmdTrain(ctx context.Context, args []string) error {
 	fmt.Fprintf(os.Stderr, "collecting %d samples/app across %d applications...\n", *samples, len(apps))
 	m := hsmodel.New(col.Collect(apps, *samples, *seed), opts...)
 	fmt.Fprintln(os.Stderr, "training...")
-	// Degradation ladder: genetic search, then stepwise, then the last-good
-	// model already at -out (if any). See DESIGN.md "Failure modes".
-	rep, err := m.TrainResilient(ctx, hsmodel.Resilience{
-		SearchTimeout: *timeout,
-		LastGoodPath:  *out,
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(os.Stderr, rep)
-	if rep.Rung == hsmodel.RungLastGood {
-		// The model on disk is already the one being served; do not rewrite it.
-		fmt.Fprintf(os.Stderr, "keeping existing model at %s\n", *out)
+	// Train walks the degradation ladder: the selection round (bounded by
+	// -timeout), then stepwise. When both rungs fail, a model that loads from
+	// -out stays the last-good one. See DESIGN.md "Failure modes".
+	m.SearchTimeout = *timeout
+	if err := m.Train(ctx); err != nil {
+		if _, loadErr := hsmodel.LoadSnapshot(*out); loadErr != nil {
+			return err
+		}
+		fmt.Fprintf(os.Stderr, "training failed: %v\n", err)
+		fmt.Fprintf(stdout, "kept existing model at %s\n", *out)
 		return nil
 	}
+	fmt.Fprintln(os.Stderr, m.Report())
 	if sel := m.Selection(); sel != nil {
 		names := make([]string, 0, len(sel.Scores))
 		for name := range sel.Scores {
@@ -206,7 +204,7 @@ func cmdTrain(ctx context.Context, args []string) error {
 	if err := m.Save(*out, *shardLen); err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "model written to %s\n", *out)
+	fmt.Fprintf(stdout, "model written to %s\n", *out)
 	return nil
 }
 

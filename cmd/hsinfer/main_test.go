@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"math"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"hsmodel/internal/profile"
@@ -20,7 +23,8 @@ import (
 // and predict -json: the model is reported trained with the fields the
 // server's model route reports for the same file, and the predicted CPI is
 // the snapshot's own answer, bit for bit. A -json failure writes an
-// ErrorResponse and returns the error.
+// ErrorResponse and returns the error. A train whose rungs both fail keeps
+// the model already at -out (trainKeepsLastGood).
 func TestRun(t *testing.T) {
 	ctx := context.Background()
 	path := filepath.Join(t.TempDir(), "model.json")
@@ -76,6 +80,50 @@ func TestRun(t *testing.T) {
 	var er hsmodel.ErrorResponse
 	if err := json.Unmarshal(out.Bytes(), &er); err != nil || er.Error == "" {
 		t.Errorf("predict -json on a missing model wrote %q, want an ErrorResponse", out.Bytes())
+	}
+
+	t.Run("train keeps last-good", trainKeepsLastGood)
+}
+
+// trainKeepsLastGood: when both rungs of a train fail (here under a
+// cancelled context), a model that loads from -out stays the last-good one:
+// the file is left byte-identical and train reports that it kept it. With
+// nothing at -out, train returns the error.
+func trainKeepsLastGood(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "model.json")
+	train := []string{"train", "-samples", "6", "-shardlen", "5000", "-pop", "6", "-gens", "2", "-out", path}
+	if err := run(context.Background(), train, new(bytes.Buffer)); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	var out bytes.Buffer
+	if err := run(cancelled, train, &out); err != nil {
+		t.Fatalf("train with a model at -out = %v, want nil", err)
+	}
+	if want := "kept existing model at " + path; !strings.Contains(out.String(), want) {
+		t.Errorf("train printed %q, want %q", out.String(), want)
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Error("failed train rewrote the model at -out")
+	}
+
+	missing := filepath.Join(t.TempDir(), "missing.json")
+	train[len(train)-1] = missing
+	if err := run(cancelled, train, new(bytes.Buffer)); !errors.Is(err, context.Canceled) {
+		t.Errorf("train with nothing at -out = %v, want the cancellation", err)
+	}
+	if _, err := os.Stat(missing); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("failed train wrote %s (stat: %v)", missing, err)
 	}
 }
 

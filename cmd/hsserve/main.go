@@ -184,8 +184,8 @@ func bootstrapTrain(ctx context.Context, tr *hsmodel.Trainer, nApps, samples, po
 		return fmt.Errorf("bootstrap training failed: %w", err)
 	}
 	snap := tr.Snapshot()
-	logger.Printf("bootstrap: trained on %d rows in %s, family %s, spec %s",
-		snap.TrainedRows(), time.Since(start).Round(time.Millisecond),
+	logger.Printf("bootstrap: trained via %s on %d rows in %s, family %s, spec %s",
+		snap.Rung(), snap.TrainedRows(), time.Since(start).Round(time.Millisecond),
 		snap.Family(), snap.Describe().Spec)
 	return nil
 }

@@ -12,22 +12,43 @@ import (
 	"hsmodel/pkg/hsmodel"
 )
 
-// TestRun bootstraps a small server on a free port, which the log
-// names, answers one predict through the client, and drains to a nil return
-// once ctx is cancelled. An -apps value outside 1..7 is an error.
+// TestRun bootstraps a small server on a free port, which the log names,
+// answers one predict through the client, and drains to a nil return once
+// ctx is cancelled. At 40 samples of one application the store has fewer
+// rows than the selection round's winning spec has design columns, so the
+// bootstrap serves the stepwise rung's model instead of exiting. An -apps
+// value outside 1..7 is an error.
 func TestRun(t *testing.T) {
 	for _, apps := range []string{"0", "8"} {
 		if err := run(context.Background(), []string{"-bootstrap", "-apps", apps}, io.Discard); err == nil {
 			t.Errorf("-apps %s: run returned nil, want an error", apps)
 		}
 	}
+	for _, tc := range []struct{ samples, rung string }{
+		{"48", "genetic"},
+		{"40", "stepwise"},
+	} {
+		t.Run("samples="+tc.samples, func(t *testing.T) {
+			info := bootstrapAndPredict(t, tc.samples)
+			if info.Rung != tc.rung || info.TrainedRows == 0 {
+				t.Errorf("served model %+v, want one trained on the %s rung", info, tc.rung)
+			}
+		})
+	}
+}
 
+// bootstrapAndPredict runs hsserve with -bootstrap at the given -samples,
+// checks one client predict answers a finite positive CPI and that
+// cancelling ctx drains to a nil return, and returns the served model's
+// info.
+func bootstrapAndPredict(t *testing.T, samples string) hsmodel.ModelInfo {
+	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	logR, logW := io.Pipe()
 	done := make(chan error, 1)
 	go func() {
-		done <- run(ctx, []string{"-bootstrap", "-apps", "1", "-samples", "48", "-pop", "6", "-gens", "2",
+		done <- run(ctx, []string{"-bootstrap", "-apps", "1", "-samples", samples, "-pop", "6", "-gens", "2",
 			"-shardlen", "5000", "-addr", "127.0.0.1:0"}, logW)
 		logW.Close()
 	}()
@@ -50,16 +71,22 @@ func TestRun(t *testing.T) {
 
 	col := hsmodel.Collector{ShardLen: 5000}
 	x := col.CollectPairs(trace.SPEC2006(), []int{0}, []int{1}, []hsmodel.Config{hsmodel.Baseline()})[0].X
-	resp, err := hsmodel.NewClient("http://"+a).Predict(ctx, hsmodel.PredictRequest{X: x[:]})
+	cl := hsmodel.NewClient("http://" + a)
+	resp, err := cl.Predict(ctx, hsmodel.PredictRequest{X: x[:]})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.IsNaN(resp.CPI) || math.IsInf(resp.CPI, 0) || resp.CPI <= 0 {
 		t.Errorf("predicted CPI %v, want finite and positive", resp.CPI)
 	}
+	info, err := cl.ModelInfo(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	cancel()
 	if err := <-done; err != nil {
 		t.Errorf("run after cancel = %v, want nil", err)
 	}
+	return info
 }

@@ -33,7 +33,7 @@ var ctxFlowPkgs = map[string]bool{
 	"core": true, "genetic": true, "serve": true, "lifecycle": true,
 	// Model families run searches and per-cluster fits inside Fit; a family
 	// that loops without honoring its context would make the selection
-	// harness (and TrainResilient's timeout rung) uncancellable.
+	// harness (and Train's SearchTimeout) uncancellable.
 	"family": true, "spline": true, "residual": true, "dal": true,
 	// A model registry fans requests and sample batches across entries; its
 	// exported loops must stay cancellable or one slow entry would wedge

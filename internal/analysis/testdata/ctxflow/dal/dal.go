@@ -2,8 +2,8 @@
 // package is named "dal" so the family cancellation contract applies — a
 // family's Fit runs searches and per-cluster fits in loops, and an exported
 // fitting entry point that loops over cancellable work without accepting
-// (and using) a context would make the selection harness and the resilient
-// ladder's timeout rung uncancellable.
+// (and using) a context would make the selection harness and the trainer's
+// SearchTimeout uncancellable.
 package dal
 
 import "context"

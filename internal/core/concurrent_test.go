@@ -13,8 +13,8 @@ import (
 )
 
 // TestServeWhileTrain hammers lock-free predictions from many goroutines
-// while the trainer repeatedly re-specifies the model through the resilience
-// ladder. Run under -race (make race / make ci), this is the acceptance test
+// while the trainer repeatedly re-specifies the model through the
+// degradation ladder. Run under -race (make race / make ci), this is the acceptance test
 // for the snapshot architecture: every read must observe a fully fitted
 // model — either the previous snapshot or the new one, never a torn state —
 // and no prediction may fail while retraining is in flight.
@@ -67,22 +67,17 @@ func TestServeWhileTrain(t *testing.T) {
 	// rungs (the prior snapshot must keep serving).
 	for round := 0; round < 2; round++ {
 		m.Search = genetic.Params{PopulationSize: 12, Generations: 3, Seed: uint64(100 + round)}
-		if rep, err := m.TrainResilient(context.Background(), Resilience{}); err != nil {
-			t.Fatalf("round %d: %v (report %v)", round, err, rep)
+		if err := m.Train(context.Background()); err != nil {
+			t.Fatalf("round %d: %v (report %v)", round, err, m.Report())
 		}
 	}
 	served := m.Snapshot()
-	inj := &faultinject.Evaluator{PanicEvery: 1}
-	m.WrapEvaluator = func(inner genetic.Evaluator) genetic.Evaluator {
-		inj.Inner = inner
-		return inj
+	panicAlways(m)
+	if err := m.Train(context.Background()); err == nil {
+		t.Fatal("failing ladder returned nil")
 	}
-	rep, err := m.TrainResilient(context.Background(), Resilience{StepwiseBudget: 30})
-	if err != nil {
-		t.Fatalf("failing ladder returned error despite last-good: %v", err)
-	}
-	if rep.Rung != RungLastGood {
-		t.Errorf("rung = %v, want last-good (report %v)", rep.Rung, rep)
+	if rep := m.Report(); rep.Rung != RungNone {
+		t.Errorf("rung = %v, want none (report %v)", rep.Rung, rep)
 	}
 	if m.Snapshot() != served {
 		t.Error("failed ladder replaced the served snapshot")
@@ -111,7 +106,7 @@ func TestServeWhileTrain(t *testing.T) {
 
 // TestAddSamplesWhileUpdate is the acceptance test for the non-blocking
 // sample-store contract: AddSamples called concurrently with an in-flight
-// Update must be safe (run under -race via make ci) and must not block until
+// warm-started Train must be safe (run under -race via make ci) and must not block until
 // the training run completes — a training run captures its evaluator at
 // start and holds no lock during the search. Samples added mid-run take
 // effect at the next run.
@@ -135,11 +130,11 @@ func TestAddSamplesWhileUpdate(t *testing.T) {
 	}
 
 	training := make(chan error, 1)
-	go func() { training <- m.Update(context.Background()) }()
+	go func() { training <- m.Train(context.Background()) }()
 	<-searching
 
 	// Feed samples and read store/model state while the search runs. Every
-	// AddSamples must return promptly even though Update is in flight.
+	// AddSamples must return promptly even though Train is in flight.
 	const adders, batches = 4, 8
 	var wg sync.WaitGroup
 	for g := 0; g < adders; g++ {
@@ -166,7 +161,7 @@ func TestAddSamplesWhileUpdate(t *testing.T) {
 	if rows := m.Snapshot().TrainedRows(); rows != before {
 		t.Errorf("in-flight update trained on %d rows, want the captured %d", rows, before)
 	}
-	if err := m.Update(context.Background()); err != nil {
+	if err := m.Train(context.Background()); err != nil {
 		t.Fatalf("follow-up update failed: %v", err)
 	}
 	if rows := m.Snapshot().TrainedRows(); rows != before+adders*batches {
@@ -175,9 +170,9 @@ func TestAddSamplesWhileUpdate(t *testing.T) {
 }
 
 // TestPublishGenerations pins the one publish point: every path that
-// replaces the served model — Train, Update, Adopt, the stepwise rung and the
-// last-good reload of TrainResilient — advances the trainer's generation by
-// exactly one, and a failed run advances nothing. Snapshot and Published
+// replaces the served model — a cold and a warm-started Train, Adopt, and
+// the stepwise rung — advances the trainer's generation by exactly one, and
+// a failed run advances nothing. Snapshot and Published
 // always agree on the served pointer.
 func TestPublishGenerations(t *testing.T) {
 	m := NewTrainer(nil)
@@ -198,11 +193,11 @@ func TestPublishGenerations(t *testing.T) {
 	}
 	check("train")
 
-	if err := m.Update(context.Background()); err != nil {
+	if err := m.Train(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	want++
-	check("update")
+	check("warm-started train")
 
 	path := t.TempDir() + "/model.json"
 	if err := m.Save(path, 0); err != nil {
@@ -226,27 +221,14 @@ func TestPublishGenerations(t *testing.T) {
 		t.Fatal("cancelled train succeeded")
 	}
 	check("failed train")
-
-	rep, err := m.TrainResilient(cancelled, Resilience{LastGoodPath: path})
-	if err != nil || rep.Rung != RungLastGood {
-		t.Fatalf("last-good reload: rung %v err %v", rep.Rung, err)
+	if m.Snapshot() != loaded {
+		t.Fatal("failed train replaced the served snapshot")
 	}
-	want++
-	check("last-good reload")
 
 	// One injected panic kills the genetic rung; stepwise publishes.
-	var inj *faultinject.Evaluator
-	m.WrapEvaluator = func(inner genetic.Evaluator) genetic.Evaluator {
-		if inj == nil {
-			inj = &faultinject.Evaluator{Inner: inner, PanicEvery: 1, MaxPanics: 1}
-		} else {
-			inj.Inner = inner
-		}
-		return inj
-	}
-	rep, err = m.TrainResilient(context.Background(), Resilience{StepwiseBudget: 120})
-	if err != nil || rep.Rung != RungStepwise {
-		t.Fatalf("stepwise rung: rung %v err %v", rep.Rung, err)
+	panicOnce(m)
+	if err := m.Train(context.Background()); err != nil || m.Report().Rung != RungStepwise {
+		t.Fatalf("stepwise rung: rung %v err %v", m.Report().Rung, err)
 	}
 	want++
 	check("stepwise rung")

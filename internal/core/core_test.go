@@ -156,8 +156,8 @@ func TestCollectGolden(t *testing.T) {
 }
 
 // TestTrainGolden pins training output bit for bit: the served
-// coefficients, the chosen spec and every generation's statistics of one
-// Train and one warm-started Update, so folding a search or fitness knob
+// coefficients, the chosen spec and every generation's statistics of a cold
+// Train and a second, warm-started Train, so folding a search or fitness knob
 // into a constant cannot move a model without a test failing.
 func TestTrainGolden(t *testing.T) {
 	apps := smallApps()
@@ -189,7 +189,7 @@ func TestTrainGolden(t *testing.T) {
 	}
 	record()
 	tr.AddSamples(col.Collect(apps, 30, 21))
-	if err := tr.Update(context.Background()); err != nil {
+	if err := tr.Train(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	record()
@@ -356,7 +356,7 @@ func TestUpdateWarmStartsFromPopulation(t *testing.T) {
 	m, valid := trainSmallModeler(t)
 	firstBest := m.Population()[0].Fitness
 	m.AddSamples(smallCollector().Collect(smallApps(), 10, 30))
-	if err := m.Update(context.Background()); err != nil {
+	if err := m.Train(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	met, err := m.EvaluateOn(valid)
@@ -419,7 +419,7 @@ func TestAddSamplesInvalidatesEvaluator(t *testing.T) {
 		added[i].AppID = 3
 	}
 	m.AddSamples(added)
-	if err := m.Update(context.Background()); err != nil {
+	if err := m.Train(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 

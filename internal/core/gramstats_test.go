@@ -2,9 +2,11 @@ package core
 
 import (
 	"context"
+	"sync/atomic"
 	"testing"
 
 	"hsmodel/internal/genetic"
+	"hsmodel/internal/regress"
 	"hsmodel/internal/trace"
 )
 
@@ -41,14 +43,14 @@ func TestTrainUsesGramPath(t *testing.T) {
 	t.Logf("gram=%d qr=%d entry hits=%d misses=%d", s.GramFits, s.QRFallbacks, s.EntryHits, s.EntryMisses)
 }
 
-// TestTrainReportCarriesFitPathCounters: TrainResilient surfaces the Gram
-// counters in its report.
+// TestTrainReportCarriesFitPathCounters: Train surfaces the Gram counters in
+// its report.
 func TestTrainReportCarriesFitPathCounters(t *testing.T) {
 	m := gramTestTrainer(t, 30)
-	rep, err := m.TrainResilient(context.Background(), Resilience{})
-	if err != nil {
+	if err := m.Train(context.Background()); err != nil {
 		t.Fatal(err)
 	}
+	rep := m.Report()
 	if rep.Rung != RungGenetic {
 		t.Fatalf("rung = %v, want genetic", rep.Rung)
 	}
@@ -60,31 +62,50 @@ func TestTrainReportCarriesFitPathCounters(t *testing.T) {
 	}
 }
 
-// TestFitPathStatsPerRun: the fit-path counters describe one run. Two
-// TrainResilient runs over an unchanged store do the same fits, so they must
-// report equal counters (not a running total), and FitPathStats must equal
-// the latest report.
+// countingEvaluator counts the fitness calls that reach the run's evaluator:
+// each one is at most one candidate fit of the run's Gram layer (a spec the
+// layer refuses before solving, such as one with more design columns than
+// rows, counts on neither path).
+type countingEvaluator struct {
+	inner genetic.Evaluator
+	calls *atomic.Uint64
+}
+
+func (e countingEvaluator) Fitness(spec regress.Spec) float64 {
+	e.calls.Add(1)
+	return e.inner.Fitness(spec)
+}
+
+// TestFitPathStatsPerRun: the fit-path counters describe one run, not a
+// running total. Over an unchanged store a cold Train and a warm-started one
+// each report no more candidate fits than their own fitness calls made (a
+// running total would add the first run's fits to the second's), and
+// FitPathStats equals the latest report.
 func TestFitPathStatsPerRun(t *testing.T) {
 	m := gramTestTrainer(t, 24)
+	var calls atomic.Uint64
+	m.WrapEvaluator = func(inner genetic.Evaluator) genetic.Evaluator {
+		return countingEvaluator{inner: inner, calls: &calls}
+	}
 	ctx := context.Background()
-	first, err := m.TrainResilient(ctx, Resilience{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := m.TrainResilient(ctx, Resilience{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first.GramFits+first.QRFallbacks == 0 {
-		t.Fatal("first run recorded no candidate fits")
-	}
-	if second.GramFits != first.GramFits || second.QRFallbacks != first.QRFallbacks {
-		t.Errorf("second run reports %d gram / %d qr fits, first run %d / %d",
-			second.GramFits, second.QRFallbacks, first.GramFits, first.QRFallbacks)
-	}
-	if s := m.FitPathStats(); s.GramFits != second.GramFits || s.QRFallbacks != second.QRFallbacks {
-		t.Errorf("FitPathStats = %d gram / %d qr, latest report %d / %d",
-			s.GramFits, s.QRFallbacks, second.GramFits, second.QRFallbacks)
+	for run := 0; run < 2; run++ {
+		calls.Store(0)
+		if err := m.Train(ctx); err != nil {
+			t.Fatal(err)
+		}
+		rep := m.Report()
+		fits := rep.GramFits + rep.QRFallbacks
+		if fits == 0 {
+			t.Fatalf("run %d recorded no candidate fits", run)
+		}
+		if n := calls.Load(); fits > n {
+			t.Errorf("run %d reports %d gram + %d qr fits, its fitness calls made only %d",
+				run, rep.GramFits, rep.QRFallbacks, n)
+		}
+		if s := m.FitPathStats(); s.GramFits != rep.GramFits || s.QRFallbacks != rep.QRFallbacks {
+			t.Errorf("run %d: FitPathStats = %d gram / %d qr, report %d / %d",
+				run, s.GramFits, s.QRFallbacks, rep.GramFits, rep.QRFallbacks)
+		}
 	}
 }
 
@@ -99,7 +120,7 @@ func TestGramCacheInvalidatedOnSampleMutation(t *testing.T) {
 	}
 	col := &Collector{ShardLen: 20_000, ShardPool: 8}
 	m.AddSamples(col.Collect([]*trace.App{trace.Sjeng()}, 12, 99))
-	if err := m.Update(ctx); err != nil {
+	if err := m.Train(ctx); err != nil {
 		t.Fatal(err)
 	}
 	if rows, n := m.Snapshot().TrainedRows(), m.NumSamples(); rows != n {

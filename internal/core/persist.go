@@ -24,7 +24,7 @@ type SavedModel struct {
 	// ShardLen is the profiling shard length in instructions.
 	ShardLen int `json:"shard_len"`
 	// Rung names the degradation-ladder rung that produced the model
-	// ("genetic", "stepwise", "last-good"); "family", written by earlier
+	// ("genetic", "stepwise"); "family", written by earlier
 	// builds for a selection round, loads as RungGenetic, and unknown names
 	// load as RungNone.
 	Rung string `json:"rung,omitempty"`

@@ -2,7 +2,11 @@ package core
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
+	"fmt"
 	"math"
 	"path/filepath"
 	"testing"
@@ -21,16 +25,19 @@ func newSmallModeler(t *testing.T) *Trainer {
 	return m
 }
 
+// The TestTrainResilient* tests keep the names they had when the ladder was
+// a separate entry point; each now drives Train, which walks it.
+
 func TestTrainResilientHealthyUsesGeneticRung(t *testing.T) {
 	m := newSmallModeler(t)
-	rep, err := m.TrainResilient(context.Background(), Resilience{})
-	if err != nil {
+	if err := m.Train(context.Background()); err != nil {
 		t.Fatal(err)
 	}
+	rep := m.Report()
 	if rep.Rung != RungGenetic {
 		t.Errorf("rung = %v, want genetic", rep.Rung)
 	}
-	if rep.GeneticErr != nil || rep.StepwiseErr != nil || rep.LoadErr != nil {
+	if rep.GeneticErr != nil || rep.StepwiseErr != nil {
 		t.Errorf("healthy train reported errors: %+v", rep)
 	}
 	if m.Model() == nil {
@@ -38,11 +45,9 @@ func TestTrainResilientHealthyUsesGeneticRung(t *testing.T) {
 	}
 }
 
-// TestTrainResilientPanicDegradesToStepwise: a transient fault (one panic,
-// then clear) kills the genetic search; the ladder must land on stepwise
-// with a usable model and a report naming both what failed and what served.
-func TestTrainResilientPanicDegradesToStepwise(t *testing.T) {
-	m := newSmallModeler(t)
+// panicOnce wraps m's evaluator in one faultinject.Evaluator whose schedule
+// panics on the first fitness call only, shared by both rungs of a run.
+func panicOnce(m *Trainer) {
 	var inj *faultinject.Evaluator
 	m.WrapEvaluator = func(inner genetic.Evaluator) genetic.Evaluator {
 		if inj == nil {
@@ -52,10 +57,28 @@ func TestTrainResilientPanicDegradesToStepwise(t *testing.T) {
 		}
 		return inj
 	}
-	rep, err := m.TrainResilient(context.Background(), Resilience{StepwiseBudget: 120})
-	if err != nil {
+}
+
+// panicAlways wraps m's evaluator so that every fitness call panics,
+// defeating both rungs.
+func panicAlways(m *Trainer) {
+	inj := &faultinject.Evaluator{PanicEvery: 1} // unlimited panics
+	m.WrapEvaluator = func(inner genetic.Evaluator) genetic.Evaluator {
+		inj.Inner = inner
+		return inj
+	}
+}
+
+// TestTrainResilientPanicDegradesToStepwise: a transient fault (one panic,
+// then clear) kills the genetic search; Train must land on stepwise with a
+// usable model and a report naming both what failed and what served.
+func TestTrainResilientPanicDegradesToStepwise(t *testing.T) {
+	m := newSmallModeler(t)
+	panicOnce(m)
+	if err := m.Train(context.Background()); err != nil {
 		t.Fatal(err)
 	}
+	rep := m.Report()
 	if rep.Rung != RungStepwise {
 		t.Fatalf("rung = %v, want stepwise (report: %v)", rep.Rung, rep)
 	}
@@ -71,38 +94,43 @@ func TestTrainResilientPanicDegradesToStepwise(t *testing.T) {
 	}
 }
 
-// TestTrainResilientServesLastGoodFromDisk is the end-to-end acceptance
-// test: a persistently panicking evaluator defeats BOTH searches without
-// crashing the process, and the modeler falls back to the last-good
-// persisted model, which keeps answering predictions.
+// TestTrainResilientServesLastGoodFromDisk: a persistently panicking
+// evaluator defeats BOTH rungs without crashing the process; a model loaded
+// from disk and adopted before the run keeps serving, bit for bit, and the
+// run's error names the fault of each rung.
 func TestTrainResilientServesLastGoodFromDisk(t *testing.T) {
 	trained, valid := trainSmallModeler(t)
 	lastGood := filepath.Join(t.TempDir(), "last-good.json")
 	if err := trained.Save(lastGood, testShardLen); err != nil {
 		t.Fatal(err)
 	}
-
-	m := newSmallModeler(t)
-	inj := &faultinject.Evaluator{PanicEvery: 1} // unlimited panics
-	m.WrapEvaluator = func(inner genetic.Evaluator) genetic.Evaluator {
-		inj.Inner = inner
-		return inj
-	}
-	rep, err := m.TrainResilient(context.Background(), Resilience{
-		StepwiseBudget: 50,
-		LastGoodPath:   lastGood,
-	})
+	loaded, err := LoadSnapshot(lastGood)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Rung != RungLastGood {
-		t.Fatalf("rung = %v, want last-good (report: %v)", rep.Rung, rep)
+
+	m := newSmallModeler(t)
+	m.Adopt(loaded)
+	panicAlways(m)
+	err = m.Train(context.Background())
+	if err == nil {
+		t.Fatal("Train succeeded under unlimited panics")
+	}
+	if !errors.Is(err, genetic.ErrEvalPanic) {
+		t.Errorf("err = %v, want ErrEvalPanic", err)
+	}
+	rep := m.Report()
+	if rep.Rung != RungNone {
+		t.Errorf("rung = %v, want none (report: %v)", rep.Rung, rep)
 	}
 	if !errors.Is(rep.GeneticErr, genetic.ErrEvalPanic) {
 		t.Errorf("GeneticErr = %v, want ErrEvalPanic", rep.GeneticErr)
 	}
 	if !errors.Is(rep.StepwiseErr, genetic.ErrEvalPanic) {
 		t.Errorf("StepwiseErr = %v, want ErrEvalPanic", rep.StepwiseErr)
+	}
+	if m.Snapshot() != loaded {
+		t.Fatal("failed run replaced the adopted last-good snapshot")
 	}
 	// The served predictions are exactly the persisted model's.
 	want, err1 := trained.PredictShard(valid[0].X, valid[0].HW)
@@ -116,12 +144,12 @@ func TestTrainResilientServesLastGoodFromDisk(t *testing.T) {
 }
 
 // TestTrainResilientNaNSamplesDegrade: NaN-poisoned profile rows make
-// featurization fail as bad input, so both search rungs fail; a previously
+// featurization fail as bad input, so no rung can run; the previously
 // published snapshot must keep serving. The poisoning goes through
 // SetSamples like any real sample mutation.
 func TestTrainResilientNaNSamplesDegrade(t *testing.T) {
 	m, _ := trainSmallModeler(t)
-	before := m.Model()
+	before := m.Published()
 	poisoned := m.Samples()
 	rows := make([][]float64, len(poisoned))
 	for i := range poisoned {
@@ -131,35 +159,28 @@ func TestTrainResilientNaNSamplesDegrade(t *testing.T) {
 		t.Fatal("poisoned no rows")
 	}
 	m.SetSamples(poisoned)
-	rep, err := m.TrainResilient(context.Background(), Resilience{StepwiseBudget: 40})
-	if err != nil {
-		t.Fatal(err)
+	if err := m.Train(context.Background()); err == nil {
+		t.Fatal("Train on poisoned rows succeeded")
 	}
-	if rep.Rung != RungLastGood {
-		t.Fatalf("rung = %v, want last-good (report: %v)", rep.Rung, rep)
+	if rep := m.Report(); rep.Rung != RungNone || rep.GeneticErr == nil {
+		t.Errorf("report %v, want no rung and the featurization failure", rep)
 	}
-	if rep.GeneticErr == nil || rep.StepwiseErr == nil {
-		t.Errorf("expected both search rungs to fail: %v", rep)
-	}
-	if m.Model() != before {
+	if p := m.Published(); p.Snapshot != before.Snapshot || p.Generation != before.Generation {
 		t.Error("failed retrain must not clobber the in-memory model")
 	}
 }
 
-// TestTrainResilientAllRungsFail: no last-good anywhere → RungNone plus an
-// error that still names the underlying fault.
+// TestTrainResilientAllRungsFail: with no model to fall back to, a run whose
+// rungs both fail publishes nothing and returns an error that still names
+// the underlying fault.
 func TestTrainResilientAllRungsFail(t *testing.T) {
 	m := newSmallModeler(t)
-	inj := &faultinject.Evaluator{PanicEvery: 1}
-	m.WrapEvaluator = func(inner genetic.Evaluator) genetic.Evaluator {
-		inj.Inner = inner
-		return inj
-	}
-	rep, err := m.TrainResilient(context.Background(), Resilience{StepwiseBudget: 30})
+	panicAlways(m)
+	err := m.Train(context.Background())
 	if err == nil {
 		t.Fatal("expected an error when every rung fails")
 	}
-	if rep.Rung != RungNone {
+	if rep := m.Report(); rep.Rung != RungNone {
 		t.Errorf("rung = %v, want none", rep.Rung)
 	}
 	if !errors.Is(err, genetic.ErrEvalPanic) {
@@ -170,8 +191,10 @@ func TestTrainResilientAllRungsFail(t *testing.T) {
 	}
 }
 
-// TestTrainResilientCorruptLastGood: a corrupted model file must be refused
-// (typed error in the report), not half-loaded.
+// TestTrainResilientCorruptLastGood: when both rungs fail, the last-good
+// model is whatever loads from disk (hsinfer reloads its -out file), so a
+// corrupted model file must be refused with a typed error, never
+// half-loaded, and the failed run publishes nothing in its place.
 func TestTrainResilientCorruptLastGood(t *testing.T) {
 	trained, _ := trainSmallModeler(t)
 	lastGood := filepath.Join(t.TempDir(), "last-good.json")
@@ -183,43 +206,34 @@ func TestTrainResilientCorruptLastGood(t *testing.T) {
 	}
 
 	m := newSmallModeler(t)
-	inj := &faultinject.Evaluator{PanicEvery: 1}
-	m.WrapEvaluator = func(inner genetic.Evaluator) genetic.Evaluator {
-		inj.Inner = inner
-		return inj
+	panicAlways(m)
+	if err := m.Train(context.Background()); err == nil {
+		t.Fatal("Train succeeded under unlimited panics")
 	}
-	rep, err := m.TrainResilient(context.Background(), Resilience{
-		StepwiseBudget: 30,
-		LastGoodPath:   lastGood,
-	})
-	if err == nil {
-		t.Fatal("expected failure with a corrupt last-good file")
+	snap, err := LoadSnapshot(lastGood)
+	if !errors.Is(err, ErrModelCorrupt) || snap != nil {
+		t.Errorf("LoadSnapshot = %v, %v; want nil, ErrModelCorrupt", snap, err)
 	}
-	if rep.Rung != RungNone {
-		t.Errorf("rung = %v, want none", rep.Rung)
-	}
-	if !errors.Is(rep.LoadErr, ErrModelCorrupt) {
-		t.Errorf("LoadErr = %v, want ErrModelCorrupt", rep.LoadErr)
+	if m.Trained() {
+		t.Error("failed run published a model")
 	}
 }
 
-// TestTrainResilientDeadlineFallsToStepwise: a search deadline shorter than
+// TestTrainResilientDeadlineFallsToStepwise: a SearchTimeout shorter than
 // one delayed evaluation cancels the genetic rung; stepwise (bounded by the
 // caller's healthy context, not the expired one) completes.
 func TestTrainResilientDeadlineFallsToStepwise(t *testing.T) {
 	m := newSmallModeler(t)
+	m.SearchTimeout = time.Millisecond
 	inj := &faultinject.Evaluator{Delay: 2 * time.Millisecond}
 	m.WrapEvaluator = func(inner genetic.Evaluator) genetic.Evaluator {
 		inj.Inner = inner
 		return inj
 	}
-	rep, err := m.TrainResilient(context.Background(), Resilience{
-		SearchTimeout:  time.Millisecond,
-		StepwiseBudget: 60,
-	})
-	if err != nil {
+	if err := m.Train(context.Background()); err != nil {
 		t.Fatal(err)
 	}
+	rep := m.Report()
 	if rep.Rung != RungStepwise {
 		t.Fatalf("rung = %v, want stepwise (report: %v)", rep.Rung, rep)
 	}
@@ -232,18 +246,20 @@ func TestTrainResilientDeadlineFallsToStepwise(t *testing.T) {
 }
 
 // TestTrainResilientDeadCallerContextSkipsStepwise: when the caller's own
-// context is dead, the ladder must not burn compute on stepwise — it goes
-// straight to last-good.
+// context is dead, Train must not burn compute on stepwise: it returns the
+// cancellation and keeps serving the model it had.
 func TestTrainResilientDeadCallerContextSkipsStepwise(t *testing.T) {
 	m, _ := trainSmallModeler(t)
+	served := m.Snapshot()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	rep, err := m.TrainResilient(ctx, Resilience{})
-	if err != nil {
-		t.Fatal(err)
+	err := m.Train(ctx)
+	if !errors.Is(err, genetic.ErrCancelled) {
+		t.Fatalf("err = %v, want ErrCancelled", err)
 	}
-	if rep.Rung != RungLastGood {
-		t.Fatalf("rung = %v, want last-good (report: %v)", rep.Rung, rep)
+	rep := m.Report()
+	if rep.Rung != RungNone {
+		t.Fatalf("rung = %v, want none (report: %v)", rep.Rung, rep)
 	}
 	if !errors.Is(rep.GeneticErr, genetic.ErrCancelled) {
 		t.Errorf("GeneticErr = %v, want ErrCancelled", rep.GeneticErr)
@@ -251,7 +267,53 @@ func TestTrainResilientDeadCallerContextSkipsStepwise(t *testing.T) {
 	if rep.StepwiseErr == nil || !errors.Is(rep.StepwiseErr, context.Canceled) {
 		t.Errorf("StepwiseErr = %v, want the skip reason (context.Canceled)", rep.StepwiseErr)
 	}
+	if m.Snapshot() != served {
+		t.Error("cancelled run replaced the served snapshot")
+	}
 	if rep.String() == "" {
 		t.Error("report should render")
+	}
+}
+
+// TestStepwiseRungGolden pins the stepwise rung's publish bit for bit: a
+// one-panic evaluator kills the selection round on its first fitness call,
+// the stepwise rung refits on the same capture at its fixed budget, and the
+// hash covers the served spec, coefficients and held-out predictions.
+func TestStepwiseRungGolden(t *testing.T) {
+	apps := smallApps()
+	col := &Collector{ShardLen: testShardLen, ShardPool: 12}
+	tr := NewTrainer(col.Collect(apps, 40, 7))
+	tr.ShardLen = testShardLen
+	tr.Search = genetic.Params{PopulationSize: 10, Generations: 2, Seed: 3}
+	panicOnce(tr)
+	if err := tr.Train(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	snap := tr.Snapshot()
+	if snap.Rung() != RungStepwise {
+		t.Fatalf("rung = %v, want stepwise (report: %v)", snap.Rung(), tr.Report())
+	}
+
+	h := sha256.New()
+	var b [8]byte
+	put := func(f float64) {
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(f))
+		h.Write(b[:])
+	}
+	m := snap.Model()
+	fmt.Fprintf(h, "%s|%s|%d|", snap.Family(), m.Spec, snap.TrainedRows())
+	for _, c := range m.Coef {
+		put(c)
+	}
+	for _, s := range col.Collect(apps, 6, 17) {
+		cpi, err := snap.PredictShard(s.X, s.HW)
+		if err != nil {
+			t.Fatal(err)
+		}
+		put(cpi)
+	}
+	const want = "369745b845380fd62e180ae035d96ba73fe425c30ff257e63f0f41021503aff0"
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Errorf("stepwise hash %s, want %s", got, want)
 	}
 }

@@ -35,7 +35,7 @@ type SelectionResult struct {
 	Errors map[string]error
 	// Population is the spline family's final search population when it
 	// participated — partial when the round failed or was cancelled —
-	// preserved so the next Update can warm-start.
+	// preserved so the next Train can warm-start.
 	Population []genetic.Individual
 }
 

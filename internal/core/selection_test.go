@@ -15,7 +15,6 @@ import (
 	"hsmodel/internal/family"
 	"hsmodel/internal/family/dal"
 	"hsmodel/internal/family/spline"
-	"hsmodel/internal/faultinject"
 	"hsmodel/internal/genetic"
 	"hsmodel/internal/regress"
 )
@@ -74,10 +73,10 @@ func (f *fakeFamily) Load(payload json.RawMessage, numVars int) (family.Model, e
 func TestFamilySelectionPublishesWinner(t *testing.T) {
 	m := newSmallModeler(t)
 	m.Families = DefaultFamilies()
-	rep, err := m.TrainResilient(context.Background(), Resilience{})
-	if err != nil {
+	if err := m.Train(context.Background()); err != nil {
 		t.Fatal(err)
 	}
+	rep := m.Report()
 	if rep.Rung != RungGenetic {
 		t.Fatalf("rung = %v, want genetic (report: %v)", rep.Rung, rep)
 	}
@@ -123,10 +122,10 @@ func TestFamilySelectionPublishesWinner(t *testing.T) {
 // and fits bit for bit the model an explicit spline-only trainer fits.
 func TestDefaultTrainerSelectsSpline(t *testing.T) {
 	def := newSmallModeler(t)
-	rep, err := def.TrainResilient(context.Background(), Resilience{})
-	if err != nil {
+	if err := def.Train(context.Background()); err != nil {
 		t.Fatal(err)
 	}
+	rep := def.Report()
 	snap := def.Snapshot()
 	if rep.Rung != RungGenetic || snap.Rung() != RungGenetic {
 		t.Fatalf("report rung %v, snapshot rung %v, want genetic (report: %v)", rep.Rung, snap.Rung(), rep)
@@ -221,10 +220,10 @@ func TestFamilySelectionSkipsFailingFamily(t *testing.T) {
 	m := newSmallModeler(t)
 	bad := &fakeFamily{name: "bad", err: errors.New("synthetic fit failure")}
 	m.Families = []family.Family{bad, spline.New()}
-	rep, err := m.TrainResilient(context.Background(), Resilience{})
-	if err != nil {
+	if err := m.Train(context.Background()); err != nil {
 		t.Fatal(err)
 	}
+	rep := m.Report()
 	if rep.Rung != RungGenetic || rep.Family != spline.FamilyName {
 		t.Fatalf("rung=%v family=%q, want genetic/spline (report: %v)", rep.Rung, rep.Family, rep)
 	}
@@ -243,18 +242,18 @@ func TestFamilySelectionSkipsFailingFamily(t *testing.T) {
 }
 
 // TestFamilySelectionAllFailDegradesToStepwise: when every family fails, the
-// top rung errors with ErrAllFamiliesFailed and the resilient ladder falls
-// to the stepwise spline floor.
+// top rung errors with ErrAllFamiliesFailed and Train falls to the stepwise
+// spline floor.
 func TestFamilySelectionAllFailDegradesToStepwise(t *testing.T) {
 	m := newSmallModeler(t)
 	m.Families = []family.Family{
 		&fakeFamily{name: "bad1", err: errors.New("boom 1")},
 		&fakeFamily{name: "bad2", err: errors.New("boom 2")},
 	}
-	rep, err := m.TrainResilient(context.Background(), Resilience{StepwiseBudget: 50})
-	if err != nil {
+	if err := m.Train(context.Background()); err != nil {
 		t.Fatal(err)
 	}
+	rep := m.Report()
 	if rep.Rung != RungStepwise {
 		t.Fatalf("rung = %v, want stepwise (report: %v)", rep.Rung, rep)
 	}
@@ -297,18 +296,19 @@ func TestFamilySelectionCancellation(t *testing.T) {
 // TestFamilySelectionFailureKeepsErrorIdentity: when every family of a
 // two-family round fails, the round's error still matches the search's
 // typed errors — ErrEvalPanic under a panicking evaluator, ErrCancelled
-// under a dead context — beside ErrAllFamiliesFailed.
+// under a dead context — beside ErrAllFamiliesFailed, and so does the error
+// Train returns. A failed run leaves the served snapshot as it was.
 func TestFamilySelectionFailureKeepsErrorIdentity(t *testing.T) {
 	m := newSmallModeler(t)
 	m.Families = []family.Family{spline.New(), dal.New()}
-	inj := &faultinject.Evaluator{PanicEvery: 1} // unlimited panics
-	m.WrapEvaluator = func(inner genetic.Evaluator) genetic.Evaluator {
-		inj.Inner = inner
-		return inj
-	}
-	rep, err := m.TrainResilient(context.Background(), Resilience{StepwiseBudget: 30})
+	panicAlways(m)
+	err := m.Train(context.Background())
+	rep := m.Report()
 	if err == nil {
 		t.Fatalf("every rung should fail under unlimited panics (report: %v)", rep)
+	}
+	if !errors.Is(err, ErrAllFamiliesFailed) || !errors.Is(err, genetic.ErrEvalPanic) {
+		t.Errorf("err = %v, want ErrAllFamiliesFailed and ErrEvalPanic", err)
 	}
 	if !errors.Is(rep.GeneticErr, ErrAllFamiliesFailed) || !errors.Is(rep.GeneticErr, genetic.ErrEvalPanic) {
 		t.Errorf("GeneticErr = %v, want ErrAllFamiliesFailed and ErrEvalPanic", rep.GeneticErr)
@@ -319,17 +319,22 @@ func TestFamilySelectionFailureKeepsErrorIdentity(t *testing.T) {
 
 	m, _ = trainSmallModeler(t)
 	m.Families = []family.Family{spline.New(), dal.New()}
+	served := m.Published()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	rep, err = m.TrainResilient(ctx, Resilience{})
-	if err != nil {
-		t.Fatal(err)
+	err = m.Train(ctx)
+	rep = m.Report()
+	if !errors.Is(err, genetic.ErrCancelled) {
+		t.Fatalf("err = %v, want ErrCancelled (report: %v)", err, rep)
 	}
-	if rep.Rung != RungLastGood {
-		t.Fatalf("rung = %v, want last-good (report: %v)", rep.Rung, rep)
+	if rep.Rung != RungNone {
+		t.Fatalf("rung = %v, want none (report: %v)", rep.Rung, rep)
 	}
 	if !errors.Is(rep.GeneticErr, genetic.ErrCancelled) {
 		t.Errorf("GeneticErr = %v, want ErrCancelled", rep.GeneticErr)
+	}
+	if p := m.Published(); p.Snapshot != served.Snapshot || p.Generation != served.Generation {
+		t.Errorf("cancelled run published generation %d, want the served %d unchanged", p.Generation, served.Generation)
 	}
 }
 

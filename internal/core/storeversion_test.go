@@ -12,7 +12,7 @@ import (
 // mutatingEvaluator injects sample-store mutations from inside a training
 // run: on its first fitness call it invokes add (an AddSamples closure), and
 // it can panic a bounded number of times to knock the genetic rung over so
-// the stepwise rung runs within the same resilient episode.
+// the stepwise rung runs within the same training run.
 type mutatingEvaluator struct {
 	inner  genetic.Evaluator
 	add    func()
@@ -41,11 +41,11 @@ func (e *mutatingEvaluator) Fitness(spec regress.Spec) float64 {
 }
 
 // TestRetrainCapturesConsistentStore is the regression test for the
-// retrain-vs-AddSamples interleaving fix: a resilient episode whose genetic
-// rung dies AFTER new samples arrived must not let the stepwise rung silently
-// refit over the grown store. Both rungs fit the capture taken at episode
-// start; the samples added mid-episode take effect at the next run. Run under
-// -race: concurrent feeders call AddSamples while the episode runs.
+// retrain-vs-AddSamples interleaving fix: a training run whose genetic rung
+// dies AFTER new samples arrived must not let the stepwise rung silently
+// refit over the grown store. Both rungs fit the capture taken at the run's
+// start; the samples added mid-run take effect at the next run. Run under
+// -race: concurrent feeders call AddSamples while the run is in flight.
 func TestRetrainCapturesConsistentStore(t *testing.T) {
 	m := newSmallModeler(t)
 	initialRows := m.NumSamples()
@@ -87,12 +87,13 @@ func TestRetrainCapturesConsistentStore(t *testing.T) {
 		}()
 	}
 
-	rep, err := m.TrainResilient(context.Background(), Resilience{StepwiseBudget: 120})
+	err := m.Train(context.Background())
 	close(stop)
 	wg.Wait()
 	if err != nil {
 		t.Fatal(err)
 	}
+	rep := m.Report()
 	if rep.Rung != RungStepwise {
 		t.Fatalf("rung = %v, want stepwise (report: %v)", rep.Rung, rep)
 	}
@@ -117,7 +118,7 @@ func TestRetrainCapturesConsistentStore(t *testing.T) {
 	// The next update picks the grown store up whole.
 	m.WrapEvaluator = nil
 	grown := m.NumSamples()
-	if err := m.Update(context.Background()); err != nil {
+	if err := m.Train(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if got := m.Snapshot().TrainedRows(); got != grown {

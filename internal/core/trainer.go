@@ -41,42 +41,46 @@ type FitnessConfig struct {
 }
 
 // Trainer is the training half of the paper's system model: it owns the
-// accumulated sparse profiles (the paper's P) and the genetic, stepwise and
-// resilience training machinery. Every successful training run publishes an
-// immutable Snapshot through one atomic Publication record (see Published);
-// predictions (PredictShard, PredictApplication, EvaluateOn) are lock-free
-// reads of the current Snapshot, so the model keeps answering queries while
-// Train, Update, or TrainResilient re-specify it — the always-available
-// behavior the Section 3.2–3.3 update protocol assumes.
+// accumulated sparse profiles (the paper's P) and the one training run,
+// Train, which walks the degradation ladder (a selection round, then the
+// stepwise search). Every successful run publishes an immutable Snapshot
+// through one atomic Publication record (see Published); predictions
+// (PredictShard, PredictApplication, EvaluateOn) are lock-free reads of the
+// current Snapshot, so the model keeps answering queries while Train
+// re-specifies it — the always-available behavior the Section 3.2–3.3
+// update protocol assumes.
 //
-// Configuration fields (Search, Fitness, Stabilize, LogResponse,
-// WrapEvaluator, ShardLen) are set before training begins and must not be
-// mutated concurrently with a training run. Sample mutation goes through
-// AddSamples/SetSamples. Each training run builds its own featurized
-// evaluator from the store it captures and drops it when the run returns,
-// so no run ever trains against stale basis columns and an idle trainer
-// holds no evaluator memory.
+// Configuration fields (Search, SearchTimeout, Fitness, Stabilize,
+// LogResponse, WrapEvaluator, ShardLen, Families) are set before training
+// begins and must not be mutated concurrently with a training run. Sample
+// mutation goes through AddSamples/SetSamples. Each training run builds its
+// own featurized evaluator from the store it captures and drops it when the
+// run returns, so no run ever trains against stale basis columns and an
+// idle trainer holds no evaluator memory.
 //
 // Concurrency contract: AddSamples, SetSamples, Samples, NumSamples,
-// Snapshot, and every prediction method are safe to call while a Train,
-// Update, or TrainResilient run is in flight. Training runs serialize among
-// themselves on an internal mutex, but they do NOT hold the sample-store
-// lock while searching: a training run captures an immutable featurized
-// evaluator at its start, searches against it lock-free, and re-acquires the
-// lock only to publish results. Samples added mid-run therefore do not block
-// behind the search and take effect at the next Train or Update — the
-// streaming-profiles behavior the serving layer (internal/serve) relies on.
+// Snapshot, Report and every prediction method are safe to call while a
+// Train run is in flight. Training runs serialize among themselves on an
+// internal mutex, but they do NOT hold the sample-store lock while
+// searching: a run captures an immutable featurized evaluator at its start,
+// searches against it lock-free, and re-acquires the lock only to publish
+// results. Samples added mid-run therefore do not block behind the search
+// and take effect at the next Train — the streaming-profiles behavior the
+// serving layer (internal/serve) relies on.
 //
-// Consistency contract: a training run (and, since the lifecycle work, an
-// entire TrainResilient episode — every ladder rung) fits against exactly one
-// captured sample-store version. Samples that arrive after the capture are
-// all-or-nothing: they are never half-included in the published model, and
-// the TrainReport records the version (SampleVersion) and row count
-// (SampleRows) actually trained against so callers can audit what the served
-// snapshot reflects.
+// Consistency contract: a training run, both ladder rungs included, fits
+// against exactly one captured sample-store version. Samples that arrive
+// after the capture are all-or-nothing: they are never half-included in the
+// published model, and the TrainReport records the version (SampleVersion)
+// and row count (SampleRows) actually trained against so callers can audit
+// what the served snapshot reflects.
 type Trainer struct {
 	// Search configures the genetic heuristic.
 	Search genetic.Params
+	// SearchTimeout bounds each run's selection round; when it expires the
+	// run falls to the stepwise rung. 0 means no deadline beyond the
+	// caller's context.
+	SearchTimeout time.Duration
 	// Fitness configures per-application splits and weights.
 	Fitness FitnessConfig
 	// Stabilize applies ladder-of-powers variance stabilization (on by
@@ -100,10 +104,11 @@ type Trainer struct {
 	Families []family.Family
 
 	trainMu       sync.Mutex // serializes training runs; never held with mu below
-	mu            sync.Mutex // guards samples, version, fitStats, population, history, lastSelection
+	mu            sync.Mutex // guards samples, version, fitStats, report, population, history, lastSelection
 	samples       []Sample
 	version       uint64               // bumped by every sample mutation
 	fitStats      regress.GramStats    // Gram-layer counters of the most recent run
+	report        TrainReport          // the most recent run's report
 	population    []genetic.Individual // final population, for warm-started updates
 	history       []genetic.GenStats
 	lastSelection *SelectionResult // most recent family-selection round
@@ -113,10 +118,9 @@ type Trainer struct {
 
 // Publication is one publish of a trainer's served model: the snapshot, the
 // trainer's generation counter at that publish (1 for the first, +1 for
-// every later one — training runs, stepwise and last-good rungs, and Adopt
-// alike), and when it happened. The three are swapped in as one atomic
-// record, so a reader never pairs a snapshot with another publish's
-// generation.
+// every later one — either rung of a training run and Adopt alike), and
+// when it happened. The three are swapped in as one atomic record, so a
+// reader never pairs a snapshot with another publish's generation.
 type Publication struct {
 	Snapshot   *Snapshot
 	Generation uint64
@@ -223,7 +227,7 @@ func (m *Trainer) StoreVersion() uint64 {
 }
 
 // AddSamples appends new profiles to the store (they take effect at the next
-// Train or Update, which featurizes the full store).
+// Train, which featurizes the full store).
 func (m *Trainer) AddSamples(samples []Sample) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -231,9 +235,9 @@ func (m *Trainer) AddSamples(samples []Sample) {
 	m.version++
 }
 
-// SetSamples replaces the profile store (it takes effect at the next Train or
-// Update). Mutating samples previously returned by Samples has no effect on
-// training; all sample mutation must go through AddSamples or SetSamples.
+// SetSamples replaces the profile store (it takes effect at the next Train).
+// Mutating samples previously returned by Samples has no effect on training;
+// all sample mutation must go through AddSamples or SetSamples.
 func (m *Trainer) SetSamples(samples []Sample) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -247,9 +251,9 @@ var ErrNoSamples = errors.New("core: no samples to train on")
 // FitPathStats reports the candidate-fit counters of the most recent
 // training run's Gram layer: how many fits the O(p³) Cholesky path served
 // versus how many fell back to pivoted QR, and how the cross-product memo
-// behaved. Each Train, Update or TrainResilient run replaces them with its
-// own; zero-valued stats mean no run has finished yet, or the latest run
-// had no Gram layer (an empty or unfeaturizable store).
+// behaved. Each Train run replaces them with its own; zero-valued stats mean
+// no run has finished yet, or the latest run had no Gram layer (an empty or
+// unfeaturizable store).
 func (m *Trainer) FitPathStats() regress.GramStats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -378,54 +382,59 @@ func (ev *evaluator) Fitness(spec regress.Spec) float64 {
 	return score + family.TermPenalty*float64(len(model.Coef))
 }
 
-// Train runs one selection round over the trainer's Families (the genetic
-// spline search alone by default) on the current samples and publishes the
-// winner, fitted on all rows. Cancellation of ctx (or its deadline) aborts
-// the round and returns an error wrapping genetic.ErrCancelled; a failed or
-// cancelled Train never replaces the published snapshot, so the trainer
-// keeps serving its last-good model. See TrainResilient for the variant that
-// degrades through fallbacks instead of returning the error.
+// Train is the one training run, the paper's re-specify-and-refit step
+// (Section 3.3). It captures one sample-store version and walks the
+// degradation ladder on it:
+//
+//  1. A selection round over the trainer's Families (the genetic spline
+//     search alone by default), warm-started from the population the
+//     previous run left (a fresh trainer's first run is a cold start) and
+//     bounded by SearchTimeout when it is set.
+//  2. If the round fails and ctx is still alive, the forward stepwise search
+//     at a fixed budget of stepwiseBudget evaluations, on the same capture.
+//
+// Train returns nil exactly when one of the two rungs published. Otherwise
+// its error wraps each rung's error, so errors.Is matches ErrNoSamples,
+// ErrAllFamiliesFailed, genetic.ErrEvalPanic and genetic.ErrCancelled, and
+// the served snapshot is untouched: the trainer keeps serving its last-good
+// model. Report describes the run either way.
 //
 // Train is safe to call concurrently with AddSamples and predictions (see
 // the Trainer type comment); concurrent training runs serialize.
 func (m *Trainer) Train(ctx context.Context) error {
 	m.trainMu.Lock()
 	defer m.trainMu.Unlock()
+	var rep TrainReport
 	cap, err := m.captureEvaluator()
-	defer m.recordFitStats(cap)
-	if err != nil {
-		return err
+	if err == nil {
+		rep, err = m.walkLadder(ctx, cap)
+	} else {
+		rep.GeneticErr = err
 	}
-	return m.train(ctx, nil, cap)
-}
-
-// Update re-specifies and refits the model after the sample store changed,
-// warm-starting the search from the previous population (Section 3.3: "we
-// invoke a heuristic to re-specify and perform a weighted fit of the
-// model"). Update on an untrained trainer is equivalent to Train. Like
-// Train, Update does not block concurrent AddSamples or predictions.
-func (m *Trainer) Update(ctx context.Context) error {
-	m.trainMu.Lock()
-	defer m.trainMu.Unlock()
-	cap, err := m.captureEvaluator()
-	defer m.recordFitStats(cap)
-	if err != nil {
-		return err
+	// Only the Gram counters outlive the run, never the evaluator.
+	var stats regress.GramStats
+	if cap.ev != nil && cap.ev.gc != nil {
+		stats = cap.ev.gc.Stats()
 	}
+	rep.GramFits, rep.QRFallbacks = stats.GramFits, stats.QRFallbacks
 	m.mu.Lock()
-	var seeds []regress.Spec
-	for _, ind := range m.population {
-		seeds = append(seeds, ind.Spec)
-	}
+	m.fitStats, m.report = stats, rep
 	m.mu.Unlock()
-	return m.train(ctx, seeds, cap)
+	return err
 }
 
-// capturedEval pins a training run (or a whole resilient episode) to one
-// sample-store version: the featurized evaluator, the version counter it was
-// built from, and the row count it covers. Every rung that fits against the
-// same capture trains on exactly the same rows — late-arriving samples are
-// never half-included.
+// Report returns the latest training run's report, failed runs included, or
+// the zero report before the first run finishes.
+func (m *Trainer) Report() TrainReport {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.report
+}
+
+// capturedEval pins a training run to one sample-store version: the
+// featurized evaluator, the version counter it was built from, and the row
+// count it covers. Both rungs of a run fit against the same capture, so
+// late-arriving samples are never half-included.
 type capturedEval struct {
 	ev      *evaluator
 	version uint64
@@ -446,21 +455,6 @@ func (m *Trainer) captureEvaluator() (capturedEval, error) {
 		return capturedEval{}, fmt.Errorf("core: featurizing samples: %w", err)
 	}
 	return capturedEval{ev: ev, version: m.version, rows: len(m.samples)}, nil
-}
-
-// recordFitStats stores the Gram-layer counters of a finished run (zero when
-// the capture failed or had no Gram layer) for FitPathStats, and returns
-// them. Only the counters outlive the run, never the evaluator. Callers must
-// hold trainMu (and must NOT hold mu).
-func (m *Trainer) recordFitStats(cap capturedEval) regress.GramStats {
-	var s regress.GramStats
-	if cap.ev != nil && cap.ev.gc != nil {
-		s = cap.ev.gc.Stats()
-	}
-	m.mu.Lock()
-	m.fitStats = s
-	m.mu.Unlock()
-	return s
 }
 
 // fitInput assembles the family fitting contract of one training run: the
@@ -489,15 +483,20 @@ func (m *Trainer) fitInput(initial []regress.Spec, base *evaluator) family.FitIn
 }
 
 // train is the top rung: one selection round over m.Families (the spline
-// family alone when none are listed), publishing the winner on RungGenetic.
-// Callers must hold m.trainMu (and must NOT hold m.mu) and pass the
-// evaluator capture the run fits against: the search runs without any lock,
-// and results are published under m.mu (or through publish) at the end, so
-// sample mutation and predictions proceed during the search.
-func (m *Trainer) train(ctx context.Context, initial []regress.Spec, cap capturedEval) error {
+// family alone when none are listed), warm-started from m.population and
+// publishing the winner on RungGenetic. Callers must hold m.trainMu (and
+// must NOT hold m.mu) and pass the evaluator capture the run fits against:
+// the search runs without any lock, and results are published under m.mu
+// (or through publish) at the end, so sample mutation and predictions
+// proceed during the search. The returned round is never nil.
+func (m *Trainer) train(ctx context.Context, cap capturedEval) (*SelectionResult, error) {
 	m.mu.Lock()
 	m.history = nil
 	m.lastSelection = nil
+	var initial []regress.Spec
+	for _, ind := range m.population {
+		initial = append(initial, ind.Spec)
+	}
 	m.mu.Unlock()
 
 	sel, err := runSelection(ctx, m.Families, m.fitInput(initial, cap.ev))
@@ -510,10 +509,10 @@ func (m *Trainer) train(ctx context.Context, initial []regress.Spec, cap capture
 	m.lastSelection = sel
 	m.mu.Unlock()
 	if err != nil {
-		return err
+		return sel, err
 	}
 	m.publish(newSnapshot(sel.Winner, sel.Model, sel.Scores, m.ShardLen, RungGenetic, cap.rows))
-	return nil
+	return sel, nil
 }
 
 // PredictShard predicts the CPI of a shard with characteristics x on

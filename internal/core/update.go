@@ -93,7 +93,7 @@ func (m *Trainer) Perturb(ctx context.Context, newSamples []Sample, policy Updat
 		d.NeedsMoreData = true
 		return d, nil
 	}
-	if err := m.Update(ctx); err != nil {
+	if err := m.Train(ctx); err != nil {
 		return d, err
 	}
 	d.Updated = true

@@ -1,0 +1,72 @@
+package residual_test
+
+import (
+	"context"
+	"math"
+	"testing"
+
+	"hsmodel/internal/core"
+	"hsmodel/internal/family"
+	"hsmodel/internal/family/residual"
+	"hsmodel/internal/genetic"
+	"hsmodel/internal/regress"
+	"hsmodel/internal/trace"
+)
+
+// TestPredictBitsAndPayloadRoundTrip fits the family (the analytical prior times a fitted spline correction) on a small
+// collected store, then checks on held-out rows that PredictBatch answers
+// Predict's bits and that the model Load rebuilds from Payload answers the
+// same bits too.
+func TestPredictBitsAndPayloadRoundTrip(t *testing.T) {
+	col := &core.Collector{ShardLen: 20_000, ShardPool: 12}
+	apps := []*trace.App{trace.Bzip2(), trace.Hmmer(), trace.Sjeng()}
+	ds := core.ToDataset(col.Collect(apps, 24, 5))
+	fz, err := regress.NewFeaturizer(ds, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eval, err := family.HoldOutEvaluator(ds, fz.Prep())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fam := residual.New()
+	out, err := fam.Fit(context.Background(), family.FitInput{
+		NumVars: core.NumVars, Dataset: ds, Featurizer: fz, Evaluator: eval,
+		Search:      genetic.Params{PopulationSize: 8, Generations: 2, Seed: 3},
+		LogResponse: true, Stabilize: true, Seed: 11,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	held := core.ToDataset(col.Collect(apps, 6, 17))
+	rows := make([][]float64, held.NumRows())
+	for i := range rows {
+		rows[i] = held.X.Row(i)
+	}
+	batch := make([]float64, len(rows))
+	out.Model.PredictBatch(rows, batch)
+	payload, err := out.Model.Payload()
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := fam.Load(payload, core.NumVars)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, row := range rows {
+		want := out.Model.Predict(row)
+		if math.IsNaN(want) || math.IsInf(want, 0) {
+			t.Fatalf("row %d: prediction %v, want finite", i, want)
+		}
+		if math.Float64bits(batch[i]) != math.Float64bits(want) {
+			t.Errorf("row %d: PredictBatch %v, Predict %v", i, batch[i], want)
+		}
+		if got := loaded.Predict(row); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("row %d: reloaded model predicts %v, fitted model %v", i, got, want)
+		}
+	}
+	if got, want := loaded.Describe(), out.Model.Describe(); got != want {
+		t.Errorf("reloaded model describes itself as %+v, fitted model %+v", got, want)
+	}
+}

@@ -7,7 +7,7 @@
 //
 // The package deliberately depends only on genetic, regress, and rng; the
 // degradation-ladder tests in core wire it in through
-// core.Modeler.WrapEvaluator without an import cycle.
+// core.Trainer.WrapEvaluator without an import cycle.
 package faultinject
 
 import (

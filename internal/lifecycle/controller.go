@@ -121,10 +121,6 @@ type Config struct {
 	// Seed determinizes the reservoir, the holdout split, and the cooldown
 	// jitter.
 	Seed uint64
-	// Resilience configures the shadow trainer's degradation ladder.
-	// LastGoodPath is ignored: a shadow candidate must come from a real
-	// search, never from disk.
-	Resilience core.Resilience
 	// OnTransition, when non-nil, observes state changes. It is called with
 	// the controller's lock held and must not call back into the Controller.
 	OnTransition func(from, to State, reason string)
@@ -365,22 +361,21 @@ func (c *Controller) runEpisode(train, canary []core.Sample) {
 
 	shadow := core.NewTrainer(train)
 	shadow.Search = c.live.Search
+	shadow.SearchTimeout = c.live.SearchTimeout
 	shadow.Fitness = c.live.Fitness
 	shadow.Stabilize = c.live.Stabilize
 	shadow.LogResponse = c.live.LogResponse
 	shadow.ShardLen = c.live.ShardLen
 	shadow.Families = c.live.Families
 
-	r := c.cfg.Resilience
-	r.LastGoodPath = "" // a candidate must come from a search, never disk
-	rep, err := shadow.TrainResilient(ctx, r)
+	err := shadow.Train(ctx)
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.lastRung = rep.Rung
-	if err != nil || rep.Rung == core.RungNone || rep.Rung == core.RungLastGood {
-		// Every search rung failed: a fresh shadow has no last-good to fall
-		// back to, so there is no candidate at all.
+	c.lastRung = shadow.Report().Rung
+	if err != nil {
+		// Both rungs failed: a fresh shadow has no model to fall back to, so
+		// there is no candidate at all.
 		c.ladderFailures++
 		c.lastOutcome = "ladder-failed"
 		c.beginCooldown("retrain ladder failed")

@@ -140,7 +140,7 @@ func TestSnapshotVersionUnderConcurrentRetrain(t *testing.T) {
 		go func() {
 			defer updaters.Done()
 			for i := 0; i < 3; i++ {
-				if err := tr.Update(context.Background()); err != nil {
+				if err := tr.Train(context.Background()); err != nil {
 					t.Errorf("update: %v", err)
 					continue
 				}

@@ -353,9 +353,10 @@ func (e *entry) absorb(samples []core.Sample) {
 }
 
 // triggerUpdate starts one asynchronous re-specification of the entry's
-// model if none is in flight, bounded by timeout and by the entry's lifetime
-// (unregister and the registry's close cancel the update's context, so
-// neither waits out a training timeout). onDone (optional) receives the
+// model (a Trainer.Train run, stepwise fallback included) if none is in
+// flight, bounded by timeout and by the entry's lifetime (unregister and the
+// registry's close cancel the update's context, so neither waits out a
+// training timeout). onDone (optional) receives the
 // outcome; a failed or cancelled update never replaces the served snapshot.
 // An entry with a control loop refuses: its samples feed the loop, not the
 // trainer, and the loop publishes only canary-checked candidates.
@@ -369,7 +370,7 @@ func (e *entry) triggerUpdate(timeout time.Duration, onDone func(error)) bool {
 		defer e.updating.Store(false)
 		ctx, cancel := context.WithTimeout(e.ctx, timeout)
 		defer cancel()
-		err := e.trainer.Update(ctx)
+		err := e.trainer.Train(ctx)
 		if onDone != nil {
 			onDone(err)
 		}

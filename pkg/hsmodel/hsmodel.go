@@ -16,6 +16,12 @@
 //	if err := m.Train(ctx); err != nil { ... }
 //	cpi, err := m.PredictShard(x, hsmodel.Baseline())
 //
+// Train is the one training run: a selection round warm-started from the
+// previous run's population, falling back to the stepwise search when the
+// round fails (m.SearchTimeout bounds the round). It returns nil exactly
+// when one of the two published; m.Report() says which, and a failed run
+// leaves the served model as it was.
+//
 // The wire schema spoken by the hsserve HTTP service and the hsinfer CLI
 // lives in wire.go; everything here is process-local API.
 package hsmodel
@@ -36,7 +42,7 @@ type (
 	// Trainer owns the sparse profile store and the training machinery; it
 	// publishes immutable Snapshots and answers lock-free predictions. See
 	// the type's method set for the full contract (AddSamples and
-	// predictions are safe concurrently with an in-flight Train/Update).
+	// predictions are safe concurrently with an in-flight Train).
 	Trainer = core.Trainer
 	// Snapshot is an immutable fitted model: the unit of serving and of
 	// persistence (Save/LoadSnapshot).
@@ -66,9 +72,8 @@ type (
 	UpdatePolicy = core.UpdatePolicy
 	// Decision reports what the update protocol concluded.
 	Decision = core.Decision
-	// Resilience configures the degradation ladder of TrainResilient.
-	Resilience = core.Resilience
-	// TrainReport records which ladder rung produced the served model.
+	// TrainReport records which ladder rung of the latest Train produced the
+	// served model and what failed on the way down (Trainer.Report).
 	TrainReport = core.TrainReport
 	// Rung identifies a degradation-ladder level.
 	Rung = core.Rung
@@ -115,7 +120,6 @@ const (
 	RungNone     = core.RungNone
 	RungGenetic  = core.RungGenetic
 	RungStepwise = core.RungStepwise
-	RungLastGood = core.RungLastGood
 )
 
 // Sentinel errors callers branch on with errors.Is.

@@ -131,13 +131,14 @@ type ModelInfo struct {
 	// SamplesResponse.TotalSamples).
 	TotalSamples int `json:"total_samples"`
 	// SnapshotVersion counts the model publications made by the entry's
-	// trainer (training runs, ladder fallbacks, reloads, lifecycle
+	// trainer (either rung of a training run, reloads, lifecycle
 	// promotions), 0 before the first; SnapshotAgeSec is the seconds since
 	// the latest one was published, 0 before the first.
 	SnapshotVersion uint64  `json:"snapshot_version"`
 	SnapshotAgeSec  float64 `json:"snapshot_age_sec"`
 	// GramFits / QRFallbacks are the candidate-fit path counters of the
-	// model's most recent training run (see TrainReport).
+	// trainer's most recent Train run, failed runs included
+	// (Trainer.FitPathStats; Trainer.Report carries the same two).
 	GramFits    uint64 `json:"gram_fits"`
 	QRFallbacks uint64 `json:"qr_fallbacks"`
 }
