@@ -22,19 +22,17 @@ race:
 # lint builds and runs hslint, the repo's own static analyzer (cmd/hslint):
 # lock ordering, snapshot immutability, search determinism, sentinel-error
 # matching, float comparison discipline, context propagation, goroutine
-# lifecycle, atomic publication, and bounded container growth. Findings
-# recorded in .hslint-baseline.json are grandfathered (reported, not fatal);
-# fresh diagnostics exit non-zero, and so does a stale baseline entry that
-# matches no live finding (delete it from the baseline). Suppressions use
+# lifecycle, atomic publication, and bounded container growth. Any finding
+# exits non-zero: fix it, or suppress it at its site with
 # //hslint:ignore <check> <reason>. The stamp file makes repeated `make lint`
-# free when no Go source or the baseline changed.
+# free when no Go source changed.
 GO_SOURCES := $(shell find . -name '*.go' -not -path './.git/*')
 
 lint: .hslint.stamp
 
-.hslint.stamp: $(GO_SOURCES) .hslint-baseline.json
+.hslint.stamp: $(GO_SOURCES)
 	$(GO) build -o hslint ./cmd/hslint
-	./hslint -baseline .hslint-baseline.json ./...
+	./hslint ./...
 	touch $@
 
 # lint-fix applies every suggested fix (errors.Is rewrites, %w wraps, stale
@@ -44,10 +42,10 @@ lint-fix:
 	./hslint -fix ./...
 
 # lint-sarif writes SARIF 2.1.0 to hslint.sarif for CI code-scanning
-# annotations, preserving hslint's exit status (baselined findings pass).
+# annotations, preserving hslint's exit status.
 lint-sarif:
 	$(GO) build -o hslint ./cmd/hslint
-	./hslint -format sarif -baseline .hslint-baseline.json ./... > hslint.sarif
+	./hslint -format sarif ./... > hslint.sarif
 
 # bench-build vets and tests the benchmark harness in perfbench/. It is a
 # nested module (its own go.mod, replacing hsmodel with this checkout), so

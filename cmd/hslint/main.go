@@ -14,21 +14,13 @@
 //	hslint -fix -diff ./...           show the diff -fix would apply
 //	hslint -fix ./...                 apply suggested fixes in place
 //	hslint -format sarif ./...        SARIF 2.1.0 on stdout (CI annotations)
-//	hslint -baseline .hslint-baseline.json ./...
-//	hslint -write-baseline .hslint-baseline.json ./...
 //	hslint -list                      machine-readable check listing
 //
-// Diagnostics print as file:line:col: message [check]. With -baseline,
-// findings recorded in the baseline are reported with a "(baselined)"
-// suffix and do not fail the run; fresh findings do. So does a stale
-// baseline entry, one that matches no live finding although its check ran
-// and its file was analyzed: it is reported on stderr so the baseline
-// cannot keep forgiving a finding that is gone. Exit status: 0 clean (or
-// all findings baselined), 1 fresh diagnostics or stale baseline entries
-// reported, 2 usage or load failure.
+// Diagnostics print as file:line:col: message [check]. Exit status: 0
+// clean, 1 diagnostics reported, 2 usage or load failure.
 //
-// A site may suppress one diagnostic with an in-line directive carrying a
-// mandatory reason:
+// A finding is either fixed or suppressed at its site, by an in-line
+// directive carrying a mandatory reason:
 //
 //	//hslint:ignore <check> <reason>
 //
@@ -60,16 +52,15 @@ func main() {
 	}
 }
 
-// errFindings reports fresh diagnostics or stale baseline entries, already
-// printed; main exits 1 on it.
+// errFindings reports diagnostics, already printed; main exits 1 on it.
 var errFindings = errors.New("hslint: findings reported")
 
 // errUsage marks a command line hslint cannot act on; main exits 2 on it,
 // as on a load failure.
-var errUsage = errors.New("usage: hslint [-dir] [-checks c1,c2] [-fix [-diff]] [-format text|sarif] [-baseline file | -write-baseline file] patterns...")
+var errUsage = errors.New("usage: hslint [-dir] [-checks c1,c2] [-fix [-diff]] [-format text|sarif] patterns...")
 
 // run lints the packages or directories args name and prints diagnostics to
-// stdout; stale baseline entries and the -fix summary go to standard error.
+// stdout; the -fix summary goes to standard error.
 // Linting has nothing to cancel, so ctx goes unused.
 func run(_ context.Context, args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("hslint", flag.ContinueOnError)
@@ -79,8 +70,6 @@ func run(_ context.Context, args []string, stdout io.Writer) error {
 	fix := fs.Bool("fix", false, "apply suggested fixes to the source tree")
 	diff := fs.Bool("diff", false, "with -fix, print the diff instead of writing files")
 	format := fs.String("format", "text", "output format: text or sarif")
-	baseline := fs.String("baseline", "", "baseline file of grandfathered findings; fresh findings still fail")
-	writeBase := fs.String("write-baseline", "", "write current findings to this baseline file and exit 0")
 	if err := fs.Parse(args); err != nil {
 		return fmt.Errorf("%w: %w", errUsage, err)
 	}
@@ -154,45 +143,18 @@ func run(_ context.Context, args []string, stdout io.Writer) error {
 		return nil
 	}
 
-	if *writeBase != "" {
-		if err := analysis.WriteBaseline(*writeBase, diags, cwd); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "hslint: wrote %d finding(s) to %s\n", len(diags), *writeBase)
-		return nil
-	}
-
-	matched := make([]bool, len(diags))
-	fresh := len(diags)
-	var stale []analysis.BaselineEntry
-	if *baseline != "" {
-		base, err := analysis.ReadBaseline(*baseline, false)
-		if err != nil {
-			return err
-		}
-		matched, fresh, stale = base.Match(diags, cwd, pkgs, analyzers)
-	}
-
 	if *format == "sarif" {
-		out, err := analysis.SARIF(diags, matched, analyzers, cwd)
+		out, err := analysis.SARIF(diags, analyzers, cwd)
 		if err != nil {
 			return err
 		}
 		fmt.Fprintln(stdout, string(out))
 	} else {
-		for i, d := range diags {
-			if matched[i] {
-				fmt.Fprintf(stdout, "%s (baselined)\n", d)
-			} else {
-				fmt.Fprintln(stdout, d)
-			}
+		for _, d := range diags {
+			fmt.Fprintln(stdout, d)
 		}
 	}
-	for _, e := range stale {
-		fmt.Fprintf(os.Stderr, "%s: stale baseline entry, no finding matches it: %s [%s]; delete it from %s\n",
-			e.File, e.Message, e.Check, *baseline)
-	}
-	if fresh > 0 || len(stale) > 0 {
+	if len(diags) > 0 {
 		return errFindings
 	}
 	return nil

@@ -1,9 +1,7 @@
 // SARIF 2.1.0 output for CI code-scanning annotations. The encoding is the
 // minimal subset GitHub's upload-sarif action consumes: one run, one rule
 // per analyzer, one result per diagnostic with a physical location whose URI
-// is slash-relative to the module root. Baselined findings are emitted with
-// level "note" and an external suppression so they annotate without failing
-// the scan.
+// is slash-relative to the module root.
 package analysis
 
 import (
@@ -43,15 +41,10 @@ type sarifMessage struct {
 }
 
 type sarifResult struct {
-	RuleID       string             `json:"ruleId"`
-	Level        string             `json:"level"`
-	Message      sarifMessage       `json:"message"`
-	Locations    []sarifLocation    `json:"locations"`
-	Suppressions []sarifSuppression `json:"suppressions,omitempty"`
-}
-
-type sarifSuppression struct {
-	Kind string `json:"kind"`
+	RuleID    string          `json:"ruleId"`
+	Level     string          `json:"level"`
+	Message   sarifMessage    `json:"message"`
+	Locations []sarifLocation `json:"locations"`
 }
 
 type sarifLocation struct {
@@ -72,11 +65,10 @@ type sarifRegion struct {
 	StartColumn int `json:"startColumn,omitempty"`
 }
 
-// SARIF renders diagnostics as a SARIF 2.1.0 log. root is the module root
-// file paths are made relative to; baselined marks the diagnostics carried
-// by the committed baseline (emitted as suppressed notes rather than
-// errors). analyzers supplies the rule table.
-func SARIF(diags []Diagnostic, baselined []bool, analyzers []*Analyzer, root string) ([]byte, error) {
+// SARIF renders diagnostics as a SARIF 2.1.0 log of errors. root is the
+// module root file paths are made relative to; analyzers supplies the rule
+// table.
+func SARIF(diags []Diagnostic, analyzers []*Analyzer, root string) ([]byte, error) {
 	rules := make([]sarifRule, 0, len(analyzers)+1)
 	for _, a := range analyzers {
 		rules = append(rules, sarifRule{ID: a.Name, ShortDescription: sarifMessage{Text: a.Doc}})
@@ -85,26 +77,20 @@ func SARIF(diags []Diagnostic, baselined []bool, analyzers []*Analyzer, root str
 		ShortDescription: sarifMessage{Text: "hslint ignore-directive hygiene"}})
 
 	results := make([]sarifResult, 0, len(diags))
-	for i, d := range diags {
+	for _, d := range diags {
 		uri := d.Pos.Filename
 		if rel, err := filepath.Rel(root, uri); err == nil && !strings.HasPrefix(rel, "..") {
 			uri = rel
 		}
-		uri = filepath.ToSlash(uri)
-		r := sarifResult{
+		results = append(results, sarifResult{
 			RuleID:  d.Check,
 			Level:   "error",
 			Message: sarifMessage{Text: d.Message},
 			Locations: []sarifLocation{{PhysicalLocation: sarifPhysical{
-				ArtifactLocation: sarifArtifact{URI: uri},
+				ArtifactLocation: sarifArtifact{URI: filepath.ToSlash(uri)},
 				Region:           sarifRegion{StartLine: d.Pos.Line, StartColumn: d.Pos.Column},
 			}}},
-		}
-		if i < len(baselined) && baselined[i] {
-			r.Level = "note"
-			r.Suppressions = []sarifSuppression{{Kind: "external"}}
-		}
-		results = append(results, r)
+		})
 	}
 
 	log := sarifLog{

@@ -142,7 +142,9 @@ func TestAddSamplesWhileUpdate(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < batches; i++ {
-				m.AddSamples(valid[(g+i)%len(valid) : (g+i)%len(valid)+1])
+				if err := m.AddSamples(valid[(g+i)%len(valid) : (g+i)%len(valid)+1]); err != nil {
+					t.Error(err)
+				}
 				m.NumSamples()
 				m.Snapshot().PredictShard(valid[0].X, valid[0].HW)
 			}

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"math"
 	"testing"
@@ -188,7 +189,9 @@ func TestTrainGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	record()
-	tr.AddSamples(col.Collect(apps, 30, 21))
+	if err := tr.AddSamples(col.Collect(apps, 30, 21)); err != nil {
+		t.Fatal(err)
+	}
 	if err := tr.Train(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -308,6 +311,19 @@ func TestPerturbAccurateRetainsModel(t *testing.T) {
 	if m.NumSamples() != 120+24 {
 		t.Errorf("samples not absorbed: %d", m.NumSamples())
 	}
+
+	// A batch the store cannot hold is refused whole, before any training.
+	full := make([]Sample, MaxStoreRows)
+	for i := range full {
+		full[i] = more[i%len(more)]
+	}
+	m.SetSamples(full)
+	if _, err := m.Perturb(context.Background(), more, UpdatePolicy{ErrThreshold: 0.5}); !errors.Is(err, ErrStoreFull) {
+		t.Fatalf("Perturb into a full store: err %v, want ErrStoreFull", err)
+	}
+	if m.NumSamples() != MaxStoreRows {
+		t.Errorf("refused Perturb moved the store to %d samples", m.NumSamples())
+	}
 }
 
 func TestPerturbInaccurateFewSamplesAccrues(t *testing.T) {
@@ -355,7 +371,9 @@ func TestPerturbTriggersUpdate(t *testing.T) {
 func TestUpdateWarmStartsFromPopulation(t *testing.T) {
 	m, valid := trainSmallModeler(t)
 	firstBest := m.Population()[0].Fitness
-	m.AddSamples(smallCollector().Collect(smallApps(), 10, 30))
+	if err := m.AddSamples(smallCollector().Collect(smallApps(), 10, 30)); err != nil {
+		t.Fatal(err)
+	}
 	if err := m.Train(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -402,6 +420,36 @@ func TestFitnessSplitsExcludeValidation(t *testing.T) {
 	}
 }
 
+// TestAddSamplesRefusesPastCap: a batch that would take the store past
+// MaxStoreRows is refused whole with ErrStoreFull, leaving the store and its
+// version unchanged; a batch that exactly fills the store is accepted.
+func TestAddSamplesRefusesPastCap(t *testing.T) {
+	s := Sample{App: "a", HW: hwspace.Baseline(), CPI: 1}
+	fill := make([]Sample, MaxStoreRows-2)
+	for i := range fill {
+		fill[i] = s
+	}
+	m := NewTrainer(nil)
+	m.SetSamples(fill)
+	version := m.StoreVersion()
+
+	if err := m.AddSamples([]Sample{s, s, s}); !errors.Is(err, ErrStoreFull) {
+		t.Fatalf("overflowing batch: err %v, want ErrStoreFull", err)
+	}
+	if n, v := m.NumSamples(), m.StoreVersion(); n != MaxStoreRows-2 || v != version {
+		t.Fatalf("refused batch moved the store: %d rows at version %d, want %d at %d", n, v, MaxStoreRows-2, version)
+	}
+	if err := m.AddSamples([]Sample{s, s}); err != nil {
+		t.Fatalf("batch that exactly fills the store: %v", err)
+	}
+	if n, v := m.NumSamples(), m.StoreVersion(); n != MaxStoreRows || v != version+1 {
+		t.Fatalf("filling batch: %d rows at version %d, want %d at %d", n, v, MaxStoreRows, version+1)
+	}
+	if err := m.AddSamples([]Sample{s}); !errors.Is(err, ErrStoreFull) {
+		t.Fatalf("one row into a full store: err %v, want ErrStoreFull", err)
+	}
+}
+
 // TestAddSamplesInvalidatesEvaluator: profiles appended after a training run
 // must influence the next one — each run featurizes the full store, never a
 // stale copy.
@@ -418,7 +466,9 @@ func TestAddSamplesInvalidatesEvaluator(t *testing.T) {
 	for i := range added {
 		added[i].AppID = 3
 	}
-	m.AddSamples(added)
+	if err := m.AddSamples(added); err != nil {
+		t.Fatal(err)
+	}
 	if err := m.Train(context.Background()); err != nil {
 		t.Fatal(err)
 	}

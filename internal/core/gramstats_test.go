@@ -119,7 +119,9 @@ func TestGramCacheInvalidatedOnSampleMutation(t *testing.T) {
 		t.Fatal(err)
 	}
 	col := &Collector{ShardLen: 20_000, ShardPool: 8}
-	m.AddSamples(col.Collect([]*trace.App{trace.Sjeng()}, 12, 99))
+	if err := m.AddSamples(col.Collect([]*trace.App{trace.Sjeng()}, 12, 99)); err != nil {
+		t.Fatal(err)
+	}
 	if err := m.Train(ctx); err != nil {
 		t.Fatal(err)
 	}

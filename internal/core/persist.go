@@ -156,7 +156,7 @@ func (m *Trainer) Save(path string, shardLen int) error {
 // family, structural completeness, variable count, and payload checksum;
 // each failure mode returns a distinct typed error (see ErrModel*). The
 // returned Snapshot predicts immediately; hand it to Trainer.Adopt to serve
-// it from a trainer and continue training with AddSamples and Update.
+// it from a trainer and continue training with AddSamples and Train.
 func LoadSnapshot(path string) (*Snapshot, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {

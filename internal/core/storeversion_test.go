@@ -81,7 +81,9 @@ func TestRetrainCapturesConsistentStore(t *testing.T) {
 				case <-stop:
 					return
 				default:
-					m.AddSamples(late[:1])
+					if err := m.AddSamples(late[:1]); err != nil {
+						t.Error(err)
+					}
 				}
 			}
 		}()

@@ -226,18 +226,33 @@ func (m *Trainer) StoreVersion() uint64 {
 	return m.version
 }
 
+// MaxStoreRows caps the profile store AddSamples grows. It sits above every
+// store the tree builds; the largest, Paper scale, holds 2,520 rows.
+const MaxStoreRows = 1 << 14
+
+// ErrStoreFull is returned by AddSamples for a batch that would take the
+// store past MaxStoreRows.
+var ErrStoreFull = errors.New("core: profile store full")
+
 // AddSamples appends new profiles to the store (they take effect at the next
-// Train, which featurizes the full store).
-func (m *Trainer) AddSamples(samples []Sample) {
+// Train, which featurizes the full store). A batch that would take the store
+// past MaxStoreRows is refused whole with ErrStoreFull, leaving the store and
+// StoreVersion unchanged.
+func (m *Trainer) AddSamples(samples []Sample) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	if len(m.samples) > MaxStoreRows-len(samples) {
+		return fmt.Errorf("%w: %d rows plus %d exceed %d", ErrStoreFull, len(m.samples), len(samples), MaxStoreRows)
+	}
 	m.samples = append(m.samples, samples...)
 	m.version++
+	return nil
 }
 
 // SetSamples replaces the profile store (it takes effect at the next Train).
-// Mutating samples previously returned by Samples has no effect on training;
-// all sample mutation must go through AddSamples or SetSamples.
+// The caller owns the size of the store it sets; MaxStoreRows bounds only
+// AddSamples. Mutating samples previously returned by Samples has no effect
+// on training; all sample mutation must go through AddSamples or SetSamples.
 func (m *Trainer) SetSamples(samples []Sample) {
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -67,7 +67,8 @@ func (d Decision) String() string {
 //     to re-specify and refit, warm-starting from the current population.
 //
 // The new samples are always added to the store so future training sees
-// them.
+// them, unless they would overflow it: Perturb then returns AddSamples'
+// ErrStoreFull and neither adds nor trains.
 func (m *Trainer) Perturb(ctx context.Context, newSamples []Sample, policy UpdatePolicy) (Decision, error) {
 	policy = policy.withDefaults()
 	var d Decision
@@ -83,7 +84,9 @@ func (m *Trainer) Perturb(ctx context.Context, newSamples []Sample, policy Updat
 	}
 	d.Checked = checked
 
-	m.AddSamples(newSamples)
+	if err := m.AddSamples(newSamples); err != nil {
+		return d, err
+	}
 	if checked.MedAPE <= policy.ErrThreshold {
 		// Sufficiently accurate: "the new application likely shares
 		// behavior with already observed software."

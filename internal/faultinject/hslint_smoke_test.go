@@ -179,60 +179,3 @@ func TestHslintSARIF(t *testing.T) {
 		}
 	}
 }
-
-// TestHslintBaselineRoundTrip writes a baseline of the corpus's findings,
-// then lints again against it: every finding is grandfathered, the run
-// reports them as baselined, and the exit code drops to 0. An entry added
-// to the baseline that matches no live finding is stale: the run names it
-// and exits 1, unless -checks skips the entry's check.
-func TestHslintBaselineRoundTrip(t *testing.T) {
-	bin, root := buildHslint(t)
-	base := filepath.Join(t.TempDir(), "baseline.json")
-
-	out, code := runHslint(t, bin, root, "-dir", "-write-baseline", base, misuseDir)
-	if code != 0 {
-		t.Fatalf("-write-baseline exit code = %d, want 0; output:\n%s", code, out)
-	}
-	if _, err := os.Stat(base); err != nil {
-		t.Fatalf("baseline file not written: %v", err)
-	}
-
-	out, code = runHslint(t, bin, root, "-dir", "-baseline", base, misuseDir)
-	if code != 0 {
-		t.Fatalf("baselined lint exit code = %d, want 0; output:\n%s", code, out)
-	}
-	if !strings.Contains(out, "(baselined)") {
-		t.Errorf("baselined run output missing \"(baselined)\" marker; output:\n%s", out)
-	}
-
-	data, err := os.ReadFile(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var b struct {
-		Findings []map[string]string `json:"findings"`
-	}
-	if err := json.Unmarshal(data, &b); err != nil || len(b.Findings) == 0 {
-		t.Fatalf("baseline holds %d findings (err %v), want some", len(b.Findings), err)
-	}
-	b.Findings = append(b.Findings, map[string]string{
-		"check": "floateq", "file": b.Findings[0]["file"], "message": "a finding the code no longer has",
-	})
-	if data, err = json.Marshal(b); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(base, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	out, code = runHslint(t, bin, root, "-dir", "-baseline", base, misuseDir)
-	if code != 1 {
-		t.Fatalf("stale baseline exit code = %d, want 1; output:\n%s", code, out)
-	}
-	if !strings.Contains(out, "stale baseline entry, no finding matches it: a finding the code no longer has [floateq]") {
-		t.Errorf("output does not name the stale entry; output:\n%s", out)
-	}
-	out, code = runHslint(t, bin, root, "-dir", "-checks", "errcmp", "-baseline", base, misuseDir)
-	if code != 0 {
-		t.Fatalf("-checks errcmp exit code = %d, want 0 (floateq did not run); output:\n%s", code, out)
-	}
-}

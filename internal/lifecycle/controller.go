@@ -212,10 +212,10 @@ type Controller struct {
 }
 
 // NewController wires a control loop around the live trainer. The trainer's
-// configuration fields (Search, Fitness, Stabilize, LogResponse, ShardLen)
-// are mirrored into each shadow trainer, so they must be set before the
-// first episode and not mutated afterwards — the same contract core.Trainer
-// itself imposes.
+// configuration fields (Search, SearchTimeout, Fitness, Stabilize,
+// LogResponse, ShardLen, Families) are mirrored into each shadow trainer,
+// so they must be set before the first episode and not mutated afterwards —
+// the same contract core.Trainer itself imposes.
 func NewController(live *core.Trainer, cfg Config) *Controller {
 	cfg = cfg.withDefaults()
 	ctx, cancel := context.WithCancel(context.Background())

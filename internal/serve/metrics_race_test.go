@@ -110,7 +110,7 @@ func TestMetricsScrapeDuringPredictLoad(t *testing.T) {
 }
 
 // TestSnapshotVersionUnderConcurrentRetrain publishes on the default entry's
-// trainer from two Update loops and an Adopt loop while the main goroutine
+// trainer from two Train loops and an Adopt loop while the main goroutine
 // scrapes /metrics in a tight loop. Under -race this pins the publish-point
 // contract: every scrape parses a hsserve_snapshot_version no lower than the
 // one before, and once the publishers stop the version is exactly one (the

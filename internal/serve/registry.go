@@ -254,7 +254,7 @@ func (r *registry) list() []*entry {
 // submit fans samples out to every entry whose application scope matches
 // each sample — one submitted profile advances the sample store of every
 // matching model. It returns the sorted ids of the entries that absorbed at
-// least one sample.
+// least one sample; an entry whose store is full absorbs none.
 func (r *registry) submit(samples []core.Sample) []string {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
@@ -270,7 +270,9 @@ func (r *registry) submit(samples []core.Sample) []string {
 		if len(scratch) == 0 {
 			continue
 		}
-		e.absorb(scratch)
+		if e.absorb(scratch) != nil {
+			continue
+		}
 		touched = append(touched, id)
 	}
 	sort.Strings(touched)
@@ -341,15 +343,16 @@ func (e *entry) matches(app string) bool {
 
 // absorb feeds samples into the entry's store: through the control loop's
 // bounded stores when the entry has one, directly into the trainer
-// otherwise.
-func (e *entry) absorb(samples []core.Sample) {
+// otherwise, which refuses the whole batch with core.ErrStoreFull when it
+// would overflow the store.
+func (e *entry) absorb(samples []core.Sample) error {
 	if e.lifecycle == nil {
-		e.trainer.AddSamples(samples)
-		return
+		return e.trainer.AddSamples(samples)
 	}
 	for _, s := range samples {
 		e.lifecycle.Submit(s)
 	}
+	return nil
 }
 
 // triggerUpdate starts one asynchronous re-specification of the entry's

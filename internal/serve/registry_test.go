@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"hsmodel/internal/core"
 	"hsmodel/pkg/hsmodel"
 )
 
@@ -258,6 +259,62 @@ func TestSamplesFanOut(t *testing.T) {
 	}
 	if alias.Model != "m-bzip2" {
 		t.Fatalf("app:bzip2 routed to %q (application %q), want m-bzip2", alias.Model, alias.Application)
+	}
+}
+
+// TestSamplesFullStore: an addressed samples POST that would overflow the
+// entry's store answers 507 with an ErrorResponse, absorbs nothing and
+// starts no update; a fan_out POST with one full entry and one entry with
+// room answers 200 and lists only the entry with room.
+func TestSamplesFullStore(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	if resp, body := postJSON(t, ts.URL+"/v2/models", hsmodel.RegisterRequest{ID: "m-room"}); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("register m-room: status %d: %s", resp.StatusCode, body)
+	}
+	train, valid := testData(t)
+	full := make([]core.Sample, core.MaxStoreRows)
+	for i := range full {
+		full[i] = train[i%len(train)]
+	}
+	def := s.def.trainer
+	def.SetSamples(full)
+	version := def.StoreVersion()
+
+	req := hsmodel.SamplesRequest{Samples: []hsmodel.SampleWire{hsmodel.SampleToWire(valid[0])}, Update: true}
+	resp, body := postJSON(t, ts.URL+"/v2/models/default/samples", req)
+	if resp.StatusCode != http.StatusInsufficientStorage {
+		t.Fatalf("samples to a full store: status %d, want 507: %s", resp.StatusCode, body)
+	}
+	var er hsmodel.ErrorResponse
+	if err := json.Unmarshal(body, &er); err != nil || er.Error == "" {
+		t.Fatalf("507 body is not an ErrorResponse (err %v): %s", err, body)
+	}
+	if got := def.NumSamples(); got != core.MaxStoreRows || def.StoreVersion() != version {
+		t.Fatalf("refused POST moved the store: %d samples at version %d, want %d at %d",
+			got, def.StoreVersion(), core.MaxStoreRows, version)
+	}
+	if got := s.metrics.updatesStarted.Load(); got != 0 {
+		t.Fatalf("refused POST started %d updates, want 0", got)
+	}
+
+	req.Update, req.FanOut = false, true
+	resp, body = postJSON(t, ts.URL+"/v2/models/default/samples", req)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("fan_out with a full entry: status %d, want 200: %s", resp.StatusCode, body)
+	}
+	var sr hsmodel.SamplesResponse
+	if err := json.Unmarshal(body, &sr); err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Join(sr.Models, " "); got != "m-room" {
+		t.Fatalf("fan_out listed models [%s], want [m-room]", got)
+	}
+	room, _ := s.reg.resolve("m-room")
+	if got := room.trainer.NumSamples(); got != 1 {
+		t.Fatalf("m-room holds %d samples, want 1", got)
+	}
+	if got := def.NumSamples(); got != core.MaxStoreRows {
+		t.Fatalf("fan_out moved the full store to %d samples", got)
 	}
 }
 

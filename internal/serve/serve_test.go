@@ -659,7 +659,9 @@ func TestServeWhileTrainHTTP(t *testing.T) {
 			updatesStarted++
 		}
 		// Direct trainer-level adds race the HTTP path on purpose.
-		tr.AddSamples(valid[:2])
+		if err := tr.AddSamples(valid[:2]); err != nil {
+			t.Fatal(err)
+		}
 		time.Sleep(20 * time.Millisecond)
 	}
 	if updatesStarted == 0 {

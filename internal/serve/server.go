@@ -373,6 +373,8 @@ func writeError(w http.ResponseWriter, err error) {
 		code = http.StatusConflict
 	case errors.Is(err, errNonFinite):
 		code = http.StatusInternalServerError
+	case errors.Is(err, core.ErrStoreFull):
+		code = http.StatusInsufficientStorage
 	case errors.As(err, new(*http.MaxBytesError)):
 		code = http.StatusRequestEntityTooLarge
 	case errors.Is(err, context.DeadlineExceeded):
@@ -559,9 +561,10 @@ func decodeSamples(w http.ResponseWriter, r *http.Request) (hsmodel.SamplesReque
 // handleSamples feeds samples to the addressed entry only, unless fan_out
 // asks for the registry-wide fan-out to every entry whose application scope
 // matches each sample (the response then lists every model that absorbed
-// samples). TotalSamples reports the entry trainer's store; see
-// hsmodel.SamplesResponse for what that counts on an entry with a control
-// loop.
+// samples). An addressed entry whose store the batch would overflow answers
+// 507, accepts nothing and starts no update. TotalSamples reports the entry
+// trainer's store; see hsmodel.SamplesResponse for what that counts on an
+// entry with a control loop.
 func (s *Server) handleSamples(w http.ResponseWriter, r *http.Request, e *entry) {
 	req, samples, err := decodeSamples(w, r)
 	if err != nil {
@@ -571,8 +574,9 @@ func (s *Server) handleSamples(w http.ResponseWriter, r *http.Request, e *entry)
 	resp := hsmodel.SamplesResponse{Accepted: len(samples)}
 	if req.FanOut {
 		resp.Models = s.reg.submit(samples)
-	} else {
-		e.absorb(samples)
+	} else if err := e.absorb(samples); err != nil {
+		writeError(w, err)
+		return
 	}
 	s.metrics.samplesAccepted.Add(uint64(len(samples)))
 	resp.TotalSamples = e.trainer.NumSamples()

@@ -178,18 +178,6 @@ func WithSearch(p SearchParams) Option {
 	return func(t *Trainer) { t.Search = p }
 }
 
-// WithLogResponse toggles fitting log(CPI) instead of CPI (on by default;
-// the ablation benches turn it off).
-func WithLogResponse(on bool) Option {
-	return func(t *Trainer) { t.LogResponse = on }
-}
-
-// WithStabilize toggles ladder-of-powers variance stabilization (on by
-// default).
-func WithStabilize(on bool) Option {
-	return func(t *Trainer) { t.Stabilize = on }
-}
-
 // WithShardLen records the profiling shard length in published snapshots so
 // a loaded model profiles new shards consistently.
 func WithShardLen(n int) Option {

@@ -14,8 +14,6 @@ func TestOptionsApply(t *testing.T) {
 		WithSeed(9),
 		WithPopulation(17),
 		WithGenerations(4),
-		WithLogResponse(false),
-		WithStabilize(false),
 		WithShardLen(12_345),
 	)
 	if tr.Search.Seed != 9 || tr.Search.PopulationSize != 17 || tr.Search.Generations != 4 {
@@ -24,12 +22,12 @@ func TestOptionsApply(t *testing.T) {
 	if tr.Fitness.Seed != 9 {
 		t.Errorf("fitness seed %d, want 9 from WithSeed", tr.Fitness.Seed)
 	}
-	if tr.LogResponse || tr.Stabilize || tr.ShardLen != 12_345 {
-		t.Errorf("flags not applied: log=%v stab=%v shardlen=%d", tr.LogResponse, tr.Stabilize, tr.ShardLen)
+	if tr.ShardLen != 12_345 {
+		t.Errorf("shard length %d, want 12345 from WithShardLen", tr.ShardLen)
 	}
-	// Defaults survive when no option overrides them.
-	if d := New(nil); !d.LogResponse || !d.Stabilize {
-		t.Error("paper defaults lost without options")
+	// The paper's defaults hold under options that do not touch them.
+	if !tr.LogResponse || !tr.Stabilize {
+		t.Error("paper defaults lost under options")
 	}
 }
 

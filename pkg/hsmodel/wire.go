@@ -77,7 +77,10 @@ type BatchPredictResponse struct {
 	Results []BatchPredictItem `json:"results"`
 }
 
-// SamplesRequest feeds new profiles into the served trainer's store.
+// SamplesRequest feeds new profiles into the served trainer's store, which
+// holds at most 16,384 rows. A batch that would overflow the addressed
+// entry's store answers 507 with an ErrorResponse: nothing is absorbed and
+// no update starts.
 type SamplesRequest struct {
 	Samples []SampleWire `json:"samples"`
 	// Update asks the server to re-specify the model asynchronously once the
@@ -86,7 +89,9 @@ type SamplesRequest struct {
 	Update bool `json:"update,omitempty"`
 	// FanOut asks the server to fan the samples out to every registered
 	// model whose application scope matches each sample instead of feeding
-	// only the addressed model.
+	// only the addressed model. An entry whose store is full takes none of
+	// them and is left out of SamplesResponse.Models; the request still
+	// answers 200.
 	FanOut bool `json:"fan_out,omitempty"`
 }
 
