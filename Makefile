@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build fmt vet test race lint lint-fix lint-sarif bench-build bench-smoke bench-collect fig5 goldens fuzz-smoke serve-smoke families-smoke registry-smoke smoke-names ci
+.PHONY: build fmt vet test race lint lint-fix lint-sarif bench-build bench-smoke bench-collect fig5 goldens fuzz-smoke smoke-names ci
 
 build:
 	$(GO) build ./...
@@ -119,38 +119,11 @@ fuzz-smoke:
 	for target in $(CORE_FUZZ_TARGETS); do $(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime 10s ./internal/core || exit 1; done
 	for target in $(RNG_FUZZ_TARGETS); do $(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime 10s ./internal/rng || exit 1; done
 
-# serve-smoke runs the end-to-end serving tests: each boots the HTTP service
-# on an httptest loopback listener and drives it as a real client. They pin
-# Float64bits identity of single and coalesced batch predicts to the
-# snapshot, samples acceptance, the metrics page, and the two scripted drift
-# episodes of the continuous-learning loop (a x1.6 step shift gives exactly
-# one promotion; a transient x3 shift gives exactly one rollback and ends in
-# cooldown). `make test` and `make race` already run them; this target runs
-# just these.
-SERVE_SMOKE_TESTS := ^(TestPredictBitIdenticalToSnapshot|TestBatchCoalescing|TestSamplesFanOut|TestModelInfoAndMetricsPage|TestLifecycleHTTPEpisode|TestLifecycleRollbackOnRegression)$$
-
-serve-smoke:
-	$(GO) test -count=1 -run '$(SERVE_SMOKE_TESTS)' ./internal/serve ./internal/lifecycle
-
-# registry-smoke runs the multi-model serving tests over httptest loopback
-# (the model registry is part of internal/serve, in registry.go):
-# fan_out samples accounting per entry, a non-default entry retraining
-# through its own samples route, the "app:<name>" alias, the default entry's
-# bit-identical canonical predict bodies, register/unregister with manifest
-# persistence, manifest boot, a manifest entry's lifecycle route, the
-# per-model metrics series, and every control loop's lifecycle series.
-# `make test` and `make race` already run them.
-REGISTRY_SMOKE_TESTS := ^(TestSamplesFanOut|TestPredictCanonicalEncoding|TestRegisterUnregisterHTTP|TestManifestBoot|TestLifecycleRouteOnManifestEntry|TestRegistryMetricsPage|TestLifecycleMetricsPerEntry)$$
-
-registry-smoke:
-	$(GO) test -count=1 -run '$(REGISTRY_SMOKE_TESTS)' ./internal/serve
-
-# smoke-names fails when a name in SERVE_SMOKE_TESTS, REGISTRY_SMOKE_TESTS,
-# FAMILIES_SMOKE_TESTS, GOLDEN_TESTS, CORE_FUZZ_TARGETS or RNG_FUZZ_TARGETS
-# is not a test or fuzz target that `go test -list` reports for the packages
-# its target runs: the lists select by regex, and a regex that matches
-# nothing passes, so a renamed or deleted test would otherwise drop out of
-# its smoke run without a word.
+# smoke-names fails when a name in GOLDEN_TESTS, CORE_FUZZ_TARGETS or
+# RNG_FUZZ_TARGETS is not a test or fuzz target that `go test -list` reports
+# for the packages its target runs: the lists select by regex, and a regex
+# that matches nothing passes, so a renamed or deleted test would otherwise
+# drop out of its run without a word.
 smoke-names:
 	@check() { \
 		listed="$$($(GO) test -list . $$2)" || { echo "$$listed"; exit 1; }; \
@@ -158,29 +131,17 @@ smoke-names:
 			echo "$$listed" | grep -qx "$$name" || { echo "smoke-names: $$name is not a test or fuzz target in $$2"; exit 1; }; \
 		done; \
 	}; \
-	check '$(SERVE_SMOKE_TESTS)' './internal/serve ./internal/lifecycle' && \
-	check '$(REGISTRY_SMOKE_TESTS)' ./internal/serve && \
-	check '$(FAMILIES_SMOKE_TESTS) $(CORE_FUZZ_TARGETS)' ./internal/core && \
+	check '$(CORE_FUZZ_TARGETS)' ./internal/core && \
 	check '$(RNG_FUZZ_TARGETS)' ./internal/rng && \
 	check '$(GOLDEN_TESTS)' '$(GOLDEN_PKGS)'
 
-# families-smoke runs the model-family selection harness end to end on the
-# spmv domain corpus: all three built-in families (spline, residual, dal)
-# must fit, selection must complete with a full scoreboard, and the chosen
-# family's CV MedAPE must not be worse than the reference spline baseline.
-FAMILIES_SMOKE_TESTS := ^(TestFamiliesSmoke)$$
-
-families-smoke:
-	$(GO) test -run '$(FAMILIES_SMOKE_TESTS)' -v ./internal/core
-
 # ci is the gate: compile, formatting (gofmt), static analysis (go vet plus
-# the repo's own hslint invariant checks), the smoke lists' test names
-# (smoke-names), plain tests, then the race
+# the repo's own hslint invariant checks), the golden and fuzz lists' test
+# names (smoke-names), plain tests, then the race
 # detector over the whole tree (the parallel fitness pool, the lock-free
 # snapshot swaps, and the fault-injection schedules are the usual suspects),
 # the benchmark harness build (bench-build), the exact Figure 5
 # convergence figures (fig5), and the bit-pinning goldens at GOMAXPROCS 1, 2
-# and 4 (goldens). The serving and registry smoke tests and the
-# family-selection smoke test (TestFamiliesSmoke) are part of test and race;
-# families-smoke stays as a target for running that one test locally.
+# and 4 (goldens). The serving, registry and family-selection end-to-end
+# tests are part of test and race.
 ci: build fmt vet lint smoke-names bench-build fig5 goldens test race

@@ -300,13 +300,15 @@ func walkBody(p *Pass, ps *PkgSummary, sum *Summary, fd *ast.FuncDecl, body ast.
 			return true
 
 		case *ast.BinaryExpr:
-			// len(v) compared against a nonzero bound is cap evidence for v.
-			// Comparisons against literal 0 are emptiness checks, not caps.
+			// len(v) compared against a nonzero bound is cap evidence for v,
+			// also as a term of a sum or difference (len(s.rows)+len(batch)
+			// > max). Comparisons against literal 0 are emptiness checks,
+			// not caps.
 			switch n.Op {
 			case token.LSS, token.LEQ, token.GTR, token.GEQ, token.EQL, token.NEQ:
 				for i, side := range []ast.Expr{n.X, n.Y} {
-					call, ok := side.(*ast.CallExpr)
-					if !ok || !isBuiltin(p, call, "len") || len(call.Args) != 1 {
+					vars := lenTerms(p, side)
+					if len(vars) == 0 {
 						continue
 					}
 					other := n.Y
@@ -318,7 +320,7 @@ func walkBody(p *Pass, ps *PkgSummary, sum *Summary, fd *ast.FuncDecl, body ast.
 							continue
 						}
 					}
-					if v := refVar(info, call.Args[0]); v != nil {
+					for _, v := range vars {
 						sum.Bounds[v] = true
 					}
 				}
@@ -343,6 +345,24 @@ func walkBody(p *Pass, ps *PkgSummary, sum *Summary, fd *ast.FuncDecl, body ast.
 	maps.Copy(u.CloseRoots, sum.CloseRoots)
 	maps.Copy(u.Bounds, sum.Bounds)
 	maps.Copy(u.AtomicFields, sum.AtomicFields)
+}
+
+// lenTerms returns v for every len(v) term of e, where e is a len call or a
+// sum or difference of terms.
+func lenTerms(p *Pass, e ast.Expr) []*types.Var {
+	switch e := ast.Unparen(e).(type) {
+	case *ast.CallExpr:
+		if isBuiltin(p, e, "len") && len(e.Args) == 1 {
+			if v := refVar(p.Info, e.Args[0]); v != nil {
+				return []*types.Var{v}
+			}
+		}
+	case *ast.BinaryExpr:
+		if e.Op == token.ADD || e.Op == token.SUB {
+			return append(lenTerms(p, e.X), lenTerms(p, e.Y)...)
+		}
+	}
+	return nil
 }
 
 // walkExprInto records effects of an expression (spawn arguments) into sum.

@@ -13,6 +13,8 @@ type server struct {
 	bg     []int
 	orphan []int
 	swept  map[string]int
+	rows   []int
+	spill  []int
 }
 
 // NewServer is constructor-shaped: its growth is bounded by its input.
@@ -66,6 +68,25 @@ func (s *server) Memo(k string, v int) {
 		clear(s.known)
 	}
 	s.known[k] = v
+}
+
+// AddRows refuses a batch that would take rows past its cap: a len term of
+// a sum compared against a bound is cap evidence.
+func (s *server) AddRows(batch []int) bool {
+	if len(s.rows)+len(batch) > 4096 {
+		return false
+	}
+	s.rows = append(s.rows, batch...)
+	return true
+}
+
+// Spill is AddRows's twin whose sum is compared against 0: an emptiness
+// check, not a cap.
+func (s *server) Spill(batch []int) {
+	if len(s.spill)+len(batch) == 0 {
+		return
+	}
+	s.spill = append(s.spill, batch...) // want `unbounded growth: append to s.spill in server.Spill`
 }
 
 // Start grows inside a spawned goroutine body; the spawn inherits Start's

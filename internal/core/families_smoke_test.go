@@ -8,8 +8,8 @@ import (
 	"hsmodel/internal/spmv"
 )
 
-// TestFamiliesSmoke is the CI gate for the model-family subsystem (the
-// `make families-smoke` target): every built-in family fits the spmv domain
+// TestFamiliesSmoke is the CI gate for the model-family subsystem (run by
+// `make test` and `make race`): every built-in family fits the spmv domain
 // corpus — the 10-variable space of Section 5.3, exercising a non-26-var
 // arity through the whole harness — selection completes with a scoreboard
 // covering all three families, and the chosen family is never worse than the

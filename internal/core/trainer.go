@@ -241,7 +241,7 @@ var ErrStoreFull = errors.New("core: profile store full")
 func (m *Trainer) AddSamples(samples []Sample) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if len(m.samples) > MaxStoreRows-len(samples) {
+	if len(m.samples)+len(samples) > MaxStoreRows {
 		return fmt.Errorf("%w: %d rows plus %d exceed %d", ErrStoreFull, len(m.samples), len(samples), MaxStoreRows)
 	}
 	m.samples = append(m.samples, samples...)

@@ -115,8 +115,9 @@ func TestLifecyclePromotionAdvancesVersion(t *testing.T) {
 		t.Errorf("model snapshot_version %d, want 3", v)
 	}
 	_, body := getBody(t, ts.URL+"/metrics")
-	if v, ok := metricUint(string(body), "hsserve_snapshot_version"); !ok || v != 3 {
-		t.Errorf("hsserve_snapshot_version = %v (present %v), want 3", v, ok)
+	series := `hsserve_registry_model_snapshot_version{model="default"}`
+	if v, ok := metricUint(string(body), series); !ok || v != 3 {
+		t.Errorf("%s = %v (present %v), want 3", series, v, ok)
 	}
 }
 
@@ -256,7 +257,7 @@ func TestLifecyclePromotionCarriesFamily(t *testing.T) {
 	}
 
 	_, body := getBody(t, ts.URL+"/metrics")
-	marker := `hsserve_model_family{family="spline"} 1`
+	marker := `hsserve_registry_model_family{model="default",family="spline"} 1`
 	if !strings.Contains(string(body), marker) {
 		t.Errorf("metrics missing %q", marker)
 	}
@@ -340,7 +341,7 @@ func TestLifecycleRouteOnManifestEntry(t *testing.T) {
 		}
 	}
 	_, page := getBody(t, ts.URL+"/metrics")
-	marker := `hsserve_model_requests_total{model="m-lc",endpoint="v2_lifecycle",code="200"} 1`
+	marker := `hsserve_requests_total{model="m-lc",endpoint="v2_lifecycle",code="200"} 1`
 	if !strings.Contains(string(page), marker) {
 		t.Errorf("metrics page missing %q", marker)
 	}

@@ -1,9 +1,9 @@
 // Metrics: request counters, latency histograms, the batch-size
-// distribution, and snapshot lifecycle gauges, exposed in Prometheus text
-// exposition format on GET /metrics — standard library only. The fixed
-// bucket layouts keep observation lock-free (atomic bucket counters plus a
-// CAS-accumulated sum); only the requests-per-(endpoint, code) map takes a
-// mutex, and only for a map increment.
+// distribution, and per-model gauges, exposed in Prometheus text exposition
+// format on GET /metrics — standard library only. The fixed bucket layouts
+// keep observation lock-free (atomic bucket counters plus a CAS-accumulated
+// sum); only the requests-per-(model, endpoint, code) map takes a mutex, and
+// only for a map increment.
 package serve
 
 import (
@@ -14,9 +14,8 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 
-	"hsmodel/internal/lifecycle"
+	"hsmodel/pkg/hsmodel"
 )
 
 // latencyBuckets are the histogram upper bounds in seconds, 100µs to 10s.
@@ -53,14 +52,6 @@ func (h *histogram) observe(v float64) {
 			return
 		}
 	}
-}
-
-func (h *histogram) mean() float64 {
-	n := h.count.Load()
-	if n == 0 {
-		return 0
-	}
-	return math.Float64frombits(h.sum.Load()) / float64(n)
 }
 
 // write emits the _bucket/_sum/_count series. labels is either empty or a
@@ -101,35 +92,25 @@ var endpointNames = []string{
 	"v2_predict", "v2_predict_batch", "v2_samples", "v2_model", "v2_lifecycle",
 }
 
-// reqKey labels one requests_total series.
+// reqKey labels one requests_total series; model is the id of the registry
+// entry that served the request, "" on a route that addresses none.
 type reqKey struct {
-	endpoint string
-	code     int
-}
-
-// modelReqKey labels one model_requests_total series: the same counter as
-// requests_total, additionally split by the registry entry that served it.
-type modelReqKey struct {
 	model    string
 	endpoint string
 	code     int
 }
 
-// Cardinality caps for the labeled counter maps. Endpoints are a fixed set
-// but status codes and (for model_requests_total) model ids arrive from
-// traffic, so without a cap a label-spraying client grows the maps — and the
-// scrape page — without bound. At the cap, new label combinations are
-// dropped (existing series keep counting) and the drop is itself counted.
-const (
-	maxRequestSeries      = 256
-	maxModelRequestSeries = 4096
-)
+// maxRequestSeries caps the requests_total map. Endpoints are a fixed set,
+// but status codes and model ids arrive from traffic, so without a cap a
+// label-spraying client grows the map — and the scrape page — without bound.
+// At the cap, new label combinations are dropped (existing series keep
+// counting) and the drop is itself counted.
+const maxRequestSeries = 4096
 
 // metrics aggregates everything GET /metrics exposes.
 type metrics struct {
 	mu            sync.Mutex
 	requests      map[reqKey]uint64
-	modelRequests map[modelReqKey]uint64
 	droppedSeries uint64 // new label combinations rejected at the cap
 
 	latency   map[string]*histogram // per endpoint
@@ -146,10 +127,9 @@ type metrics struct {
 
 func newMetrics() *metrics {
 	m := &metrics{
-		requests:      make(map[reqKey]uint64),
-		modelRequests: make(map[modelReqKey]uint64),
-		latency:       make(map[string]*histogram, len(endpointNames)),
-		batchSize:     newHistogram(batchBuckets),
+		requests:  make(map[reqKey]uint64),
+		latency:   make(map[string]*histogram, len(endpointNames)),
+		batchSize: newHistogram(batchBuckets),
 	}
 	for _, e := range endpointNames {
 		m.latency[e] = newHistogram(latencyBuckets)
@@ -157,9 +137,10 @@ func newMetrics() *metrics {
 	return m
 }
 
-// observeRequest records one completed request.
-func (m *metrics) observeRequest(endpoint string, code int, seconds float64) {
-	k := reqKey{endpoint, code}
+// observeRequest records one completed request; model is "" on a route that
+// addresses no registry entry.
+func (m *metrics) observeRequest(model, endpoint string, code int, seconds float64) {
+	k := reqKey{model, endpoint, code}
 	m.mu.Lock()
 	if _, ok := m.requests[k]; ok || len(m.requests) < maxRequestSeries {
 		m.requests[k]++
@@ -172,83 +153,43 @@ func (m *metrics) observeRequest(endpoint string, code int, seconds float64) {
 	}
 }
 
-// observeModelRequest records one completed model-addressed request.
-func (m *metrics) observeModelRequest(model, endpoint string, code int) {
-	k := modelReqKey{model, endpoint, code}
-	m.mu.Lock()
-	if _, ok := m.modelRequests[k]; ok || len(m.modelRequests) < maxModelRequestSeries {
-		m.modelRequests[k]++
-	} else {
-		m.droppedSeries++
-	}
-	m.mu.Unlock()
-}
-
 // observeBatch records the size of one coalesced evaluator pass.
 func (m *metrics) observeBatch(n int) { m.batchSize.observe(float64(n)) }
 
-// snapshotState is what the scrape reports about the served model, read
-// from the default trainer's publication record.
-type snapshotState struct {
-	version uint64
-	age     time.Duration
-	trained bool
-	family  string // served model family name; "" before training
-}
-
-// modelLifecycle is one entry's control-loop status at scrape time; only
-// entries with a loop have one.
-type modelLifecycle struct {
-	id string
-	st lifecycle.Status
-}
-
-// modelScrape is one registry entry's scrape-time state.
-type modelScrape struct {
-	id          string
-	trained     bool
-	version     uint64
-	samples     int
-	trainedRows int
-	queued      int
-}
-
-// registryScrape carries the registry's scrape-time state; nil omits the
-// per-model section (unit tests driving writeTo directly).
-type registryScrape struct {
-	depth  int
-	models []modelScrape
-}
-
-// writeTo renders the full exposition page. Lock coverage on the read path:
-// the requests map is copied under mu before rendering; every histogram and
-// counter read is an atomic load (a bucket/sum/count triple may be mutually
-// torn mid-observation, which skews one scrape by at most one in-flight
-// event and never corrupts monotonicity); the latency map itself is written
-// only in newMetrics. TestMetricsScrapeDuringPredictLoad holds this under
-// -race. The hsserve_lifecycle_* section has one series per entry in lcs,
-// labeled by model id, and is omitted when lcs is empty.
-func (m *metrics) writeTo(w io.Writer, snap snapshotState, lcs []modelLifecycle, reg *registryScrape) {
-	io.WriteString(w, "# HELP hsserve_requests_total HTTP requests served, by endpoint and status code.\n")
+// writeTo renders the full exposition page from one view per registry
+// entry. Lock coverage on the read path: the requests map is copied under mu
+// before rendering; every histogram and counter read is an atomic load (a
+// bucket/sum/count triple may be mutually torn mid-observation, which skews
+// one scrape by at most one in-flight event and never corrupts
+// monotonicity); the latency map itself is written only in newMetrics.
+// TestMetricsScrapeDuringPredictLoad holds this under -race.
+func (m *metrics) writeTo(w io.Writer, views []entryView) {
+	io.WriteString(w, "# HELP hsserve_requests_total HTTP requests served, by model (on entry-addressed routes), endpoint and status code.\n")
 	io.WriteString(w, "# TYPE hsserve_requests_total counter\n")
 	m.mu.Lock()
 	keys := make([]reqKey, 0, len(m.requests))
-	for k := range m.requests {
-		keys = append(keys, k)
-	}
-	counts := make(map[reqKey]uint64, len(keys))
+	counts := make(map[reqKey]uint64, len(m.requests))
 	for k, v := range m.requests {
+		keys = append(keys, k)
 		counts[k] = v
 	}
+	dropped := m.droppedSeries
 	m.mu.Unlock()
 	sort.Slice(keys, func(i, j int) bool {
+		if keys[i].model != keys[j].model {
+			return keys[i].model < keys[j].model
+		}
 		if keys[i].endpoint != keys[j].endpoint {
 			return keys[i].endpoint < keys[j].endpoint
 		}
 		return keys[i].code < keys[j].code
 	})
 	for _, k := range keys {
-		fmt.Fprintf(w, "hsserve_requests_total{endpoint=%q,code=\"%d\"} %d\n", k.endpoint, k.code, counts[k])
+		model := ""
+		if k.model != "" {
+			model = fmt.Sprintf("model=%q,", k.model)
+		}
+		fmt.Fprintf(w, "hsserve_requests_total{%sendpoint=%q,code=\"%d\"} %d\n", model, k.endpoint, k.code, counts[k])
 	}
 
 	io.WriteString(w, "# HELP hsserve_request_duration_seconds Request latency by endpoint.\n")
@@ -263,25 +204,6 @@ func (m *metrics) writeTo(w io.Writer, snap snapshotState, lcs []modelLifecycle,
 	io.WriteString(w, "# HELP hsserve_batch_size Predictions coalesced per evaluator pass.\n")
 	io.WriteString(w, "# TYPE hsserve_batch_size histogram\n")
 	m.batchSize.write(w, "hsserve_batch_size", "")
-
-	io.WriteString(w, "# HELP hsserve_snapshot_version Model publications by the default entry's trainer (0 before the first).\n")
-	io.WriteString(w, "# TYPE hsserve_snapshot_version gauge\n")
-	fmt.Fprintf(w, "hsserve_snapshot_version %d\n", snap.version)
-	io.WriteString(w, "# HELP hsserve_snapshot_age_seconds Seconds since the served snapshot was published (0 before the first publication).\n")
-	io.WriteString(w, "# TYPE hsserve_snapshot_age_seconds gauge\n")
-	fmt.Fprintf(w, "hsserve_snapshot_age_seconds %g\n", snap.age.Seconds())
-	io.WriteString(w, "# HELP hsserve_model_trained Whether a model is being served (1) or not (0).\n")
-	io.WriteString(w, "# TYPE hsserve_model_trained gauge\n")
-	trained := 0
-	if snap.trained {
-		trained = 1
-	}
-	fmt.Fprintf(w, "hsserve_model_trained %d\n", trained)
-	if snap.family != "" {
-		io.WriteString(w, "# HELP hsserve_model_family Which model family the served snapshot came from (1 on the served family's label).\n")
-		io.WriteString(w, "# TYPE hsserve_model_family gauge\n")
-		fmt.Fprintf(w, "hsserve_model_family{family=%q} 1\n", snap.family)
-	}
 
 	io.WriteString(w, "# HELP hsserve_samples_accepted_total Profiles absorbed via POST /v2/models/{id}/samples.\n")
 	io.WriteString(w, "# TYPE hsserve_samples_accepted_total counter\n")
@@ -300,138 +222,110 @@ func (m *metrics) writeTo(w io.Writer, snap snapshotState, lcs []modelLifecycle,
 	io.WriteString(w, "# TYPE hsserve_sheds_total counter\n")
 	fmt.Fprintf(w, "hsserve_sheds_total %d\n", m.shedsTotal.Load())
 
-	m.mu.Lock()
-	dropped := m.droppedSeries
-	m.mu.Unlock()
 	io.WriteString(w, "# HELP hsserve_metrics_series_dropped_total Label combinations rejected at the counter cardinality cap.\n")
 	io.WriteString(w, "# TYPE hsserve_metrics_series_dropped_total counter\n")
 	fmt.Fprintf(w, "hsserve_metrics_series_dropped_total %d\n", dropped)
 
-	if reg != nil {
-		m.writeRegistry(w, reg)
-	}
+	writeModels(w, views)
+	writeLifecycle(w, views)
+}
 
-	if len(lcs) > 0 {
-		writeLifecycle(w, lcs)
+// writeModels renders every entry's publication, store and queue: one
+// series per entry per gauge, labeled model="<id>".
+func writeModels(w io.Writer, views []entryView) {
+	status := make([]hsmodel.ModelStatus, len(views))
+	for i, v := range views {
+		status[i] = v.status()
+	}
+	for _, g := range []struct {
+		name, help string
+		value      func(i int) any
+	}{
+		{"trained", "Whether the entry serves a model (1) or not (0)", func(i int) any {
+			if status[i].Trained {
+				return 1
+			}
+			return 0
+		}},
+		{"snapshot_version", "Model publications by the entry's trainer (0 before the first)", func(i int) any { return status[i].SnapshotVersion }},
+		{"snapshot_age_seconds", "Seconds since the entry's snapshot was published (0 before the first publication)", func(i int) any { return views[i].age().Seconds() }},
+		{"samples", "Profile-store size", func(i int) any { return status[i].TotalSamples }},
+		{"trained_rows", "Rows the served snapshot was trained on", func(i int) any { return status[i].TrainedRows }},
+		{"queue_depth", "Queued predictions", func(i int) any { return status[i].QueueDepth }},
+	} {
+		fmt.Fprintf(w, "# HELP hsserve_registry_model_%s %s, by model.\n", g.name, g.help)
+		fmt.Fprintf(w, "# TYPE hsserve_registry_model_%s gauge\n", g.name)
+		for i, st := range status {
+			fmt.Fprintf(w, "hsserve_registry_model_%s{model=%q} %v\n", g.name, st.ID, g.value(i))
+		}
+	}
+	io.WriteString(w, "# HELP hsserve_registry_model_family Which model family the entry's snapshot came from (1 on its family's label), by model; absent for an untrained entry.\n")
+	io.WriteString(w, "# TYPE hsserve_registry_model_family gauge\n")
+	for _, st := range status {
+		if st.Family != "" {
+			fmt.Fprintf(w, "hsserve_registry_model_family{model=%q,family=%q} 1\n", st.ID, st.Family)
+		}
 	}
 }
 
 // writeLifecycle renders every control loop's gauges and counters, one
-// series per entry labeled model="<id>".
-func writeLifecycle(w io.Writer, lcs []modelLifecycle) {
+// series per entry with a loop, labeled model="<id>"; with no loop it writes
+// nothing.
+func writeLifecycle(w io.Writer, views []entryView) {
+	var lcs []entryView
+	for _, v := range views {
+		if v.lc != nil {
+			lcs = append(lcs, v)
+		}
+	}
+	if len(lcs) == 0 {
+		return
+	}
 	io.WriteString(w, "# HELP hsserve_lifecycle_state Control-loop state (one-hot over the state machine), by model.\n")
 	io.WriteString(w, "# TYPE hsserve_lifecycle_state gauge\n")
-	for _, lc := range lcs {
+	for _, v := range lcs {
 		for _, st := range []string{"stable", "drift-suspected", "gathering", "retraining", "canary", "cooldown"} {
-			v := 0
-			if lc.st.State == st {
-				v = 1
+			on := 0
+			if v.lc.State == st {
+				on = 1
 			}
-			fmt.Fprintf(w, "hsserve_lifecycle_state{model=%q,state=%q} %d\n", lc.id, st, v)
+			fmt.Fprintf(w, "hsserve_lifecycle_state{model=%q,state=%q} %d\n", v.id(), st, on)
 		}
 	}
 	io.WriteString(w, "# HELP hsserve_lifecycle_drift_score CUSUM drift score of the streaming error detector, by model.\n")
 	io.WriteString(w, "# TYPE hsserve_lifecycle_drift_score gauge\n")
-	for _, lc := range lcs {
-		fmt.Fprintf(w, "hsserve_lifecycle_drift_score{model=%q} %g\n", lc.id, lc.st.DriftScore)
+	for _, v := range lcs {
+		fmt.Fprintf(w, "hsserve_lifecycle_drift_score{model=%q} %g\n", v.id(), v.lc.DriftScore)
 	}
 	io.WriteString(w, "# HELP hsserve_lifecycle_err_ewma Smoothed |relative error| of the served model on the live stream, by model.\n")
 	io.WriteString(w, "# TYPE hsserve_lifecycle_err_ewma gauge\n")
-	for _, lc := range lcs {
-		fmt.Fprintf(w, "hsserve_lifecycle_err_ewma{model=%q} %g\n", lc.id, lc.st.ErrEWMA)
+	for _, v := range lcs {
+		fmt.Fprintf(w, "hsserve_lifecycle_err_ewma{model=%q} %g\n", v.id(), v.lc.ErrEWMA)
 	}
 	io.WriteString(w, "# HELP hsserve_lifecycle_store_occupancy Bounded sample-store occupancy, by model and store.\n")
 	io.WriteString(w, "# TYPE hsserve_lifecycle_store_occupancy gauge\n")
-	for _, lc := range lcs {
-		fmt.Fprintf(w, "hsserve_lifecycle_store_occupancy{model=%q,store=\"reservoir\"} %d\n", lc.id, lc.st.ReservoirLen)
-		fmt.Fprintf(w, "hsserve_lifecycle_store_occupancy{model=%q,store=\"ring\"} %d\n", lc.id, lc.st.RingLen)
+	for _, v := range lcs {
+		fmt.Fprintf(w, "hsserve_lifecycle_store_occupancy{model=%q,store=\"reservoir\"} %d\n", v.id(), v.lc.ReservoirLen)
+		fmt.Fprintf(w, "hsserve_lifecycle_store_occupancy{model=%q,store=\"ring\"} %d\n", v.id(), v.lc.RingLen)
 	}
 	io.WriteString(w, "# HELP hsserve_lifecycle_store_capacity Bounded sample-store capacity, by model and store.\n")
 	io.WriteString(w, "# TYPE hsserve_lifecycle_store_capacity gauge\n")
-	for _, lc := range lcs {
-		fmt.Fprintf(w, "hsserve_lifecycle_store_capacity{model=%q,store=\"reservoir\"} %d\n", lc.id, lc.st.ReservoirCap)
-		fmt.Fprintf(w, "hsserve_lifecycle_store_capacity{model=%q,store=\"ring\"} %d\n", lc.id, lc.st.RingCap)
+	for _, v := range lcs {
+		fmt.Fprintf(w, "hsserve_lifecycle_store_capacity{model=%q,store=\"reservoir\"} %d\n", v.id(), v.lc.ReservoirCap)
+		fmt.Fprintf(w, "hsserve_lifecycle_store_capacity{model=%q,store=\"ring\"} %d\n", v.id(), v.lc.RingCap)
 	}
 	io.WriteString(w, "# HELP hsserve_lifecycle_episodes_total Control-loop episode outcomes, by model and kind.\n")
 	io.WriteString(w, "# TYPE hsserve_lifecycle_episodes_total counter\n")
-	for _, lc := range lcs {
-		fmt.Fprintf(w, "hsserve_lifecycle_episodes_total{model=%q,kind=\"retrain\"} %d\n", lc.id, lc.st.Retrains)
-		fmt.Fprintf(w, "hsserve_lifecycle_episodes_total{model=%q,kind=\"promotion\"} %d\n", lc.id, lc.st.Promotions)
-		fmt.Fprintf(w, "hsserve_lifecycle_episodes_total{model=%q,kind=\"rollback\"} %d\n", lc.id, lc.st.Rollbacks)
-		fmt.Fprintf(w, "hsserve_lifecycle_episodes_total{model=%q,kind=\"ladder_failure\"} %d\n", lc.id, lc.st.LadderFailures)
+	for _, v := range lcs {
+		fmt.Fprintf(w, "hsserve_lifecycle_episodes_total{model=%q,kind=\"retrain\"} %d\n", v.id(), v.lc.Retrains)
+		fmt.Fprintf(w, "hsserve_lifecycle_episodes_total{model=%q,kind=\"promotion\"} %d\n", v.id(), v.lc.Promotions)
+		fmt.Fprintf(w, "hsserve_lifecycle_episodes_total{model=%q,kind=\"rollback\"} %d\n", v.id(), v.lc.Rollbacks)
+		fmt.Fprintf(w, "hsserve_lifecycle_episodes_total{model=%q,kind=\"ladder_failure\"} %d\n", v.id(), v.lc.LadderFailures)
 	}
 	io.WriteString(w, "# HELP hsserve_lifecycle_canary_err Canary MedAPE of the last candidate vs the incumbent on the same set, by model and role.\n")
 	io.WriteString(w, "# TYPE hsserve_lifecycle_canary_err gauge\n")
-	for _, lc := range lcs {
-		fmt.Fprintf(w, "hsserve_lifecycle_canary_err{model=%q,role=\"candidate\"} %g\n", lc.id, lc.st.CanaryErr)
-		fmt.Fprintf(w, "hsserve_lifecycle_canary_err{model=%q,role=\"incumbent\"} %g\n", lc.id, lc.st.IncumbentErr)
-	}
-}
-
-// writeRegistry renders the multi-model section: registry-wide load state
-// plus one series per entry per gauge, labeled by model id.
-func (m *metrics) writeRegistry(w io.Writer, reg *registryScrape) {
-	io.WriteString(w, "# HELP hsserve_registry_models Registered model entries.\n")
-	io.WriteString(w, "# TYPE hsserve_registry_models gauge\n")
-	fmt.Fprintf(w, "hsserve_registry_models %d\n", len(reg.models))
-	io.WriteString(w, "# HELP hsserve_registry_queue_depth Aggregate queued predictions across every entry's batcher.\n")
-	io.WriteString(w, "# TYPE hsserve_registry_queue_depth gauge\n")
-	fmt.Fprintf(w, "hsserve_registry_queue_depth %d\n", reg.depth)
-
-	io.WriteString(w, "# HELP hsserve_registry_model_trained Whether the entry serves a model (1) or not (0), by model.\n")
-	io.WriteString(w, "# TYPE hsserve_registry_model_trained gauge\n")
-	for _, e := range reg.models {
-		v := 0
-		if e.trained {
-			v = 1
-		}
-		fmt.Fprintf(w, "hsserve_registry_model_trained{model=%q} %d\n", e.id, v)
-	}
-	io.WriteString(w, "# HELP hsserve_registry_model_snapshot_version Model publications by the entry's trainer, by model.\n")
-	io.WriteString(w, "# TYPE hsserve_registry_model_snapshot_version gauge\n")
-	for _, e := range reg.models {
-		fmt.Fprintf(w, "hsserve_registry_model_snapshot_version{model=%q} %d\n", e.id, e.version)
-	}
-	io.WriteString(w, "# HELP hsserve_registry_model_samples Profile-store size, by model.\n")
-	io.WriteString(w, "# TYPE hsserve_registry_model_samples gauge\n")
-	for _, e := range reg.models {
-		fmt.Fprintf(w, "hsserve_registry_model_samples{model=%q} %d\n", e.id, e.samples)
-	}
-	io.WriteString(w, "# HELP hsserve_registry_model_trained_rows Rows the served snapshot was trained on, by model.\n")
-	io.WriteString(w, "# TYPE hsserve_registry_model_trained_rows gauge\n")
-	for _, e := range reg.models {
-		fmt.Fprintf(w, "hsserve_registry_model_trained_rows{model=%q} %d\n", e.id, e.trainedRows)
-	}
-	io.WriteString(w, "# HELP hsserve_registry_model_queue_depth Queued predictions, by model.\n")
-	io.WriteString(w, "# TYPE hsserve_registry_model_queue_depth gauge\n")
-	for _, e := range reg.models {
-		fmt.Fprintf(w, "hsserve_registry_model_queue_depth{model=%q} %d\n", e.id, e.queued)
-	}
-
-	m.mu.Lock()
-	keys := make([]modelReqKey, 0, len(m.modelRequests))
-	counts := make(map[modelReqKey]uint64, len(m.modelRequests))
-	for k, v := range m.modelRequests {
-		keys = append(keys, k)
-		counts[k] = v
-	}
-	m.mu.Unlock()
-	if len(keys) == 0 {
-		return
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].model != keys[j].model {
-			return keys[i].model < keys[j].model
-		}
-		if keys[i].endpoint != keys[j].endpoint {
-			return keys[i].endpoint < keys[j].endpoint
-		}
-		return keys[i].code < keys[j].code
-	})
-	io.WriteString(w, "# HELP hsserve_model_requests_total HTTP requests served, by model, endpoint, and status code.\n")
-	io.WriteString(w, "# TYPE hsserve_model_requests_total counter\n")
-	for _, k := range keys {
-		fmt.Fprintf(w, "hsserve_model_requests_total{model=%q,endpoint=%q,code=\"%d\"} %d\n",
-			k.model, k.endpoint, k.code, counts[k])
+	for _, v := range lcs {
+		fmt.Fprintf(w, "hsserve_lifecycle_canary_err{model=%q,role=\"candidate\"} %g\n", v.id(), v.lc.CanaryErr)
+		fmt.Fprintf(w, "hsserve_lifecycle_canary_err{model=%q,role=\"incumbent\"} %g\n", v.id(), v.lc.IncumbentErr)
 	}
 }

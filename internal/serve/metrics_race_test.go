@@ -88,14 +88,14 @@ func TestMetricsScrapeDuringPredictLoad(t *testing.T) {
 		default:
 		}
 		body := scrape()
-		if !strings.Contains(body, "hsserve_model_trained 1") {
+		if !strings.Contains(body, `hsserve_registry_model_trained{model="default"} 1`) {
 			t.Fatal("scrape under load is missing the trained gauge")
 		}
 	}
 
 	// observeRequest runs after the handler returns, so the last increments
 	// can trail the clients' view of completion; give them a moment.
-	want := fmt.Sprintf(`hsserve_requests_total{endpoint="v2_predict",code="200"} %d`, clients*perClient)
+	want := fmt.Sprintf(`hsserve_requests_total{model="default",endpoint="v2_predict",code="200"} %d`, clients*perClient)
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		body := scrape()
@@ -112,11 +112,12 @@ func TestMetricsScrapeDuringPredictLoad(t *testing.T) {
 // TestSnapshotVersionUnderConcurrentRetrain publishes on the default entry's
 // trainer from two Train loops and an Adopt loop while the main goroutine
 // scrapes /metrics in a tight loop. Under -race this pins the publish-point
-// contract: every scrape parses a hsserve_snapshot_version no lower than the
-// one before, and once the publishers stop the version is exactly one (the
-// bootstrap train) plus the number of successful publishes — publications
-// that land between two scrapes are each counted, and concurrent publishers
-// never share a generation.
+// contract: every scrape parses a default-entry
+// hsserve_registry_model_snapshot_version no lower than the one before, and
+// once the publishers stop the version is exactly one (the bootstrap train)
+// plus the number of successful publishes — publications that land between
+// two scrapes are each counted, and concurrent publishers never share a
+// generation.
 func TestSnapshotVersionUnderConcurrentRetrain(t *testing.T) {
 	tr := newTestTrainer(t)
 	_, ts := newTestServer(t, Config{Trainer: tr})
@@ -167,9 +168,9 @@ func TestSnapshotVersionUnderConcurrentRetrain(t *testing.T) {
 
 	version := func() uint64 {
 		_, body := getBody(t, ts.URL+"/metrics")
-		v, ok := metricUint(string(body), "hsserve_snapshot_version")
+		v, ok := metricUint(string(body), `hsserve_registry_model_snapshot_version{model="default"}`)
 		if !ok {
-			t.Fatalf("scrape has no hsserve_snapshot_version:\n%s", body)
+			t.Fatalf("scrape has no default snapshot version:\n%s", body)
 		}
 		return v
 	}

@@ -279,17 +279,6 @@ func (r *registry) submit(samples []core.Sample) []string {
 	return touched
 }
 
-// queueDepth sums queued predictions across every entry's batcher.
-func (r *registry) queueDepth() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	total := 0
-	for _, e := range r.entries {
-		total += e.batcher.Queued()
-	}
-	return total
-}
-
 // close drains the registry: in-flight updates are cancelled (their
 // trainers observe context cancellation and keep the last-good snapshot),
 // every entry's batcher answers what it accepted, and every control loop

@@ -536,8 +536,9 @@ func TestV2UnknownModel(t *testing.T) {
 	}
 }
 
-// TestRegistryMetricsPage: the scrape carries the registry-wide and
-// per-model series.
+// TestRegistryMetricsPage: the scrape carries the per-model series of
+// every entry, and the request counter splits entry-addressed requests by
+// model.
 func TestRegistryMetricsPage(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	if resp, body := postJSON(t, ts.URL+"/v2/models", hsmodel.RegisterRequest{ID: "m-x", Application: "bzip2"}); resp.StatusCode != http.StatusCreated {
@@ -546,15 +547,94 @@ func TestRegistryMetricsPage(t *testing.T) {
 	_, _ = getBody(t, ts.URL+"/v2/models/m-x/model")
 	_, page := getBody(t, ts.URL+"/metrics")
 	for _, marker := range []string{
-		"hsserve_registry_models 2",
 		`hsserve_registry_model_trained{model="default"} 1`,
 		`hsserve_registry_model_trained{model="m-x"} 0`,
 		fmt.Sprintf(`hsserve_registry_model_samples{model="default"} %d`, len(trainStore)),
-		`hsserve_registry_queue_depth 0`,
-		`hsserve_model_requests_total{model="m-x",endpoint="v2_model",code="200"} 1`,
+		`hsserve_registry_model_queue_depth{model="default"} 0`,
+		`hsserve_registry_model_queue_depth{model="m-x"} 0`,
+		`hsserve_requests_total{model="m-x",endpoint="v2_model",code="200"} 1`,
 	} {
 		if !strings.Contains(string(page), marker) {
 			t.Fatalf("metrics page missing %q", marker)
+		}
+	}
+	if n := strings.Count(string(page), "\nhsserve_registry_model_trained{"); n != 2 {
+		t.Errorf("%d hsserve_registry_model_trained series, want one per entry (2)", n)
+	}
+	assertOnePerModel(t, string(page), "default", "m-x")
+}
+
+// TestRegistryMetricsPerEntryPublication: a registered entry that trains
+// through its own samples route reports its publication on the scrape like
+// the default entry does — generation, age and family, once each.
+func TestRegistryMetricsPerEntryPublication(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	reg := hsmodel.RegisterRequest{ID: "m-all", Seed: 13, ShardLen: 20_000, Population: 8, Generations: 2}
+	if resp, body := postJSON(t, ts.URL+"/v2/models", reg); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("register: %d %s", resp.StatusCode, body)
+	}
+	train := hsmodel.SamplesRequest{Update: true}
+	for _, v := range trainStore {
+		train.Samples = append(train.Samples, hsmodel.SampleToWire(v))
+	}
+	resp, body := postJSON(t, ts.URL+"/v2/models/m-all/samples", train)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("m-all samples: status %d: %s", resp.StatusCode, body)
+	}
+	var info hsmodel.ModelInfo
+	for deadline := time.Now().Add(2 * time.Minute); !info.Trained; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("m-all not trained within deadline")
+		}
+		_, body = getBody(t, ts.URL+"/v2/models/m-all/model")
+		if err := json.Unmarshal(body, &info); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	_, page := getBody(t, ts.URL+"/metrics")
+	for _, marker := range []string{
+		`hsserve_registry_model_snapshot_version{model="m-all"} 1`,
+		`hsserve_registry_model_snapshot_age_seconds{model="m-all"} `,
+		fmt.Sprintf(`hsserve_registry_model_family{model="m-all",family=%q} 1`, info.Family),
+		`hsserve_registry_model_trained{model="m-all"} 1`,
+		fmt.Sprintf(`hsserve_registry_model_trained_rows{model="m-all"} %d`, len(trainStore)),
+	} {
+		if !strings.Contains(string(page), marker) {
+			t.Errorf("metrics page missing %q", marker)
+		}
+	}
+	assertOnePerModel(t, string(page), "default", "m-all")
+}
+
+// assertOnePerModel checks that the scrape reports every per-entry fact
+// exactly once for each of ids (the family once per trained entry), and
+// none of the retired unlabeled or duplicate series.
+func assertOnePerModel(t *testing.T, page string, ids ...string) {
+	t.Helper()
+	for _, id := range ids {
+		label := fmt.Sprintf(`{model=%q`, id)
+		for _, gauge := range []string{"trained", "snapshot_version", "snapshot_age_seconds", "samples", "trained_rows", "queue_depth"} {
+			if n := strings.Count(page, "\nhsserve_registry_model_"+gauge+label+"}"); n != 1 {
+				t.Errorf("hsserve_registry_model_%s for %q appears %d times, want 1", gauge, id, n)
+			}
+		}
+		want := 0
+		if trained, _ := metricUint(page, "hsserve_registry_model_trained"+label+"}"); trained == 1 {
+			want = 1
+		}
+		if n := strings.Count(page, "\nhsserve_registry_model_family"+label+","); n != want {
+			t.Errorf("hsserve_registry_model_family for %q appears %d times, want %d", id, n, want)
+		}
+	}
+	for _, retired := range []string{
+		"hsserve_snapshot_version", "hsserve_snapshot_age_seconds", "hsserve_model_trained", "hsserve_model_family",
+		"hsserve_model_requests_total", "hsserve_registry_models", "hsserve_registry_queue_depth",
+	} {
+		for _, sep := range []string{" ", "{"} {
+			if strings.Contains(page, "\n"+retired+sep) {
+				t.Errorf("metrics page still carries %s", retired)
+			}
 		}
 	}
 }

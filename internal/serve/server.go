@@ -129,7 +129,7 @@ func (c Config) withDefaults() Config {
 type Server struct {
 	cfg     Config
 	reg     *registry
-	def     *entry // the reserved default entry: Predict, Reload, healthz, the snapshot gauges
+	def     *entry // the reserved default entry: Predict, Reload, healthz
 	metrics *metrics
 	mux     *http.ServeMux
 
@@ -305,7 +305,8 @@ func writeSynced(path string, data []byte) error {
 	return err
 }
 
-// instrument wraps a handler with the per-request timeout and metrics.
+// instrument wraps a handler with the per-request timeout and metrics. The
+// handler writes to a *statusRecorder.
 func (s *Server) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
@@ -313,7 +314,7 @@ func (s *Server) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
 		defer cancel()
 		rec := &statusRecorder{ResponseWriter: w, code: http.StatusOK}
 		h(rec, r.WithContext(ctx))
-		s.metrics.observeRequest(name, rec.code, time.Since(start).Seconds())
+		s.metrics.observeRequest(rec.model, name, rec.code, time.Since(start).Seconds())
 	}
 }
 
@@ -321,8 +322,8 @@ func (s *Server) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
 type entryHandler func(w http.ResponseWriter, r *http.Request, e *entry)
 
 // v2Entry resolves the {id} path value — an exact entry id or the
-// "app:<name>" alias — instruments the request, and feeds
-// the per-model request counter.
+// "app:<name>" alias — and instruments the request, counted under the
+// resolved entry's id (an unknown id is counted under none).
 func (s *Server) v2Entry(endpoint string, h entryHandler) http.HandlerFunc {
 	return s.instrument(endpoint, func(w http.ResponseWriter, r *http.Request) {
 		id := r.PathValue("id")
@@ -331,16 +332,17 @@ func (s *Server) v2Entry(endpoint string, h entryHandler) http.HandlerFunc {
 			writeError(w, fmt.Errorf("%w: %q", errNotFound, id))
 			return
 		}
-		rec := &statusRecorder{ResponseWriter: w, code: http.StatusOK}
-		h(rec, r, e)
-		s.metrics.observeModelRequest(e.req.ID, endpoint, rec.code)
+		w.(*statusRecorder).model = e.req.ID
+		h(w, r, e)
 	})
 }
 
-// statusRecorder captures the response code for the request counters.
+// statusRecorder captures the response code, and the registry entry that
+// served the request, for the request counter.
 type statusRecorder struct {
 	http.ResponseWriter
-	code int
+	code  int
+	model string // "" on a route that addresses no entry
 }
 
 func (r *statusRecorder) WriteHeader(code int) {
@@ -621,70 +623,107 @@ func (s *Server) triggerUpdate(e *entry) bool {
 	return started
 }
 
-// snapshotAge is the time since the trainer's latest publication, 0 before
-// the first one (Generation 0 carries no publish time).
-func snapshotAge(pub core.Publication) time.Duration {
-	if pub.Generation == 0 {
-		return 0
-	}
-	return time.Since(pub.At)
+// entryView is one registry entry as a response reads it: its publication,
+// store size, queue depth and loop status, each read once. The listing, the
+// model route and the scrape all render from it, so a response reports each
+// fact of an entry once, from one reading.
+type entryView struct {
+	e       *entry
+	pub     core.Publication
+	samples int
+	queued  int
+	lc      *lifecycle.Status // nil unless the entry has a control loop
 }
 
-// modelInfo assembles the wire ModelInfo for an entry: the snapshot's
-// fields (hsmodel.SnapshotInfo) plus the entry's identity and store.
-func (s *Server) modelInfo(e *entry) hsmodel.ModelInfo {
-	pub := e.trainer.Published()
-	info := hsmodel.SnapshotInfo(pub.Snapshot)
-	info.Model = e.req.ID
-	info.Application = e.req.Application
-	info.ArchSpace = e.req.ArchSpace
-	info.TotalSamples = e.trainer.NumSamples()
-	info.SnapshotVersion = pub.Generation
-	info.SnapshotAgeSec = snapshotAge(pub).Seconds()
-	st := e.trainer.FitPathStats()
+func viewOf(e *entry) entryView {
+	v := entryView{
+		e:       e,
+		pub:     e.trainer.Published(),
+		samples: e.trainer.NumSamples(),
+		queued:  e.batcher.Queued(),
+	}
+	if e.lifecycle != nil {
+		st := e.lifecycle.Status()
+		v.lc = &st
+	}
+	return v
+}
+
+// views reads every registered entry, sorted by id.
+func (s *Server) views() []entryView {
+	entries := s.reg.list()
+	views := make([]entryView, len(entries))
+	for i, e := range entries {
+		views[i] = viewOf(e)
+	}
+	return views
+}
+
+func (v entryView) id() string { return v.e.req.ID }
+
+// age is the time since the publication, 0 before the first one
+// (Generation 0 carries no publish time).
+func (v entryView) age() time.Duration {
+	if v.pub.Generation == 0 {
+		return 0
+	}
+	return time.Since(v.pub.At)
+}
+
+// info is the wire ModelInfo of the model route: the snapshot's fields
+// (hsmodel.SnapshotInfo) plus the entry's identity and store.
+func (v entryView) info() hsmodel.ModelInfo {
+	info := hsmodel.SnapshotInfo(v.pub.Snapshot)
+	info.Model = v.id()
+	info.Application = v.e.req.Application
+	info.ArchSpace = v.e.req.ArchSpace
+	info.TotalSamples = v.samples
+	info.SnapshotVersion = v.pub.Generation
+	info.SnapshotAgeSec = v.age().Seconds()
+	st := v.e.trainer.FitPathStats()
 	info.GramFits, info.QRFallbacks = st.GramFits, st.QRFallbacks
 	return info
 }
 
-func (s *Server) handleModel(w http.ResponseWriter, r *http.Request, e *entry) {
-	writeJSON(w, http.StatusOK, s.modelInfo(e))
-}
-
-// modelStatus summarizes one entry for the registry listing and the scrape.
-func (s *Server) modelStatus(e *entry) hsmodel.ModelStatus {
-	pub := e.trainer.Published()
-	snap := pub.Snapshot
+// status summarizes the entry for the registry listing, the register
+// answer and the scrape.
+func (v entryView) status() hsmodel.ModelStatus {
+	snap := v.pub.Snapshot
 	ms := hsmodel.ModelStatus{
-		ID:              e.req.ID,
-		Application:     e.req.Application,
-		ArchSpace:       e.req.ArchSpace,
+		ID:              v.id(),
+		Application:     v.e.req.Application,
+		ArchSpace:       v.e.req.ArchSpace,
 		Trained:         snap.Trained(),
-		TotalSamples:    e.trainer.NumSamples(),
-		SnapshotVersion: pub.Generation,
-		QueueDepth:      e.batcher.Queued(),
-		ModelPath:       e.req.ModelPath,
-		Families:        e.req.Families,
+		TotalSamples:    v.samples,
+		SnapshotVersion: v.pub.Generation,
+		QueueDepth:      v.queued,
+		ModelPath:       v.e.req.ModelPath,
+		Families:        v.e.req.Families,
 	}
 	if snap.Trained() {
 		ms.Family = snap.Family()
 		ms.Rung = snap.Rung().String()
 		ms.TrainedRows = snap.TrainedRows()
 	}
-	if lc := e.lifecycle; lc != nil {
-		ms.Lifecycle = lc.Status().State
+	if v.lc != nil {
+		ms.Lifecycle = v.lc.State
 	}
 	return ms
 }
 
+func (s *Server) handleModel(w http.ResponseWriter, r *http.Request, e *entry) {
+	writeJSON(w, http.StatusOK, viewOf(e).info())
+}
+
 func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
-	entries := s.reg.list()
+	views := s.views()
 	status := hsmodel.RegistryStatus{
-		Models:     make([]hsmodel.ModelStatus, len(entries)),
-		QueueDepth: s.reg.queueDepth(),
-		Default:    hsmodel.DefaultModelID,
+		Models:  make([]hsmodel.ModelStatus, len(views)),
+		Default: hsmodel.DefaultModelID,
 	}
-	for i, e := range entries {
-		status.Models[i] = s.modelStatus(e)
+	for i, v := range views {
+		status.Models[i] = v.status()
+		status.QueueDepth += status.Models[i].QueueDepth
 	}
 	writeJSON(w, http.StatusOK, status)
 }
@@ -710,7 +749,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	}
 	s.persistManifest()
 	s.cfg.Logger.Printf("serve: registered model %q (app %q)", e.req.ID, e.req.Application)
-	writeJSON(w, http.StatusCreated, s.modelStatus(e))
+	writeJSON(w, http.StatusCreated, viewOf(e).status())
 }
 
 func (s *Server) handleUnregister(w http.ResponseWriter, r *http.Request) {
@@ -736,39 +775,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	pub := s.def.trainer.Published()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	var lcs []modelLifecycle
-	entries := s.reg.list()
-	reg := &registryScrape{
-		depth:  s.reg.queueDepth(),
-		models: make([]modelScrape, len(entries)),
-	}
-	for i, e := range entries {
-		epub := e.trainer.Published()
-		m := modelScrape{
-			id:      e.req.ID,
-			trained: epub.Snapshot.Trained(),
-			version: epub.Generation,
-			samples: e.trainer.NumSamples(),
-			queued:  e.batcher.Queued(),
-		}
-		if m.trained {
-			m.trainedRows = epub.Snapshot.TrainedRows()
-		}
-		reg.models[i] = m
-		if lc := e.lifecycle; lc != nil {
-			lcs = append(lcs, modelLifecycle{id: e.req.ID, st: lc.Status()})
-		}
-	}
-	s.metrics.writeTo(w, snapshotState{
-		version: pub.Generation,
-		age:     snapshotAge(pub),
-		trained: pub.Snapshot.Trained(),
-		family:  pub.Snapshot.Family(),
-	}, lcs, reg)
+	s.metrics.writeTo(w, s.views())
 }
-
-// batchMean exposes the observed mean coalesced-batch size (tests assert
-// coalescing happens).
-func (s *Server) batchMean() float64 { return s.metrics.batchSize.mean() }

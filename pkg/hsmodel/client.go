@@ -141,22 +141,3 @@ func (c *Client) ModelInfo(ctx context.Context) (ModelInfo, error) {
 	err := c.do(ctx, http.MethodGet, c.route("/model"), nil, &out)
 	return out, err
 }
-
-// Models lists the registry: every entry plus the registry-wide load state.
-func (c *Client) Models(ctx context.Context) (RegistryStatus, error) {
-	var out RegistryStatus
-	err := c.do(ctx, http.MethodGet, c.base+"/v2/models", nil, &out)
-	return out, err
-}
-
-// RegisterModel registers a new entry and returns its status.
-func (c *Client) RegisterModel(ctx context.Context, req RegisterRequest) (ModelStatus, error) {
-	var out ModelStatus
-	err := c.do(ctx, http.MethodPost, c.base+"/v2/models", req, &out)
-	return out, err
-}
-
-// UnregisterModel removes (and drains) the entry registered under id.
-func (c *Client) UnregisterModel(ctx context.Context, id string) error {
-	return c.do(ctx, http.MethodDelete, c.base+"/v2/models/"+url.PathEscape(id), nil, nil)
-}

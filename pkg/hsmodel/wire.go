@@ -242,7 +242,7 @@ type ModelStatus struct {
 // registry-wide load state.
 type RegistryStatus struct {
 	Models []ModelStatus `json:"models"`
-	// QueueDepth is the aggregate queued predictions across entries.
+	// QueueDepth is the sum of the listed entries' QueueDepth.
 	QueueDepth int `json:"queue_depth"`
 	// Default is the reserved entry id serving hsserve's own trainer.
 	Default string `json:"default"`
