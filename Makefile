@@ -57,9 +57,10 @@ bench-build:
 
 # bench-smoke runs every benchmark exactly once: it proves the full
 # experiment suite (all figures and ablations) still executes end to end
-# without paying for statistically meaningful timings.
+# without paying for statistically meaningful timings. -run '^$$' skips the
+# tests, which test and race already ran.
 bench-smoke:
-	$(GO) test -bench=. -benchtime=1x ./...
+	$(GO) test -run '^$$' -bench=. -benchtime=1x ./...
 
 # bench-collect times sample collection once at the build workload's scale
 # (BenchmarkCollect: 7 applications x 120 samples, 50k-instruction shards):
@@ -107,20 +108,26 @@ goldens:
 # checksum keeps FuzzLoadSnapshot from, with the same property. Then it
 # fuzzes the samplers' bucket tables for 10 s (FuzzSamplerTables,
 # internal/rng): for an arbitrary Geom mean, Zipf (n, theta) and draw, the
-# table must answer what the formula answers and consume the same draw. A
-# crasher is written to the package's testdata/fuzz/<target>/; checked in, it
-# replays on every plain `go test`. CI runs this after ci, not inside it.
-# `go test -fuzz` with a name that matches no target exits 0, so smoke-names
-# checks the names in the two lists below.
+# table must answer what the formula answers and consume the same draw. Last,
+# for 10 s, the wire decode (FuzzWireDecode, pkg/hsmodel): arbitrary bytes as
+# a predict body, a batch body or a sample either decode to finite, validated
+# values or fail with an error, never panic. A crasher is written to the
+# package's testdata/fuzz/<target>/; checked in, it replays on every plain
+# `go test`. CI runs this after ci, not inside it. `go test -fuzz` with a name
+# that matches no target exits 0, so smoke-names checks the names in the
+# three lists below.
 CORE_FUZZ_TARGETS := FuzzLoadSnapshot FuzzLoadSnapshotPayload
 RNG_FUZZ_TARGETS := FuzzSamplerTables
+WIRE_FUZZ_TARGETS := FuzzWireDecode
 
 fuzz-smoke:
 	for target in $(CORE_FUZZ_TARGETS); do $(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime 10s ./internal/core || exit 1; done
 	for target in $(RNG_FUZZ_TARGETS); do $(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime 10s ./internal/rng || exit 1; done
+	for target in $(WIRE_FUZZ_TARGETS); do $(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime 10s ./pkg/hsmodel || exit 1; done
 
-# smoke-names fails when a name in GOLDEN_TESTS, CORE_FUZZ_TARGETS or
-# RNG_FUZZ_TARGETS is not a test or fuzz target that `go test -list` reports
+# smoke-names fails when a name in GOLDEN_TESTS, CORE_FUZZ_TARGETS,
+# RNG_FUZZ_TARGETS or WIRE_FUZZ_TARGETS is not a test or fuzz target that
+# `go test -list` reports
 # for the packages its target runs: the lists select by regex, and a regex
 # that matches nothing passes, so a renamed or deleted test would otherwise
 # drop out of its run without a word.
@@ -133,6 +140,7 @@ smoke-names:
 	}; \
 	check '$(CORE_FUZZ_TARGETS)' ./internal/core && \
 	check '$(RNG_FUZZ_TARGETS)' ./internal/rng && \
+	check '$(WIRE_FUZZ_TARGETS)' ./pkg/hsmodel && \
 	check '$(GOLDEN_TESTS)' '$(GOLDEN_PKGS)'
 
 # ci is the gate: compile, formatting (gofmt), static analysis (go vet plus

@@ -548,18 +548,24 @@ func BenchmarkGenerationFitness(b *testing.B) {
 	})
 }
 
-// BenchmarkModelPredict measures the serving hot path in scalar and batch
-// form with allocation accounting. One warm-up call grows the caller-owned
-// scratch to its high-water mark; after that every prediction must report
-// 0 allocs/op (the batch form additionally answers all rows in a single
-// contiguous matrix-vector sweep).
+// BenchmarkModelPredict measures the spline family's regression predict,
+// the serving hot path's kernel, in scalar and batch form with allocation
+// accounting. The regression is the workspace search's best specification
+// refitted on the training rows, as the spline family fits its winner. One
+// warm-up call grows the caller-owned scratch to its high-water mark; after
+// that every prediction must report 0 allocs/op (the batch form
+// additionally answers all rows in a single contiguous matrix-vector sweep).
 func BenchmarkModelPredict(b *testing.B) {
 	w := workspace()
 	m, err := w.Model()
 	if err != nil {
 		b.Fatal(err)
 	}
-	model := m.Model()
+	model, err := regress.FitSpec(m.Population()[0].Spec, nil, core.ToDataset(w.TrainingSamples()),
+		regress.Options{LogResponse: true, Stabilize: true})
+	if err != nil {
+		b.Fatal(err)
+	}
 	samples := w.ValidationSamples()
 	rows := make([][]float64, len(samples))
 	for i, s := range samples {

@@ -175,33 +175,32 @@ func cmdTrain(ctx context.Context, args []string, stdout io.Writer) error {
 		fmt.Fprintf(stdout, "kept existing model at %s\n", *out)
 		return nil
 	}
-	fmt.Fprintln(os.Stderr, m.Report())
-	if sel := m.Selection(); sel != nil {
-		names := make([]string, 0, len(sel.Scores))
-		for name := range sel.Scores {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			fmt.Fprintf(os.Stderr, "family %-9s CV MedAPE %.4f\n", name, sel.Scores[name])
-		}
-		failed := make([]string, 0, len(sel.Errors))
-		for name := range sel.Errors {
-			failed = append(failed, name)
-		}
-		sort.Strings(failed)
-		for _, name := range failed {
-			fmt.Fprintf(os.Stderr, "family %-9s failed: %v\n", name, sel.Errors[name])
-		}
-		if sel.Winner != "" {
-			fmt.Fprintf(os.Stderr, "selected family: %s\n", sel.Winner)
-		}
+	rep := m.Report()
+	fmt.Fprintln(os.Stderr, rep)
+	names := make([]string, 0, len(rep.FamilyScores))
+	for name := range rep.FamilyScores {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		fmt.Fprintf(os.Stderr, "family %-9s CV MedAPE %.4f\n", name, rep.FamilyScores[name])
+	}
+	failed := make([]string, 0, len(rep.FamilyErrors))
+	for name := range rep.FamilyErrors {
+		failed = append(failed, name)
+	}
+	sort.Strings(failed)
+	for _, name := range failed {
+		fmt.Fprintf(os.Stderr, "family %-9s failed: %v\n", name, rep.FamilyErrors[name])
+	}
+	if rep.Rung == hsmodel.RungGenetic {
+		fmt.Fprintf(os.Stderr, "selected family: %s\n", rep.Family)
 	}
 	if pop := m.Population(); len(pop) > 0 {
 		fmt.Fprintf(os.Stderr, "best fitness %.4f, spec: %s\n", pop[0].Fitness, pop[0].Spec)
 	}
 
-	if err := m.Save(*out, *shardLen); err != nil {
+	if err := m.Snapshot().Save(*out); err != nil {
 		return err
 	}
 	fmt.Fprintf(stdout, "model written to %s\n", *out)

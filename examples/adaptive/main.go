@@ -90,9 +90,10 @@ func run(ctx context.Context, stdout io.Writer) error {
 		measured := all[shard*len(points):][:len(points)]
 		static := measured[0]
 
+		snap := m.Snapshot()
 		best, bestPred := -1, 0.0
 		for k, p := range points {
-			pred, err := m.PredictShard(static.X, p.cfg)
+			pred, err := snap.PredictShard(static.X, p.cfg)
 			if err != nil {
 				return err
 			}

@@ -112,11 +112,12 @@ func run(ctx context.Context, stdout io.Writer) error {
 		pred   []float64
 		spread float64
 	}
+	snap := m.Snapshot()
 	prefs := make([]pref, len(jobs))
 	for i, j := range jobs {
 		p := pref{j: j, pred: make([]float64, len(nodes))}
 		for k, n := range nodes {
-			v, err := m.PredictShard(j.x, n.cfg)
+			v, err := snap.PredictShard(j.x, n.cfg)
 			if err != nil {
 				return err
 			}

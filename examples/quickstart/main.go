@@ -55,7 +55,8 @@ func run(ctx context.Context, stdout io.Writer) error {
 	// 4. Predict an unseen pair and check it against simulation.
 	hw := hsmodel.RandomConfig(99)
 	unseen := collector.Collect(apps[0:1], 1, 1234)[0]
-	pred, err := modeler.PredictShard(unseen.X, hw)
+	snap := modeler.Snapshot()
+	pred, err := snap.PredictShard(unseen.X, hw)
 	if err != nil {
 		return err
 	}
@@ -76,7 +77,7 @@ func run(ctx context.Context, stdout io.Writer) error {
 		xs = append(xs, s.X)
 		truthSum += s.CPI
 	}
-	appPred, err := modeler.PredictApplication(xs, hw)
+	appPred, err := snap.PredictApplication(xs, hw)
 	if err != nil {
 		return err
 	}

@@ -39,7 +39,7 @@ func TestServeWhileTrain(t *testing.T) {
 			for i := 0; !stop.Load(); i++ {
 				s := valid[(g+i)%len(valid)]
 				snap := m.Snapshot()
-				if snap == nil || snap.Model() == nil {
+				if !snap.Trained() {
 					errs <- ErrNotTrained
 					return
 				}
@@ -48,15 +48,12 @@ func TestServeWhileTrain(t *testing.T) {
 					errs <- err
 					return
 				}
-				// The trainer-level path must be equally safe.
-				if _, err := m.PredictShard(s.X, s.HW); err != nil {
+				if _, err := snap.EvaluateOn(valid[:3]); err != nil {
 					errs <- err
 					return
 				}
-				if _, err := m.EvaluateOn(valid[:3]); err != nil {
-					errs <- err
-					return
-				}
+				// The run record is readable mid-run too.
+				_ = m.Report().String()
 				reads.Add(1)
 			}
 		}(g)
@@ -202,7 +199,7 @@ func TestPublishGenerations(t *testing.T) {
 	check("warm-started train")
 
 	path := t.TempDir() + "/model.json"
-	if err := m.Save(path, 0); err != nil {
+	if err := m.Snapshot().Save(path); err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := LoadSnapshot(path)

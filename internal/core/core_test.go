@@ -10,6 +10,7 @@ import (
 	"math"
 	"testing"
 
+	"hsmodel/internal/family/spline"
 	"hsmodel/internal/genetic"
 	"hsmodel/internal/hwspace"
 	"hsmodel/internal/profile"
@@ -174,12 +175,12 @@ func TestTrainGolden(t *testing.T) {
 		h.Write(b[:])
 	}
 	record := func() {
-		m := tr.Model()
+		m := splineOf(tr.Snapshot())
 		fmt.Fprintf(h, "%s|", m.Spec)
 		for _, c := range m.Coef {
 			put(c)
 		}
-		for _, gs := range tr.History() {
+		for _, gs := range tr.Report().History {
 			fmt.Fprintf(h, "%d|%d|", gs.Gen, gs.Evals)
 			put(gs.Best)
 			put(gs.Mean)
@@ -228,6 +229,7 @@ func trainSmallModeler(t testing.TB) (*Trainer, []Sample) {
 	train := col.Collect(apps, 40, 1)
 	valid := col.Collect(apps, 10, 2)
 	m := NewTrainer(train)
+	m.ShardLen = testShardLen
 	m.Search = genetic.Params{PopulationSize: 16, Generations: 5, Seed: 42}
 	if err := m.Train(context.Background()); err != nil {
 		t.Fatal(err)
@@ -237,7 +239,7 @@ func trainSmallModeler(t testing.TB) (*Trainer, []Sample) {
 
 func TestModelerTrainAndInterpolate(t *testing.T) {
 	m, valid := trainSmallModeler(t)
-	met, err := m.EvaluateOn(valid)
+	met, err := m.Snapshot().EvaluateOn(valid)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,16 +251,17 @@ func TestModelerTrainAndInterpolate(t *testing.T) {
 	if met.Pearson < 0.8 {
 		t.Errorf("correlation %v too low", met.Pearson)
 	}
-	if len(m.History()) != 5 {
-		t.Errorf("history %d generations", len(m.History()))
+	if h := m.Report().History; len(h) != 5 {
+		t.Errorf("history %d generations", len(h))
 	}
-	if m.Model() == nil || len(m.Population()) != 16 {
+	if splineOf(m.Snapshot()) == nil || len(m.Population()) != 16 {
 		t.Error("model/population not retained")
 	}
 }
 
 func TestPredictShardAndApplication(t *testing.T) {
-	m, valid := trainSmallModeler(t)
+	tr, valid := trainSmallModeler(t)
+	m := tr.Snapshot()
 	hw := hwspace.Baseline()
 	p1, err := m.PredictShard(valid[0].X, hw)
 	if err != nil || p1 <= 0 {
@@ -285,10 +288,10 @@ func TestUntrainedTrainerErrors(t *testing.T) {
 	if err := m.Train(context.Background()); err == nil {
 		t.Error("training on no samples should fail")
 	}
-	if _, err := m.PredictShard(profile.Characteristics{}, hwspace.Baseline()); err == nil {
+	if _, err := m.Snapshot().PredictShard(profile.Characteristics{}, hwspace.Baseline()); err == nil {
 		t.Error("prediction before training should fail")
 	}
-	if _, err := m.PredictApplication(nil, hwspace.Baseline()); err == nil {
+	if _, err := m.Snapshot().PredictApplication(nil, hwspace.Baseline()); err == nil {
 		t.Error("empty application prediction should fail")
 	}
 	if _, err := m.Perturb(context.Background(), []Sample{{}}, UpdatePolicy{}); err == nil {
@@ -352,7 +355,7 @@ func TestPerturbTriggersUpdate(t *testing.T) {
 	for i := range novel {
 		novel[i].AppID = 3
 	}
-	before := m.Model()
+	before := m.Snapshot()
 	d, err := m.Perturb(context.Background(), novel, UpdatePolicy{ErrThreshold: 0.0001})
 	if err != nil {
 		t.Fatal(err)
@@ -360,7 +363,7 @@ func TestPerturbTriggersUpdate(t *testing.T) {
 	if !d.Updated {
 		t.Fatalf("update should trigger: %v", d)
 	}
-	if m.Model() == before {
+	if m.Snapshot() == before {
 		t.Error("model not refit after update")
 	}
 	if d.String() == "" {
@@ -377,7 +380,7 @@ func TestUpdateWarmStartsFromPopulation(t *testing.T) {
 	if err := m.Train(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	met, err := m.EvaluateOn(valid)
+	met, err := m.Snapshot().EvaluateOn(valid)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -459,7 +462,7 @@ func TestAddSamplesInvalidatesEvaluator(t *testing.T) {
 	if firstRows != 120 {
 		t.Fatalf("trained on %d rows, want 120", firstRows)
 	}
-	before := m.Model()
+	before := splineOf(m.Snapshot())
 
 	// A genuinely new FP-heavy application shifts the fit if it is seen.
 	added := smallCollector().Collect([]*trace.App{trace.Bwaves()}, 20, 404)
@@ -478,7 +481,7 @@ func TestAddSamplesInvalidatesEvaluator(t *testing.T) {
 		t.Errorf("refit saw %d rows, want %d — appended samples ignored",
 			snap.TrainedRows(), firstRows+len(added))
 	}
-	after := m.Model()
+	after := splineOf(snap)
 	if after == before {
 		t.Fatal("model not refit after AddSamples")
 	}
@@ -501,4 +504,16 @@ func TestSamplesReturnsCopy(t *testing.T) {
 	if m.Samples()[0].CPI != 1 {
 		t.Error("Samples exposed the internal store")
 	}
+}
+
+// splineOf returns the spline regression a snapshot serves, or nil when it
+// serves another family or no model.
+func splineOf(s *Snapshot) *regress.Model {
+	if s == nil {
+		return nil
+	}
+	if sm, ok := s.fam.(*spline.Model); ok {
+		return sm.RegressModel()
+	}
+	return nil
 }

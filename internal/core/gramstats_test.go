@@ -54,7 +54,7 @@ func TestTrainReportCarriesFitPathCounters(t *testing.T) {
 	if rep.Rung != RungGenetic {
 		t.Fatalf("rung = %v, want genetic", rep.Rung)
 	}
-	if rep.GramFits+rep.QRFallbacks == 0 {
+	if rep.Gram.GramFits+rep.Gram.QRFallbacks == 0 {
 		t.Error("TrainReport has zero fit-path counters")
 	}
 	if s := rep.String(); s == "" {
@@ -94,17 +94,16 @@ func TestFitPathStatsPerRun(t *testing.T) {
 			t.Fatal(err)
 		}
 		rep := m.Report()
-		fits := rep.GramFits + rep.QRFallbacks
+		fits := rep.Gram.GramFits + rep.Gram.QRFallbacks
 		if fits == 0 {
 			t.Fatalf("run %d recorded no candidate fits", run)
 		}
 		if n := calls.Load(); fits > n {
 			t.Errorf("run %d reports %d gram + %d qr fits, its fitness calls made only %d",
-				run, rep.GramFits, rep.QRFallbacks, n)
+				run, rep.Gram.GramFits, rep.Gram.QRFallbacks, n)
 		}
-		if s := m.FitPathStats(); s.GramFits != rep.GramFits || s.QRFallbacks != rep.QRFallbacks {
-			t.Errorf("run %d: FitPathStats = %d gram / %d qr, report %d / %d",
-				run, s.GramFits, s.QRFallbacks, rep.GramFits, rep.QRFallbacks)
+		if s := m.FitPathStats(); s != rep.Gram {
+			t.Errorf("run %d: FitPathStats = %+v, report %+v", run, s, rep.Gram)
 		}
 	}
 }

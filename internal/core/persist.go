@@ -138,20 +138,6 @@ func (s *Snapshot) Save(path string) error {
 	return nil
 }
 
-// Save persists the trainer's currently served snapshot, overriding its
-// recorded shard length when shardLen is positive. It errors before the
-// first successful training run.
-func (m *Trainer) Save(path string, shardLen int) error {
-	s := m.Snapshot()
-	if !s.Trained() {
-		return errors.New("core: Save before Train")
-	}
-	if shardLen > 0 && shardLen != s.shardLen {
-		s = newSnapshot(s.famName, s.fam, s.scores, shardLen, s.rung, s.trainedRows)
-	}
-	return s.Save(path)
-}
-
 // LoadSnapshot reads a snapshot saved by Save, verifying format version,
 // family, structural completeness, variable count, and payload checksum;
 // each failure mode returns a distinct typed error (see ErrModel*). The

@@ -36,7 +36,7 @@ func trainFamilyModeler(t *testing.T) (*Trainer, []Sample) {
 func TestSaveLoadFamilyRoundTrip(t *testing.T) {
 	m, samples := trainFamilyModeler(t)
 	path := filepath.Join(t.TempDir(), "model.json")
-	if err := m.Save(path, testShardLen); err != nil {
+	if err := m.Snapshot().Save(path); err != nil {
 		t.Fatal(err)
 	}
 
@@ -64,7 +64,7 @@ func TestSaveLoadFamilyRoundTrip(t *testing.T) {
 		}
 	}
 	for _, s := range samples {
-		want, err1 := m.PredictShard(s.X, s.HW)
+		want, err1 := orig.PredictShard(s.X, s.HW)
 		got, err2 := loaded.PredictShard(s.X, s.HW)
 		if err1 != nil || err2 != nil {
 			t.Fatal(err1, err2)
@@ -83,7 +83,7 @@ func TestLoadFamilyFileCorruption(t *testing.T) {
 	m, _ := trainFamilyModeler(t)
 	dir := t.TempDir()
 	good := filepath.Join(dir, "model.json")
-	if err := m.Save(good, testShardLen); err != nil {
+	if err := m.Snapshot().Save(good); err != nil {
 		t.Fatal(err)
 	}
 	pristine, err := os.ReadFile(good)
@@ -162,6 +162,7 @@ func TestLoadFamilyFileCorruption(t *testing.T) {
 var (
 	familyFitsOnce  sync.Once
 	familyFitsSnaps map[string]*Snapshot
+	familyFitsTrain []Sample
 	familyFitsRows  []Sample
 	familyFitsErr   error
 )
@@ -171,6 +172,7 @@ func familyFits(t testing.TB) (map[string]*Snapshot, []Sample) {
 	familyFitsOnce.Do(func() {
 		apps, col := smallApps(), smallCollector()
 		train := col.Collect(apps, 40, 1)
+		familyFitsTrain = train
 		familyFitsRows = col.Collect(apps, 10, 2)
 		familyFitsSnaps = make(map[string]*Snapshot)
 		for _, fam := range DefaultFamilies() {

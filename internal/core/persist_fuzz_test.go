@@ -60,7 +60,7 @@ func FuzzLoadSnapshot(f *testing.F) {
 	m, rows := trainSmallModeler(f)
 	dir := f.TempDir()
 	good := filepath.Join(dir, "model.json")
-	if err := m.Save(good, testShardLen); err != nil {
+	if err := m.Snapshot().Save(good); err != nil {
 		f.Fatal(err)
 	}
 	data, err := os.ReadFile(good)

@@ -14,9 +14,10 @@ import (
 )
 
 func TestSaveLoadRoundTrip(t *testing.T) {
-	m, valid := trainSmallModeler(t)
+	tr, valid := trainSmallModeler(t)
+	m := tr.Snapshot()
 	path := filepath.Join(t.TempDir(), "model.json")
-	if err := m.Save(path, testShardLen); err != nil {
+	if err := m.Save(path); err != nil {
 		t.Fatal(err)
 	}
 
@@ -31,8 +32,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if loaded.Rung() != RungGenetic {
 		t.Errorf("rung %v, want genetic", loaded.Rung())
 	}
-	if loaded.TrainedRows() != m.Snapshot().TrainedRows() {
-		t.Errorf("trained rows %d, want %d", loaded.TrainedRows(), m.Snapshot().TrainedRows())
+	if loaded.TrainedRows() != m.TrainedRows() {
+		t.Errorf("trained rows %d, want %d", loaded.TrainedRows(), m.TrainedRows())
 	}
 	// Predictions must match the in-memory model exactly.
 	for _, s := range valid[:5] {
@@ -49,27 +50,22 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	fresh := NewTrainer(nil)
 	fresh.Adopt(loaded)
 	want, _ := m.PredictShard(valid[0].X, valid[0].HW)
-	got, err := fresh.PredictShard(valid[0].X, valid[0].HW)
+	got, err := fresh.Snapshot().PredictShard(valid[0].X, valid[0].HW)
 	if err != nil || math.Float64bits(got) != math.Float64bits(want) {
 		t.Errorf("adopted snapshot prediction %v (err %v), want %v", got, err, want)
 	}
 }
 
 func TestSaveBeforeTrainFails(t *testing.T) {
-	m := NewTrainer(nil)
-	if err := m.Save(filepath.Join(t.TempDir(), "m.json"), 0); err == nil {
+	if err := NewTrainer(nil).Snapshot().Save(filepath.Join(t.TempDir(), "m.json")); err == nil {
 		t.Error("Save before Train should fail")
-	}
-	var s *Snapshot
-	if err := s.Save(filepath.Join(t.TempDir(), "s.json")); err == nil {
-		t.Error("nil snapshot Save should fail")
 	}
 }
 
 func TestSaveLeavesNoTempFiles(t *testing.T) {
 	m, _ := trainSmallModeler(t)
 	dir := t.TempDir()
-	if err := m.Save(filepath.Join(dir, "model.json"), testShardLen); err != nil {
+	if err := m.Snapshot().Save(filepath.Join(dir, "model.json")); err != nil {
 		t.Fatal(err)
 	}
 	entries, err := os.ReadDir(dir)
@@ -89,11 +85,13 @@ func TestSaveOverwritesAtomically(t *testing.T) {
 	// Saving over an existing model must replace it wholesale (rename), so a
 	// reader always sees a complete file.
 	m, _ := trainSmallModeler(t)
+	s := m.Snapshot()
 	path := filepath.Join(t.TempDir(), "model.json")
-	if err := m.Save(path, testShardLen); err != nil {
+	if err := s.Save(path); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Save(path, testShardLen+1); err != nil {
+	next := newSnapshot(s.famName, s.fam, s.scores, testShardLen+1, s.rung, s.trainedRows)
+	if err := next.Save(path); err != nil {
 		t.Fatal(err)
 	}
 	if s, err := LoadSnapshot(path); err != nil || s.ShardLen() != testShardLen+1 {
@@ -106,7 +104,7 @@ func saveValid(t *testing.T) string {
 	t.Helper()
 	m, _ := trainSmallModeler(t)
 	path := filepath.Join(t.TempDir(), "model.json")
-	if err := m.Save(path, testShardLen); err != nil {
+	if err := m.Snapshot().Save(path); err != nil {
 		t.Fatal(err)
 	}
 	return path

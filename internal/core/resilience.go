@@ -5,6 +5,8 @@ import (
 	"fmt"
 
 	"hsmodel/internal/family/spline"
+	"hsmodel/internal/genetic"
+	"hsmodel/internal/regress"
 )
 
 // Rung identifies which level of the degradation ladder produced the model
@@ -52,9 +54,10 @@ func parseRung(s string) Rung {
 // cost of a few genetic generations.
 const stepwiseBudget = 200
 
-// TrainReport records which rung of the ladder produced the served model and
-// what failed on the way down. Errors for rungs that were never needed are
-// nil.
+// TrainReport is the record of one training run: which rung of the ladder
+// produced the served model, what failed on the way down, the selection
+// round's scores and generations, and how the run's candidate fits were
+// served. Errors for rungs that were never needed are nil.
 type TrainReport struct {
 	Rung        Rung
 	GeneticErr  error // why the genetic rung failed (or nil)
@@ -75,13 +78,17 @@ type TrainReport struct {
 	Family       string
 	FamilyScores map[string]float64
 	FamilyErrors map[string]error
-	// GramFits and QRFallbacks count how this run's candidate fits were
-	// served (both rungs share the run's one evaluator): the O(p³)
-	// Gram/Cholesky fast path versus the pivoted-QR fallback (ill-conditioned
-	// or rank-deficient sub-Gram systems). A high fallback rate is a signal the
-	// profile store has collinear or degenerate columns.
-	GramFits    uint64
-	QRFallbacks uint64
+	// History holds the selection round's per-generation search statistics
+	// (Figure 5's convergence), partial when the round failed; the stepwise
+	// rung adds none.
+	History []genetic.GenStats
+	// Gram counts how this run's candidate fits were served (both rungs share
+	// the run's one evaluator): the O(p³) Gram/Cholesky fast path versus the
+	// pivoted-QR fallback (ill-conditioned or rank-deficient sub-Gram
+	// systems), and how the cross-product memo behaved. A high fallback rate
+	// is a signal the profile store has collinear or degenerate columns. Zero
+	// when the run had no Gram layer (an empty or unfeaturizable store).
+	Gram regress.GramStats
 }
 
 func (t TrainReport) String() string {
@@ -98,31 +105,27 @@ func (t TrainReport) String() string {
 	if t.StepwiseErr != nil {
 		s += fmt.Sprintf(" (stepwise: %v)", t.StepwiseErr)
 	}
-	if t.GramFits+t.QRFallbacks > 0 {
-		s += fmt.Sprintf(" (fits: %d gram, %d qr-fallback)", t.GramFits, t.QRFallbacks)
+	if t.Gram.GramFits+t.Gram.QRFallbacks > 0 {
+		s += fmt.Sprintf(" (fits: %d gram, %d qr-fallback)", t.Gram.GramFits, t.Gram.QRFallbacks)
 	}
 	return s
 }
 
-// walkLadder runs Train's two rungs on one capture: the selection round
-// (deadline-bounded by SearchTimeout), then, unless it published or the
-// caller's context is dead, the stepwise rung. Callers must hold trainMu
-// (and must NOT hold mu).
-func (m *Trainer) walkLadder(ctx context.Context, cap capturedEval) (TrainReport, error) {
-	rep := TrainReport{SampleVersion: cap.version, SampleRows: cap.rows}
+// walkLadder runs Train's two rungs on one capture, recording the run in
+// rep: the selection round (deadline-bounded by SearchTimeout), then, unless
+// it published or the caller's context is dead, the stepwise rung. Callers
+// must hold trainMu (and must NOT hold mu).
+func (m *Trainer) walkLadder(ctx context.Context, cap capturedEval, rep *TrainReport) error {
+	rep.SampleVersion, rep.SampleRows = cap.version, cap.rows
 	gctx := ctx
 	if m.SearchTimeout > 0 {
 		var cancel context.CancelFunc
 		gctx, cancel = context.WithTimeout(ctx, m.SearchTimeout)
 		defer cancel()
 	}
-	sel, err := m.train(gctx, cap)
-	if len(sel.Errors) > 0 {
-		rep.FamilyErrors = sel.Errors
-	}
+	err := m.train(gctx, cap, rep)
 	if err == nil {
-		rep.Rung, rep.Family, rep.FamilyScores = RungGenetic, sel.Winner, sel.Scores
-		return rep, nil
+		return nil
 	}
 	rep.GeneticErr = err
 
@@ -134,9 +137,9 @@ func (m *Trainer) walkLadder(ctx context.Context, cap capturedEval) (TrainReport
 	} else {
 		// The stepwise floor is always the reference spline family.
 		rep.Rung, rep.Family = RungStepwise, spline.FamilyName
-		return rep, nil
+		return nil
 	}
-	return rep, fmt.Errorf("core: training failed: genetic: %w; stepwise: %w",
+	return fmt.Errorf("core: training failed: genetic: %w; stepwise: %w",
 		rep.GeneticErr, rep.StepwiseErr)
 }
 

@@ -40,7 +40,7 @@ func TestTrainResilientHealthyUsesGeneticRung(t *testing.T) {
 	if rep.GeneticErr != nil || rep.StepwiseErr != nil {
 		t.Errorf("healthy train reported errors: %+v", rep)
 	}
-	if m.Model() == nil {
+	if !m.Snapshot().Trained() {
 		t.Error("no model after healthy train")
 	}
 }
@@ -85,11 +85,11 @@ func TestTrainResilientPanicDegradesToStepwise(t *testing.T) {
 	if !errors.Is(rep.GeneticErr, genetic.ErrEvalPanic) {
 		t.Errorf("GeneticErr = %v, want ErrEvalPanic", rep.GeneticErr)
 	}
-	if m.Model() == nil {
+	if !m.Snapshot().Trained() {
 		t.Fatal("no model from stepwise rung")
 	}
 	s0 := m.Samples()[0]
-	if _, err := m.PredictShard(s0.X, s0.HW); err != nil {
+	if _, err := m.Snapshot().PredictShard(s0.X, s0.HW); err != nil {
 		t.Errorf("stepwise model cannot predict: %v", err)
 	}
 }
@@ -101,7 +101,7 @@ func TestTrainResilientPanicDegradesToStepwise(t *testing.T) {
 func TestTrainResilientServesLastGoodFromDisk(t *testing.T) {
 	trained, valid := trainSmallModeler(t)
 	lastGood := filepath.Join(t.TempDir(), "last-good.json")
-	if err := trained.Save(lastGood, testShardLen); err != nil {
+	if err := trained.Snapshot().Save(lastGood); err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := LoadSnapshot(lastGood)
@@ -133,8 +133,8 @@ func TestTrainResilientServesLastGoodFromDisk(t *testing.T) {
 		t.Fatal("failed run replaced the adopted last-good snapshot")
 	}
 	// The served predictions are exactly the persisted model's.
-	want, err1 := trained.PredictShard(valid[0].X, valid[0].HW)
-	got, err2 := m.PredictShard(valid[0].X, valid[0].HW)
+	want, err1 := trained.Snapshot().PredictShard(valid[0].X, valid[0].HW)
+	got, err2 := m.Snapshot().PredictShard(valid[0].X, valid[0].HW)
 	if err1 != nil || err2 != nil {
 		t.Fatal(err1, err2)
 	}
@@ -186,7 +186,7 @@ func TestTrainResilientAllRungsFail(t *testing.T) {
 	if !errors.Is(err, genetic.ErrEvalPanic) {
 		t.Errorf("err = %v, should wrap ErrEvalPanic", err)
 	}
-	if m.Model() != nil {
+	if m.Snapshot().Trained() {
 		t.Error("modeler conjured a model from nowhere")
 	}
 }
@@ -198,7 +198,7 @@ func TestTrainResilientAllRungsFail(t *testing.T) {
 func TestTrainResilientCorruptLastGood(t *testing.T) {
 	trained, _ := trainSmallModeler(t)
 	lastGood := filepath.Join(t.TempDir(), "last-good.json")
-	if err := trained.Save(lastGood, testShardLen); err != nil {
+	if err := trained.Snapshot().Save(lastGood); err != nil {
 		t.Fatal(err)
 	}
 	if err := faultinject.CorruptFile(lastGood, 7, faultinject.Truncate); err != nil {
@@ -214,7 +214,7 @@ func TestTrainResilientCorruptLastGood(t *testing.T) {
 	if !errors.Is(err, ErrModelCorrupt) || snap != nil {
 		t.Errorf("LoadSnapshot = %v, %v; want nil, ErrModelCorrupt", snap, err)
 	}
-	if m.Trained() {
+	if m.Snapshot().Trained() {
 		t.Error("failed run published a model")
 	}
 }
@@ -240,7 +240,7 @@ func TestTrainResilientDeadlineFallsToStepwise(t *testing.T) {
 	if !errors.Is(rep.GeneticErr, genetic.ErrCancelled) {
 		t.Errorf("GeneticErr = %v, want ErrCancelled", rep.GeneticErr)
 	}
-	if m.Model() == nil {
+	if !m.Snapshot().Trained() {
 		t.Error("no model from stepwise rung")
 	}
 }
@@ -300,7 +300,7 @@ func TestStepwiseRungGolden(t *testing.T) {
 		binary.LittleEndian.PutUint64(b[:], math.Float64bits(f))
 		h.Write(b[:])
 	}
-	m := snap.Model()
+	m := splineOf(snap)
 	fmt.Fprintf(h, "%s|%s|%d|", snap.Family(), m.Spec, snap.TrainedRows())
 	for _, c := range m.Coef {
 		put(c)

@@ -15,11 +15,11 @@ import (
 	"hsmodel/internal/rng"
 )
 
-// SelectionResult records one run of the model-family selection harness:
+// selectionRound records one run of the model-family selection harness:
 // every registered family fitted against the same captured evaluator state
 // and scored on the same per-application validation rows, with the winner
 // published.
-type SelectionResult struct {
+type selectionRound struct {
 	// Winner is the name of the selected family; empty when the round failed.
 	Winner string
 	// Model is the winner's fitted model.
@@ -68,11 +68,11 @@ func FamilyByName(name string) family.Family {
 // so selection is deterministic in (families, FitInput). The result is never
 // nil: a failed or cancelled round still carries the per-family errors and
 // the spline family's partial population.
-func runSelection(ctx context.Context, fams []family.Family, in family.FitInput) (*SelectionResult, error) {
+func runSelection(ctx context.Context, fams []family.Family, in family.FitInput) (*selectionRound, error) {
 	if len(fams) == 0 {
 		fams = []family.Family{spline.New()}
 	}
-	sel := &SelectionResult{
+	sel := &selectionRound{
 		Scores: make(map[string]float64, len(fams)),
 		Errors: make(map[string]error),
 	}

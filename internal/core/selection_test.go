@@ -111,15 +111,16 @@ func TestFamilySelectionPublishesWinner(t *testing.T) {
 	}
 	// The published winner must serve predictions.
 	s := m.Samples()[0]
-	if _, err := m.PredictShard(s.X, s.HW); err != nil {
+	if _, err := snap.PredictShard(s.X, s.HW); err != nil {
 		t.Errorf("PredictShard after selection: %v", err)
 	}
 }
 
 // TestDefaultTrainerSelectsSpline: a trainer with no Families runs a
 // selection round over the spline family alone — it publishes family
-// "spline" on RungGenetic with a one-entry scoreboard, records the round,
-// and fits bit for bit the model an explicit spline-only trainer fits.
+// "spline" on RungGenetic with a one-entry scoreboard, records the round's
+// generations in its report, and fits bit for bit the model an explicit
+// spline-only trainer fits.
 func TestDefaultTrainerSelectsSpline(t *testing.T) {
 	def := newSmallModeler(t)
 	if err := def.Train(context.Background()); err != nil {
@@ -137,9 +138,8 @@ func TestDefaultTrainerSelectsSpline(t *testing.T) {
 	if _, ok := scores[spline.FamilyName]; !ok || len(scores) != 1 {
 		t.Errorf("scoreboard %v, want exactly one spline entry", scores)
 	}
-	sel := def.Selection()
-	if sel == nil || sel.Winner != spline.FamilyName {
-		t.Fatalf("Selection() = %+v, want the spline round", sel)
+	if len(rep.History) != def.Search.Generations {
+		t.Errorf("report holds %d generations, want %d", len(rep.History), def.Search.Generations)
 	}
 
 	explicit := newSmallModeler(t)
@@ -147,7 +147,7 @@ func TestDefaultTrainerSelectsSpline(t *testing.T) {
 	if err := explicit.Train(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	want, got := explicit.Model(), def.Model()
+	want, got := splineOf(explicit.Snapshot()), splineOf(snap)
 	if got == nil || want == nil {
 		t.Fatal("missing spline regression")
 	}
@@ -165,7 +165,7 @@ func TestDefaultTrainerSelectsSpline(t *testing.T) {
 // selectOn runs one selection round over ds outside a trainer: the
 // evaluator's weighted per-application splits drawn from fc, every family
 // fitted against them with search.
-func selectOn(t testing.TB, ds *regress.Dataset, fc FitnessConfig, search genetic.Params, fams []family.Family) (*SelectionResult, error) {
+func selectOn(t testing.TB, ds *regress.Dataset, fc FitnessConfig, search genetic.Params, fams []family.Family) (*selectionRound, error) {
 	t.Helper()
 	ev, err := newEvaluator(ds, fc, true, true)
 	if err != nil {
@@ -236,7 +236,7 @@ func TestFamilySelectionSkipsFailingFamily(t *testing.T) {
 	if _, scored := rep.FamilyScores["bad"]; scored {
 		t.Errorf("failing family must not be scored: %v", rep.FamilyScores)
 	}
-	if !m.Trained() {
+	if !m.Snapshot().Trained() {
 		t.Error("round with one failing family must still publish a model")
 	}
 }
@@ -355,14 +355,11 @@ func TestFamilySelectionCancelKeepsPopulation(t *testing.T) {
 	if !errors.Is(err, genetic.ErrCancelled) {
 		t.Fatalf("err = %v, want ErrCancelled", err)
 	}
-	if m.Trained() {
+	if m.Snapshot().Trained() {
 		t.Fatal("cancelled round published a model")
 	}
 	if got := len(m.Population()); got != m.Search.PopulationSize {
 		t.Fatalf("trainer kept %d individuals of the cancelled search, want %d", got, m.Search.PopulationSize)
-	}
-	if sel := m.Selection(); sel == nil || len(sel.Population) != m.Search.PopulationSize {
-		t.Errorf("cancelled round's result %+v does not carry the partial population", sel)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"errors"
 
 	"hsmodel/internal/family"
-	"hsmodel/internal/family/spline"
 	"hsmodel/internal/hwspace"
 	"hsmodel/internal/profile"
 	"hsmodel/internal/regress"
@@ -37,9 +36,8 @@ type Snapshot struct {
 	trainedRows int
 }
 
-// newSnapshot is the one Snapshot constructor: training runs, the stepwise
-// rung, Save's shard-length override, and LoadSnapshot all build through
-// it. shardLen <= 0 defaults to DefaultShardLen.
+// newSnapshot is the one Snapshot constructor: both training rungs and
+// LoadSnapshot build through it. shardLen <= 0 defaults to DefaultShardLen.
 func newSnapshot(famName string, fam family.Model, scores map[string]float64, shardLen int, rung Rung, trainedRows int) *Snapshot {
 	if shardLen <= 0 {
 		shardLen = DefaultShardLen
@@ -56,20 +54,6 @@ func newSnapshot(famName string, fam family.Model, scores map[string]float64, sh
 
 // Trained reports whether the snapshot carries a fitted model. Safe on nil.
 func (s *Snapshot) Trained() bool { return s != nil && s.fam != nil }
-
-// Model returns the fitted spline regression when the snapshot is backed by
-// the reference spline family, and nil for other families (whose structure
-// does not reduce to one regression) or before training. Callers that only
-// need predictions should use PredictShard instead.
-func (s *Snapshot) Model() *regress.Model {
-	if s == nil {
-		return nil
-	}
-	if sm, ok := s.fam.(*spline.Model); ok {
-		return sm.RegressModel()
-	}
-	return nil
-}
 
 // Family returns the name of the family that produced the model ("spline"
 // on the stepwise rung), or "" before training.
@@ -116,20 +100,7 @@ func (s *Snapshot) PredictShard(x profile.Characteristics, hw hwspace.Config) (f
 	if s == nil || s.fam == nil {
 		return 0, ErrNotTrained
 	}
-	return s.PredictShardInto(make([]float64, NumVars), x, hw)
-}
-
-// PredictShardInto is PredictShard with a caller-owned row buffer (length at
-// least NumVars): the zero-allocation serving form. The buffer is scratch —
-// callers reuse it across calls and must not read it back.
-//
-//hslint:hotpath
-func (s *Snapshot) PredictShardInto(row []float64, x profile.Characteristics, hw hwspace.Config) (float64, error) {
-	if s == nil || s.fam == nil {
-		return 0, ErrNotTrained
-	}
-	Sample{X: x, HW: hw}.RowInto(row)
-	return s.fam.Predict(row), nil
+	return s.fam.Predict(Sample{X: x, HW: hw}.Row()), nil
 }
 
 // PredictBatch predicts every raw row of rows into out (out[i] answers

@@ -11,8 +11,6 @@ import (
 
 	"hsmodel/internal/family"
 	"hsmodel/internal/genetic"
-	"hsmodel/internal/hwspace"
-	"hsmodel/internal/profile"
 	"hsmodel/internal/regress"
 	"hsmodel/internal/rng"
 )
@@ -44,11 +42,11 @@ type FitnessConfig struct {
 // accumulated sparse profiles (the paper's P) and the one training run,
 // Train, which walks the degradation ladder (a selection round, then the
 // stepwise search). Every successful run publishes an immutable Snapshot
-// through one atomic Publication record (see Published); predictions
-// (PredictShard, PredictApplication, EvaluateOn) are lock-free reads of the
-// current Snapshot, so the model keeps answering queries while Train
-// re-specifies it — the always-available behavior the Section 3.2–3.3
-// update protocol assumes.
+// through one atomic Publication record (see Published), and every run
+// leaves its record in Report. Predictions, evaluation and persistence are
+// the Snapshot's: callers read m.Snapshot() once and ask it, lock-free, so
+// the model keeps answering queries while Train re-specifies it — the
+// always-available behavior the Section 3.2–3.3 update protocol assumes.
 //
 // Configuration fields (Search, SearchTimeout, Fitness, Stabilize,
 // LogResponse, WrapEvaluator, ShardLen, Families) are set before training
@@ -59,14 +57,14 @@ type FitnessConfig struct {
 // idle trainer holds no evaluator memory.
 //
 // Concurrency contract: AddSamples, SetSamples, Samples, NumSamples,
-// Snapshot, Report and every prediction method are safe to call while a
-// Train run is in flight. Training runs serialize among themselves on an
-// internal mutex, but they do NOT hold the sample-store lock while
-// searching: a run captures an immutable featurized evaluator at its start,
-// searches against it lock-free, and re-acquires the lock only to publish
-// results. Samples added mid-run therefore do not block behind the search
-// and take effect at the next Train — the streaming-profiles behavior the
-// serving layer (internal/serve) relies on.
+// Snapshot, Published and Report are safe to call while a Train run is in
+// flight. Training runs serialize among themselves on an internal mutex,
+// but they do NOT hold the sample-store lock while searching: a run
+// captures an immutable featurized evaluator at its start, searches against
+// it lock-free, and re-acquires the lock only to publish results. Samples
+// added mid-run therefore do not block behind the search and take effect at
+// the next Train — the streaming-profiles behavior the serving layer
+// (internal/serve) relies on.
 //
 // Consistency contract: a training run, both ladder rungs included, fits
 // against exactly one captured sample-store version. Samples that arrive
@@ -98,20 +96,17 @@ type Trainer struct {
 	ShardLen int
 	// Families lists the model families every training run selects among:
 	// each is fitted against the captured evaluator state, scored on the
-	// shared validation rows, and the winner is published (see
-	// SelectionResult). Empty Families means the reference spline family
-	// alone — the paper's genetic spline search.
+	// shared validation rows, and the winner is published (the run's
+	// TrainReport carries every family's score). Empty Families means the
+	// reference spline family alone — the paper's genetic spline search.
 	Families []family.Family
 
-	trainMu       sync.Mutex // serializes training runs; never held with mu below
-	mu            sync.Mutex // guards samples, version, fitStats, report, population, history, lastSelection
-	samples       []Sample
-	version       uint64               // bumped by every sample mutation
-	fitStats      regress.GramStats    // Gram-layer counters of the most recent run
-	report        TrainReport          // the most recent run's report
-	population    []genetic.Individual // final population, for warm-started updates
-	history       []genetic.GenStats
-	lastSelection *SelectionResult // most recent family-selection round
+	trainMu    sync.Mutex // serializes training runs; never held with mu below
+	mu         sync.Mutex // guards samples, version, report, population
+	samples    []Sample
+	version    uint64               // bumped by every sample mutation
+	report     TrainReport          // the most recent run's record
+	population []genetic.Individual // final population, for warm-started updates
 
 	pub atomic.Pointer[Publication] // written only by publish
 }
@@ -174,34 +169,12 @@ func (m *Trainer) publish(s *Snapshot) {
 	}
 }
 
-// Model returns the currently served fitted model, or nil before the first
-// successful training run.
-func (m *Trainer) Model() *regress.Model { return m.Snapshot().Model() }
-
 // Population returns the final genetic population from the last search.
 func (m *Trainer) Population() []genetic.Individual {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.population
 }
-
-// History returns per-generation convergence statistics (Figure 5).
-func (m *Trainer) History() []genetic.GenStats {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.history
-}
-
-// Selection returns the most recent family-selection round, failed rounds
-// included, or nil before the first training run (and while one runs).
-func (m *Trainer) Selection() *SelectionResult {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.lastSelection
-}
-
-// Trained reports whether a fitted model is currently being served.
-func (m *Trainer) Trained() bool { return m.Snapshot().Trained() }
 
 // Samples returns a copy of the accumulated profile store.
 func (m *Trainer) Samples() []Sample {
@@ -263,17 +236,8 @@ func (m *Trainer) SetSamples(samples []Sample) {
 // ErrNoSamples is returned by Train with an empty profile store.
 var ErrNoSamples = errors.New("core: no samples to train on")
 
-// FitPathStats reports the candidate-fit counters of the most recent
-// training run's Gram layer: how many fits the O(p³) Cholesky path served
-// versus how many fell back to pivoted QR, and how the cross-product memo
-// behaved. Each Train run replaces them with its own; zero-valued stats mean
-// no run has finished yet, or the latest run had no Gram layer (an empty or
-// unfeaturizable store).
-func (m *Trainer) FitPathStats() regress.GramStats {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.fitStats
-}
+// FitPathStats is Report().Gram: the latest run's Gram-layer counters.
+func (m *Trainer) FitPathStats() regress.GramStats { return m.Report().Gram }
 
 // evaluator implements genetic.Evaluator with the paper's inner loops. It
 // featurizes the dataset once (cached basis columns shared by every
@@ -422,18 +386,16 @@ func (m *Trainer) Train(ctx context.Context) error {
 	var rep TrainReport
 	cap, err := m.captureEvaluator()
 	if err == nil {
-		rep, err = m.walkLadder(ctx, cap)
+		err = m.walkLadder(ctx, cap, &rep)
 	} else {
 		rep.GeneticErr = err
 	}
 	// Only the Gram counters outlive the run, never the evaluator.
-	var stats regress.GramStats
 	if cap.ev != nil && cap.ev.gc != nil {
-		stats = cap.ev.gc.Stats()
+		rep.Gram = cap.ev.gc.Stats()
 	}
-	rep.GramFits, rep.QRFallbacks = stats.GramFits, stats.QRFallbacks
 	m.mu.Lock()
-	m.fitStats, m.report = stats, rep
+	m.report = rep
 	m.mu.Unlock()
 	return err
 }
@@ -473,27 +435,17 @@ func (m *Trainer) captureEvaluator() (capturedEval, error) {
 }
 
 // fitInput assembles the family fitting contract of one training run: the
-// captured evaluator (wrapped by WrapEvaluator when set) and fully prepared
-// search params (warm-start specs plus the history-recording OnGeneration
-// hook), so every family in the run fits the same episode. The stepwise
-// rung fits through it too and ignores the search params.
+// captured evaluator (wrapped by WrapEvaluator when set) and the search
+// params warm-started from initial, so every family in the run fits the
+// same episode. The stepwise rung fits through it too and ignores the
+// search params.
 func (m *Trainer) fitInput(initial []regress.Spec, base *evaluator) family.FitInput {
 	var ev genetic.Evaluator = base
 	if m.WrapEvaluator != nil {
 		ev = m.WrapEvaluator(ev)
 	}
-
 	params := m.Search
 	params.Initial = initial
-	userOnGen := m.Search.OnGeneration
-	params.OnGeneration = func(gs genetic.GenStats) {
-		m.mu.Lock()
-		m.history = append(m.history, gs)
-		m.mu.Unlock()
-		if userOnGen != nil {
-			userOnGen(gs)
-		}
-	}
 	return base.fitInput(ev, params)
 }
 
@@ -503,46 +455,41 @@ func (m *Trainer) fitInput(initial []regress.Spec, base *evaluator) family.FitIn
 // must NOT hold m.mu) and pass the evaluator capture the run fits against:
 // the search runs without any lock, and results are published under m.mu
 // (or through publish) at the end, so sample mutation and predictions
-// proceed during the search. The returned round is never nil.
-func (m *Trainer) train(ctx context.Context, cap capturedEval) (*SelectionResult, error) {
+// proceed during the search. It records the round in rep: its generations
+// and fit errors always, the rung, winner and scores when it published.
+func (m *Trainer) train(ctx context.Context, cap capturedEval, rep *TrainReport) error {
 	m.mu.Lock()
-	m.history = nil
-	m.lastSelection = nil
 	var initial []regress.Spec
 	for _, ind := range m.population {
 		initial = append(initial, ind.Spec)
 	}
 	m.mu.Unlock()
 
-	sel, err := runSelection(ctx, m.Families, m.fitInput(initial, cap.ev))
-	m.mu.Lock()
+	// The genetic search calls OnGeneration on this goroutine, between
+	// generations, so the run's history needs no lock.
+	in := m.fitInput(initial, cap.ev)
+	userOnGen := in.Search.OnGeneration
+	in.Search.OnGeneration = func(gs genetic.GenStats) {
+		rep.History = append(rep.History, gs)
+		if userOnGen != nil {
+			userOnGen(gs)
+		}
+	}
+	sel, err := runSelection(ctx, m.Families, in)
+	if len(sel.Errors) > 0 {
+		rep.FamilyErrors = sel.Errors
+	}
 	// Even a failed or cancelled round's partial population is kept: it
 	// warm-starts the next attempt.
 	if sel.Population != nil {
+		m.mu.Lock()
 		m.population = sel.Population
+		m.mu.Unlock()
 	}
-	m.lastSelection = sel
-	m.mu.Unlock()
 	if err != nil {
-		return sel, err
+		return err
 	}
 	m.publish(newSnapshot(sel.Winner, sel.Model, sel.Scores, m.ShardLen, RungGenetic, cap.rows))
-	return sel, nil
-}
-
-// PredictShard predicts the CPI of a shard with characteristics x on
-// hardware hw. The read is lock-free against the current snapshot.
-func (m *Trainer) PredictShard(x profile.Characteristics, hw hwspace.Config) (float64, error) {
-	return m.Snapshot().PredictShard(x, hw)
-}
-
-// PredictApplication predicts whole-application CPI on hw from the current
-// snapshot (see Snapshot.PredictApplication).
-func (m *Trainer) PredictApplication(shards []profile.Characteristics, hw hwspace.Config) (float64, error) {
-	return m.Snapshot().PredictApplication(shards, hw)
-}
-
-// EvaluateOn measures the served model's accuracy on held-out samples.
-func (m *Trainer) EvaluateOn(samples []Sample) (regress.Metrics, error) {
-	return m.Snapshot().EvaluateOn(samples)
+	rep.Rung, rep.Family, rep.FamilyScores = RungGenetic, sel.Winner, sel.Scores
+	return nil
 }

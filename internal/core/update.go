@@ -72,13 +72,14 @@ func (d Decision) String() string {
 func (m *Trainer) Perturb(ctx context.Context, newSamples []Sample, policy UpdatePolicy) (Decision, error) {
 	policy = policy.withDefaults()
 	var d Decision
-	if !m.Trained() {
+	snap := m.Snapshot()
+	if !snap.Trained() {
 		return d, fmt.Errorf("core: Perturb before Train")
 	}
 	if len(newSamples) == 0 {
 		return d, fmt.Errorf("core: Perturb with no samples")
 	}
-	checked, err := m.EvaluateOn(newSamples)
+	checked, err := snap.EvaluateOn(newSamples)
 	if err != nil {
 		return d, err
 	}

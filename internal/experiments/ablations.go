@@ -55,7 +55,7 @@ func AblationInteractions(w *Workspace) (AblationResult, error) {
 	if err := with.Train(w.ctx); err != nil {
 		return AblationResult{}, err
 	}
-	wm, err := with.EvaluateOn(valid)
+	wm, err := with.Snapshot().EvaluateOn(valid)
 	if err != nil {
 		return AblationResult{}, err
 	}
@@ -89,7 +89,7 @@ func AblationSharding(w *Workspace) (AblationResult, error) {
 	if err := with.Train(w.ctx); err != nil {
 		return AblationResult{}, err
 	}
-	wm, err := with.EvaluateOn(valid)
+	wm, err := with.Snapshot().EvaluateOn(valid)
 	if err != nil {
 		return AblationResult{}, err
 	}
@@ -128,7 +128,7 @@ func AblationSharding(w *Workspace) (AblationResult, error) {
 	if err := without.Train(w.ctx); err != nil {
 		return AblationResult{}, err
 	}
-	wo, err := without.EvaluateOn(monoValid)
+	wo, err := without.Snapshot().EvaluateOn(monoValid)
 	if err != nil {
 		return AblationResult{}, err
 	}
@@ -149,12 +149,12 @@ func AblationStepwise(w *Workspace) (AblationResult, error) {
 	if err := with.Train(w.ctx); err != nil {
 		return AblationResult{}, err
 	}
-	wm, err := with.EvaluateOn(valid)
+	wm, err := with.Snapshot().EvaluateOn(valid)
 	if err != nil {
 		return AblationResult{}, err
 	}
 	budget := 0
-	for _, gs := range with.History() {
+	for _, gs := range with.Report().History {
 		budget = gs.Evals
 	}
 
@@ -251,7 +251,7 @@ func ablateModeler(w *Workspace, name string, set func(*core.Trainer, bool)) (Ab
 		if err := m.Train(w.ctx); err != nil {
 			return 0, err
 		}
-		met, err := m.EvaluateOn(valid)
+		met, err := m.Snapshot().EvaluateOn(valid)
 		if err != nil {
 			return 0, err
 		}

@@ -141,7 +141,7 @@ func Costs(w *Workspace) (CostsResult, error) {
 		}
 		var worst float64
 		for n := range apps {
-			met, err := m.EvaluateOn(validByApp[n])
+			met, err := m.Snapshot().EvaluateOn(validByApp[n])
 			if err != nil {
 				continue
 			}
@@ -212,7 +212,7 @@ func Manual(w *Workspace) (ManualResult, error) {
 		return ManualResult{}, err
 	}
 	valid := w.ValidationSamples()
-	gmet, err := m.EvaluateOn(valid)
+	gmet, err := m.Snapshot().EvaluateOn(valid)
 	if err != nil {
 		return ManualResult{}, err
 	}

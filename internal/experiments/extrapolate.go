@@ -47,17 +47,14 @@ func Fig10(w *Workspace) (Fig10Result, error) {
 			perApp = 20
 		}
 		valid := cfg.collector().Collect([]*trace.App{app}, perApp, cfg.Seed^uint64(0xAB10+n))
-		met, err := m.EvaluateOn(valid)
+		pred, truth, err := predictOn(m.Snapshot(), valid)
 		if err != nil {
 			return res, err
 		}
-		res.PerApp[app.Name] = met
-		pred := m.Model().PredictAll(core.ToDataset(valid))
-		for i, s := range valid {
-			allPred = append(allPred, pred[i])
-			allTruth = append(allTruth, s.CPI)
-		}
-		allErrs = append(allErrs, stats.AbsPctErrors(pred, truthOf(valid))...)
+		res.PerApp[app.Name] = regress.Assess(pred, truth)
+		allPred = append(allPred, pred...)
+		allTruth = append(allTruth, truth...)
+		allErrs = append(allErrs, stats.AbsPctErrors(pred, truth)...)
 	}
 	res.Overall = AccuracyResult{
 		Name:    "shard extrapolation",
@@ -71,14 +68,6 @@ func Fig10(w *Workspace) (Fig10Result, error) {
 	}
 	printAccuracy(out, "  overall", res.Overall)
 	return res, nil
-}
-
-func truthOf(samples []core.Sample) []float64 {
-	out := make([]float64, len(samples))
-	for i, s := range samples {
-		out[i] = s.CPI
-	}
-	return out
 }
 
 // ---------------------------------------------------------------------------
@@ -129,15 +118,15 @@ func Fig7b(w *Workspace) (Fig7bResult, error) {
 	// Validate on fresh variant pairs (the paper's 150).
 	perVariantVal := (150 + len(variants) - 1) / len(variants)
 	valid := col.Collect(variants, perVariantVal, cfg.Seed^0x7B99)
-	met, err := m.EvaluateOn(valid)
+	pred, truth, err := predictOn(m.Snapshot(), valid)
 	if err != nil {
 		return Fig7bResult{}, err
 	}
 	res := Fig7bResult{
 		Accuracy: AccuracyResult{
 			Name:    "variant extrapolation",
-			Metrics: met,
-			Errors:  stats.Boxplot(m.Model().ErrorDistribution(core.ToDataset(valid))),
+			Metrics: regress.Assess(pred, truth),
+			Errors:  stats.Boxplot(stats.AbsPctErrors(pred, truth)),
 		},
 		Updated: decision.Updated,
 	}
@@ -236,15 +225,14 @@ func Fig7c(w *Workspace) (Fig7cResult, error) {
 		}
 		// Validate on fresh pairs of application n (new architectures).
 		valid := col.Collect([]*trace.App{app}, cfg.ValidationPairs/len(w.Apps()), cfg.Seed^uint64(0xC70+n))
-		met, err := m.EvaluateOn(valid)
+		pred, truth, err := predictOn(m.Snapshot(), valid)
 		if err != nil {
 			return res, err
 		}
-		res.PerApp[app.Name] = met
-		pred := m.Model().PredictAll(core.ToDataset(valid))
+		res.PerApp[app.Name] = regress.Assess(pred, truth)
 		allPred = append(allPred, pred...)
-		allTruth = append(allTruth, truthOf(valid)...)
-		allErrs = append(allErrs, stats.AbsPctErrors(pred, truthOf(valid))...)
+		allTruth = append(allTruth, truth...)
+		allErrs = append(allErrs, stats.AbsPctErrors(pred, truth)...)
 	}
 	res.Overall = AccuracyResult{
 		Name:    "new app/arch extrapolation",

@@ -92,7 +92,7 @@ func SearchAnatomy(w *Workspace) (SearchAnatomyResult, error) {
 	}
 	apps := float64(len(w.Apps()))
 	var res SearchAnatomyResult
-	for _, gs := range m.History() {
+	for _, gs := range m.Report().History {
 		res.History = append(res.History, gs.Best*apps)
 	}
 	top := m.Population()
@@ -162,32 +162,45 @@ func Fig7a(w *Workspace) (AccuracyResult, error) {
 		return AccuracyResult{}, err
 	}
 	valid := w.ValidationSamples()
-	met, err := m.EvaluateOn(valid)
+	pred, truth, err := predictOn(m.Snapshot(), valid)
 	if err != nil {
 		return AccuracyResult{}, err
 	}
 	res := AccuracyResult{
 		Name:    "interpolation",
-		Metrics: met,
-		Errors:  stats.Boxplot(m.Model().ErrorDistribution(core.ToDataset(valid))),
-		PerApp:  perAppMedians(m, valid),
+		Metrics: regress.Assess(pred, truth),
+		Errors:  stats.Boxplot(stats.AbsPctErrors(pred, truth)),
+		PerApp:  perAppMedians(pred, truth, valid),
 	}
 	printAccuracy(w.Cfg.out(), "Figure 7(a)/8(a) — steady-state interpolation", res)
 	return res, nil
 }
 
-// perAppMedians computes per-application median errors.
-func perAppMedians(m *core.Trainer, samples []core.Sample) map[string]float64 {
-	byApp := map[string][]core.Sample{}
-	for _, s := range samples {
-		byApp[s.App] = append(byApp[s.App], s)
+// predictOn predicts every sample once through snap's family batch kernel,
+// whose answers are Float64bits-identical to per-row prediction, and
+// returns the predictions beside the measured CPIs.
+func predictOn(snap *core.Snapshot, samples []core.Sample) (pred, truth []float64, err error) {
+	rows := make([][]float64, len(samples))
+	truth = make([]float64, len(samples))
+	for i, s := range samples {
+		rows[i] = s.Row()
+		truth[i] = s.CPI
 	}
-	out := make(map[string]float64, len(byApp))
-	for app, ss := range byApp {
-		met, err := m.EvaluateOn(ss)
-		if err == nil {
-			out[app] = met.MedAPE
-		}
+	pred = make([]float64, len(samples))
+	return pred, truth, snap.PredictBatch(rows, pred)
+}
+
+// perAppMedians computes per-application median errors from predictions
+// aligned with samples.
+func perAppMedians(pred, truth []float64, samples []core.Sample) map[string]float64 {
+	predBy, truthBy := map[string][]float64{}, map[string][]float64{}
+	for i, s := range samples {
+		predBy[s.App] = append(predBy[s.App], pred[i])
+		truthBy[s.App] = append(truthBy[s.App], truth[i])
+	}
+	out := make(map[string]float64, len(predBy))
+	for app, p := range predBy {
+		out[app] = stats.MedianAbsPctError(p, truthBy[app])
 	}
 	return out
 }

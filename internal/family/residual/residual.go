@@ -4,7 +4,8 @@
 // compositional analytical-ML fusion of Concorde applied to this engine's
 // spaces. Fit computes the prior p(row) for every sample, fits a spline
 // model to the ratio y/p with the same weighted splits the reference family
-// uses, and serves p(row)·correction(row).
+// uses, and serves p(row)·correction(row) clamped to the 1.5x envelope of the
+// training responses, the bound the spline family's regression applies.
 //
 // Two priors are built in, auto-selected by the raw-row arity: interval26
 // (an interval-analysis CPI estimate over the 13 software + 13 hardware
@@ -42,8 +43,9 @@ type Prior struct {
 	Name string
 	// Vars is the raw-row arity the estimate expects.
 	Vars int
-	// F computes the estimate; it must be strictly positive and finite for
-	// every finite row.
+	// F computes the estimate; it must be strictly positive for every finite
+	// row. It may overflow to +Inf far outside the training rows (Fit refuses
+	// a training row it is not finite on), which the served clamp bounds.
 	F func(raw []float64) float64
 }
 
@@ -85,7 +87,9 @@ func (*Family) Fit(ctx context.Context, in family.FitInput) (family.FitOutput, e
 	n := ds.NumRows()
 	priors := make([]float64, n)
 	ratio := make([]float64, n)
+	yLo, yHi := math.Inf(1), math.Inf(-1)
 	for i := 0; i < n; i++ {
+		yLo, yHi = math.Min(yLo, ds.Y[i]), math.Max(yHi, ds.Y[i])
 		p := prior.F(ds.X.Row(i))
 		if !(p > 0) || math.IsInf(p, 0) {
 			return out, fmt.Errorf("residual: prior %s non-positive (%g) on row %d", prior.Name, p, i)
@@ -117,14 +121,18 @@ func (*Family) Fit(ctx context.Context, in family.FitInput) (family.FitOutput, e
 	if err != nil {
 		return out, fmt.Errorf("residual: correction: %w", err)
 	}
-	out.Model = &Model{prior: prior, corr: corr}
+	out.Model = &Model{prior: prior, corr: corr, yLo: yLo / 1.5, yHi: yHi * 1.5}
 	return out, nil
 }
 
-// payload is the persisted form of a residual model.
+// payload is the persisted form of a residual model. YLo and YHi are the
+// served envelope; a payload without them (written before the envelope
+// existed) is refused, since its model would serve unbounded answers.
 type payload struct {
 	Prior string         `json:"prior"`
 	Model *regress.Model `json:"model"`
+	YLo   float64        `json:"y_lo"`
+	YHi   float64        `json:"y_hi"`
 }
 
 // Load implements family.Family.
@@ -136,20 +144,40 @@ func (*Family) Load(raw json.RawMessage, numVars int) (family.Model, error) {
 	if err := p.Model.Validate(numVars); err != nil {
 		return nil, fmt.Errorf("residual: payload correction model: %w", err)
 	}
+	if !(p.YLo > 0 && p.YLo < p.YHi) || math.IsInf(p.YHi, 0) {
+		return nil, fmt.Errorf("residual: payload envelope [%g, %g] is not a finite positive range", p.YLo, p.YHi)
+	}
 	prior, err := priorByName(p.Prior, numVars)
 	if err != nil {
 		return nil, err
 	}
-	return &Model{prior: prior, corr: p.Model}, nil
+	return &Model{prior: prior, corr: p.Model, yLo: p.YLo, yHi: p.YHi}, nil
 }
 
 // Model is a fitted residual model: analytical prior times learned
-// correction. Immutable and safe for concurrent use; the scratch pool only
-// recycles predict buffers.
+// correction, clamped to [yLo, yHi]. Immutable and safe for concurrent use;
+// the scratch pool only recycles predict buffers.
 type Model struct {
-	prior   Prior
-	corr    *regress.Model
-	scratch sync.Pool // *regress.PredictScratch
+	prior    Prior
+	corr     *regress.Model
+	yLo, yHi float64
+	scratch  sync.Pool // *regress.PredictScratch
+}
+
+// clamp bounds a served product to the training-response envelope. The
+// prior is positive but may overflow to +Inf on extreme finite rows, and
+// the correction is positive and bounded by its own envelope, so the
+// product is never NaN.
+//
+//hslint:hotpath
+func (m *Model) clamp(v float64) float64 {
+	if v < m.yLo {
+		return m.yLo
+	}
+	if v > m.yHi {
+		return m.yHi
+	}
+	return v
 }
 
 func (m *Model) getScratch() *regress.PredictScratch {
@@ -166,12 +194,13 @@ func (m *Model) Predict(raw []float64) float64 {
 	s := m.getScratch()
 	v := m.prior.F(raw) * m.corr.PredictWith(s, raw)
 	m.scratch.Put(s)
-	return v
+	return m.clamp(v)
 }
 
 // PredictBatch implements family.Model: the correction sweeps the batch
 // through its fused kernel, then each slot is multiplied by the analytical
-// prior. Same two factors as Predict, one multiply — bit-identical.
+// prior and clamped. Same two factors as Predict, one multiply, one clamp —
+// bit-identical.
 //
 //hslint:hotpath
 func (m *Model) PredictBatch(rows [][]float64, out []float64) {
@@ -179,7 +208,7 @@ func (m *Model) PredictBatch(rows [][]float64, out []float64) {
 	m.corr.PredictBatchWith(s, rows, out)
 	m.scratch.Put(s)
 	for i, raw := range rows {
-		out[i] = m.prior.F(raw) * out[i]
+		out[i] = m.clamp(m.prior.F(raw) * out[i])
 	}
 }
 
@@ -195,16 +224,17 @@ func (m *Model) Describe() family.Description {
 
 // Payload implements family.Model.
 func (m *Model) Payload() (json.RawMessage, error) {
-	data, err := json.Marshal(payload{Prior: m.prior.Name, Model: m.corr})
+	data, err := json.Marshal(payload{Prior: m.prior.Name, Model: m.corr, YLo: m.yLo, YHi: m.yHi})
 	if err != nil {
 		return nil, fmt.Errorf("residual: encoding payload: %w", err)
 	}
 	return data, nil
 }
 
-// clamp01 bounds a probability-like estimate.
+// clamp01 bounds a probability-like estimate. NaN, which a footprint and a
+// capacity that both overflow to +Inf divide to, counts as 0.
 func clamp01(v float64) float64 {
-	if v < 0 {
+	if !(v > 0) {
 		return 0
 	}
 	if v > 1 {

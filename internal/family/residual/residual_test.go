@@ -2,6 +2,7 @@ package residual_test
 
 import (
 	"context"
+	"encoding/json"
 	"math"
 	"testing"
 
@@ -68,5 +69,21 @@ func TestPredictBitsAndPayloadRoundTrip(t *testing.T) {
 	}
 	if got, want := loaded.Describe(), out.Model.Describe(); got != want {
 		t.Errorf("reloaded model describes itself as %+v, fitted model %+v", got, want)
+	}
+
+	// A payload without its envelope would serve unbounded answers: Load
+	// refuses it.
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(payload, &fields); err != nil {
+		t.Fatal(err)
+	}
+	delete(fields, "y_lo")
+	delete(fields, "y_hi")
+	unbounded, err := json.Marshal(fields)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m, err := fam.Load(unbounded, core.NumVars); err == nil {
+		t.Errorf("payload without an envelope loaded as %+v", m.Describe())
 	}
 }

@@ -122,9 +122,8 @@ func (m *Model) PredictBatch(rows [][]float64, out []float64) {
 	m.scratch.Put(s)
 }
 
-// RegressModel exposes the underlying regression for callers that need
-// more than predictions from it (core.Snapshot.Model, which the experiments
-// layer reads spec, coefficients and error distributions from).
+// RegressModel exposes the underlying regression, for the training goldens
+// that pin its spec and coefficients bit for bit.
 func (m *Model) RegressModel() *regress.Model { return m.model }
 
 // Describe implements family.Model.

@@ -141,7 +141,7 @@ func TestLifecyclePromotionOnDrift(t *testing.T) {
 	}
 	// The promoted model tracks the shifted regime far better than the
 	// incumbent's ~37% error.
-	m, err := tr.EvaluateOn(drifted[len(drifted)-20:])
+	m, err := tr.Snapshot().EvaluateOn(drifted[len(drifted)-20:])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestLifecycleRollbackOnRegression(t *testing.T) {
 					swapped.Store(true)
 					return
 				}
-				if _, err := tr.PredictShard(stream[0].X, stream[0].HW); err != nil {
+				if _, err := tr.Snapshot().PredictShard(stream[0].X, stream[0].HW); err != nil {
 					return
 				}
 			}

@@ -296,9 +296,3 @@ func Assess(pred, truth []float64) Metrics {
 	}
 	return met
 }
-
-// ErrorDistribution returns the absolute percentage errors of the model on
-// ds, for boxplot-style reporting.
-func (m *Model) ErrorDistribution(ds *Dataset) []float64 {
-	return stats.AbsPctErrors(m.PredictAll(ds), ds.Y)
-}

@@ -85,7 +85,7 @@ func driftUntilPromoted(t testing.TB, url string, stream []core.Sample) {
 func TestLifecyclePromotionAdvancesVersion(t *testing.T) {
 	tr := newTestTrainer(t)
 	path := filepath.Join(t.TempDir(), "model.json")
-	if err := tr.Save(path, 0); err != nil {
+	if err := tr.Snapshot().Save(path); err != nil {
 		t.Fatal(err)
 	}
 	col := &core.Collector{ShardLen: 20_000, ShardPool: 12}
@@ -301,7 +301,7 @@ func TestLifecycleRouteOnManifestEntry(t *testing.T) {
 	tr := newTestTrainer(t)
 	dir := t.TempDir()
 	path := filepath.Join(dir, "model.json")
-	if err := tr.Save(path, 0); err != nil {
+	if err := tr.Snapshot().Save(path); err != nil {
 		t.Fatal(err)
 	}
 	manifest := filepath.Join(dir, "fleet.json")
@@ -354,7 +354,7 @@ func TestLifecycleMetricsPerEntry(t *testing.T) {
 	tr := newTestTrainer(t)
 	dir := t.TempDir()
 	path := filepath.Join(dir, "model.json")
-	if err := tr.Save(path, 0); err != nil {
+	if err := tr.Snapshot().Save(path); err != nil {
 		t.Fatal(err)
 	}
 	manifest := filepath.Join(dir, "fleet.json")

@@ -122,7 +122,7 @@ func TestSnapshotVersionUnderConcurrentRetrain(t *testing.T) {
 	tr := newTestTrainer(t)
 	_, ts := newTestServer(t, Config{Trainer: tr})
 	path := filepath.Join(t.TempDir(), "model.json")
-	if err := tr.Save(path, 0); err != nil {
+	if err := tr.Snapshot().Save(path); err != nil {
 		t.Fatal(err)
 	}
 	var alts [2]*core.Snapshot

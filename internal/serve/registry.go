@@ -123,7 +123,7 @@ func (r *registry) registerTrainer(req hsmodel.RegisterRequest, lc *lifecycle.Co
 	default:
 		return nil, fmt.Errorf("registry: unknown architecture space %q (have %q)", req.ArchSpace, defaultArchSpace)
 	}
-	if lc != nil && req.ModelPath == "" && !tr.Trained() {
+	if lc != nil && req.ModelPath == "" && !tr.Snapshot().Trained() {
 		return nil, fmt.Errorf("%w: %q", errLifecycleNoModel, req.ID)
 	}
 	e := &entry{req: req, trainer: tr}

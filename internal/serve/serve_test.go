@@ -277,6 +277,38 @@ func TestNonFinitePredictionIsServerError(t *testing.T) {
 	}
 }
 
+// TestResidualExtremeInputAnswersInsideEnvelope: a residual-family model
+// asked about a characteristic of 1e308 answers 200 with a CPI inside the
+// 1.5x envelope of its training CPIs, not the prior's overflow.
+func TestResidualExtremeInputAnswersInsideEnvelope(t *testing.T) {
+	train, valid := testData(t)
+	tr := core.NewTrainer(append([]core.Sample(nil), train...))
+	tr.Search = genetic.Params{PopulationSize: 10, Generations: 2, Seed: 3}
+	tr.Families = []family.Family{core.FamilyByName("residual")}
+	if err := tr.Train(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newTestServer(t, Config{Trainer: tr})
+	lo, hi := math.Inf(1), math.Inf(-1)
+	for _, s := range train {
+		lo, hi = math.Min(lo, s.CPI), math.Max(hi, s.CPI)
+	}
+
+	x := valid[0].X
+	x[1] = 1e308
+	resp, body := postJSON(t, ts.URL+"/v2/models/default/predict", hsmodel.PredictRequest{X: x[:]})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d (%q), want 200", resp.StatusCode, body)
+	}
+	var pr hsmodel.PredictResponse
+	if err := json.Unmarshal(body, &pr); err != nil {
+		t.Fatal(err)
+	}
+	if !(pr.CPI >= lo/1.5 && pr.CPI <= hi*1.5) {
+		t.Errorf("CPI %v, want inside [%v, %v]", pr.CPI, lo/1.5, hi*1.5)
+	}
+}
+
 // TestOversizedBodyIs413: a body past maxBodyBytes is refused with 413 and
 // the shared error body before any of it reaches a store.
 func TestOversizedBodyIs413(t *testing.T) {

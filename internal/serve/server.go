@@ -624,12 +624,13 @@ func (s *Server) triggerUpdate(e *entry) bool {
 }
 
 // entryView is one registry entry as a response reads it: its publication,
-// store size, queue depth and loop status, each read once. The listing, the
-// model route and the scrape all render from it, so a response reports each
-// fact of an entry once, from one reading.
+// latest training report, store size, queue depth and loop status, each read
+// once. The listing, the model route and the scrape all render from it, so a
+// response reports each fact of an entry once, from one reading.
 type entryView struct {
 	e       *entry
 	pub     core.Publication
+	rep     core.TrainReport
 	samples int
 	queued  int
 	lc      *lifecycle.Status // nil unless the entry has a control loop
@@ -639,6 +640,7 @@ func viewOf(e *entry) entryView {
 	v := entryView{
 		e:       e,
 		pub:     e.trainer.Published(),
+		rep:     e.trainer.Report(),
 		samples: e.trainer.NumSamples(),
 		queued:  e.batcher.Queued(),
 	}
@@ -680,8 +682,7 @@ func (v entryView) info() hsmodel.ModelInfo {
 	info.TotalSamples = v.samples
 	info.SnapshotVersion = v.pub.Generation
 	info.SnapshotAgeSec = v.age().Seconds()
-	st := v.e.trainer.FitPathStats()
-	info.GramFits, info.QRFallbacks = st.GramFits, st.QRFallbacks
+	info.GramFits, info.QRFallbacks = v.rep.Gram.GramFits, v.rep.Gram.QRFallbacks
 	return info
 }
 
@@ -770,7 +771,7 @@ func (s *Server) handleUnregister(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{
 		"status":  "ok",
-		"trained": s.def.trainer.Trained(),
+		"trained": s.def.trainer.Snapshot().Trained(),
 	})
 }
 

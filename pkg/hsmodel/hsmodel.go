@@ -14,13 +14,14 @@
 //	    hsmodel.WithPopulation(36),
 //	)
 //	if err := m.Train(ctx); err != nil { ... }
-//	cpi, err := m.PredictShard(x, hsmodel.Baseline())
+//	cpi, err := m.Snapshot().PredictShard(x, hsmodel.Baseline())
 //
 // Train is the one training run: a selection round warm-started from the
 // previous run's population, falling back to the stepwise search when the
 // round fails (m.SearchTimeout bounds the round). It returns nil exactly
-// when one of the two published; m.Report() says which, and a failed run
-// leaves the served model as it was.
+// when one of the two published; m.Report() says which, with the round's
+// scores and generations, and a failed run leaves the served model as it
+// was. Predictions, evaluation and Save are the served Snapshot's.
 //
 // The wire schema spoken by the hsserve HTTP service and the hsinfer CLI
 // lives in wire.go; everything here is process-local API.
@@ -40,9 +41,9 @@ import (
 // Core modeling types, aliased so facade and internal values interchange.
 type (
 	// Trainer owns the sparse profile store and the training machinery; it
-	// publishes immutable Snapshots and answers lock-free predictions. See
-	// the type's method set for the full contract (AddSamples and
-	// predictions are safe concurrently with an in-flight Train).
+	// publishes immutable Snapshots, which answer lock-free predictions. See
+	// the type's method set for the full contract (AddSamples, Snapshot and
+	// Report are safe concurrently with an in-flight Train).
 	Trainer = core.Trainer
 	// Snapshot is an immutable fitted model: the unit of serving and of
 	// persistence (Save/LoadSnapshot).
@@ -72,8 +73,9 @@ type (
 	UpdatePolicy = core.UpdatePolicy
 	// Decision reports what the update protocol concluded.
 	Decision = core.Decision
-	// TrainReport records which ladder rung of the latest Train produced the
-	// served model and what failed on the way down (Trainer.Report).
+	// TrainReport is the record of the latest Train (Trainer.Report): which
+	// ladder rung produced the served model, what failed on the way down,
+	// the selection round's scores and generations, and the fit counters.
 	TrainReport = core.TrainReport
 	// Rung identifies a degradation-ladder level.
 	Rung = core.Rung
@@ -98,9 +100,6 @@ type (
 	FamilyModel = family.Model
 	// FamilyDescription is the displayable summary of a fitted family model.
 	FamilyDescription = family.Description
-	// SelectionResult records one family-selection round: per-family scores,
-	// per-family fit errors, and the winner.
-	SelectionResult = core.SelectionResult
 )
 
 // Dimensions of the integrated space.
@@ -188,8 +187,9 @@ func WithShardLen(n int) Option {
 // run becomes a selection round that fits each family against the same
 // captured evaluator state, scores all of them on the shared validation
 // rows, and publishes the winner (TrainReport.Family / Snapshot.Family say
-// which; Trainer.Selection has the full scoreboard). An empty set selects
-// the reference spline family alone, the paper's genetic spline search.
+// which; TrainReport.FamilyScores has the full scoreboard). An empty set
+// selects the reference spline family alone, the paper's genetic spline
+// search.
 func WithFamilies(fams ...ModelFamily) Option {
 	return func(t *Trainer) { t.Families = fams }
 }
@@ -209,10 +209,9 @@ func DefaultFamilies() []ModelFamily { return core.DefaultFamilies() }
 // "residual", "dal"); nil for unknown names.
 func FamilyByName(name string) ModelFamily { return core.FamilyByName(name) }
 
-// LoadSnapshot reads a model snapshot persisted by Snapshot.Save (or
-// Trainer.Save), verifying version, structure, shape, and checksum; failure
-// modes are the typed ErrModel* errors. Hand the result to Trainer.Adopt to
-// serve it.
+// LoadSnapshot reads a model snapshot persisted by Snapshot.Save, verifying
+// version, structure, shape, and checksum; failure modes are the typed
+// ErrModel* errors. Hand the result to Trainer.Adopt to serve it.
 func LoadSnapshot(path string) (*Snapshot, error) { return core.LoadSnapshot(path) }
 
 // Baseline returns the mid-range reference microarchitecture.

@@ -143,7 +143,7 @@ type ModelInfo struct {
 	SnapshotAgeSec  float64 `json:"snapshot_age_sec"`
 	// GramFits / QRFallbacks are the candidate-fit path counters of the
 	// trainer's most recent Train run, failed runs included
-	// (Trainer.FitPathStats; Trainer.Report carries the same two).
+	// (Trainer.Report().Gram).
 	GramFits    uint64 `json:"gram_fits"`
 	QRFallbacks uint64 `json:"qr_fallbacks"`
 }
