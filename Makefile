@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build fmt vet test race lint lint-fix lint-sarif bench-build bench-smoke bench-collect fig5 goldens fuzz-smoke smoke-names ci
+.PHONY: build fmt vet test race lint lint-sarif bench-build bench-smoke bench-collect fig5 goldens fuzz-smoke smoke-names ci
 
 build:
 	$(GO) build ./...
@@ -34,12 +34,6 @@ lint: .hslint.stamp
 	$(GO) build -o hslint ./cmd/hslint
 	./hslint ./...
 	touch $@
-
-# lint-fix applies every suggested fix (errors.Is rewrites, %w wraps, stale
-# ignore-directive deletion) in place; run lint afterwards to verify.
-lint-fix:
-	$(GO) build -o hslint ./cmd/hslint
-	./hslint -fix ./...
 
 # lint-sarif writes SARIF 2.1.0 to hslint.sarif for CI code-scanning
 # annotations, preserving hslint's exit status.

@@ -11,8 +11,6 @@
 //	hslint -dir path/to/testdata      lint loose directories (testdata trees
 //	                                  the go tool will not enumerate)
 //	hslint -checks floateq,errcmp ./...
-//	hslint -fix -diff ./...           show the diff -fix would apply
-//	hslint -fix ./...                 apply suggested fixes in place
 //	hslint -format sarif ./...        SARIF 2.1.0 on stdout (CI annotations)
 //	hslint -list                      machine-readable check listing
 //
@@ -57,18 +55,15 @@ var errFindings = errors.New("hslint: findings reported")
 
 // errUsage marks a command line hslint cannot act on; main exits 2 on it,
 // as on a load failure.
-var errUsage = errors.New("usage: hslint [-dir] [-checks c1,c2] [-fix [-diff]] [-format text|sarif] patterns...")
+var errUsage = errors.New("usage: hslint [-dir] [-checks c1,c2] [-list] [-format text|sarif] patterns...")
 
 // run lints the packages or directories args name and prints diagnostics to
-// stdout; the -fix summary goes to standard error.
-// Linting has nothing to cancel, so ctx goes unused.
+// stdout. Linting has nothing to cancel, so ctx goes unused.
 func run(_ context.Context, args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("hslint", flag.ContinueOnError)
 	dirMode := fs.Bool("dir", false, "treat arguments as directories of Go files (testdata trees) instead of package patterns")
 	checks := fs.String("checks", "", "comma-separated subset of checks to run (default: all)")
 	list := fs.Bool("list", false, "list available checks (name<TAB>doc per line) and exit")
-	fix := fs.Bool("fix", false, "apply suggested fixes to the source tree")
-	diff := fs.Bool("diff", false, "with -fix, print the diff instead of writing files")
 	format := fs.String("format", "text", "output format: text or sarif")
 	if err := fs.Parse(args); err != nil {
 		return fmt.Errorf("%w: %w", errUsage, err)
@@ -119,29 +114,6 @@ func run(_ context.Context, args []string, stdout io.Writer) error {
 	}
 
 	diags := analysis.Run(pkgs, analyzers)
-
-	if *fix {
-		results, err := analysis.ApplyFixes(diags, !*diff)
-		if err != nil {
-			return err
-		}
-		applied, skipped := 0, 0
-		for _, r := range results {
-			applied += r.Applied
-			skipped += r.Skipped
-			if *diff && r.Applied > 0 {
-				fmt.Fprint(stdout, analysis.Diff(r))
-			}
-		}
-		if !*diff {
-			fmt.Fprintf(os.Stderr, "hslint: applied %d fix(es)", applied)
-			if skipped > 0 {
-				fmt.Fprintf(os.Stderr, ", skipped %d (overlap)", skipped)
-			}
-			fmt.Fprintln(os.Stderr)
-		}
-		return nil
-	}
 
 	if *format == "sarif" {
 		out, err := analysis.SARIF(diags, analyzers, cwd)

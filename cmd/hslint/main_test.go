@@ -11,7 +11,8 @@ import (
 )
 
 // TestRun lints the floateq corpus, which must report floateq findings and
-// exit 1, and lists every registered check.
+// exit 1, lists every registered check, and refuses -fix and -diff as
+// unknown flags without printing anything.
 func TestRun(t *testing.T) {
 	ctx := context.Background()
 	var out bytes.Buffer
@@ -30,6 +31,16 @@ func TestRun(t *testing.T) {
 	for _, a := range analysis.All() {
 		if !strings.Contains(out.String(), a.Name+"\t") {
 			t.Errorf("-list does not name check %s:\n%s", a.Name, out.String())
+		}
+	}
+
+	for _, removed := range []string{"-fix", "-diff"} {
+		out.Reset()
+		if err := run(ctx, []string{removed, "./..."}, &out); !errors.Is(err, errUsage) {
+			t.Errorf("hslint %s ./...: run = %v, want errUsage (exit 2)", removed, err)
+		}
+		if out.Len() != 0 {
+			t.Errorf("hslint %s ./... printed %q, want nothing", removed, out.String())
 		}
 	}
 }

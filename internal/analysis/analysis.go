@@ -20,30 +20,10 @@ type Diagnostic struct {
 	Pos     token.Position
 	Check   string
 	Message string
-	// Fixes are machine-applicable rewrites that resolve the finding.
-	// hslint -fix applies them (see fix.go); text/SARIF output ignores them.
-	Fixes []SuggestedFix
 }
 
 func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s: %s [%s]", d.Pos, d.Message, d.Check)
-}
-
-// SuggestedFix is one coherent rewrite: all of its edits apply together or
-// not at all.
-type SuggestedFix struct {
-	Message string
-	Edits   []TextEdit
-}
-
-// TextEdit replaces the byte range [Start, End) of File with New. Offsets
-// are byte offsets into the file as loaded; File is the absolute path from
-// the token.FileSet.
-type TextEdit struct {
-	File  string
-	Start int
-	End   int
-	New   string
 }
 
 // Analyzer is one named invariant check.
@@ -74,19 +54,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 		Message: fmt.Sprintf(format, args...),
 	})
 }
-
-// ReportFix records a diagnostic at pos carrying suggested fixes.
-func (p *Pass) ReportFix(pos token.Pos, msg string, fixes ...SuggestedFix) {
-	p.report(Diagnostic{
-		Pos:     p.Fset.Position(pos),
-		Check:   p.Analyzer.Name,
-		Message: msg,
-		Fixes:   fixes,
-	})
-}
-
-// Offset returns the byte offset of pos within its file, for TextEdits.
-func (p *Pass) Offset(pos token.Pos) int { return p.Fset.Position(pos).Offset }
 
 // TypeOf returns the type of e, or nil.
 func (p *Pass) TypeOf(e ast.Expr) types.Type {

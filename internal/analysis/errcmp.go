@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"fmt"
 	"go/ast"
 	"go/constant"
 	"go/token"
@@ -61,10 +60,9 @@ func runErrCmp(pass *Pass) {
 				}
 				for _, op := range []ast.Expr{n.X, n.Y} {
 					if isSentinelErr(pass, op) {
-						pass.ReportFix(n.Pos(),
-							fmt.Sprintf("%s compared with %s; wrapped errors make == silently false — use errors.Is",
-								n.Op, exprText(op)),
-							errorsIsFix(pass, f, n, op)...)
+						pass.Reportf(n.Pos(),
+							"%s compared with %s; wrapped errors make == silently false — use errors.Is",
+							n.Op, exprText(op))
 						break
 					}
 				}
@@ -119,171 +117,11 @@ func checkErrorfWrap(pass *Pass, call *ast.CallExpr) {
 		}
 		arg := call.Args[argIdx]
 		if t := pass.TypeOf(arg); t != nil && isErrorType(t) {
-			pass.ReportFix(arg.Pos(),
-				fmt.Sprintf("error %s wrapped with %%%c; use %%w so errors.Is still matches the sentinel through the wrap",
-					exprText(arg), verb),
-				wrapVerbFix(pass, call, i, verb)...)
+			pass.Reportf(arg.Pos(),
+				"error %s wrapped with %%%c; use %%w so errors.Is still matches the sentinel through the wrap",
+				exprText(arg), verb)
 		}
 	}
-}
-
-// errorsIsFix rewrites `x == ErrSentinel` to `errors.Is(x, ErrSentinel)`
-// (negated for !=), inserting an "errors" import when the file lacks one.
-// Returns no fix when the rewrite cannot be done safely (no parenthesized
-// import block to extend).
-func errorsIsFix(pass *Pass, f *ast.File, cmp *ast.BinaryExpr, sentinel ast.Expr) []SuggestedFix {
-	other := cmp.X
-	if other == sentinel {
-		other = cmp.Y
-	}
-	repl := fmt.Sprintf("errors.Is(%s, %s)", exprText(other), exprText(sentinel))
-	if cmp.Op == token.NEQ {
-		repl = "!" + repl
-	}
-	file := pass.Fset.Position(cmp.Pos()).Filename
-	edits := []TextEdit{{
-		File:  file,
-		Start: pass.Offset(cmp.Pos()),
-		End:   pass.Offset(cmp.End()),
-		New:   repl,
-	}}
-	if imp := importEdit(pass, f, "errors"); imp != nil {
-		edits = append(edits, *imp)
-	} else if !hasImport(f, "errors") {
-		return nil // cannot add the import safely; report without a fix
-	}
-	return []SuggestedFix{{Message: "rewrite with errors.Is", Edits: edits}}
-}
-
-// hasImport reports whether f already imports path.
-func hasImport(f *ast.File, path string) bool {
-	for _, imp := range f.Imports {
-		if strings.Trim(imp.Path.Value, `"`) == path {
-			return true
-		}
-	}
-	return false
-}
-
-// importEdit returns an insertion adding `"path"` to f's first parenthesized
-// import block, or nil when the import already exists or no block is
-// available.
-func importEdit(pass *Pass, f *ast.File, path string) *TextEdit {
-	if hasImport(f, path) {
-		return nil
-	}
-	for _, decl := range f.Decls {
-		gd, ok := decl.(*ast.GenDecl)
-		if !ok || gd.Tok != token.IMPORT || !gd.Lparen.IsValid() || len(gd.Specs) == 0 {
-			continue
-		}
-		// Insert before the first spec with a larger path, keeping the block
-		// sorted; fall back to after the last spec.
-		insertAt := gd.Specs[len(gd.Specs)-1].End()
-		prefix, suffix := "\n\t", ""
-		for _, spec := range gd.Specs {
-			is, ok := spec.(*ast.ImportSpec)
-			if !ok {
-				continue
-			}
-			if strings.Trim(is.Path.Value, `"`) > path {
-				insertAt = is.Pos()
-				prefix, suffix = "", "\n\t"
-				break
-			}
-		}
-		off := pass.Offset(insertAt)
-		return &TextEdit{
-			File:  pass.Fset.Position(insertAt).Filename,
-			Start: off,
-			End:   off,
-			New:   prefix + `"` + path + `"` + suffix,
-		}
-	}
-	return nil
-}
-
-// wrapVerbFix replaces the i-th argument-consuming verb of fmt.Errorf's
-// format literal with %w. It only fires when the format is a plain string
-// literal whose source-text verb scan agrees with the constant-value scan
-// (escape sequences that synthesize '%' would desynchronize the two).
-func wrapVerbFix(pass *Pass, call *ast.CallExpr, verbIdx int, verb rune) []SuggestedFix {
-	if verb != 'v' && verb != 's' {
-		return nil
-	}
-	lit, ok := call.Args[0].(*ast.BasicLit)
-	if !ok || lit.Kind != token.STRING {
-		return nil
-	}
-	offsets, verbs, ok := formatVerbOffsets(lit.Value)
-	if !ok || verbIdx >= len(verbs) || verbs[verbIdx] != verb {
-		return nil
-	}
-	constVerbs, ok := formatVerbs(strings.Trim(lit.Value, "`\""))
-	if !ok || len(constVerbs) != len(verbs) {
-		return nil
-	}
-	start := pass.Offset(lit.Pos()) + offsets[verbIdx]
-	return []SuggestedFix{{
-		Message: "wrap with %w",
-		Edits: []TextEdit{{
-			File:  pass.Fset.Position(lit.Pos()).Filename,
-			Start: start,
-			End:   start + 1,
-			New:   "w",
-		}},
-	}}
-}
-
-// formatVerbOffsets scans a string literal's *source text* (quotes included)
-// with the same state machine as formatVerbs, returning the byte offset of
-// each argument-consuming verb character within the literal.
-func formatVerbOffsets(src string) (offsets []int, verbs []rune, ok bool) {
-	rs := []rune(src)
-	byteOff := 0
-	offAt := make([]int, len(rs))
-	for i, r := range rs {
-		offAt[i] = byteOff
-		byteOff += len(string(r))
-	}
-	for i := 0; i < len(rs); i++ {
-		if rs[i] != '%' {
-			continue
-		}
-		i++
-		for i < len(rs) && strings.ContainsRune("+-# 0", rs[i]) {
-			i++
-		}
-		for i < len(rs) && (rs[i] == '*' || (rs[i] >= '0' && rs[i] <= '9')) {
-			if rs[i] == '*' {
-				offsets = append(offsets, offAt[i])
-				verbs = append(verbs, '*')
-			}
-			i++
-		}
-		if i < len(rs) && rs[i] == '.' {
-			i++
-			for i < len(rs) && (rs[i] == '*' || (rs[i] >= '0' && rs[i] <= '9')) {
-				if rs[i] == '*' {
-					offsets = append(offsets, offAt[i])
-					verbs = append(verbs, '*')
-				}
-				i++
-			}
-		}
-		if i >= len(rs) {
-			break
-		}
-		switch rs[i] {
-		case '%':
-		case '[':
-			return nil, nil, false
-		default:
-			offsets = append(offsets, offAt[i])
-			verbs = append(verbs, rs[i])
-		}
-	}
-	return offsets, verbs, true
 }
 
 // formatVerbs returns, in order, the verb consuming each variadic argument

@@ -22,7 +22,6 @@ const metaCheck = "hslint"
 
 type ignoreDirective struct {
 	pos    token.Position
-	end    token.Position // one past the comment, for the deletion autofix
 	check  string
 	reason string
 	used   bool
@@ -41,7 +40,6 @@ func collectIgnores(pkg *Package) []*ignoreDirective {
 				check, reason, _ := strings.Cut(rest, " ")
 				dirs = append(dirs, &ignoreDirective{
 					pos:    pkg.Fset.Position(c.Pos()),
-					end:    pkg.Fset.Position(c.End()),
 					check:  check,
 					reason: strings.TrimSpace(reason),
 				})
@@ -49,19 +47,6 @@ func collectIgnores(pkg *Package) []*ignoreDirective {
 		}
 	}
 	return dirs
-}
-
-// staleFix deletes a stale directive comment.
-func staleFix(dir *ignoreDirective) []SuggestedFix {
-	return []SuggestedFix{{
-		Message: "delete stale ignore directive",
-		Edits: []TextEdit{{
-			File:  dir.pos.Filename,
-			Start: dir.pos.Offset,
-			End:   dir.end.Offset,
-			New:   "",
-		}},
-	}}
 }
 
 // applyIgnores filters diagnostics through the package's ignore directives
@@ -109,8 +94,7 @@ func applyIgnores(pkg *Package, diags []Diagnostic, ran map[string]bool) []Diagn
 				Message: "ignore directive for \"" + dir.check + "\" has no reason"})
 		case !dir.used && ran[dir.check]:
 			out = append(out, Diagnostic{Pos: dir.pos, Check: metaCheck,
-				Message: "stale ignore directive: no \"" + dir.check + "\" diagnostic here",
-				Fixes:   staleFix(dir)})
+				Message: "stale ignore directive: no \"" + dir.check + "\" diagnostic here"})
 		}
 	}
 	return out

@@ -101,13 +101,13 @@ func TestServeWhileTrain(t *testing.T) {
 	}
 }
 
-// TestAddSamplesWhileUpdate is the acceptance test for the non-blocking
+// TestAddSamplesDuringTrain is the acceptance test for the non-blocking
 // sample-store contract: AddSamples called concurrently with an in-flight
 // warm-started Train must be safe (run under -race via make ci) and must not block until
 // the training run completes — a training run captures its evaluator at
 // start and holds no lock during the search. Samples added mid-run take
 // effect at the next run.
-func TestAddSamplesWhileUpdate(t *testing.T) {
+func TestAddSamplesDuringTrain(t *testing.T) {
 	m, valid := trainSmallModeler(t)
 	before := m.NumSamples()
 

@@ -371,7 +371,7 @@ func TestPerturbTriggersUpdate(t *testing.T) {
 	}
 }
 
-func TestUpdateWarmStartsFromPopulation(t *testing.T) {
+func TestRetrainOnGrownStoreKeepsAccuracy(t *testing.T) {
 	m, valid := trainSmallModeler(t)
 	firstBest := m.Population()[0].Fitness
 	if err := m.AddSamples(smallCollector().Collect(smallApps(), 10, 30)); err != nil {

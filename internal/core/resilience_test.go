@@ -25,10 +25,11 @@ func newSmallModeler(t *testing.T) *Trainer {
 	return m
 }
 
-// The TestTrainResilient* tests keep the names they had when the ladder was
-// a separate entry point; each now drives Train, which walks it.
+// The ladder tests below each drive Train, which walks the degradation
+// ladder: a selection round, then stepwise; when both fail, the last-good
+// snapshot keeps serving.
 
-func TestTrainResilientHealthyUsesGeneticRung(t *testing.T) {
+func TestTrainHealthyUsesGeneticRung(t *testing.T) {
 	m := newSmallModeler(t)
 	if err := m.Train(context.Background()); err != nil {
 		t.Fatal(err)
@@ -69,10 +70,10 @@ func panicAlways(m *Trainer) {
 	}
 }
 
-// TestTrainResilientPanicDegradesToStepwise: a transient fault (one panic,
+// TestTrainPanicDegradesToStepwise: a transient fault (one panic,
 // then clear) kills the genetic search; Train must land on stepwise with a
 // usable model and a report naming both what failed and what served.
-func TestTrainResilientPanicDegradesToStepwise(t *testing.T) {
+func TestTrainPanicDegradesToStepwise(t *testing.T) {
 	m := newSmallModeler(t)
 	panicOnce(m)
 	if err := m.Train(context.Background()); err != nil {
@@ -94,11 +95,11 @@ func TestTrainResilientPanicDegradesToStepwise(t *testing.T) {
 	}
 }
 
-// TestTrainResilientServesLastGoodFromDisk: a persistently panicking
+// TestTrainFailureKeepsAdoptedLastGood: a persistently panicking
 // evaluator defeats BOTH rungs without crashing the process; a model loaded
 // from disk and adopted before the run keeps serving, bit for bit, and the
 // run's error names the fault of each rung.
-func TestTrainResilientServesLastGoodFromDisk(t *testing.T) {
+func TestTrainFailureKeepsAdoptedLastGood(t *testing.T) {
 	trained, valid := trainSmallModeler(t)
 	lastGood := filepath.Join(t.TempDir(), "last-good.json")
 	if err := trained.Snapshot().Save(lastGood); err != nil {
@@ -143,11 +144,11 @@ func TestTrainResilientServesLastGoodFromDisk(t *testing.T) {
 	}
 }
 
-// TestTrainResilientNaNSamplesDegrade: NaN-poisoned profile rows make
+// TestTrainNaNSamplesKeepPublished: NaN-poisoned profile rows make
 // featurization fail as bad input, so no rung can run; the previously
 // published snapshot must keep serving. The poisoning goes through
 // SetSamples like any real sample mutation.
-func TestTrainResilientNaNSamplesDegrade(t *testing.T) {
+func TestTrainNaNSamplesKeepPublished(t *testing.T) {
 	m, _ := trainSmallModeler(t)
 	before := m.Published()
 	poisoned := m.Samples()
@@ -170,10 +171,10 @@ func TestTrainResilientNaNSamplesDegrade(t *testing.T) {
 	}
 }
 
-// TestTrainResilientAllRungsFail: with no model to fall back to, a run whose
+// TestTrainAllRungsFailPublishesNothing: with no model to fall back to, a run whose
 // rungs both fail publishes nothing and returns an error that still names
 // the underlying fault.
-func TestTrainResilientAllRungsFail(t *testing.T) {
+func TestTrainAllRungsFailPublishesNothing(t *testing.T) {
 	m := newSmallModeler(t)
 	panicAlways(m)
 	err := m.Train(context.Background())
@@ -191,11 +192,11 @@ func TestTrainResilientAllRungsFail(t *testing.T) {
 	}
 }
 
-// TestTrainResilientCorruptLastGood: when both rungs fail, the last-good
+// TestTrainCorruptLastGoodRefused: when both rungs fail, the last-good
 // model is whatever loads from disk (hsinfer reloads its -out file), so a
 // corrupted model file must be refused with a typed error, never
 // half-loaded, and the failed run publishes nothing in its place.
-func TestTrainResilientCorruptLastGood(t *testing.T) {
+func TestTrainCorruptLastGoodRefused(t *testing.T) {
 	trained, _ := trainSmallModeler(t)
 	lastGood := filepath.Join(t.TempDir(), "last-good.json")
 	if err := trained.Snapshot().Save(lastGood); err != nil {
@@ -219,10 +220,10 @@ func TestTrainResilientCorruptLastGood(t *testing.T) {
 	}
 }
 
-// TestTrainResilientDeadlineFallsToStepwise: a SearchTimeout shorter than
+// TestTrainDeadlineFallsToStepwise: a SearchTimeout shorter than
 // one delayed evaluation cancels the genetic rung; stepwise (bounded by the
 // caller's healthy context, not the expired one) completes.
-func TestTrainResilientDeadlineFallsToStepwise(t *testing.T) {
+func TestTrainDeadlineFallsToStepwise(t *testing.T) {
 	m := newSmallModeler(t)
 	m.SearchTimeout = time.Millisecond
 	inj := &faultinject.Evaluator{Delay: 2 * time.Millisecond}
@@ -245,10 +246,10 @@ func TestTrainResilientDeadlineFallsToStepwise(t *testing.T) {
 	}
 }
 
-// TestTrainResilientDeadCallerContextSkipsStepwise: when the caller's own
+// TestTrainDeadCallerContextSkipsStepwise: when the caller's own
 // context is dead, Train must not burn compute on stepwise: it returns the
 // cancellation and keeps serving the model it had.
-func TestTrainResilientDeadCallerContextSkipsStepwise(t *testing.T) {
+func TestTrainDeadCallerContextSkipsStepwise(t *testing.T) {
 	m, _ := trainSmallModeler(t)
 	served := m.Snapshot()
 	ctx, cancel := context.WithCancel(context.Background())
