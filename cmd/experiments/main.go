@@ -29,22 +29,36 @@ import (
 func main() {
 	// ^C cancels the running experiment within one search generation.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	err := run(ctx, os.Args[1:], os.Stdout)
+	err := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
 	stop()
+	os.Exit(exitCode(err, os.Stderr))
+}
+
+// exitCode returns the exit status for run's error, printing the error to
+// stderr unless the flag set has reported it already: 0 on success or -h,
+// 2 on a usage error, 1 otherwise.
+func exitCode(err error, stderr io.Writer) int {
 	switch {
 	case err == nil || errors.Is(err, flag.ErrHelp):
+		return 0
+	case errors.Is(err, errBadFlag):
+		return 2
 	case errors.Is(err, errUsage):
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, err)
+		return 2
 	default:
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
 }
 
 // errUsage marks a command line experiments cannot act on; main exits 2 on
 // it, as the flag package does for a bad flag.
 var errUsage = errors.New("usage: experiments [-paper] [-seed N] <id>...|all  (see -list)")
+
+// errBadFlag marks a flag the flag set refused, which it has already
+// reported with the flag list; main exits 2 on it.
+var errBadFlag = errors.New("experiments: bad flag")
 
 // experiment is one id the command runs, in the order -list and "all" use.
 type experiment struct {
@@ -112,14 +126,18 @@ func lookup(id string) (experiment, error) {
 }
 
 // run executes the named experiments in order, printing their tables and a
-// completion line each to stdout.
-func run(ctx context.Context, args []string, stdout io.Writer) error {
+// completion line each to stdout; flag errors and -h go to stderr.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	paper := fs.Bool("paper", false, "run at paper scale (hours) instead of quick scale (minutes)")
 	seed := fs.Uint64("seed", 1, "master random seed")
 	list := fs.Bool("list", false, "list experiment ids and exit")
 	if err := fs.Parse(args); err != nil {
-		return fmt.Errorf("%w: %w", errUsage, err)
+		if errors.Is(err, flag.ErrHelp) {
+			return err
+		}
+		return errBadFlag
 	}
 	if *list {
 		for _, e := range table {

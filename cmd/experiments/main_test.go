@@ -3,16 +3,18 @@ package main
 import (
 	"bytes"
 	"context"
+	"io"
 	"strings"
 	"testing"
 )
 
 // TestRun lists the table's ids in order, runs the cheapest figure, and
-// refuses an unknown id.
+// refuses an unknown id, and an unknown flag with one message on stderr and
+// exit 2.
 func TestRun(t *testing.T) {
 	ctx := context.Background()
 	var out bytes.Buffer
-	if err := run(ctx, []string{"-list"}, &out); err != nil {
+	if err := run(ctx, []string{"-list"}, &out, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	var want []string
@@ -24,7 +26,7 @@ func TestRun(t *testing.T) {
 	}
 
 	out.Reset()
-	if err := run(ctx, []string{"fig3"}, &out); err != nil {
+	if err := run(ctx, []string{"fig3"}, &out, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	for _, s := range []string{"Figure 3", "[fig3 done"} {
@@ -33,7 +35,15 @@ func TestRun(t *testing.T) {
 		}
 	}
 
-	if err := run(ctx, []string{"fig99"}, new(bytes.Buffer)); err == nil {
+	if err := run(ctx, []string{"fig99"}, new(bytes.Buffer), io.Discard); err == nil {
 		t.Error("unknown id fig99: run returned nil")
+	}
+
+	var stderr strings.Builder
+	if code := exitCode(run(ctx, []string{"-bogus", "fig3"}, io.Discard, &stderr), &stderr); code != 2 {
+		t.Errorf("-bogus: exit %d, want 2", code)
+	}
+	if n := strings.Count(stderr.String(), "flag provided but not defined"); n != 1 {
+		t.Errorf("-bogus: stderr names the bad flag %d times, want once:\n%s", n, stderr.String())
 	}
 }

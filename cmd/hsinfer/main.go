@@ -45,16 +45,26 @@ func main() {
 	// ^C cancels in-flight training within one search generation instead of
 	// killing the process mid-write.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	err := run(ctx, os.Args[1:], os.Stdout)
+	err := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
 	stop()
+	os.Exit(exitCode(err, os.Stderr))
+}
+
+// exitCode returns the exit status for run's error, printing the error to
+// stderr unless the flag set has reported it already: 0 on success or -h,
+// 2 on a usage error, 1 otherwise.
+func exitCode(err error, stderr io.Writer) int {
 	switch {
 	case err == nil || errors.Is(err, flag.ErrHelp):
+		return 0
+	case errors.Is(err, errBadFlag):
+		return 2
 	case errors.Is(err, errUsage):
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, err)
+		return 2
 	default:
-		fmt.Fprintln(os.Stderr, "hsinfer:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "hsinfer:", err)
+		return 1
 	}
 }
 
@@ -62,29 +72,38 @@ func main() {
 // as the flag package does for a bad flag.
 var errUsage = errors.New("usage: hsinfer <profile|train|predict|model> [flags]")
 
+// errBadFlag marks a flag a subcommand's flag set refused, which it has
+// already reported with the flag list; main exits 2 on it.
+var errBadFlag = errors.New("hsinfer: bad flag")
+
 // run executes one subcommand: args[0] names it and the rest are its flags.
-// Results go to stdout, progress to standard error.
-func run(ctx context.Context, args []string, stdout io.Writer) error {
+// Results go to stdout; progress, flag errors and -h go to stderr.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if len(args) == 0 {
 		return errUsage
 	}
 	switch args[0] {
 	case "profile":
-		return cmdProfile(args[1:], stdout)
+		return cmdProfile(args[1:], stdout, stderr)
 	case "train":
-		return cmdTrain(ctx, args[1:], stdout)
+		return cmdTrain(ctx, args[1:], stdout, stderr)
 	case "predict":
-		return cmdPredict(ctx, args[1:], stdout)
+		return cmdPredict(ctx, args[1:], stdout, stderr)
 	case "model":
-		return cmdModel(ctx, args[1:], stdout)
+		return cmdModel(ctx, args[1:], stdout, stderr)
 	}
 	return errUsage
 }
 
-// parseFlags parses a subcommand's flags; a bad flag is a usage error.
-func parseFlags(fs *flag.FlagSet, args []string) error {
+// parseFlags parses a subcommand's flags, reporting a bad flag or -h on
+// stderr.
+func parseFlags(fs *flag.FlagSet, args []string, stderr io.Writer) error {
+	fs.SetOutput(stderr)
 	if err := fs.Parse(args); err != nil {
-		return fmt.Errorf("%w: %w", errUsage, err)
+		if errors.Is(err, flag.ErrHelp) {
+			return err
+		}
+		return errBadFlag
 	}
 	return nil
 }
@@ -98,12 +117,12 @@ func jsonError(stdout io.Writer, err error) error {
 	return err
 }
 
-func cmdProfile(args []string, stdout io.Writer) error {
+func cmdProfile(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("profile", flag.ContinueOnError)
 	appName := fs.String("app", "bzip2", "application name")
 	shards := fs.Int("shards", 5, "number of shards to profile")
 	shardLen := fs.Int("shardlen", hsmodel.DefaultShardLen, "shard length in instructions")
-	if err := parseFlags(fs, args); err != nil {
+	if err := parseFlags(fs, args, stderr); err != nil {
 		return err
 	}
 
@@ -124,7 +143,7 @@ func cmdProfile(args []string, stdout io.Writer) error {
 	return nil
 }
 
-func cmdTrain(ctx context.Context, args []string, stdout io.Writer) error {
+func cmdTrain(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("train", flag.ContinueOnError)
 	samples := fs.Int("samples", 120, "training (shard, architecture) pairs per application")
 	shardLen := fs.Int("shardlen", 50_000, "shard length in instructions")
@@ -134,7 +153,7 @@ func cmdTrain(ctx context.Context, args []string, stdout io.Writer) error {
 	out := fs.String("out", "model.json", "output model path")
 	timeout := fs.Duration("timeout", 0, "genetic search deadline before degrading to stepwise (0 = none)")
 	families := fs.String("families", "", `model families to select among: "all", or a comma-separated subset of spline,residual,dal (empty = spline alone)`)
-	if err := parseFlags(fs, args); err != nil {
+	if err := parseFlags(fs, args, stderr); err != nil {
 		return err
 	}
 
@@ -160,9 +179,9 @@ func cmdTrain(ctx context.Context, args []string, stdout io.Writer) error {
 
 	apps := trace.SPEC2006()
 	col := &hsmodel.Collector{ShardLen: *shardLen}
-	fmt.Fprintf(os.Stderr, "collecting %d samples/app across %d applications...\n", *samples, len(apps))
+	fmt.Fprintf(stderr, "collecting %d samples/app across %d applications...\n", *samples, len(apps))
 	m := hsmodel.New(col.Collect(apps, *samples, *seed), opts...)
-	fmt.Fprintln(os.Stderr, "training...")
+	fmt.Fprintln(stderr, "training...")
 	// Train walks the degradation ladder: the selection round (bounded by
 	// -timeout), then stepwise. When both rungs fail, a model that loads from
 	// -out stays the last-good one. See DESIGN.md "Failure modes".
@@ -171,19 +190,19 @@ func cmdTrain(ctx context.Context, args []string, stdout io.Writer) error {
 		if _, loadErr := hsmodel.LoadSnapshot(*out); loadErr != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "training failed: %v\n", err)
+		fmt.Fprintf(stderr, "training failed: %v\n", err)
 		fmt.Fprintf(stdout, "kept existing model at %s\n", *out)
 		return nil
 	}
 	rep := m.Report()
-	fmt.Fprintln(os.Stderr, rep)
+	fmt.Fprintln(stderr, rep)
 	names := make([]string, 0, len(rep.FamilyScores))
 	for name := range rep.FamilyScores {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		fmt.Fprintf(os.Stderr, "family %-9s CV MedAPE %.4f\n", name, rep.FamilyScores[name])
+		fmt.Fprintf(stderr, "family %-9s CV MedAPE %.4f\n", name, rep.FamilyScores[name])
 	}
 	failed := make([]string, 0, len(rep.FamilyErrors))
 	for name := range rep.FamilyErrors {
@@ -191,13 +210,13 @@ func cmdTrain(ctx context.Context, args []string, stdout io.Writer) error {
 	}
 	sort.Strings(failed)
 	for _, name := range failed {
-		fmt.Fprintf(os.Stderr, "family %-9s failed: %v\n", name, rep.FamilyErrors[name])
+		fmt.Fprintf(stderr, "family %-9s failed: %v\n", name, rep.FamilyErrors[name])
 	}
 	if rep.Rung == hsmodel.RungGenetic {
-		fmt.Fprintf(os.Stderr, "selected family: %s\n", rep.Family)
+		fmt.Fprintf(stderr, "selected family: %s\n", rep.Family)
 	}
 	if pop := m.Population(); len(pop) > 0 {
-		fmt.Fprintf(os.Stderr, "best fitness %.4f, spec: %s\n", pop[0].Fitness, pop[0].Spec)
+		fmt.Fprintf(stderr, "best fitness %.4f, spec: %s\n", pop[0].Fitness, pop[0].Spec)
 	}
 
 	if err := m.Snapshot().Save(*out); err != nil {
@@ -225,7 +244,7 @@ func parseArch(arch string) (hsmodel.Config, error) {
 	return hsmodel.ConfigFromArch(ix)
 }
 
-func cmdPredict(ctx context.Context, args []string, stdout io.Writer) error {
+func cmdPredict(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("predict", flag.ContinueOnError)
 	modelPath := fs.String("model", "model.json", "trained model path")
 	addr := fs.String("addr", "", "ask a live hsserve at this base URL instead of loading -model")
@@ -236,7 +255,7 @@ func cmdPredict(ctx context.Context, args []string, stdout io.Writer) error {
 	arch := fs.String("arch", "", "13 comma-separated Table 2 level indices (default: baseline)")
 	check := fs.Bool("check", true, "also simulate the pair and report error")
 	asJSON := fs.Bool("json", false, "emit the wire-schema PredictResponse (errors as ErrorResponse)")
-	if err := parseFlags(fs, args); err != nil {
+	if err := parseFlags(fs, args, stderr); err != nil {
 		return err
 	}
 
@@ -294,13 +313,13 @@ func predict(ctx context.Context, stdout io.Writer, modelPath, addr, modelID, ap
 	return nil
 }
 
-func cmdModel(ctx context.Context, args []string, stdout io.Writer) error {
+func cmdModel(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("model", flag.ContinueOnError)
 	modelPath := fs.String("model", "model.json", "trained model path")
 	addr := fs.String("addr", "", "ask a live hsserve at this base URL instead of loading -model")
 	modelID := fs.String("model-id", hsmodel.DefaultModelID, "with -addr: the registry entry to address (exact id or app:<name>)")
 	asJSON := fs.Bool("json", false, "emit the wire-schema ModelInfo (errors as ErrorResponse)")
-	if err := parseFlags(fs, args); err != nil {
+	if err := parseFlags(fs, args, stderr); err != nil {
 		return err
 	}
 

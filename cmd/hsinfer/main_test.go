@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"math"
 	"net/http/httptest"
 	"os"
@@ -28,12 +29,12 @@ import (
 func TestRun(t *testing.T) {
 	ctx := context.Background()
 	path := filepath.Join(t.TempDir(), "model.json")
-	if err := run(ctx, []string{"train", "-samples", "6", "-shardlen", "5000", "-pop", "6", "-gens", "2", "-out", path}, new(bytes.Buffer)); err != nil {
+	if err := run(ctx, []string{"train", "-samples", "6", "-shardlen", "5000", "-pop", "6", "-gens", "2", "-out", path}, new(bytes.Buffer), io.Discard); err != nil {
 		t.Fatal(err)
 	}
 
 	var out bytes.Buffer
-	if err := run(ctx, []string{"model", "-json", "-model", path}, &out); err != nil {
+	if err := run(ctx, []string{"model", "-json", "-model", path}, &out, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	var info hsmodel.ModelInfo
@@ -48,7 +49,7 @@ func TestRun(t *testing.T) {
 	}
 
 	out.Reset()
-	if err := run(ctx, []string{"predict", "-json", "-model", path, "-app", "astar", "-shard", "0"}, &out); err != nil {
+	if err := run(ctx, []string{"predict", "-json", "-model", path, "-app", "astar", "-shard", "0"}, &out, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	var pr hsmodel.PredictResponse
@@ -74,12 +75,29 @@ func TestRun(t *testing.T) {
 
 	out.Reset()
 	missing := filepath.Join(t.TempDir(), "missing.json")
-	if err := run(ctx, []string{"predict", "-json", "-model", missing}, &out); err == nil {
+	if err := run(ctx, []string{"predict", "-json", "-model", missing}, &out, io.Discard); err == nil {
 		t.Error("predict -json on a missing model returned nil")
 	}
 	var er hsmodel.ErrorResponse
 	if err := json.Unmarshal(out.Bytes(), &er); err != nil || er.Error == "" {
 		t.Errorf("predict -json on a missing model wrote %q, want an ErrorResponse", out.Bytes())
+	}
+
+	// A bad flag is reported once, with the flag list, on stderr; -h lists
+	// the flags and succeeds.
+	var errOut bytes.Buffer
+	if code := exitCode(run(ctx, []string{"predict", "-bogus"}, &out, &errOut), &errOut); code != 2 {
+		t.Errorf("predict -bogus: exit %d, want 2", code)
+	}
+	if n := strings.Count(errOut.String(), "flag provided but not defined"); n != 1 || !strings.Contains(errOut.String(), "-model") {
+		t.Errorf("predict -bogus: stderr names the bad flag %d times, want once with the flag list:\n%s", n, errOut.String())
+	}
+	errOut.Reset()
+	if code := exitCode(run(ctx, []string{"model", "-h"}, &out, &errOut), &errOut); code != 0 {
+		t.Errorf("model -h: exit %d, want 0", code)
+	}
+	if !strings.Contains(errOut.String(), "-model-id") {
+		t.Errorf("model -h does not list the flags:\n%s", errOut.String())
 	}
 
 	t.Run("train keeps last-good", trainKeepsLastGood)
@@ -92,7 +110,7 @@ func TestRun(t *testing.T) {
 func trainKeepsLastGood(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "model.json")
 	train := []string{"train", "-samples", "6", "-shardlen", "5000", "-pop", "6", "-gens", "2", "-out", path}
-	if err := run(context.Background(), train, new(bytes.Buffer)); err != nil {
+	if err := run(context.Background(), train, new(bytes.Buffer), io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	before, err := os.ReadFile(path)
@@ -102,12 +120,15 @@ func trainKeepsLastGood(t *testing.T) {
 
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	var out bytes.Buffer
-	if err := run(cancelled, train, &out); err != nil {
+	var out, errOut bytes.Buffer
+	if err := run(cancelled, train, &out, &errOut); err != nil {
 		t.Fatalf("train with a model at -out = %v, want nil", err)
 	}
 	if want := "kept existing model at " + path; !strings.Contains(out.String(), want) {
 		t.Errorf("train printed %q, want %q", out.String(), want)
+	}
+	if !strings.Contains(errOut.String(), "training failed: ") {
+		t.Errorf("train logged %q, want the training failure", errOut.String())
 	}
 	after, err := os.ReadFile(path)
 	if err != nil {
@@ -119,7 +140,7 @@ func trainKeepsLastGood(t *testing.T) {
 
 	missing := filepath.Join(t.TempDir(), "missing.json")
 	train[len(train)-1] = missing
-	if err := run(cancelled, train, new(bytes.Buffer)); !errors.Is(err, context.Canceled) {
+	if err := run(cancelled, train, new(bytes.Buffer), io.Discard); !errors.Is(err, context.Canceled) {
 		t.Errorf("train with nothing at -out = %v, want the cancellation", err)
 	}
 	if _, err := os.Stat(missing); !errors.Is(err, os.ErrNotExist) {

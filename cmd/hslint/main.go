@@ -39,34 +39,52 @@ import (
 )
 
 func main() {
-	err := run(context.Background(), os.Args[1:], os.Stdout)
+	os.Exit(exitCode(run(context.Background(), os.Args[1:], os.Stdout, os.Stderr), os.Stderr))
+}
+
+// exitCode returns the exit status for run's error, printing the error to
+// stderr unless it has been reported already: 0 on success or -h, 1 on
+// findings, 2 on a usage or load failure.
+func exitCode(err error, stderr io.Writer) int {
 	switch {
 	case err == nil || errors.Is(err, flag.ErrHelp):
+		return 0
 	case errors.Is(err, errFindings):
-		os.Exit(1)
+		return 1
+	case errors.Is(err, errBadFlag):
+		return 2
 	default:
-		fmt.Fprintln(os.Stderr, "hslint:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "hslint:", err)
+		return 2
 	}
 }
 
 // errFindings reports diagnostics, already printed; main exits 1 on it.
 var errFindings = errors.New("hslint: findings reported")
 
+// errBadFlag marks a flag the flag set refused, which it has already
+// reported with the flag list; main exits 2 on it.
+var errBadFlag = errors.New("hslint: bad flag")
+
 // errUsage marks a command line hslint cannot act on; main exits 2 on it,
 // as on a load failure.
 var errUsage = errors.New("usage: hslint [-dir] [-checks c1,c2] [-list] [-format text|sarif] patterns...")
 
 // run lints the packages or directories args name and prints diagnostics to
-// stdout. Linting has nothing to cancel, so ctx goes unused.
-func run(_ context.Context, args []string, stdout io.Writer) error {
+// stdout; flag errors and -h go to stderr. Linting has nothing to cancel, so
+// ctx goes unused.
+func run(_ context.Context, args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("hslint", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	dirMode := fs.Bool("dir", false, "treat arguments as directories of Go files (testdata trees) instead of package patterns")
 	checks := fs.String("checks", "", "comma-separated subset of checks to run (default: all)")
 	list := fs.Bool("list", false, "list available checks (name<TAB>doc per line) and exit")
 	format := fs.String("format", "text", "output format: text or sarif")
 	if err := fs.Parse(args); err != nil {
-		return fmt.Errorf("%w: %w", errUsage, err)
+		if errors.Is(err, flag.ErrHelp) {
+			return err
+		}
+		return errBadFlag
 	}
 
 	if *list {

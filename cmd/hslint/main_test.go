@@ -11,12 +11,13 @@ import (
 )
 
 // TestRun lints the floateq corpus, which must report floateq findings and
-// exit 1, lists every registered check, and refuses -fix and -diff as
-// unknown flags without printing anything.
+// exit 1, lists every registered check, refuses -fix, -diff and -bogus as
+// unknown flags with one message on stderr, nothing on stdout and exit 2,
+// and answers -h with the flag list and exit 0.
 func TestRun(t *testing.T) {
 	ctx := context.Background()
-	var out bytes.Buffer
-	err := run(ctx, []string{"-dir", "../../internal/analysis/testdata/floateq"}, &out)
+	var out, errOut bytes.Buffer
+	err := run(ctx, []string{"-dir", "../../internal/analysis/testdata/floateq"}, &out, &errOut)
 	if !errors.Is(err, errFindings) {
 		t.Errorf("floateq corpus: run = %v, want errFindings (exit 1)", err)
 	}
@@ -25,7 +26,7 @@ func TestRun(t *testing.T) {
 	}
 
 	out.Reset()
-	if err := run(ctx, []string{"-list"}, &out); err != nil {
+	if err := run(ctx, []string{"-list"}, &out, &errOut); err != nil {
 		t.Fatal(err)
 	}
 	for _, a := range analysis.All() {
@@ -34,13 +35,25 @@ func TestRun(t *testing.T) {
 		}
 	}
 
-	for _, removed := range []string{"-fix", "-diff"} {
+	for _, bad := range []string{"-fix", "-diff", "-bogus"} {
 		out.Reset()
-		if err := run(ctx, []string{removed, "./..."}, &out); !errors.Is(err, errUsage) {
-			t.Errorf("hslint %s ./...: run = %v, want errUsage (exit 2)", removed, err)
+		errOut.Reset()
+		if code := exitCode(run(ctx, []string{bad, "./..."}, &out, &errOut), &errOut); code != 2 {
+			t.Errorf("hslint %s ./...: exit %d, want 2", bad, code)
 		}
 		if out.Len() != 0 {
-			t.Errorf("hslint %s ./... printed %q, want nothing", removed, out.String())
+			t.Errorf("hslint %s ./... printed %q, want nothing", bad, out.String())
 		}
+		if n := strings.Count(errOut.String(), "flag provided but not defined"); n != 1 {
+			t.Errorf("hslint %s ./...: stderr names the bad flag %d times, want once:\n%s", bad, n, errOut.String())
+		}
+	}
+
+	errOut.Reset()
+	if code := exitCode(run(ctx, []string{"-h"}, &out, &errOut), &errOut); code != 0 {
+		t.Errorf("hslint -h: exit %d, want 0", code)
+	}
+	if !strings.Contains(errOut.String(), "-checks") {
+		t.Errorf("hslint -h does not list the flags:\n%s", errOut.String())
 	}
 }

@@ -44,14 +44,21 @@ func main() {
 	signal.Notify(sighup, syscall.SIGHUP)
 	err := run(ctx, os.Args[1:], os.Stderr)
 	stop()
+	os.Exit(exitCode(err, os.Stderr))
+}
+
+// exitCode returns the exit status for run's error, printing the error to
+// stderr unless the flag set has reported it already: 0 on a drained
+// shutdown or -h, 2 on a bad flag, 1 otherwise.
+func exitCode(err error, stderr io.Writer) int {
 	switch {
 	case err == nil || errors.Is(err, flag.ErrHelp):
-	case errors.Is(err, errUsage):
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		return 0
+	case errors.Is(err, errBadFlag):
+		return 2
 	default:
-		fmt.Fprintln(os.Stderr, "hsserve:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "hsserve:", err)
+		return 1
 	}
 }
 
@@ -59,14 +66,16 @@ func main() {
 // -model on each.
 var sighup = make(chan os.Signal, 1)
 
-// errUsage marks a command line hsserve cannot act on; main exits 2 on it,
-// as the flag package does for a bad flag.
-var errUsage = errors.New("usage: hsserve [flags]")
+// errBadFlag marks a flag the flag set refused, which it has already
+// reported with the flag list; main exits 2 on it.
+var errBadFlag = errors.New("hsserve: bad flag")
 
 // run serves until ctx is cancelled, then drains in-flight requests and
-// batches and returns nil. It logs to stderr.
+// batches and returns nil. It logs to stderr, where flag errors and -h go
+// too.
 func run(ctx context.Context, args []string, stderr io.Writer) error {
 	fs := flag.NewFlagSet("hsserve", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	addr := fs.String("addr", ":8080", "listen address")
 	modelPath := fs.String("model", "", "snapshot file to serve (reloaded on SIGHUP)")
 	bootstrap := fs.Bool("bootstrap", false, "collect samples and train a model before serving")
@@ -85,7 +94,10 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 	canaryTolerance := fs.Float64("canary-tolerance", 0, "lifecycle: relative slack a candidate gets on the canary set before promotion (0 = default)")
 	modelsPath := fs.String("models", "", "multi-model manifest (JSON, wire Manifest schema): its entries are registered at boot and the file is rewritten after every successful /v2/models register/unregister")
 	if err := fs.Parse(args); err != nil {
-		return fmt.Errorf("%w: %w", errUsage, err)
+		if errors.Is(err, flag.ErrHelp) {
+			return err
+		}
+		return errBadFlag
 	}
 
 	logger := log.New(stderr, "hsserve: ", log.LstdFlags)

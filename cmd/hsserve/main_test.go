@@ -17,12 +17,27 @@ import (
 // ctx is cancelled. At 40 samples of one application the store has fewer
 // rows than the selection round's winning spec has design columns, so the
 // bootstrap serves the stepwise rung's model instead of exiting. An -apps
-// value outside 1..7 is an error.
+// value outside 1..7 is an error. An unknown flag is reported once on stderr
+// and exits 2; -h lists the flags and exits 0.
 func TestRun(t *testing.T) {
 	for _, apps := range []string{"0", "8"} {
 		if err := run(context.Background(), []string{"-bootstrap", "-apps", apps}, io.Discard); err == nil {
 			t.Errorf("-apps %s: run returned nil, want an error", apps)
 		}
+	}
+	var stderr strings.Builder
+	if code := exitCode(run(context.Background(), []string{"-bogus"}, &stderr), &stderr); code != 2 {
+		t.Errorf("-bogus: exit %d, want 2", code)
+	}
+	if n := strings.Count(stderr.String(), "flag provided but not defined"); n != 1 {
+		t.Errorf("-bogus: stderr names the bad flag %d times, want once:\n%s", n, stderr.String())
+	}
+	stderr.Reset()
+	if code := exitCode(run(context.Background(), []string{"-h"}, &stderr), &stderr); code != 0 {
+		t.Errorf("-h: exit %d, want 0", code)
+	}
+	if !strings.Contains(stderr.String(), "-bootstrap") {
+		t.Errorf("-h does not list the flags:\n%s", stderr.String())
 	}
 	for _, tc := range []struct{ samples, rung string }{
 		{"48", "genetic"},

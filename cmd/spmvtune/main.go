@@ -24,26 +24,35 @@ import (
 func main() {
 	// ^C cancels in-flight training within one search generation.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	err := run(ctx, os.Args[1:], os.Stdout)
+	err := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
 	stop()
+	os.Exit(exitCode(err, os.Stderr))
+}
+
+// exitCode returns the exit status for run's error, printing the error to
+// stderr unless the flag set has reported it already: 0 on success or -h,
+// 2 on a bad flag, 1 otherwise.
+func exitCode(err error, stderr io.Writer) int {
 	switch {
 	case err == nil || errors.Is(err, flag.ErrHelp):
-	case errors.Is(err, errUsage):
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		return 0
+	case errors.Is(err, errBadFlag):
+		return 2
 	default:
-		fmt.Fprintln(os.Stderr, "spmvtune:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "spmvtune:", err)
+		return 1
 	}
 }
 
-// errUsage marks a command line spmvtune cannot act on; main exits 2 on it,
-// as the flag package does for a bad flag.
-var errUsage = errors.New("usage: spmvtune [flags]")
+// errBadFlag marks a flag the flag set refused, which it has already
+// reported with the flag list; main exits 2 on it.
+var errBadFlag = errors.New("spmvtune: bad flag")
 
-// run tunes one matrix and prints the four strategies' choices to stdout.
-func run(ctx context.Context, args []string, stdout io.Writer) error {
+// run tunes one matrix and prints the four strategies' choices to stdout;
+// flag errors and -h go to stderr.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("spmvtune", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	matrix := fs.String("matrix", "raefsky3", "Table 4 matrix name")
 	scale := fs.Int("scale", 16, "matrix scale divisor (1 = published size)")
 	samples := fs.Int("samples", 300, "training samples for the inferred models")
@@ -52,7 +61,10 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	seed := fs.Uint64("seed", 7, "random seed")
 	list := fs.Bool("list", false, "list matrices and exit")
 	if err := fs.Parse(args); err != nil {
-		return fmt.Errorf("%w: %w", errUsage, err)
+		if errors.Is(err, flag.ErrHelp) {
+			return err
+		}
+		return errBadFlag
 	}
 
 	if *list {

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"io"
 	"math"
 	"strconv"
 	"strings"
@@ -15,8 +16,17 @@ import (
 // the baseline reads exactly 1.00x and no strategy falls below it. (The
 // model-guided search guarantees neither, nor that coordinated tuning beats
 // application tuning: the coordinated search never revisits the baseline
-// cache's block sweep.)
+// cache's block sweep.) An unknown flag is reported once on stderr and exits
+// 2.
 func TestRun(t *testing.T) {
+	var stderr strings.Builder
+	if code := exitCode(run(context.Background(), []string{"-bogus"}, io.Discard, &stderr), &stderr); code != 2 {
+		t.Errorf("-bogus: exit %d, want 2", code)
+	}
+	if n := strings.Count(stderr.String(), "flag provided but not defined"); n != 1 {
+		t.Errorf("-bogus: stderr names the bad flag %d times, want once:\n%s", n, stderr.String())
+	}
+
 	for _, tc := range []struct {
 		args       []string
 		exhaustive bool
@@ -26,7 +36,7 @@ func TestRun(t *testing.T) {
 	} {
 		args := tc.args
 		var out bytes.Buffer
-		if err := run(context.Background(), args, &out); err != nil {
+		if err := run(context.Background(), args, &out, io.Discard); err != nil {
 			t.Fatalf("%v: %v", args, err)
 		}
 		rows := tuneRows(t, out.String())

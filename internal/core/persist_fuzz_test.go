@@ -112,7 +112,9 @@ func FuzzLoadSnapshot(f *testing.F) {
 // returns a snapshot whose predictions on the seed rows are finite; it never
 // panics. The seeds are a spline, a residual and a dal payload;
 // testdata/fuzz/FuzzLoadSnapshotPayload holds a spline payload cut to one
-// coefficient, whose first prediction panics if the load lets it through.
+// coefficient, whose first prediction panics if the load lets it through,
+// and one with an empty prediction envelope (YLo = YHi = 0) and an
+// intercept of 1000, which predicts +Inf if the load lets it through.
 // Run it with
 //
 //	go test -run '^$' -fuzz '^FuzzLoadSnapshotPayload$' -fuzztime 10s ./internal/core

@@ -305,18 +305,38 @@ func TestLoadFailureModes(t *testing.T) {
 	})
 }
 
+// sealedFile writes payload as the payload of saved, sealed with a matching
+// checksum, to a new file and returns its path.
+func sealedFile(t *testing.T, saved SavedModel, payload []byte) string {
+	t.Helper()
+	saved.Payload = payload
+	var err error
+	if saved.Checksum, err = payloadChecksum(payload); err != nil {
+		t.Fatal(err)
+	}
+	data, err := json.Marshal(saved)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := filepath.Join(t.TempDir(), "v4.json")
+	if err := os.WriteFile(p, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 // TestLoadRejectsMalformedModel: a payload whose checksum matches but whose
 // regression cannot be evaluated — too few coefficients for its spec, a
 // preprocessing slice short of a variable, an interaction naming a variable
-// that does not exist — is refused at load time with ErrModelFamily. A load
-// that let the one-coefficient model through would hand the predict path an
-// index out of range.
+// that does not exist, an empty prediction envelope — is refused at load
+// time with ErrModelFamily. A load that let the one-coefficient model
+// through would hand the predict path an index out of range; one that let
+// the envelope-less model through would serve e^1000 = +Inf.
 func TestLoadRejectsMalformedModel(t *testing.T) {
 	good, err := os.ReadFile(saveValid(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
 	for _, tc := range []struct {
 		name   string
 		mutate func(m *regress.Model)
@@ -330,6 +350,10 @@ func TestLoadRejectsMalformedModel(t *testing.T) {
 			m.Spec.Interactions = append(m.Spec.Interactions, regress.Interaction{I: 0, J: NumVars})
 		}},
 		{"no preprocessing", func(m *regress.Model) { m.Prep = nil }},
+		{"no envelope", func(m *regress.Model) {
+			m.YLo, m.YHi = 0, 0
+			m.Coef[0] = 1000
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			saved, model := splineModel(t, good)
@@ -339,22 +363,56 @@ func TestLoadRejectsMalformedModel(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			saved.Payload = payload
-			if saved.Checksum, err = payloadChecksum(payload); err != nil {
-				t.Fatal(err)
-			}
-			data, err := json.Marshal(saved)
-			if err != nil {
-				t.Fatal(err)
-			}
-			p := filepath.Join(dir, "v4.json")
-			if err := os.WriteFile(p, data, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := LoadSnapshot(p); !errors.Is(err, ErrModelFamily) {
+			if _, err := LoadSnapshot(sealedFile(t, saved, payload)); !errors.Is(err, ErrModelFamily) {
 				t.Fatalf("err = %v, want ErrModelFamily", err)
 			}
-
 		})
+	}
+}
+
+// TestLoadIgnoresRetiredModelKeys: spline payloads written before the fitted
+// regression dropped its Columns, Rank and Dropped fields still carry those
+// keys. Such a file loads, and predicts bit for bit as the model it was
+// written from.
+func TestLoadIgnoresRetiredModelKeys(t *testing.T) {
+	tr, valid := trainSmallModeler(t)
+	orig := tr.Snapshot()
+	path := filepath.Join(t.TempDir(), "model.json")
+	if err := orig.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	good, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved, model := splineModel(t, good)
+	var fields map[string]any
+	if err := json.Unmarshal(saved.Payload, &fields); err != nil {
+		t.Fatal(err)
+	}
+	columns := make([]map[string]any, len(model.Coef))
+	for j := range columns {
+		columns[j] = map[string]any{"Name": fmt.Sprintf("c%d", j), "Var": -1, "Interaction": nil}
+	}
+	fields["Columns"] = columns
+	fields["Rank"] = len(model.Coef) - 1
+	fields["Dropped"] = []int{len(model.Coef) - 1}
+	payload, err := json.Marshal(fields)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadSnapshot(sealedFile(t, saved, payload))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range valid {
+		want, err1 := orig.PredictShard(s.X, s.HW)
+		got, err2 := loaded.PredictShard(s.X, s.HW)
+		if err1 != nil || err2 != nil {
+			t.Fatal(err1, err2)
+		}
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("prediction %v, want %v", got, want)
+		}
 	}
 }

@@ -249,15 +249,15 @@ func (m *Trainer) FitPathStats() regress.GramStats { return m.Report().Gram }
 // concurrent fitness workers.
 type evaluator struct {
 	fz      *regress.Featurizer
-	gc      *regress.GramCache // nil when the Gram layer is unavailable
+	gc      *regress.GramCache
 	ds      *regress.Dataset
-	opts    regress.Options
 	valRows [][]int // validation rows per app, in ascending app ID order
 	allVal  []int   // concatenation of valRows, for batched design gather
 	weights []float64
 
-	seed      uint64 // FitnessConfig.Seed the splits were drawn from
-	stabilize bool
+	seed        uint64 // FitnessConfig.Seed the splits were drawn from
+	stabilize   bool
+	logResponse bool
 }
 
 func newEvaluator(ds *regress.Dataset, fc FitnessConfig, stabilize, logResponse bool) (*evaluator, error) {
@@ -265,7 +265,7 @@ func newEvaluator(ds *regress.Dataset, fc FitnessConfig, stabilize, logResponse 
 	if err != nil {
 		return nil, err
 	}
-	ev := &evaluator{fz: fz, ds: ds, seed: fc.Seed, stabilize: stabilize}
+	ev := &evaluator{fz: fz, ds: ds, seed: fc.Seed, stabilize: stabilize, logResponse: logResponse}
 
 	// Deterministic split of each application's rows into T_s / V_s.
 	byApp := make(map[int][]int)
@@ -302,13 +302,12 @@ func newEvaluator(ds *regress.Dataset, fc FitnessConfig, stabilize, logResponse 
 		ev.allVal = append(ev.allVal, val...)
 	}
 
-	ev.opts = regress.Options{LogResponse: logResponse, Weights: ev.weights}
 	// The Gram layer bakes the response transform and split weights into its
-	// cached cross-products. If construction fails (e.g. a non-positive CPI
-	// under LogResponse), candidate fits simply stay on the per-spec QR path,
-	// which reports the same condition per fit.
-	if gc, err := regress.NewGramCache(fz, ev.opts); err == nil {
-		ev.gc = gc
+	// cached cross-products. It fails (a non-positive CPI under LogResponse)
+	// exactly when every candidate fit would, so the run fails here.
+	ev.gc, err = regress.NewGramCache(fz, regress.Options{LogResponse: logResponse, Weights: ev.weights})
+	if err != nil {
+		return nil, err
 	}
 	return ev, nil
 }
@@ -324,7 +323,7 @@ func (ev *evaluator) fitInput(fitness genetic.Evaluator, search genetic.Params) 
 		Featurizer:  ev.fz,
 		Evaluator:   fitness,
 		Search:      search,
-		LogResponse: ev.opts.LogResponse,
+		LogResponse: ev.logResponse,
 		Stabilize:   ev.stabilize,
 		Seed:        ev.seed,
 		Weights:     ev.weights,
@@ -332,20 +331,11 @@ func (ev *evaluator) fitInput(fitness genetic.Evaluator, search genetic.Params) 
 	}
 }
 
-// fit fits one candidate spec through the Gram/Cholesky fast path when
-// available, falling back to the featurized pivoted-QR path.
-func (ev *evaluator) fit(spec regress.Spec) (*regress.Model, error) {
-	if ev.gc != nil {
-		return ev.gc.Fit(spec)
-	}
-	return ev.fz.Fit(spec, ev.opts)
-}
-
 // Fitness is the Section 3.3 score (family.ValScore) of spec fitted on the
 // weighted splits, plus the term penalty. Lower is better; a failed fit
 // scores family.FailedFit.
 func (ev *evaluator) Fitness(spec regress.Spec) float64 {
-	model, err := ev.fit(spec)
+	model, err := ev.gc.Fit(spec)
 	if err != nil {
 		return family.FailedFit
 	}
@@ -391,7 +381,7 @@ func (m *Trainer) Train(ctx context.Context) error {
 		rep.GeneticErr = err
 	}
 	// Only the Gram counters outlive the run, never the evaluator.
-	if cap.ev != nil && cap.ev.gc != nil {
+	if cap.ev != nil {
 		rep.Gram = cap.ev.gc.Stats()
 	}
 	m.mu.Lock()

@@ -63,8 +63,7 @@ func AblationInteractions(w *Workspace) (AblationResult, error) {
 	// Without: the same converged specifications, stripped of interactions.
 	best := with.Population()[0].Spec.Clone()
 	best.Interactions = nil
-	ds := core.ToDataset(train)
-	stripped, err := regress.FitSpec(best, nil, ds, regress.Options{LogResponse: true, Stabilize: true})
+	stripped, err := fitFixedSpec(best, train)
 	if err != nil {
 		return AblationResult{}, err
 	}

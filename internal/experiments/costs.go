@@ -182,12 +182,22 @@ func fitHardwareOnly(train, valid []core.Sample, cfg Config) (regress.Metrics, e
 	spec.Interactions = []regress.Interaction{
 		{I: 13, J: 14}, {I: 13, J: 21}, {I: 17, J: 19}, {I: 14, J: 20},
 	}
-	ds := core.ToDataset(train)
-	m, err := regress.FitSpec(spec, nil, ds, regress.Options{LogResponse: true, Stabilize: true})
+	m, err := fitFixedSpec(spec, train)
 	if err != nil {
 		return regress.Metrics{}, err
 	}
 	return m.Evaluate(core.ToDataset(valid)), nil
+}
+
+// fitFixedSpec fits a hand-written specification to samples the way the
+// trainer fits its searched ones: stabilized preprocessing learned from the
+// samples and a log response.
+func fitFixedSpec(spec regress.Spec, samples []core.Sample) (*regress.Model, error) {
+	fz, err := regress.NewFeaturizer(core.ToDataset(samples), true)
+	if err != nil {
+		return nil, err
+	}
+	return fz.Fit(spec, regress.Options{LogResponse: true})
 }
 
 // ---------------------------------------------------------------------------
@@ -235,8 +245,7 @@ func Manual(w *Workspace) (ManualResult, error) {
 		{I: 1, J: 13},  // taken branches x width
 		{I: 12, J: 13}, // basic block x width
 	}
-	ds := core.ToDataset(m.Samples())
-	manual, err := regress.FitSpec(spec, nil, ds, regress.Options{LogResponse: true, Stabilize: true})
+	manual, err := fitFixedSpec(spec, m.Samples())
 	if err != nil {
 		return ManualResult{}, err
 	}

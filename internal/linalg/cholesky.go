@@ -155,21 +155,22 @@ func (c *Cholesky) ConditionEstimate() float64 {
 	return r * r
 }
 
+// eigenIters is SmallestEigenEstimate's iteration count: plenty for a
+// condition guard, which needs the order of magnitude of λmin.
+const eigenIters = 4
+
 // SmallestEigenEstimate estimates the smallest eigenvalue of the factored
-// matrix by inverse power iteration, reusing the factor for the inner solves
-// (O(n²) each). The start vector is deterministic, so repeated calls agree
-// bit-for-bit. scratch must have length ≥ n (it is overwritten); iters ≤ 0
-// defaults to 4, plenty for a condition guard.
+// matrix by eigenIters steps of inverse power iteration, reusing the factor
+// for the inner solves (O(n²) each). The start vector is deterministic, so
+// repeated calls agree bit-for-bit. scratch must have length ≥ n (it is
+// overwritten).
 //
 // Together with a norm bound on the original matrix this yields a much
 // tighter condition estimate than the diagonal ratio, which only lower-bounds
 // the true condition number and can undershoot by orders of magnitude.
-func (c *Cholesky) SmallestEigenEstimate(iters int, scratch []float64) float64 {
+func (c *Cholesky) SmallestEigenEstimate(scratch []float64) float64 {
 	if c.l == nil || c.n == 0 {
 		return 0
-	}
-	if iters <= 0 {
-		iters = 4
 	}
 	n := c.n
 	v := scratch[:n]
@@ -181,7 +182,7 @@ func (c *Cholesky) SmallestEigenEstimate(iters int, scratch []float64) float64 {
 		}
 	}
 	lambda := 0.0
-	for k := 0; k < iters; k++ {
+	for k := 0; k < eigenIters; k++ {
 		// Normalize, then invert: ||A⁻¹ v|| → 1/λmin as v aligns with the
 		// smallest eigenvector.
 		var norm float64

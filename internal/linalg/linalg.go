@@ -42,22 +42,15 @@ func (m *Matrix) Clone() *Matrix {
 	return c
 }
 
-// MulVec returns m * x.
-func (m *Matrix) MulVec(x []float64) []float64 {
-	y := make([]float64, m.Rows)
-	m.MulVecInto(x, y)
-	return y
-}
-
 // MulVecInto computes m * x into the caller's buffer y (len Rows),
 // allocation-free: one contiguous sweep over the row-major storage. Each
 // row's dot product accumulates in ascending column order, so results are
-// bit-identical to MulVec and to a scalar coefficient walk over the same row.
+// bit-identical to a scalar coefficient walk over the same row.
 //
 //hslint:hotpath
 func (m *Matrix) MulVecInto(x, y []float64) {
 	if len(x) != m.Cols {
-		panic(fmt.Sprintf("linalg: MulVec dimension mismatch %d vs %d", len(x), m.Cols))
+		panic(fmt.Sprintf("linalg: MulVecInto dimension mismatch %d vs %d", len(x), m.Cols))
 	}
 	if len(y) != m.Rows {
 		panic(fmt.Sprintf("linalg: MulVecInto output length %d, want %d", len(y), m.Rows))
@@ -81,19 +74,21 @@ var ErrRankDeficient = errors.New("linalg: rank deficient system")
 // are non-increasing in magnitude, so the numerical rank is the count of
 // diagonals above tolerance.
 type QR struct {
-	qr    *Matrix   // packed Householder vectors below diagonal, R on/above
-	tau   []float64 // Householder scalar factors
-	piv   []int     // column permutation: column j of A*P is column piv[j] of A
-	rank  int
-	rows  int
-	cols  int
-	rdiag []float64
+	qr   *Matrix   // packed Householder vectors below diagonal, R on/above
+	tau  []float64 // Householder scalar factors
+	piv  []int     // column permutation: column j of A*P is column piv[j] of A
+	rank int
+	rows int
+	cols int
 }
 
+// rankTol is the relative tolerance for rank determination: a column whose
+// remaining norm is at most rankTol times the largest initial column norm is
+// numerically dependent on the columns already factored.
+const rankTol = 1e-10
+
 // Factor computes the pivoted QR factorization of a (copied, not modified).
-// tol is the relative tolerance for rank determination; pass 0 for a default
-// scaled by machine epsilon.
-func Factor(a *Matrix, tol float64) *QR {
+func Factor(a *Matrix) *QR {
 	m, n := a.Rows, a.Cols
 	f := &QR{qr: a.Clone(), tau: make([]float64, n), piv: make([]int, n), rows: m, cols: n}
 	for j := range f.piv {
@@ -110,10 +105,7 @@ func Factor(a *Matrix, tol float64) *QR {
 			maxNorm = v
 		}
 	}
-	if tol <= 0 {
-		tol = 1e-10
-	}
-	thresh := tol * maxNorm
+	thresh := rankTol * maxNorm
 	kmax := m
 	if n < m {
 		kmax = n
@@ -142,10 +134,6 @@ func Factor(a *Matrix, tol float64) *QR {
 		for j := k + 1; j < n; j++ {
 			norms[j] = f.colNorm(k+1, j)
 		}
-	}
-	f.rdiag = make([]float64, f.rank)
-	for i := 0; i < f.rank; i++ {
-		f.rdiag[i] = f.qr.At(i, i)
 	}
 	return f
 }
@@ -206,22 +194,6 @@ func (f *QR) house(k int) {
 // Rank returns the numerical rank detected during factorization.
 func (f *QR) Rank() int { return f.rank }
 
-// Pivot returns the column permutation; entry j gives the original column
-// index occupying factored position j.
-func (f *QR) Pivot() []int { return append([]int(nil), f.piv...) }
-
-// DroppedColumns returns the original column indices judged numerically
-// dependent (beyond the detected rank). The regression engine removes the
-// corresponding model terms, implementing the paper's automatic collinearity
-// elimination.
-func (f *QR) DroppedColumns() []int {
-	var out []int
-	for j := f.rank; j < f.cols; j++ {
-		out = append(out, f.piv[j])
-	}
-	return out
-}
-
 // applyQT overwrites b with Q^T b.
 func (f *QR) applyQT(b []float64) {
 	for k := 0; k < f.rank; k++ {
@@ -241,8 +213,9 @@ func (f *QR) applyQT(b []float64) {
 }
 
 // Solve returns the minimum-norm-ish least-squares solution to A x = b with
-// coefficients of numerically dependent columns set to zero. The returned
-// slice has length Cols.
+// the coefficients of numerically dependent columns (beyond the detected
+// rank) set to exactly zero: the regression engine's automatic collinearity
+// elimination. The returned slice has length Cols.
 func (f *QR) Solve(b []float64) ([]float64, error) {
 	if len(b) != f.rows {
 		return nil, fmt.Errorf("linalg: Solve rhs length %d, want %d", len(b), f.rows)
@@ -271,16 +244,4 @@ func (f *QR) Solve(b []float64) ([]float64, error) {
 		x[f.piv[j]] = y[j]
 	}
 	return x, nil
-}
-
-// LeastSquares is a convenience wrapper: factor A and solve for b in one
-// call, returning the coefficient vector (dropped columns get zero) and the
-// detected rank.
-func LeastSquares(a *Matrix, b []float64) ([]float64, int, error) {
-	f := Factor(a, 0)
-	x, err := f.Solve(b)
-	if err != nil {
-		return nil, f.rank, err
-	}
-	return x, f.rank, nil
 }

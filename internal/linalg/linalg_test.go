@@ -8,6 +8,13 @@ import (
 	"hsmodel/internal/rng"
 )
 
+// mulVec returns m * x.
+func mulVec(m *Matrix, x []float64) []float64 {
+	y := make([]float64, m.Rows)
+	m.MulVecInto(x, y)
+	return y
+}
+
 func TestMatrixBasics(t *testing.T) {
 	m := NewMatrix(2, 3)
 	m.Set(0, 0, 1)
@@ -33,9 +40,9 @@ func TestMulVec(t *testing.T) {
 	m.Set(0, 1, 2)
 	m.Set(1, 0, 3)
 	m.Set(1, 1, 4)
-	y := m.MulVec([]float64{1, 1})
+	y := mulVec(m, []float64{1, 1})
 	if y[0] != 3 || y[1] != 7 {
-		t.Fatalf("MulVec = %v", y)
+		t.Fatalf("MulVecInto = %v", y)
 	}
 }
 
@@ -46,12 +53,13 @@ func TestSolveExactSquareSystem(t *testing.T) {
 	a.Set(0, 1, 1)
 	a.Set(1, 0, 1)
 	a.Set(1, 1, -1)
-	x, rank, err := LeastSquares(a, []float64{5, 1})
+	f := Factor(a)
+	x, err := f.Solve([]float64{5, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rank != 2 {
-		t.Fatalf("rank = %d", rank)
+	if f.Rank() != 2 {
+		t.Fatalf("rank = %d", f.Rank())
 	}
 	if math.Abs(x[0]-2) > 1e-12 || math.Abs(x[1]-1) > 1e-12 {
 		t.Fatalf("x = %v", x)
@@ -73,12 +81,13 @@ func TestLeastSquaresRecoversCoefficients(t *testing.T) {
 			b[i] += truth[j] * a.At(i, j)
 		}
 	}
-	x, rank, err := LeastSquares(a, b)
+	f := Factor(a)
+	x, err := f.Solve(b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rank != p {
-		t.Fatalf("rank = %d, want %d", rank, p)
+	if f.Rank() != p {
+		t.Fatalf("rank = %d, want %d", f.Rank(), p)
 	}
 	for j := range truth {
 		if math.Abs(x[j]-truth[j]) > 1e-9 {
@@ -88,8 +97,8 @@ func TestLeastSquaresRecoversCoefficients(t *testing.T) {
 }
 
 func TestRankDetectionDropsDuplicateColumn(t *testing.T) {
-	// Column 2 duplicates column 0: rank 2, duplicate dropped, and the fit
-	// still reproduces b.
+	// Column 2 duplicates column 0: rank 2, one duplicate's coefficient is
+	// exactly 0, and the fit still reproduces b.
 	src := rng.New(32)
 	n := 50
 	a := NewMatrix(n, 3)
@@ -102,34 +111,30 @@ func TestRankDetectionDropsDuplicateColumn(t *testing.T) {
 		a.Set(i, 2, v0) // exact duplicate
 		b[i] = 2*v0 + 3*v1
 	}
-	f := Factor(a, 0)
+	f := Factor(a)
 	if f.Rank() != 2 {
 		t.Fatalf("rank = %d, want 2", f.Rank())
-	}
-	dropped := f.DroppedColumns()
-	if len(dropped) != 1 {
-		t.Fatalf("dropped = %v", dropped)
-	}
-	if dropped[0] != 0 && dropped[0] != 2 {
-		t.Fatalf("dropped column %d is not one of the duplicates", dropped[0])
 	}
 	x, err := f.Solve(b)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Exactly one of the duplicates is eliminated with a zero coefficient;
+	// the independent column never is.
+	if (x[0] == 0) == (x[2] == 0) || x[1] == 0 {
+		t.Fatalf("coefficients %v: want exactly one duplicate zeroed", x)
+	}
 	// Predictions must still be exact even with a dropped column.
-	pred := a.MulVec(x)
+	pred := mulVec(a, x)
 	for i := range b {
 		if math.Abs(pred[i]-b[i]) > 1e-9 {
 			t.Fatalf("prediction %d = %v, want %v", i, pred[i], b[i])
 		}
 	}
-	if x[dropped[0]] != 0 {
-		t.Fatal("dropped column must have zero coefficient")
-	}
 
 	// Nearly (but not exactly) dependent columns: col1 = col0 + tiny noise
-	// in an independent direction. A tight tolerance keeps both columns.
+	// in an independent direction. Noise above the rank tolerance keeps both
+	// columns.
 	bad := NewMatrix(3, 2)
 	noise := []float64{1e-9, -2e-9, 1.5e-9}
 	for i := 0; i < 3; i++ {
@@ -137,10 +142,10 @@ func TestRankDetectionDropsDuplicateColumn(t *testing.T) {
 		bad.Set(i, 0, v)
 		bad.Set(i, 1, v+noise[i])
 	}
-	if r := Factor(bad, 1e-14).Rank(); r != 2 {
-		t.Fatalf("near-duplicate rank = %d, want 2 at tolerance 1e-14", r)
+	if r := Factor(bad).Rank(); r != 2 {
+		t.Fatalf("near-duplicate rank = %d, want 2", r)
 	}
-	// With dependence below the default tolerance, the column is dropped —
+	// With dependence below the rank tolerance, the column is dropped —
 	// exactly the collinearity elimination the modeling heuristic needs.
 	verybad := NewMatrix(3, 2)
 	for i := 0; i < 3; i++ {
@@ -148,8 +153,8 @@ func TestRankDetectionDropsDuplicateColumn(t *testing.T) {
 		verybad.Set(i, 0, v)
 		verybad.Set(i, 1, v+noise[i]*1e-3)
 	}
-	if Factor(verybad, 0).Rank() != 1 {
-		t.Error("default tolerance should drop the nearly dependent column")
+	if Factor(verybad).Rank() != 1 {
+		t.Error("the rank tolerance should drop the nearly dependent column")
 	}
 }
 
@@ -165,11 +170,11 @@ func TestSolveResidualOrthogonality(t *testing.T) {
 		}
 		b[i] = src.Normal(0, 1)
 	}
-	x, _, err := LeastSquares(a, b)
+	x, err := Factor(a).Solve(b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pred := a.MulVec(x)
+	pred := mulVec(a, x)
 	for j := 0; j < p; j++ {
 		var dot float64
 		for i := 0; i < n; i++ {
@@ -183,39 +188,15 @@ func TestSolveResidualOrthogonality(t *testing.T) {
 
 func TestSolveErrors(t *testing.T) {
 	a := NewMatrix(2, 2)
-	f := Factor(a, 0) // all-zero matrix: rank 0
+	f := Factor(a) // all-zero matrix: rank 0
 	if _, err := f.Solve([]float64{1, 2}); err == nil {
 		t.Error("rank-0 solve should fail")
 	}
 	a2 := NewMatrix(2, 1)
 	a2.Set(0, 0, 1)
 	a2.Set(1, 0, 1)
-	if _, err := Factor(a2, 0).Solve([]float64{1}); err == nil {
+	if _, err := Factor(a2).Solve([]float64{1}); err == nil {
 		t.Error("wrong rhs length should fail")
-	}
-}
-
-func TestPivotIsPermutation(t *testing.T) {
-	if err := quick.Check(func(seed uint64) bool {
-		src := rng.New(seed)
-		n, p := 20, 6
-		a := NewMatrix(n, p)
-		for i := 0; i < n; i++ {
-			for j := 0; j < p; j++ {
-				a.Set(i, j, src.Float64())
-			}
-		}
-		piv := Factor(a, 0).Pivot()
-		seen := make([]bool, p)
-		for _, v := range piv {
-			if v < 0 || v >= p || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}, &quick.Config{MaxCount: 25}); err != nil {
-		t.Error(err)
 	}
 }
 
@@ -238,7 +219,7 @@ func TestLeastSquaresRecoveryProperty(t *testing.T) {
 				b[i] += truth[j] * a.At(i, j)
 			}
 		}
-		x, _, err := LeastSquares(a, b)
+		x, err := Factor(a).Solve(b)
 		if err != nil {
 			return false
 		}

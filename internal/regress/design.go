@@ -1,10 +1,8 @@
 package regress
 
 import (
-	"fmt"
 	"math"
 
-	"hsmodel/internal/linalg"
 	"hsmodel/internal/stats"
 )
 
@@ -97,36 +95,6 @@ func (p *Prep) z(v int, raw float64) float64 {
 	return z
 }
 
-// Column describes one design-matrix column for reporting and debugging.
-type Column struct {
-	Name string
-	// Var is the raw variable index for main-effect columns, or -1.
-	Var int
-	// Interaction is set for product columns.
-	Interaction *Interaction
-}
-
-// columnsFor returns the design-column descriptors for a spec (intercept
-// first).
-func columnsFor(spec Spec, names []string) []Column {
-	cols := []Column{{Name: "(intercept)", Var: -1}}
-	suffix := [6]string{"", "^2", "^3", "s1", "s2", "s3"}
-	for v, code := range spec.Codes {
-		for k := 0; k < code.columns(); k++ {
-			cols = append(cols, Column{Name: names[v] + suffix[k], Var: v})
-		}
-	}
-	for i := range spec.Interactions {
-		in := spec.Interactions[i]
-		cols = append(cols, Column{
-			Name:        fmt.Sprintf("%s*%s", names[in.I], names[in.J]),
-			Var:         -1,
-			Interaction: &spec.Interactions[i],
-		})
-	}
-	return cols
-}
-
 // fillDesignRow expands one raw observation into the design row for spec in a
 // single fused pass per variable: the stabilized, standardized value z is
 // computed once per included variable (into the caller's z scratch, length
@@ -179,15 +147,4 @@ func (p *Prep) fillDesignRow(spec Spec, raw, z, row []float64) {
 		row[c] = zi * zj
 		c++
 	}
-}
-
-// Design builds the full design matrix for a dataset under a spec.
-func (p *Prep) Design(spec Spec, ds *Dataset) (*linalg.Matrix, []Column) {
-	cols := columnsFor(spec, p.Names)
-	m := linalg.NewMatrix(ds.NumRows(), len(cols))
-	z := make([]float64, p.NumVars())
-	for i := 0; i < ds.NumRows(); i++ {
-		p.fillDesignRow(spec, ds.X.Row(i), z, m.Row(i))
-	}
-	return m, cols
 }

@@ -7,9 +7,9 @@ import (
 	"hsmodel/internal/regress"
 )
 
-// ExampleFitSpec fits the paper's z = b0 + b1*x + b2*y + b3*x*y interaction
-// form (Section 3.1) and recovers the generating coefficients.
-func ExampleFitSpec() {
+// ExampleFeaturizer_Fit fits the paper's z = b0 + b1*x + b2*y + b3*x*y
+// interaction form (Section 3.1) and recovers the generating coefficients.
+func ExampleFeaturizer_Fit() {
 	// y = 1 + 2a + 3b + 0.5ab over a small grid.
 	ds := &regress.Dataset{
 		Names: []string{"a", "b"},
@@ -26,7 +26,12 @@ func ExampleFitSpec() {
 		Codes:        []regress.TransformCode{regress.Linear, regress.Linear},
 		Interactions: []regress.Interaction{{I: 0, J: 1}},
 	}
-	m, err := regress.FitSpec(spec, nil, ds, regress.Options{})
+	fz, err := regress.NewFeaturizer(ds, false)
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
+	m, err := fz.Fit(spec, regress.Options{})
 	if err != nil {
 		fmt.Println(err)
 		return

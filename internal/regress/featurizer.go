@@ -16,8 +16,8 @@ import (
 // genetic fitness evaluation calls Design/Fit thousands of times against the
 // same rows, and the transform work is identical across specs.
 //
-// The dataset is validated (Check + finiteness) once at construction, so the
-// per-spec path skips the O(rows·vars) scan FitSpec performs.
+// The dataset is validated (Check + finiteness) once at construction, not
+// once per fit.
 //
 // A Featurizer is immutable after construction and safe for concurrent use.
 type Featurizer struct {
@@ -95,14 +95,13 @@ func (f *Featurizer) NumRows() int { return f.ds.NumRows() }
 // Design assembles the design matrix for spec from the cached basis columns.
 // Only interaction products are computed fresh (one multiply per row per
 // interaction).
-func (f *Featurizer) Design(spec Spec) (*linalg.Matrix, []Column, error) {
+func (f *Featurizer) Design(spec Spec) (*linalg.Matrix, error) {
 	if err := spec.Validate(f.ds.NumVars()); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	cols := columnsFor(spec, f.prep.Names)
-	m := linalg.NewMatrix(f.ds.NumRows(), len(cols))
+	m := linalg.NewMatrix(f.ds.NumRows(), numDesignColumns(spec))
 	f.fillDesign(spec, m, nil)
-	return m, cols, nil
+	return m, nil
 }
 
 // DesignRows assembles design rows for a subset of the cached rows, in the
@@ -176,14 +175,16 @@ func numDesignColumns(spec Spec) int {
 	return n + len(spec.Interactions)
 }
 
-// Fit fits spec to the featurized dataset, assembling the design from the
-// cached basis columns. It produces the same Model (bit-identical
-// coefficients) as FitSpec(spec, f.Prep(), ds, opts) on the dataset f was
-// built from; the dataset validation already happened at construction, so
-// only the spec is checked here.
+// Fit fits spec to the featurized dataset: it assembles the design from the
+// cached basis columns, bit-identical to the rows the predict path expands
+// from raw observations, and solves it by pivoted QR (fitDesign). The
+// dataset validation already happened at construction, so only the spec is
+// checked here.
 //
-// Like FitSpec, Fit is a panic boundary: panics below it surface as errors
-// wrapping ErrBadInput.
+// Fit is a panic boundary: a panic anywhere below it (dimension mismatches
+// in linalg, degenerate splines) is recovered and reported as an error
+// wrapping ErrBadInput, so a single corrupt profile cannot kill a
+// long-running modeling service.
 func (f *Featurizer) Fit(spec Spec, opts Options) (m *Model, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -191,9 +192,9 @@ func (f *Featurizer) Fit(spec Spec, opts Options) (m *Model, err error) {
 			err = fmt.Errorf("%w: panic during fit: %v", ErrBadInput, r)
 		}
 	}()
-	design, cols, err := f.Design(spec)
+	design, err := f.Design(spec)
 	if err != nil {
 		return nil, err
 	}
-	return fitDesign(spec, f.prep, design, cols, f.ds.Y, opts)
+	return fitDesign(spec, f.prep, design, f.ds.Y, opts)
 }

@@ -19,22 +19,17 @@ type Options struct {
 	// Weights scales observations (the paper's "{P−s,Ts}×w" weighted fit).
 	// Nil means uniform. Length must equal the dataset rows.
 	Weights []float64
-	// Stabilize applies ladder-of-powers variance stabilization in Prepare
-	// when FitSpec builds its own Prep (ignored when Prep is supplied).
-	Stabilize bool
 }
 
 // Model is a fitted regression model: a specification, the preprocessing
-// learned from training data, and coefficients. Predictions require only the
-// raw variable vector, so a Model is self-contained and serializable.
+// learned from training data, and coefficients, one per design column (a
+// column eliminated as collinear has coefficient exactly 0). Predictions
+// require only the raw variable vector, so a Model is self-contained and
+// serializable.
 type Model struct {
-	Spec    Spec
-	Prep    *Prep
-	Columns []Column
-	Coef    []float64
-	Rank    int
-	// DroppedColumns lists design columns eliminated as collinear.
-	Dropped []int
+	Spec Spec
+	Prep *Prep
+	Coef []float64
 	// LogResponse records the response transform used at fit time.
 	LogResponse bool
 	// YLo and YHi clamp predictions. They are set at fit time to a 1.5x
@@ -44,10 +39,11 @@ type Model struct {
 }
 
 // Validate checks that m is a model over numVars raw variables which the
-// predict path can evaluate without indexing out of range: the spec is valid
-// for numVars, every preprocessing slice has one entry per variable, and
-// there is one finite coefficient per design column. Every path that decodes
-// a persisted model calls it before serving the model.
+// predict path can evaluate without indexing out of range or answering an
+// unbounded value: the spec is valid for numVars, every preprocessing slice
+// has one entry per variable, there is one finite coefficient per design
+// column, and the prediction envelope is a finite range with YLo < YHi. Every
+// path that decodes a persisted model calls it before serving the model.
 func (m *Model) Validate(numVars int) error {
 	if m == nil || m.Prep == nil {
 		return errors.New("regress: model has no preprocessing")
@@ -74,6 +70,9 @@ func (m *Model) Validate(numVars int) error {
 		if math.IsNaN(c) || math.IsInf(c, 0) {
 			return fmt.Errorf("regress: coefficient %d is %v", j, c)
 		}
+	}
+	if !(m.YLo < m.YHi) || math.IsInf(m.YLo, 0) || math.IsInf(m.YHi, 0) {
+		return fmt.Errorf("regress: prediction envelope [%g, %g] is not a finite range", m.YLo, m.YHi)
 	}
 	return nil
 }
@@ -110,41 +109,11 @@ func checkFinite(ds *Dataset) error {
 	return nil
 }
 
-// FitSpec fits spec to ds. If prep is nil, preprocessing is learned from ds
-// itself.
-//
-// FitSpec is a panic boundary: a panic anywhere below it (dimension
-// mismatches in linalg, degenerate splines) is recovered and reported as an
-// error wrapping ErrBadInput, so a single corrupt profile cannot kill a
-// long-running modeling service.
-func FitSpec(spec Spec, prep *Prep, ds *Dataset, opts Options) (m *Model, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			m = nil
-			err = fmt.Errorf("%w: panic during fit: %v", ErrBadInput, r)
-		}
-	}()
-	if err := ds.Check(); err != nil {
-		return nil, err
-	}
-	if err := spec.Validate(ds.NumVars()); err != nil {
-		return nil, err
-	}
-	if err := checkFinite(ds); err != nil {
-		return nil, err
-	}
-	if prep == nil {
-		prep = Prepare(ds, opts.Stabilize)
-	}
-	design, cols := prep.Design(spec, ds)
-	return fitDesign(spec, prep, design, cols, ds.Y, opts)
-}
-
-// fitDesign is the shared solve path of FitSpec and Featurizer.Fit: response
-// transform, observation weighting, pivoted-QR solve, and the prediction
-// envelope. design is consumed (weighting scales its rows in place); resp is
-// the raw response vector and is not modified.
-func fitDesign(spec Spec, prep *Prep, design *linalg.Matrix, cols []Column, resp []float64, opts Options) (*Model, error) {
+// fitDesign is the pivoted-QR solve behind Featurizer.Fit and the Gram
+// path's fallback: response transform, observation weighting, solve, and the
+// prediction envelope. design is consumed (weighting scales its rows in
+// place); resp is the raw response vector and is not modified.
+func fitDesign(spec Spec, prep *Prep, design *linalg.Matrix, resp []float64, opts Options) (*Model, error) {
 	if design.Rows < design.Cols {
 		return nil, fmt.Errorf("%w: %d rows, %d columns", ErrTooFewRows, design.Rows, design.Cols)
 	}
@@ -172,8 +141,7 @@ func fitDesign(spec Spec, prep *Prep, design *linalg.Matrix, cols []Column, resp
 			y[i] *= w
 		}
 	}
-	f := linalg.Factor(design, 0)
-	coef, err := f.Solve(y)
+	coef, err := linalg.Factor(design).Solve(y)
 	if err != nil {
 		if errors.Is(err, linalg.ErrRankDeficient) {
 			return nil, fmt.Errorf("%w: %w", ErrSingular, err)
@@ -192,10 +160,7 @@ func fitDesign(spec Spec, prep *Prep, design *linalg.Matrix, cols []Column, resp
 	return &Model{
 		Spec:        spec,
 		Prep:        prep,
-		Columns:     cols,
 		Coef:        coef,
-		Rank:        f.Rank(),
-		Dropped:     f.DroppedColumns(),
 		LogResponse: opts.LogResponse,
 		YLo:         yLo / 1.5,
 		YHi:         yHi * 1.5,

@@ -29,7 +29,7 @@ import (
 //
 // The normal equations square the design's condition number, so the Cholesky
 // path is guarded: the sub-Gram is Jacobi-equilibrated, and if a pivot fails,
-// the condition estimate exceeds CondLimit, or any coefficient comes out
+// the condition estimate exceeds gramMaxCond, or any coefficient comes out
 // non-finite, the fit falls back to the Featurizer's pivoted-QR path —
 // which also handles rank deficiency by dropping collinear columns — so
 // coefficients never silently degrade. Stats reports how often each path ran.
@@ -44,16 +44,6 @@ type GramCache struct {
 	opts Options
 	n    int // rows
 	p    int // raw variables
-
-	// CondLimit bounds the true condition number (λmax/λmin, estimated by
-	// norm bound plus inverse power iteration on the factor) of the
-	// equilibrated sub-Gram accepted by the Cholesky path; fits beyond it
-	// fall back to pivoted QR. With compensated Gram accumulation and one
-	// step of iterative refinement, the NewGramCache default of 1e9 keeps
-	// normal-equation coefficients within ~1e-8 of the QR solution. It may
-	// be lowered before use to force fallback (tests) but must not be
-	// changed concurrently with Fit.
-	CondLimit float64
 
 	w        []float64 // effective observation weights; nil means uniform
 	ty       []float64 // response with the LogResponse transform applied
@@ -77,6 +67,14 @@ type GramCache struct {
 }
 
 const gramShardCount = 64
+
+// gramMaxCond bounds the true condition number (λmax/λmin, estimated by
+// norm bound plus inverse power iteration on the factor) of the equilibrated
+// sub-Gram accepted by the Cholesky path; fits beyond it fall back to pivoted
+// QR. With compensated Gram accumulation and one step of iterative
+// refinement, 1e9 keeps normal-equation coefficients within ~1e-8 of the QR
+// solution.
+const gramMaxCond = 1e9
 
 // gramShard is one lock stripe of the inner-product memo. Keys mixing both
 // column ids spread adjacent entries across stripes, so workers filling one
@@ -106,20 +104,19 @@ func (g *GramCache) Stats() GramStats {
 }
 
 // NewGramCache builds a Gram-cache fit layer over fz for the fixed fitting
-// options opts (Stabilize is irrelevant here: preprocessing was learned when
-// fz was built). Input validation that fitDesign performs per fit — weight
+// options opts. Input validation that fitDesign performs per fit — weight
 // length, response positivity under LogResponse — happens once, at
-// construction.
+// construction, so NewGramCache fails exactly when every Featurizer.Fit of fz
+// under opts would.
 func NewGramCache(fz *Featurizer, opts Options) (*GramCache, error) {
 	n, p := fz.NumRows(), fz.ds.NumVars()
 	g := &GramCache{
-		fz:        fz,
-		opts:      opts,
-		n:         n,
-		p:         p,
-		CondLimit: 1e9,
-		mainIDs:   1 + 6*p,
-		prods:     make(map[uint32][]float64),
+		fz:      fz,
+		opts:    opts,
+		n:       n,
+		p:       p,
+		mainIDs: 1 + 6*p,
+		prods:   make(map[uint32][]float64),
 	}
 	g.numIDs = g.mainIDs + p*(p-1)/2
 	if g.numIDs >= 1<<31 {
@@ -296,7 +293,7 @@ func (g *GramCache) dot(key uint64) float64 {
 	// Kahan-compensated accumulation: cached cross-products are the data the
 	// normal equations see, so their rounding error multiplies by κ(G) in the
 	// solved coefficients. Compensation shrinks the summation error from
-	// O(n·ε) to O(ε), which is what lets CondLimit sit at 1e9 while keeping
+	// O(n·ε) to O(ε), which is what lets gramMaxCond sit at 1e9 while keeping
 	// the ~1e-8 coefficient-parity contract with the QR path.
 	var s, comp float64
 	if g.w == nil {
@@ -353,7 +350,7 @@ func (sc *gramScratch) subMatrix(p int) *linalg.Matrix {
 // equations via Cholesky; ill-conditioned or rank-deficient systems fall
 // back to the Featurizer's pivoted-QR path (same Options), so the result is
 // always usable. On the Cholesky path the fitted Model is numerically — not
-// bit — identical to Featurizer.Fit: coefficients agree to ~CondLimit·ε.
+// bit — identical to Featurizer.Fit: coefficients agree to ~gramMaxCond·ε.
 //
 // Like Featurizer.Fit, Fit is a panic boundary: panics surface as errors
 // wrapping ErrBadInput.
@@ -376,7 +373,7 @@ func (g *GramCache) Fit(spec Spec) (m *Model, err error) {
 	}
 	sc.sized(p)
 	sub := sc.subMatrix(p)
-	coef, rank, dropped, ok := g.solveNormal(sc, sub, p)
+	coef, ok := g.solveNormal(sc, sub, p)
 	if !ok {
 		g.qrFallbacks.Add(1)
 		return g.fz.Fit(spec, g.opts)
@@ -385,10 +382,7 @@ func (g *GramCache) Fit(spec Spec) (m *Model, err error) {
 	return &Model{
 		Spec:        spec,
 		Prep:        g.fz.prep,
-		Columns:     columnsFor(spec, g.fz.prep.Names),
 		Coef:        coef,
-		Rank:        rank,
-		Dropped:     dropped,
 		LogResponse: g.opts.LogResponse,
 		YLo:         g.yLo,
 		YHi:         g.yHi,
@@ -401,7 +395,7 @@ func (g *GramCache) Fit(spec Spec) (m *Model, err error) {
 // from the solve with a zero coefficient, exactly as the pivoted QR drops
 // zero-norm columns, so the two paths agree on this (common) degeneracy.
 // ok is false when the Cholesky guard rejects the remaining system.
-func (g *GramCache) solveNormal(sc *gramScratch, sub *linalg.Matrix, p int) (coef []float64, rank int, dropped []int, ok bool) {
+func (g *GramCache) solveNormal(sc *gramScratch, sub *linalg.Matrix, p int) (coef []float64, ok bool) {
 	ids := sc.ids
 	sc.miss = sc.miss[:0]
 	sc.missP = sc.missP[:0]
@@ -435,7 +429,7 @@ func (g *GramCache) solveNormal(sc *gramScratch, sub *linalg.Matrix, p int) (coe
 	for j := 0; j < p; j++ {
 		d := sub.At(j, j)
 		if d < 0 || math.IsInf(d, 0) || math.IsNaN(d) {
-			return nil, 0, nil, false // weighted squared norms can't be negative
+			return nil, false // weighted squared norms can't be negative
 		}
 		if d > 0 {
 			sc.scale[j] = 1 / math.Sqrt(d)
@@ -459,10 +453,10 @@ func (g *GramCache) solveNormal(sc *gramScratch, sub *linalg.Matrix, p int) (coe
 	copy(sc.gcopy[:p*p], sub.Data[:p*p]) // Factor consumes sub; keep G for refinement
 	kept, err := sc.chol.FactorPruned(sub, gramDropTol)
 	if err != nil {
-		return nil, 0, nil, false
+		return nil, false
 	}
-	if sc.chol.ConditionEstimate() > g.CondLimit {
-		return nil, 0, nil, false // diagonal ratio lower-bounds κ: cheap first reject
+	if sc.chol.ConditionEstimate() > gramMaxCond {
+		return nil, false // diagonal ratio lower-bounds κ: cheap first reject
 	}
 	q := len(kept)
 	// Tight condition check: the diagonal ratio can undershoot the true κ by
@@ -481,9 +475,9 @@ func (g *GramCache) solveNormal(sc *gramScratch, sub *linalg.Matrix, p int) (coe
 			lambdaMax = s
 		}
 	}
-	lambdaMin := sc.chol.SmallestEigenEstimate(0, sc.resid[:q])
-	if lambdaMin <= 0 || lambdaMax > g.CondLimit*lambdaMin {
-		return nil, 0, nil, false
+	lambdaMin := sc.chol.SmallestEigenEstimate(sc.resid[:q])
+	if lambdaMin <= 0 || lambdaMax > gramMaxCond*lambdaMin {
+		return nil, false
 	}
 	rhsk := sc.rhsk[:q]
 	for i, j := range kept {
@@ -492,7 +486,7 @@ func (g *GramCache) solveNormal(sc *gramScratch, sub *linalg.Matrix, p int) (coe
 	u := sc.rhs[:q]
 	copy(u, rhsk)
 	if err := sc.chol.SolveInPlace(u); err != nil {
-		return nil, 0, nil, false
+		return nil, false
 	}
 	// One step of iterative refinement in the equilibrated space: the normal
 	// equations pay a squared condition number, and the diagonal-ratio guard
@@ -509,7 +503,7 @@ func (g *GramCache) solveNormal(sc *gramScratch, sub *linalg.Matrix, p int) (coe
 		resid[i] = s
 	}
 	if err := sc.chol.SolveInPlace(resid); err != nil {
-		return nil, 0, nil, false
+		return nil, false
 	}
 	for i := range u {
 		u[i] += resid[i]
@@ -518,28 +512,17 @@ func (g *GramCache) solveNormal(sc *gramScratch, sub *linalg.Matrix, p int) (coe
 	for i, j := range kept {
 		v := u[i] * sc.scale[j]
 		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return nil, 0, nil, false
+			return nil, false
 		}
 		coef[j] = v
 	}
-	if q < p {
-		dropped = make([]int, 0, p-q)
-		next := 0
-		for j := 0; j < p; j++ {
-			if next < q && kept[next] == j {
-				next++
-			} else {
-				dropped = append(dropped, j)
-			}
-		}
-	}
-	return coef, q, dropped, true
+	return coef, true
 }
 
 // gramDropTol is FactorPruned's pivot floor on the equilibrated (unit
 // diagonal) sub-Gram: pivots at or below it are indistinguishable from
 // rounding noise of an exact dependency (~p·ε ≈ 1e-14), while any direction
-// a fit is allowed to resolve must carry λ ≥ 1/CondLimit = 1e-9, three
+// a fit is allowed to resolve must carry λ ≥ 1/gramMaxCond = 1e-9, three
 // decades above. Pivots in between survive pruning and are rejected by the
 // condition guard, so the gray zone falls back to QR rather than being
 // silently resolved by either path.

@@ -27,6 +27,16 @@ func mkDataset(n, p int, seed uint64, f func(x []float64) float64) *Dataset {
 	return ds
 }
 
+// fitOn fits spec to ds under unstabilized preprocessing learned from ds
+// itself.
+func fitOn(spec Spec, ds *Dataset, opts Options) (*Model, error) {
+	fz, err := NewFeaturizer(ds, false)
+	if err != nil {
+		return nil, err
+	}
+	return fz.Fit(spec, opts)
+}
+
 func linSpec(p int, codes ...TransformCode) Spec {
 	s := Spec{Codes: make([]TransformCode, p)}
 	copy(s.Codes, codes)
@@ -58,7 +68,7 @@ func TestModelValidate(t *testing.T) {
 	ds := mkDataset(80, 3, 5, func(x []float64) float64 { return 1 + x[0] + x[1]*x[2] })
 	spec := linSpec(3, Linear, Spline3, Quadratic)
 	spec.Interactions = []Interaction{{1, 2}}
-	fit, err := FitSpec(spec, nil, ds, Options{})
+	fit, err := fitOn(spec, ds, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,6 +86,10 @@ func TestModelValidate(t *testing.T) {
 		{"short powers", func(m *Model) { m.Prep.Powers = m.Prep.Powers[:2] }},
 		{"no clamp range", func(m *Model) { m.Prep.ZLo, m.Prep.ZHi = nil, nil }},
 		{"no preprocessing", func(m *Model) { m.Prep = nil }},
+		{"empty envelope", func(m *Model) { m.YLo, m.YHi = 0, 0 }},
+		{"inverted envelope", func(m *Model) { m.YLo, m.YHi = m.YHi, m.YLo }},
+		{"NaN envelope", func(m *Model) { m.YLo = math.NaN() }},
+		{"unbounded envelope", func(m *Model) { m.YHi = math.Inf(1) }},
 	} {
 		m := *fit
 		prep := *fit.Prep
@@ -119,7 +133,7 @@ func TestInteractionCanon(t *testing.T) {
 func TestFitRecoversLinearModel(t *testing.T) {
 	// y = 3 + 2*x0 - x1, exact: predictions must match to precision.
 	ds := mkDataset(100, 2, 41, func(x []float64) float64 { return 3 + 2*x[0] - x[1] })
-	m, err := FitSpec(linSpec(2, Linear, Linear), nil, ds, Options{})
+	m, err := fitOn(linSpec(2, Linear, Linear), ds, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,11 +147,11 @@ func TestFitRecoversLinearModel(t *testing.T) {
 
 func TestQuadraticBeatsLinearOnCurvedData(t *testing.T) {
 	ds := mkDataset(200, 1, 42, func(x []float64) float64 { return 1 + x[0]*x[0] })
-	lin, err := FitSpec(linSpec(1, Linear), nil, ds, Options{})
+	lin, err := fitOn(linSpec(1, Linear), ds, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	quad, err := FitSpec(linSpec(1, Quadratic), nil, ds, Options{})
+	quad, err := fitOn(linSpec(1, Quadratic), ds, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,11 +172,11 @@ func TestSplineCapturesPiecewiseTrend(t *testing.T) {
 		}
 		return 5 + 8*(x[0]-2.5)
 	})
-	cubic, err := FitSpec(linSpec(1, Cubic), nil, ds, Options{})
+	cubic, err := fitOn(linSpec(1, Cubic), ds, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	spline, err := FitSpec(linSpec(1, Spline3), nil, ds, Options{})
+	spline, err := fitOn(linSpec(1, Spline3), ds, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,13 +189,13 @@ func TestInteractionRecovery(t *testing.T) {
 	// y depends only on the product x0*x1: without the interaction the fit
 	// is poor, with it near-exact.
 	ds := mkDataset(150, 2, 44, func(x []float64) float64 { return 2 + 3*x[0]*x[1] })
-	mains, err := FitSpec(linSpec(2, Linear, Linear), nil, ds, Options{})
+	mains, err := fitOn(linSpec(2, Linear, Linear), ds, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	withInt := linSpec(2, Linear, Linear)
 	withInt.Interactions = []Interaction{{0, 1}}
-	inter, err := FitSpec(withInt, nil, ds, Options{})
+	inter, err := fitOn(withInt, ds, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +209,8 @@ func TestInteractionRecovery(t *testing.T) {
 
 func TestCollinearColumnDropped(t *testing.T) {
 	// Variable 1 duplicates variable 0 (the paper's temporal/spatial
-	// locality example): the fit must succeed and flag dropped columns.
+	// locality example): the fit must succeed and eliminate one duplicate
+	// with a coefficient of exactly 0.
 	src := rng.New(45)
 	ds := &Dataset{
 		Names: []string{"a", "dup"},
@@ -208,12 +223,12 @@ func TestCollinearColumnDropped(t *testing.T) {
 		ds.X.Set(i, 1, v)
 		ds.Y[i] = 1 + 2*v
 	}
-	m, err := FitSpec(linSpec(2, Linear, Linear), nil, ds, Options{})
+	m, err := fitOn(linSpec(2, Linear, Linear), ds, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(m.Dropped) == 0 {
-		t.Error("duplicate column should be dropped as collinear")
+	if (m.Coef[1] == 0) == (m.Coef[2] == 0) {
+		t.Errorf("coefficients %v: want exactly one duplicate column zeroed as collinear", m.Coef)
 	}
 	if met := m.Evaluate(ds); met.MedAPE > 1e-8 {
 		t.Errorf("fit after collinearity drop inaccurate: %v", met)
@@ -223,7 +238,7 @@ func TestCollinearColumnDropped(t *testing.T) {
 func TestLogResponse(t *testing.T) {
 	// Multiplicative data: log response makes it exactly linear.
 	ds := mkDataset(100, 1, 46, func(x []float64) float64 { return math.Exp(1 + 0.5*x[0]) })
-	m, err := FitSpec(linSpec(1, Linear), nil, ds, Options{LogResponse: true})
+	m, err := fitOn(linSpec(1, Linear), ds, Options{LogResponse: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +250,7 @@ func TestLogResponse(t *testing.T) {
 	}
 	// Non-positive responses must be rejected under LogResponse.
 	bad := mkDataset(10, 1, 47, func(x []float64) float64 { return 0 })
-	if _, err := FitSpec(linSpec(1, Linear), nil, bad, Options{LogResponse: true}); err == nil {
+	if _, err := fitOn(linSpec(1, Linear), bad, Options{LogResponse: true}); err == nil {
 		t.Error("zero response with LogResponse should fail")
 	}
 }
@@ -256,7 +271,7 @@ func TestZeroWeightExcludesRow(t *testing.T) {
 		ds.Y[n+i] = -17 * v // contaminated rows
 		w[n+i] = 0
 	}
-	m, err := FitSpec(linSpec(1, Linear), nil, ds, Options{Weights: w})
+	m, err := fitOn(linSpec(1, Linear), ds, Options{Weights: w})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +285,7 @@ func TestZeroWeightExcludesRow(t *testing.T) {
 func TestTooFewRows(t *testing.T) {
 	ds := mkDataset(3, 2, 49, func(x []float64) float64 { return x[0] })
 	spec := linSpec(2, Spline3, Spline3) // 13 columns > 3 rows
-	if _, err := FitSpec(spec, nil, ds, Options{}); err == nil {
+	if _, err := fitOn(spec, ds, Options{}); err == nil {
 		t.Error("fit with fewer rows than columns should fail")
 	}
 }
@@ -336,25 +351,5 @@ func TestSpecString(t *testing.T) {
 	}
 	if s.NumTerms() != 3 {
 		t.Errorf("NumTerms = %d, want 3", s.NumTerms())
-	}
-}
-
-func TestColumnNaming(t *testing.T) {
-	ds := mkDataset(30, 2, 52, func(x []float64) float64 { return x[0] })
-	spec := linSpec(2, Quadratic, Excluded)
-	spec.Interactions = []Interaction{{0, 1}}
-	m, err := FitSpec(spec, nil, ds, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// intercept + 2 quadratic columns + 1 interaction = 4.
-	if len(m.Columns) != 4 {
-		t.Fatalf("%d columns: %v", len(m.Columns), m.Columns)
-	}
-	if m.Columns[0].Name != "(intercept)" {
-		t.Error("first column must be the intercept")
-	}
-	if m.Columns[3].Interaction == nil {
-		t.Error("interaction column untagged")
 	}
 }

@@ -7,7 +7,8 @@ import (
 )
 
 // TestFitSpecRejectsNonFiniteInput: NaN/Inf profiles must be rejected up
-// front as ErrBadInput rather than silently poisoning the factorization.
+// front, when the dataset is featurized, as ErrBadInput rather than silently
+// poisoning the factorization.
 func TestFitSpecRejectsNonFiniteInput(t *testing.T) {
 	mk := func() *Dataset {
 		return mkDataset(50, 3, 7, func(x []float64) float64 { return 1 + x[0] + x[1] })
@@ -16,24 +17,24 @@ func TestFitSpecRejectsNonFiniteInput(t *testing.T) {
 
 	nanX := mk()
 	nanX.X.Row(10)[1] = math.NaN()
-	if _, err := FitSpec(spec, nil, nanX, Options{}); !errors.Is(err, ErrBadInput) {
+	if _, err := fitOn(spec, nanX, Options{}); !errors.Is(err, ErrBadInput) {
 		t.Errorf("NaN in X: err = %v, want ErrBadInput", err)
 	}
 
 	infX := mk()
 	infX.X.Row(3)[0] = math.Inf(-1)
-	if _, err := FitSpec(spec, nil, infX, Options{}); !errors.Is(err, ErrBadInput) {
+	if _, err := fitOn(spec, infX, Options{}); !errors.Is(err, ErrBadInput) {
 		t.Errorf("Inf in X: err = %v, want ErrBadInput", err)
 	}
 
 	nanY := mk()
 	nanY.Y[20] = math.NaN()
-	if _, err := FitSpec(spec, nil, nanY, Options{}); !errors.Is(err, ErrBadInput) {
+	if _, err := fitOn(spec, nanY, Options{}); !errors.Is(err, ErrBadInput) {
 		t.Errorf("NaN in Y: err = %v, want ErrBadInput", err)
 	}
 
 	// A clean dataset still fits.
-	if _, err := FitSpec(spec, nil, mk(), Options{}); err != nil {
+	if _, err := fitOn(spec, mk(), Options{}); err != nil {
 		t.Errorf("clean fit failed: %v", err)
 	}
 }
@@ -41,7 +42,7 @@ func TestFitSpecRejectsNonFiniteInput(t *testing.T) {
 func TestFitSpecNonPositiveResponseIsBadInput(t *testing.T) {
 	ds := mkDataset(40, 2, 9, func(x []float64) float64 { return 2 + x[0] })
 	ds.Y[5] = 0
-	_, err := FitSpec(linSpec(2, Linear, Linear), nil, ds, Options{LogResponse: true})
+	_, err := fitOn(linSpec(2, Linear, Linear), ds, Options{LogResponse: true})
 	if !errors.Is(err, ErrBadInput) {
 		t.Errorf("err = %v, want ErrBadInput", err)
 	}
@@ -49,7 +50,7 @@ func TestFitSpecNonPositiveResponseIsBadInput(t *testing.T) {
 
 func TestFitSpecWeightMismatchIsBadInput(t *testing.T) {
 	ds := mkDataset(40, 2, 11, func(x []float64) float64 { return 2 + x[0] })
-	_, err := FitSpec(linSpec(2, Linear, Linear), nil, ds, Options{Weights: []float64{1, 2, 3}})
+	_, err := fitOn(linSpec(2, Linear, Linear), ds, Options{Weights: []float64{1, 2, 3}})
 	if !errors.Is(err, ErrBadInput) {
 		t.Errorf("err = %v, want ErrBadInput", err)
 	}
@@ -62,39 +63,43 @@ func TestFitSpecWeightMismatchIsBadInput(t *testing.T) {
 func TestFitSpecZeroWeightsSingular(t *testing.T) {
 	ds := mkDataset(30, 2, 13, func(x []float64) float64 { return 1 + x[0] })
 	w := make([]float64, 30)
-	_, err := FitSpec(linSpec(2, Linear, Linear), nil, ds, Options{Weights: w})
+	_, err := fitOn(linSpec(2, Linear, Linear), ds, Options{Weights: w})
 	if !errors.Is(err, ErrSingular) {
 		t.Errorf("err = %v, want ErrSingular", err)
 	}
 }
 
-// TestFitSpecRecoversPanic: FitSpec is the panic boundary for the fitting
-// stack. A Prep inconsistent with the dataset (here: learned on fewer
-// variables) indexes out of range deep in design construction; that must
-// come back as ErrBadInput, not kill the process.
+// TestFitSpecRecoversPanic: Featurizer.Fit is the panic boundary for the
+// fitting stack. A basis cache inconsistent with the dataset (here: one
+// variable's column cut short) indexes out of range deep in design
+// construction; that must come back as ErrBadInput, not kill the process.
 func TestFitSpecRecoversPanic(t *testing.T) {
-	narrow := mkDataset(30, 1, 17, func(x []float64) float64 { return x[0] })
-	wide := mkDataset(30, 3, 17, func(x []float64) float64 { return 1 + x[0] + x[2] })
-	prep := Prepare(narrow, false)
-	_, err := FitSpec(linSpec(3, Linear, Linear, Linear), prep, wide, Options{})
+	ds := mkDataset(30, 3, 17, func(x []float64) float64 { return 1 + x[0] + x[2] })
+	fz, err := NewFeaturizer(ds, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fz.basis[1][0] = fz.basis[1][0][:5]
+	_, err = fz.Fit(linSpec(3, Linear, Linear, Linear), Options{})
 	if !errors.Is(err, ErrBadInput) {
 		t.Errorf("err = %v, want ErrBadInput wrapping the recovered panic", err)
 	}
 }
 
-// Collinear columns are NOT singular: pivoting drops them and the fit
-// proceeds. Guard that the hardening did not over-reject.
+// Collinear columns are NOT singular: pivoting drops them (coefficient
+// exactly 0) and the fit proceeds. Guard that the hardening did not
+// over-reject.
 func TestFitSpecCollinearColumnsStillFit(t *testing.T) {
 	ds := mkDataset(60, 2, 19, func(x []float64) float64 { return 1 + 2*x[0] })
 	for i := 0; i < ds.NumRows(); i++ {
 		row := ds.X.Row(i)
 		row[1] = 3 * row[0] // exact collinearity
 	}
-	m, err := FitSpec(linSpec(2, Linear, Linear), nil, ds, Options{})
+	m, err := fitOn(linSpec(2, Linear, Linear), ds, Options{})
 	if err != nil {
 		t.Fatalf("collinear fit should succeed via pivoting: %v", err)
 	}
-	if len(m.Dropped) == 0 {
-		t.Error("expected a dropped collinear column")
+	if m.Coef[1] != 0 && m.Coef[2] != 0 {
+		t.Errorf("coefficients %v: expected a collinear column zeroed", m.Coef)
 	}
 }
