@@ -16,16 +16,11 @@ import (
 	"testing"
 
 	"hsmodel/internal/core"
-	"hsmodel/internal/cpu"
 	"hsmodel/internal/experiments"
-	"hsmodel/internal/hwspace"
-	"hsmodel/internal/isa"
 	"hsmodel/internal/linalg"
-	"hsmodel/internal/profile"
 	"hsmodel/internal/regress"
 	"hsmodel/internal/rng"
 	"hsmodel/internal/spmv"
-	"hsmodel/internal/trace"
 )
 
 var (
@@ -288,41 +283,6 @@ func BenchmarkAblationLogResponse(b *testing.B) {
 }
 
 // --- substrate microbenchmarks ----------------------------------------------
-
-func BenchmarkTraceGeneration(b *testing.B) {
-	app := trace.Bzip2()
-	var in isa.Inst
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		st := app.ShardStream(i%32, 10_000)
-		for st.Next(&in) {
-		}
-	}
-	b.ReportMetric(10_000, "insts/op")
-}
-
-func BenchmarkCPUSimulation(b *testing.B) {
-	app := trace.Bzip2()
-	insts := isa.Collect(app.ShardStream(0, 10_000), 0)
-	sim := cpu.New(hwspace.Baseline())
-	ss := &isa.SliceStream{Insts: insts}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ss.Reset()
-		sim.Run(ss)
-	}
-	b.ReportMetric(10_000, "insts/op")
-}
-
-func BenchmarkShardProfiling(b *testing.B) {
-	app := trace.Hmmer()
-	insts := isa.Collect(app.ShardStream(0, 10_000), 0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ss := &isa.SliceStream{Insts: insts}
-		profile.Stream(ss, "bench", 0)
-	}
-}
 
 func BenchmarkRegressionFit(b *testing.B) {
 	w := workspace()
@@ -608,9 +568,12 @@ func BenchmarkQRFactorization(b *testing.B) {
 	for i := range a.Data {
 		a.Data[i] = src.Float64()
 	}
+	// Factor overwrites its input, so each iteration factors a fresh copy.
+	work := linalg.NewMatrix(a.Rows, a.Cols)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		linalg.Factor(a)
+		copy(work.Data, a.Data)
+		linalg.Factor(work)
 	}
 }
 

@@ -108,6 +108,15 @@ func parseFlags(fs *flag.FlagSet, args []string, stderr io.Writer) error {
 	return nil
 }
 
+// atLeast refuses a shard flag below min: there is no trace for a negative
+// shard index or for fewer than one shard or instruction.
+func atLeast(name string, v, min int) error {
+	if v < min {
+		return fmt.Errorf("-%s %d: want at least %d", name, v, min)
+	}
+	return nil
+}
+
 // jsonError writes err as the wire ErrorResponse on stdout and returns it,
 // so a -json caller gets a body and main still exits 1.
 func jsonError(stdout io.Writer, err error) error {
@@ -125,6 +134,9 @@ func cmdProfile(args []string, stdout, stderr io.Writer) error {
 	if err := parseFlags(fs, args, stderr); err != nil {
 		return err
 	}
+	if err := errors.Join(atLeast("shards", *shards, 1), atLeast("shardlen", *shardLen, 1)); err != nil {
+		return err
+	}
 
 	app, err := trace.ByName(*appName)
 	if err != nil {
@@ -132,8 +144,8 @@ func cmdProfile(args []string, stdout, stderr io.Writer) error {
 	}
 	enc := json.NewEncoder(stdout)
 	enc.SetIndent("", "  ")
-	profs := profile.StreamShards(app.Name, profile.ShardRange(*shards), func(s int) isa.Stream {
-		return app.ShardStream(s, *shardLen)
+	profs := profile.StreamShards(app.Name, profile.ShardRange(*shards), func(s int) []isa.Inst {
+		return app.ShardTrace(s, *shardLen)
 	})
 	for _, p := range profs {
 		if err := enc.Encode(p); err != nil {
@@ -154,6 +166,9 @@ func cmdTrain(ctx context.Context, args []string, stdout, stderr io.Writer) erro
 	timeout := fs.Duration("timeout", 0, "genetic search deadline before degrading to stepwise (0 = none)")
 	families := fs.String("families", "", `model families to select among: "all", or a comma-separated subset of spline,residual,dal (empty = spline alone)`)
 	if err := parseFlags(fs, args, stderr); err != nil {
+		return err
+	}
+	if err := atLeast("shardlen", *shardLen, 1); err != nil {
 		return err
 	}
 
@@ -267,6 +282,9 @@ func cmdPredict(ctx context.Context, args []string, stdout, stderr io.Writer) er
 }
 
 func predict(ctx context.Context, stdout io.Writer, modelPath, addr, modelID, appName string, shard, shardLen int, arch string, check, asJSON bool) error {
+	if err := errors.Join(atLeast("shard", shard, 0), atLeast("shardlen", shardLen, 1)); err != nil {
+		return err
+	}
 	var snap *hsmodel.Snapshot
 	if addr == "" {
 		var err error
@@ -286,7 +304,7 @@ func predict(ctx context.Context, stdout io.Writer, modelPath, addr, modelID, ap
 		return err
 	}
 
-	p := profile.Stream(app.ShardStream(shard, shardLen), app.Name, shard)
+	p := profile.Stream(&isa.SliceStream{Insts: app.ShardTrace(shard, shardLen)}, app.Name, shard)
 	var pred float64
 	if addr == "" {
 		pred, err = snap.PredictShard(p.X, hw)

@@ -14,6 +14,7 @@ import (
 	"strings"
 	"testing"
 
+	"hsmodel/internal/isa"
 	"hsmodel/internal/profile"
 	"hsmodel/internal/serve"
 	"hsmodel/internal/trace"
@@ -24,8 +25,9 @@ import (
 // and predict -json: the model is reported trained with the fields the
 // server's model route reports for the same file, and the predicted CPI is
 // the snapshot's own answer, bit for bit. A -json failure writes an
-// ErrorResponse and returns the error. A train whose rungs both fail keeps
-// the model already at -out (trainKeepsLastGood).
+// ErrorResponse and returns the error. A shard flag with no trace behind it
+// is refused with exit 1. A train whose rungs both fail keeps the model
+// already at -out (trainKeepsLastGood).
 func TestRun(t *testing.T) {
 	ctx := context.Background()
 	path := filepath.Join(t.TempDir(), "model.json")
@@ -64,7 +66,7 @@ func TestRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := profile.Stream(app.ShardStream(0, snap.ShardLen()), app.Name, 0)
+	p := profile.Stream(&isa.SliceStream{Insts: app.ShardTrace(0, snap.ShardLen())}, app.Name, 0)
 	want, err := snap.PredictShard(p.X, hsmodel.Baseline())
 	if err != nil {
 		t.Fatal(err)
@@ -81,6 +83,28 @@ func TestRun(t *testing.T) {
 	var er hsmodel.ErrorResponse
 	if err := json.Unmarshal(out.Bytes(), &er); err != nil || er.Error == "" {
 		t.Errorf("predict -json on a missing model wrote %q, want an ErrorResponse", out.Bytes())
+	}
+
+	refused := filepath.Join(t.TempDir(), "refused.json")
+	for _, args := range [][]string{
+		{"profile", "-shards", "-1"},
+		{"profile", "-shards", "0"},
+		{"profile", "-shardlen", "0"},
+		{"profile", "-shardlen", "-3"},
+		{"predict", "-shard", "-1", "-model", path},
+		{"predict", "-shardlen", "0", "-model", path},
+		{"train", "-shardlen", "-5", "-samples", "6", "-pop", "6", "-gens", "2", "-out", refused},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := exitCode(run(ctx, args, &stdout, &stderr), &stderr); code != 1 || !strings.Contains(stderr.String(), args[1]) {
+			t.Errorf("%s: exit %d, stderr %q; want exit 1 naming %s", strings.Join(args, " "), code, stderr.String(), args[1])
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%s: printed %q, want nothing", strings.Join(args, " "), stdout.String())
+		}
+	}
+	if _, err := os.Stat(refused); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("refused train wrote %s (stat: %v)", refused, err)
 	}
 
 	// A bad flag is reported once, with the flag list, on stderr; -h lists

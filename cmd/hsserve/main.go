@@ -99,6 +99,9 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 		}
 		return errBadFlag
 	}
+	if *shardLen < 1 {
+		return fmt.Errorf("-shardlen %d: want at least 1", *shardLen)
+	}
 
 	logger := log.New(stderr, "hsserve: ", log.LstdFlags)
 

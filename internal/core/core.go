@@ -197,12 +197,11 @@ func (c Collector) run(reqs []request) []Sample {
 			defer wg.Done()
 			defer func() { <-sem }()
 			r := reqs[idxs[0]]
-			ss := &isa.SliceStream{Insts: r.app.ShardTrace(r.shard, c.shardLen())}
-			x := profile.Stream(ss, r.app.Name, r.shard).X
+			insts := r.app.ShardTrace(r.shard, c.shardLen())
+			x := profile.Stream(&isa.SliceStream{Insts: insts}, r.app.Name, r.shard).X
 			for _, i := range idxs {
 				req := reqs[i]
-				ss.Reset()
-				res := cpu.New(req.hw).Run(ss)
+				res := cpu.New(req.hw).Run(&isa.SliceStream{Insts: insts})
 				out[i] = Sample{
 					App:   req.app.Name,
 					AppID: req.appID,

@@ -79,9 +79,6 @@ const ringSize = 512
 // Simulator carries reusable simulation state so repeated runs do not
 // reallocate. A Simulator is not safe for concurrent use; create one per
 // goroutine.
-//
-// Run walks a *isa.SliceStream's instructions as a slice, with no interface
-// call per instruction; any other stream is first collected into a slice.
 type Simulator struct {
 	cfg  hwspace.Config
 	hier cache.Hierarchy
@@ -154,12 +151,9 @@ func (s *Simulator) Reset() {
 	}
 }
 
-// Run simulates the stream to completion and returns timing results.
-func (s *Simulator) Run(st isa.Stream) Result {
-	if ss, ok := st.(*isa.SliceStream); ok {
-		return s.run(ss.Rest())
-	}
-	return s.run(isa.Collect(st, 0))
+// Run simulates the stream's unread instructions and returns timing results.
+func (s *Simulator) Run(ss *isa.SliceStream) Result {
+	return s.run(ss.Rest())
 }
 
 // run simulates insts in program order from a reset state.

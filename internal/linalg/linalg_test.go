@@ -111,7 +111,7 @@ func TestRankDetectionDropsDuplicateColumn(t *testing.T) {
 		a.Set(i, 2, v0) // exact duplicate
 		b[i] = 2*v0 + 3*v1
 	}
-	f := Factor(a)
+	f := Factor(a.Clone())
 	if f.Rank() != 2 {
 		t.Fatalf("rank = %d, want 2", f.Rank())
 	}
@@ -170,7 +170,7 @@ func TestSolveResidualOrthogonality(t *testing.T) {
 		}
 		b[i] = src.Normal(0, 1)
 	}
-	x, err := Factor(a).Solve(b)
+	x, err := Factor(a.Clone()).Solve(b)
 	if err != nil {
 		t.Fatal(err)
 	}

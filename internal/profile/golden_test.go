@@ -8,7 +8,6 @@ import (
 	"math"
 	"testing"
 
-	"hsmodel/internal/isa"
 	"hsmodel/internal/trace"
 )
 
@@ -29,7 +28,7 @@ func TestStreamGolden(t *testing.T) {
 	}
 	for _, app := range trace.SPEC2006() {
 		for shard := 0; shard < 3; shard++ {
-			p := Stream(app.ShardStream(shard, shardLen), app.Name, shard)
+			p := Stream(mkStream(app.ShardTrace(shard, shardLen)), app.Name, shard)
 			fmt.Fprintf(h, "%s|%d|%d|", p.App, p.Shard, p.Insts)
 			for _, x := range p.X {
 				put(x)
@@ -39,28 +38,5 @@ func TestStreamGolden(t *testing.T) {
 	}
 	if got := hex.EncodeToString(h.Sum(nil)); got != want {
 		t.Errorf("profiles hash %s, want %s", got, want)
-	}
-}
-
-// TestStreamSliceMatchesGenerator checks that Stream gives the same bits
-// walking a SliceStream as reading the generator, including a SliceStream
-// already partly read.
-func TestStreamSliceMatchesGenerator(t *testing.T) {
-	const shardLen = 5000
-	for _, app := range trace.SPEC2006() {
-		insts := app.ShardTrace(2, shardLen)
-		want := Stream(app.ShardStream(2, shardLen), app.Name, 2)
-		if got := Stream(&isa.SliceStream{Insts: insts}, app.Name, 2); got != want {
-			t.Fatalf("%s: slice profile %+v, generator profile %+v", app.Name, got, want)
-		}
-		ss := &isa.SliceStream{Insts: insts}
-		var in isa.Inst
-		for k := 0; k < 100; k++ {
-			ss.Next(&in)
-		}
-		got := Stream(ss, app.Name, 2)
-		if want := Stream(mkStream(insts[100:]), app.Name, 2); got != want {
-			t.Fatalf("%s: part-read slice profile %+v, want %+v", app.Name, got, want)
-		}
 	}
 }

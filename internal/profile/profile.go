@@ -1,8 +1,8 @@
 // Package profile implements the paper's shard-level,
 // microarchitecture-independent software profiler (Sections 2.1–2.2,
-// Table 1). A profiler consumes a dynamic instruction stream — the paper
+// Table 1). A profiler consumes a dynamic instruction trace — the paper
 // instrumented gem5's commit stage to get the same stream regardless of the
-// out-of-order engine; here the stream comes straight from the workload
+// out-of-order engine; here the trace comes straight from the workload
 // generator, which is equivalent by construction — and produces the thirteen
 // characteristics x1..x13:
 //
@@ -202,20 +202,12 @@ func (pr *Profiler) Finish(app string, shard int) ShardProfile {
 	}
 }
 
-// Stream profiles an entire instruction stream. A *isa.SliceStream is
-// walked as a slice, with no interface call per instruction.
-func Stream(st isa.Stream, app string, shard int) ShardProfile {
+// Stream profiles the stream's unread instructions.
+func Stream(ss *isa.SliceStream, app string, shard int) ShardProfile {
 	var pr Profiler
-	if ss, ok := st.(*isa.SliceStream); ok {
-		insts := ss.Rest()
-		for i := range insts {
-			pr.Observe(&insts[i])
-		}
-		return pr.Finish(app, shard)
-	}
-	var in isa.Inst
-	for st.Next(&in) {
-		pr.Observe(&in)
+	insts := ss.Rest()
+	for i := range insts {
+		pr.Observe(&insts[i])
 	}
 	return pr.Finish(app, shard)
 }
@@ -223,14 +215,13 @@ func Stream(st isa.Stream, app string, shard int) ShardProfile {
 // StreamShards profiles many shards of one application across a pool of
 // GOMAXPROCS workers (capped by the shard count). Shards are independent by
 // construction (Section 2.1: each shard is a disjoint slice of the dynamic
-// instruction stream), so each worker runs its own Profiler over the stream
+// instruction stream), so each worker runs its own Profiler over the trace
 // the factory returns for that shard. The result slice is in deterministic
 // order: out[k] is the profile of shards[k], regardless of worker scheduling.
 //
-// The stream factory must return a fresh, independent stream per call; it is
-// invoked concurrently and must be safe for concurrent use (trace.App's
-// ShardStream is: each call builds its own generator state).
-func StreamShards(app string, shards []int, stream func(shard int) isa.Stream) []ShardProfile {
+// The trace factory is invoked concurrently and must be safe for concurrent
+// use (trace.App's ShardTrace is: each call builds its own generator state).
+func StreamShards(app string, shards []int, shardTrace func(shard int) []isa.Inst) []ShardProfile {
 	out := make([]ShardProfile, len(shards))
 	workers := min(runtime.GOMAXPROCS(0), len(shards))
 	var next atomic.Int64
@@ -244,7 +235,8 @@ func StreamShards(app string, shards []int, stream func(shard int) isa.Stream) [
 				if k >= len(shards) {
 					return
 				}
-				out[k] = Stream(stream(shards[k]), app, shards[k])
+				ss := &isa.SliceStream{Insts: shardTrace(shards[k])}
+				out[k] = Stream(ss, app, shards[k])
 			}
 		}()
 	}

@@ -8,8 +8,8 @@ import (
 	"hsmodel/internal/trace"
 )
 
-// mkStream builds a SliceStream from a compact instruction description.
-func mkStream(insts []isa.Inst) isa.Stream {
+// mkStream wraps an instruction slice in a SliceStream for Stream.
+func mkStream(insts []isa.Inst) *isa.SliceStream {
 	return &isa.SliceStream{Insts: insts}
 }
 
@@ -159,8 +159,8 @@ func TestProfileIsMicroarchIndependentAndDeterministic(t *testing.T) {
 	// Profiling the same shard twice gives identical characteristics: the
 	// profile depends only on the instruction stream.
 	app := trace.Hmmer()
-	p1 := Stream(app.ShardStream(4, 20_000), app.Name, 4)
-	p2 := Stream(app.ShardStream(4, 20_000), app.Name, 4)
+	p1 := Stream(mkStream(app.ShardTrace(4, 20_000)), app.Name, 4)
+	p2 := Stream(mkStream(app.ShardTrace(4, 20_000)), app.Name, 4)
 	if p1.X != p2.X || math.Float64bits(p1.SumReuse256) != math.Float64bits(p2.SumReuse256) {
 		t.Error("profiles of identical shards differ")
 	}
@@ -168,7 +168,7 @@ func TestProfileIsMicroarchIndependentAndDeterministic(t *testing.T) {
 
 func TestGeneratedWorkloadCharacteristicsSane(t *testing.T) {
 	for _, app := range trace.SPEC2006() {
-		p := Stream(app.ShardStream(0, 30_000), app.Name, 0)
+		p := Stream(mkStream(app.ShardTrace(0, 30_000)), app.Name, 0)
 		var mixSum float64
 		for _, idx := range []int{XControl, XFPALU, XFPMulDiv, XIntMulDiv, XIntALU, XMemory} {
 			if p.X[idx] < 0 {

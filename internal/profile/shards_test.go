@@ -19,13 +19,13 @@ func TestStreamShardsMatchesSerial(t *testing.T) {
 	shards := ShardRange(9)
 	want := make([]ShardProfile, len(shards))
 	for k, s := range shards {
-		want[k] = Stream(app.ShardStream(s, shardLen), app.Name, s)
+		want[k] = Stream(mkStream(app.ShardTrace(s, shardLen)), app.Name, s)
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{0, 1, 3, 16} {
 		runtime.GOMAXPROCS(procs) // 0 leaves the host's setting in place
-		got := StreamShards(app.Name, shards, func(s int) isa.Stream {
-			return app.ShardStream(s, shardLen)
+		got := StreamShards(app.Name, shards, func(s int) []isa.Inst {
+			return app.ShardTrace(s, shardLen)
 		})
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("GOMAXPROCS=%d: parallel profile order/content diverged from serial", procs)
@@ -39,11 +39,11 @@ func TestStreamShardsArbitraryIndices(t *testing.T) {
 	app := trace.Astar()
 	const shardLen = 4_000
 	shards := []int{7, 2, 11}
-	got := StreamShards(app.Name, shards, func(s int) isa.Stream {
-		return app.ShardStream(s, shardLen)
+	got := StreamShards(app.Name, shards, func(s int) []isa.Inst {
+		return app.ShardTrace(s, shardLen)
 	})
 	for k, s := range shards {
-		want := Stream(app.ShardStream(s, shardLen), app.Name, s)
+		want := Stream(mkStream(app.ShardTrace(s, shardLen)), app.Name, s)
 		if !reflect.DeepEqual(got[k], want) {
 			t.Errorf("out[%d] is not the profile of shard %d", k, s)
 		}
@@ -51,8 +51,8 @@ func TestStreamShardsArbitraryIndices(t *testing.T) {
 }
 
 func TestStreamShardsEmpty(t *testing.T) {
-	got := StreamShards("none", nil, func(s int) isa.Stream {
-		t.Fatal("stream factory called for empty shard list")
+	got := StreamShards("none", nil, func(s int) []isa.Inst {
+		t.Fatal("trace factory called for empty shard list")
 		return nil
 	})
 	if len(got) != 0 {

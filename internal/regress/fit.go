@@ -32,10 +32,37 @@ type Model struct {
 	Coef []float64
 	// LogResponse records the response transform used at fit time.
 	LogResponse bool
-	// YLo and YHi clamp predictions. They are set at fit time to a 1.5x
-	// envelope of the observed responses: a performance model extrapolating
+	// YLo and YHi clamp predictions. They are set at fit time to the
+	// Envelope of the observed responses: a performance model extrapolating
 	// a new application should saturate, not explode.
 	YLo, YHi float64
+}
+
+// Envelope returns the prediction envelope of the responses resp: their
+// range widened by a factor of 1.5 away from zero on each side, so a
+// positive bound is divided (low) or multiplied (high) by 1.5 and a negative
+// one the other way round. Responses with no range to widen (none, or all
+// zero) are ErrBadInput: Validate refuses a model with an empty envelope at
+// load.
+func Envelope(resp []float64) (lo, hi float64, err error) {
+	lo, hi = math.Inf(1), math.Inf(-1)
+	for _, v := range resp {
+		lo, hi = min(lo, v), max(hi, v)
+	}
+	if lo > 0 {
+		lo /= 1.5
+	} else {
+		lo *= 1.5
+	}
+	if hi > 0 {
+		hi *= 1.5
+	} else {
+		hi /= 1.5
+	}
+	if !(lo < hi) || math.IsInf(lo, 0) || math.IsInf(hi, 0) {
+		return 0, 0, fmt.Errorf("%w: responses give no finite envelope [%g, %g]", ErrBadInput, lo, hi)
+	}
+	return lo, hi, nil
 }
 
 // Validate checks that m is a model over numVars raw variables which the
@@ -128,6 +155,10 @@ func fitDesign(spec Spec, prep *Prep, design *linalg.Matrix, resp []float64, opt
 			y[i] = v
 		}
 	}
+	yLo, yHi, err := Envelope(resp)
+	if err != nil {
+		return nil, err
+	}
 	if opts.Weights != nil {
 		if len(opts.Weights) != design.Rows {
 			return nil, fmt.Errorf("%w: %d weights for %d rows", ErrBadInput, len(opts.Weights), design.Rows)
@@ -148,22 +179,13 @@ func fitDesign(spec Spec, prep *Prep, design *linalg.Matrix, resp []float64, opt
 		}
 		return nil, err
 	}
-	yLo, yHi := resp[0], resp[0]
-	for _, v := range resp {
-		if v < yLo {
-			yLo = v
-		}
-		if v > yHi {
-			yHi = v
-		}
-	}
 	return &Model{
 		Spec:        spec,
 		Prep:        prep,
 		Coef:        coef,
 		LogResponse: opts.LogResponse,
-		YLo:         yLo / 1.5,
-		YHi:         yHi * 1.5,
+		YLo:         yLo,
+		YHi:         yHi,
 	}, nil
 }
 

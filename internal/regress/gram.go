@@ -105,9 +105,9 @@ func (g *GramCache) Stats() GramStats {
 
 // NewGramCache builds a Gram-cache fit layer over fz for the fixed fitting
 // options opts. Input validation that fitDesign performs per fit — weight
-// length, response positivity under LogResponse — happens once, at
-// construction, so NewGramCache fails exactly when every Featurizer.Fit of fz
-// under opts would.
+// length, response positivity under LogResponse, the response Envelope —
+// happens once, at construction, so NewGramCache fails exactly when every
+// Featurizer.Fit of fz under opts would.
 func NewGramCache(fz *Featurizer, opts Options) (*GramCache, error) {
 	n, p := fz.NumRows(), fz.ds.NumVars()
 	g := &GramCache{
@@ -140,17 +140,10 @@ func NewGramCache(fz *Featurizer, opts Options) (*GramCache, error) {
 			g.ty[i] = v
 		}
 	}
-	g.yLo, g.yHi = resp[0], resp[0]
-	for _, v := range resp {
-		if v < g.yLo {
-			g.yLo = v
-		}
-		if v > g.yHi {
-			g.yHi = v
-		}
+	var err error
+	if g.yLo, g.yHi, err = Envelope(resp); err != nil {
+		return nil, err
 	}
-	g.yLo /= 1.5
-	g.yHi *= 1.5
 	g.ones = make([]float64, n)
 	for i := range g.ones {
 		g.ones[i] = 1

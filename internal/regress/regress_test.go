@@ -1,6 +1,7 @@
 package regress
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -252,6 +253,51 @@ func TestLogResponse(t *testing.T) {
 	bad := mkDataset(10, 1, 47, func(x []float64) float64 { return 0 })
 	if _, err := fitOn(linSpec(1, Linear), bad, Options{LogResponse: true}); err == nil {
 		t.Error("zero response with LogResponse should fail")
+	}
+}
+
+// TestNegativeResponseUnclamped: the envelope widens away from zero on each
+// side, so a LogResponse: false fit of an exactly linear, all-negative
+// response predicts every training row, the extremes included, unclamped,
+// through Featurizer.Fit and the Gram path alike. An all-zero response has
+// no envelope to widen and fails both with ErrBadInput.
+func TestNegativeResponseUnclamped(t *testing.T) {
+	ds := mkDataset(100, 2, 48, func(x []float64) float64 { return 1 - 2*x[0] - 3*x[1] })
+	fz, err := NewFeaturizer(ds, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gc, err := NewGramCache(fz, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := linSpec(2, Linear, Linear)
+	qr, err := fz.Fit(spec, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gram, err := gc.Fit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, m := range map[string]*Model{"qr": qr, "gram": gram} {
+		for i := 0; i < ds.NumRows(); i++ {
+			if pred := m.Predict(ds.X.Row(i)); math.Abs(pred-ds.Y[i]) > 1e-8 {
+				t.Fatalf("%s row %d: pred %v, want %v (envelope [%v, %v])", name, i, pred, ds.Y[i], m.YLo, m.YHi)
+			}
+		}
+	}
+
+	zero := mkDataset(20, 1, 49, func(x []float64) float64 { return 0 })
+	zfz, err := NewFeaturizer(zero, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := zfz.Fit(linSpec(1, Linear), Options{}); !errors.Is(err, ErrBadInput) {
+		t.Errorf("all-zero response fit: %v, want ErrBadInput", err)
+	}
+	if _, err := NewGramCache(zfz, Options{}); !errors.Is(err, ErrBadInput) {
+		t.Errorf("all-zero response Gram cache: %v, want ErrBadInput", err)
 	}
 }
 

@@ -3,8 +3,6 @@ package trace
 import (
 	"math"
 	"testing"
-
-	"hsmodel/internal/isa"
 )
 
 func TestAllShardsDeterministicIncludingBlends(t *testing.T) {
@@ -12,8 +10,8 @@ func TestAllShardsDeterministicIncludingBlends(t *testing.T) {
 	// ones: the blend decision and alpha come from the per-shard stream.
 	for _, app := range SPEC2006() {
 		for shard := 0; shard < 12; shard++ {
-			a := isa.Collect(app.ShardStream(shard, 3000), 0)
-			b := isa.Collect(app.ShardStream(shard, 3000), 0)
+			a := app.ShardTrace(shard, 3000)
+			b := app.ShardTrace(shard, 3000)
 			for i := range a {
 				if a[i] != b[i] {
 					t.Fatalf("%s shard %d: instruction %d differs", app.Name, shard, i)

@@ -1,4 +1,4 @@
-// Package trace synthesizes dynamic instruction streams that stand in for
+// Package trace synthesizes dynamic instruction traces that stand in for
 // the paper's Alpha-compiled SPEC2006 binaries running under gem5.
 //
 // The paper's methodology consumes only (a) microarchitecture-independent
@@ -9,8 +9,9 @@
 // (Section 2.1); and bwaves must be a genuine outlier (Section 4.5).
 // Generators are statistical machines with explicit knobs for exactly the
 // characteristics in Table 1, driven by deterministic per-shard random
-// streams so any shard can be regenerated independently and replayed across
-// architectures.
+// streams so any shard can be regenerated independently. App.ShardTrace
+// materializes a shard as one instruction slice, which the profiler and then
+// every simulated architecture walk.
 package trace
 
 import (
@@ -136,30 +137,12 @@ func (a *App) PhaseAt(idx int) (Phase, int) {
 	return a.Segments[len(a.Segments)-1].Phase, len(a.Segments) - 1
 }
 
-// ShardStream returns a deterministic stream of shardLen instructions for
-// shard shardIdx. The stream depends only on (App.Seed, shardIdx), so a
+// ShardTrace returns shard shardIdx's shardLen instructions in one
+// exact-size slice. The trace depends only on (App.Seed, shardIdx), so a
 // shard profiled once can be replayed bit-identically on every architecture
 // (Section 2.2's portability requirement).
-func (a *App) ShardStream(shardIdx, shardLen int) isa.Stream {
-	return a.shardGenerator(shardIdx, shardLen)
-}
-
-// ShardTrace returns shard shardIdx's shardLen instructions, the same ones
-// ShardStream yields, in one exact-size slice filled straight from the
-// generator.
 func (a *App) ShardTrace(shardIdx, shardLen int) []isa.Inst {
-	g := a.shardGenerator(shardIdx, shardLen)
-	insts := make([]isa.Inst, shardLen)
-	for i := range insts {
-		g.Next(&insts[i])
-	}
-	return insts
-}
-
-// shardGenerator builds the generator behind ShardStream and ShardTrace.
-func (a *App) shardGenerator(shardIdx, shardLen int) *generator {
-	start := shardIdx * shardLen
-	phase, segIdx := a.PhaseAt(start)
+	phase, segIdx := a.PhaseAt(shardIdx * shardLen)
 	src := rng.New(a.Seed).Fork(uint64(shardIdx))
 	// Transition shards: program phases do not switch on shard boundaries,
 	// so some shards straddle two phases. Blending populates the software
@@ -169,8 +152,17 @@ func (a *App) shardGenerator(shardIdx, shardLen int) *generator {
 		other := a.Segments[src.Intn(len(a.Segments))].Phase
 		phase = blendPhase(phase, other, 0.5*src.Float64())
 	}
-	jittered := jitterPhase(phase, src)
-	return newGenerator(jittered, src, uint64(a.Seed)<<20+uint64(segIdx), shardLen)
+	g := newGenerator(jitterPhase(phase, src), src, uint64(a.Seed)<<20+uint64(segIdx))
+	insts := make([]isa.Inst, shardLen)
+	for i := range insts {
+		g.fill(&insts[i])
+	}
+	return insts
+}
+
+// ShardStream returns ShardTrace's instructions as a SliceStream.
+func (a *App) ShardStream(shardIdx, shardLen int) *isa.SliceStream {
+	return &isa.SliceStream{Insts: a.ShardTrace(shardIdx, shardLen)}
 }
 
 // blendPhase linearly interpolates two phases by alpha (0 = pure a).
@@ -248,7 +240,6 @@ const occRingSize = 64
 type generator struct {
 	phase   Phase
 	src     *rng.Source
-	remain  int
 	idx     int64 // dynamic instruction index within the shard
 	codeOff uint64
 
@@ -341,8 +332,8 @@ func derivePredictability(p Phase) float64 {
 	return pred
 }
 
-func newGenerator(p Phase, src *rng.Source, codeSeed uint64, shardLen int) *generator {
-	g := &generator{phase: p, src: src, remain: shardLen}
+func newGenerator(p Phase, src *rng.Source, codeSeed uint64) *generator {
+	g := &generator{phase: p, src: src}
 	deriveHiddenKnobs(&g.phase)
 	// Distinct applications live in distinct code regions so i-cache
 	// behavior differs across apps sharing a simulated machine.
@@ -384,12 +375,8 @@ func maxInt(a, b int) int {
 	return b
 }
 
-// Next implements isa.Stream.
-func (g *generator) Next(in *isa.Inst) bool {
-	if g.remain <= 0 {
-		return false
-	}
-	g.remain--
+// fill writes the shard's next instruction into in.
+func (g *generator) fill(in *isa.Inst) {
 	*in = isa.Inst{}
 	in.PC = g.codeOff + g.curBlock*BlockBytes + g.pcInBlock
 
@@ -401,7 +388,6 @@ func (g *generator) Next(in *isa.Inst) bool {
 	g.advancePC(in)
 	g.recordProducer(in.Class)
 	g.idx++
-	return true
 }
 
 // emitBody produces a non-control instruction according to the phase mix.

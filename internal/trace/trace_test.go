@@ -10,8 +10,8 @@ import (
 
 func TestShardStreamDeterminism(t *testing.T) {
 	app := Astar()
-	a := isa.Collect(app.ShardStream(3, 5000), 0)
-	b := isa.Collect(app.ShardStream(3, 5000), 0)
+	a := app.ShardTrace(3, 5000)
+	b := app.ShardTrace(3, 5000)
 	if len(a) != 5000 || len(b) != 5000 {
 		t.Fatalf("shard lengths %d, %d", len(a), len(b))
 	}
@@ -24,8 +24,8 @@ func TestShardStreamDeterminism(t *testing.T) {
 
 func TestShardsDiffer(t *testing.T) {
 	app := Bzip2()
-	a := isa.Collect(app.ShardStream(0, 2000), 0)
-	b := isa.Collect(app.ShardStream(1, 2000), 0)
+	a := app.ShardTrace(0, 2000)
+	b := app.ShardTrace(1, 2000)
 	same := 0
 	for i := range a {
 		if a[i] == b[i] {
@@ -51,7 +51,7 @@ func classFractions(insts []isa.Inst) [isa.NumClasses]float64 {
 
 func TestMixMatchesPhaseWeights(t *testing.T) {
 	app := Hmmer()
-	insts := isa.Collect(app.ShardStream(0, 100_000), 0)
+	insts := app.ShardTrace(0, 100_000)
 	frac := classFractions(insts)
 	ph := app.Segments[0].Phase
 
@@ -79,7 +79,7 @@ func TestMixMatchesPhaseWeights(t *testing.T) {
 
 func TestBasicBlockStructure(t *testing.T) {
 	app := Sjeng()
-	insts := isa.Collect(app.ShardStream(2, 50_000), 0)
+	insts := app.ShardTrace(2, 50_000)
 	// Every BlockEnd instruction must be a branch and vice versa.
 	branches := 0
 	for i := range insts {
@@ -100,7 +100,7 @@ func TestBasicBlockStructure(t *testing.T) {
 
 func TestDependenceDistancesValid(t *testing.T) {
 	app := Omnetpp()
-	insts := isa.Collect(app.ShardStream(1, 30_000), 0)
+	insts := app.ShardTrace(1, 30_000)
 	for i := range insts {
 		for _, d := range []int32{insts[i].Dep1, insts[i].Dep2} {
 			if d < 0 || d > isa.MaxDepDistance {
@@ -115,7 +115,7 @@ func TestDependenceDistancesValid(t *testing.T) {
 
 func TestMemoryAddressesOnlyOnMemoryOps(t *testing.T) {
 	app := GemsFDTD()
-	insts := isa.Collect(app.ShardStream(0, 20_000), 0)
+	insts := app.ShardTrace(0, 20_000)
 	memOps := 0
 	for i := range insts {
 		if insts[i].Class.IsMemory() {
@@ -182,13 +182,13 @@ func TestVariantsChangeBehavior(t *testing.T) {
 		t.Error("variant must reseed")
 	}
 	// O3 lengthens dependence distances and basic blocks.
-	baseDeps := meanDepDistance(isa.Collect(base.ShardStream(0, 40_000), 0))
-	o3Deps := meanDepDistance(isa.Collect(o3.ShardStream(0, 40_000), 0))
+	baseDeps := meanDepDistance(base.ShardTrace(0, 40_000))
+	o3Deps := meanDepDistance(o3.ShardTrace(0, 40_000))
 	if o3Deps <= baseDeps {
 		t.Errorf("O3 dep distance %v should exceed base %v", o3Deps, baseDeps)
 	}
 	o1 := WithOpt(base, OptO1)
-	o1Deps := meanDepDistance(isa.Collect(o1.ShardStream(0, 40_000), 0))
+	o1Deps := meanDepDistance(o1.ShardTrace(0, 40_000))
 	if o1Deps >= baseDeps {
 		t.Errorf("O1 dep distance %v should be below base %v", o1Deps, baseDeps)
 	}
@@ -204,7 +204,7 @@ func TestVariantsChangeBehavior(t *testing.T) {
 // the bonus, and better than the same phase at the base level.
 func TestO3PredictabilityBuildsOnDerived(t *testing.T) {
 	generated := func(p Phase) float64 {
-		return newGenerator(p, rng.New(1), 0, 100).phase.Predictability
+		return newGenerator(p, rng.New(1), 0).phase.Predictability
 	}
 	for _, app := range SPEC2006() {
 		o3 := WithOpt(app, OptO3)
@@ -262,8 +262,8 @@ func TestInputVariantsScaleWorkingSet(t *testing.T) {
 func TestBwavesIsFPOutlier(t *testing.T) {
 	// The Figure 9 contrast: bwaves has far more FP and taken branches,
 	// fewer int/memory ops, than sjeng.
-	bw := classFractions(isa.Collect(Bwaves().ShardStream(0, 50_000), 0))
-	sj := classFractions(isa.Collect(Sjeng().ShardStream(0, 50_000), 0))
+	bw := classFractions(Bwaves().ShardTrace(0, 50_000))
+	sj := classFractions(Sjeng().ShardTrace(0, 50_000))
 	fpBW := bw[isa.FPALU] + bw[isa.FPMulDiv]
 	fpSJ := sj[isa.FPALU] + sj[isa.FPMulDiv]
 	if fpBW < 10*fpSJ {
@@ -273,35 +273,5 @@ func TestBwavesIsFPOutlier(t *testing.T) {
 	memSJ := sj[isa.Load] + sj[isa.Store]
 	if memBW >= memSJ {
 		t.Errorf("bwaves memory share %v should be below sjeng's %v", memBW, memSJ)
-	}
-}
-
-// TestShardTraceMatchesStream checks that ShardTrace fills exactly the
-// instructions ShardStream yields, over every SPEC2006 application's first
-// twelve shards, which include blended (transition) shards.
-func TestShardTraceMatchesStream(t *testing.T) {
-	const shardLen = 4000
-	blended := 0
-	for _, app := range SPEC2006() {
-		for shard := 0; shard < 12; shard++ {
-			if len(app.Segments) > 1 && rng.New(app.Seed).Fork(uint64(shard)).Bool(0.3) {
-				blended++
-			}
-			want := isa.Collect(app.ShardStream(shard, shardLen), 0)
-			got := app.ShardTrace(shard, shardLen)
-			if len(got) != len(want) || cap(got) != shardLen {
-				t.Fatalf("%s shard %d: len %d cap %d, want len %d cap %d",
-					app.Name, shard, len(got), cap(got), len(want), shardLen)
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("%s shard %d: instruction %d is %+v, stream gave %+v",
-						app.Name, shard, i, got[i], want[i])
-				}
-			}
-		}
-	}
-	if blended == 0 {
-		t.Fatal("no blended shard among those compared")
 	}
 }
