@@ -107,7 +107,11 @@ goldens:
 # a predict body, a batch body or a sample either decode to finite, validated
 # values or fail with an error, never panic. A crasher is written to the
 # package's testdata/fuzz/<target>/; checked in, it replays on every plain
-# `go test`. CI runs this after ci, not inside it. `go test -fuzz` with a name
+# `go test`. -fuzzminimizetime 1s caps the minimization of each new
+# interesting input (and of a crasher) at one second: at the default 60 s,
+# minimizing one multi-KB model file used up a target's whole 10 s, so the
+# model-loading targets ran a few dozen execs. CI runs this after ci, not
+# inside it. `go test -fuzz` with a name
 # that matches no target exits 0, so smoke-names checks the names in the
 # three lists below.
 CORE_FUZZ_TARGETS := FuzzLoadSnapshot FuzzLoadSnapshotPayload
@@ -115,9 +119,9 @@ RNG_FUZZ_TARGETS := FuzzSamplerTables
 WIRE_FUZZ_TARGETS := FuzzWireDecode
 
 fuzz-smoke:
-	for target in $(CORE_FUZZ_TARGETS); do $(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime 10s ./internal/core || exit 1; done
-	for target in $(RNG_FUZZ_TARGETS); do $(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime 10s ./internal/rng || exit 1; done
-	for target in $(WIRE_FUZZ_TARGETS); do $(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime 10s ./pkg/hsmodel || exit 1; done
+	for target in $(CORE_FUZZ_TARGETS); do $(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime 10s -fuzzminimizetime 1s ./internal/core || exit 1; done
+	for target in $(RNG_FUZZ_TARGETS); do $(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime 10s -fuzzminimizetime 1s ./internal/rng || exit 1; done
+	for target in $(WIRE_FUZZ_TARGETS); do $(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime 10s -fuzzminimizetime 1s ./pkg/hsmodel || exit 1; done
 
 # smoke-names fails when a name in GOLDEN_TESTS, CORE_FUZZ_TARGETS,
 # RNG_FUZZ_TARGETS or WIRE_FUZZ_TARGETS is not a test or fuzz target that

@@ -514,12 +514,12 @@ func BenchmarkGenerationFitness(b *testing.B) {
 }
 
 // BenchmarkModelPredict measures the spline family's regression predict,
-// the serving hot path's kernel, in scalar and batch form with allocation
-// accounting. The regression is the workspace search's best specification
-// refitted on the training rows, as the spline family fits its winner. One
-// warm-up call grows the caller-owned scratch to its high-water mark; after
-// that every prediction must report 0 allocs/op (the batch form
-// additionally answers all rows in a single contiguous matrix-vector sweep).
+// the serving hot path's kernel, on a batch of one row and on a batch of
+// every validation row, with allocation accounting. The regression is the
+// workspace search's best specification refitted on the training rows, as
+// the spline family fits its winner. One warm-up call grows the caller-owned
+// scratch to its high-water mark; after that every prediction must report 0
+// allocs/op.
 func BenchmarkModelPredict(b *testing.B) {
 	w := workspace()
 	m, err := w.Model()
@@ -540,13 +540,15 @@ func BenchmarkModelPredict(b *testing.B) {
 		rows[i] = s.Row()
 	}
 
-	b.Run("scalar", func(b *testing.B) {
+	b.Run("one-row", func(b *testing.B) {
 		var scratch regress.PredictScratch
-		model.PredictWith(&scratch, rows[0])
+		var out [1]float64
+		model.PredictBatchWith(&scratch, rows[:1], out[:])
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			model.PredictWith(&scratch, rows[i%len(rows)])
+			k := i % len(rows)
+			model.PredictBatchWith(&scratch, rows[k:k+1], out[:])
 		}
 	})
 	b.Run("batch", func(b *testing.B) {

@@ -168,7 +168,7 @@ func cmdTrain(ctx context.Context, args []string, stdout, stderr io.Writer) erro
 	if err := parseFlags(fs, args, stderr); err != nil {
 		return err
 	}
-	if err := atLeast("shardlen", *shardLen, 1); err != nil {
+	if err := errors.Join(atLeast("shardlen", *shardLen, 1), atLeast("pop", *pop, 1), atLeast("gens", *gens, 1)); err != nil {
 		return err
 	}
 

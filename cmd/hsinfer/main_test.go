@@ -25,9 +25,10 @@ import (
 // and predict -json: the model is reported trained with the fields the
 // server's model route reports for the same file, and the predicted CPI is
 // the snapshot's own answer, bit for bit. A -json failure writes an
-// ErrorResponse and returns the error. A shard flag with no trace behind it
-// is refused with exit 1. A train whose rungs both fail keeps the model
-// already at -out (trainKeepsLastGood).
+// ErrorResponse and returns the error. A shard flag with no trace behind
+// it, and a train -pop or -gens below 1, is refused with exit 1. A train
+// whose rungs both fail keeps the model already at -out
+// (trainKeepsLastGood).
 func TestRun(t *testing.T) {
 	ctx := context.Background()
 	path := filepath.Join(t.TempDir(), "model.json")
@@ -94,6 +95,8 @@ func TestRun(t *testing.T) {
 		{"predict", "-shard", "-1", "-model", path},
 		{"predict", "-shardlen", "0", "-model", path},
 		{"train", "-shardlen", "-5", "-samples", "6", "-pop", "6", "-gens", "2", "-out", refused},
+		{"train", "-pop", "0", "-samples", "6", "-shardlen", "2000", "-gens", "2", "-out", refused},
+		{"train", "-gens", "-1", "-samples", "6", "-shardlen", "2000", "-pop", "6", "-out", refused},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := exitCode(run(ctx, args, &stdout, &stderr), &stderr); code != 1 || !strings.Contains(stderr.String(), args[1]) {

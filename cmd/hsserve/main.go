@@ -99,8 +99,13 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 		}
 		return errBadFlag
 	}
-	if *shardLen < 1 {
-		return fmt.Errorf("-shardlen %d: want at least 1", *shardLen)
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"shardlen", *shardLen}, {"pop", *pop}, {"gens", *gens}} {
+		if f.v < 1 {
+			return fmt.Errorf("-%s %d: want at least 1", f.name, f.v)
+		}
 	}
 
 	logger := log.New(stderr, "hsserve: ", log.LstdFlags)

@@ -17,20 +17,23 @@ import (
 // ctx is cancelled. At 40 samples of one application the store has fewer
 // rows than the selection round's winning spec has design columns, so the
 // bootstrap serves the stepwise rung's model instead of exiting. An -apps
-// value outside 1..7 is an error, and so is a -shardlen below 1. An unknown flag is reported once on stderr
-// and exits 2; -h lists the flags and exits 0.
+// value outside 1..7 is an error, and so is a -shardlen, -pop or -gens
+// below 1. An unknown flag is reported once on stderr and exits 2; -h lists
+// the flags and exits 0.
 func TestRun(t *testing.T) {
 	for _, apps := range []string{"0", "8"} {
 		if err := run(context.Background(), []string{"-bootstrap", "-apps", apps}, io.Discard); err == nil {
 			t.Errorf("-apps %s: run returned nil, want an error", apps)
 		}
 	}
-	// The cancelled context makes a run that accepted -shardlen 0 drain at
-	// once and return nil rather than serve.
+	// The cancelled context makes a run that accepted a size below 1 drain
+	// at once and return nil rather than serve.
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := run(cancelled, []string{"-addr", "127.0.0.1:0", "-shardlen", "0"}, io.Discard); err == nil || !strings.Contains(err.Error(), "-shardlen") {
-		t.Errorf("-shardlen 0: run returned %v, want an error naming -shardlen", err)
+	for _, args := range [][]string{{"-shardlen", "0"}, {"-pop", "0"}, {"-gens", "-2"}} {
+		if err := run(cancelled, append([]string{"-addr", "127.0.0.1:0"}, args...), io.Discard); err == nil || !strings.Contains(err.Error(), args[0]) {
+			t.Errorf("%s %s: run returned %v, want an error naming %s", args[0], args[1], err, args[0])
+		}
 	}
 	var stderr strings.Builder
 	if code := exitCode(run(context.Background(), []string{"-bogus"}, &stderr), &stderr); code != 2 {

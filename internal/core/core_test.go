@@ -272,13 +272,14 @@ func TestPredictShardAndApplication(t *testing.T) {
 	if err != nil || app <= 0 {
 		t.Fatalf("PredictApplication = %v, %v", app, err)
 	}
-	// Application CPI is the mean of shard predictions.
+	// Application CPI is the mean of shard predictions, summed in shard
+	// order, each shard answered alone.
 	var sum float64
 	for _, x := range []profile.Characteristics{valid[0].X, valid[1].X, valid[2].X} {
 		p, _ := m.PredictShard(x, hw)
 		sum += p
 	}
-	if diff := app - sum/3; diff > 1e-12 || diff < -1e-12 {
+	if math.Float64bits(app) != math.Float64bits(sum/3) {
 		t.Errorf("application aggregation wrong: %v vs %v", app, sum/3)
 	}
 }

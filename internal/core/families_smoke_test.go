@@ -57,8 +57,13 @@ func TestFamiliesSmoke(t *testing.T) {
 	t.Logf("winner %s; scores %v", sel.Winner, sel.Scores)
 
 	// The winner must predict finite values over the whole domain dataset.
-	for i := 0; i < ds.NumRows(); i++ {
-		p := sel.Model.Predict(ds.X.Row(i))
+	rows := make([][]float64, ds.NumRows())
+	for i := range rows {
+		rows[i] = ds.X.Row(i)
+	}
+	pred := make([]float64, len(rows))
+	sel.Model.PredictBatch(rows, pred)
+	for i, p := range pred {
 		if p <= 0 || math.IsNaN(p) {
 			t.Fatalf("row %d: winner predicts %v for a positive MFlops response", i, p)
 		}

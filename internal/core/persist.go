@@ -84,10 +84,9 @@ func payloadChecksum(payload json.RawMessage) (string, error) {
 	return hex.EncodeToString(sum[:]), nil
 }
 
-// Save serializes the snapshot to path as indented JSON. The write is
-// crash-safe: data goes to a temp file in the same directory, is synced, and
-// is renamed over path, so a crash mid-save leaves either the old model or
-// the new one — never a torn file.
+// Save serializes the snapshot to path as indented JSON through
+// WriteFileAtomic, so a crash mid-save leaves either the old model or the
+// new one — never a torn file.
 func (s *Snapshot) Save(path string) error {
 	if !s.Trained() {
 		return errors.New("core: Save before Train")
@@ -113,29 +112,36 @@ func (s *Snapshot) Save(path string) error {
 	if err != nil {
 		return fmt.Errorf("core: encoding model: %w", err)
 	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("core: saving model: %w", err)
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return fmt.Errorf("core: saving model: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("core: saving model: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("core: saving model: %w", err)
-	}
-	if err := os.Chmod(tmp.Name(), 0o644); err != nil {
-		return fmt.Errorf("core: saving model: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
+	if err := WriteFileAtomic(path, data); err != nil {
 		return fmt.Errorf("core: saving model: %w", err)
 	}
 	return nil
+}
+
+// WriteFileAtomic replaces path with data crash-safely: data goes to a
+// fresh temp file beside path, is synced to stable storage, made
+// world-readable (0644) and renamed over path, so a reader or a crash sees
+// the old file or the new one, never a torn one.
+func WriteFileAtomic(path string, data []byte) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
+	if err != nil {
+		return err
+	}
+	defer os.Remove(tmp.Name()) // no-op after a successful rename
+	_, err = tmp.Write(data)
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Chmod(tmp.Name(), 0o644)
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	return err
 }
 
 // LoadSnapshot reads a snapshot saved by Save, verifying format version,

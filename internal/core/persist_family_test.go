@@ -195,9 +195,9 @@ func familyFits(t testing.TB) (map[string]*Snapshot, []Sample) {
 
 // TestFamilyPayloadRoundTrip: for every built-in family, a fitted model's
 // Payload loads back through the family's Load into a model with the same
-// description and payload, and Predict, PredictBatch and the loaded model's
-// Predict and PredictBatch agree bit for bit on held-out rows — the batch
-// contract of DESIGN §13.2, which the serving batcher relies on.
+// description and payload, and on held-out rows both models answer a row
+// alone bit for bit as they answer it inside a batch of all of them — the
+// batch contract of DESIGN §13.2, which the serving batcher relies on.
 func TestFamilyPayloadRoundTrip(t *testing.T) {
 	snaps, samples := familyFits(t)
 	rows := make([][]float64, len(samples))
@@ -238,21 +238,23 @@ func TestFamilyPayloadRoundTrip(t *testing.T) {
 			m.PredictBatch(rows, batch)
 			loadedBatch := make([]float64, len(rows))
 			loaded.PredictBatch(rows, loadedBatch)
-			for i, row := range rows {
-				want := m.Predict(row)
+			for i, want := range batch {
 				if math.IsNaN(want) || math.IsInf(want, 0) {
 					t.Fatalf("row %d: prediction %v", i, want)
 				}
+				var alone, loadedAlone [1]float64
+				m.PredictBatch(rows[i:i+1], alone[:])
+				loaded.PredictBatch(rows[i:i+1], loadedAlone[:])
 				for _, got := range []struct {
 					path string
 					v    float64
 				}{
-					{"PredictBatch", batch[i]},
-					{"loaded Predict", loaded.Predict(row)},
-					{"loaded PredictBatch", loadedBatch[i]},
+					{"answered alone", alone[0]},
+					{"loaded, answered alone", loadedAlone[0]},
+					{"loaded, inside the batch", loadedBatch[i]},
 				} {
 					if math.Float64bits(got.v) != math.Float64bits(want) {
-						t.Fatalf("row %d: %s %v, Predict %v", i, got.path, got.v, want)
+						t.Fatalf("row %d: %s %v, inside the batch %v", i, got.path, got.v, want)
 					}
 				}
 			}
@@ -286,15 +288,19 @@ func TestLoadFamilyRungAsGenetic(t *testing.T) {
 }
 
 // TestEvaluateOnMatchesPredict: for every built-in family, EvaluateOn's
-// metrics are bit for bit those of per-row Predict on the same samples.
+// metrics, predicted in one batch, are bit for bit those of PredictShard
+// answering each sample alone.
 func TestEvaluateOnMatchesPredict(t *testing.T) {
 	snaps, samples := familyFits(t)
 	ds := ToDataset(samples)
 	for _, name := range []string{"spline", "residual", "dal"} {
 		snap := snaps[name]
-		pred := make([]float64, ds.NumRows())
-		for i := range pred {
-			pred[i] = snap.fam.Predict(ds.X.Row(i))
+		pred := make([]float64, len(samples))
+		for i, s := range samples {
+			var err error
+			if pred[i], err = snap.PredictShard(s.X, s.HW); err != nil {
+				t.Fatal(err)
+			}
 		}
 		want := regress.Assess(pred, ds.Y)
 		got, err := snap.EvaluateOn(samples)
@@ -304,7 +310,7 @@ func TestEvaluateOnMatchesPredict(t *testing.T) {
 		for _, c := range [][2]float64{{got.MedAPE, want.MedAPE}, {got.MeanAPE, want.MeanAPE},
 			{got.Pearson, want.Pearson}, {got.Spearman, want.Spearman}, {got.R2, want.R2}} {
 			if math.Float64bits(c[0]) != math.Float64bits(c[1]) || got.N != want.N {
-				t.Fatalf("%s: EvaluateOn %+v, per-row Predict %+v", name, got, want)
+				t.Fatalf("%s: EvaluateOn %+v, per-sample PredictShard %+v", name, got, want)
 			}
 		}
 	}

@@ -16,8 +16,8 @@ var modelSentinels = []error{ErrModelCorrupt, ErrModelVersion, ErrModelIncomplet
 	ErrModelChecksum, ErrModelFamily}
 
 // loadOrPredictFinite loads path and fails t unless the load fails with one
-// of modelSentinels or the snapshot predicts finite values on rows, one at a
-// time and as one batch.
+// of modelSentinels or the snapshot predicts finite values on rows as one
+// batch, each row with the bits it gets answered alone.
 func loadOrPredictFinite(t *testing.T, path string, rows []Sample) {
 	t.Helper()
 	s, err := LoadSnapshot(path)
@@ -31,10 +31,6 @@ func loadOrPredictFinite(t *testing.T, path string, rows []Sample) {
 	}
 	batch := make([][]float64, len(rows))
 	for i, r := range rows {
-		y, err := s.PredictShard(r.X, r.HW)
-		if err != nil || math.IsNaN(y) || math.IsInf(y, 0) {
-			t.Fatalf("loaded snapshot predicts %v (err %v) on a seed row", y, err)
-		}
 		batch[i] = r.Row()
 	}
 	out := make([]float64, len(rows))
@@ -44,6 +40,10 @@ func loadOrPredictFinite(t *testing.T, path string, rows []Sample) {
 	for i, y := range out {
 		if math.IsNaN(y) || math.IsInf(y, 0) {
 			t.Fatalf("loaded snapshot batch-predicts %v on seed row %d", y, i)
+		}
+		alone, err := s.PredictShard(rows[i].X, rows[i].HW)
+		if err != nil || math.Float64bits(alone) != math.Float64bits(y) {
+			t.Fatalf("seed row %d: answered alone %v (err %v), inside the batch %v", i, alone, err, y)
 		}
 	}
 }

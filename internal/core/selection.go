@@ -83,6 +83,14 @@ func runSelection(ctx context.Context, fams []family.Family, in family.FitInput)
 	}
 	var cands []candidate
 	var errs []error
+	// Every family predicts the same validation rows, in family.ValOrder, as
+	// one batch.
+	order := family.ValOrder(in.ValRows, in.Dataset.NumRows())
+	rows := make([][]float64, len(order))
+	for k, r := range order {
+		rows[k] = in.Dataset.X.Row(r)
+	}
+	pred := make([]float64, len(order))
 	for _, f := range fams {
 		if err := ctx.Err(); err != nil {
 			return sel, cancelled(err)
@@ -102,8 +110,8 @@ func runSelection(ctx context.Context, fams []family.Family, in family.FitInput)
 			errs = append(errs, ferr)
 			continue
 		}
-		predict := func(r int) float64 { return out.Model.Predict(in.Dataset.X.Row(r)) }
-		score := family.ValScore(predict, in.Dataset.Y, in.ValRows)
+		out.Model.PredictBatch(rows, pred)
+		score := family.ValScore(pred, in.Dataset.Y, in.ValRows)
 		sel.Scores[f.Name()] = score
 		cands = append(cands, candidate{name: f.Name(), model: out.Model, score: score})
 	}

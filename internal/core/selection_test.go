@@ -25,7 +25,6 @@ type constModel struct {
 	val float64
 }
 
-func (m constModel) Predict([]float64) float64 { return m.val }
 func (m constModel) PredictBatch(rows [][]float64, out []float64) {
 	for i := range rows {
 		out[i] = m.val
@@ -423,8 +422,14 @@ func TestSelectionRoundGolden(t *testing.T) {
 		put(sel.Scores[name])
 	}
 	fmt.Fprintf(h, "winner %s|", sel.Winner)
-	for i := 0; i < held.NumRows(); i++ {
-		put(sel.Model.Predict(held.X.Row(i)))
+	heldRows := make([][]float64, held.NumRows())
+	for i := range heldRows {
+		heldRows[i] = held.X.Row(i)
+	}
+	heldPred := make([]float64, len(heldRows))
+	sel.Model.PredictBatch(heldRows, heldPred)
+	for _, p := range heldPred {
+		put(p)
 	}
 	const want = "8e4e14db59c10df46fd283141b37044a75abbd6b08954e2c8a9ee00990098ffd"
 	if got := hex.EncodeToString(h.Sum(nil)); got != want {

@@ -95,19 +95,18 @@ func (s *Snapshot) Rung() Rung { return s.rung }
 func (s *Snapshot) TrainedRows() int { return s.trainedRows }
 
 // PredictShard predicts the CPI of a shard with characteristics x on
-// hardware hw. Safe on a nil snapshot (returns ErrNotTrained).
+// hardware hw, as a batch of one. Safe on a nil snapshot (returns
+// ErrNotTrained).
 func (s *Snapshot) PredictShard(x profile.Characteristics, hw hwspace.Config) (float64, error) {
-	if s == nil || s.fam == nil {
-		return 0, ErrNotTrained
-	}
-	return s.fam.Predict(Sample{X: x, HW: hw}.Row()), nil
+	var out [1]float64
+	err := s.PredictBatch([][]float64{Sample{X: x, HW: hw}.Row()}, out[:])
+	return out[0], err
 }
 
 // PredictBatch predicts every raw row of rows into out (out[i] answers
 // rows[i]; len(out) must be at least len(rows)) through the family's batch
-// kernel. Results are Float64bits-identical to per-row PredictShard — the
-// batch path amortizes buffers and dispatch, never the arithmetic. Safe on a
-// nil snapshot (returns ErrNotTrained).
+// kernel, the one predict path of every snapshot. Safe on a nil snapshot
+// (returns ErrNotTrained).
 //
 //hslint:hotpath
 func (s *Snapshot) PredictBatch(rows [][]float64, out []float64) error {
@@ -118,31 +117,32 @@ func (s *Snapshot) PredictBatch(rows [][]float64, out []float64) error {
 	return nil
 }
 
-// PredictApplication predicts whole-application CPI on hw by predicting each
-// constituent shard and aggregating (shards have equal instruction counts,
-// so application CPI is the mean of shard CPIs). "A few inaccurate shard
-// predictions have a small effect on the end-to-end prediction." The
-// trained check is hoisted out of the per-shard loop and one row buffer is
-// reused across shards.
+// PredictApplication predicts whole-application CPI on hw by predicting
+// every constituent shard in one batch and aggregating (shards have equal
+// instruction counts, so application CPI is the mean of shard CPIs, summed
+// in shard order). "A few inaccurate shard predictions have a small effect
+// on the end-to-end prediction."
 func (s *Snapshot) PredictApplication(shards []profile.Characteristics, hw hwspace.Config) (float64, error) {
 	if len(shards) == 0 {
 		return 0, errors.New("core: no shards to predict")
 	}
-	if s == nil || s.fam == nil {
-		return 0, ErrNotTrained
+	rows := make([][]float64, len(shards))
+	for i, x := range shards {
+		rows[i] = Sample{X: x, HW: hw}.Row()
 	}
-	row := make([]float64, NumVars)
+	pred := make([]float64, len(shards))
+	if err := s.PredictBatch(rows, pred); err != nil {
+		return 0, err
+	}
 	var sum float64
-	for _, x := range shards {
-		Sample{X: x, HW: hw}.RowInto(row)
-		sum += s.fam.Predict(row)
+	for _, v := range pred {
+		sum += v
 	}
 	return sum / float64(len(shards)), nil
 }
 
-// EvaluateOn measures model accuracy on held-out samples through the
-// family's batch kernel, whose predictions are Float64bits-identical to
-// per-row Predict for every family.
+// EvaluateOn measures model accuracy on held-out samples, predicted in one
+// batch.
 func (s *Snapshot) EvaluateOn(samples []Sample) (regress.Metrics, error) {
 	if s == nil || s.fam == nil {
 		return regress.Metrics{}, ErrNotTrained

@@ -252,7 +252,7 @@ type evaluator struct {
 	gc      *regress.GramCache
 	ds      *regress.Dataset
 	valRows [][]int // validation rows per app, in ascending app ID order
-	allVal  []int   // concatenation of valRows, for batched design gather
+	allVal  []int   // family.ValOrder of valRows, for batched design gather
 	weights []float64
 
 	seed        uint64 // FitnessConfig.Seed the splits were drawn from
@@ -299,8 +299,8 @@ func newEvaluator(ds *regress.Dataset, fc FitnessConfig, stabilize, logResponse 
 		}
 		sort.Ints(val)
 		ev.valRows = append(ev.valRows, val)
-		ev.allVal = append(ev.allVal, val...)
 	}
+	ev.allVal = family.ValOrder(ev.valRows, ds.NumRows())
 
 	// The Gram layer bakes the response transform and split weights into its
 	// cached cross-products. It fails (a non-positive CPI under LogResponse)
@@ -340,14 +340,12 @@ func (ev *evaluator) Fitness(spec regress.Spec) float64 {
 		return family.FailedFit
 	}
 	// One gathered design over every validation row (their weight in the fit
-	// is 0, but the cached basis columns are unweighted), predicted in bulk
-	// into a row-indexed slice for the score.
+	// is 0, but the cached basis columns are unweighted), predicted in one
+	// batch.
 	valDesign := ev.fz.DesignRows(spec, ev.allVal)
-	pred := make([]float64, ev.ds.NumRows())
-	for k, r := range ev.allVal {
-		pred[r] = model.PredictDesignRow(valDesign.Row(k))
-	}
-	score := family.ValScore(func(r int) float64 { return pred[r] }, ev.ds.Y, ev.valRows)
+	pred := make([]float64, valDesign.Rows)
+	model.PredictDesign(valDesign, pred)
+	score := family.ValScore(pred, ev.ds.Y, ev.valRows)
 	return score + family.TermPenalty*float64(len(model.Coef))
 }
 

@@ -123,12 +123,13 @@ func fitLocal(ctx context.Context, in family.FitInput, rows []int) (*regress.Mod
 	if len(valLocal) > 0 {
 		split = [][]int{valLocal}
 	}
+	val := sub.Subset(family.ValOrder(split, len(rows)))
 	eval := genetic.EvaluatorFunc(func(spec regress.Spec) float64 {
 		m, err := fz.Fit(spec, regress.Options{LogResponse: in.LogResponse, Weights: weights})
 		if err != nil {
 			return family.FailedFit
 		}
-		score := family.ValScore(func(r int) float64 { return m.Predict(sub.X.Row(r)) }, sub.Y, split)
+		score := family.ValScore(m.PredictAll(val), sub.Y, split)
 		return score + family.TermPenalty*float64(len(m.Coef))
 	})
 	model, _, err := spline.FitStepwise(ctx, family.FitInput{
@@ -323,15 +324,11 @@ type dispatchScratch struct {
 	rs     regress.PredictScratch
 }
 
-func (s *dispatchScratch) ensure(numVars int) {
+func (s *dispatchScratch) ensure(numVars, n int) {
 	if cap(s.z) < numVars {
 		s.z = make([]float64, numVars)
 	}
 	s.z = s.z[:numVars]
-}
-
-func (s *dispatchScratch) ensureBatch(numVars, n int) {
-	s.ensure(numVars)
 	if cap(s.assign) < n {
 		s.assign = make([]int, n)
 		s.idx = make([]int, n)
@@ -363,34 +360,17 @@ func (m *Model) nearest(z []float64) int {
 	return best
 }
 
-// Predict implements family.Model: standardize, dispatch to the nearest
-// cluster's local model, fall through to the pooled model for thin regions.
-//
-//hslint:hotpath
-func (m *Model) Predict(raw []float64) float64 {
-	s := m.getScratch()
-	s.ensure(len(m.scale.Means))
-	m.scale.apply(raw, s.z)
-	target := m.locals[m.nearest(s.z)]
-	if target == nil {
-		target = m.pooled
-	}
-	v := target.PredictWith(&s.rs, raw)
-	m.scratch.Put(s)
-	return v
-}
-
-// PredictBatch implements family.Model: centroid dispatch is amortized
-// across the batch — every row is assigned first, then each dispatch target
-// (each fitted local model, plus the pooled fallback for thin regions)
-// answers its rows in one batched sweep, scattered back to the caller's
-// slots. Each row is answered by exactly the model Predict would pick, so
-// results are bit-identical to the scalar path.
+// PredictBatch implements family.Model: standardize each row, dispatch it to
+// the nearest cluster's local model, and fall through to the pooled model
+// for thin regions. Every row is assigned first, then each dispatch target
+// (each fitted local model, plus the pooled fallback) answers its rows in one
+// batched sweep, scattered back to the caller's slots. A row's target
+// depends on that row alone, so its answer does not depend on the batch.
 //
 //hslint:hotpath
 func (m *Model) PredictBatch(rows [][]float64, out []float64) {
 	s := m.getScratch()
-	s.ensureBatch(len(m.scale.Means), len(rows))
+	s.ensure(len(m.scale.Means), len(rows))
 	for i, raw := range rows {
 		m.scale.apply(raw, s.z)
 		s.assign[i] = m.nearest(s.z)

@@ -46,40 +46,55 @@ const FailedFit = 1e6
 
 // ValScore is the per-application fitness of Section 3.3, the one score
 // every search in the tree ranks candidates by: the mean over groups of the
-// median absolute percentage error of predict on the group's validation
-// rows. predict(r) answers row r of the dataset whose responses are y, and
-// valRows lists each application's validation rows (FitInput.ValRows). An
-// empty group is skipped; no split (empty valRows) scores every row as one
-// group; a split whose groups are all empty scores FailedFit. Searches over
+// median absolute percentage error of the predictions on the group's
+// validation rows. y holds the dataset's responses, valRows lists each
+// application's validation rows (FitInput.ValRows), and pred holds one
+// prediction per row of ValOrder(valRows, len(y)), in that order. An empty
+// group is skipped; no split (empty valRows) scores every row as one group; a
+// split whose groups are all empty scores FailedFit. Searches over
 // specifications add TermPenalty per fitted coefficient on top; the
 // cross-family selection round does not.
-func ValScore(predict func(row int) float64, y []float64, valRows [][]int) float64 {
+func ValScore(pred, y []float64, valRows [][]int) float64 {
 	if len(valRows) == 0 {
-		all := make([]int, len(y))
-		for i := range all {
-			all[i] = i
-		}
-		valRows = [][]int{all}
+		valRows = [][]int{ValOrder(nil, len(y))}
 	}
 	var sum float64
-	n := 0
+	n, off := 0, 0
 	for _, val := range valRows {
 		if len(val) == 0 {
 			continue
 		}
-		pred := make([]float64, len(val))
 		truth := make([]float64, len(val))
 		for k, r := range val {
-			pred[k] = predict(r)
 			truth[k] = y[r]
 		}
-		sum += stats.MedianAbsPctError(pred, truth)
+		sum += stats.MedianAbsPctError(pred[off:off+len(val)], truth)
+		off += len(val)
 		n++
 	}
 	if n == 0 {
 		return FailedFit
 	}
 	return sum / float64(n)
+}
+
+// ValOrder lists the rows ValScore reads predictions for, in its order: each
+// group of valRows in turn, or all n rows of the dataset when there is no
+// split. A scorer predicts these rows in one batch and hands the result to
+// ValScore.
+func ValOrder(valRows [][]int, n int) []int {
+	if len(valRows) == 0 {
+		all := make([]int, n)
+		for i := range all {
+			all[i] = i
+		}
+		return all
+	}
+	var order []int
+	for _, val := range valRows {
+		order = append(order, val...)
+	}
+	return order
 }
 
 // holdOutStride puts every holdOutStride-th row of a HoldOutEvaluator's
@@ -104,13 +119,13 @@ func HoldOutEvaluator(ds *regress.Dataset, prep *regress.Prep) (genetic.Evaluato
 	if err != nil {
 		return nil, err
 	}
-	split := [][]int{valRows}
+	val := ds.Subset(valRows)
 	return genetic.EvaluatorFunc(func(spec regress.Spec) float64 {
 		m, err := fz.Fit(spec, regress.Options{LogResponse: true})
 		if err != nil {
 			return FailedFit
 		}
-		return ValScore(func(r int) float64 { return m.Predict(ds.X.Row(r)) }, ds.Y, split)
+		return ValScore(m.PredictAll(val), val.Y, nil)
 	}), nil
 }
 
@@ -119,16 +134,14 @@ func HoldOutEvaluator(ds *regress.Dataset, prep *regress.Prep) (genetic.Evaluato
 // safe for unsynchronized concurrent use — a Model is served lock-free from
 // the core Snapshot.
 type Model interface {
-	// Predict returns the response prediction for one raw variable row
-	// (the same row layout the family was fitted on).
-	Predict(raw []float64) float64
-	// PredictBatch predicts every row of rows into out: out[i] answers
-	// rows[i], and len(out) must be at least len(rows). Implementations
-	// amortize per-call work (scratch buffers, dispatch) across the batch
-	// but must produce Float64bits-identical results to calling Predict on
-	// each row — batching is a throughput optimization, never an arithmetic
-	// change. Implementations allocate nothing in steady state (internal
-	// scratch is pooled) and are safe for concurrent use like Predict.
+	// PredictBatch predicts every raw variable row of rows (the row layout
+	// the family was fitted on) into out: out[i] answers rows[i], and
+	// len(out) must be at least len(rows). It is the model's only predict
+	// method; one prediction is a batch of one. Implementations amortize
+	// per-call work (scratch buffers, dispatch) across the batch, but a row's
+	// answer must not depend on the other rows in its batch: it is
+	// Float64bits-identical to the same row answered alone. Implementations
+	// allocate nothing in steady state (internal scratch is pooled).
 	PredictBatch(rows [][]float64, out []float64)
 	// Describe reports human-readable provenance for CLIs and the model route.
 	Describe() Description

@@ -15,7 +15,14 @@ import (
 func TestValScoreEdgeRules(t *testing.T) {
 	y := []float64{1, 2, 4, 8, 10, 20}
 	pred := []float64{1.1, 2, 3, 8, 12, 19}
-	predict := func(r int) float64 { return pred[r] }
+	// score hands ValScore the predictions of split's rows in ValOrder.
+	score := func(split [][]int) float64 {
+		var p []float64
+		for _, r := range ValOrder(split, len(y)) {
+			p = append(p, pred[r])
+		}
+		return ValScore(p, y, split)
+	}
 	medape := func(rows ...int) float64 {
 		var p, tr []float64
 		for _, r := range rows {
@@ -25,23 +32,23 @@ func TestValScoreEdgeRules(t *testing.T) {
 		return stats.MedianAbsPctError(p, tr)
 	}
 
-	two := ValScore(predict, y, [][]int{{0, 1, 2}, {3, 4, 5}})
+	two := score([][]int{{0, 1, 2}, {3, 4, 5}})
 	if want := (medape(0, 1, 2) + medape(3, 4, 5)) / 2; math.Float64bits(two) != math.Float64bits(want) {
 		t.Errorf("two groups: %v, want their mean %v", two, want)
 	}
-	withEmpty := ValScore(predict, y, [][]int{{0, 1, 2}, {}, {3, 4, 5}})
+	withEmpty := score([][]int{{0, 1, 2}, {}, {3, 4, 5}})
 	if math.Float64bits(withEmpty) != math.Float64bits(two) {
 		t.Errorf("an empty group changed the score: %v, want %v", withEmpty, two)
 	}
 
 	all := medape(0, 1, 2, 3, 4, 5)
 	for name, split := range map[string][][]int{"nil": nil, "empty": {}} {
-		if got := ValScore(predict, y, split); math.Float64bits(got) != math.Float64bits(all) {
+		if got := score(split); math.Float64bits(got) != math.Float64bits(all) {
 			t.Errorf("no split (%s): %v, want every row as one group %v", name, got, all)
 		}
 	}
 
-	if got := ValScore(predict, y, [][]int{{}, {}}); got != FailedFit {
+	if got := score([][]int{{}, {}}); got != FailedFit {
 		t.Errorf("all groups empty: %v, want FailedFit", got)
 	}
 }

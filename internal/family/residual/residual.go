@@ -108,12 +108,17 @@ func (*Family) Fit(ctx context.Context, in family.FitInput) (family.FitOutput, e
 	// The correction search scores the combined prediction p·m on the
 	// caller's validation rows, so family-internal model selection agrees
 	// with the harness's cross-family scoring data.
+	order := family.ValOrder(in.ValRows, n)
+	val := ds.Subset(order)
 	eval := genetic.EvaluatorFunc(func(spec regress.Spec) float64 {
 		m, err := fz.Fit(spec, regress.Options{LogResponse: true, Weights: in.Weights})
 		if err != nil {
 			return family.FailedFit
 		}
-		combined := func(r int) float64 { return priors[r] * m.Predict(ds.X.Row(r)) }
+		combined := m.PredictAll(val)
+		for k, r := range order {
+			combined[k] = priors[r] * combined[k]
+		}
 		score := family.ValScore(combined, ds.Y, in.ValRows)
 		return score + family.TermPenalty*float64(len(m.Coef))
 	})
@@ -189,20 +194,9 @@ func (m *Model) getScratch() *regress.PredictScratch {
 	return &regress.PredictScratch{}
 }
 
-// Predict implements family.Model.
-//
-//hslint:hotpath
-func (m *Model) Predict(raw []float64) float64 {
-	s := m.getScratch()
-	v := m.prior.F(raw) * m.corr.PredictWith(s, raw)
-	m.scratch.Put(s)
-	return m.clamp(v)
-}
-
 // PredictBatch implements family.Model: the correction sweeps the batch
 // through its fused kernel, then each slot is multiplied by the analytical
-// prior and clamped. Same two factors as Predict, one multiply, one clamp —
-// bit-identical.
+// prior and clamped.
 //
 //hslint:hotpath
 func (m *Model) PredictBatch(rows [][]float64, out []float64) {

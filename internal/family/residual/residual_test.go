@@ -15,9 +15,9 @@ import (
 )
 
 // TestPredictBitsAndPayloadRoundTrip fits the family (the analytical prior times a fitted spline correction) on a small
-// collected store, then checks on held-out rows that PredictBatch answers
-// Predict's bits and that the model Load rebuilds from Payload answers the
-// same bits too.
+// collected store, then checks on held-out rows that a row answered inside
+// a batch of all of them has the bits it has answered alone, and that the
+// model Load rebuilds from Payload answers the same bits too.
 func TestPredictBitsAndPayloadRoundTrip(t *testing.T) {
 	col := &core.Collector{ShardLen: 20_000, ShardPool: 12}
 	apps := []*trace.App{trace.Bzip2(), trace.Hmmer(), trace.Sjeng()}
@@ -55,16 +55,19 @@ func TestPredictBitsAndPayloadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, row := range rows {
-		want := out.Model.Predict(row)
+	reloaded := make([]float64, len(rows))
+	loaded.PredictBatch(rows, reloaded)
+	for i, want := range batch {
 		if math.IsNaN(want) || math.IsInf(want, 0) {
 			t.Fatalf("row %d: prediction %v, want finite", i, want)
 		}
-		if math.Float64bits(batch[i]) != math.Float64bits(want) {
-			t.Errorf("row %d: PredictBatch %v, Predict %v", i, batch[i], want)
+		var alone [1]float64
+		out.Model.PredictBatch(rows[i:i+1], alone[:])
+		if math.Float64bits(alone[0]) != math.Float64bits(want) {
+			t.Errorf("row %d: answered alone %v, inside a batch of %d %v", i, alone[0], len(rows), want)
 		}
-		if got := loaded.Predict(row); math.Float64bits(got) != math.Float64bits(want) {
-			t.Errorf("row %d: reloaded model predicts %v, fitted model %v", i, got, want)
+		if math.Float64bits(reloaded[i]) != math.Float64bits(want) {
+			t.Errorf("row %d: reloaded model predicts %v, fitted model %v", i, reloaded[i], want)
 		}
 	}
 	if got, want := loaded.Describe(), out.Model.Describe(); got != want {

@@ -81,8 +81,8 @@ func (*Family) Load(payload json.RawMessage, numVars int) (family.Model, error) 
 }
 
 // Model wraps a fitted spline regression as a family.Model. The embedded
-// scratch pool makes both predict forms allocation-free in steady state; it
-// is per-fitted-model, so pooled buffers are always sized for this model.
+// scratch pool makes PredictBatch allocation-free in steady state; it is
+// per-fitted-model, so pooled buffers are always sized for this model.
 type Model struct {
 	model   *regress.Model
 	scratch sync.Pool // *regress.PredictScratch
@@ -101,19 +101,9 @@ func (m *Model) getScratch() *regress.PredictScratch {
 	return &regress.PredictScratch{}
 }
 
-// Predict implements family.Model.
-//
-//hslint:hotpath
-func (m *Model) Predict(raw []float64) float64 {
-	s := m.getScratch()
-	v := m.model.PredictWith(s, raw)
-	m.scratch.Put(s)
-	return v
-}
-
 // PredictBatch implements family.Model: one fused design expansion per row
 // into the scratch's contiguous buffer, one matrix-vector sweep for the whole
-// batch. Bit-identical to per-row Predict.
+// batch.
 //
 //hslint:hotpath
 func (m *Model) PredictBatch(rows [][]float64, out []float64) {

@@ -161,14 +161,16 @@ func TestFeaturizerDesignRows(t *testing.T) {
 			}
 		}
 	}
-	// PredictDesignRow over gathered rows must match raw-row prediction.
+	// PredictDesign over the gathered rows must match raw-row prediction.
 	m, err := fz.Fit(spec, Options{LogResponse: true})
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := make([]float64, len(rows))
+	m.PredictDesign(sub, got)
 	for i, r := range rows {
-		if got, want := m.PredictDesignRow(sub.Row(i)), m.Predict(ds.X.Row(r)); math.Float64bits(got) != math.Float64bits(want) {
-			t.Errorf("row %d: PredictDesignRow %v, Predict %v", r, got, want)
+		if want := m.Predict(ds.X.Row(r)); math.Float64bits(got[i]) != math.Float64bits(want) {
+			t.Errorf("row %d: PredictDesign %v, Predict %v", r, got[i], want)
 		}
 	}
 }

@@ -189,56 +189,6 @@ func fitDesign(spec Spec, prep *Prep, design *linalg.Matrix, resp []float64, opt
 	}, nil
 }
 
-// Predict returns the model's prediction for one raw observation. The
-// serving hot path uses PredictWith/PredictBatchWith with a pooled scratch
-// instead; Predict allocates its buffers per call.
-func (m *Model) Predict(raw []float64) float64 {
-	var s PredictScratch
-	return m.PredictWith(&s, raw)
-}
-
-// PredictDesignRow predicts from an already-expanded design row (for example
-// one assembled by Featurizer.DesignRows), applying the coefficient dot
-// product, the response transform, and the prediction envelope.
-//
-//hslint:hotpath
-func (m *Model) PredictDesignRow(row []float64) float64 {
-	var s float64
-	for j, c := range m.Coef {
-		s += c * row[j]
-	}
-	return m.finish(s)
-}
-
-// finish applies the response transform and the prediction envelope to a
-// design-row dot product — the shared tail of the scalar and batch kernels.
-//
-//hslint:hotpath
-func (m *Model) finish(s float64) float64 {
-	if m.LogResponse {
-		s = math.Exp(s)
-	}
-	if m.YHi > m.YLo {
-		if s < m.YLo {
-			s = m.YLo
-		}
-		if s > m.YHi {
-			s = m.YHi
-		}
-	}
-	return s
-}
-
-// PredictAll returns predictions for every row of ds.
-func (m *Model) PredictAll(ds *Dataset) []float64 {
-	out := make([]float64, ds.NumRows())
-	var s PredictScratch
-	for i := range out {
-		out[i] = m.PredictWith(&s, ds.X.Row(i))
-	}
-	return out
-}
-
 // Metrics summarizes predictive accuracy the way the paper reports it.
 type Metrics struct {
 	MedAPE   float64 // median absolute percentage error (Figures 7, 10, 14)

@@ -1,74 +1,102 @@
 package regress
 
-import "hsmodel/internal/linalg"
+import (
+	"math"
+
+	"hsmodel/internal/linalg"
+)
 
 // PredictScratch holds the reusable buffers of the predict hot path: the
-// per-variable z cache and design row for scalar predictions, and the
-// contiguous design-matrix backing for batch predictions. A scratch belongs
-// to exactly one goroutine at a time (callers pool them); the zero value is
-// ready to use and grows to the high-water mark of the models it serves, so
-// steady-state predictions allocate nothing.
+// per-variable z cache and the contiguous design-matrix backing. A scratch
+// belongs to exactly one goroutine at a time (callers pool them); the zero
+// value is ready to use and grows to the high-water mark of the models it
+// serves, so steady-state predictions allocate nothing.
 type PredictScratch struct {
 	z      []float64 // standardized-value cache, one slot per raw variable
-	row    []float64 // design row for scalar predictions
-	design []float64 // row-major batch design backing, rows*cols
+	design []float64 // row-major design backing, rows*cols
 	dm     linalg.Matrix
 }
 
-// ensure sizes the scalar buffers for a model with numVars raw variables and
-// cols design columns.
-func (s *PredictScratch) ensure(numVars, cols int) {
+// designFor sizes the scratch for n rows of m's design and returns the
+// design matrix over its backing.
+func (s *PredictScratch) designFor(m *Model, n int) *linalg.Matrix {
+	numVars, cols := m.Prep.NumVars(), len(m.Coef)
 	if cap(s.z) < numVars {
 		s.z = make([]float64, numVars)
 	}
 	s.z = s.z[:numVars]
-	if cap(s.row) < cols {
-		s.row = make([]float64, cols)
-	}
-	s.row = s.row[:cols]
-}
-
-// ensureBatch additionally sizes the batch design backing for n rows.
-func (s *PredictScratch) ensureBatch(numVars, cols, n int) {
-	s.ensure(numVars, cols)
 	if cap(s.design) < n*cols {
 		s.design = make([]float64, n*cols)
 	}
 	s.design = s.design[:n*cols]
+	s.dm.Rows, s.dm.Cols, s.dm.Data = n, cols, s.design
+	return &s.dm
 }
 
-// PredictWith is Predict with caller-owned scratch: the zero-allocation
-// scalar form of the serving hot path. Results are bit-identical to Predict.
+// PredictDesign is the one prediction kernel: every row of an expanded
+// design (for example one assembled by Featurizer.DesignRows) times the
+// coefficients as a single matrix-vector sweep through linalg, then the
+// response transform and the prediction envelope. out[i] answers design row
+// i; len(out) must be at least design.Rows.
 //
 //hslint:hotpath
-func (m *Model) PredictWith(s *PredictScratch, raw []float64) float64 {
-	s.ensure(m.Prep.NumVars(), len(m.Coef))
-	m.Prep.fillDesignRow(m.Spec, raw, s.z, s.row)
-	return m.PredictDesignRow(s.row)
+func (m *Model) PredictDesign(design *linalg.Matrix, out []float64) {
+	out = out[:design.Rows]
+	design.MulVecInto(m.Coef, out)
+	for i, v := range out {
+		out[i] = m.finish(v)
+	}
 }
 
-// PredictBatchWith predicts every row of rows into out (out[i] answers
+// PredictBatchWith predicts every raw row of rows into out (out[i] answers
 // rows[i]; len(out) must be at least len(rows)), reusing the caller's
-// scratch: design rows are expanded into one contiguous rows×cols buffer and
-// the coefficient products are applied as a single matrix-vector sweep
-// through linalg. Each row's dot product accumulates in the same ascending
-// column order as PredictDesignRow, so every batch prediction is
-// Float64bits-identical to the scalar path.
+// scratch: each row is expanded into the scratch's contiguous design and the
+// whole batch goes through PredictDesign.
 //
 //hslint:hotpath
 func (m *Model) PredictBatchWith(s *PredictScratch, rows [][]float64, out []float64) {
-	n := len(rows)
-	if n == 0 {
-		return
-	}
-	cols := len(m.Coef)
-	s.ensureBatch(m.Prep.NumVars(), cols, n)
+	design := s.designFor(m, len(rows))
 	for i, raw := range rows {
-		m.Prep.fillDesignRow(m.Spec, raw, s.z, s.design[i*cols:(i+1)*cols])
+		m.Prep.fillDesignRow(m.Spec, raw, s.z, design.Row(i))
 	}
-	s.dm.Rows, s.dm.Cols, s.dm.Data = n, cols, s.design
-	s.dm.MulVecInto(m.Coef, out[:n])
-	for i, v := range out[:n] {
-		out[i] = m.finish(v)
+	m.PredictDesign(design, out)
+}
+
+// finish applies the response transform and the prediction envelope to a
+// design-row dot product.
+//
+//hslint:hotpath
+func (m *Model) finish(s float64) float64 {
+	if m.LogResponse {
+		s = math.Exp(s)
 	}
+	if m.YHi > m.YLo {
+		if s < m.YLo {
+			s = m.YLo
+		}
+		if s > m.YHi {
+			s = m.YHi
+		}
+	}
+	return s
+}
+
+// Predict returns the model's prediction for one raw observation, a batch of
+// one with a fresh scratch. The serving hot path uses PredictBatchWith with
+// a pooled scratch instead.
+func (m *Model) Predict(raw []float64) float64 {
+	var out [1]float64
+	m.PredictBatchWith(new(PredictScratch), [][]float64{raw}, out[:])
+	return out[0]
+}
+
+// PredictAll returns predictions for every row of ds in one batch.
+func (m *Model) PredictAll(ds *Dataset) []float64 {
+	rows := make([][]float64, ds.NumRows())
+	for i := range rows {
+		rows[i] = ds.X.Row(i)
+	}
+	out := make([]float64, len(rows))
+	m.PredictBatchWith(new(PredictScratch), rows, out)
+	return out
 }

@@ -151,8 +151,17 @@ func (r *registry) registerTrainer(req hsmodel.RegisterRequest, lc *lifecycle.Co
 	return e, nil
 }
 
-// trainerFor builds and configures a registered entry's trainer.
+// trainerFor builds and configures a registered entry's trainer. A search
+// size or shard length of 0 means the default; a negative one is refused.
 func trainerFor(req hsmodel.RegisterRequest) (*core.Trainer, error) {
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"population", req.Population}, {"generations", req.Generations}, {"shard_len", req.ShardLen}} {
+		if f.v < 0 {
+			return nil, fmt.Errorf("registry: %s %d: want 0 (the default) or more", f.name, f.v)
+		}
+	}
 	tr := core.NewTrainer(nil)
 	tr.ShardLen = req.ShardLen
 	tr.Search = genetic.Params{

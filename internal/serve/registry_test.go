@@ -449,6 +449,46 @@ func TestRegisterRejectsUnknownArchSpace(t *testing.T) {
 	}
 }
 
+// TestRegisterRejectsNegativeSearchSizes: a registration with a negative
+// population, generations or shard_len is refused — 400 over the wire naming
+// the field, a failed boot from a manifest — instead of training with the
+// defaults a non-positive size falls back to; 0 still means the default.
+func TestRegisterRejectsNegativeSearchSizes(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for _, tc := range []struct {
+		field string
+		req   hsmodel.RegisterRequest
+	}{
+		{"population", hsmodel.RegisterRequest{ID: "m-neg", Population: -1}},
+		{"generations", hsmodel.RegisterRequest{ID: "m-neg", Generations: -3}},
+		{"shard_len", hsmodel.RegisterRequest{ID: "m-neg", ShardLen: -5000}},
+	} {
+		resp, body := postJSON(t, ts.URL+"/v2/models", tc.req)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), tc.field) {
+			t.Errorf("register with negative %s: status %d: %s", tc.field, resp.StatusCode, body)
+		}
+		if resp, _ := getBody(t, ts.URL+"/v2/models/m-neg/model"); resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("refused entry is served: status %d", resp.StatusCode)
+		}
+
+		manifest := filepath.Join(t.TempDir(), "fleet.json")
+		data, _ := json.Marshal(hsmodel.Manifest{Models: []hsmodel.RegisterRequest{tc.req}})
+		if err := os.WriteFile(manifest, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if s, err := New(Config{Trainer: newTestTrainer(t), ManifestPath: manifest}); err == nil || !strings.Contains(err.Error(), tc.field) {
+			if s != nil {
+				s.Close()
+			}
+			t.Errorf("manifest entry with negative %s: New err = %v, want a refusal naming it", tc.field, err)
+		}
+	}
+	resp, body := postJSON(t, ts.URL+"/v2/models", hsmodel.RegisterRequest{ID: "m-zero"})
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("register with zero sizes: status %d: %s", resp.StatusCode, body)
+	}
+}
+
 // TestManifestConcurrentChanges: concurrent registrations and
 // unregistrations each rewrite the manifest, and once they have all
 // returned the file must parse and list exactly the live fleet. Writers that

@@ -215,7 +215,6 @@ func TestPredictErrors(t *testing.T) {
 // nanModel is a family.Model that answers NaN for every row.
 type nanModel struct{}
 
-func (nanModel) Predict([]float64) float64 { return math.NaN() }
 func (nanModel) PredictBatch(rows [][]float64, out []float64) {
 	for i := range rows {
 		out[i] = math.NaN()

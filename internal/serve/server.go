@@ -133,8 +133,8 @@ type Server struct {
 	metrics *metrics
 	mux     *http.ServeMux
 
-	// manifestMu serializes persistManifest: reading the registry, writing
-	// the temp file and renaming it happen as one step.
+	// manifestMu serializes persistManifest: reading the registry and
+	// replacing the file happen as one step.
 	manifestMu sync.Mutex
 }
 
@@ -255,12 +255,11 @@ func (s *Server) loadManifest() error {
 
 // persistManifest rewrites Config.ManifestPath from the live registry,
 // default entry excluded. handleRegister and handleUnregister call it after
-// every successful change. manifestMu makes reading the registry, writing
-// the one temp file and renaming it a single step, so concurrent changes
-// never tear the file and the last rename carries every change completed
-// before it; the temp file is synced before the rename, as Snapshot.Save
-// does. A persistence failure is logged, never fatal to the change that
-// triggered it.
+// every successful change. manifestMu makes reading the registry and
+// replacing the file (core.WriteFileAtomic, as Snapshot.Save does) a single
+// step, so the last replacement carries every change completed before it. A
+// persistence failure is logged, never fatal to the change that triggered
+// it.
 func (s *Server) persistManifest() {
 	if s.cfg.ManifestPath == "" {
 		return
@@ -278,31 +277,9 @@ func (s *Server) persistManifest() {
 		s.cfg.Logger.Printf("serve: encoding manifest: %v", err)
 		return
 	}
-	tmp := s.cfg.ManifestPath + ".tmp"
-	if err := writeSynced(tmp, append(data, '\n')); err != nil {
+	if err := core.WriteFileAtomic(s.cfg.ManifestPath, append(data, '\n')); err != nil {
 		s.cfg.Logger.Printf("serve: writing manifest: %v", err)
-		return
 	}
-	if err := os.Rename(tmp, s.cfg.ManifestPath); err != nil {
-		s.cfg.Logger.Printf("serve: replacing manifest: %v", err)
-	}
-}
-
-// writeSynced writes data to path and syncs it to stable storage before
-// closing.
-func writeSynced(path string, data []byte) error {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	_, err = f.Write(data)
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }
 
 // instrument wraps a handler with the per-request timeout and metrics. The
