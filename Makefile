@@ -85,10 +85,11 @@ fig5:
 # goldens runs every bit-pinning golden at GOMAXPROCS 1, 2 and 4: each
 # hashes Float64bits of what its layer computes (the instruction stream,
 # collected samples, simulator results, the spmv study's sampled points, the
-# trained general and domain models, one selection round over the three
-# families, and one stepwise-rung publish), so a change meant to keep the numbers, or a result that depends
-# on the worker count, fails here.
-GOLDEN_TESTS := ^(TestStreamGolden|TestCollectGolden|TestSimulatorGolden|TestStudySampleGolden|TestTrainGolden|TestTrainDomainModelGolden|TestSelectionRoundGolden|TestStepwiseRungGolden)$$
+# trained general and domain models, the spmv tuner's choices, one selection
+# round over the three families, and one stepwise-rung publish), so a change
+# meant to keep the numbers, or a result that depends on the worker count,
+# fails here.
+GOLDEN_TESTS := ^(TestStreamGolden|TestCollectGolden|TestSimulatorGolden|TestStudySampleGolden|TestTrainGolden|TestTrainDomainModelGolden|TestTuneGolden|TestSelectionRoundGolden|TestStepwiseRungGolden)$$
 GOLDEN_PKGS := ./internal/profile ./internal/core ./internal/cpu ./internal/spmv
 
 goldens:

@@ -88,14 +88,12 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 
 	opts := spmv.TuneOptions{Study: study, CacheCandidates: *candidates, Seed: *seed}
 	if !*exhaustive {
-		fmt.Fprintf(stdout, "training models on %d samples...\n", *samples)
-		models, err := spmv.TrainModels(ctx, spec.Name, study.Sample(*samples, *seed), spmv.TrainOptions{
-			Search: genetic.Params{PopulationSize: 24, Generations: 10, Seed: *seed},
-		})
+		fmt.Fprintf(stdout, "training the performance model on %d samples...\n", *samples)
+		opts.Model, err = spmv.TrainDomainModel(ctx, spec.Name, study.Sample(*samples, *seed), spmv.PredictMFlops,
+			genetic.Params{PopulationSize: 24, Generations: 10, Seed: *seed})
 		if err != nil {
 			return err
 		}
-		opts.Models = &models
 	}
 
 	res := spmv.Tune(opts)

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 )
@@ -67,7 +68,19 @@ var (
 	// space or whose preprocessing, spec and coefficients disagree
 	// (regress.Model.Validate).
 	ErrModelFamily = errors.New("core: model family unknown or payload invalid")
+	// ErrModelNotRegular: the path is a directory, device, pipe or socket.
+	ErrModelNotRegular = errors.New("core: model path is not a regular file")
+	// ErrModelTooLarge: the file is longer than maxModelFileBytes.
+	ErrModelTooLarge = errors.New("core: model file too large")
 )
+
+// maxModelFileBytes bounds what LoadSnapshot reads. The largest model the
+// format holds, a DAL payload of five regressions with at most 181
+// coefficients (1 + 26 variables x 6 spline columns + 24 interactions) and
+// 208 preprocessing values each, is about 2,200 numbers: under 64 KB
+// indented. A Quick-scale model measures under 8 KB; 1 MiB is 16x the
+// largest.
+const maxModelFileBytes = 1 << 20
 
 // payloadChecksum returns the hex SHA-256 of the payload's compact JSON
 // encoding. Compaction first is load-bearing: Save writes the file with
@@ -150,9 +163,25 @@ func WriteFileAtomic(path string, data []byte) error {
 // returned Snapshot predicts immediately; hand it to Trainer.Adopt to serve
 // it from a trainer and continue training with AddSamples and Train.
 func LoadSnapshot(path string) (*Snapshot, error) {
-	data, err := os.ReadFile(path)
+	// Stat before opening: a pipe would block the open, a device never end.
+	info, err := os.Stat(path)
 	if err != nil {
 		return nil, err
+	}
+	if !info.Mode().IsRegular() {
+		return nil, fmt.Errorf("%w: %s", ErrModelNotRegular, info.Mode().Type())
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	data, err := io.ReadAll(io.LimitReader(f, maxModelFileBytes+1))
+	f.Close()
+	if err != nil {
+		return nil, err
+	}
+	if len(data) > maxModelFileBytes {
+		return nil, fmt.Errorf("%w: over %d bytes", ErrModelTooLarge, maxModelFileBytes)
 	}
 	var saved SavedModel
 	if err := json.Unmarshal(data, &saved); err != nil {

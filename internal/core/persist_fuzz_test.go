@@ -13,7 +13,7 @@ import (
 
 // modelSentinels are the typed errors every failed LoadSnapshot must match.
 var modelSentinels = []error{ErrModelCorrupt, ErrModelVersion, ErrModelIncomplete,
-	ErrModelChecksum, ErrModelFamily}
+	ErrModelChecksum, ErrModelFamily, ErrModelTooLarge}
 
 // loadOrPredictFinite loads path and fails t unless the load fails with one
 // of modelSentinels or the snapshot predicts finite values on rows as one

@@ -150,6 +150,32 @@ func legacyFile(t testing.TB, saved SavedModel, model *regress.Model, version in
 	return data
 }
 
+// TestLoadRefusesNonRegularAndOversized: LoadSnapshot reads only a regular
+// file of at most maxModelFileBytes. A device and a directory are refused
+// before any read, and a sparse file one byte over the bound is refused
+// without being read to its end.
+func TestLoadRefusesNonRegularAndOversized(t *testing.T) {
+	for _, p := range []string{os.DevNull, t.TempDir()} {
+		if _, err := LoadSnapshot(p); !errors.Is(err, ErrModelNotRegular) {
+			t.Errorf("%s: err = %v, want ErrModelNotRegular", p, err)
+		}
+	}
+	big := filepath.Join(t.TempDir(), "big.json")
+	f, err := os.Create(big)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Truncate(maxModelFileBytes + 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadSnapshot(big); !errors.Is(err, ErrModelTooLarge) {
+		t.Errorf("file of %d bytes: err = %v, want ErrModelTooLarge", maxModelFileBytes+1, err)
+	}
+}
+
 // TestLoadFailureModes exercises every corruption class with the distinct
 // typed error it must map to.
 func TestLoadFailureModes(t *testing.T) {

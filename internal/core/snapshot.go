@@ -98,9 +98,17 @@ func (s *Snapshot) TrainedRows() int { return s.trainedRows }
 // hardware hw, as a batch of one. Safe on a nil snapshot (returns
 // ErrNotTrained).
 func (s *Snapshot) PredictShard(x profile.Characteristics, hw hwspace.Config) (float64, error) {
-	var out [1]float64
-	err := s.PredictBatch([][]float64{Sample{X: x, HW: hw}.Row()}, out[:])
-	return out[0], err
+	// The row, the batch's row header and the output slot all escape
+	// through the family's interface call, so they share one allocation.
+	q := new(struct {
+		row  [NumVars]float64
+		rows [1][]float64
+		out  [1]float64
+	})
+	Sample{X: x, HW: hw}.RowInto(q.row[:])
+	q.rows[0] = q.row[:]
+	err := s.PredictBatch(q.rows[:], q.out[:])
+	return q.out[0], err
 }
 
 // PredictBatch predicts every raw row of rows into out (out[i] answers
@@ -141,18 +149,26 @@ func (s *Snapshot) PredictApplication(shards []profile.Characteristics, hw hwspa
 	return sum / float64(len(shards)), nil
 }
 
+// PredictSamples predicts every sample in one batch and returns the
+// predictions beside the measured CPIs. Safe on a nil snapshot (returns
+// ErrNotTrained).
+func (s *Snapshot) PredictSamples(samples []Sample) (pred, truth []float64, err error) {
+	rows := make([][]float64, len(samples))
+	truth = make([]float64, len(samples))
+	for i, smp := range samples {
+		rows[i] = smp.Row()
+		truth[i] = smp.CPI
+	}
+	pred = make([]float64, len(samples))
+	return pred, truth, s.PredictBatch(rows, pred)
+}
+
 // EvaluateOn measures model accuracy on held-out samples, predicted in one
 // batch.
 func (s *Snapshot) EvaluateOn(samples []Sample) (regress.Metrics, error) {
-	if s == nil || s.fam == nil {
-		return regress.Metrics{}, ErrNotTrained
+	pred, truth, err := s.PredictSamples(samples)
+	if err != nil {
+		return regress.Metrics{}, err
 	}
-	ds := ToDataset(samples)
-	rows := make([][]float64, ds.NumRows())
-	for i := range rows {
-		rows[i] = ds.X.Row(i)
-	}
-	pred := make([]float64, len(rows))
-	s.fam.PredictBatch(rows, pred)
-	return regress.Assess(pred, ds.Y), nil
+	return regress.Assess(pred, truth), nil
 }

@@ -196,9 +196,7 @@ func AblationDomainSpecific(w *Workspace) (AblationResult, error) {
 	train := s.Sample(cfg.SpmvTrain, cfg.Seed^0xAB5)
 	valid := s.Sample(cfg.SpmvValidation, cfg.Seed^0xAB55)
 
-	with, err := spmv.TrainDomainModel(w.ctx, s.Spec.Name, train, spmv.PredictMFlops, spmv.TrainOptions{
-		Search: cfg.searchParams(0xAB5A),
-	})
+	with, err := spmv.TrainDomainModel(w.ctx, s.Spec.Name, train, spmv.PredictMFlops, cfg.searchParams(0xAB5A))
 	if err != nil {
 		return AblationResult{}, err
 	}
@@ -213,9 +211,7 @@ func AblationDomainSpecific(w *Workspace) (AblationResult, error) {
 		}
 		return out
 	}
-	without, err := spmv.TrainDomainModel(w.ctx, s.Spec.Name, strip(train), spmv.PredictMFlops, spmv.TrainOptions{
-		Search: cfg.searchParams(0xAB5A),
-	})
+	without, err := spmv.TrainDomainModel(w.ctx, s.Spec.Name, strip(train), spmv.PredictMFlops, cfg.searchParams(0xAB5A))
 	if err != nil {
 		return AblationResult{}, err
 	}

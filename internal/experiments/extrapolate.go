@@ -47,7 +47,7 @@ func Fig10(w *Workspace) (Fig10Result, error) {
 			perApp = 20
 		}
 		valid := cfg.collector().Collect([]*trace.App{app}, perApp, cfg.Seed^uint64(0xAB10+n))
-		pred, truth, err := predictOn(m.Snapshot(), valid)
+		pred, truth, err := m.Snapshot().PredictSamples(valid)
 		if err != nil {
 			return res, err
 		}
@@ -118,7 +118,7 @@ func Fig7b(w *Workspace) (Fig7bResult, error) {
 	// Validate on fresh variant pairs (the paper's 150).
 	perVariantVal := (150 + len(variants) - 1) / len(variants)
 	valid := col.Collect(variants, perVariantVal, cfg.Seed^0x7B99)
-	pred, truth, err := predictOn(m.Snapshot(), valid)
+	pred, truth, err := m.Snapshot().PredictSamples(valid)
 	if err != nil {
 		return Fig7bResult{}, err
 	}
@@ -225,7 +225,7 @@ func Fig7c(w *Workspace) (Fig7cResult, error) {
 		}
 		// Validate on fresh pairs of application n (new architectures).
 		valid := col.Collect([]*trace.App{app}, cfg.ValidationPairs/len(w.Apps()), cfg.Seed^uint64(0xC70+n))
-		pred, truth, err := predictOn(m.Snapshot(), valid)
+		pred, truth, err := m.Snapshot().PredictSamples(valid)
 		if err != nil {
 			return res, err
 		}

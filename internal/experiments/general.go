@@ -162,7 +162,7 @@ func Fig7a(w *Workspace) (AccuracyResult, error) {
 		return AccuracyResult{}, err
 	}
 	valid := w.ValidationSamples()
-	pred, truth, err := predictOn(m.Snapshot(), valid)
+	pred, truth, err := m.Snapshot().PredictSamples(valid)
 	if err != nil {
 		return AccuracyResult{}, err
 	}
@@ -174,20 +174,6 @@ func Fig7a(w *Workspace) (AccuracyResult, error) {
 	}
 	printAccuracy(w.Cfg.out(), "Figure 7(a)/8(a) — steady-state interpolation", res)
 	return res, nil
-}
-
-// predictOn predicts every sample once through snap's family batch kernel,
-// whose answers are Float64bits-identical to per-row prediction, and
-// returns the predictions beside the measured CPIs.
-func predictOn(snap *core.Snapshot, samples []core.Sample) (pred, truth []float64, err error) {
-	rows := make([][]float64, len(samples))
-	truth = make([]float64, len(samples))
-	for i, s := range samples {
-		rows[i] = s.Row()
-		truth[i] = s.CPI
-	}
-	pred = make([]float64, len(samples))
-	return pred, truth, snap.PredictBatch(rows, pred)
 }
 
 // perAppMedians computes per-application median errors from predictions

@@ -175,17 +175,20 @@ func Fig14(w *Workspace) (Fig14Result, error) {
 		s := spmv.NewStudy(spec.Scaled(cfg.SpmvScale))
 		train := s.Sample(cfg.SpmvTrain, cfg.Seed^uint64(0x140+spec.Index))
 		valid := s.Sample(cfg.SpmvValidation, cfg.Seed^uint64(0x1400+spec.Index))
-		models, err := spmv.TrainModels(w.ctx, spec.Name, train, spmv.TrainOptions{
-			Search: cfg.searchParams(uint64(0x14AA + spec.Index)),
-		})
+		search := cfg.searchParams(uint64(0x14AA + spec.Index))
+		perf, err := spmv.TrainDomainModel(w.ctx, spec.Name, train, spmv.PredictMFlops, search)
+		if err != nil {
+			return res, fmt.Errorf("fig14 %s: %w", spec.Name, err)
+		}
+		power, err := spmv.TrainDomainModel(w.ctx, spec.Name, train, spmv.PredictWatts, search)
 		if err != nil {
 			return res, fmt.Errorf("fig14 %s: %w", spec.Name, err)
 		}
 		row := Fig14Row{
 			Index:  spec.Index,
 			Matrix: spec.Name,
-			Perf:   spmv.EvaluateDomainModel(models.Perf, valid),
-			Power:  spmv.EvaluateDomainModel(models.Power, valid),
+			Perf:   spmv.EvaluateDomainModel(perf, valid),
+			Power:  spmv.EvaluateDomainModel(power, valid),
 		}
 		res.Rows = append(res.Rows, row)
 		perfErrs = append(perfErrs, row.Perf.MedAPE)
@@ -229,29 +232,34 @@ func Fig15(w *Workspace) (Fig15Result, error) {
 	base1 := s.Simulate(1, 1, base).MFlops()
 
 	train := s.Sample(cfg.SpmvTrain, cfg.Seed^0xF15)
-	models, err := spmv.TrainModels(w.ctx, s.Spec.Name, train, spmv.TrainOptions{
-		Search: cfg.searchParams(0xF15A),
-	})
+	perf, err := spmv.TrainDomainModel(w.ctx, s.Spec.Name, train, spmv.PredictMFlops, cfg.searchParams(0xF15A))
 	if err != nil {
 		return res, err
 	}
 
-	var flat, flatPred []float64
-	bestProf, bestPred := [2]int{1, 1}, [2]int{1, 1}
+	// The 64 cells in row-major order, predicted in one batch.
+	var cells []spmv.Point
 	for r := 1; r <= spmv.MaxBlockDim; r++ {
 		for c := 1; c <= spmv.MaxBlockDim; c++ {
-			prof := s.Simulate(r, c, base).MFlops() / base1
-			pred := models.Perf.Predict(r, c, s.FillRatio(r, c), base) / base1
-			res.Profiled[r-1][c-1] = prof
-			res.Predicted[r-1][c-1] = pred
-			flat = append(flat, prof)
-			flatPred = append(flatPred, pred)
-			if prof > res.Profiled[bestProf[0]-1][bestProf[1]-1] {
-				bestProf = [2]int{r, c}
-			}
-			if pred > res.Predicted[bestPred[0]-1][bestPred[1]-1] {
-				bestPred = [2]int{r, c}
-			}
+			cells = append(cells, spmv.Point{R: r, C: c, Fill: s.FillRatio(r, c), Cfg: base})
+		}
+	}
+	predicted := perf.Predict(cells)
+	var flat, flatPred []float64
+	bestProf, bestPred := [2]int{1, 1}, [2]int{1, 1}
+	for i, cell := range cells {
+		r, c := cell.R, cell.C
+		prof := s.Simulate(r, c, base).MFlops() / base1
+		pred := predicted[i] / base1
+		res.Profiled[r-1][c-1] = prof
+		res.Predicted[r-1][c-1] = pred
+		flat = append(flat, prof)
+		flatPred = append(flatPred, pred)
+		if prof > res.Profiled[bestProf[0]-1][bestProf[1]-1] {
+			bestProf = [2]int{r, c}
+		}
+		if pred > res.Predicted[bestPred[0]-1][bestPred[1]-1] {
+			bestPred = [2]int{r, c}
 		}
 	}
 	res.Correlation = stats.Pearson(flat, flatPred)
@@ -310,15 +318,13 @@ func Fig16(w *Workspace) (Fig16Result, error) {
 	for _, spec := range spmv.Corpus() {
 		s := spmv.NewStudy(spec.Scaled(cfg.SpmvScale))
 		train := s.Sample(cfg.SpmvTrain/2, cfg.Seed^uint64(0x160+spec.Index))
-		models, err := spmv.TrainModels(w.ctx, spec.Name, train, spmv.TrainOptions{
-			Search: cfg.searchParams(uint64(0x16AA + spec.Index)),
-		})
+		perf, err := spmv.TrainDomainModel(w.ctx, spec.Name, train, spmv.PredictMFlops, cfg.searchParams(uint64(0x16AA+spec.Index)))
 		if err != nil {
 			return res, err
 		}
 		tr := spmv.Tune(spmv.TuneOptions{
 			Study:           s,
-			Models:          &models,
+			Model:           perf,
 			CacheCandidates: 150,
 			Seed:            cfg.Seed ^ uint64(spec.Index),
 		})

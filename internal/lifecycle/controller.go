@@ -233,60 +233,64 @@ func NewController(live *core.Trainer, cfg Config) *Controller {
 	}
 }
 
-// Submit feeds one observed sample through the control loop: the incumbent
-// model predicts it, the error drives the drift detector, the sample lands
-// in both bounded stores, and the state machine advances. Submit never
-// blocks on training — episodes run on a background goroutine — and is safe
-// for concurrent use. After Close it is a no-op.
-func (c *Controller) Submit(s core.Sample) {
+// Submit feeds observed samples through the control loop, in order: the
+// incumbent model predicts each one, the error drives the drift detector,
+// the sample lands in both bounded stores, and the state machine advances.
+// One PredictBatch scores the whole call against one publication (a
+// promotion takes c.mu too); an unlabelled sample (CPI <= 0) is stored, not
+// scored. Submit never blocks on training — episodes run on a background
+// goroutine — and is safe for concurrent use. After Close it is a no-op.
+func (c *Controller) Submit(samples ...core.Sample) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
 		return
 	}
-	c.submissions++
+	pred, _, err := c.live.Snapshot().PredictSamples(samples)
+	scored := err == nil
 
-	tripped := c.detector.Tripped()
-	if snap := c.live.Snapshot(); snap.Trained() && s.CPI > 0 {
-		if pred, err := snap.PredictShard(s.X, s.HW); err == nil {
-			tripped = c.detector.Observe((pred - s.CPI) / s.CPI)
+	for i, s := range samples {
+		c.submissions++
+		tripped := c.detector.Tripped()
+		if scored && s.CPI > 0 {
+			tripped = c.detector.Observe((pred[i] - s.CPI) / s.CPI)
 		}
-	}
 
-	c.reservoir.Add(s)
-	c.ring.Add(s)
+		c.reservoir.Add(s)
+		c.ring.Add(s)
 
-	switch c.state {
-	case StateStable:
-		if tripped {
-			c.confirm = 0
-			c.transition(StateDriftSuspected, "drift detector tripped")
-		}
-	case StateDriftSuspected:
-		if !tripped {
-			c.transition(StateStable, "drift subsided before confirmation")
-			break
-		}
-		c.confirm++
-		if c.confirm >= confirmObservations {
-			c.fresh = 0
-			c.transition(StateGathering, "drift confirmed")
-		}
-	case StateGathering:
-		c.fresh++
-		if c.fresh >= c.cfg.MinProfiles {
-			// startEpisode checks the real (deduplicated, canary-excluded)
-			// training-set size; if it is still too thin we stay gathering
-			// and try again next submission.
-			c.startEpisode()
-		}
-	case StateRetraining, StateCanary:
-		// The episode goroutine owns the next transition; samples keep
-		// landing in the stores meanwhile.
-	case StateCooldown:
-		if c.submissions >= c.cooldownUntil {
-			c.detector.Reset()
-			c.transition(StateStable, "cooldown elapsed")
+		switch c.state {
+		case StateStable:
+			if tripped {
+				c.confirm = 0
+				c.transition(StateDriftSuspected, "drift detector tripped")
+			}
+		case StateDriftSuspected:
+			if !tripped {
+				c.transition(StateStable, "drift subsided before confirmation")
+				break
+			}
+			c.confirm++
+			if c.confirm >= confirmObservations {
+				c.fresh = 0
+				c.transition(StateGathering, "drift confirmed")
+			}
+		case StateGathering:
+			c.fresh++
+			if c.fresh >= c.cfg.MinProfiles {
+				// startEpisode checks the real (deduplicated, canary-excluded)
+				// training-set size; if it is still too thin we stay gathering
+				// and try again next submission.
+				c.startEpisode()
+			}
+		case StateRetraining, StateCanary:
+			// The episode goroutine owns the next transition; samples keep
+			// landing in the stores meanwhile.
+		case StateCooldown:
+			if c.submissions >= c.cooldownUntil {
+				c.detector.Reset()
+				c.transition(StateStable, "cooldown elapsed")
+			}
 		}
 	}
 }

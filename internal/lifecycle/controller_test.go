@@ -3,6 +3,7 @@ package lifecycle
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -392,6 +393,60 @@ func TestLifecycleDeterministicReplay(t *testing.T) {
 	}
 	if s1 != s2 {
 		t.Errorf("replay status differs:\n%+v\nvs\n%+v", s1, s2)
+	}
+}
+
+// TestLifecycleBatchSubmitMatchesSingle: a stream submitted in batches of 16
+// leaves the same transitions, detector state and stores as the same stream
+// submitted one sample at a time. MinProfiles is out of reach, so no episode
+// starts and the served snapshot never moves.
+func TestLifecycleBatchSubmitMatchesSingle(t *testing.T) {
+	tr := newLiveTrainer(t)
+	_, stream := fixtures(t)
+	drifted := shifted(stream, &faultinject.DriftSchedule{
+		Segments: []faultinject.DriftSegment{{From: 21, To: 60, Factor: 1.6}},
+	})
+	// Unlabelled samples are stored but not scored.
+	drifted[5].CPI, drifted[40].CPI = 0, 0
+
+	type outcome struct {
+		transitions       []string
+		status            Status
+		observations      int
+		reservoir, recent []core.Sample
+	}
+	run := func(batch int) outcome {
+		var o outcome
+		cfg := episodeConfig(11)
+		cfg.MinProfiles = 1000
+		cfg.OnTransition = func(from, to State, reason string) {
+			o.transitions = append(o.transitions, fmt.Sprintf("%v->%v: %s", from, to, reason))
+		}
+		c := NewController(tr, cfg)
+		defer c.Close()
+		for i := 0; i < len(drifted); i += batch {
+			c.Submit(drifted[i:min(i+batch, len(drifted))]...)
+		}
+		o.status = c.Status()
+		o.observations = c.detector.Observations()
+		o.reservoir, o.recent = c.reservoir.Samples(), c.ring.Samples()
+		return o
+	}
+	single, batched := run(1), run(16)
+	if len(single.transitions) == 0 || single.status.State != StateGathering.String() {
+		t.Fatalf("stream left state %q after %v; want a confirmed drift", single.status.State, single.transitions)
+	}
+	if want := len(drifted) - 2; single.observations != want {
+		t.Errorf("detector observed %d samples, want the %d labelled ones", single.observations, want)
+	}
+	if fmt.Sprint(batched.transitions) != fmt.Sprint(single.transitions) {
+		t.Errorf("batched transitions\n%q\nwant\n%q", batched.transitions, single.transitions)
+	}
+	if batched.status != single.status || batched.observations != single.observations {
+		t.Errorf("batched status %+v (%d observations)\nwant %+v (%d)", batched.status, batched.observations, single.status, single.observations)
+	}
+	if !slices.Equal(batched.reservoir, single.reservoir) || !slices.Equal(batched.recent, single.recent) {
+		t.Error("batched submission left different stores")
 	}
 }
 

@@ -36,7 +36,9 @@ func ExampleFeaturizer_Fit() {
 		fmt.Println(err)
 		return
 	}
-	fmt.Printf("prediction at (a=2, b=3): %.1f\n", m.Predict([]float64{2, 3}))
+	var pred [1]float64
+	m.PredictBatchWith(new(regress.PredictScratch), [][]float64{{2, 3}}, pred[:])
+	fmt.Printf("prediction at (a=2, b=3): %.1f\n", pred[0])
 	fmt.Printf("median error: %.4f\n", m.Evaluate(ds).MedAPE)
 	// Output:
 	// prediction at (a=2, b=3): 17.0

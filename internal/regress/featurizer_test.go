@@ -129,8 +129,9 @@ func TestFeaturizerFitParity(t *testing.T) {
 			t.Errorf("fit metadata differs: %+v vs %+v", cached, naive)
 		}
 		// Predictions through both models must agree on the training rows.
+		cp, np := cached.PredictAll(ds), naive.PredictAll(ds)
 		for i := 0; i < ds.NumRows(); i += 7 {
-			if c, n := cached.Predict(ds.X.Row(i)), naive.Predict(ds.X.Row(i)); math.Float64bits(c) != math.Float64bits(n) {
+			if c, n := cp[i], np[i]; math.Float64bits(c) != math.Float64bits(n) {
 				t.Errorf("prediction row %d: %v vs %v", i, c, n)
 			}
 		}
@@ -168,9 +169,10 @@ func TestFeaturizerDesignRows(t *testing.T) {
 	}
 	got := make([]float64, len(rows))
 	m.PredictDesign(sub, got)
+	all := m.PredictAll(ds)
 	for i, r := range rows {
-		if want := m.Predict(ds.X.Row(r)); math.Float64bits(got[i]) != math.Float64bits(want) {
-			t.Errorf("row %d: PredictDesign %v, Predict %v", r, got[i], want)
+		if want := all[r]; math.Float64bits(got[i]) != math.Float64bits(want) {
+			t.Errorf("row %d: PredictDesign %v, PredictAll %v", r, got[i], want)
 		}
 	}
 }

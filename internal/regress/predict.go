@@ -81,15 +81,6 @@ func (m *Model) finish(s float64) float64 {
 	return s
 }
 
-// Predict returns the model's prediction for one raw observation, a batch of
-// one with a fresh scratch. The serving hot path uses PredictBatchWith with
-// a pooled scratch instead.
-func (m *Model) Predict(raw []float64) float64 {
-	var out [1]float64
-	m.PredictBatchWith(new(PredictScratch), [][]float64{raw}, out[:])
-	return out[0]
-}
-
 // PredictAll returns predictions for every row of ds in one batch.
 func (m *Model) PredictAll(ds *Dataset) []float64 {
 	rows := make([][]float64, ds.NumRows())

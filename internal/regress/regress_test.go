@@ -138,8 +138,7 @@ func TestFitRecoversLinearModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < ds.NumRows(); i++ {
-		pred := m.Predict(ds.X.Row(i))
+	for i, pred := range m.PredictAll(ds) {
 		if math.Abs(pred-ds.Y[i]) > 1e-8 {
 			t.Fatalf("row %d: pred %v, want %v", i, pred, ds.Y[i])
 		}
@@ -281,8 +280,8 @@ func TestNegativeResponseUnclamped(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, m := range map[string]*Model{"qr": qr, "gram": gram} {
-		for i := 0; i < ds.NumRows(); i++ {
-			if pred := m.Predict(ds.X.Row(i)); math.Abs(pred-ds.Y[i]) > 1e-8 {
+		for i, pred := range m.PredictAll(ds) {
+			if math.Abs(pred-ds.Y[i]) > 1e-8 {
 				t.Fatalf("%s row %d: pred %v, want %v (envelope [%v, %v])", name, i, pred, ds.Y[i], m.YLo, m.YHi)
 			}
 		}
@@ -321,8 +320,9 @@ func TestZeroWeightExcludesRow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	pred := m.PredictAll(ds)
 	for i := 0; i < n; i++ {
-		if math.Abs(m.Predict(ds.X.Row(i))-ds.Y[i]) > 1e-8 {
+		if math.Abs(pred[i]-ds.Y[i]) > 1e-8 {
 			t.Fatal("zero-weighted rows leaked into the fit")
 		}
 	}

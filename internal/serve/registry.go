@@ -107,14 +107,23 @@ func (r *registry) register(req hsmodel.RegisterRequest) (*entry, error) {
 	return r.registerTrainer(req, lc, tr)
 }
 
+// An entry's id is 1 to maxModelIDLen of modelIDChars, one rule for the
+// wire and a manifest alike: every id is then a plain label on /metrics and
+// in logs, and ':' stays free for "app:" aliases.
+const (
+	modelIDChars  = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789._-"
+	maxModelIDLen = 64
+)
+
 // registerTrainer registers an entry around an existing trainer, with a
 // control loop configured by lc when it is non-nil — the server registers
-// its bootstrap trainer as the reserved "default" entry this way. The
-// trainer must not already be registered. A control loop needs a trained
-// trainer or a ModelPath the caller loads from (errLifecycleNoModel).
+// its bootstrap trainer as the reserved "default" entry this way. The id
+// must follow the id rule, and the trainer must not already be registered.
+// A control loop needs a trained trainer or a ModelPath the caller loads
+// from (errLifecycleNoModel).
 func (r *registry) registerTrainer(req hsmodel.RegisterRequest, lc *lifecycle.Config, tr *core.Trainer) (*entry, error) {
-	if req.ID == "" {
-		return nil, errors.New("registry: a model entry needs an id")
+	if len(req.ID) == 0 || len(req.ID) > maxModelIDLen || strings.Trim(req.ID, modelIDChars) != "" {
+		return nil, fmt.Errorf("registry: model id %q: want 1 to 64 characters of A-Z, a-z, 0-9, '.', '_' and '-'", req.ID)
 	}
 	switch req.ArchSpace {
 	case "":
@@ -347,9 +356,7 @@ func (e *entry) absorb(samples []core.Sample) error {
 	if e.lifecycle == nil {
 		return e.trainer.AddSamples(samples)
 	}
-	for _, s := range samples {
-		e.lifecycle.Submit(s)
-	}
+	e.lifecycle.Submit(samples...)
 	return nil
 }
 

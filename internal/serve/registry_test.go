@@ -449,6 +449,39 @@ func TestRegisterRejectsUnknownArchSpace(t *testing.T) {
 	}
 }
 
+// TestRegisterRejectsBadModelID: an id outside [A-Za-z0-9._-]{1,64} is
+// refused — 400 over the wire, a failed boot from a manifest — so every id
+// is a plain label on /metrics; an id of exactly 64 allowed characters is
+// accepted.
+func TestRegisterRejectsBadModelID(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for _, id := range []string{"bad\u0001id", "app:bzip2", "with space", strings.Repeat("m", 65)} {
+		resp, body := postJSON(t, ts.URL+"/v2/models", hsmodel.RegisterRequest{ID: id})
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "model id") {
+			t.Errorf("register id %q: status %d: %s", id, resp.StatusCode, body)
+		}
+
+		manifest := filepath.Join(t.TempDir(), "fleet.json")
+		data, _ := json.Marshal(hsmodel.Manifest{Models: []hsmodel.RegisterRequest{{ID: id}}})
+		if err := os.WriteFile(manifest, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if s, err := New(Config{Trainer: newTestTrainer(t), ManifestPath: manifest}); err == nil || !strings.Contains(err.Error(), "model id") {
+			if s != nil {
+				s.Close()
+			}
+			t.Errorf("manifest entry with id %q: New err = %v, want a refusal of the id", id, err)
+		}
+	}
+	if _, body := getBody(t, ts.URL+"/metrics"); strings.Contains(string(body), `\x01`) {
+		t.Errorf("a refused id reached /metrics:\n%s", body)
+	}
+	long := "m-" + strings.Repeat("a", 62)
+	if resp, body := postJSON(t, ts.URL+"/v2/models", hsmodel.RegisterRequest{ID: long}); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("register a 64-character id: status %d: %s", resp.StatusCode, body)
+	}
+}
+
 // TestRegisterRejectsNegativeSearchSizes: a registration with a negative
 // population, generations or shard_len is refused — 400 over the wire naming
 // the field, a failed boot from a manifest — instead of training with the

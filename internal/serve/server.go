@@ -712,10 +712,6 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	if req.ID == "" {
-		writeError(w, errors.New("serve: register request needs a model id"))
-		return
-	}
 	if req.ID == hsmodel.DefaultModelID {
 		writeError(w, fmt.Errorf("serve: model id %q is reserved for the default entry", hsmodel.DefaultModelID))
 		return

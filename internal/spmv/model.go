@@ -3,8 +3,10 @@ package spmv
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 
 	"hsmodel/internal/family"
+	"hsmodel/internal/family/spline"
 	"hsmodel/internal/genetic"
 	"hsmodel/internal/linalg"
 	"hsmodel/internal/regress"
@@ -23,15 +25,6 @@ func DomainVarNames() []string {
 		"brow", "bcol", "fR",
 		"lsize", "dsize", "dways", "drepl", "isize", "iways", "irepl",
 	}
-}
-
-// domainRow encodes one observation's raw variables.
-func domainRow(pt Point) []float64 {
-	hw := pt.Cfg.Vector()
-	row := make([]float64, 0, NumDomainVars)
-	row = append(row, float64(pt.R), float64(pt.C), pt.Fill)
-	row = append(row, hw[:]...)
-	return row
 }
 
 // Response selects the prediction target of a domain model.
@@ -59,7 +52,9 @@ func BuildDomainDataset(points []Point, resp Response) *regress.Dataset {
 		Y:     make([]float64, len(points)),
 	}
 	for i, pt := range points {
-		copy(ds.X.Row(i), domainRow(pt))
+		row, hw := ds.X.Row(i), pt.Cfg.Vector()
+		row[0], row[1], row[2] = float64(pt.R), float64(pt.C), pt.Fill
+		copy(row[3:], hw[:])
 		switch resp {
 		case PredictWatts:
 			ds.Y[i] = pt.Watts
@@ -72,42 +67,32 @@ func BuildDomainDataset(points []Point, resp Response) *regress.Dataset {
 
 // DomainModel is a fitted domain-specific model for one matrix and response.
 type DomainModel struct {
-	Matrix   string
 	Resp     Response
-	Model    *regress.Model
-	Fitness  float64
-	Searched int // fitness evaluations spent
+	Model    family.Model // the spline family's fit
+	Fitness  float64      // hold-out fitness of the chosen specification
+	Searched int          // fitness evaluations spent
 }
 
-// Predict returns the model's prediction for a block size and cache
-// configuration. fill must be the variant's fill ratio (available from
-// Study.FillRatio — it is a property of matrix and block size, not of
-// execution).
-func (dm *DomainModel) Predict(r, c int, fill float64, cfg CacheConfig) float64 {
-	return dm.Model.Predict(domainRow(Point{R: r, C: c, Fill: fill, Cfg: cfg}))
-}
-
-// TrainOptions configures domain-model training.
-type TrainOptions struct {
-	// Search configures the genetic search; domain models converge with a
-	// smaller effort than the 26-variable general models.
-	Search genetic.Params
-}
-
-func (o TrainOptions) withDefaults() TrainOptions {
-	if o.Search.PopulationSize == 0 {
-		o.Search.PopulationSize = 30
+// Predict returns the model's prediction for every point, in one batch. It
+// reads each point's block size, fill ratio and cache configuration; the
+// fill ratio must be the variant's (Study.FillRatio — it is a property of
+// matrix and block size, not of execution).
+func (dm *DomainModel) Predict(points []Point) []float64 {
+	x := BuildDomainDataset(points, dm.Resp).X
+	rows := make([][]float64, len(points))
+	for i := range rows {
+		rows[i] = x.Row(i)
 	}
-	if o.Search.Generations == 0 {
-		o.Search.Generations = 12
-	}
-	return o
+	out := make([]float64, len(points))
+	dm.Model.PredictBatch(rows, out)
+	return out
 }
 
-// TrainDomainModel fits a model for one response from sampled points via
-// genetic specification search. Cancelling ctx aborts the search.
-func TrainDomainModel(ctx context.Context, matrix string, points []Point, resp Response, opts TrainOptions) (*DomainModel, error) {
-	opts = opts.withDefaults()
+// TrainDomainModel fits a model for one response from sampled points through
+// the spline family: the genetic specification search of Section 3 over the
+// ten Table 5 variables, then the winning specification fitted on every
+// point. Cancelling ctx aborts the search.
+func TrainDomainModel(ctx context.Context, matrix string, points []Point, resp Response, search genetic.Params) (*DomainModel, error) {
 	ds := BuildDomainDataset(points, resp)
 	// Featurize once over all points: preprocessing (powers, knots) is
 	// learned from the full dataset and the cached basis columns are shared
@@ -126,44 +111,33 @@ func TrainDomainModel(ctx context.Context, matrix string, points []Point, resp R
 	if err != nil {
 		return nil, fmt.Errorf("spmv: featurizing %s %s: %w", matrix, resp, err)
 	}
-	res, err := genetic.Search(ctx, NumDomainVars, eval, opts.Search)
+	// The search's memo calls the evaluator once per distinct specification,
+	// so the call count is the search's evaluation count.
+	var searched atomic.Int64
+	out, err := spline.New().Fit(ctx, family.FitInput{
+		NumVars:    NumDomainVars,
+		Dataset:    ds,
+		Featurizer: fzFull,
+		Evaluator: genetic.EvaluatorFunc(func(spec regress.Spec) float64 {
+			searched.Add(1)
+			return eval.Fitness(spec)
+		}),
+		Search:      search,
+		LogResponse: true,
+	})
 	if err != nil {
-		return nil, fmt.Errorf("spmv: search for %s %s: %w", matrix, resp, err)
-	}
-
-	final, err := fzFull.Fit(res.Best.Spec, regress.Options{LogResponse: true})
-	if err != nil {
-		return nil, fmt.Errorf("spmv: final fit for %s %s: %w", matrix, resp, err)
+		return nil, fmt.Errorf("spmv: training %s %s: %w", matrix, resp, err)
 	}
 	return &DomainModel{
-		Matrix:   matrix,
 		Resp:     resp,
-		Model:    final,
-		Fitness:  res.Best.Fitness,
-		Searched: res.Evals,
+		Model:    out.Model,
+		Fitness:  out.Population[0].Fitness,
+		Searched: int(searched.Load()),
 	}, nil
 }
 
-// Models bundles the performance and power models of one matrix.
-type Models struct {
-	Perf  *DomainModel
-	Power *DomainModel
-}
-
-// TrainModels trains both responses from one sampled point set.
-func TrainModels(ctx context.Context, matrix string, points []Point, opts TrainOptions) (Models, error) {
-	perf, err := TrainDomainModel(ctx, matrix, points, PredictMFlops, opts)
-	if err != nil {
-		return Models{}, err
-	}
-	pow, err := TrainDomainModel(ctx, matrix, points, PredictWatts, opts)
-	if err != nil {
-		return Models{}, err
-	}
-	return Models{Perf: perf, Power: pow}, nil
-}
-
-// EvaluateDomainModel reports accuracy on held-out points.
+// EvaluateDomainModel reports accuracy on held-out points, predicted in one
+// batch.
 func EvaluateDomainModel(dm *DomainModel, points []Point) regress.Metrics {
-	return dm.Model.Evaluate(BuildDomainDataset(points, dm.Resp))
+	return regress.Assess(dm.Predict(points), BuildDomainDataset(points, dm.Resp).Y)
 }

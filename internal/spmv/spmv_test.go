@@ -10,6 +10,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"hsmodel/internal/family/spline"
 	"hsmodel/internal/genetic"
 	"hsmodel/internal/rng"
 )
@@ -304,27 +305,30 @@ func TestDomainModelAccuracy(t *testing.T) {
 	s := NewStudy(spec.Scaled(32))
 	train := s.Sample(300, 7)
 	valid := s.Sample(80, 1007)
-	models, err := TrainModels(context.Background(), "venkat01", train, TrainOptions{
-		Search: genetic.Params{PopulationSize: 20, Generations: 8, Seed: 5},
-	})
+	search := genetic.Params{PopulationSize: 20, Generations: 8, Seed: 5}
+	perfModel, err := TrainDomainModel(context.Background(), "venkat01", train, PredictMFlops, search)
 	if err != nil {
 		t.Fatal(err)
 	}
-	perf := EvaluateDomainModel(models.Perf, valid)
+	powerModel, err := TrainDomainModel(context.Background(), "venkat01", train, PredictWatts, search)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perf := EvaluateDomainModel(perfModel, valid)
 	if perf.MedAPE > 0.10 {
 		t.Errorf("performance medAPE %v, want < 10%%", perf.MedAPE)
 	}
 	if perf.Pearson < 0.9 {
 		t.Errorf("performance correlation %v, want > 0.9", perf.Pearson)
 	}
-	pow := EvaluateDomainModel(models.Power, valid)
+	pow := EvaluateDomainModel(powerModel, valid)
 	if pow.MedAPE > 0.10 {
 		t.Errorf("power medAPE %v, want < 10%%", pow.MedAPE)
 	}
 	// Prediction plumbing.
-	pred := models.Perf.Predict(4, 4, s.FillRatio(4, 4), BaselineCache())
-	if pred <= 0 {
-		t.Errorf("prediction %v", pred)
+	pred := perfModel.Predict([]Point{{R: 4, C: 4, Fill: s.FillRatio(4, 4), Cfg: BaselineCache()}})
+	if pred[0] <= 0 {
+		t.Errorf("prediction %v", pred[0])
 	}
 }
 
@@ -401,16 +405,15 @@ func TestTrainDomainModelGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dm, err := TrainDomainModel(context.Background(), spec.Name, NewStudy(spec.Scaled(8)).Sample(120, 5), PredictMFlops, TrainOptions{
-		Search: genetic.Params{PopulationSize: 12, Generations: 4, Seed: 9},
-	})
+	dm, err := TrainDomainModel(context.Background(), spec.Name, NewStudy(spec.Scaled(8)).Sample(120, 5), PredictMFlops, genetic.Params{PopulationSize: 12, Generations: 4, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rm := dm.Model.(*spline.Model).RegressModel()
 	h := sha256.New()
 	var b [8]byte
-	fmt.Fprintf(h, "%s|%d|", dm.Model.Spec, dm.Searched)
-	for _, f := range append([]float64{dm.Fitness}, dm.Model.Coef...) {
+	fmt.Fprintf(h, "%s|%d|", rm.Spec, dm.Searched)
+	for _, f := range append([]float64{dm.Fitness}, rm.Coef...) {
 		binary.LittleEndian.PutUint64(b[:], math.Float64bits(f))
 		h.Write(b[:])
 	}

@@ -16,7 +16,6 @@ type TuneChoice struct {
 
 // TuningResult compares the four strategies for one matrix.
 type TuningResult struct {
-	Matrix      string
 	Baseline    TuneChoice // 1x1 blocks on the baseline cache
 	AppTuned    TuneChoice // best block size, baseline cache
 	ArchTuned   TuneChoice // 1x1 blocks, best cache
@@ -35,88 +34,82 @@ func (t TuningResult) CoordSpeedup() float64 { return t.Coordinated.MFlops / t.B
 // TuneOptions controls the search.
 type TuneOptions struct {
 	// CacheCandidates is how many random cache configurations each
-	// architecture search considers (default 200). The paper exploits "the
-	// tractability of inferred models" for this navigation; Tune can use
-	// either exhaustive simulation or a trained model as the oracle.
+	// architecture search considers. The paper exploits "the tractability
+	// of inferred models" for this navigation; Tune can use either
+	// exhaustive simulation or a trained model as the oracle.
 	CacheCandidates int
 	Seed            uint64
-	// Models, when non-nil, ranks candidates with the inferred performance
-	// model and only simulates the predicted winner — the paper's
-	// model-guided co-tuning. When nil, candidates are simulated directly.
-	Models *Models
+	// Model, when non-nil, is a PredictMFlops model that ranks candidates,
+	// so only the predicted winner is simulated — the paper's model-guided
+	// co-tuning. When nil, candidates are simulated directly.
+	Model *DomainModel
 	// Study provides fill ratios and simulation.
 	Study *Study
 }
 
-func (o TuneOptions) withDefaults() TuneOptions {
-	if o.CacheCandidates <= 0 {
-		o.CacheCandidates = 200
-	}
-	return o
-}
-
 // Tune runs the four tuning strategies of Figure 16 for the study's matrix.
+// Each strategy scans its candidates in a fixed order, baseline first, and
+// keeps the first candidate that scores strictly higher than every earlier
+// one.
 func Tune(opts TuneOptions) TuningResult {
-	opts = opts.withDefaults()
 	s := opts.Study
-	base := BaselineCache()
-
-	measure := func(r, c int, cfg CacheConfig) TuneChoice {
-		res := s.Simulate(r, c, cfg)
-		return TuneChoice{R: r, C: c, Cfg: cfg, MFlops: res.MFlops(), NJFlop: res.NJPerFlop()}
+	point := func(r, c int, cfg CacheConfig) Point {
+		return Point{R: r, C: c, Fill: s.FillRatio(r, c), Cfg: cfg}
 	}
-	// score ranks a candidate without committing to a full measurement when
-	// a model oracle is available.
-	score := func(r, c int, cfg CacheConfig) float64 {
-		if opts.Models != nil {
-			return opts.Models.Perf.Predict(r, c, s.FillRatio(r, c), cfg)
-		}
-		return s.Simulate(r, c, cfg).MFlops()
+	measure := func(pt Point) TuneChoice {
+		res := s.Simulate(pt.R, pt.C, pt.Cfg)
+		return TuneChoice{R: pt.R, C: pt.C, Cfg: pt.Cfg, MFlops: res.MFlops(), NJFlop: res.NJPerFlop()}
 	}
-
-	out := TuningResult{Matrix: s.Spec.Name, Baseline: measure(1, 1, base)}
-
-	// Application tuning: sweep the 64 OSKI variants on the baseline cache.
-	bestR, bestC, bestScore := 1, 1, score(1, 1, base)
-	for r := 1; r <= MaxBlockDim; r++ {
-		for c := 1; c <= MaxBlockDim; c++ {
-			if sc := score(r, c, base); sc > bestScore {
-				bestR, bestC, bestScore = r, c, sc
+	// best scores candidates in one batch through the model, or by
+	// simulation without one.
+	best := func(cands []Point) Point {
+		var scores []float64
+		if opts.Model != nil {
+			scores = opts.Model.Predict(cands)
+		} else {
+			for _, pt := range cands {
+				scores = append(scores, s.Simulate(pt.R, pt.C, pt.Cfg).MFlops())
 			}
 		}
+		k := 0
+		for i, sc := range scores {
+			if sc > scores[k] {
+				k = i
+			}
+		}
+		return cands[k]
 	}
-	out.AppTuned = measure(bestR, bestC, base)
+	// blocks appends the 64 OSKI variants on cfg to cands.
+	blocks := func(cands []Point, cfg CacheConfig) []Point {
+		for r := 1; r <= MaxBlockDim; r++ {
+			for c := 1; c <= MaxBlockDim; c++ {
+				cands = append(cands, point(r, c, cfg))
+			}
+		}
+		return cands
+	}
+
+	baseline := point(1, 1, BaselineCache())
+	out := TuningResult{Baseline: measure(baseline)}
+
+	// Application tuning: sweep the 64 OSKI variants on the baseline cache.
+	out.AppTuned = measure(best(blocks([]Point{baseline}, baseline.Cfg)))
 
 	// Architecture tuning: random cache candidates with 1x1 blocks.
 	src := rng.New(opts.Seed ^ 0xa4c4)
-	bestCfg, bestScore := base, score(1, 1, base)
+	cands := []Point{baseline}
 	for k := 0; k < opts.CacheCandidates; k++ {
-		cfg := SampleCacheConfig(src)
-		if sc := score(1, 1, cfg); sc > bestScore {
-			bestCfg, bestScore = cfg, sc
-		}
+		cands = append(cands, point(1, 1, SampleCacheConfig(src)))
 	}
-	out.ArchTuned = measure(1, 1, bestCfg)
+	out.ArchTuned = measure(best(cands))
 
 	// Coordinated tuning: joint search over block sizes and cache
 	// candidates (the same candidate pool, so strategies are comparable).
 	src = rng.New(opts.Seed ^ 0xc004d)
-	type cand struct {
-		r, c int
-		cfg  CacheConfig
-	}
-	best := cand{1, 1, base}
-	bestScore = score(1, 1, base)
+	cands = []Point{baseline}
 	for k := 0; k < opts.CacheCandidates; k++ {
-		cfg := SampleCacheConfig(src)
-		for r := 1; r <= MaxBlockDim; r++ {
-			for c := 1; c <= MaxBlockDim; c++ {
-				if sc := score(r, c, cfg); sc > bestScore {
-					best, bestScore = cand{r, c, cfg}, sc
-				}
-			}
-		}
+		cands = blocks(cands, SampleCacheConfig(src))
 	}
-	out.Coordinated = measure(best.r, best.c, best.cfg)
+	out.Coordinated = measure(best(cands))
 	return out
 }

@@ -2,6 +2,11 @@ package spmv
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"fmt"
+	"math"
 	"testing"
 
 	"hsmodel/internal/cache"
@@ -14,13 +19,11 @@ func TestModelGuidedTuningAgreesWithExhaustive(t *testing.T) {
 	// the simulations.
 	spec, _ := ByName("olafu")
 	s := NewStudy(spec.Scaled(64))
-	models, err := TrainModels(context.Background(), spec.Name, s.Sample(250, 3), TrainOptions{
-		Search: genetic.Params{PopulationSize: 20, Generations: 8, Seed: 2},
-	})
+	perf, err := TrainDomainModel(context.Background(), spec.Name, s.Sample(250, 3), PredictMFlops, genetic.Params{PopulationSize: 20, Generations: 8, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	guided := Tune(TuneOptions{Study: s, Models: &models, CacheCandidates: 40, Seed: 9})
+	guided := Tune(TuneOptions{Study: s, Model: perf, CacheCandidates: 40, Seed: 9})
 	exhaustive := Tune(TuneOptions{Study: s, CacheCandidates: 40, Seed: 9})
 
 	// Same candidate pools: the guided coordinated result must reach at
@@ -63,5 +66,36 @@ func TestNMRUAndRandomPoliciesSimulate(t *testing.T) {
 		if f < flops[0]/2 || f > flops[0]*2 {
 			t.Errorf("replacement policies implausibly far apart: %v", flops)
 		}
+	}
+}
+
+// TestTuneGolden pins the tuner's choices bit for bit: every strategy's
+// block size, cache and measured Mflop/s and nJ/flop, for a model-guided and
+// an exhaustive Tune on one small matrix.
+func TestTuneGolden(t *testing.T) {
+	spec, err := ByName("olafu")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewStudy(spec.Scaled(64))
+	perf, err := TrainDomainModel(context.Background(), spec.Name, s.Sample(120, 3), PredictMFlops, genetic.Params{PopulationSize: 12, Generations: 4, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	var b [8]byte
+	for _, m := range []*DomainModel{perf, nil} {
+		res := Tune(TuneOptions{Study: s, Model: m, CacheCandidates: 16, Seed: 4})
+		for _, ch := range []TuneChoice{res.Baseline, res.AppTuned, res.ArchTuned, res.Coordinated} {
+			fmt.Fprintf(h, "%d|%d|%+v|", ch.R, ch.C, ch.Cfg)
+			for _, f := range []float64{ch.MFlops, ch.NJFlop} {
+				binary.LittleEndian.PutUint64(b[:], math.Float64bits(f))
+				h.Write(b[:])
+			}
+		}
+	}
+	const want = "7440e8733e3de67081b91014be6ecf3881f0692e534da44190dcac0da4e763a3"
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Errorf("tuning hash %s, want %s", got, want)
 	}
 }

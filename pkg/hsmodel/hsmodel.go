@@ -133,6 +133,8 @@ var (
 	ErrModelIncomplete = core.ErrModelIncomplete
 	ErrModelChecksum   = core.ErrModelChecksum
 	ErrModelFamily     = core.ErrModelFamily
+	ErrModelNotRegular = core.ErrModelNotRegular
+	ErrModelTooLarge   = core.ErrModelTooLarge
 	// ErrAllFamiliesFailed is returned by a selection round in which no
 	// registered family produced a model.
 	ErrAllFamiliesFailed = core.ErrAllFamiliesFailed

@@ -181,7 +181,8 @@ type LifecycleWire struct {
 // places, so a manifest entry can be replayed against a live server
 // unchanged.
 type RegisterRequest struct {
-	// ID is the registry key (required; "default" is reserved).
+	// ID is the registry key: 1 to 64 characters of A-Z, a-z, 0-9, '.', '_'
+	// and '-' ("default" is reserved).
 	ID string `json:"id"`
 	// Application scopes sample fan-out to one application's profiles;
 	// empty absorbs every application.
