@@ -1,6 +1,7 @@
 // Command hsserve is the HTTP prediction service: it serves single-shard and
-// whole-application CPI predictions from a trained snapshot, coalesces
-// concurrent predictions into shared model passes, absorbs new profiles into
+// whole-application CPI predictions from a trained snapshot (a single
+// predict answers on its own request; concurrent predict:batch requests are
+// coalesced into shared model passes), absorbs new profiles into
 // the trainer's store, and exposes Prometheus metrics — the serving half of
 // the paper's always-available update protocol.
 //
@@ -14,7 +15,7 @@
 // start from: -bootstrap or -model.
 //
 // SIGHUP hot-reloads the snapshot from -model without dropping requests;
-// SIGINT/SIGTERM shut down gracefully, draining in-flight batches. The log
+// SIGINT/SIGTERM shut down gracefully, draining in-flight predict:batch jobs. The log
 // names the address the listener bound, so -addr 127.0.0.1:0 picks a free
 // port and reports it.
 package main
@@ -85,8 +86,8 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 	gens := fs.Int("gens", 8, "bootstrap: genetic generations")
 	seed := fs.Uint64("seed", 1, "bootstrap: random seed")
 	shardLen := fs.Int("shardlen", 50_000, "bootstrap: shard length in instructions")
-	maxBatch := fs.Int("max-batch", 32, "batcher jobs coalesced into one flush (a predict:batch request is one job)")
-	maxWait := fs.Duration("max-wait", 2*time.Millisecond, "batcher wait to fill a batch")
+	maxBatch := fs.Int("max-batch", 32, "batcher jobs coalesced into one flush (a predict:batch request is one job; a single predict never joins one)")
+	maxWait := fs.Duration("max-wait", 2*time.Millisecond, "batcher wait to fill a flush of predict:batch jobs (a single predict never waits)")
 	timeout := fs.Duration("timeout", 5*time.Second, "per-request timeout")
 	lifecycleOn := fs.Bool("lifecycle", false, "run the continuous-learning control loop on the default model's samples (bounded stores, drift detection, canary-gated retrains; needs -bootstrap or -model)")
 	driftThreshold := fs.Float64("drift-threshold", 0, "lifecycle: accumulated excess error (CUSUM mass) that trips the drift detector (0 = default)")

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"sync"
 
 	"hsmodel/internal/family"
 	"hsmodel/internal/hwspace"
@@ -94,21 +95,33 @@ func (s *Snapshot) Rung() Rung { return s.rung }
 // TrainedRows returns the number of profile rows the model was fitted on.
 func (s *Snapshot) TrainedRows() int { return s.trainedRows }
 
-// PredictShard predicts the CPI of a shard with characteristics x on
-// hardware hw, as a batch of one. Safe on a nil snapshot (returns
-// ErrNotTrained).
-func (s *Snapshot) PredictShard(x profile.Characteristics, hw hwspace.Config) (float64, error) {
-	// The row, the batch's row header and the output slot all escape
-	// through the family's interface call, so they share one allocation.
-	q := new(struct {
-		row  [NumVars]float64
-		rows [1][]float64
-		out  [1]float64
-	})
-	Sample{X: x, HW: hw}.RowInto(q.row[:])
+// shardScratch is the one-row batch of a single-shard prediction: the row,
+// the batch's row header and the output slot. It is pooled because all three
+// escape through the family's interface call; rows[0] aliases row.
+type shardScratch struct {
+	row  [NumVars]float64
+	rows [1][]float64
+	out  [1]float64
+}
+
+var shardScratchPool = sync.Pool{New: func() any {
+	q := new(shardScratch)
 	q.rows[0] = q.row[:]
+	return q
+}}
+
+// PredictShard predicts the CPI of a shard with characteristics x on
+// hardware hw, as a batch of one on a pooled scratch, so once warm it
+// allocates nothing. Safe on a nil snapshot (returns ErrNotTrained).
+//
+//hslint:hotpath
+func (s *Snapshot) PredictShard(x profile.Characteristics, hw hwspace.Config) (float64, error) {
+	q := shardScratchPool.Get().(*shardScratch)
+	Sample{X: x, HW: hw}.RowInto(q.row[:])
 	err := s.PredictBatch(q.rows[:], q.out[:])
-	return q.out[0], err
+	cpi := q.out[0]
+	shardScratchPool.Put(q)
+	return cpi, err
 }
 
 // PredictBatch predicts every raw row of rows into out (out[i] answers

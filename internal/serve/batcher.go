@@ -1,15 +1,17 @@
-// Request coalescing: concurrent predictions are gathered off a bounded queue
-// into batched passes over the served snapshot (Concorde-style
-// micro-batching, arXiv:2503.23076). Each model entry owns one batcher: one
-// bounded queue drained by one worker, so every concurrent prediction on the
-// entry shares one gather window. A submission that finds the queue full is
-// shed, and jobs (with their done channels) are pooled so a steady-state
-// prediction allocates nothing. Each flush loads the snapshot exactly once
-// and answers the whole batch through Snapshot.PredictBatch, so every
-// prediction in a batch is answered by the same model version and is
-// bit-identical to a direct Snapshot.PredictShard call — the batcher only
-// amortizes queueing, allocation, and snapshot loads, it never changes the
-// arithmetic.
+// Request coalescing: concurrent predict:batch requests are gathered off a
+// bounded queue into batched passes over the served snapshot
+// (Concorde-style micro-batching, arXiv:2503.23076). Each model entry owns
+// one batcher: one bounded queue drained by one worker, so every concurrent
+// client batch on the entry shares one gather window. A submission that
+// finds the queue full is shed, and jobs (with their done channels) are
+// pooled so a steady-state batch allocates nothing. Each flush loads the
+// snapshot exactly once and answers the whole batch through
+// Snapshot.PredictBatch, so every prediction in a flush is answered by the
+// same model version and is bit-identical to a direct Snapshot.PredictShard
+// call — the batcher only amortizes queueing, allocation, and snapshot
+// loads, it never changes the arithmetic. A single-shard prediction does
+// not come here: it answers on its own request (entry.predict), since a
+// batch of one has nothing to wait for.
 package serve
 
 import (
@@ -23,7 +25,7 @@ import (
 	"hsmodel/internal/profile"
 )
 
-// ErrClosed is returned to predictions submitted after shutdown began.
+// ErrClosed is returned to predictions made after shutdown began.
 var ErrClosed = errors.New("serve: server is shutting down")
 
 // ErrOverloaded is returned when the batcher's queue is full: the server
@@ -31,11 +33,10 @@ var ErrClosed = errors.New("serve: server is shutting down")
 // blocked submitters behind a worker that is already saturated.
 var ErrOverloaded = errors.New("serve: prediction queue full")
 
-// predictJob is one submission: either a single shard prediction (using the
-// inline one-element storage, so the pooled job is self-contained) or a whole
-// client batch sharing one queue round trip. The worker fills out[i] for
-// every item, sets err, and signals done exactly once; done is buffered so an
-// abandoned (ctx-cancelled) job never blocks the worker.
+// predictJob is one submission: a whole client batch sharing one queue round
+// trip. The worker fills out[i] for every item, sets err, and signals done
+// exactly once; done is buffered so an abandoned (ctx-cancelled) job never
+// blocks the worker.
 type predictJob struct {
 	xs  []profile.Characteristics
 	hws []hwspace.Config
@@ -43,11 +44,6 @@ type predictJob struct {
 	err error
 
 	done chan struct{} // buffered(1), reused across pool recycles
-
-	// Inline storage backing single-prediction jobs.
-	x1  [1]profile.Characteristics
-	hw1 [1]hwspace.Config
-	o1  [1]float64
 }
 
 // batcherConfig carries the construction parameters of a batcher.
@@ -97,9 +93,8 @@ type batcher struct {
 	timer  *time.Timer   // gather-window timer, reused across flushes
 }
 
-// flushChunk is the row-buffer capacity of one sweep: large enough that a
-// flush of single-prediction jobs is answered in one PredictBatch call, and
-// a flush of client batches sweeps in well-amortized pieces.
+// minFlushChunk is the least row-buffer capacity of one sweep: a flush of
+// client batches sweeps in well-amortized pieces.
 const minFlushChunk = 128
 
 func newBatcher(cfg batcherConfig) *batcher {
@@ -141,34 +136,15 @@ func (b *batcher) putJob(j *predictJob) {
 	b.jobs.Put(j)
 }
 
-// Predict submits one shard prediction and waits for its result. A request
-// that was accepted into the queue always receives a result (even during
-// shutdown); ctx cancellation abandons the wait but the buffered done channel
-// means the worker never blocks on an abandoned job. When the queue is full
-// the request is shed with ErrOverloaded instead of blocking: under overload
-// the queue is a pressure gauge, not a waiting room.
-func (b *batcher) Predict(ctx context.Context, x profile.Characteristics, hw hwspace.Config) (float64, error) {
-	job := b.getJob()
-	job.x1[0], job.hw1[0] = x, hw
-	job.xs, job.hws, job.out = job.x1[:1], job.hw1[:1], job.o1[:1]
-	if err := b.submit(job); err != nil {
-		return 0, err
-	}
-	select {
-	case <-job.done:
-		cpi, err := job.o1[0], job.err
-		b.putJob(job)
-		return cpi, err
-	case <-ctx.Done():
-		return 0, ctx.Err()
-	}
-}
-
 // PredictMany submits a whole client batch as one job — one queue round trip
 // for len(xs) predictions — and waits for it. out[i] answers (xs[i], hws[i]);
-// len(hws) and len(out) must be at least len(xs). On a ctx error the worker
-// may still write into out, so the caller must discard the buffer (the serve
-// handlers allocate it per request).
+// len(hws) and len(out) must be at least len(xs). A job that was accepted
+// into the queue always receives a result (even during shutdown); ctx
+// cancellation abandons the wait, and the worker may then still write into
+// out, so the caller must discard the buffer (the serve handlers allocate it
+// per request). When the queue is full the job is shed with ErrOverloaded
+// instead of blocking: under overload the queue is a pressure gauge, not a
+// waiting room.
 func (b *batcher) PredictMany(ctx context.Context, xs []profile.Characteristics, hws []hwspace.Config, out []float64) error {
 	if len(xs) == 0 {
 		return nil

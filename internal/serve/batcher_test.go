@@ -14,6 +14,15 @@ import (
 	"hsmodel/internal/profile"
 )
 
+// predictOneJob submits one prediction to b as a one-item PredictMany job:
+// the batcher's unit of work, with the gather window, shedding and drain of
+// any predict:batch request.
+func predictOneJob(ctx context.Context, b *batcher, x profile.Characteristics, hw hwspace.Config) (float64, error) {
+	out := make([]float64, 1)
+	err := b.PredictMany(ctx, []profile.Characteristics{x}, []hwspace.Config{hw}, out)
+	return out[0], err
+}
+
 // TestBatcherRespectsMaxBatch floods the queue before the worker can drain
 // it and checks no flush exceeds the cap while everything is answered.
 func TestBatcherRespectsMaxBatch(t *testing.T) {
@@ -43,7 +52,7 @@ func TestBatcherRespectsMaxBatch(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			v := valid[i%len(valid)]
-			if cpi, err := b.Predict(context.Background(), v.X, v.HW); err != nil || cpi <= 0 {
+			if cpi, err := predictOneJob(context.Background(), b, v.X, v.HW); err != nil || cpi <= 0 {
 				t.Errorf("predict %d: cpi=%v err=%v", i, cpi, err)
 			} else {
 				ok.Add(1)
@@ -78,11 +87,11 @@ func TestBatcherContextCancel(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := b.Predict(ctx, valid[0].X, valid[0].HW); !errors.Is(err, context.Canceled) {
+	if _, err := predictOneJob(ctx, b, valid[0].X, valid[0].HW); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	// The batcher still works for live callers afterwards.
-	if cpi, err := b.Predict(context.Background(), valid[0].X, valid[0].HW); err != nil || cpi <= 0 {
+	if cpi, err := predictOneJob(context.Background(), b, valid[0].X, valid[0].HW); err != nil || cpi <= 0 {
 		t.Fatalf("post-cancel predict: cpi=%v err=%v", cpi, err)
 	}
 }
@@ -93,7 +102,7 @@ func TestBatcherUntrained(t *testing.T) {
 	_, valid := testData(t)
 	b := newBatcher(batcherConfig{maxBatch: 8, maxWait: time.Millisecond, queueDepth: 8, snap: tr.Snapshot})
 	defer b.Close()
-	if _, err := b.Predict(context.Background(), valid[0].X, valid[0].HW); !errors.Is(err, core.ErrNotTrained) {
+	if _, err := predictOneJob(context.Background(), b, valid[0].X, valid[0].HW); !errors.Is(err, core.ErrNotTrained) {
 		t.Fatalf("err = %v, want ErrNotTrained", err)
 	}
 }
@@ -135,7 +144,7 @@ func TestBatcherDrainOnClose(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			v := valid[i%len(valid)]
-			cpi, err := b.Predict(context.Background(), v.X, v.HW)
+			cpi, err := predictOneJob(context.Background(), b, v.X, v.HW)
 			switch {
 			case err == nil && cpi > 0:
 				answered.Add(1)
@@ -175,7 +184,7 @@ func TestBatcherDrainOnClose(t *testing.T) {
 	}
 	t.Logf("answered %d, rejected %d, shed %d",
 		answered.Load(), rejected.Load(), shed.Load())
-	if _, err := b.Predict(context.Background(), valid[0].X, valid[0].HW); !errors.Is(err, ErrClosed) {
+	if _, err := predictOneJob(context.Background(), b, valid[0].X, valid[0].HW); !errors.Is(err, ErrClosed) {
 		t.Errorf("post-close predict err = %v, want ErrClosed", err)
 	}
 }
@@ -219,42 +228,4 @@ func TestPredictManyBitIdenticalToSnapshot(t *testing.T) {
 	if err := b.PredictMany(context.Background(), nil, nil, nil); err != nil {
 		t.Fatalf("empty predictMany: %v", err)
 	}
-}
-
-// BenchmarkServePredictBatch measures the steady-state serving batch path end
-// to end — pooled job, one queue round trip, contiguous PredictBatch sweeps —
-// and asserts its allocation profile in the report (the hot path must be
-// zero-allocation once pools are warm).
-func BenchmarkServePredictBatch(b *testing.B) {
-	tr := newTestTrainer(b)
-	// MaxBatch 1: the serial benchmark's single multi-item job flushes
-	// immediately instead of waiting out the gather window.
-	s, err := New(Config{Trainer: tr, MaxBatch: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer s.Close()
-	_, valid := testData(b)
-
-	const batch = 64
-	xs := make([]profile.Characteristics, batch)
-	hws := make([]hwspace.Config, batch)
-	for i := range xs {
-		v := valid[i%len(valid)]
-		xs[i], hws[i] = v.X, v.HW
-	}
-	out := make([]float64, batch)
-	ctx := context.Background()
-	if err := s.PredictMany(ctx, xs, hws, out); err != nil { // warm pools
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := s.PredictMany(ctx, xs, hws, out); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(batch), "preds/op")
 }

@@ -15,8 +15,9 @@
 //     profiles are shared between applications, operationalized: one
 //     ingested profile feeds many training sets.
 //
-// Load shedding is per entry: each batcher's bounded queue rejects what it
-// cannot hold.
+// Load shedding is per entry: each batcher's bounded queue rejects the
+// predict:batch jobs it cannot hold. Other predictions answer on their own
+// request (entry.predict) and are never queued.
 package serve
 
 import (
@@ -32,7 +33,9 @@ import (
 	"hsmodel/internal/core"
 	"hsmodel/internal/family"
 	"hsmodel/internal/genetic"
+	"hsmodel/internal/hwspace"
 	"hsmodel/internal/lifecycle"
+	"hsmodel/internal/profile"
 	"hsmodel/pkg/hsmodel"
 )
 
@@ -89,8 +92,14 @@ func newRegistry(batch batcherConfig) *registry {
 
 // register creates an entry from a wire registration: a fresh trainer
 // configured from req (families resolved by name, snapshot adopted from
-// ModelPath when set) and a lifecycle controller when req asks for one.
+// ModelPath when set) and a lifecycle controller when req asks for one. The
+// request is checked before ModelPath is opened, so a refused registration
+// never reads the file.
 func (r *registry) register(req hsmodel.RegisterRequest) (*entry, error) {
+	req, err := checkRequest(req)
+	if err != nil {
+		return nil, err
+	}
 	tr, err := trainerFor(req)
 	if err != nil {
 		return nil, err
@@ -115,22 +124,43 @@ const (
 	maxModelIDLen = 64
 )
 
-// registerTrainer registers an entry around an existing trainer, with a
-// control loop configured by lc when it is non-nil — the server registers
-// its bootstrap trainer as the reserved "default" entry this way. The id
-// must follow the id rule, and the trainer must not already be registered.
-// A control loop needs a trained trainer or a ModelPath the caller loads
-// from (errLifecycleNoModel).
-func (r *registry) registerTrainer(req hsmodel.RegisterRequest, lc *lifecycle.Config, tr *core.Trainer) (*entry, error) {
+// checkRequest applies the registration rules that need no trainer: the id
+// rule, the architecture space (returned defaulted) and non-negative search
+// sizes and shard length (0 means the default).
+func checkRequest(req hsmodel.RegisterRequest) (hsmodel.RegisterRequest, error) {
 	if len(req.ID) == 0 || len(req.ID) > maxModelIDLen || strings.Trim(req.ID, modelIDChars) != "" {
-		return nil, fmt.Errorf("registry: model id %q: want 1 to 64 characters of A-Z, a-z, 0-9, '.', '_' and '-'", req.ID)
+		return req, fmt.Errorf("registry: model id %q: want 1 to 64 characters of A-Z, a-z, 0-9, '.', '_' and '-'", req.ID)
 	}
 	switch req.ArchSpace {
 	case "":
 		req.ArchSpace = defaultArchSpace
 	case defaultArchSpace:
 	default:
-		return nil, fmt.Errorf("registry: unknown architecture space %q (have %q)", req.ArchSpace, defaultArchSpace)
+		return req, fmt.Errorf("registry: unknown architecture space %q (have %q)", req.ArchSpace, defaultArchSpace)
+	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"population", req.Population}, {"generations", req.Generations}, {"shard_len", req.ShardLen}} {
+		if f.v < 0 {
+			return req, fmt.Errorf("registry: %s %d: want 0 (the default) or more", f.name, f.v)
+		}
+	}
+	return req, nil
+}
+
+// registerTrainer registers an entry around an existing trainer, with a
+// control loop configured by lc when it is non-nil — the server registers
+// its bootstrap trainer as the reserved "default" entry this way. The
+// request must pass checkRequest, and the trainer must not already be
+// registered. A control loop needs a trained trainer or a ModelPath the
+// caller loads from (errLifecycleNoModel).
+func (r *registry) registerTrainer(req hsmodel.RegisterRequest, lc *lifecycle.Config, tr *core.Trainer) (*entry, error) {
+	// register has already checked a wire or manifest request (before
+	// opening its ModelPath); this check is the bootstrap "default" entry's.
+	req, err := checkRequest(req)
+	if err != nil {
+		return nil, err
 	}
 	if lc != nil && req.ModelPath == "" && !tr.Snapshot().Trained() {
 		return nil, fmt.Errorf("%w: %q", errLifecycleNoModel, req.ID)
@@ -160,17 +190,9 @@ func (r *registry) registerTrainer(req hsmodel.RegisterRequest, lc *lifecycle.Co
 	return e, nil
 }
 
-// trainerFor builds and configures a registered entry's trainer. A search
-// size or shard length of 0 means the default; a negative one is refused.
+// trainerFor builds and configures the trainer of a checked registration
+// (checkRequest).
 func trainerFor(req hsmodel.RegisterRequest) (*core.Trainer, error) {
-	for _, f := range []struct {
-		name string
-		v    int
-	}{{"population", req.Population}, {"generations", req.Generations}, {"shard_len", req.ShardLen}} {
-		if f.v < 0 {
-			return nil, fmt.Errorf("registry: %s %d: want 0 (the default) or more", f.name, f.v)
-		}
-	}
 	tr := core.NewTrainer(nil)
 	tr.ShardLen = req.ShardLen
 	tr.Search = genetic.Params{
@@ -299,7 +321,7 @@ func (r *registry) submit(samples []core.Sample) []string {
 
 // close drains the registry: in-flight updates are cancelled (their
 // trainers observe context cancellation and keep the last-good snapshot),
-// every entry's batcher answers what it accepted, and every control loop
+// every entry's batcher answers the jobs it accepted, and every control loop
 // shuts down. Safe to call more than once.
 func (r *registry) close() {
 	r.mu.Lock()
@@ -322,7 +344,7 @@ func (r *registry) close() {
 }
 
 // entry is one registered model: a trainer owning its atomic snapshot, the
-// batcher its predict traffic pins to, an optional continuous-learning
+// batcher its predict:batch traffic pins to, an optional continuous-learning
 // controller sharing the entry's sample stream, and one-at-a-time
 // asynchronous updates. The served model's identity (generation, publish
 // time) is the trainer's Published record.
@@ -333,6 +355,9 @@ type entry struct {
 	trainer   *core.Trainer
 	lifecycle *lifecycle.Controller // nil unless the entry has a control loop
 	batcher   *batcher
+	// closed is set first thing in close: a direct prediction that reads it
+	// set answers ErrClosed, as a submission to the closed batcher does.
+	closed atomic.Bool
 
 	// ctx bounds the entry's asynchronous updates; it derives from the
 	// registry's lifetime and close cancels it, so neither unregister nor
@@ -386,10 +411,26 @@ func (e *entry) triggerUpdate(timeout time.Duration, onDone func(error)) bool {
 	return true
 }
 
-// close drains the entry: the in-flight update (if any) is cancelled and
-// waited for, the batcher answers everything it accepted, and the control
-// loop shuts down.
+// predict answers a prediction on the calling goroutine against one
+// snapshot load: a single shard through Snapshot.PredictShard (0 allocations
+// once warm), several as their whole application's mean
+// (Snapshot.PredictApplication). After close it answers ErrClosed.
+func (e *entry) predict(xs []profile.Characteristics, hw hwspace.Config) (float64, error) {
+	if e.closed.Load() {
+		return 0, ErrClosed
+	}
+	snap := e.trainer.Snapshot()
+	if len(xs) == 1 {
+		return snap.PredictShard(xs[0], hw)
+	}
+	return snap.PredictApplication(xs, hw)
+}
+
+// close drains the entry: later predictions answer ErrClosed, the in-flight
+// update (if any) is cancelled and waited for, the batcher answers the jobs
+// it accepted, and the control loop shuts down.
 func (e *entry) close() {
+	e.closed.Store(true)
 	e.cancel()
 	e.batcher.Close()
 	e.updateWG.Wait()

@@ -482,6 +482,31 @@ func TestRegisterRejectsBadModelID(t *testing.T) {
 	}
 }
 
+// TestRegisterChecksRequestBeforeLoadingModel: a registration that breaks a
+// request rule is refused for that rule before its model_path is read. The
+// path names no file, so opening it would answer a snapshot-load error
+// instead of the 400 naming the rule.
+func TestRegisterChecksRequestBeforeLoadingModel(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	missing := filepath.Join(t.TempDir(), "absent.json")
+	for _, tc := range []struct {
+		rule string
+		req  hsmodel.RegisterRequest
+	}{
+		{"model id", hsmodel.RegisterRequest{ID: "bad id", ModelPath: missing}},
+		{"architecture space", hsmodel.RegisterRequest{ID: "m-arch", ArchSpace: "custom", ModelPath: missing}},
+		{"population", hsmodel.RegisterRequest{ID: "m-neg", Population: -1, ModelPath: missing}},
+	} {
+		resp, body := postJSON(t, ts.URL+"/v2/models", tc.req)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), tc.rule) {
+			t.Errorf("register breaking the %s rule: status %d: %s", tc.rule, resp.StatusCode, body)
+		}
+		if strings.Contains(string(body), errModelLoad.Error()) {
+			t.Errorf("register breaking the %s rule read model_path first: %s", tc.rule, body)
+		}
+	}
+}
+
 // TestRegisterRejectsNegativeSearchSizes: a registration with a negative
 // population, generations or shard_len is refused — 400 over the wire naming
 // the field, a failed boot from a manifest — instead of training with the

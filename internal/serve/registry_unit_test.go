@@ -1,6 +1,6 @@
 // Tests for the model registry (registry.go) below the HTTP layer: routing,
 // fan-out, entry lifetimes and draining, with every entry predicting through
-// its real micro-batcher.
+// its real direct path and micro-batcher.
 package serve
 
 import (
@@ -15,7 +15,9 @@ import (
 
 	"hsmodel/internal/core"
 	"hsmodel/internal/genetic"
+	"hsmodel/internal/hwspace"
 	"hsmodel/internal/lifecycle"
+	"hsmodel/internal/profile"
 	"hsmodel/internal/regress"
 	"hsmodel/pkg/hsmodel"
 )
@@ -374,13 +376,12 @@ func TestNoCrossEntrySnapshotLeakage(t *testing.T) {
 		}
 	}
 	s := testSamples(t)[0]
-	ctx := context.Background()
 	for id := range seeds {
 		e, _ := r.resolve(id)
 		if e.trainer.Snapshot() != snaps[id] {
 			t.Fatalf("entry %q serves a foreign snapshot", id)
 		}
-		got, err := e.batcher.Predict(ctx, s.X, s.HW)
+		got, err := e.predict([]profile.Characteristics{s.X}, s.HW)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -414,7 +415,11 @@ func TestRegisterUnregisterDuringPredictLoad(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for !stop.Load() {
-				if _, err := stable.batcher.Predict(ctx, s.X, s.HW); err != nil {
+				if _, err := stable.predict([]profile.Characteristics{s.X}, s.HW); err != nil {
+					t.Error(err)
+					return
+				}
+				if _, err := predictOneJob(ctx, stable.batcher, s.X, s.HW); err != nil {
 					t.Error(err)
 					return
 				}
@@ -450,10 +455,11 @@ func TestRegisterUnregisterDuringPredictLoad(t *testing.T) {
 	}
 }
 
-// TestCloseDrainsEveryEntry: close answers every prediction each entry's
-// batcher accepted, then refuses new ones. The gather window is an hour and
-// the batch cap is far above what is submitted, so no batch flushes before
-// close: every answer comes from the drain. A second close is a no-op.
+// TestCloseDrainsEveryEntry: close answers every one-item job each entry's
+// batcher accepted, then refuses new jobs and direct predictions alike. The
+// gather window is an hour and the batch cap is far above what is
+// submitted, so no batch flushes before close: every answer comes from the
+// drain. A second close is a no-op.
 func TestCloseDrainsEveryEntry(t *testing.T) {
 	base := trainedTrainer(t, 3)
 	s := testSamples(t)[0]
@@ -472,11 +478,12 @@ func TestCloseDrainsEveryEntry(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < 3; i++ {
-			// The steps of batcher.Predict up to its wait, so the test knows
-			// the job is in the queue before close runs.
+			// The steps of batcher.PredictMany up to its wait, so the test
+			// knows the job is in the queue before close runs.
 			job := e.batcher.getJob()
-			job.x1[0], job.hw1[0] = s.X, s.HW
-			job.xs, job.hws, job.out = job.x1[:1], job.hw1[:1], job.o1[:1]
+			job.xs = []profile.Characteristics{s.X}
+			job.hws = []hwspace.Config{s.HW}
+			job.out = make([]float64, 1)
 			if err := e.batcher.submit(job); err != nil {
 				t.Fatal(err)
 			}
@@ -491,12 +498,15 @@ func TestCloseDrainsEveryEntry(t *testing.T) {
 		default:
 			t.Fatalf("prediction %d was accepted but close returned without answering it", i)
 		}
-		if job.err != nil || math.Float64bits(job.o1[0]) != math.Float64bits(want) {
-			t.Fatalf("prediction %d: drained %v (err %v), want %v", i, job.o1[0], job.err, want)
+		if job.err != nil || math.Float64bits(job.out[0]) != math.Float64bits(want) {
+			t.Fatalf("prediction %d: drained %v (err %v), want %v", i, job.out[0], job.err, want)
 		}
 	}
 	for _, e := range entries {
-		if _, err := e.batcher.Predict(context.Background(), s.X, s.HW); !errors.Is(err, ErrClosed) {
+		if _, err := predictOneJob(context.Background(), e.batcher, s.X, s.HW); !errors.Is(err, ErrClosed) {
+			t.Fatalf("entry %q after close: batch err %v, want ErrClosed", e.req.ID, err)
+		}
+		if _, err := e.predict([]profile.Characteristics{s.X}, s.HW); !errors.Is(err, ErrClosed) {
 			t.Fatalf("entry %q after close: predict err %v, want ErrClosed", e.req.ID, err)
 		}
 	}

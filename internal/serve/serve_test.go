@@ -22,6 +22,8 @@ import (
 	"hsmodel/internal/core"
 	"hsmodel/internal/family"
 	"hsmodel/internal/genetic"
+	"hsmodel/internal/hwspace"
+	"hsmodel/internal/profile"
 	"hsmodel/internal/trace"
 	"hsmodel/pkg/hsmodel"
 )
@@ -499,11 +501,61 @@ func TestBatchCoalescing(t *testing.T) {
 	}
 }
 
+// TestSinglePredictNeverWaitsOutMaxWait: a single predict answers on its
+// own request, so with a 30 s MaxWait and a MaxBatch no single predict can
+// fill, two predicts in a row each answer within a client's one-second
+// timeout. Both answers are bit-identical to the snapshot, and the batcher
+// records no flush.
+func TestSinglePredictNeverWaitsOutMaxWait(t *testing.T) {
+	tr := newTestTrainer(t)
+	s, ts := newTestServer(t, Config{
+		Trainer:        tr,
+		MaxBatch:       32,
+		MaxWait:        30 * time.Second,
+		RequestTimeout: time.Minute,
+	})
+	_, valid := testData(t)
+	snap := tr.Snapshot()
+
+	// A client that gives up after a second disconnects, which cancels a
+	// server-side wait, so a failure does not sit out the gather window.
+	client := &http.Client{Timeout: time.Second}
+	for c, v := range valid[:2] {
+		want, err := snap.PredictShard(v.X, v.HW)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hw := v.HW
+		data, err := json.Marshal(hsmodel.PredictRequest{X: v.X[:], Config: &hw})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := client.Post(ts.URL+"/v2/models/default/predict", "application/json", bytes.NewReader(data))
+		if err != nil {
+			t.Fatalf("predict %d: %v", c, err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		var pr hsmodel.PredictResponse
+		switch {
+		case resp.StatusCode != http.StatusOK:
+			t.Fatalf("predict %d: status %d: %s", c, resp.StatusCode, body)
+		case json.Unmarshal(body, &pr) != nil:
+			t.Fatalf("predict %d: bad response: %s", c, body)
+		case math.Float64bits(pr.CPI) != math.Float64bits(want):
+			t.Fatalf("predict %d: prediction %v != snapshot prediction %v", c, pr.CPI, want)
+		}
+	}
+	if n := s.metrics.batchSize.count.Load(); n != 0 {
+		t.Fatalf("single predicts recorded %d batcher flushes, want 0", n)
+	}
+}
+
 // TestConcurrentPredictsShareOneFlush: each model entry has one gather
-// window, so two concurrent single predicts fill a MaxBatch-2 flush together
-// and are answered at once instead of each waiting out the 30 s MaxWait. Both
-// answers must be bit-identical to the snapshot, and the batch-size
-// histogram must record exactly one flush of two items.
+// window, so two concurrent one-item predict:batch requests fill a MaxBatch-2
+// flush together and are answered at once instead of each waiting out the
+// 30 s MaxWait. Both answers must be bit-identical to the snapshot, and the
+// batch-size histogram must record exactly one flush of two items.
 func TestConcurrentPredictsShareOneFlush(t *testing.T) {
 	tr := newTestTrainer(t)
 	s, ts := newTestServer(t, Config{
@@ -527,28 +579,30 @@ func TestConcurrentPredictsShareOneFlush(t *testing.T) {
 			t.Fatal(err)
 		}
 		hw := v.HW
-		data, err := json.Marshal(hsmodel.PredictRequest{X: v.X[:], Config: &hw})
+		data, err := json.Marshal(hsmodel.BatchPredictRequest{
+			Requests: []hsmodel.PredictRequest{{X: v.X[:], Config: &hw}},
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			resp, err := client.Post(ts.URL+"/v2/models/default/predict", "application/json", bytes.NewReader(data))
+			resp, err := client.Post(ts.URL+"/v2/models/default/predict:batch", "application/json", bytes.NewReader(data))
 			if err != nil {
 				errs[c] = err
 				return
 			}
 			body, _ := io.ReadAll(resp.Body)
 			resp.Body.Close()
-			var pr hsmodel.PredictResponse
+			var br hsmodel.BatchPredictResponse
 			switch {
 			case resp.StatusCode != http.StatusOK:
 				errs[c] = fmt.Errorf("status %d: %s", resp.StatusCode, body)
-			case json.Unmarshal(body, &pr) != nil:
+			case json.Unmarshal(body, &br) != nil || len(br.Results) != 1 || br.Results[0].Error != "":
 				errs[c] = fmt.Errorf("bad response: %s", body)
-			case math.Float64bits(pr.CPI) != math.Float64bits(want):
-				errs[c] = fmt.Errorf("prediction %v != snapshot prediction %v", pr.CPI, want)
+			case math.Float64bits(br.Results[0].CPI) != math.Float64bits(want):
+				errs[c] = fmt.Errorf("prediction %v != snapshot prediction %v", br.Results[0].CPI, want)
 			}
 		}(c)
 	}
@@ -565,8 +619,10 @@ func TestConcurrentPredictsShareOneFlush(t *testing.T) {
 	}
 }
 
-// TestGracefulShutdownDrains is the second acceptance clause: requests in
-// flight when shutdown begins are all answered — none lost, none hung.
+// TestGracefulShutdownDrains is the second acceptance clause: batcher jobs
+// in flight when shutdown begins are all answered — none lost, none hung.
+// Each request is a one-item PredictMany job, the unit a predict:batch
+// request submits.
 func TestGracefulShutdownDrains(t *testing.T) {
 	tr := newTestTrainer(t)
 	// A long gather window keeps the worker collecting while the queue fills,
@@ -589,7 +645,9 @@ func TestGracefulShutdownDrains(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			v := valid[i%len(valid)]
-			cpi, err := s.Predict(context.Background(), v.X, v.HW)
+			out := make([]float64, 1)
+			err := s.PredictMany(context.Background(), []profile.Characteristics{v.X}, []hwspace.Config{v.HW}, out)
+			cpi := out[0]
 			switch {
 			case err == nil && cpi > 0:
 				answered.Add(1)
@@ -628,7 +686,12 @@ func TestGracefulShutdownDrains(t *testing.T) {
 		t.Error("shutdown answered nothing — the drain path was not exercised")
 	}
 	t.Logf("answered %d, cleanly rejected %d, shed %d", answered.Load(), rejected.Load(), shed.Load())
-	// After Close, new submissions are rejected, not lost.
+	// After Close, new submissions are rejected, not lost, and a direct
+	// single predict is refused the same way.
+	out := make([]float64, 1)
+	if err := s.PredictMany(context.Background(), []profile.Characteristics{valid[0].X}, []hwspace.Config{valid[0].HW}, out); !errors.Is(err, ErrClosed) {
+		t.Errorf("post-close batch err = %v, want ErrClosed", err)
+	}
 	if _, err := s.Predict(context.Background(), valid[0].X, valid[0].HW); !errors.Is(err, ErrClosed) {
 		t.Errorf("post-close predict err = %v, want ErrClosed", err)
 	}

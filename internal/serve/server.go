@@ -8,7 +8,8 @@
 //	POST   /v2/models                     register a model entry
 //	DELETE /v2/models/{id}                unregister (drains the entry)
 //	POST   /v2/models/{id}/predict        single-shard and whole-application
-//	                                      predictions
+//	                                      predictions, answered on the
+//	                                      request goroutine
 //	POST   /v2/models/{id}/predict:batch  many predictions, coalesced across
 //	                                      clients by the entry's micro-batcher
 //	                                      into shared evaluator passes
@@ -35,10 +36,10 @@
 // server speak the same types. A POST body must hold exactly one JSON value
 // with no unknown fields (400) and at most maxBodyBytes (413). Every handler
 // runs under a per-request timeout; a Server drains every entry's in-flight
-// batches on Close; and the default served snapshot can be hot-reloaded
-// from the persistence format (Reload, wired to SIGHUP by cmd/hsserve) —
-// the Trainer guarantees a failed retrain or a rejected reload never
-// replaces the snapshot being served.
+// predict:batch jobs on Close; and the default served snapshot can be
+// hot-reloaded from the persistence format (Reload, wired to SIGHUP by
+// cmd/hsserve) — the Trainer guarantees a failed retrain or a rejected
+// reload never replaces the snapshot being served.
 package serve
 
 import (
@@ -71,16 +72,19 @@ type Config struct {
 	// snapshot Reload serves (errLifecycleNoModel).
 	Trainer *core.Trainer
 	// MaxBatch caps the batcher jobs coalesced into one flush (default 32).
-	// A job is one submission: a single prediction, or a whole
-	// predict:batch request's single-shard items, so a 64-item batch counts
-	// as one of MaxBatch.
+	// A job is one predict:batch request's single-shard items, so a 64-item
+	// batch counts as one of MaxBatch. Single predictions (Predict, POST
+	// /v2/models/{id}/predict) answer on their own request and never join a
+	// flush.
 	MaxBatch int
-	// MaxWait is how long the batcher waits to fill a batch after the first
-	// request arrives (default 2ms).
+	// MaxWait is how long the batcher waits to fill a flush of
+	// predict:batch jobs after the first one arrives (default 2ms). A
+	// single prediction never waits on it.
 	MaxWait time.Duration
-	// QueueDepth bounds each model entry's one batcher queue (default
-	// 4*MaxBatch). When the queue is full the request is shed: answered 429
-	// with a Retry-After hint instead of blocking behind a saturated worker.
+	// QueueDepth bounds each model entry's one batcher queue of
+	// predict:batch jobs (default 4*MaxBatch). When the queue is full the
+	// request is shed: answered 429 with a Retry-After hint instead of
+	// blocking behind a saturated worker. Single predictions are never shed.
 	QueueDepth int
 	// RequestTimeout bounds each request's context (default 5s).
 	RequestTimeout time.Duration
@@ -190,11 +194,11 @@ func New(cfg Config) (*Server, error) {
 // Handler returns the service's HTTP handler.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Close drains the server: every prediction already accepted by any entry's
-// batcher is answered, in-flight asynchronous updates complete, and every
-// lifecycle controller shuts down. Call after the HTTP listener has stopped
-// accepting requests (http.Server.Shutdown), so no handler can race the
-// drain.
+// Close drains the server: every predict:batch job already accepted by any
+// entry's batcher is answered, later predictions answer ErrClosed, in-flight
+// asynchronous updates complete, and every lifecycle controller shuts down.
+// Call after the HTTP listener has stopped accepting requests
+// (http.Server.Shutdown), so no handler can race the drain.
 func (s *Server) Close() {
 	s.reg.close()
 }
@@ -389,12 +393,15 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, v any) error {
 	}
 }
 
-// Predict answers one shard prediction through the default entry — the same
-// registry admission check and micro-batcher as POST
-// /v2/models/default/predict, minus HTTP. The benchmark's in-process probes
-// call it.
-func (s *Server) Predict(ctx context.Context, x profile.Characteristics, hw hwspace.Config) (float64, error) {
-	return s.def.batcher.Predict(ctx, x, hw)
+// Predict answers one shard prediction through the default entry, on the
+// calling goroutine — the same path as POST /v2/models/default/predict,
+// minus HTTP. Once warm it allocates nothing. It never waits, so ctx is not
+// consulted; it is taken for symmetry with PredictMany. The benchmark's
+// in-process probes call it.
+//
+//hslint:hotpath
+func (s *Server) Predict(_ context.Context, x profile.Characteristics, hw hwspace.Config) (float64, error) {
+	return s.def.predict([]profile.Characteristics{x}, hw)
 }
 
 // PredictMany answers a whole batch as one batcher submission on the default
@@ -407,20 +414,14 @@ func (s *Server) PredictMany(ctx context.Context, xs []profile.Characteristics, 
 	return s.def.batcher.PredictMany(ctx, xs, hws, out)
 }
 
-// predictOne answers one wire PredictRequest against an entry: single shards
-// go through the entry's micro-batcher; whole-application queries aggregate
-// over one snapshot load.
-func (s *Server) predictOne(ctx context.Context, e *entry, req hsmodel.PredictRequest) (hsmodel.PredictResponse, error) {
+// predictOne answers one wire PredictRequest against an entry, on the
+// request goroutine (entry.predict): a single shard or a whole application.
+func predictOne(e *entry, req hsmodel.PredictRequest) (hsmodel.PredictResponse, error) {
 	xs, hw, err := req.ShardInputs()
 	if err != nil {
 		return hsmodel.PredictResponse{}, err
 	}
-	var cpi float64
-	if len(xs) == 1 && len(req.Shards) == 0 {
-		cpi, err = e.batcher.Predict(ctx, xs[0], hw)
-	} else {
-		cpi, err = e.trainer.Snapshot().PredictApplication(xs, hw)
-	}
+	cpi, err := e.predict(xs, hw)
 	if err == nil {
 		err = checkFinite(cpi)
 	}
@@ -449,7 +450,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request, e *entry)
 		writeError(w, err)
 		return
 	}
-	resp, err := s.predictOne(r.Context(), e, req)
+	resp, err := predictOne(e, req)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -470,8 +471,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, e *entry) {
 	// Single-shard items ride the entry's batcher as ONE multi-item job —
 	// one queue round trip for the whole request, answered in shared
 	// PredictBatch sweeps (alongside items coalesced from other in-flight
-	// HTTP requests). Whole-application items aggregate over one snapshot
-	// load, as in predictOne.
+	// HTTP requests). Whole-application items answer directly, as in
+	// predictOne.
 	results := make([]hsmodel.BatchPredictItem, len(req.Requests))
 	xs := make([]profile.Characteristics, 0, len(req.Requests))
 	hws := make([]hwspace.Config, 0, len(req.Requests))
@@ -488,7 +489,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, e *entry) {
 			idx = append(idx, i)
 			continue
 		}
-		cpi, err := e.trainer.Snapshot().PredictApplication(shardXs, hw)
+		cpi, err := e.predict(shardXs, hw)
 		if err == nil {
 			err = checkFinite(cpi)
 		}

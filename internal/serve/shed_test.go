@@ -43,7 +43,7 @@ func TestBatcherShedsOnFullQueue(t *testing.T) {
 	// and parks in snap(); the queue is now empty.
 	first := make(chan error, 1)
 	go func() {
-		_, err := b.Predict(context.Background(), valid[0].X, valid[0].HW)
+		_, err := predictOneJob(context.Background(), b, valid[0].X, valid[0].HW)
 		first <- err
 	}()
 	<-entered
@@ -51,7 +51,7 @@ func TestBatcherShedsOnFullQueue(t *testing.T) {
 	// Second job fills the one-slot queue; the third must shed.
 	second := make(chan error, 1)
 	go func() {
-		_, err := b.Predict(context.Background(), valid[1].X, valid[1].HW)
+		_, err := predictOneJob(context.Background(), b, valid[1].X, valid[1].HW)
 		second <- err
 	}()
 	deadline := time.Now().Add(5 * time.Second)
@@ -61,7 +61,7 @@ func TestBatcherShedsOnFullQueue(t *testing.T) {
 		}
 		time.Sleep(100 * time.Microsecond)
 	}
-	if _, err := b.Predict(context.Background(), valid[2].X, valid[2].HW); !errors.Is(err, ErrOverloaded) {
+	if _, err := predictOneJob(context.Background(), b, valid[2].X, valid[2].HW); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("third predict err = %v, want ErrOverloaded", err)
 	}
 	if got := sheds.Load(); got != 1 {
