@@ -86,11 +86,12 @@ fig5:
 # hashes Float64bits of what its layer computes (the instruction stream,
 # collected samples, simulator results, the spmv study's sampled points, the
 # trained general and domain models, the spmv tuner's choices, one selection
-# round over the three families, and one stepwise-rung publish), so a change
+# round over the three families, one stepwise-rung publish, and the values
+# Figs 7b, 7c, 9 and 10 return at a small scale), so a change
 # meant to keep the numbers, or a result that depends on the worker count,
 # fails here.
-GOLDEN_TESTS := ^(TestStreamGolden|TestCollectGolden|TestSimulatorGolden|TestStudySampleGolden|TestTrainGolden|TestTrainDomainModelGolden|TestTuneGolden|TestSelectionRoundGolden|TestStepwiseRungGolden)$$
-GOLDEN_PKGS := ./internal/profile ./internal/core ./internal/cpu ./internal/spmv
+GOLDEN_TESTS := ^(TestStreamGolden|TestCollectGolden|TestSimulatorGolden|TestStudySampleGolden|TestTrainGolden|TestTrainDomainModelGolden|TestTuneGolden|TestSelectionRoundGolden|TestStepwiseRungGolden|TestExtrapolationFiguresGolden)$$
+GOLDEN_PKGS := ./internal/profile ./internal/core ./internal/cpu ./internal/spmv ./internal/experiments
 
 goldens:
 	$(GO) test -count=1 -cpu 1,2,4 -run '$(GOLDEN_TESTS)' $(GOLDEN_PKGS)
