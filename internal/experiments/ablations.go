@@ -50,9 +50,8 @@ func AblationInteractions(w *Workspace) (AblationResult, error) {
 	train := w.TrainingSamples()
 	valid := w.ValidationSamples()
 
-	with := core.NewTrainer(train)
-	with.Search = cfg.searchParams(0xAB1)
-	if err := with.Train(w.ctx); err != nil {
+	with, err := w.trainOn(train, 0xAB1, nil)
+	if err != nil {
 		return AblationResult{}, err
 	}
 	wm, err := with.Snapshot().EvaluateOn(valid)
@@ -83,9 +82,8 @@ func AblationSharding(w *Workspace) (AblationResult, error) {
 	train := append([]core.Sample(nil), w.TrainingSamples()...)
 	valid := w.ValidationSamples()
 
-	with := core.NewTrainer(train)
-	with.Search = cfg.searchParams(0xAB2)
-	if err := with.Train(w.ctx); err != nil {
+	with, err := w.trainOn(train, 0xAB2, nil)
+	if err != nil {
 		return AblationResult{}, err
 	}
 	wm, err := with.Snapshot().EvaluateOn(valid)
@@ -122,9 +120,8 @@ func AblationSharding(w *Workspace) (AblationResult, error) {
 		monoValid[i].X = appMean[monoValid[i].AppID]
 	}
 
-	without := core.NewTrainer(mono)
-	without.Search = cfg.searchParams(0xAB2)
-	if err := without.Train(w.ctx); err != nil {
+	without, err := w.trainOn(mono, 0xAB2, nil)
+	if err != nil {
 		return AblationResult{}, err
 	}
 	wo, err := without.Snapshot().EvaluateOn(monoValid)
@@ -143,9 +140,8 @@ func AblationStepwise(w *Workspace) (AblationResult, error) {
 	train := w.TrainingSamples()
 	valid := w.ValidationSamples()
 
-	with := core.NewTrainer(train)
-	with.Search = cfg.searchParams(0xAB3)
-	if err := with.Train(w.ctx); err != nil {
+	with, err := w.trainOn(train, 0xAB3, nil)
+	if err != nil {
 		return AblationResult{}, err
 	}
 	wm, err := with.Snapshot().EvaluateOn(valid)
@@ -240,10 +236,8 @@ func ablateModeler(w *Workspace, name string, set func(*core.Trainer, bool)) (Ab
 	train := w.TrainingSamples()
 	valid := w.ValidationSamples()
 	run := func(on bool) (float64, error) {
-		m := core.NewTrainer(train)
-		m.Search = cfg.searchParams(0xABA)
-		set(m, on)
-		if err := m.Train(w.ctx); err != nil {
+		m, err := w.trainOn(train, 0xABA, func(m *core.Trainer) { set(m, on) })
+		if err != nil {
 			return 0, err
 		}
 		met, err := m.Snapshot().EvaluateOn(valid)

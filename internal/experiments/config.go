@@ -151,12 +151,26 @@ func (w *Workspace) ValidationSamples() []core.Sample {
 // Model trains (once) the steady-state integrated model.
 func (w *Workspace) Model() (*core.Trainer, error) {
 	if w.model == nil {
-		m := core.NewTrainer(w.TrainingSamples())
-		m.Search = w.Cfg.searchParams(0x5EED)
-		if err := m.Train(w.ctx); err != nil {
+		m, err := w.trainOn(w.TrainingSamples(), 0x5EED, nil)
+		if err != nil {
 			return nil, fmt.Errorf("experiments: steady-state training: %w", err)
 		}
 		w.model = m
 	}
 	return w.model, nil
+}
+
+// trainOn fits a new trainer to samples under the suite's genetic search,
+// seeded by seed and bounded by the workspace context. tune, when not nil,
+// sets the trainer's search or modeling knobs before it trains.
+func (w *Workspace) trainOn(samples []core.Sample, seed uint64, tune func(*core.Trainer)) (*core.Trainer, error) {
+	m := core.NewTrainer(samples)
+	m.Search = w.Cfg.searchParams(seed)
+	if tune != nil {
+		tune(m)
+	}
+	if err := m.Train(w.ctx); err != nil {
+		return nil, err
+	}
+	return m, nil
 }

@@ -22,7 +22,8 @@ type ParTimeResult struct {
 	Workers []int
 	Seconds []float64
 	// Speedup is Seconds[0]/Seconds[len-1] (1 worker vs max workers). The
-	// paper reports 9x on twelve cores; on a single-core host this is ~1.
+	// paper reports 9x on twelve cores; 1 vs 4 workers at Quick scale reads
+	// 1.58-1.79x on 2 vCPUs (EXPERIMENTS.md, §4.2 time).
 	Speedup float64
 }
 
@@ -33,16 +34,11 @@ func ParTime(w *Workspace, workers []int) ParTimeResult {
 	train := w.TrainingSamples()
 	var res ParTimeResult
 	for _, n := range workers {
-		m := core.NewTrainer(train)
-		p := cfg.searchParams(0x9A12)
-		p.Workers = n
-		p.Generations = cfg.Generations / 2
-		if p.Generations < 3 {
-			p.Generations = 3
-		}
-		m.Search = p
 		start := time.Now()
-		if err := m.Train(w.ctx); err != nil {
+		if _, err := w.trainOn(train, 0x9A12, func(m *core.Trainer) {
+			m.Search.Workers = n
+			m.Search.Generations = max(cfg.Generations/2, 3)
+		}); err != nil {
 			continue
 		}
 		res.Workers = append(res.Workers, n)
@@ -132,11 +128,8 @@ func Costs(w *Workspace) (CostsResult, error) {
 	// Shared integrated model: one model over all applications.
 	for _, b := range budgets {
 		train := col.Collect(apps, b, cfg.Seed^0xCCF)
-		m := core.NewTrainer(train)
-		p := cfg.searchParams(0xC057)
-		p.Generations = cfg.Generations / 2
-		m.Search = p
-		if err := m.Train(w.ctx); err != nil {
+		m, err := w.trainOn(train, 0xC057, func(m *core.Trainer) { m.Search.Generations = cfg.Generations / 2 })
+		if err != nil {
 			continue
 		}
 		var worst float64

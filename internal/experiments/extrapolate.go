@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"fmt"
+	"io"
+	"math"
 
 	"hsmodel/internal/core"
 	"hsmodel/internal/isa"
@@ -20,53 +22,64 @@ type Fig10Result struct {
 	Overall AccuracyResult
 }
 
+// print renders each held-out application's metrics, then the accuracy over
+// every turn.
+func (r Fig10Result) print(out io.Writer, apps []*trace.App) {
+	for _, app := range apps {
+		fmt.Fprintf(out, "  %-10s %v\n", app.Name, r.PerApp[app.Name])
+	}
+	printAccuracy(out, "  overall", r.Overall)
+}
+
 // Fig10 trains on n-1 applications and predicts the held-out application's
 // shards, for each application in turn.
 func Fig10(w *Workspace) (Fig10Result, error) {
+	perApp := max(w.Cfg.ValidationPairs/len(w.Apps())*3, 20)
+	res, err := w.leaveOneAppOut("shard extrapolation", 0xF10, 0xAB10, perApp, nil)
+	if err != nil {
+		return Fig10Result{}, fmt.Errorf("fig10: %w", err)
+	}
+	fmt.Fprintf(w.Cfg.out(), "Figure 10 — shard-level extrapolation (leave-one-application-out)\n")
+	res.print(w.Cfg.out(), w.Apps())
+	return res, nil
+}
+
+// leaveOneAppOut gives each application n a turn as the one held out: a
+// trainer fits the other applications' training samples (search seed
+// searchSeed+n), perturb, when not nil, updates it with profiles of
+// application n, and it predicts perApp fresh samples of application n
+// (collected with seed Seed^(validSeed+n)). It returns each application's
+// metrics and the accuracy, named name, over every turn's predictions, in
+// Figure 10's shape.
+func (w *Workspace) leaveOneAppOut(name string, searchSeed, validSeed uint64, perApp int,
+	perturb func(m *core.Trainer, n int, app *trace.App) error) (Fig10Result, error) {
 	cfg := w.Cfg
-	train := w.TrainingSamples()
 	res := Fig10Result{PerApp: map[string]regress.Metrics{}}
 	var allPred, allTruth []float64
-	var allErrs []float64
-
 	for n, app := range w.Apps() {
 		var rest []core.Sample
-		for _, s := range train {
+		for _, s := range w.TrainingSamples() {
 			if s.AppID != n {
 				rest = append(rest, s)
 			}
 		}
-		m := core.NewTrainer(rest)
-		m.Search = cfg.searchParams(uint64(0xF10 + n))
-		if err := m.Train(w.ctx); err != nil {
-			return res, fmt.Errorf("fig10 %s: %w", app.Name, err)
+		m, err := w.trainOn(rest, searchSeed+uint64(n), nil)
+		if err == nil && perturb != nil {
+			err = perturb(m, n, app)
 		}
-		// Validate against separately profiled shards of application n.
-		perApp := cfg.ValidationPairs / len(w.Apps()) * 3
-		if perApp < 20 {
-			perApp = 20
+		if err != nil {
+			return Fig10Result{}, fmt.Errorf("%s held out: %w", app.Name, err)
 		}
-		valid := cfg.collector().Collect([]*trace.App{app}, perApp, cfg.Seed^uint64(0xAB10+n))
+		valid := cfg.collector().Collect([]*trace.App{app}, perApp, cfg.Seed^(validSeed+uint64(n)))
 		pred, truth, err := m.Snapshot().PredictSamples(valid)
 		if err != nil {
-			return res, err
+			return Fig10Result{}, err
 		}
 		res.PerApp[app.Name] = regress.Assess(pred, truth)
 		allPred = append(allPred, pred...)
 		allTruth = append(allTruth, truth...)
-		allErrs = append(allErrs, stats.AbsPctErrors(pred, truth)...)
 	}
-	res.Overall = AccuracyResult{
-		Name:    "shard extrapolation",
-		Metrics: regress.Assess(allPred, allTruth),
-		Errors:  stats.Boxplot(allErrs),
-	}
-	out := cfg.out()
-	fmt.Fprintf(out, "Figure 10 — shard-level extrapolation (leave-one-application-out)\n")
-	for _, app := range w.Apps() {
-		fmt.Fprintf(out, "  %-10s %v\n", app.Name, res.PerApp[app.Name])
-	}
-	printAccuracy(out, "  overall", res.Overall)
+	res.Overall = accuracy(name, allPred, allTruth)
 	return res, nil
 }
 
@@ -87,14 +100,10 @@ type Fig7bResult struct {
 // runs the update protocol, and validates on variant pairs.
 func Fig7b(w *Workspace) (Fig7bResult, error) {
 	cfg := w.Cfg
-	base, err := w.Model()
+	// A model of its own, on a copy of the training samples, so the update
+	// below leaves the workspace's samples and steady-state model pristine.
+	m, err := w.trainOn(append([]core.Sample(nil), w.TrainingSamples()...), 0xF7B, nil)
 	if err != nil {
-		return Fig7bResult{}, err
-	}
-	// Work on a copy so the workspace's steady-state model stays pristine.
-	m := core.NewTrainer(base.Samples())
-	m.Search = cfg.searchParams(0xF7B)
-	if err := m.Train(w.ctx); err != nil {
 		return Fig7bResult{}, err
 	}
 
@@ -123,12 +132,8 @@ func Fig7b(w *Workspace) (Fig7bResult, error) {
 		return Fig7bResult{}, err
 	}
 	res := Fig7bResult{
-		Accuracy: AccuracyResult{
-			Name:    "variant extrapolation",
-			Metrics: regress.Assess(pred, truth),
-			Errors:  stats.Boxplot(stats.AbsPctErrors(pred, truth)),
-		},
-		Updated: decision.Updated,
+		Accuracy: accuracy("variant extrapolation", pred, truth),
+		Updated:  decision.Updated,
 	}
 
 	// Compiler-optimization effect on a fixed architecture.
@@ -145,36 +150,49 @@ func Fig7b(w *Workspace) (Fig7bResult, error) {
 // optEffect measures |CPI(variant)-CPI(base)|/CPI(base) for the compiler
 // variants on the baseline architecture.
 func optEffect(w *Workspace) (maxEff, meanEff float64) {
-	cfg := w.Cfg
-	col := cfg.collector()
-	var effects []float64
-	for appID, app := range w.Apps() {
-		for shard := 0; shard < 3; shard++ {
-			baseCPI := simCPI(col, app, appID, shard)
-			for _, opt := range []trace.Opt{trace.OptO1, trace.OptO3} {
-				v := trace.WithOpt(app, opt)
-				eff := simCPI(col, v, appID, shard)/baseCPI - 1
-				if eff < 0 {
-					eff = -eff
+	// apps holds base, -O1, -O3 of each application in turn.
+	var apps []*trace.App
+	for _, app := range w.Apps() {
+		apps = append(apps, app, trace.WithOpt(app, trace.OptO1), trace.WithOpt(app, trace.OptO3))
+	}
+	cpi := w.Cfg.baselineCPI(apps, 3)
+	n := 0
+	for a := 0; a < len(apps); a += 3 {
+		for shard, base := range cpi[a] {
+			for _, variant := range cpi[a+1 : a+3] {
+				eff := math.Abs(variant[shard]/base - 1)
+				if eff > maxEff {
+					maxEff = eff
 				}
-				effects = append(effects, eff)
+				meanEff += eff
+				n++
 			}
 		}
 	}
-	for _, e := range effects {
-		if e > maxEff {
-			maxEff = e
-		}
-		meanEff += e
-	}
-	meanEff /= float64(len(effects))
+	meanEff /= float64(n)
 	return
 }
 
-func simCPI(col *core.Collector, app *trace.App, appID, shard int) float64 {
-	s := col.CollectPairs([]*trace.App{app}, []int{0}, []int{shard},
-		[]hwConfig{baselineHW()})
-	return s[0].CPI
+// baselineCPI simulates shards 0..shards-1 of every application on the
+// baseline architecture in one collection: cpi[i][s] is apps[i]'s shard s.
+// The collector traces each (index, shard) pair once, from the first
+// request's application, so every program, a compiler variant included,
+// needs its own index in apps.
+func (c Config) baselineCPI(apps []*trace.App, shards int) (cpi [][]float64) {
+	var appIDs, shardIDs []int
+	var hws []hwConfig
+	for appID := range apps {
+		for s := 0; s < shards; s++ {
+			appIDs = append(appIDs, appID)
+			shardIDs = append(shardIDs, s)
+			hws = append(hws, baselineHW())
+		}
+	}
+	cpi = make([][]float64, len(apps))
+	for _, s := range c.collector().CollectPairs(apps, appIDs, shardIDs, hws) {
+		cpi[s.AppID] = append(cpi[s.AppID], s.CPI)
+	}
+	return cpi
 }
 
 // ---------------------------------------------------------------------------
@@ -193,60 +211,29 @@ type Fig7cResult struct {
 // is measured on fresh (application n, architecture) pairs.
 func Fig7c(w *Workspace) (Fig7cResult, error) {
 	cfg := w.Cfg
-	train := w.TrainingSamples()
-	col := cfg.collector()
-	res := Fig7cResult{PerApp: map[string]regress.Metrics{}}
-	var allPred, allTruth, allErrs []float64
-
-	for n, app := range w.Apps() {
-		var rest []core.Sample
-		for _, s := range train {
-			if s.AppID != n {
-				rest = append(rest, s)
-			}
-		}
-		m := core.NewTrainer(rest)
-		m.Search = cfg.searchParams(uint64(0xF7C + n))
-		if err := m.Train(w.ctx); err != nil {
-			return res, err
-		}
-		// Perturb with 10-20 profiles of the new application; the update
-		// protocol decides whether to re-specify.
-		newProfiles := col.Collect([]*trace.App{app}, 15, cfg.Seed^uint64(0xC0+n))
+	updated := 0
+	// Perturb with 10-20 profiles of the new application; the update
+	// protocol decides whether to re-specify.
+	perturb := func(m *core.Trainer, n int, app *trace.App) error {
+		newProfiles := cfg.collector().Collect([]*trace.App{app}, 15, cfg.Seed^uint64(0xC0+n))
 		for i := range newProfiles {
 			newProfiles[i].AppID = n
 		}
 		d, err := m.Perturb(w.ctx, newProfiles, core.UpdatePolicy{ErrThreshold: 0.10})
-		if err != nil {
-			return res, err
-		}
 		if d.Updated {
-			res.Updated++
+			updated++
 		}
-		// Validate on fresh pairs of application n (new architectures).
-		valid := col.Collect([]*trace.App{app}, cfg.ValidationPairs/len(w.Apps()), cfg.Seed^uint64(0xC70+n))
-		pred, truth, err := m.Snapshot().PredictSamples(valid)
-		if err != nil {
-			return res, err
-		}
-		res.PerApp[app.Name] = regress.Assess(pred, truth)
-		allPred = append(allPred, pred...)
-		allTruth = append(allTruth, truth...)
-		allErrs = append(allErrs, stats.AbsPctErrors(pred, truth)...)
+		return err
 	}
-	res.Overall = AccuracyResult{
-		Name:    "new app/arch extrapolation",
-		Metrics: regress.Assess(allPred, allTruth),
-		Errors:  stats.Boxplot(allErrs),
+	// Validate on fresh pairs of application n (new architectures).
+	r, err := w.leaveOneAppOut("new app/arch extrapolation", 0xF7C, 0xC70, cfg.ValidationPairs/len(w.Apps()), perturb)
+	if err != nil {
+		return Fig7cResult{}, fmt.Errorf("fig7c: %w", err)
 	}
-	out := cfg.out()
-	fmt.Fprintf(out, "Figure 7(c)/8(c) — new application + architecture extrapolation (%d/%d turns updated)\n",
-		res.Updated, len(w.Apps()))
-	for _, app := range w.Apps() {
-		fmt.Fprintf(out, "  %-10s %v\n", app.Name, res.PerApp[app.Name])
-	}
-	printAccuracy(out, "  overall", res.Overall)
-	return res, nil
+	fmt.Fprintf(cfg.out(), "Figure 7(c)/8(c) — new application + architecture extrapolation (%d/%d turns updated)\n",
+		updated, len(w.Apps()))
+	r.print(cfg.out(), w.Apps())
+	return Fig7cResult{PerApp: r.PerApp, Overall: r.Overall, Updated: updated}, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -303,16 +290,12 @@ func Fig9(w *Workspace) Fig9Result {
 	}
 
 	// CPI distributions on the baseline architecture.
-	col := cfg.collector()
 	var bwCPI, otherCPI []float64
-	for appID, app := range w.Apps() {
-		for s := 0; s < cfg.ShardPool; s++ {
-			sample := col.CollectPairs([]*trace.App{app}, []int{0}, []int{s}, []hwConfig{baselineHW()})
-			if w.Apps()[appID].Name == "bwaves" {
-				bwCPI = append(bwCPI, sample[0].CPI)
-			} else {
-				otherCPI = append(otherCPI, sample[0].CPI)
-			}
+	for appID, cpi := range cfg.baselineCPI(w.Apps(), cfg.ShardPool) {
+		if w.Apps()[appID].Name == "bwaves" {
+			bwCPI = append(bwCPI, cpi...)
+		} else {
+			otherCPI = append(otherCPI, cpi...)
 		}
 	}
 	res.CPIBwaves = stats.NewHistogram(bwCPI, 16)

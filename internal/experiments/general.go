@@ -166,14 +166,20 @@ func Fig7a(w *Workspace) (AccuracyResult, error) {
 	if err != nil {
 		return AccuracyResult{}, err
 	}
-	res := AccuracyResult{
-		Name:    "interpolation",
-		Metrics: regress.Assess(pred, truth),
-		Errors:  stats.Boxplot(stats.AbsPctErrors(pred, truth)),
-		PerApp:  perAppMedians(pred, truth, valid),
-	}
+	res := accuracy("interpolation", pred, truth)
+	res.PerApp = perAppMedians(pred, truth, valid)
 	printAccuracy(w.Cfg.out(), "Figure 7(a)/8(a) — steady-state interpolation", res)
 	return res, nil
+}
+
+// accuracy summarizes predictions against their true values: the error
+// boxplot and the predicted-vs-true metrics.
+func accuracy(name string, pred, truth []float64) AccuracyResult {
+	return AccuracyResult{
+		Name:    name,
+		Metrics: regress.Assess(pred, truth),
+		Errors:  stats.Boxplot(stats.AbsPctErrors(pred, truth)),
+	}
 }
 
 // perAppMedians computes per-application median errors from predictions

@@ -45,11 +45,11 @@ const (
 	// until enough arrive to retrain (the paper's 10–20 new points).
 	StateGathering
 	// StateRetraining: a shadow trainer is fitting a candidate on a
-	// background goroutine; serving continues on the incumbent snapshot.
+	// background goroutine, then scoring it against the held-out reservoir
+	// split and the recent query stream; serving continues on the incumbent
+	// snapshot. Scoring and the promote-or-cooldown decision take one hold
+	// of the controller's lock, so the next state is Stable or Cooldown.
 	StateRetraining
-	// StateCanary: the candidate is being scored against the held-out
-	// reservoir split and the recent query stream.
-	StateCanary
 	// StateCooldown: a rollback or ladder failure occurred; retraining is
 	// suppressed for an exponentially growing, jittered number of
 	// submissions.
@@ -66,8 +66,6 @@ func (s State) String() string {
 		return "gathering"
 	case StateRetraining:
 		return "retraining"
-	case StateCanary:
-		return "canary"
 	case StateCooldown:
 		return "cooldown"
 	default:
@@ -283,7 +281,7 @@ func (c *Controller) Submit(samples ...core.Sample) {
 				// and try again next submission.
 				c.startEpisode()
 			}
-		case StateRetraining, StateCanary:
+		case StateRetraining:
 			// The episode goroutine owns the next transition; samples keep
 			// landing in the stores meanwhile.
 		case StateCooldown:
@@ -386,8 +384,6 @@ func (c *Controller) runEpisode(train, canary []core.Sample) {
 		return
 	}
 	candidate := shadow.Snapshot()
-
-	c.transition(StateCanary, "candidate trained, scoring canary")
 	candM, candErr := candidate.EvaluateOn(canary)
 	incumbent := c.live.Snapshot()
 	var incumbentAPE float64

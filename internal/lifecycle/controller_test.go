@@ -82,7 +82,7 @@ func waitResolved(t testing.TB, c *Controller) {
 	deadline := time.Now().Add(2 * time.Minute)
 	for {
 		st := c.State()
-		if st != StateRetraining && st != StateCanary {
+		if st != StateRetraining {
 			return
 		}
 		if time.Now().After(deadline) {
@@ -366,8 +366,7 @@ func TestLifecycleDeterministicReplay(t *testing.T) {
 		"stable->drift-suspected: drift detector tripped",
 		"drift-suspected->gathering: drift confirmed",
 		"gathering->retraining: retrain #1: 24 train rows, 14 canary rows",
-		"retraining->canary: candidate trained, scoring canary",
-		"canary->stable: promoted candidate (canary 14.1% vs incumbent 36.1%)",
+		"retraining->stable: promoted candidate (canary 14.1% vs incumbent 36.1%)",
 	}
 	wantStatus := Status{
 		State: "stable", Submissions: 90, ErrEWMA: 0.18894064008124448,

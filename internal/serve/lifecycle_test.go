@@ -68,7 +68,7 @@ func driftUntilPromoted(t testing.TB, url string, stream []core.Sample) {
 		postSample(t, url, v)
 		for {
 			st := lifecycleStatus(t, url)
-			if st.State != "retraining" && st.State != "canary" {
+			if st.State != "retraining" {
 				promoted = st.Promotions > 0
 				break
 			}

@@ -284,7 +284,7 @@ func writeLifecycle(w io.Writer, views []entryView) {
 	io.WriteString(w, "# HELP hsserve_lifecycle_state Control-loop state (one-hot over the state machine), by model.\n")
 	io.WriteString(w, "# TYPE hsserve_lifecycle_state gauge\n")
 	for _, v := range lcs {
-		for _, st := range []string{"stable", "drift-suspected", "gathering", "retraining", "canary", "cooldown"} {
+		for _, st := range []string{"stable", "drift-suspected", "gathering", "retraining", "cooldown"} {
 			on := 0
 			if v.lc.State == st {
 				on = 1

@@ -53,7 +53,16 @@ var (
 	// observes drift only through a trained snapshot and refuses
 	// update:true, so nothing would ever train it.
 	errLifecycleNoModel = errors.New("registry: a lifecycle entry needs a trained model or a model path")
+	// errRegistryFull refuses an entry past maxEntries (HTTP 507).
+	errRegistryFull = errors.New("registry: model registry full")
 )
+
+// maxEntries caps the registered entries, the reserved "default" included:
+// each one holds a trainer, a profile store of up to core.MaxStoreRows rows
+// and a batcher goroutine. The README's fleet and the serving tests' fleets
+// have at most 5 entries, and one entry per SPEC2006 application plus a
+// wildcard and "default" is 9.
+const maxEntries = 64
 
 // defaultArchSpace names the architecture space every entry models — the
 // paper's Table 2 design space. A registration may name it or leave it
@@ -184,6 +193,11 @@ func (r *registry) registerTrainer(req hsmodel.RegisterRequest, lc *lifecycle.Co
 		r.mu.Unlock()
 		e.close()
 		return nil, fmt.Errorf("%w: %q", errExists, req.ID)
+	}
+	if len(r.entries) >= maxEntries {
+		r.mu.Unlock()
+		e.close()
+		return nil, fmt.Errorf("%w: %d entries, refusing %q", errRegistryFull, maxEntries, req.ID)
 	}
 	r.entries[req.ID] = e
 	r.mu.Unlock()

@@ -8,6 +8,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -115,6 +117,39 @@ func TestRegisterLifecycleNeedsModel(t *testing.T) {
 	}
 	if _, err := r.registerTrainer(hsmodel.RegisterRequest{ID: "m-trained"}, lc, trainedTrainer(t, 3)); err != nil {
 		t.Fatalf("trained lifecycle entry: %v", err)
+	}
+}
+
+// TestRegisterRefusesPastMaxEntries: with maxEntries registered, one more
+// registration is refused with errRegistryFull, which answers 507, and
+// registers nothing; unregistering one entry makes room again.
+func TestRegisterRefusesPastMaxEntries(t *testing.T) {
+	r := newTestRegistry(t)
+	for i := 0; i < maxEntries; i++ {
+		if _, err := r.register(hsmodel.RegisterRequest{ID: fmt.Sprintf("m-%d", i)}); err != nil {
+			t.Fatalf("entry %d of %d: %v", i+1, maxEntries, err)
+		}
+	}
+	_, err := r.register(hsmodel.RegisterRequest{ID: "m-extra"})
+	if !errors.Is(err, errRegistryFull) {
+		t.Fatalf("entry %d: err %v, want errRegistryFull", maxEntries+1, err)
+	}
+	if got := len(r.list()); got != maxEntries {
+		t.Fatalf("%d entries after the refusal, want %d", got, maxEntries)
+	}
+	if resolveID(r, "m-extra") != "" {
+		t.Fatal("refused entry resolves")
+	}
+	rec := httptest.NewRecorder()
+	writeError(rec, err)
+	if rec.Code != http.StatusInsufficientStorage {
+		t.Fatalf("refusal answers %d, want 507", rec.Code)
+	}
+	if err := r.unregister("m-0"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.register(hsmodel.RegisterRequest{ID: "m-extra"}); err != nil {
+		t.Fatalf("after an unregister: %v", err)
 	}
 }
 

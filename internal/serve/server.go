@@ -356,7 +356,7 @@ func writeError(w http.ResponseWriter, err error) {
 		code = http.StatusConflict
 	case errors.Is(err, errNonFinite):
 		code = http.StatusInternalServerError
-	case errors.Is(err, core.ErrStoreFull):
+	case errors.Is(err, core.ErrStoreFull), errors.Is(err, errRegistryFull):
 		code = http.StatusInsufficientStorage
 	case errors.As(err, new(*http.MaxBytesError)):
 		code = http.StatusRequestEntityTooLarge
